@@ -28,6 +28,7 @@ from .triangle import (
     InvalidTriangleError,
     Point2,
     SideLengths,
+    TriangleMetrics,
     canonical_vertices,
     metrics,
     sides_from_vertices,
@@ -109,17 +110,29 @@ def _resolve_input(args: argparse.Namespace) -> RunConfig:
 # --- serialization ---------------------------------------------------------
 
 
+def _rational_text(value: Scalar) -> str:
+    """"p/q" for an exact value.  The interpreter refuses to print integers
+    longer than its int-to-str digit limit (it guards against quadratic
+    conversion time); that refusal is reported as invalid input."""
+    value = Fraction(value)
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise ValueError(
+            "the exact answer is too long to print (an integer in it has more than "
+            f"{sys.get_int_max_str_digits()} digits); use --backend float or smaller numbers"
+        ) from None
+
+
 def _scalar_json(value: Scalar) -> Union[str, float]:
     if is_exact(value):
-        value = Fraction(value)
-        return f"{value.numerator}/{value.denominator}"
+        return _rational_text(value)
     return float(value)
 
 
 def _scalar_text(value: Scalar) -> str:
     if is_exact(value):
-        value = Fraction(value)
-        return f"{value.numerator}/{value.denominator}"
+        return _rational_text(value)
     return repr(float(value))
 
 
@@ -131,8 +144,7 @@ def _point_json(point: Point2) -> List[Union[str, float]]:
     return [_scalar_json(point.x), _scalar_json(point.y)]
 
 
-def _metrics_dict(sides: SideLengths) -> dict:
-    met = metrics(sides)
+def _metrics_dict(met: TriangleMetrics) -> dict:
     fields = ("s", "K_sq", "R_sq", "r_sq", "rA_sq", "rB_sq", "rC_sq", "Rr", "RrA", "RrB", "RrC")
     return {name: _scalar_json(getattr(met, name)) for name in fields}
 
@@ -197,7 +209,7 @@ def cmd_compute(config: RunConfig) -> int:
         return cmd_svg(config)
     doc = {
         "input": _input_dict(config),
-        "metrics": _metrics_dict(config.sides),
+        "metrics": _metrics_dict(metrics(config.sides)),
         "centers": _centers_dict(config),
     }
     if config.fmt == "json":
@@ -232,7 +244,7 @@ def cmd_feuerbach(config: RunConfig) -> int:
     report = feuerbach_report(config.sides, config.tol)
     doc = {
         "input": _input_dict(config),
-        "metrics": _metrics_dict(config.sides),
+        "metrics": _metrics_dict(report.metrics),
         "centers": _centers_dict(config),
         "equilateral": report.equilateral,
         "feuerbach": _feuerbach_list(report),
@@ -243,7 +255,7 @@ def cmd_feuerbach(config: RunConfig) -> int:
         lines = [f"backend: {config.backend}"]
         a, b, c = config.sides.as_tuple()
         lines.append(f"sides: a={_scalar_text(a)} b={_scalar_text(b)} c={_scalar_text(c)}")
-        met = metrics(config.sides)
+        met = report.metrics
         lines.append(f"R_sq = {_scalar_text(met.R_sq)}  r_sq = {_scalar_text(met.r_sq)}")
         lines.append(f"nine-point radius squared (R_sq/4): {_scalar_text(met.R_sq / 4)}")
         if report.equilateral:

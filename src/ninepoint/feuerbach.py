@@ -17,6 +17,12 @@ case: there the incircle and the nine-point circle coincide (r = R/2 and
 I = N), so the report flags them and classifies the pair as coincident
 rather than tangent.
 
+On exact sides the report and the residuals come from integer polynomials
+instead (see :func:`_tangency_numerators`): the sides are scaled to
+integers, every term is put over one denominator per circle, tangency is
+decided by comparing integers, and a ``Fraction`` is built only for each
+output field.
+
 Tangency classification works on squared quantities only.  The cross term
 2*r1*r2 in (r1 +- r2)^2 is recovered with an exact square root of
 r1^2 * r2^2; when that product is not a perfect square the circles cannot
@@ -30,6 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from .numeric import (
@@ -45,6 +52,8 @@ from .triangle import (
     Point2,
     SideLengths,
     TriangleMetrics,
+    _IntegerTriangle,
+    _scaled_to_integers,
     barycentric_distance_sq,
     metrics,
 )
@@ -108,20 +117,25 @@ class TangencyReport:
     residual_external: Scalar
 
     @property
+    def _internal_chosen(self) -> bool:
+        """Which comparison ``rhs`` and ``residual`` report: the one named
+        by the kind, or for NotTangent the one with the smaller residual."""
+        if self.kind is Tangency.NOT_TANGENT:
+            return abs(self.residual_internal) <= abs(self.residual_external)
+        return self.kind is Tangency.INTERNAL_TANGENT
+
+    @property
     def rhs(self) -> Scalar:
-        if self.kind is Tangency.EXTERNAL_TANGENT:
-            return self.rhs_external
-        if self.kind is Tangency.INTERNAL_TANGENT:
-            return self.rhs_internal
         if self.kind is Tangency.COINCIDENT:
             return self.lhs - self.lhs  # backend-matched zero
-        if abs(self.residual_internal) <= abs(self.residual_external):
-            return self.rhs_internal
-        return self.rhs_external
+        return self.rhs_internal if self._internal_chosen else self.rhs_external
 
     @property
     def residual(self) -> Scalar:
-        return self.lhs - self.rhs
+        """``lhs - rhs``, read from the stored residuals."""
+        if self.kind is Tangency.COINCIDENT:
+            return self.lhs
+        return self.residual_internal if self._internal_chosen else self.residual_external
 
 
 def classify_tangency_sq(
@@ -157,31 +171,19 @@ def classify_tangency_sq(
             )
         d_sq = 0.0
 
-    if exact:
-        cross = sqrt_exact(r1_sq * r2_sq)  # r1 * r2 when rational
-        if cross is None:
-            # d^2 - r1^2 - r2^2 is rational but +-2*r1*r2 is not: the
-            # tangency equations have no rational solution.
-            prod = 2.0 * math.sqrt(float(r1_sq) * float(r2_sq))
-            base = float(r1_sq) + float(r2_sq)
-            return TangencyReport(
-                kind=Tangency.NOT_TANGENT,
-                lhs=d_sq,
-                rhs_internal=base - prod,
-                rhs_external=base + prod,
-                residual_internal=float(d_sq) - (base - prod),
-                residual_external=float(d_sq) - (base + prod),
-            )
+    cross = sqrt_exact(r1_sq * r2_sq) if exact else None  # r1 * r2 when rational
+    if exact and cross is None:
+        # d^2 - r1^2 - r2^2 is rational but +-2*r1*r2 is not: the
+        # tangency equations have no rational solution.  The residuals
+        # below come out as floats (Fraction - float).
+        prod = 2.0 * math.sqrt(float(r1_sq) * float(r2_sq))
+        base = float(r1_sq) + float(r2_sq)
+        rhs_internal = base - prod
+        rhs_external = base + prod
+        kind = Tangency.NOT_TANGENT
+    elif exact:
         rhs_internal = r1_sq + r2_sq - 2 * cross
         rhs_external = r1_sq + r2_sq + 2 * cross
-        report = TangencyReport(
-            kind=Tangency.NOT_TANGENT,
-            lhs=d_sq,
-            rhs_internal=rhs_internal,
-            rhs_external=rhs_external,
-            residual_internal=d_sq - rhs_internal,
-            residual_external=d_sq - rhs_external,
-        )
         if d_sq == 0 and r1_sq == r2_sq:
             kind = Tangency.COINCIDENT
         elif d_sq == rhs_internal:
@@ -190,46 +192,33 @@ def classify_tangency_sq(
             kind = Tangency.EXTERNAL_TANGENT
         else:
             kind = Tangency.NOT_TANGENT
-        return _with_kind(report, kind)
-
-    d_sq_f = float(d_sq)
-    r1_sq_f = float(r1_sq)
-    r2_sq_f = float(r2_sq)
-    cross_f = 2.0 * math.sqrt(r1_sq_f * r2_sq_f)
-    rhs_internal = r1_sq_f + r2_sq_f - cross_f
-    rhs_external = r1_sq_f + r2_sq_f + cross_f
-    report = TangencyReport(
-        kind=Tangency.NOT_TANGENT,
-        lhs=d_sq_f,
-        rhs_internal=rhs_internal,
-        rhs_external=rhs_external,
-        residual_internal=d_sq_f - rhs_internal,
-        residual_external=d_sq_f - rhs_external,
-    )
-    scale = max(d_sq_f, r1_sq_f, r2_sq_f)
-    gap_internal = abs(d_sq_f - rhs_internal)
-    gap_external = abs(d_sq_f - rhs_external)
-    internal_fits = gap_internal <= tol.bound(max(d_sq_f, abs(rhs_internal), scale))
-    external_fits = gap_external <= tol.bound(max(d_sq_f, rhs_external))
-    if d_sq_f <= tol.bound(scale) and abs(r1_sq_f - r2_sq_f) <= tol.bound(scale):
-        kind = Tangency.COINCIDENT
-    elif internal_fits and (not external_fits or gap_internal <= gap_external):
-        kind = Tangency.INTERNAL_TANGENT
-    elif external_fits:
-        kind = Tangency.EXTERNAL_TANGENT
     else:
-        kind = Tangency.NOT_TANGENT
-    return _with_kind(report, kind)
-
-
-def _with_kind(report: TangencyReport, kind: Tangency) -> TangencyReport:
+        d_sq = float(d_sq)
+        r1_sq_f = float(r1_sq)
+        r2_sq_f = float(r2_sq)
+        cross_f = 2.0 * math.sqrt(r1_sq_f * r2_sq_f)
+        rhs_internal = r1_sq_f + r2_sq_f - cross_f
+        rhs_external = r1_sq_f + r2_sq_f + cross_f
+        scale = max(d_sq, r1_sq_f, r2_sq_f)
+        gap_internal = abs(d_sq - rhs_internal)
+        gap_external = abs(d_sq - rhs_external)
+        internal_fits = gap_internal <= tol.bound(max(d_sq, abs(rhs_internal), scale))
+        external_fits = gap_external <= tol.bound(max(d_sq, rhs_external))
+        if d_sq <= tol.bound(scale) and abs(r1_sq_f - r2_sq_f) <= tol.bound(scale):
+            kind = Tangency.COINCIDENT
+        elif internal_fits and (not external_fits or gap_internal <= gap_external):
+            kind = Tangency.INTERNAL_TANGENT
+        elif external_fits:
+            kind = Tangency.EXTERNAL_TANGENT
+        else:
+            kind = Tangency.NOT_TANGENT
     return TangencyReport(
         kind=kind,
-        lhs=report.lhs,
-        rhs_internal=report.rhs_internal,
-        rhs_external=report.rhs_external,
-        residual_internal=report.residual_internal,
-        residual_external=report.residual_external,
+        lhs=d_sq,
+        rhs_internal=rhs_internal,
+        rhs_external=rhs_external,
+        residual_internal=d_sq - rhs_internal,
+        residual_external=d_sq - rhs_external,
     )
 
 
@@ -264,10 +253,70 @@ def center_to_ninepoint_dist_sq(
     )
 
 
+# Barycentric weights (x_a, x_b, x_c) / d of each circle's center, as a
+# function of the integer triangle: the incenter (a, b, c) / p and the
+# excenters, e.g. (-a, b, c) / u opposite A.
+_CIRCLE_WEIGHTS = {
+    "incircle": lambda t: ((t.a, t.b, t.c), t.p),
+    "exA": lambda t: ((-t.a, t.b, t.c), t.u),
+    "exB": lambda t: ((t.a, -t.b, t.c), t.v),
+    "exC": lambda t: ((t.a, t.b, -t.c), t.w),
+}
+
+
+def _tangency_numerators(t: _IntegerTriangle, circle: str) -> Tuple[int, int, int, int]:
+    """Integer numerators (lhs, rhs_internal, rhs_external) of |XN|^2,
+    (R/2 - r_X)^2 and (R/2 + r_X)^2 for the circle with center X and radius
+    r_X, and their shared denominator 4*P*d^2*L^2.
+
+    With |AN|^2 = (R^2 - a^2 + b^2 + c^2)/4 and cyclic, R^2 = (abc)^2/P and
+    weights x/d summing to 1, the barycentric distance identity gives
+    |XN|^2 = R^2/4 + Q1/(4d) - Q2/d^2; the radii satisfy R/2 -+ r_X =
+    (abc*d -+ P) / (2d*sqrt(P)), with the minus sign for the incircle.
+    Uses only ring operations, so it accepts symbolic sides as well.
+    """
+    (x_a, x_b, x_c), d = _CIRCLE_WEIGHTS[circle](t)
+    a_sq, b_sq, c_sq = t.a * t.a, t.b * t.b, t.c * t.c
+    q1 = x_a * (-a_sq + b_sq + c_sq) + x_b * (a_sq - b_sq + c_sq) + x_c * (a_sq + b_sq - c_sq)
+    q2 = x_b * x_c * a_sq + x_c * x_a * b_sq + x_a * x_b * c_sq
+    abc_d = t.abc * d
+    lhs = abc_d * abc_d + t.P * (d * q1 - 4 * q2)
+    return lhs, (abc_d - t.P) ** 2, (abc_d + t.P) ** 2, 4 * t.P * (d * t.L) ** 2
+
+
+def _exact_tangency(t: _IntegerTriangle, circle: str) -> TangencyReport:
+    """The exact branch of :func:`classify_tangency_sq`, decided on integers."""
+    lhs, rhs_internal, rhs_external, den = _tangency_numerators(t, circle)
+    # Coincident: zero center distance and R^2/4 = r_X^2, which is
+    # abc*d = P, i.e. a zero rhs_internal.
+    if lhs == 0 and rhs_internal == 0:
+        kind = Tangency.COINCIDENT
+    elif lhs == rhs_internal:
+        kind = Tangency.INTERNAL_TANGENT
+    elif lhs == rhs_external:
+        kind = Tangency.EXTERNAL_TANGENT
+    else:
+        kind = Tangency.NOT_TANGENT
+    return TangencyReport(
+        kind=kind,
+        lhs=Fraction(lhs, den),
+        rhs_internal=Fraction(rhs_internal, den),
+        rhs_external=Fraction(rhs_external, den),
+        residual_internal=Fraction(lhs - rhs_internal, den),
+        residual_external=Fraction(lhs - rhs_external, den),
+    )
+
+
 def incircle_ninepoint_residual(
     sides: SideLengths, met: Optional[TriangleMetrics] = None
 ) -> Scalar:
-    """|IN|^2 - (R^2/4 + r^2 - R*r); exactly zero on the rational backend."""
+    """|IN|^2 - (R^2/4 + r^2 - R*r); exactly zero on the rational backend.
+
+    ``met`` saves recomputing the metrics on the float backend; exact sides
+    use the integer kernel and do not need it."""
+    if sides.is_exact:
+        lhs, rhs_internal, _, den = _tangency_numerators(_scaled_to_integers(sides), "incircle")
+        return Fraction(lhs - rhs_internal, den)
     if met is None:
         met = metrics(sides)
     d_sq = center_to_ninepoint_dist_sq(sides, incenter_barycentric(sides), met)
@@ -283,6 +332,9 @@ def excircle_ninepoint_residual(
     """|E_xN|^2 - (R^2/4 + r_x^2 + R*r_x) for the excircle opposite a vertex."""
     if vertex not in _EX_FIELDS:
         raise ValueError(f"vertex must be one of ('A', 'B', 'C'), got {vertex!r}")
+    if sides.is_exact:
+        lhs, _, rhs_external, den = _tangency_numerators(_scaled_to_integers(sides), f"ex{vertex}")
+        return Fraction(lhs - rhs_external, den)
     if met is None:
         met = metrics(sides)
     d_sq = center_to_ninepoint_dist_sq(sides, excenter_barycentric(sides, vertex), met)
@@ -340,6 +392,17 @@ def feuerbach_report(
 ) -> FeuerbachReport:
     """Classify nine-point circle against incircle and the three excircles."""
     met = metrics(sides)
+    if sides.is_exact:
+        t = _scaled_to_integers(sides)
+        return FeuerbachReport(
+            sides=sides,
+            metrics=met,
+            equilateral=sides.is_equilateral,
+            entries=tuple(
+                FeuerbachEntry(circle=circle, report=_exact_tangency(t, circle))
+                for circle in _CIRCLE_WEIGHTS
+            ),
+        )
     ninepoint_r_sq = met.R_sq / 4
     entries = [
         FeuerbachEntry(

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -195,9 +195,72 @@ def _area_sq_16(a: Scalar, b: Scalar, c: Scalar) -> Scalar:
     return (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
 
 
+class _IntegerTriangle(NamedTuple):
+    """Exact sides scaled by the lcm L of their denominators, plus the
+    integer polynomials every exact quantity is built from: p = a + b + c,
+    (u, v, w) = p - 2(a, b, c) and P = p*u*v*w = 16K^2 of the scaled
+    triangle.  Squared lengths of the original triangle are those of the
+    scaled one divided by L^2."""
+
+    L: int
+    a: int
+    b: int
+    c: int
+    p: int
+    u: int
+    v: int
+    w: int
+    P: int
+    abc: int
+
+
+def _integer_triangle(a, b, c, L=1) -> _IntegerTriangle:
+    """Derived terms of integer sides.  Uses only ring operations, so it
+    accepts symbolic sides as well."""
+    p = a + b + c
+    u = p - 2 * a
+    v = p - 2 * b
+    w = p - 2 * c
+    return _IntegerTriangle(L, a, b, c, p, u, v, w, p * u * v * w, a * b * c)
+
+
+def _scaled_to_integers(sides: SideLengths) -> _IntegerTriangle:
+    """Integer form of exact sides; the exact kernel divides only when it
+    builds an output field."""
+    a, b, c = sides.as_tuple()
+    L = math.lcm(a.denominator, b.denominator, c.denominator)
+    return _integer_triangle(
+        a.numerator * (L // a.denominator),
+        b.numerator * (L // b.denominator),
+        c.numerator * (L // c.denominator),
+        L,
+    )
+
+
 def metrics(sides: SideLengths) -> TriangleMetrics:
     """All squared quantities: K^2 = s(s-a)(s-b)(s-c), R^2 = (abc)^2 / 16K^2,
-    r^2 = K^2/s^2, r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a)."""
+    r^2 = K^2/s^2, r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a).
+
+    Exact sides go through the integer kernel: one division per field."""
+    if sides.is_exact:
+        # With sides a/L, b/L, c/L: s = p/2L, K^2 = P/16L^4, R^2 = (abc)^2/(P L^2),
+        # r^2 = P/(4 p^2 L^2), R*r = abc/(2 p L^2), and u, v, w stand in for p
+        # in the excircle terms.
+        t = _scaled_to_integers(sides)
+        L_sq = t.L * t.L
+        return TriangleMetrics(
+            s=Fraction(t.p, 2 * t.L),
+            K_sq=Fraction(t.P, 16 * L_sq * L_sq),
+            R_sq=Fraction(t.abc * t.abc, t.P * L_sq),
+            r_sq=Fraction(t.P, 4 * t.p * t.p * L_sq),
+            rA_sq=Fraction(t.P, 4 * t.u * t.u * L_sq),
+            rB_sq=Fraction(t.P, 4 * t.v * t.v * L_sq),
+            rC_sq=Fraction(t.P, 4 * t.w * t.w * L_sq),
+            Rr=Fraction(t.abc, 2 * t.p * L_sq),
+            RrA=Fraction(t.abc, 2 * t.u * L_sq),
+            RrB=Fraction(t.abc, 2 * t.v * L_sq),
+            RrC=Fraction(t.abc, 2 * t.w * L_sq),
+        )
     a, b, c = sides.as_tuple()
     s = semiperimeter(sides)
     # Computed as half-sums directly: one rounding instead of two for floats.

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,44 @@ class TestFeuerbach:
     def test_json_roundtrip_byte_identical(self, capsys):
         _, out, _ = run(capsys, "feuerbach", "--sides", "3,4,5", "--format", "json")
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+
+def seeded_sides(digits: int) -> str:
+    """A triangle whose side numerators and denominators all have the given
+    number of digits, from a fixed seed."""
+    rng = random.Random(0)
+    low, high = 10 ** (digits - 1), 10**digits
+    while True:
+        a, b, c = (F(rng.randrange(low, high), rng.randrange(low, high)) for _ in range(3))
+        if a + b > c and b + c > a and c + a > b:
+            return ",".join(f"{v.numerator}/{v.denominator}" for v in (a, b, c))
+
+
+class TestOutputDigitLimit:
+    # The largest integer in an exact feuerbach answer has about 18 times
+    # the digits of the input; the interpreter prints at most 4300.
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_230_digits_prints(self, capsys, fmt):
+        code, out, err = run(capsys, "feuerbach", "--sides", seeded_sides(230), "--format", fmt)
+        assert code == 0
+        assert err == ""
+        assert out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_240_digits_too_long_to_print(self, capsys, fmt):
+        code, out, err = run(capsys, "feuerbach", "--sides", seeded_sides(240), "--format", fmt)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the exact answer is too long to print")
+        assert err.endswith("; use --backend float or smaller numbers\n")
+        assert "set_int_max_str_digits" not in err
+
+    def test_240_digits_float_backend_prints(self, capsys):
+        code, out, _ = run(capsys, "feuerbach", "--sides", seeded_sides(240),
+                           "--backend", "float", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["input"]["backend"] == "float"
 
 
 class TestFuzzCommand:
