@@ -5,125 +5,46 @@ to verify Feuerbach's theorem (nine-point circle internally tangent to the
 incircle, externally tangent to the excircles) is rational in the sides,
 so the exact backend proves the tangencies with zero residuals while the
 float backend tracks them within documented tolerances.
+
+The names below are the documented library API (see "Library API" in the
+README); everything else stays importable from its module.
 """
 
-from .numeric import (
-    DEFAULT_TOLERANCE,
-    Scalar,
-    ToleranceProfile,
-    approx_eq,
-    is_exact,
-    make_rational,
-    sqrt_exact,
-)
+from .numeric import ToleranceProfile
 from .triangle import (
-    Barycentric,
     InvalidTriangleError,
-    Point2,
     SideLengths,
-    TriangleMetrics,
     barycentric_distance_sq,
-    barycentric_to_cartesian,
-    canonical_vertices,
-    cartesian_to_barycentric,
     metrics,
-    orientation,
-    point_on_side,
-    semiperimeter,
-    sides_from_vertices,
 )
-from .centers import (
-    CenterSet,
-    bisector_foot_barycentric,
-    center_set,
-    centroid_barycentric,
-    circumcenter_cartesian,
-    circumdot,
-    excenter_barycentric,
-    incenter_barycentric,
-    nine_point_center,
-    orthocenter_from_euler,
-    vertex_to_ninepoint_dist_sq,
-)
+from .centers import vertex_to_ninepoint_dist_sq
 from .feuerbach import (
-    Circle,
-    FeuerbachEntry,
-    FeuerbachReport,
     Tangency,
-    TangencyReport,
-    center_to_ninepoint_dist_sq,
-    classify_tangency,
     classify_tangency_sq,
     excircle_ninepoint_residual,
     feuerbach_report,
     incircle_ninepoint_residual,
 )
-from .harness import (
-    PROFILE_KINDS,
-    FuzzProfile,
-    IdentityCheck,
-    OracleResult,
-    SuiteReport,
-    cartesian_oracle,
-    check_identity_suite,
-    random_triangle,
-)
+from .harness import FuzzProfile, check_identity_suite, random_triangle
 from .svg import render_svg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOLERANCE",
-    "Scalar",
-    "ToleranceProfile",
-    "approx_eq",
-    "is_exact",
-    "make_rational",
-    "sqrt_exact",
-    "Barycentric",
-    "InvalidTriangleError",
-    "Point2",
     "SideLengths",
-    "TriangleMetrics",
-    "barycentric_distance_sq",
-    "barycentric_to_cartesian",
-    "canonical_vertices",
-    "cartesian_to_barycentric",
+    "InvalidTriangleError",
+    "ToleranceProfile",
     "metrics",
-    "orientation",
-    "point_on_side",
-    "semiperimeter",
-    "sides_from_vertices",
-    "CenterSet",
-    "bisector_foot_barycentric",
-    "center_set",
-    "centroid_barycentric",
-    "circumcenter_cartesian",
-    "circumdot",
-    "excenter_barycentric",
-    "incenter_barycentric",
-    "nine_point_center",
-    "orthocenter_from_euler",
-    "vertex_to_ninepoint_dist_sq",
-    "Circle",
-    "FeuerbachEntry",
-    "FeuerbachReport",
-    "Tangency",
-    "TangencyReport",
-    "center_to_ninepoint_dist_sq",
-    "classify_tangency",
-    "classify_tangency_sq",
-    "excircle_ninepoint_residual",
     "feuerbach_report",
+    "Tangency",
+    "classify_tangency_sq",
+    "barycentric_distance_sq",
+    "vertex_to_ninepoint_dist_sq",
     "incircle_ninepoint_residual",
-    "PROFILE_KINDS",
+    "excircle_ninepoint_residual",
     "FuzzProfile",
-    "IdentityCheck",
-    "OracleResult",
-    "SuiteReport",
-    "cartesian_oracle",
-    "check_identity_suite",
     "random_triangle",
+    "check_identity_suite",
     "render_svg",
     "__version__",
 ]

@@ -31,7 +31,6 @@ from .triangle import (
     TriangleMetrics,
     barycentric_to_cartesian,
     metrics,
-    semiperimeter,
 )
 
 __all__ = [
@@ -85,10 +84,10 @@ def centroid_barycentric() -> Barycentric:
 
 
 def incenter_barycentric(sides: SideLengths) -> Barycentric:
-    """I = (a, b, c) / 2s; all components positive with unit sum."""
-    s = semiperimeter(sides)
+    """I = (a, b, c) / (a + b + c); all components positive with unit sum."""
     a, b, c = sides.as_tuple()
-    return Barycentric(a / (2 * s), b / (2 * s), c / (2 * s))
+    perimeter = a + b + c
+    return Barycentric(a / perimeter, b / perimeter, c / perimeter)
 
 
 def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
@@ -106,7 +105,7 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
 def excenter_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
     """Excenter opposite the vertex; A-form (-a, b, c) / (2(s - a))."""
     a, b, c = _rotated_sides(sides, vertex)
-    denom = 2 * ((-a + b + c) / 2)  # 2(s - a), computed as a single half-sum
+    denom = -a + b + c
     weights = (-a / denom, b / denom, c / denom)
     return Barycentric(*_unrotate(weights, vertex))
 
@@ -187,10 +186,6 @@ class CenterSet:
     Ea: Optional[Point2] = None
     Eb: Optional[Point2] = None
     Ec: Optional[Point2] = None
-
-    @property
-    def has_cartesian(self) -> bool:
-        return self.O is not None
 
     def cartesian_items(self) -> Tuple[Tuple[str, Point2], ...]:
         labeled = (

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +62,17 @@ class RunConfig:
 
 
 def _parse_scalar(text: str, backend: str) -> Scalar:
-    value = Fraction(text.strip())  # accepts "3", "3/1", "1.5"
+    """One input number.  A run of digits longer than the interpreter's
+    int-to-str limit cannot be parsed; that is reported in input terms."""
+    try:
+        value = Fraction(text.strip())  # accepts "3", "3/1", "1.5"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        if limit and any(len(run) > limit for run in re.findall(r"\d+", text.replace("_", ""))):
+            raise ValueError(
+                f"a number in the input has more than {limit} digits; use smaller numbers"
+            ) from None
+        raise
     return value if backend == "exact" else float(value)
 
 

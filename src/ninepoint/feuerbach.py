@@ -49,7 +49,6 @@ from .numeric import (
 )
 from .triangle import (
     Barycentric,
-    Point2,
     SideLengths,
     TriangleMetrics,
     _IntegerTriangle,
@@ -58,6 +57,7 @@ from .triangle import (
     metrics,
 )
 from .centers import (
+    VERTICES,
     Vertex,
     excenter_barycentric,
     incenter_barycentric,
@@ -66,11 +66,10 @@ from .centers import (
 
 __all__ = [
     "Tangency",
-    "Circle",
+    "CIRCLES",
     "TangencyReport",
     "FeuerbachEntry",
     "FeuerbachReport",
-    "classify_tangency",
     "classify_tangency_sq",
     "center_to_ninepoint_dist_sq",
     "incircle_ninepoint_residual",
@@ -86,18 +85,9 @@ class Tangency(enum.Enum):
     NOT_TANGENT = "not_tangent"
 
 
-@dataclass(frozen=True)
-class Circle:
-    """Circle stored by squared radius; the center is optional because the
-    side-length pipeline knows center distances only in squared form."""
-
-    radius_sq: Scalar
-    center: Optional[Point2] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius_sq", coerce_scalar(self.radius_sq))
-        if self.radius_sq <= 0:
-            raise ValueError(f"radius_sq must be positive, got {self.radius_sq}")
+# The circles compared with the nine-point circle, in report order: the
+# incircle, then the excircles opposite A, B and C.
+CIRCLES = ("incircle", "exA", "exB", "exC")
 
 
 @dataclass(frozen=True)
@@ -222,19 +212,6 @@ def classify_tangency_sq(
     )
 
 
-def classify_tangency(
-    circle1: Circle,
-    circle2: Circle,
-    tol: ToleranceProfile = DEFAULT_TOLERANCE,
-) -> TangencyReport:
-    """Classify two positioned circles (symmetric in its arguments)."""
-    if circle1.center is None or circle2.center is None:
-        raise ValueError("classify_tangency needs both centers; "
-                         "use classify_tangency_sq with a center distance instead")
-    d_sq = circle1.center.dist_sq(circle2.center)
-    return classify_tangency_sq(d_sq, circle1.radius_sq, circle2.radius_sq, tol)
-
-
 def center_to_ninepoint_dist_sq(
     sides: SideLengths,
     coords: Barycentric,
@@ -346,7 +323,7 @@ def excircle_ninepoint_residual(
 class FeuerbachEntry:
     """One circle-vs-nine-point-circle comparison."""
 
-    circle: str  # "incircle" | "exA" | "exB" | "exC"
+    circle: str  # one of CIRCLES
     report: TangencyReport
 
     @property
@@ -394,44 +371,30 @@ def feuerbach_report(
     met = metrics(sides)
     if sides.is_exact:
         t = _scaled_to_integers(sides)
-        return FeuerbachReport(
-            sides=sides,
-            metrics=met,
-            equilateral=sides.is_equilateral,
-            entries=tuple(
-                FeuerbachEntry(circle=circle, report=_exact_tangency(t, circle))
-                for circle in _CIRCLE_WEIGHTS
-            ),
+        reports = tuple(_exact_tangency(t, circle) for circle in CIRCLES)
+    else:
+        # Each center's |XN|^2 comes from the same three vertex-to-N distances.
+        vertex_dist_sq = [vertex_to_ninepoint_dist_sq(sides, v, met) for v in VERTICES]
+        centers = (incenter_barycentric(sides),) + tuple(
+            excenter_barycentric(sides, v) for v in VERTICES
         )
-    ninepoint_r_sq = met.R_sq / 4
-    entries = [
-        FeuerbachEntry(
-            circle="incircle",
-            report=classify_tangency_sq(
-                center_to_ninepoint_dist_sq(sides, incenter_barycentric(sides), met),
+        radii_sq = (met.r_sq, met.rA_sq, met.rB_sq, met.rC_sq)
+        ninepoint_r_sq = met.R_sq / 4
+        reports = tuple(
+            classify_tangency_sq(
+                barycentric_distance_sq(center, *vertex_dist_sq, sides),
                 ninepoint_r_sq,
-                met.r_sq,
+                r_sq,
                 tol,
-            ),
-        )
-    ]
-    for vertex, r_sq_name in (("A", "rA_sq"), ("B", "rB_sq"), ("C", "rC_sq")):
-        entries.append(
-            FeuerbachEntry(
-                circle=f"ex{vertex}",
-                report=classify_tangency_sq(
-                    center_to_ninepoint_dist_sq(
-                        sides, excenter_barycentric(sides, vertex), met
-                    ),
-                    ninepoint_r_sq,
-                    getattr(met, r_sq_name),
-                    tol,
-                ),
             )
+            for center, r_sq in zip(centers, radii_sq)
         )
     return FeuerbachReport(
         sides=sides,
         metrics=met,
         equilateral=sides.is_equilateral,
-        entries=tuple(entries),
+        entries=tuple(
+            FeuerbachEntry(circle=circle, report=report)
+            for circle, report in zip(CIRCLES, reports)
+        ),
     )

@@ -39,7 +39,6 @@ from .numeric import (
     sqrt_exact,
 )
 from .triangle import (
-    Barycentric,
     Point2,
     SideLengths,
     barycentric_distance_sq,
@@ -265,35 +264,14 @@ def _unit_direction(src: Point2, dst: Point2) -> Point2:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Constructed centers, pairwise squared distances among the labeled
-    points, and the constructed nine-point radius squared."""
+    """Constructed centers, squared distances among the labeled points, and
+    the constructed nine-point radius squared."""
 
     points: Dict[str, Point2]
     nine_point_radius_sq: Scalar
 
-    LABELS = ("A", "B", "C", "O", "G", "H", "N", "I", "Ea", "Eb", "Ec")
-
     def distance_sq(self, label1: str, label2: str) -> Scalar:
         return self.points[label1].dist_sq(self.points[label2])
-
-    def all_pairwise_distances_sq(self) -> Dict[Tuple[str, str], Scalar]:
-        out: Dict[Tuple[str, str], Scalar] = {}
-        for i, p in enumerate(self.LABELS):
-            for q in self.LABELS[i + 1 :]:
-                out[(p, q)] = self.distance_sq(p, q)
-        return out
-
-    def barycentric_of(self, label: str) -> Barycentric:
-        """Affine coordinates of a labeled point via a direct 2x2 solve."""
-        target = self.points[label]
-        va, vb, vc = self.points["A"], self.points["B"], self.points["C"]
-        ac = va - vc
-        bc = vb - vc
-        det = ac.cross(bc)
-        xc = target - vc
-        alpha = xc.cross(bc) / det
-        beta = ac.cross(xc) / det
-        return Barycentric(alpha, beta, 1 - alpha - beta)
 
 
 def cartesian_oracle(
@@ -435,7 +413,8 @@ def check_identity_suite(
         )
 
     a, b, c = sides.as_tuple()
-    met = metrics(sides)
+    fb = feuerbach_report(sides, suite_tol)
+    met = fb.metrics
     scale_len_sq = float(met.R_sq)
     scale_len = math.sqrt(scale_len_sq)
     zero = a - a
@@ -588,7 +567,6 @@ def check_identity_suite(
         record(f"ninepoint_membership_{name}", n_pt.dist_sq(member), quarter_r_sq, scale_len_sq)
 
     # Feuerbach residuals and tangency kinds.
-    fb = feuerbach_report(sides, suite_tol)
     record(
         "feuerbach_incircle_residual",
         incircle_ninepoint_residual(sides, met),

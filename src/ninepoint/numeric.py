@@ -24,9 +24,7 @@ __all__ = [
     "Scalar",
     "ToleranceProfile",
     "DEFAULT_TOLERANCE",
-    "make_rational",
     "sqrt_exact",
-    "approx_eq",
     "is_exact",
     "coerce_scalar",
 ]
@@ -69,19 +67,6 @@ def coerce_scalar(value: Scalar) -> Scalar:
     raise TypeError(f"unsupported scalar type: {type(value).__name__}")
 
 
-def make_rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Reduced rational with positive denominator.
-
-    >>> make_rational(2, 4)
-    Fraction(1, 2)
-    >>> make_rational(3, -6)
-    Fraction(-1, 2)
-    """
-    if denominator == 0:
-        raise ValueError("zero denominator")
-    return Fraction(numerator, denominator)
-
-
 def sqrt_exact(value: Union[Fraction, int]) -> Optional[Fraction]:
     """Exact square root of a nonnegative rational, or None when irrational.
 
@@ -99,10 +84,3 @@ def sqrt_exact(value: Union[Fraction, int]) -> Optional[Fraction]:
         return Fraction(num_root, den_root)
     return None
 
-
-def approx_eq(x: float, y: float, tol: ToleranceProfile = DEFAULT_TOLERANCE) -> bool:
-    """|x - y| <= abs_eps + rel_eps * max(|x|, |y|); rejects non-finite input."""
-    fx, fy = float(x), float(y)
-    if not (math.isfinite(fx) and math.isfinite(fy)):
-        raise ValueError(f"approx_eq requires finite inputs, got {x!r}, {y!r}")
-    return abs(fx - fy) <= tol.abs_eps + tol.rel_eps * max(abs(fx), abs(fy))

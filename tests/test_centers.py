@@ -187,7 +187,7 @@ class TestCenterSet:
         sides, vertices = triangle345
         centers = center_set(sides, vertices)
         assert isinstance(centers, CenterSet)
-        assert centers.has_cartesian
+        assert centers.O is not None
         assert (centers.O.x, centers.O.y) == (F(3, 2), F(2))
         assert (centers.G.x, centers.G.y) == (F(1), F(4, 3))
         assert (centers.H.x, centers.H.y) == (F(0), F(0))
@@ -199,7 +199,7 @@ class TestCenterSet:
 
     def test_barycentric_family(self, sides345):
         centers = center_set(sides345)
-        assert not centers.has_cartesian
+        assert centers.O is None
         assert set(centers.barycentric) == {"G", "I", "Ea", "Eb", "Ec"}
         assert centers.barycentric["I"].components == (F(1, 4), F(1, 3), F(5, 12))
 

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -236,6 +237,26 @@ class TestOutputDigitLimit:
                            "--backend", "float", "--format", "json")
         assert code == 0
         assert json.loads(out)["input"]["backend"] == "float"
+
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_input_over_digit_limit(self, capsys, backend):
+        limit = sys.get_int_max_str_digits()
+        big = "7" * (limit + 1)
+        code, out, err = run(capsys, "feuerbach", "--sides", f"{big},{big},{big}",
+                             "--backend", backend)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: a number in the input has more than {limit} digits; "
+                       "use smaller numbers\n")
+
+    def test_input_digit_limit_counts_each_digit_run(self):
+        limit = sys.get_int_max_str_digits()
+        assert cli._parse_scalar("7" * limit, "exact") == int("7" * limit)
+        assert cli._parse_scalar(f"{'7' * limit}/{'3' * limit}", "exact") > 0
+        for text in ("7" * (limit + 1), f"1/{'3' * (limit + 1)}", f"1.{'5' * (limit + 1)}",
+                     "7_" * limit + "7"):
+            with pytest.raises(ValueError, match=f"more than {limit} digits"):
+                cli._parse_scalar(text, "exact")
 
 
 class TestFuzzCommand:

@@ -3,21 +3,20 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ninepoint.centers import excenter_barycentric, incenter_barycentric
 from ninepoint.feuerbach import (
-    Circle,
     Tangency,
     center_to_ninepoint_dist_sq,
-    classify_tangency,
     classify_tangency_sq,
     excircle_ninepoint_residual,
     feuerbach_report,
     incircle_ninepoint_residual,
 )
 from ninepoint.numeric import ToleranceProfile
-from ninepoint.triangle import Barycentric, Point2, SideLengths, metrics
+from ninepoint.triangle import Barycentric, InvalidTriangleError, SideLengths, metrics
 
 F = Fraction
 
@@ -25,6 +24,24 @@ positive_fractions = st.fractions(min_value=F(1, 50), max_value=50, max_denomina
 rational_sides = st.tuples(positive_fractions, positive_fractions, positive_fractions).map(
     lambda xyz: SideLengths(xyz[1] + xyz[2], xyz[2] + xyz[0], xyz[0] + xyz[1])
 )
+
+
+@st.composite
+def float_sides(draw) -> SideLengths:
+    """Generic or near-degenerate float triangles from 1e-6 to 1e7 in size.
+    Near-degenerate ones put c a relative gap g below a + b, which gives
+    conditioning of about 2/g, up to 1e6."""
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    a = draw(st.floats(0.1, 10.0)) * scale
+    b = draw(st.floats(0.1, 10.0)) * scale
+    if draw(st.booleans()):
+        c = (a + b) * (1.0 - 10.0 ** -draw(st.floats(1.0, 5.7)))
+    else:
+        c = abs(a - b) + (a + b - abs(a - b)) * draw(st.floats(0.05, 0.95))
+    try:
+        return SideLengths(a, b, c)
+    except InvalidTriangleError:
+        assume(False)
 
 
 class TestClassifySq:
@@ -131,28 +148,6 @@ class TestClassifySq:
         assert left.kind == right.kind
 
 
-class TestClassifyCircles:
-    def test_positioned_circles(self):
-        inner = Circle(radius_sq=F(1), center=Point2(F(2), F(0)))
-        outer = Circle(radius_sq=F(4), center=Point2(F(0), F(0)))
-        # Centers 2 apart, radii 1 and 2: internally tangent ((2-1)^2 = 4? no:
-        # d^2 = 4, (r1 - r2)^2 = 1, (r1 + r2)^2 = 9) -> neither, so craft d.
-        report = classify_tangency(inner, outer)
-        assert report.kind is Tangency.NOT_TANGENT
-        touching = Circle(radius_sq=F(1), center=Point2(F(3), F(0)))
-        assert classify_tangency(touching, outer).kind is Tangency.EXTERNAL_TANGENT
-
-    def test_center_required(self):
-        with pytest.raises(ValueError, match="centers"):
-            classify_tangency(Circle(radius_sq=F(1)), Circle(radius_sq=F(4)))
-
-    def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            Circle(radius_sq=F(0))
-        with pytest.raises(ValueError):
-            Circle(radius_sq=-1.0)
-
-
 class TestResiduals:
     def test_3_4_5_zero(self):
         sides = SideLengths(3, 4, 5)
@@ -237,3 +232,30 @@ class TestFeuerbachReport:
             assert report.entries[0].report.kind is Tangency.COINCIDENT
         else:
             assert report.entries[0].report.kind is Tangency.INTERNAL_TANGENT
+
+    @given(float_sides())
+    def test_float_report_matches_per_circle_reference(self, sides: SideLengths):
+        # Every field must equal, bit for bit, the classification of each
+        # circle on its own: |XN|^2 against R^2/4 and r_X^2.
+        tol = ToleranceProfile()
+        met = metrics(sides)
+        centers = {
+            "incircle": incenter_barycentric(sides),
+            "exA": excenter_barycentric(sides, "A"),
+            "exB": excenter_barycentric(sides, "B"),
+            "exC": excenter_barycentric(sides, "C"),
+        }
+        radii_sq = {"incircle": met.r_sq, "exA": met.rA_sq, "exB": met.rB_sq, "exC": met.rC_sq}
+        report = feuerbach_report(sides, tol)
+        assert report.sides == sides
+        assert report.metrics == met
+        assert report.equilateral == sides.is_equilateral
+        assert [entry.circle for entry in report.entries] == list(centers)
+        for entry in report.entries:
+            expected = classify_tangency_sq(
+                center_to_ninepoint_dist_sq(sides, centers[entry.circle], met),
+                met.R_sq / 4,
+                radii_sq[entry.circle],
+                tol,
+            )
+            assert entry.report == expected, entry.circle

@@ -8,7 +8,6 @@ import pytest
 from ninepoint.harness import (
     PROFILE_KINDS,
     FuzzProfile,
-    OracleResult,
     cartesian_oracle,
     check_identity_suite,
     random_triangle,
@@ -136,16 +135,6 @@ class TestOracle:
         va, vb, vc = canonical_vertices(SideLengths(3, 4, 5))
         oracle = cartesian_oracle(va, vb, vc)
         assert oracle.distance_sq("I", "N") == F(1, 16)
-        pairwise = oracle.all_pairwise_distances_sq()
-        assert pairwise[("A", "B")] == F(25)
-        assert pairwise[("O", "G")] == oracle.distance_sq("O", "G")
-        assert len(pairwise) == len(OracleResult.LABELS) * (len(OracleResult.LABELS) - 1) // 2
-
-    def test_barycentric_of_incenter(self):
-        va, vb, vc = canonical_vertices(SideLengths(3, 4, 5))
-        oracle = cartesian_oracle(va, vb, vc)
-        assert oracle.barycentric_of("I").components == (F(1, 4), F(1, 3), F(5, 12))
-        assert oracle.barycentric_of("Ea").components == (F(-1, 2), F(2, 3), F(5, 6))
 
     def test_collinear_rejected(self):
         with pytest.raises(ValueError, match="collinear"):

@@ -9,44 +9,10 @@ from hypothesis import strategies as st
 from ninepoint.numeric import (
     DEFAULT_TOLERANCE,
     ToleranceProfile,
-    approx_eq,
     coerce_scalar,
     is_exact,
-    make_rational,
     sqrt_exact,
 )
-
-
-class TestMakeRational:
-    def test_reduces(self):
-        value = make_rational(2, 4)
-        assert value == Fraction(1, 2)
-        assert value.numerator == 1
-        assert value.denominator == 2
-
-    def test_sign_lives_in_numerator(self):
-        value = make_rational(3, -6)
-        assert value == Fraction(-1, 2)
-        assert value.denominator == 2
-
-    def test_zero(self):
-        value = make_rational(0, 7)
-        assert value.numerator == 0
-        assert value.denominator == 1
-
-    def test_integer_default_denominator(self):
-        assert make_rational(5) == Fraction(5)
-
-    def test_zero_denominator_rejected(self):
-        with pytest.raises(ValueError, match="zero denominator"):
-            make_rational(1, 0)
-
-    @given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6).filter(lambda d: d != 0))
-    def test_always_reduced_with_positive_denominator(self, n: int, d: int):
-        value = make_rational(n, d)
-        assert value.denominator > 0
-        # Reduced: re-wrapping through Fraction changes nothing.
-        assert Fraction(value.numerator, value.denominator) == value
 
 
 class TestSqrtExact:
@@ -100,29 +66,6 @@ class TestToleranceProfile:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValueError):
             ToleranceProfile(rel_eps=-1e-9, abs_eps=0.0)
-
-
-class TestApproxEq:
-    def test_exact_equal(self):
-        assert approx_eq(1.25, 1.25)
-
-    def test_within_relative(self):
-        assert approx_eq(1e6, 1e6 * (1 + 1e-10))
-        assert not approx_eq(1e6, 1e6 * (1 + 1e-8))
-
-    def test_within_absolute_near_zero(self):
-        assert approx_eq(0.0, 1e-13)
-        assert not approx_eq(0.0, 1e-11)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            approx_eq(float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            approx_eq(0.0, float("inf"))
-
-    @given(st.floats(-1e12, 1e12), st.floats(-1e12, 1e12))
-    def test_symmetric(self, x: float, y: float):
-        assert approx_eq(x, y) == approx_eq(y, x)
 
 
 class TestScalarPredicates:
