@@ -12,9 +12,9 @@ O and H.  The altitude property of H and the equal-distance property of N
 are checked against independent constructions in the test harness rather
 than assumed here.
 
-Every vertex-specific formula is produced from its A-form by cyclic
-rotation of both the sides and the output coordinates, so the three cases
-cannot drift apart.
+The incenter and the excenters come from one weight table, which the
+integer kernel reads too; the other vertex-specific formulas are rotated
+from their A-form, so the three cases cannot drift apart.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .triangle import (
     Barycentric,
     Point2,
     SideLengths,
-    TriangleMetrics,
     barycentric_to_cartesian,
     metrics,
 )
@@ -37,8 +36,10 @@ __all__ = [
     "Vertex",
     "VertexPair",
     "VERTICES",
+    "CENTER_WEIGHTS",
     "CenterSet",
     "centroid_barycentric",
+    "center_barycentric",
     "incenter_barycentric",
     "bisector_foot_barycentric",
     "excenter_barycentric",
@@ -83,11 +84,27 @@ def centroid_barycentric() -> Barycentric:
     return Barycentric(third, third, third)
 
 
+# Barycentric weights (x_a, x_b, x_c) and their sum d of the incenter I and
+# the excenters Ea, Eb, Ec opposite A, B, C, as ring expressions of the
+# sides a, b, c: the center is (x_a, x_b, x_c) / d.  They serve every
+# backend, integers included; each d keeps the float addition order.
+CENTER_WEIGHTS = {
+    "I": lambda a, b, c: ((a, b, c), a + b + c),
+    "Ea": lambda a, b, c: ((-a, b, c), -a + b + c),
+    "Eb": lambda a, b, c: ((a, -b, c), -b + c + a),
+    "Ec": lambda a, b, c: ((a, b, -c), -c + a + b),
+}
+
+
+def center_barycentric(sides: SideLengths, label: str) -> Barycentric:
+    """The center named by a :data:`CENTER_WEIGHTS` label, normalized."""
+    (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](*sides.as_tuple())
+    return Barycentric(x_a / d, x_b / d, x_c / d)
+
+
 def incenter_barycentric(sides: SideLengths) -> Barycentric:
     """I = (a, b, c) / (a + b + c); all components positive with unit sum."""
-    a, b, c = sides.as_tuple()
-    perimeter = a + b + c
-    return Barycentric(a / perimeter, b / perimeter, c / perimeter)
+    return center_barycentric(sides, "I")
 
 
 def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
@@ -103,11 +120,9 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
 
 
 def excenter_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
-    """Excenter opposite the vertex; A-form (-a, b, c) / (2(s - a))."""
-    a, b, c = _rotated_sides(sides, vertex)
-    denom = -a + b + c
-    weights = (-a / denom, b / denom, c / denom)
-    return Barycentric(*_unrotate(weights, vertex))
+    """Excenter opposite the vertex; for A, (-a, b, c) / (2(s - a))."""
+    _shift(vertex)  # rejects anything but "A", "B", "C"
+    return center_barycentric(sides, "E" + vertex.lower())
 
 
 def circumcenter_cartesian(
@@ -143,29 +158,21 @@ def nine_point_center(circumcenter: Point2, orthocenter: Point2) -> Point2:
     )
 
 
-def vertex_to_ninepoint_dist_sq(
-    sides: SideLengths, vertex: Vertex, met: Optional[TriangleMetrics] = None
-) -> Scalar:
+def vertex_to_ninepoint_dist_sq(sides: SideLengths, vertex: Vertex) -> Scalar:
     """|vertex N|^2 from sides alone; A-form (R^2 - a^2 + b^2 + c^2) / 4."""
-    if met is None:
-        met = metrics(sides)
     a, b, c = _rotated_sides(sides, vertex)
-    return (met.R_sq - a * a + b * b + c * c) / 4
+    return (metrics(sides).R_sq - a * a + b * b + c * c) / 4
 
 
 _OPPOSITE_OF_PAIR = {"AB": "c", "BC": "a", "CA": "b"}
 
 
-def circumdot(
-    sides: SideLengths, pair: VertexPair, met: Optional[TriangleMetrics] = None
-) -> Scalar:
+def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
     """Dot product (P - O).(Q - O) for a vertex pair: R^2 - opposite^2 / 2."""
     if pair not in _OPPOSITE_OF_PAIR:
         raise ValueError(f"pair must be one of {tuple(_OPPOSITE_OF_PAIR)}, got {pair!r}")
-    if met is None:
-        met = metrics(sides)
     opposite = dict(zip("abc", sides.as_tuple()))[_OPPOSITE_OF_PAIR[pair]]
-    return met.R_sq - (opposite * opposite) / 2
+    return metrics(sides).R_sq - (opposite * opposite) / 2
 
 
 @dataclass(frozen=True)
@@ -200,13 +207,8 @@ def center_set(
     vertices: Optional[Tuple[Point2, Point2, Point2]] = None,
 ) -> CenterSet:
     """Assemble every center; vertices add the Cartesian layer."""
-    bary = {
-        "G": centroid_barycentric(),
-        "I": incenter_barycentric(sides),
-        "Ea": excenter_barycentric(sides, "A"),
-        "Eb": excenter_barycentric(sides, "B"),
-        "Ec": excenter_barycentric(sides, "C"),
-    }
+    bary = {"G": centroid_barycentric()}
+    bary.update((label, center_barycentric(sides, label)) for label in CENTER_WEIGHTS)
     if vertices is None:
         return CenterSet(barycentric=bary)
     va, vb, vc = vertices

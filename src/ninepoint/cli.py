@@ -31,6 +31,7 @@ from .triangle import (
     SideLengths,
     TriangleMetrics,
     canonical_vertices,
+    exact_vertices,
     metrics,
     sides_from_vertices,
 )
@@ -56,9 +57,8 @@ class RunConfig:
     tol: ToleranceProfile
     out_path: Optional[str]
     sides: SideLengths
-    vertices: Tuple[Point2, Point2, Point2]
+    vertices: Optional[Tuple[Point2, Point2, Point2]]  # None: no embedding on the backend
     vertices_given: bool
-    cartesian_ok: bool  # embedding usable without leaving the backend
 
 
 def _parse_scalar(text: str, backend: str) -> Scalar:
@@ -73,7 +73,12 @@ def _parse_scalar(text: str, backend: str) -> Scalar:
                 f"a number in the input has more than {limit} digits; use smaller numbers"
             ) from None
         raise
-    return value if backend == "exact" else float(value)
+    if backend == "exact":
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{text.strip()} is beyond the float range; use --backend exact") from None
 
 
 def _resolve_input(args: argparse.Namespace) -> RunConfig:
@@ -93,7 +98,6 @@ def _resolve_input(args: argparse.Namespace) -> RunConfig:
             Point2(coords[4], coords[5]),
         )
         sides = sides_from_vertices(*vertices, exact=(backend == "exact"))
-        cartesian_ok = True
         vertices_given = True
     else:
         if backend is None:
@@ -102,8 +106,7 @@ def _resolve_input(args: argparse.Namespace) -> RunConfig:
         if len(raw) != 3:
             raise ValueError(f"--sides needs 3 comma-separated values a,b,c, got {len(raw)}")
         sides = SideLengths(*(_parse_scalar(part, backend) for part in raw))
-        vertices = canonical_vertices(sides)
-        cartesian_ok = backend == "float" or all(p.is_exact for p in vertices)
+        vertices = canonical_vertices(sides) if backend == "float" else exact_vertices(sides)
         vertices_given = False
     tol = ToleranceProfile(rel_eps=args.rel_eps, abs_eps=args.abs_eps)
     return RunConfig(
@@ -114,7 +117,6 @@ def _resolve_input(args: argparse.Namespace) -> RunConfig:
         sides=sides,
         vertices=vertices,
         vertices_given=vertices_given,
-        cartesian_ok=cartesian_ok,
     )
 
 
@@ -161,14 +163,10 @@ def _metrics_dict(met: TriangleMetrics) -> dict:
 
 
 def _centers_dict(config: RunConfig) -> dict:
-    if config.cartesian_ok:
-        centers = center_set(config.sides, config.vertices)
-        cartesian = {name: _point_json(point) for name, point in centers.cartesian_items()}
-    else:
-        centers = center_set(config.sides)
-        cartesian = None
+    centers = center_set(config.sides, config.vertices)
     barycentric = {name: _bary_json(bary) for name, bary in centers.barycentric.items()}
-    return {"barycentric": barycentric, "cartesian": cartesian}
+    cartesian = {name: _point_json(point) for name, point in centers.cartesian_items()}
+    return {"barycentric": barycentric, "cartesian": cartesian if config.vertices else None}
 
 
 def _input_dict(config: RunConfig) -> dict:
@@ -348,7 +346,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_svg(config: RunConfig) -> int:
-    return _emit(render_svg(config.sides, config.vertices, config.tol), config.out_path)
+    try:
+        # Exact sides without an exact embedding are drawn on the float one.
+        vertices = config.vertices or canonical_vertices(config.sides)
+        text = render_svg(config.sides, vertices, config.tol)
+    except OverflowError:
+        raise ValueError("the triangle is beyond the float range that svg draws in") from None
+    return _emit(text, config.out_path)
 
 
 # --- argument parsing ------------------------------------------------------

@@ -37,7 +37,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -48,19 +48,17 @@ from .numeric import (
     sqrt_exact,
 )
 from .triangle import (
-    Barycentric,
     SideLengths,
     TriangleMetrics,
     _IntegerTriangle,
-    _scaled_to_integers,
     barycentric_distance_sq,
     metrics,
 )
 from .centers import (
+    CENTER_WEIGHTS,
     VERTICES,
     Vertex,
-    excenter_barycentric,
-    incenter_barycentric,
+    center_barycentric,
     vertex_to_ninepoint_dist_sq,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "FeuerbachEntry",
     "FeuerbachReport",
     "classify_tangency_sq",
-    "center_to_ninepoint_dist_sq",
     "incircle_ninepoint_residual",
     "excircle_ninepoint_residual",
     "feuerbach_report",
@@ -88,6 +85,15 @@ class Tangency(enum.Enum):
 # The circles compared with the nine-point circle, in report order: the
 # incircle, then the excircles opposite A, B and C.
 CIRCLES = ("incircle", "exA", "exB", "exC")
+
+# Each circle's center, a label of centers.CENTER_WEIGHTS (I, Ea, Eb, Ec).
+_CENTER_OF = dict(zip(CIRCLES, CENTER_WEIGHTS))
+
+
+def _radius_terms(met: TriangleMetrics, circle: str) -> Tuple[Scalar, Scalar]:
+    """r_X^2 and R*r_X of one circle."""
+    k = CIRCLES.index(circle)
+    return (met.r_sq, met.rA_sq, met.rB_sq, met.rC_sq)[k], (met.Rr, met.RrA, met.RrB, met.RrC)[k]
 
 
 @dataclass(frozen=True)
@@ -174,14 +180,7 @@ def classify_tangency_sq(
     elif exact:
         rhs_internal = r1_sq + r2_sq - 2 * cross
         rhs_external = r1_sq + r2_sq + 2 * cross
-        if d_sq == 0 and r1_sq == r2_sq:
-            kind = Tangency.COINCIDENT
-        elif d_sq == rhs_internal:
-            kind = Tangency.INTERNAL_TANGENT
-        elif d_sq == rhs_external:
-            kind = Tangency.EXTERNAL_TANGENT
-        else:
-            kind = Tangency.NOT_TANGENT
+        kind = _exact_kind(d_sq, rhs_internal, rhs_external)
     else:
         d_sq = float(d_sq)
         r1_sq_f = float(r1_sq)
@@ -212,35 +211,6 @@ def classify_tangency_sq(
     )
 
 
-def center_to_ninepoint_dist_sq(
-    sides: SideLengths,
-    coords: Barycentric,
-    met: Optional[TriangleMetrics] = None,
-) -> Scalar:
-    """Squared distance from a barycentric point to the nine-point center,
-    via the vertex-to-N distances and the barycentric distance identity."""
-    if met is None:
-        met = metrics(sides)
-    return barycentric_distance_sq(
-        coords,
-        vertex_to_ninepoint_dist_sq(sides, "A", met),
-        vertex_to_ninepoint_dist_sq(sides, "B", met),
-        vertex_to_ninepoint_dist_sq(sides, "C", met),
-        sides,
-    )
-
-
-# Barycentric weights (x_a, x_b, x_c) / d of each circle's center, as a
-# function of the integer triangle: the incenter (a, b, c) / p and the
-# excenters, e.g. (-a, b, c) / u opposite A.
-_CIRCLE_WEIGHTS = {
-    "incircle": lambda t: ((t.a, t.b, t.c), t.p),
-    "exA": lambda t: ((-t.a, t.b, t.c), t.u),
-    "exB": lambda t: ((t.a, -t.b, t.c), t.v),
-    "exC": lambda t: ((t.a, t.b, -t.c), t.w),
-}
-
-
 def _tangency_numerators(t: _IntegerTriangle, circle: str) -> Tuple[int, int, int, int]:
     """Integer numerators (lhs, rhs_internal, rhs_external) of |XN|^2,
     (R/2 - r_X)^2 and (R/2 + r_X)^2 for the circle with center X and radius
@@ -252,7 +222,7 @@ def _tangency_numerators(t: _IntegerTriangle, circle: str) -> Tuple[int, int, in
     (abc*d -+ P) / (2d*sqrt(P)), with the minus sign for the incircle.
     Uses only ring operations, so it accepts symbolic sides as well.
     """
-    (x_a, x_b, x_c), d = _CIRCLE_WEIGHTS[circle](t)
+    (x_a, x_b, x_c), d = CENTER_WEIGHTS[_CENTER_OF[circle]](t.a, t.b, t.c)
     a_sq, b_sq, c_sq = t.a * t.a, t.b * t.b, t.c * t.c
     q1 = x_a * (-a_sq + b_sq + c_sq) + x_b * (a_sq - b_sq + c_sq) + x_c * (a_sq + b_sq - c_sq)
     q2 = x_b * x_c * a_sq + x_c * x_a * b_sq + x_a * x_b * c_sq
@@ -261,21 +231,24 @@ def _tangency_numerators(t: _IntegerTriangle, circle: str) -> Tuple[int, int, in
     return lhs, (abc_d - t.P) ** 2, (abc_d + t.P) ** 2, 4 * t.P * (d * t.L) ** 2
 
 
+def _exact_kind(lhs: Scalar, rhs_internal: Scalar, rhs_external: Scalar) -> Tangency:
+    """The exact tangency decision.  With positive radii a zero
+    ``rhs_internal`` means equal radii, so coincident is a zero center
+    distance and a zero ``rhs_internal``."""
+    if lhs == 0 and rhs_internal == 0:
+        return Tangency.COINCIDENT
+    if lhs == rhs_internal:
+        return Tangency.INTERNAL_TANGENT
+    if lhs == rhs_external:
+        return Tangency.EXTERNAL_TANGENT
+    return Tangency.NOT_TANGENT
+
+
 def _exact_tangency(t: _IntegerTriangle, circle: str) -> TangencyReport:
     """The exact branch of :func:`classify_tangency_sq`, decided on integers."""
     lhs, rhs_internal, rhs_external, den = _tangency_numerators(t, circle)
-    # Coincident: zero center distance and R^2/4 = r_X^2, which is
-    # abc*d = P, i.e. a zero rhs_internal.
-    if lhs == 0 and rhs_internal == 0:
-        kind = Tangency.COINCIDENT
-    elif lhs == rhs_internal:
-        kind = Tangency.INTERNAL_TANGENT
-    elif lhs == rhs_external:
-        kind = Tangency.EXTERNAL_TANGENT
-    else:
-        kind = Tangency.NOT_TANGENT
     return TangencyReport(
-        kind=kind,
+        kind=_exact_kind(lhs, rhs_internal, rhs_external),
         lhs=Fraction(lhs, den),
         rhs_internal=Fraction(rhs_internal, den),
         rhs_external=Fraction(rhs_external, den),
@@ -284,39 +257,35 @@ def _exact_tangency(t: _IntegerTriangle, circle: str) -> TangencyReport:
     )
 
 
-def incircle_ninepoint_residual(
-    sides: SideLengths, met: Optional[TriangleMetrics] = None
-) -> Scalar:
-    """|IN|^2 - (R^2/4 + r^2 - R*r); exactly zero on the rational backend.
-
-    ``met`` saves recomputing the metrics on the float backend; exact sides
-    use the integer kernel and do not need it."""
+def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
+    """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2 for an
+    excircle: the comparison Feuerbach's theorem makes exact."""
+    internal = circle == "incircle"
     if sides.is_exact:
-        lhs, rhs_internal, _, den = _tangency_numerators(_scaled_to_integers(sides), "incircle")
-        return Fraction(lhs - rhs_internal, den)
-    if met is None:
-        met = metrics(sides)
-    d_sq = center_to_ninepoint_dist_sq(sides, incenter_barycentric(sides), met)
-    return d_sq - (met.R_sq / 4 + met.r_sq - met.Rr)
+        lhs, rhs_internal, rhs_external, den = _tangency_numerators(sides._integer_form, circle)
+        return Fraction(lhs - (rhs_internal if internal else rhs_external), den)
+    met = metrics(sides)
+    r_sq, mixed = _radius_terms(met, circle)
+    d_sq = barycentric_distance_sq(
+        center_barycentric(sides, _CENTER_OF[circle]),
+        *(vertex_to_ninepoint_dist_sq(sides, v) for v in VERTICES),
+        sides,
+    )
+    # R^2/4 + r_X^2 -+ R*r_X; negating a float is exact, so adding -R*r_X
+    # rounds as subtracting it does.
+    return d_sq - (met.R_sq / 4 + r_sq + (-mixed if internal else mixed))
 
 
-_EX_FIELDS = {"A": ("rA_sq", "RrA"), "B": ("rB_sq", "RrB"), "C": ("rC_sq", "RrC")}
+def incircle_ninepoint_residual(sides: SideLengths) -> Scalar:
+    """|IN|^2 - (R^2/4 + r^2 - R*r); exactly zero on the rational backend."""
+    return _ninepoint_residual(sides, "incircle")
 
 
-def excircle_ninepoint_residual(
-    sides: SideLengths, vertex: Vertex, met: Optional[TriangleMetrics] = None
-) -> Scalar:
+def excircle_ninepoint_residual(sides: SideLengths, vertex: Vertex) -> Scalar:
     """|E_xN|^2 - (R^2/4 + r_x^2 + R*r_x) for the excircle opposite a vertex."""
-    if vertex not in _EX_FIELDS:
+    if vertex not in VERTICES:
         raise ValueError(f"vertex must be one of ('A', 'B', 'C'), got {vertex!r}")
-    if sides.is_exact:
-        lhs, _, rhs_external, den = _tangency_numerators(_scaled_to_integers(sides), f"ex{vertex}")
-        return Fraction(lhs - rhs_external, den)
-    if met is None:
-        met = metrics(sides)
-    d_sq = center_to_ninepoint_dist_sq(sides, excenter_barycentric(sides, vertex), met)
-    r_sq_name, mixed_name = _EX_FIELDS[vertex]
-    return d_sq - (met.R_sq / 4 + getattr(met, r_sq_name) + getattr(met, mixed_name))
+    return _ninepoint_residual(sides, f"ex{vertex}")
 
 
 @dataclass(frozen=True)
@@ -370,24 +339,21 @@ def feuerbach_report(
     """Classify nine-point circle against incircle and the three excircles."""
     met = metrics(sides)
     if sides.is_exact:
-        t = _scaled_to_integers(sides)
-        reports = tuple(_exact_tangency(t, circle) for circle in CIRCLES)
+        reports = tuple(_exact_tangency(sides._integer_form, circle) for circle in CIRCLES)
     else:
         # Each center's |XN|^2 comes from the same three vertex-to-N distances.
-        vertex_dist_sq = [vertex_to_ninepoint_dist_sq(sides, v, met) for v in VERTICES]
-        centers = (incenter_barycentric(sides),) + tuple(
-            excenter_barycentric(sides, v) for v in VERTICES
-        )
-        radii_sq = (met.r_sq, met.rA_sq, met.rB_sq, met.rC_sq)
+        vertex_dist_sq = [vertex_to_ninepoint_dist_sq(sides, v) for v in VERTICES]
         ninepoint_r_sq = met.R_sq / 4
         reports = tuple(
             classify_tangency_sq(
-                barycentric_distance_sq(center, *vertex_dist_sq, sides),
+                barycentric_distance_sq(
+                    center_barycentric(sides, _CENTER_OF[circle]), *vertex_dist_sq, sides
+                ),
                 ninepoint_r_sq,
-                r_sq,
+                _radius_terms(met, circle)[0],
                 tol,
             )
-            for center, r_sq in zip(centers, radii_sq)
+            for circle in CIRCLES
         )
     return FeuerbachReport(
         sides=sides,

@@ -42,7 +42,6 @@ from .triangle import (
     Point2,
     SideLengths,
     barycentric_distance_sq,
-    barycentric_to_cartesian,
     canonical_vertices,
     cartesian_to_barycentric,
     metrics,
@@ -54,8 +53,6 @@ from .centers import (
     bisector_foot_barycentric,
     center_set,
     circumdot,
-    excenter_barycentric,
-    incenter_barycentric,
     vertex_to_ninepoint_dist_sq,
 )
 from .feuerbach import (
@@ -507,10 +504,8 @@ def check_identity_suite(
         )
 
     # Barycentric <-> Cartesian round trip through the incenter.
-    i_bary = incenter_barycentric(sides)
-    i_back = cartesian_to_barycentric(
-        barycentric_to_cartesian(i_bary, va, vb, vc), va, vb, vc
-    )
+    i_bary = kernel.barycentric["I"]
+    i_back = cartesian_to_barycentric(kernel.I, va, vb, vc)
     record("roundtrip_incenter_alpha", i_back.alpha, i_bary.alpha, 1.0)
     record("roundtrip_incenter_beta", i_back.beta, i_bary.beta, 1.0)
     record("roundtrip_incenter_gamma", i_back.gamma, i_bary.gamma, 1.0)
@@ -519,7 +514,7 @@ def check_identity_suite(
     # Y in {N, O}, against the direct Cartesian distance.
     x_cases = (
         ("I", i_bary),
-        ("Ea", excenter_barycentric(sides, "A")),
+        ("Ea", kernel.barycentric["Ea"]),
         ("G", kernel.barycentric["G"]),
     )
     for x_label, x_bary in x_cases:
@@ -542,7 +537,7 @@ def check_identity_suite(
     for vertex in VERTICES:
         record(
             f"vertex_ninepoint_distance_{vertex}",
-            vertex_to_ninepoint_dist_sq(sides, vertex, met),
+            vertex_to_ninepoint_dist_sq(sides, vertex),
             oracle.distance_sq(vertex, "N"),
             scale_len_sq,
         )
@@ -550,7 +545,7 @@ def check_identity_suite(
     # Circumcenter dot products.
     for pair, p_label, q_label in (("AB", "A", "B"), ("BC", "B", "C"), ("CA", "C", "A")):
         direct = (oracle.points[p_label] - o_pt).dot(oracle.points[q_label] - o_pt)
-        record(f"circumdot_{pair}", circumdot(sides, pair, met), direct, scale_len_sq)
+        record(f"circumdot_{pair}", circumdot(sides, pair), direct, scale_len_sq)
 
     # Nine-point membership: side midpoints and altitude feet lie at R/2.
     quarter_r_sq = met.R_sq / 4
@@ -569,14 +564,14 @@ def check_identity_suite(
     # Feuerbach residuals and tangency kinds.
     record(
         "feuerbach_incircle_residual",
-        incircle_ninepoint_residual(sides, met),
+        incircle_ninepoint_residual(sides),
         zero,
         float(quarter_r_sq),
     )
     for vertex in VERTICES:
         record(
             f"feuerbach_excircle_residual_{vertex}",
-            excircle_ninepoint_residual(sides, vertex, met),
+            excircle_ninepoint_residual(sides, vertex),
             zero,
             float(quarter_r_sq),
         )
@@ -595,7 +590,7 @@ def check_identity_suite(
     record("scale_covariance_R_sq", met_scaled.R_sq, 4 * met.R_sq, 4.0 * scale_len_sq)
     record(
         "scale_covariance_residual",
-        incircle_ninepoint_residual(scaled, met_scaled),
+        incircle_ninepoint_residual(scaled),
         2 * zero,
         float(met_scaled.R_sq) / 4.0,
     )
@@ -606,7 +601,7 @@ def check_identity_suite(
     record("permutation_exradius", met_rot.rA_sq, met.rB_sq, scale_len_sq)
     record(
         "permutation_residual",
-        excircle_ninepoint_residual(rotated, "A", met_rot),
+        excircle_ninepoint_residual(rotated, "A"),
         zero,
         float(quarter_r_sq),
     )

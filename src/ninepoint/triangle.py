@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
@@ -51,6 +52,7 @@ __all__ = [
     "barycentric_to_cartesian",
     "cartesian_to_barycentric",
     "orientation",
+    "exact_vertices",
     "canonical_vertices",
     "sides_from_vertices",
 ]
@@ -161,6 +163,69 @@ class SideLengths:
         gaps = ((-a + b + c) / 2.0, (a - b + c) / 2.0, (a + b - c) / 2.0)
         return max(a, b, c) / min(gaps)
 
+    # Derived once per triangle.  The fields are frozen, so these cannot go
+    # stale; equality and hashing still read only a, b and c.
+
+    @cached_property
+    def _integer_form(self) -> "_IntegerTriangle":
+        """Integer form of exact sides; the exact kernel divides only when it
+        builds an output field."""
+        a, b, c = self.as_tuple()
+        L = math.lcm(a.denominator, b.denominator, c.denominator)
+        return _integer_triangle(
+            a.numerator * (L // a.denominator),
+            b.numerator * (L // b.denominator),
+            c.numerator * (L // c.denominator),
+            L,
+        )
+
+    @cached_property
+    def _metrics(self) -> "TriangleMetrics":
+        """K^2 = s(s-a)(s-b)(s-c), R^2 = (abc)^2 / 16K^2, r^2 = K^2/s^2,
+        r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a).
+
+        Exact sides go through the integer kernel: one division per field."""
+        if self.is_exact:
+            # With sides a/L, b/L, c/L: s = p/2L, K^2 = P/16L^4, R^2 = (abc)^2/(P L^2),
+            # r^2 = P/(4 p^2 L^2), R*r = abc/(2 p L^2), and u, v, w stand in for p
+            # in the excircle terms.
+            t = self._integer_form
+            L_sq = t.L * t.L
+            return TriangleMetrics(
+                s=Fraction(t.p, 2 * t.L),
+                K_sq=Fraction(t.P, 16 * L_sq * L_sq),
+                R_sq=Fraction(t.abc * t.abc, t.P * L_sq),
+                r_sq=Fraction(t.P, 4 * t.p * t.p * L_sq),
+                rA_sq=Fraction(t.P, 4 * t.u * t.u * L_sq),
+                rB_sq=Fraction(t.P, 4 * t.v * t.v * L_sq),
+                rC_sq=Fraction(t.P, 4 * t.w * t.w * L_sq),
+                Rr=Fraction(t.abc, 2 * t.p * L_sq),
+                RrA=Fraction(t.abc, 2 * t.u * L_sq),
+                RrB=Fraction(t.abc, 2 * t.v * L_sq),
+                RrC=Fraction(t.abc, 2 * t.w * L_sq),
+            )
+        a, b, c = self.as_tuple()
+        s = semiperimeter(self)
+        # Computed as half-sums directly: one rounding instead of two for floats.
+        s_a = (-a + b + c) / 2
+        s_b = (a - b + c) / 2
+        s_c = (a + b - c) / 2
+        K_sq = _area_sq_16(a, b, c) / 16
+        abc = a * b * c
+        return TriangleMetrics(
+            s=s,
+            K_sq=K_sq,
+            R_sq=(abc * abc) / (16 * K_sq),
+            r_sq=K_sq / (s * s),
+            rA_sq=K_sq / (s_a * s_a),
+            rB_sq=K_sq / (s_b * s_b),
+            rC_sq=K_sq / (s_c * s_c),
+            Rr=abc / (4 * s),
+            RrA=abc / (4 * s_a),
+            RrB=abc / (4 * s_b),
+            RrC=abc / (4 * s_c),
+        )
+
 
 def semiperimeter(sides: SideLengths) -> Scalar:
     return (sides.a + sides.b + sides.c) / 2
@@ -224,64 +289,10 @@ def _integer_triangle(a, b, c, L=1) -> _IntegerTriangle:
     return _IntegerTriangle(L, a, b, c, p, u, v, w, p * u * v * w, a * b * c)
 
 
-def _scaled_to_integers(sides: SideLengths) -> _IntegerTriangle:
-    """Integer form of exact sides; the exact kernel divides only when it
-    builds an output field."""
-    a, b, c = sides.as_tuple()
-    L = math.lcm(a.denominator, b.denominator, c.denominator)
-    return _integer_triangle(
-        a.numerator * (L // a.denominator),
-        b.numerator * (L // b.denominator),
-        c.numerator * (L // c.denominator),
-        L,
-    )
-
-
 def metrics(sides: SideLengths) -> TriangleMetrics:
-    """All squared quantities: K^2 = s(s-a)(s-b)(s-c), R^2 = (abc)^2 / 16K^2,
-    r^2 = K^2/s^2, r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a).
-
-    Exact sides go through the integer kernel: one division per field."""
-    if sides.is_exact:
-        # With sides a/L, b/L, c/L: s = p/2L, K^2 = P/16L^4, R^2 = (abc)^2/(P L^2),
-        # r^2 = P/(4 p^2 L^2), R*r = abc/(2 p L^2), and u, v, w stand in for p
-        # in the excircle terms.
-        t = _scaled_to_integers(sides)
-        L_sq = t.L * t.L
-        return TriangleMetrics(
-            s=Fraction(t.p, 2 * t.L),
-            K_sq=Fraction(t.P, 16 * L_sq * L_sq),
-            R_sq=Fraction(t.abc * t.abc, t.P * L_sq),
-            r_sq=Fraction(t.P, 4 * t.p * t.p * L_sq),
-            rA_sq=Fraction(t.P, 4 * t.u * t.u * L_sq),
-            rB_sq=Fraction(t.P, 4 * t.v * t.v * L_sq),
-            rC_sq=Fraction(t.P, 4 * t.w * t.w * L_sq),
-            Rr=Fraction(t.abc, 2 * t.p * L_sq),
-            RrA=Fraction(t.abc, 2 * t.u * L_sq),
-            RrB=Fraction(t.abc, 2 * t.v * L_sq),
-            RrC=Fraction(t.abc, 2 * t.w * L_sq),
-        )
-    a, b, c = sides.as_tuple()
-    s = semiperimeter(sides)
-    # Computed as half-sums directly: one rounding instead of two for floats.
-    s_a = (-a + b + c) / 2
-    s_b = (a - b + c) / 2
-    s_c = (a + b - c) / 2
-    K_sq = _area_sq_16(a, b, c) / 16
-    abc = a * b * c
-    return TriangleMetrics(
-        s=s,
-        K_sq=K_sq,
-        R_sq=(abc * abc) / (16 * K_sq),
-        r_sq=K_sq / (s * s),
-        rA_sq=K_sq / (s_a * s_a),
-        rB_sq=K_sq / (s_b * s_b),
-        rC_sq=K_sq / (s_c * s_c),
-        Rr=abc / (4 * s),
-        RrA=abc / (4 * s_a),
-        RrB=abc / (4 * s_b),
-        RrC=abc / (4 * s_c),
-    )
+    """All squared quantities of the triangle (see :class:`TriangleMetrics`),
+    derived once per :class:`SideLengths` and shared by every caller."""
+    return sides._metrics
 
 
 @dataclass(frozen=True)
@@ -397,20 +408,31 @@ def cartesian_to_barycentric(
     return Barycentric(alpha, beta, gamma)
 
 
-def canonical_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:
-    """Embedding with C at the origin, B on the positive x-axis, A above.
+def exact_vertices(sides: SideLengths) -> Optional[Tuple[Point2, Point2, Point2]]:
+    """The canonical embedding over the rationals, or None for float sides.
 
-    Exact inputs produce exact coordinates whenever the altitude from A is
-    rational (squared side lengths of the embedding then reproduce a, b, c
-    bit-for-bit); otherwise the embedding falls back to floats.
+    On the integer form, A = (x, y) with x = (a^2 + b^2 - c^2)/2aL and
+    y^2 = P/(2aL)^2, so y is rational exactly when P is a perfect square.
     """
-    a, b, c = sides.as_tuple()
-    if sides.is_exact:
-        x = (a * a + b * b - c * c) / (2 * a)
-        y = sqrt_exact(b * b - x * x)
-        if y is not None:
-            return (Point2(x, y), Point2(a, Fraction(0)), Point2(Fraction(0), Fraction(0)))
-        a, b, c = float(a), float(b), float(c)
+    if not sides.is_exact:
+        return None
+    t = sides._integer_form
+    root = math.isqrt(t.P)
+    if root * root != t.P:
+        return None
+    den = 2 * t.a * t.L
+    zero = Fraction(0)
+    x = Fraction(t.a * t.a + t.b * t.b - t.c * t.c, den)
+    return (Point2(x, Fraction(root, den)), Point2(sides.a, zero), Point2(zero, zero))
+
+
+def canonical_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:
+    """Embedding with C at the origin, B on the positive x-axis, A above:
+    :func:`exact_vertices` where it exists, floats otherwise."""
+    exact = exact_vertices(sides)
+    if exact is not None:
+        return exact
+    a, b, c = (float(v) for v in sides.as_tuple())
     x = (a * a + b * b - c * c) / (2.0 * a)
     # Altitude via the stable area, not b^2 - x^2 (catastrophic when flat).
     k_sq = _area_sq_16(a, b, c) / 16.0

@@ -259,6 +259,57 @@ class TestOutputDigitLimit:
                 cli._parse_scalar(text, "exact")
 
 
+class TestBeyondFloatRange:
+    # Exact sides beyond the largest double have an exact answer; only the
+    # float backend and the float drawing cannot hold them.
+    HUGE = "2e400,3e400,4e400"
+
+    def test_exact_feuerbach_answers(self, capsys):
+        code, out, err = run(capsys, "feuerbach", "--sides", self.HUGE, "--format", "json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["input"]["sides"][0] == f"2{'0' * 400}/1"
+        assert doc["centers"]["cartesian"] is None  # 16K^2 is not a square
+        assert [entry["kind"] for entry in doc["feuerbach"]] == (
+            ["internal_tangent"] + ["external_tangent"] * 3
+        )
+        assert all(entry["residual"] == "0/1" for entry in doc["feuerbach"])
+        # Scaling by 10^400 multiplies squared lengths by 10^800.
+        assert F(doc["metrics"]["R_sq"]) == F(64, 15) * 10**800
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_exact_compute_answers(self, capsys, fmt):
+        code, out, err = run(capsys, "compute", "--sides", self.HUGE, "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            doc = json.loads(out)
+            assert doc["centers"]["barycentric"]["I"] == ["2/9", "1/3", "4/9"]
+            assert doc["centers"]["cartesian"] is None
+        else:
+            assert "centers (cartesian): not exactly embeddable" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["svg", "--sides", HUGE],
+        ["compute", "--sides", HUGE, "--format", "svg"],
+        ["feuerbach", "--sides", "3e400,4e400,5e400", "--format", "svg"],
+    ])
+    def test_svg_cannot_draw(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: the triangle is beyond the float range that svg draws in\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["feuerbach", "--sides", "1e400,1e400,1e400", "--backend", "float"],
+        ["compute", "--vertices", "0,0,1e400,0,0,1"],
+    ])
+    def test_float_input_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: 1e400 is beyond the float range; use --backend exact\n"
+
+
 class TestFuzzCommand:
     def test_exact_generic(self, capsys):
         code, out, _ = run(capsys, "fuzz", "--profile", "generic",

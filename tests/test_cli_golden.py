@@ -1,0 +1,97 @@
+"""Golden CLI output: each request's stdout must equal its file under
+tests/golden/, byte for byte.
+
+The files pin what every command prints today, across both backends and
+every format, so a refactor that changes one digit fails here.  After an
+intended output change, rewrite them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from ninepoint import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _digits_sides(digits: int, seed: int) -> str:
+    """Three rational sides with ``digits``-digit numerators and denominators."""
+    rng = random.Random(seed)
+    low, high = 10 ** (digits - 1), 10**digits
+    while True:
+        a, b, c = (Fraction(rng.randrange(low, high), rng.randrange(low, high)) for _ in range(3))
+        if a + b > c and b + c > a and c + a > b:
+            return ",".join(f"{v.numerator}/{v.denominator}" for v in (a, b, c))
+
+
+BIG = _digits_sides(100, 100)
+FLAT = "1,1,1.999999"
+
+CASES = {
+    "345_exact_compute_json": ["compute", "--sides", "3,4,5", "--format", "json"],
+    "345_exact_compute_text": ["compute", "--sides", "3,4,5"],
+    "345_exact_feuerbach_json": ["feuerbach", "--sides", "3,4,5", "--format", "json"],
+    "345_exact_feuerbach_text": ["feuerbach", "--sides", "3,4,5"],
+    "345_exact_svg": ["svg", "--sides", "3,4,5"],
+    "345_float_compute_json": ["compute", "--sides", "3,4,5", "--backend", "float", "--format", "json"],
+    "345_float_feuerbach_text": ["feuerbach", "--sides", "3,4,5", "--backend", "float"],
+    "345_float_svg": ["svg", "--sides", "3,4,5", "--backend", "float"],
+    "234_exact_compute_json": ["compute", "--sides", "2,3,4", "--format", "json"],
+    "234_exact_feuerbach_json": ["feuerbach", "--sides", "2,3,4", "--format", "json"],
+    "234_exact_feuerbach_text": ["feuerbach", "--sides", "2,3,4"],
+    "234_exact_svg": ["feuerbach", "--sides", "2,3,4", "--format", "svg"],
+    "234_float_feuerbach_json": ["feuerbach", "--sides", "2,3,4", "--backend", "float", "--format", "json"],
+    "234_float_compute_text": ["compute", "--sides", "2,3,4", "--backend", "float"],
+    "111_exact_feuerbach_json": ["feuerbach", "--sides", "1,1,1", "--format", "json"],
+    "111_exact_feuerbach_text": ["feuerbach", "--sides", "1,1,1"],
+    "111_exact_svg": ["svg", "--sides", "1,1,1"],
+    "111_float_feuerbach_text": ["feuerbach", "--sides", "1,1,1", "--backend", "float"],
+    "111_float_compute_json": ["compute", "--sides", "1,1,1", "--backend", "float", "--format", "json"],
+    "flat_float_feuerbach_json": ["feuerbach", "--sides", FLAT, "--backend", "float", "--format", "json"],
+    "flat_float_feuerbach_text": ["feuerbach", "--sides", FLAT, "--backend", "float"],
+    "flat_float_compute_json": ["compute", "--sides", FLAT, "--backend", "float", "--format", "json"],
+    "flat_float_svg": ["svg", "--sides", FLAT, "--backend", "float"],
+    # Sides whose float results depend on the order of each addition.
+    "ragged_float_feuerbach_json": ["feuerbach", "--sides", "35/24,44/71,67/40", "--backend", "float",
+                                    "--format", "json"],
+    "ragged_float_compute_text": ["compute", "--sides", "3/5,2/3,1/7", "--backend", "float"],
+    "big_exact_feuerbach_json": ["feuerbach", "--sides", BIG, "--format", "json"],
+    "big_exact_compute_text": ["compute", "--sides", BIG],
+    "big_exact_svg": ["compute", "--sides", BIG, "--format", "svg"],
+    "big_float_feuerbach_json": ["feuerbach", "--sides", BIG, "--backend", "float", "--format", "json"],
+    "vertices_float_feuerbach_json": ["feuerbach", "--vertices", "0,0,4,0,0,3", "--format", "json"],
+    "vertices_exact_compute_text": ["compute", "--vertices", "1/2,0,7/2,0,1/2,4", "--backend", "exact"],
+    "fuzz_generic_exact_json": ["fuzz", "--profile", "generic", "--count", "5", "--seed", "3",
+                                "--format", "json"],
+    "fuzz_neardegen_float_text": ["fuzz", "--profile", "near-degenerate", "--count", "5",
+                                  "--seed", "3", "--backend", "float"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(capsys, name):
+    code = cli.main(CASES[name])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / f"{name}.out").write_text(out.getvalue(), encoding="utf-8")
+    print(f"wrote {len(CASES)} files to {GOLDEN}")

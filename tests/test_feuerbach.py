@@ -6,17 +6,27 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ninepoint.centers import excenter_barycentric, incenter_barycentric
+from ninepoint.centers import (
+    VERTICES,
+    excenter_barycentric,
+    incenter_barycentric,
+    vertex_to_ninepoint_dist_sq,
+)
 from ninepoint.feuerbach import (
     Tangency,
-    center_to_ninepoint_dist_sq,
     classify_tangency_sq,
     excircle_ninepoint_residual,
     feuerbach_report,
     incircle_ninepoint_residual,
 )
 from ninepoint.numeric import ToleranceProfile
-from ninepoint.triangle import Barycentric, InvalidTriangleError, SideLengths, metrics
+from ninepoint.triangle import (
+    Barycentric,
+    InvalidTriangleError,
+    SideLengths,
+    barycentric_distance_sq,
+    metrics,
+)
 
 F = Fraction
 
@@ -158,7 +168,8 @@ class TestResiduals:
     def test_center_to_ninepoint_3_4_5(self):
         sides = SideLengths(3, 4, 5)
         incenter = Barycentric(F(1, 4), F(1, 3), F(5, 12))
-        assert center_to_ninepoint_dist_sq(sides, incenter) == F(1, 16)
+        vertex_dist_sq = [vertex_to_ninepoint_dist_sq(sides, v) for v in VERTICES]
+        assert barycentric_distance_sq(incenter, *vertex_dist_sq, sides) == F(1, 16)
 
     def test_bad_vertex_rejected(self):
         with pytest.raises(ValueError):
@@ -246,6 +257,7 @@ class TestFeuerbachReport:
             "exC": excenter_barycentric(sides, "C"),
         }
         radii_sq = {"incircle": met.r_sq, "exA": met.rA_sq, "exB": met.rB_sq, "exC": met.rC_sq}
+        vertex_dist_sq = [vertex_to_ninepoint_dist_sq(sides, v) for v in VERTICES]
         report = feuerbach_report(sides, tol)
         assert report.sides == sides
         assert report.metrics == met
@@ -253,7 +265,7 @@ class TestFeuerbachReport:
         assert [entry.circle for entry in report.entries] == list(centers)
         for entry in report.entries:
             expected = classify_tangency_sq(
-                center_to_ninepoint_dist_sq(sides, centers[entry.circle], met),
+                barycentric_distance_sq(centers[entry.circle], *vertex_dist_sq, sides),
                 met.R_sq / 4,
                 radii_sq[entry.circle],
                 tol,
