@@ -12,6 +12,13 @@ O and H.  The altitude property of H and the equal-distance property of N
 are checked against independent constructions in the test harness rather
 than assumed here.
 
+On exact sides the barycentric weights are evaluated on the triangle's
+integer form (weights do not change when the sides are scaled), and on
+exact vertices the Cartesian centers are integer homogeneous triples (see
+:mod:`ninepoint.homogeneous`): O is the meet of two perpendicular
+bisectors, and no gcd is taken until a ``Point2`` is asked for.  Float
+vertices keep the ``Point2`` arithmetic.
+
 The incenter and the excenters come from one weight table, which the
 integer kernel reads too; the other vertex-specific formulas are rotated
 from their A-form, so the three cases cannot drift apart.
@@ -21,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Literal, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Literal, Optional, Tuple, Union
 
+from . import homogeneous
 from .numeric import Scalar
 from .triangle import (
     Barycentric,
@@ -40,9 +49,7 @@ __all__ = [
     "CenterSet",
     "centroid_barycentric",
     "center_barycentric",
-    "incenter_barycentric",
     "bisector_foot_barycentric",
-    "excenter_barycentric",
     "circumcenter_cartesian",
     "orthocenter_from_euler",
     "nine_point_center",
@@ -97,14 +104,20 @@ CENTER_WEIGHTS = {
 
 
 def center_barycentric(sides: SideLengths, label: str) -> Barycentric:
-    """The center named by a :data:`CENTER_WEIGHTS` label, normalized."""
-    (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](*sides.as_tuple())
+    """The center named by a :data:`CENTER_WEIGHTS` label, normalized.
+
+    Exact sides are weighted by their integer form: one division per
+    component."""
+    try:
+        weights = CENTER_WEIGHTS[label]
+    except KeyError:
+        raise ValueError(f"label must be one of {tuple(CENTER_WEIGHTS)}, got {label!r}") from None
+    if sides.is_exact:
+        t = sides._integer_form
+        (x_a, x_b, x_c), d = weights(t.a, t.b, t.c)
+        return Barycentric(Fraction(x_a, d), Fraction(x_b, d), Fraction(x_c, d))
+    (x_a, x_b, x_c), d = weights(*sides.as_tuple())
     return Barycentric(x_a / d, x_b / d, x_c / d)
-
-
-def incenter_barycentric(sides: SideLengths) -> Barycentric:
-    """I = (a, b, c) / (a + b + c); all components positive with unit sum."""
-    return center_barycentric(sides, "I")
 
 
 def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
@@ -117,12 +130,6 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
     zero = a - a
     weights = (zero, b / (b + c), c / (b + c))
     return Barycentric(*_unrotate(weights, vertex))
-
-
-def excenter_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
-    """Excenter opposite the vertex; for A, (-a, b, c) / (2(s - a))."""
-    _shift(vertex)  # rejects anything but "A", "B", "C"
-    return center_barycentric(sides, "E" + vertex.lower())
 
 
 def circumcenter_cartesian(
@@ -159,9 +166,9 @@ def nine_point_center(circumcenter: Point2, orthocenter: Point2) -> Point2:
 
 
 def vertex_to_ninepoint_dist_sq(sides: SideLengths, vertex: Vertex) -> Scalar:
-    """|vertex N|^2 from sides alone; A-form (R^2 - a^2 + b^2 + c^2) / 4."""
-    a, b, c = _rotated_sides(sides, vertex)
-    return (metrics(sides).R_sq - a * a + b * b + c * c) / 4
+    """|vertex N|^2 from sides alone; A-form (R^2 - a^2 + b^2 + c^2) / 4.
+    The three values are derived once per :class:`SideLengths`."""
+    return sides._vertex_ninepoint_dist_sq[_shift(vertex)]
 
 
 _OPPOSITE_OF_PAIR = {"AB": "c", "BC": "a", "CA": "b"}
@@ -175,31 +182,63 @@ def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
     return metrics(sides).R_sq - (opposite * opposite) / 2
 
 
+def _frame_point(label: str) -> property:
+    return property(
+        lambda self: self.points.get(label),
+        doc=f"{label} as a Point2, or None without vertices.",
+    )
+
+
 @dataclass(frozen=True)
 class CenterSet:
     """Centers of one triangle; Cartesian positions only in coordinate mode.
 
     Barycentric forms exist for G, I and the excenters regardless of any
     embedding.  O, H and N have no closed barycentric form here and appear
-    only when vertices are supplied.
+    only when vertices are supplied.  ``frame`` holds the Cartesian centers
+    as they were computed: integer homogeneous triples for exact sides and
+    vertices, float ``Point2``s otherwise.  ``points`` and ``O`` ... ``Ec``
+    read them as ``Point2``s, built on first use.
     """
 
     barycentric: Dict[str, Barycentric]
-    O: Optional[Point2] = None
-    G: Optional[Point2] = None
-    H: Optional[Point2] = None
-    N: Optional[Point2] = None
-    I: Optional[Point2] = None
-    Ea: Optional[Point2] = None
-    Eb: Optional[Point2] = None
-    Ec: Optional[Point2] = None
+    frame: Optional[Dict[str, Union[Point2, homogeneous.Triple]]] = None
+
+    @cached_property
+    def points(self) -> Dict[str, Point2]:
+        """The Cartesian centers in the order O, G, H, N, I, Ea, Eb, Ec."""
+        return {
+            label: p if isinstance(p, Point2) else homogeneous.as_point2(p)
+            for label, p in (self.frame or {}).items()
+        }
+
+    O = _frame_point("O")
+    G = _frame_point("G")
+    H = _frame_point("H")
+    N = _frame_point("N")
+    I = _frame_point("I")
+    Ea = _frame_point("Ea")
+    Eb = _frame_point("Eb")
+    Ec = _frame_point("Ec")
 
     def cartesian_items(self) -> Tuple[Tuple[str, Point2], ...]:
-        labeled = (
-            ("O", self.O), ("G", self.G), ("H", self.H), ("N", self.N),
-            ("I", self.I), ("Ea", self.Ea), ("Eb", self.Eb), ("Ec", self.Ec),
-        )
-        return tuple((name, p) for name, p in labeled if p is not None)
+        return tuple(self.points.items())
+
+
+def _exact_frame(
+    sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]
+) -> Dict[str, homogeneous.Triple]:
+    """The Cartesian centers of exact sides and vertices as integer triples."""
+    h = homogeneous
+    va, vb, vc = h.lift(vertices)
+    circum = h.circumcenter(va, vb, vc)
+    centroid = h.barycentric_point((1, 1, 1), 3, va, vb, vc)
+    ortho = h.add(circum, h.scaled(h.sub(centroid, circum), 3))  # H = O + 3(G - O)
+    frame = {"O": circum, "G": centroid, "H": ortho, "N": h.midpoint(circum, ortho)}
+    t = sides._integer_form
+    for label, weights in CENTER_WEIGHTS.items():
+        frame[label] = h.barycentric_point(*weights(t.a, t.b, t.c), va, vb, vc)
+    return frame
 
 
 def center_set(
@@ -211,20 +250,14 @@ def center_set(
     bary.update((label, center_barycentric(sides, label)) for label in CENTER_WEIGHTS)
     if vertices is None:
         return CenterSet(barycentric=bary)
+    if sides.is_exact and all(p.is_exact for p in vertices):
+        return CenterSet(barycentric=bary, frame=_exact_frame(sides, vertices))
     va, vb, vc = vertices
     circum = circumcenter_cartesian(va, vb, vc)
     centroid = barycentric_to_cartesian(bary["G"], va, vb, vc)
     ortho = orthocenter_from_euler(circum, centroid)
-    nine = nine_point_center(circum, ortho)
-    embed = lambda key: barycentric_to_cartesian(bary[key], va, vb, vc)
-    return CenterSet(
-        barycentric=bary,
-        O=circum,
-        G=centroid,
-        H=ortho,
-        N=nine,
-        I=embed("I"),
-        Ea=embed("Ea"),
-        Eb=embed("Eb"),
-        Ec=embed("Ec"),
+    frame = {"O": circum, "G": centroid, "H": ortho, "N": nine_point_center(circum, ortho)}
+    frame.update(
+        (label, barycentric_to_cartesian(bary[label], va, vb, vc)) for label in CENTER_WEIGHTS
     )
+    return CenterSet(barycentric=bary, frame=frame)

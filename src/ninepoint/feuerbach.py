@@ -59,7 +59,6 @@ from .centers import (
     VERTICES,
     Vertex,
     center_barycentric,
-    vertex_to_ninepoint_dist_sq,
 )
 
 __all__ = [
@@ -267,9 +266,7 @@ def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     met = metrics(sides)
     r_sq, mixed = _radius_terms(met, circle)
     d_sq = barycentric_distance_sq(
-        center_barycentric(sides, _CENTER_OF[circle]),
-        *(vertex_to_ninepoint_dist_sq(sides, v) for v in VERTICES),
-        sides,
+        center_barycentric(sides, _CENTER_OF[circle]), *sides._vertex_ninepoint_dist_sq, sides
     )
     # R^2/4 + r_X^2 -+ R*r_X; negating a float is exact, so adding -R*r_X
     # rounds as subtracting it does.
@@ -342,7 +339,7 @@ def feuerbach_report(
         reports = tuple(_exact_tangency(sides._integer_form, circle) for circle in CIRCLES)
     else:
         # Each center's |XN|^2 comes from the same three vertex-to-N distances.
-        vertex_dist_sq = [vertex_to_ninepoint_dist_sq(sides, v) for v in VERTICES]
+        vertex_dist_sq = sides._vertex_ninepoint_dist_sq
         ninepoint_r_sq = met.R_sq / 4
         reports = tuple(
             classify_tangency_sq(

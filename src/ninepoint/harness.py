@@ -16,27 +16,33 @@ from the closed forms under test:
 Exactness: profiles generate rational side lengths whose canonical
 embedding is also rational wherever possible (two Pythagorean right
 triangles glued along a common leg).  For such triangles the unit edge
-directions are rational, so the whole oracle runs on Fractions and every
-comparison in the suite is an exact equality.  Profiles that cannot embed
-rationally (near-equilateral, near-degenerate) fall back to float vertices
-and magnitude-aware tolerances.
+directions are rational, so the whole oracle runs exactly, and every
+comparison in the suite is an exact equality.  The exact carrier is
+integer homogeneous coordinates (:mod:`ninepoint.homogeneous`): lines are
+joins, intersections are meets, a unit direction takes one ``isqrt``, and
+a comparison is a cross-multiplication; a ``Fraction`` is built only where
+a value enters a kernel formula.  Profiles that cannot embed rationally
+(near-equilateral, near-degenerate) fall back to float vertices and
+magnitude-aware tolerances, on the same constructions over ``Point2``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple
+from functools import cached_property
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
+from . import homogeneous
 from .numeric import (
     DEFAULT_TOLERANCE,
     Scalar,
     ToleranceProfile,
     is_exact,
-    sqrt_exact,
 )
 from .triangle import (
     Point2,
@@ -214,61 +220,167 @@ def random_triangle(
 
 
 # --- independent Cartesian constructions ----------------------------------
+#
+# The oracle and the suite's Cartesian checks are written once, against a
+# plane: a namespace of the same constructions over one carrier.  Exact
+# vertices use ninepoint.homogeneous (integer triples; scalars are integer
+# ratios).  Everything else uses _FloatPlane, whose Point2 arithmetic keeps
+# float results bit-identical.
 
 
-def _intersect_lines(p1: Point2, d1: Point2, p2: Point2, d2: Point2) -> Point2:
-    """Intersection of p1 + t*d1 and p2 + u*d2."""
-    det = d1.cross(d2)
-    if det == 0:
-        raise ValueError("parallel construction lines")
-    t = (p2 - p1).cross(d2) / det
-    return p1 + d1.scaled(t)
+class _FloatPlane:
+    """The constructions on float ``Point2``s; scalars are floats."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    scaled = staticmethod(Point2.scaled)
+    times = staticmethod(operator.mul)
+    dot = staticmethod(Point2.dot)
+    dist_sq = staticmethod(Point2.dist_sq)
+
+    @staticmethod
+    def lift(points: Sequence[Point2]) -> Tuple[Point2, ...]:
+        return tuple(points)
+
+    @staticmethod
+    def as_point2(p: Point2) -> Point2:
+        return p
+
+    @staticmethod
+    def value(v: float) -> float:
+        return v
+
+    @staticmethod
+    def coords(p: Point2) -> Tuple[Scalar, Scalar]:
+        return p.x, p.y
+
+    @staticmethod
+    def midpoint(p: Point2, q: Point2) -> Point2:
+        return Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+    @staticmethod
+    def perp(d: Point2) -> Point2:
+        return Point2(-d.y, d.x)
+
+    @staticmethod
+    def unit_direction(src: Point2, dst: Point2) -> Point2:
+        delta = dst - src
+        return delta.scaled(1.0 / math.sqrt(float(delta.dot(delta))))
+
+    @staticmethod
+    def intersect(p1: Point2, d1: Point2, p2: Point2, d2: Point2) -> Point2:
+        """Intersection of p1 + t*d1 and p2 + u*d2."""
+        det = d1.cross(d2)
+        if det == 0:
+            raise ValueError("parallel construction lines")
+        t = (p2 - p1).cross(d2) / det
+        return p1 + d1.scaled(t)
+
+    @staticmethod
+    def equidistant_point(p1: Point2, p2: Point2, p3: Point2) -> Point2:
+        """The point with |X - p1| = |X - p2| = |X - p3|."""
+        ex = 2 * (p2.x - p1.x)
+        ey = 2 * (p2.y - p1.y)
+        fx = 2 * (p3.x - p1.x)
+        fy = 2 * (p3.y - p1.y)
+        rhs_e = p2.dot(p2) - p1.dot(p1)
+        rhs_f = p3.dot(p3) - p1.dot(p1)
+        det = ex * fy - ey * fx
+        if det == 0:
+            raise ValueError("collinear points have no equidistant center")
+        return Point2((rhs_e * fy - rhs_f * ey) / det, (ex * rhs_f - fx * rhs_e) / det)
+
+    @staticmethod
+    def line_dist_sq(point: Point2, on_line: Point2, toward: Point2) -> Scalar:
+        """Squared distance from a point to the infinite line through two points."""
+        d = toward - on_line
+        num = d.cross(point - on_line)
+        return (num * num) / d.dot(d)
+
+    @staticmethod
+    def project(point: Point2, on_line: Point2, toward: Point2) -> Point2:
+        d = toward - on_line
+        t = (point - on_line).dot(d) / d.dot(d)
+        return on_line + d.scaled(t)
+
+    @staticmethod
+    def barycentric(point: Point2, a: Point2, b: Point2, c: Point2) -> Tuple[Scalar, ...]:
+        return cartesian_to_barycentric(point, a, b, c).components
 
 
-def _perp(d: Point2) -> Point2:
-    return Point2(-d.y, d.x)
-
-
-def _midpoint(p: Point2, q: Point2) -> Point2:
-    return Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
-
-
-def _equidistant_point(p1: Point2, p2: Point2, p3: Point2) -> Point2:
-    """The point with |X - p1| = |X - p2| = |X - p3|."""
-    ex = 2 * (p2.x - p1.x)
-    ey = 2 * (p2.y - p1.y)
-    fx = 2 * (p3.x - p1.x)
-    fy = 2 * (p3.y - p1.y)
-    rhs_e = p2.dot(p2) - p1.dot(p1)
-    rhs_f = p3.dot(p3) - p1.dot(p1)
-    det = ex * fy - ey * fx
-    if det == 0:
-        raise ValueError("collinear points have no equidistant center")
-    return Point2((rhs_e * fy - rhs_f * ey) / det, (ex * rhs_f - fx * rhs_e) / det)
-
-
-def _unit_direction(src: Point2, dst: Point2) -> Point2:
-    """(dst - src) / |dst - src|; exact when the length is rational."""
-    delta = dst - src
-    d_sq = delta.dot(delta)
-    if is_exact(d_sq):
-        root = sqrt_exact(d_sq)
-        if root is None:
-            raise ValueError("irrational edge length; run the oracle on floats")
-        return delta.scaled(Fraction(1) / root)
-    return delta.scaled(1.0 / math.sqrt(float(d_sq)))
+def _on_floats(points: Sequence[Point2]) -> Tuple[Point2, ...]:
+    """The points with float coordinates only; float points pass through."""
+    return tuple(p.as_float() if is_exact(p.x) or is_exact(p.y) else p for p in points)
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Constructed centers, squared distances among the labeled points, and
-    the constructed nine-point radius squared."""
+    """Constructed centers and the constructed nine-point radius squared.
 
-    points: Dict[str, Point2]
-    nine_point_radius_sq: Scalar
+    ``frame`` keeps the labeled points in the carrier they were built on,
+    and ``plane`` is the namespace that built them: integer triples of
+    :mod:`ninepoint.homogeneous` for exact vertices, float ``Point2``s
+    otherwise.  ``frame_radius_sq`` is the radius in that carrier's scalar.
+    ``points`` and ``nine_point_radius_sq`` give them as ``Point2``s and a
+    ``Fraction`` or float, built on first use."""
+
+    plane: Any
+    frame: Dict[str, Any]
+    frame_radius_sq: Any
+
+    @cached_property
+    def points(self) -> Dict[str, Point2]:
+        return {label: self.plane.as_point2(p) for label, p in self.frame.items()}
+
+    @property
+    def nine_point_radius_sq(self) -> Scalar:
+        return self.plane.value(self.frame_radius_sq)
 
     def distance_sq(self, label1: str, label2: str) -> Scalar:
-        return self.points[label1].dist_sq(self.points[label2])
+        return self.plane.value(self.plane.dist_sq(self.frame[label1], self.frame[label2]))
+
+
+def _construct(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResult:
+    """The oracle's constructions on one plane."""
+    mid_bc = plane.midpoint(b_pt, c_pt)
+    mid_ca = plane.midpoint(c_pt, a_pt)
+    mid_ab = plane.midpoint(a_pt, b_pt)
+    sub, perp, intersect = plane.sub, plane.perp, plane.intersect
+
+    circum = plane.equidistant_point(a_pt, b_pt, c_pt)
+    centroid = intersect(a_pt, sub(mid_bc, a_pt), b_pt, sub(mid_ca, b_pt))
+    ortho = intersect(a_pt, perp(sub(c_pt, b_pt)), b_pt, perp(sub(a_pt, c_pt)))
+    nine = plane.equidistant_point(mid_bc, mid_ca, mid_ab)
+
+    unit = plane.unit_direction
+    to_b_from_a = unit(a_pt, b_pt)
+    to_c_from_a = unit(a_pt, c_pt)
+    to_a_from_b = unit(b_pt, a_pt)
+    to_c_from_b = unit(b_pt, c_pt)
+    to_a_from_c = unit(c_pt, a_pt)
+    to_b_from_c = unit(c_pt, b_pt)
+
+    bis_a = plane.add(to_b_from_a, to_c_from_a)
+    bis_b = plane.add(to_a_from_b, to_c_from_b)
+    bis_c = plane.add(to_a_from_c, to_b_from_c)
+    ext_a = sub(to_b_from_a, to_c_from_a)
+    ext_b = sub(to_a_from_b, to_c_from_b)
+    ext_c = sub(to_a_from_c, to_b_from_c)
+
+    incenter = intersect(a_pt, bis_a, b_pt, bis_b)
+    ex_a = intersect(a_pt, bis_a, b_pt, ext_b)
+    ex_b = intersect(b_pt, bis_b, c_pt, ext_c)
+    ex_c = intersect(c_pt, bis_c, a_pt, ext_a)
+
+    return OracleResult(
+        plane=plane,
+        frame={
+            "A": a_pt, "B": b_pt, "C": c_pt,
+            "O": circum, "G": centroid, "H": ortho, "N": nine,
+            "I": incenter, "Ea": ex_a, "Eb": ex_b, "Ec": ex_c,
+        },
+        frame_radius_sq=plane.dist_sq(nine, mid_bc),
+    )
 
 
 def cartesian_oracle(
@@ -276,59 +388,21 @@ def cartesian_oracle(
 ) -> OracleResult:
     """Every center from scratch; see the module docstring for the recipes.
 
-    Exact vertices with irrational side lengths cannot support the exact
-    bisector construction, so the oracle drops to floats for them.
+    Exact vertices run on integer homogeneous coordinates.  Exact vertices
+    with irrational side lengths cannot support the exact bisector
+    construction, so the oracle drops to floats for them, as for any
+    vertices that are not all exact.
     """
-    if orientation(vertex_a, vertex_b, vertex_c) == 0:
+    vertices = (vertex_a, vertex_b, vertex_c)
+    if all(p.is_exact for p in vertices):
+        a, b, c = homogeneous.lift(vertices)
+        if homogeneous.orientation(a, b, c) == 0:
+            raise ValueError("collinear vertices")
+        if all(homogeneous.length(p, q) is not None for p, q in ((b, c), (c, a), (a, b))):
+            return _construct(homogeneous, a, b, c)
+    elif orientation(*vertices) == 0:
         raise ValueError("collinear vertices")
-    if all(p.is_exact for p in (vertex_a, vertex_b, vertex_c)):
-        side_sqs = (
-            vertex_b.dist_sq(vertex_c),
-            vertex_c.dist_sq(vertex_a),
-            vertex_a.dist_sq(vertex_b),
-        )
-        if any(sqrt_exact(v) is None for v in side_sqs):
-            vertex_a = vertex_a.as_float()
-            vertex_b = vertex_b.as_float()
-            vertex_c = vertex_c.as_float()
-
-    a_pt, b_pt, c_pt = vertex_a, vertex_b, vertex_c
-    mid_bc = _midpoint(b_pt, c_pt)
-    mid_ca = _midpoint(c_pt, a_pt)
-    mid_ab = _midpoint(a_pt, b_pt)
-
-    circum = _equidistant_point(a_pt, b_pt, c_pt)
-    centroid = _intersect_lines(a_pt, mid_bc - a_pt, b_pt, mid_ca - b_pt)
-    ortho = _intersect_lines(a_pt, _perp(c_pt - b_pt), b_pt, _perp(a_pt - c_pt))
-    nine = _equidistant_point(mid_bc, mid_ca, mid_ab)
-
-    to_b_from_a = _unit_direction(a_pt, b_pt)
-    to_c_from_a = _unit_direction(a_pt, c_pt)
-    to_a_from_b = _unit_direction(b_pt, a_pt)
-    to_c_from_b = _unit_direction(b_pt, c_pt)
-    to_a_from_c = _unit_direction(c_pt, a_pt)
-    to_b_from_c = _unit_direction(c_pt, b_pt)
-
-    bis_a = to_b_from_a + to_c_from_a
-    bis_b = to_a_from_b + to_c_from_b
-    bis_c = to_a_from_c + to_b_from_c
-    ext_a = to_b_from_a - to_c_from_a
-    ext_b = to_a_from_b - to_c_from_b
-    ext_c = to_a_from_c - to_b_from_c
-
-    incenter = _intersect_lines(a_pt, bis_a, b_pt, bis_b)
-    ex_a = _intersect_lines(a_pt, bis_a, b_pt, ext_b)
-    ex_b = _intersect_lines(b_pt, bis_b, c_pt, ext_c)
-    ex_c = _intersect_lines(c_pt, bis_c, a_pt, ext_a)
-
-    return OracleResult(
-        points={
-            "A": a_pt, "B": b_pt, "C": c_pt,
-            "O": circum, "G": centroid, "H": ortho, "N": nine,
-            "I": incenter, "Ea": ex_a, "Eb": ex_b, "Ec": ex_c,
-        },
-        nine_point_radius_sq=nine.dist_sq(mid_bc),
-    )
+    return _construct(_FloatPlane, *_on_floats(vertices))
 
 
 # --- identity suite --------------------------------------------------------
@@ -359,17 +433,9 @@ class SuiteReport:
         return tuple(check for check in self.checks if not check.passed)
 
 
-def _line_dist_sq(point: Point2, on_line: Point2, toward: Point2) -> Scalar:
-    """Squared distance from a point to the infinite line through two points."""
-    d = toward - on_line
-    num = d.cross(point - on_line)
-    return (num * num) / d.dot(d)
-
-
-def _project_onto_line(point: Point2, on_line: Point2, toward: Point2) -> Point2:
-    d = toward - on_line
-    t = (point - on_line).dot(d) / d.dot(d)
-    return on_line + d.scaled(t)
+def _as_ratio(value: Any) -> Tuple[int, int]:
+    """An exact scalar as an integer pair (num, den)."""
+    return value if isinstance(value, tuple) else (value.numerator, value.denominator)
 
 
 def check_identity_suite(
@@ -379,13 +445,19 @@ def check_identity_suite(
 ) -> SuiteReport:
     """Run every cross-check of kernel formulas against the oracle.
 
-    Comparisons where both values come out rational use plain ``==``.
-    Float comparisons use a conditioning-aware tolerance: first-order error
-    analysis puts rounding growth at O(eps * conditioning^2), so the
-    relative bound is ``tol.rel_eps + 64 * eps * conditioning^2``.
+    Exact sides and vertices run the Cartesian checks on integer
+    homogeneous coordinates; every comparison there is an exact equality,
+    made by cross-multiplication.  Otherwise the vertices are taken as
+    floats.  Float comparisons use a conditioning-aware tolerance:
+    first-order error analysis puts rounding growth at
+    O(eps * conditioning^2), so the relative bound is
+    ``tol.rel_eps + 64 * eps * conditioning^2``.
     """
-    va, vb, vc = embedding
     exact = sides.is_exact and all(p.is_exact for p in embedding)
+    if not exact:
+        embedding = _on_floats(embedding)
+    plane = homogeneous if exact else _FloatPlane
+    va, vb, vc = plane.lift(embedding)
     cond = sides.conditioning()
     suite_tol = ToleranceProfile(
         rel_eps=tol.rel_eps + 64.0 * _MACHINE_EPS * cond * cond,
@@ -394,8 +466,15 @@ def check_identity_suite(
 
     checks: List[IdentityCheck] = []
 
-    def record(name: str, lhs: Scalar, rhs: Scalar, scale: float, detail: str = "") -> None:
-        if is_exact(lhs) and is_exact(rhs):
+    def record(name: str, lhs: Any, rhs: Any, scale: float, detail: str = "") -> None:
+        if isinstance(lhs, tuple) or isinstance(rhs, tuple):
+            # An integer ratio of the exact plane, against another or a Fraction.
+            (n1, d1), (n2, d2) = _as_ratio(lhs), _as_ratio(rhs)
+            ok = n1 * d2 == n2 * d1
+            residual = 0.0
+            if not ok:
+                residual = abs(float(Fraction(n1, d1) - Fraction(n2, d2))) / max(1.0, abs(scale))
+        elif is_exact(lhs) and is_exact(rhs):
             ok = lhs == rhs
             residual = 0.0 if ok else abs(float(lhs - rhs)) / max(1.0, abs(scale))
         else:
@@ -415,16 +494,19 @@ def check_identity_suite(
     scale_len_sq = float(met.R_sq)
     scale_len = math.sqrt(scale_len_sq)
     zero = a - a
+    dist_sq, sub, dot = plane.dist_sq, plane.sub, plane.dot
 
     # Embedding consistency: the vertex triple must reproduce the sides.
-    record("embedding_matches_sides_a", vb.dist_sq(vc), a * a, scale_len_sq)
-    record("embedding_matches_sides_b", vc.dist_sq(va), b * b, scale_len_sq)
-    record("embedding_matches_sides_c", va.dist_sq(vb), c * c, scale_len_sq)
+    record("embedding_matches_sides_a", dist_sq(vb, vc), a * a, scale_len_sq)
+    record("embedding_matches_sides_b", dist_sq(vc, va), b * b, scale_len_sq)
+    record("embedding_matches_sides_c", dist_sq(va, vb), c * c, scale_len_sq)
     if not all(check.passed for check in checks):
         raise ValueError("embedding does not match the side lengths")
 
-    oracle = cartesian_oracle(va, vb, vc)
-    kernel = center_set(sides, (va, vb, vc))
+    oracle = cartesian_oracle(*embedding)
+    kernel = center_set(sides, embedding)
+    at = oracle.frame  # the constructed points, on the same plane
+    o_pt, g_pt, h_pt, n_pt = at["O"], at["G"], at["H"], at["N"]
 
     # Metric closed forms against their defining products.
     abc_sq = (a * b * c) ** 2
@@ -441,43 +523,43 @@ def check_identity_suite(
     )
 
     # Circumcenter: constructed point is equidistant and matches R^2.
-    record("circumradius_matches_oracle", oracle.distance_sq("O", "A"), met.R_sq, scale_len_sq)
-    record("circumcenter_equidistant_b", oracle.distance_sq("O", "B"), met.R_sq, scale_len_sq)
-    record("circumcenter_equidistant_c", oracle.distance_sq("O", "C"), met.R_sq, scale_len_sq)
+    record("circumradius_matches_oracle", dist_sq(o_pt, at["A"]), met.R_sq, scale_len_sq)
+    record("circumcenter_equidistant_b", dist_sq(o_pt, at["B"]), met.R_sq, scale_len_sq)
+    record("circumcenter_equidistant_c", dist_sq(o_pt, at["C"]), met.R_sq, scale_len_sq)
 
     # Kernel centers against oracle constructions.
     for label in ("O", "G", "H", "N", "I", "Ea", "Eb", "Ec"):
-        kernel_pt = getattr(kernel, label)
-        oracle_pt = oracle.points[label]
-        record(f"center_agreement_{label}_x", kernel_pt.x, oracle_pt.x, scale_len)
-        record(f"center_agreement_{label}_y", kernel_pt.y, oracle_pt.y, scale_len)
+        kernel_x, kernel_y = plane.coords(kernel.frame[label])
+        oracle_x, oracle_y = plane.coords(at[label])
+        record(f"center_agreement_{label}_x", kernel_x, oracle_x, scale_len)
+        record(f"center_agreement_{label}_y", kernel_y, oracle_y, scale_len)
 
     # Euler relation on constructed points (H comes from altitudes here).
-    o_pt = oracle.points["O"]
-    g_pt = oracle.points["G"]
-    h_pt = oracle.points["H"]
-    n_pt = oracle.points["N"]
-    record("euler_vector_identity_x", h_pt.x - o_pt.x, 3 * (g_pt.x - o_pt.x), scale_len)
-    record("euler_vector_identity_y", h_pt.y - o_pt.y, 3 * (g_pt.y - o_pt.y), scale_len)
+    oh_x, oh_y = plane.coords(sub(h_pt, o_pt))
+    og3_x, og3_y = plane.coords(plane.scaled(sub(g_pt, o_pt), 3))
+    record("euler_vector_identity_x", oh_x, og3_x, scale_len)
+    record("euler_vector_identity_y", oh_y, og3_y, scale_len)
     record(
         "euler_ratio",
-        oracle.distance_sq("G", "H"),
-        4 * oracle.distance_sq("O", "G"),
+        dist_sq(g_pt, h_pt),
+        plane.times(4, dist_sq(o_pt, g_pt)),
         scale_len_sq,
     )
-    record("ninepoint_is_oh_midpoint_x", n_pt.x, (o_pt.x + h_pt.x) / 2, scale_len)
-    record("ninepoint_is_oh_midpoint_y", n_pt.y, (o_pt.y + h_pt.y) / 2, scale_len)
+    n_x, n_y = plane.coords(n_pt)
+    mid_x, mid_y = plane.coords(plane.midpoint(o_pt, h_pt))
+    record("ninepoint_is_oh_midpoint_x", n_x, mid_x, scale_len)
+    record("ninepoint_is_oh_midpoint_y", n_y, mid_y, scale_len)
 
     # Altitude property of the constructed orthocenter.
-    record("orthocenter_altitude_a", (h_pt - va).dot(vb - vc), zero, scale_len_sq)
-    record("orthocenter_altitude_b", (h_pt - vb).dot(vc - va), zero, scale_len_sq)
+    record("orthocenter_altitude_a", dot(sub(h_pt, va), sub(vb, vc)), zero, scale_len_sq)
+    record("orthocenter_altitude_b", dot(sub(h_pt, vb), sub(vc, va)), zero, scale_len_sq)
 
     # Equal tangent distances of incenter and excenters to the side lines.
     lines = (("bc", vb, vc), ("ca", vc, va), ("ab", va, vb))
     for name, on_line, toward in lines:
         record(
             f"incenter_line_distance_{name}",
-            _line_dist_sq(oracle.points["I"], on_line, toward),
+            plane.line_dist_sq(at["I"], on_line, toward),
             met.r_sq,
             scale_len_sq,
         )
@@ -485,7 +567,7 @@ def check_identity_suite(
         for name, on_line, toward in lines:
             record(
                 f"excenter_{label}_line_distance_{name}",
-                _line_dist_sq(oracle.points[label], on_line, toward),
+                plane.line_dist_sq(at[label], on_line, toward),
                 r_sq,
                 scale_len_sq,
             )
@@ -505,13 +587,18 @@ def check_identity_suite(
 
     # Barycentric <-> Cartesian round trip through the incenter.
     i_bary = kernel.barycentric["I"]
-    i_back = cartesian_to_barycentric(kernel.I, va, vb, vc)
-    record("roundtrip_incenter_alpha", i_back.alpha, i_bary.alpha, 1.0)
-    record("roundtrip_incenter_beta", i_back.beta, i_bary.beta, 1.0)
-    record("roundtrip_incenter_gamma", i_back.gamma, i_bary.gamma, 1.0)
+    i_back = plane.barycentric(kernel.frame["I"], va, vb, vc)
+    record("roundtrip_incenter_alpha", i_back[0], i_bary.alpha, 1.0)
+    record("roundtrip_incenter_beta", i_back[1], i_bary.beta, 1.0)
+    record("roundtrip_incenter_gamma", i_back[2], i_bary.gamma, 1.0)
 
     # Squared-distance identity at constructed points: X in {I, Ea, G},
-    # Y in {N, O}, against the direct Cartesian distance.
+    # Y in {N, O}, against the direct Cartesian distance.  The distances
+    # from the vertices enter the kernel formula as Scalars.
+    vertex_dist_sq = {
+        y_label: [plane.value(dist_sq(at[v], at[y_label])) for v in VERTICES]
+        for y_label in ("N", "O")
+    }
     x_cases = (
         ("I", i_bary),
         ("Ea", kernel.barycentric["Ea"]),
@@ -519,17 +606,11 @@ def check_identity_suite(
     )
     for x_label, x_bary in x_cases:
         for y_label in ("N", "O"):
-            via_formula = barycentric_distance_sq(
-                x_bary,
-                oracle.distance_sq("A", y_label),
-                oracle.distance_sq("B", y_label),
-                oracle.distance_sq("C", y_label),
-                sides,
-            )
+            via_formula = barycentric_distance_sq(x_bary, *vertex_dist_sq[y_label], sides)
             record(
                 f"distance_identity_{x_label}{y_label}",
                 via_formula,
-                oracle.distance_sq(x_label, y_label),
+                dist_sq(at[x_label], at[y_label]),
                 scale_len_sq,
             )
 
@@ -538,28 +619,28 @@ def check_identity_suite(
         record(
             f"vertex_ninepoint_distance_{vertex}",
             vertex_to_ninepoint_dist_sq(sides, vertex),
-            oracle.distance_sq(vertex, "N"),
+            dist_sq(at[vertex], n_pt),
             scale_len_sq,
         )
 
     # Circumcenter dot products.
     for pair, p_label, q_label in (("AB", "A", "B"), ("BC", "B", "C"), ("CA", "C", "A")):
-        direct = (oracle.points[p_label] - o_pt).dot(oracle.points[q_label] - o_pt)
+        direct = dot(sub(at[p_label], o_pt), sub(at[q_label], o_pt))
         record(f"circumdot_{pair}", circumdot(sides, pair), direct, scale_len_sq)
 
     # Nine-point membership: side midpoints and altitude feet lie at R/2.
     quarter_r_sq = met.R_sq / 4
-    record("ninepoint_radius", oracle.nine_point_radius_sq, quarter_r_sq, scale_len_sq)
+    record("ninepoint_radius", oracle.frame_radius_sq, quarter_r_sq, scale_len_sq)
     memberships = (
-        ("mid_bc", _midpoint(vb, vc)),
-        ("mid_ca", _midpoint(vc, va)),
-        ("mid_ab", _midpoint(va, vb)),
-        ("foot_a", _project_onto_line(va, vb, vc)),
-        ("foot_b", _project_onto_line(vb, vc, va)),
-        ("foot_c", _project_onto_line(vc, va, vb)),
+        ("mid_bc", plane.midpoint(vb, vc)),
+        ("mid_ca", plane.midpoint(vc, va)),
+        ("mid_ab", plane.midpoint(va, vb)),
+        ("foot_a", plane.project(va, vb, vc)),
+        ("foot_b", plane.project(vb, vc, va)),
+        ("foot_c", plane.project(vc, va, vb)),
     )
     for name, member in memberships:
-        record(f"ninepoint_membership_{name}", n_pt.dist_sq(member), quarter_r_sq, scale_len_sq)
+        record(f"ninepoint_membership_{name}", dist_sq(n_pt, member), quarter_r_sq, scale_len_sq)
 
     # Feuerbach residuals and tangency kinds.
     record(

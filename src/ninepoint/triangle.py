@@ -226,6 +226,30 @@ class SideLengths:
             RrC=abc / (4 * s_c),
         )
 
+    @cached_property
+    def _vertex_ninepoint_dist_sq(self) -> Tuple[Scalar, Scalar, Scalar]:
+        """|AN|^2, |BN|^2, |CN|^2: (R^2 - a^2 + b^2 + c^2)/4 and its rotations.
+
+        Exact sides go through the integer form, where R^2 = (abc)^2/(P L^2):
+        one division per value."""
+        if self.is_exact:
+            t = self._integer_form
+            a_sq, b_sq, c_sq = t.a * t.a, t.b * t.b, t.c * t.c
+            abc_sq = t.abc * t.abc
+            den = 4 * t.P * t.L * t.L
+            return (
+                Fraction(abc_sq + t.P * (-a_sq + b_sq + c_sq), den),
+                Fraction(abc_sq + t.P * (-b_sq + c_sq + a_sq), den),
+                Fraction(abc_sq + t.P * (-c_sq + a_sq + b_sq), den),
+            )
+        R_sq = self._metrics.R_sq
+        a, b, c = self.as_tuple()
+        return (
+            (R_sq - a * a + b * b + c * c) / 4,
+            (R_sq - b * b + c * c + a * a) / 4,
+            (R_sq - c * c + a * a + b * b) / 4,
+        )
+
 
 def semiperimeter(sides: SideLengths) -> Scalar:
     return (sides.a + sides.b + sides.c) / 2

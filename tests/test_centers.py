@@ -16,12 +16,11 @@ from ninepoint.centers import (
     VERTICES,
     CenterSet,
     bisector_foot_barycentric,
+    center_barycentric,
     center_set,
     centroid_barycentric,
     circumcenter_cartesian,
     circumdot,
-    excenter_barycentric,
-    incenter_barycentric,
     nine_point_center,
     orthocenter_from_euler,
     vertex_to_ninepoint_dist_sq,
@@ -57,19 +56,19 @@ class TestBarycentricCenters:
         assert centroid_barycentric().components == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_incenter_3_4_5(self, sides345):
-        assert incenter_barycentric(sides345).components == (F(1, 4), F(1, 3), F(5, 12))
+        assert center_barycentric(sides345, "I").components == (F(1, 4), F(1, 3), F(5, 12))
 
     def test_excenters_3_4_5(self, sides345):
-        assert excenter_barycentric(sides345, "A").components == (F(-1, 2), F(2, 3), F(5, 6))
-        assert excenter_barycentric(sides345, "B").components == (F(3, 4), F(-1), F(5, 4))
-        assert excenter_barycentric(sides345, "C").components == (F(3, 2), F(2), F(-5, 2))
+        assert center_barycentric(sides345, "Ea").components == (F(-1, 2), F(2, 3), F(5, 6))
+        assert center_barycentric(sides345, "Eb").components == (F(3, 4), F(-1), F(5, 4))
+        assert center_barycentric(sides345, "Ec").components == (F(3, 2), F(2), F(-5, 2))
 
     def test_excenter_equilateral(self):
-        assert excenter_barycentric(SideLengths(1, 1, 1), "A").components == (F(-1), F(1), F(1))
+        assert center_barycentric(SideLengths(1, 1, 1), "Ea").components == (F(-1), F(1), F(1))
 
     def test_excenter_negative_only_at_own_vertex(self, sides345):
-        for vertex, index in (("A", 0), ("B", 1), ("C", 2)):
-            coords = excenter_barycentric(sides345, vertex).components
+        for label, index in (("Ea", 0), ("Eb", 1), ("Ec", 2)):
+            coords = center_barycentric(sides345, label).components
             for j, value in enumerate(coords):
                 assert (value < 0) == (j == index)
 
@@ -85,11 +84,11 @@ class TestBarycentricCenters:
 
     def test_unknown_vertex_rejected(self, sides345):
         with pytest.raises(ValueError):
-            excenter_barycentric(sides345, "D")  # type: ignore[arg-type]
+            center_barycentric(sides345, "Ed")
 
     @given(rational_sides)
     def test_incenter_inside(self, sides: SideLengths):
-        coords = incenter_barycentric(sides)
+        coords = center_barycentric(sides, "I")
         assert all(v > 0 for v in coords.components)
         assert sum(coords.components) == 1
 
@@ -229,8 +228,8 @@ class TestCenterSet:
         # B-excenter data of the rotated triangle.
         a, b, c = sides.as_tuple()
         rotated = SideLengths(b, c, a)
-        ex_b = excenter_barycentric(sides, "B").components
-        ex_a_rot = excenter_barycentric(rotated, "A").components
+        ex_b = center_barycentric(sides, "Eb").components
+        ex_a_rot = center_barycentric(rotated, "Ea").components
         assert ex_a_rot == (ex_b[1], ex_b[2], ex_b[0])
         foot_b = bisector_foot_barycentric(sides, "B").components
         foot_a_rot = bisector_foot_barycentric(rotated, "A").components

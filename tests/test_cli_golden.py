@@ -71,6 +71,14 @@ CASES = {
                                 "--format", "json"],
     "fuzz_neardegen_float_text": ["fuzz", "--profile", "near-degenerate", "--count", "5",
                                   "--seed", "3", "--backend", "float"],
+    "fuzz_isoceles_exact_json": ["fuzz", "--profile", "isoceles", "--backend", "exact",
+                                 "--format", "json", "--count", "20"],
+    "fuzz_right_exact_json": ["fuzz", "--profile", "right-angled", "--backend", "exact",
+                              "--format", "json", "--count", "20"],
+    "131415_exact_compute_json": ["compute", "--sides", "13,14,15", "--format", "json"],
+    # A generic-profile triangle (seed 7, index 4) whose exact embedding has
+    # ragged denominators, so every Cartesian center prints as p/q.
+    "ragged_exact_compute_json": ["compute", "--sides", "3504/7,3300/7,324/7", "--format", "json"],
 }
 
 

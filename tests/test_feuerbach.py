@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from ninepoint.centers import (
     VERTICES,
-    excenter_barycentric,
-    incenter_barycentric,
+    center_barycentric,
     vertex_to_ninepoint_dist_sq,
 )
 from ninepoint.feuerbach import (
@@ -251,10 +250,10 @@ class TestFeuerbachReport:
         tol = ToleranceProfile()
         met = metrics(sides)
         centers = {
-            "incircle": incenter_barycentric(sides),
-            "exA": excenter_barycentric(sides, "A"),
-            "exB": excenter_barycentric(sides, "B"),
-            "exC": excenter_barycentric(sides, "C"),
+            "incircle": center_barycentric(sides, "I"),
+            "exA": center_barycentric(sides, "Ea"),
+            "exB": center_barycentric(sides, "Eb"),
+            "exC": center_barycentric(sides, "Ec"),
         }
         radii_sq = {"incircle": met.r_sq, "exA": met.rA_sq, "exB": met.rB_sq, "exC": met.rC_sq}
         vertex_dist_sq = [vertex_to_ninepoint_dist_sq(sides, v) for v in VERTICES]

@@ -1,10 +1,15 @@
 """Fuzz profiles, the independent Cartesian oracle, and the identity suite."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ninepoint import numeric
+from ninepoint.centers import CENTER_WEIGHTS
 from ninepoint.harness import (
     PROFILE_KINDS,
     FuzzProfile,
@@ -12,7 +17,6 @@ from ninepoint.harness import (
     check_identity_suite,
     random_triangle,
 )
-from ninepoint.numeric import sqrt_exact
 from ninepoint.triangle import Point2, SideLengths, canonical_vertices, metrics
 
 F = Fraction
@@ -154,6 +158,107 @@ class TestOracle:
         met = metrics(sides)
         assert oracle.distance_sq("O", "A") == met.R_sq
         assert oracle.nine_point_radius_sq == met.R_sq / 4
+
+
+def _side(p, u, v):
+    """Twice the signed area of (u, v, p), on plain Fractions."""
+    return (v.x - u.x) * (p.y - u.y) - (v.y - u.y) * (p.x - u.x)
+
+
+def _dist_sq(p, q):
+    return (p.x - q.x) ** 2 + (p.y - q.y) ** 2
+
+
+def _line_dist_sq(p, u, v):
+    return _side(p, u, v) ** 2 / _dist_sq(u, v)
+
+
+def _midpoint(p, q):
+    return Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+
+class TestExactOracleDefinitions:
+    """Each exact oracle point satisfies its defining property, recomputed
+    here with Fraction arithmetic on the coordinates."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["generic", "isoceles", "right-angled"]),
+        seed=st.integers(0, 10**6),
+        index=st.integers(0, 50),
+    )
+    def test_points_satisfy_their_definitions(self, kind, seed, index):
+        _, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), index)
+        oracle = cartesian_oracle(*vertices)
+        pts = oracle.points
+        assert all(isinstance(v, Fraction) for p in pts.values() for v in (p.x, p.y))
+        A, B, C, O, G, H, N = (pts[k] for k in ("A", "B", "C", "O", "G", "H", "N"))
+        assert (A, B, C) == vertices
+        # O is equidistant from the vertices, N from the side midpoints.
+        assert _dist_sq(O, A) == _dist_sq(O, B) == _dist_sq(O, C)
+        mids = (_midpoint(B, C), _midpoint(C, A), _midpoint(A, B))
+        assert _dist_sq(N, mids[0]) == _dist_sq(N, mids[1]) == _dist_sq(N, mids[2])
+        assert oracle.nine_point_radius_sq == _dist_sq(N, mids[0])
+        # G lies on two medians, H on two altitudes.
+        assert _side(G, A, mids[0]) == 0 and _side(G, B, mids[1]) == 0
+        assert (H.x - A.x) * (B.x - C.x) + (H.y - A.y) * (B.y - C.y) == 0
+        assert (H.x - B.x) * (C.x - A.x) + (H.y - B.y) * (C.y - A.y) == 0
+        # I and each excenter are equally far from the three side lines, on
+        # the vertices' side of each line except the excenter's own side.
+        sides = ((B, C, A), (C, A, B), (A, B, C))
+        for label, flipped in (("I", None), ("Ea", 0), ("Eb", 1), ("Ec", 2)):
+            p = pts[label]
+            assert _line_dist_sq(p, B, C) == _line_dist_sq(p, C, A) == _line_dist_sq(p, A, B)
+            for k, (u, v, opposite) in enumerate(sides):
+                same_side = (_side(p, u, v) > 0) == (_side(opposite, u, v) > 0)
+                assert same_side == (k != flipped), (label, k)
+
+
+class TestSuiteFindsKernelFaults:
+    def test_wrong_excenter_weights_fail_only_their_checks(self, monkeypatch):
+        # Eb built with the weights of Ec.  Their sum is still d, so the
+        # barycentric form stays valid and only the point is wrong.  The
+        # tangency kernel takes the circle's radius from the same weights,
+        # so it checks Ec's tangency instead and stays green: the center
+        # agreement is what catches this fault.
+        monkeypatch.setitem(CENTER_WEIGHTS, "Eb", CENTER_WEIGHTS["Ec"])
+        sides, vertices = random_triangle(FuzzProfile(kind="generic", seed=1), 0)
+        report = check_identity_suite(sides, vertices)
+        assert report.exact
+        assert {check.name for check in report.failures()} == {
+            "center_agreement_Eb_x",
+            "center_agreement_Eb_y",
+        }
+
+
+class TestExactSuitePath:
+    def test_no_square_roots_and_few_points(self, monkeypatch):
+        roots = []
+        original_sqrt = numeric.sqrt_exact
+
+        def counting_sqrt(value):
+            roots.append(value)
+            return original_sqrt(value)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("ninepoint") and getattr(module, "sqrt_exact", None) is original_sqrt:
+                monkeypatch.setattr(module, "sqrt_exact", counting_sqrt)
+        built = [0]
+        original_init = Point2.__post_init__
+
+        def counting_init(self):
+            built[0] += 1
+            original_init(self)
+
+        profile = FuzzProfile(kind="generic", seed=4)
+        triangles = [random_triangle(profile, i) for i in range(20)]
+        monkeypatch.setattr(Point2, "__post_init__", counting_init)
+        for sides, vertices in triangles:
+            built[0] = 0
+            report = check_identity_suite(sides, vertices)
+            assert report.passed and report.exact
+            assert built[0] <= 25
+        assert roots == []
 
 
 class TestIdentitySuite:
