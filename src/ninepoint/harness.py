@@ -434,7 +434,8 @@ class SuiteReport:
 
 
 def _as_ratio(value: Any) -> Tuple[int, int]:
-    """An exact scalar as an integer pair (num, den)."""
+    """An exact scalar, a Fraction or a ratio of the exact plane, as an
+    integer pair (num, den)."""
     return value if isinstance(value, tuple) else (value.numerator, value.denominator)
 
 
@@ -467,8 +468,8 @@ def check_identity_suite(
     checks: List[IdentityCheck] = []
 
     def record(name: str, lhs: Any, rhs: Any, scale: float, detail: str = "") -> None:
-        if isinstance(lhs, tuple) or isinstance(rhs, tuple):
-            # An integer ratio of the exact plane, against another or a Fraction.
+        if exact:
+            # Integer ratios of the exact plane and kernel Fractions alike.
             (n1, d1), (n2, d2) = _as_ratio(lhs), _as_ratio(rhs)
             ok = n1 * d2 == n2 * d1
             residual = 0.0
