@@ -16,6 +16,7 @@ are ``json.dumps(json.loads(text), indent=2) + "\\n" == text``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -127,7 +128,6 @@ def _rational_text(value: Scalar) -> str:
     """"p/q" for an exact value.  The interpreter refuses to print integers
     longer than its int-to-str digit limit (it guards against quadratic
     conversion time); that refusal is reported as invalid input."""
-    value = Fraction(value)
     try:
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
@@ -407,10 +407,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that ``main`` uses, built on the first call and then shared:
+    ``parse_args`` does not change it and returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID_INPUT if exc.code not in (0, None) else EXIT_OK
 

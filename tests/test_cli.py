@@ -426,3 +426,88 @@ class TestEntryPoint:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "compute" in out and "feuerbach" in out and "fuzz" in out and "svg" in out
+
+
+# Runs each argv of a JSON list through main() in one interpreter and prints
+# the JSON list of their [exit code, stdout, stderr].
+RUN_ARGVS = """
+import contextlib, io, json, sys
+from ninepoint import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+# Counts build_parser calls from right after the import through three main() calls.
+COUNT_BUILDS = """
+import contextlib, io, json
+import ninepoint.cli as cli
+builds = 0
+build_parser = cli.build_parser
+def counting_build_parser():
+    global builds
+    builds += 1
+    return build_parser()
+cli.build_parser = counting_build_parser
+before = builds
+argvs = [["compute", "--sides", "3,4,5"], ["feuerbach", "--sides", "2,3,4", "--format", "json"],
+         ["fuzz", "--count", "2"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in argvs]
+print(json.dumps([before, builds, codes]))
+"""
+
+
+def fresh_python(script: str, *args: str) -> str:
+    """stdout of ``script`` in a new interpreter that imports this ninepoint."""
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    result = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def run_fresh(*argvs):
+    """[exit code, stdout, stderr] of each argv, run in turn in one new interpreter."""
+    return json.loads(fresh_python(RUN_ARGVS, json.dumps(argvs)))
+
+
+class TestSharedParser:
+    def test_one_parser_per_process_none_at_import(self):
+        before, builds, codes = json.loads(fresh_python(COUNT_BUILDS))
+        assert codes == [0, 0, 0]
+        assert before == 0
+        assert builds == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        first = cli.build_parser()
+        second = cli.build_parser()
+        assert first is not second
+
+    def test_no_state_carried_between_calls(self):
+        first = ["feuerbach", "--sides", "13,14,15", "--backend", "float"]
+        sequence = [
+            first,
+            ["feuerbach", "--sides", "13,14,15"],
+            ["compute", "--vertices", "0,0,4,0,0,3"],
+            ["feuerbach", "--sides", "13,14,15", "--format", "xml"],
+            ["--help"],
+            ["fuzz"],
+            first,
+        ]
+        shared = run_fresh(*sequence)
+        assert shared[1][1].startswith("backend: exact\n")
+        assert shared[2][1].startswith("backend: float\n")
+        assert shared[3][0] == 2 and "invalid choice: 'xml'" in shared[3][2]
+        assert shared[4][0] == 0 and shared[4][1].startswith("usage: ninepoint")
+        assert shared[5][1].startswith("profile=generic count=100 seed=0 bound=10 backend=exact\n")
+        for argv, triple in zip(sequence, shared):
+            assert triple == run_fresh(argv)[0], argv

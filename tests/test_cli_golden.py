@@ -1,5 +1,6 @@
 """Golden CLI output: each request's stdout must equal its file under
-tests/golden/, byte for byte.
+tests/golden/, byte for byte, and so must the stderr of each request that
+argparse rejects.
 
 The files pin what every command prints today, across both backends and
 every format, so a refactor that changes one digit fails here.  After an
@@ -8,6 +9,7 @@ intended output change, rewrite them with
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import os
 import random
 import sys
 from fractions import Fraction
@@ -81,6 +83,18 @@ CASES = {
     "ragged_exact_compute_json": ["compute", "--sides", "3504/7,3300/7,324/7", "--format", "json"],
 }
 
+# Requests that argparse rejects: exit code 2, empty stdout, and the usage
+# and error text on stderr.  Argparse wraps that text to the terminal
+# width, so it is pinned at COLUMNS=80.
+ERROR_CASES = {
+    "error_unknown_flag": ["compute", "--sides", "3,4,5", "--bogus"],
+    "error_no_triangle": ["feuerbach", "--format", "json"],
+    "error_sides_and_vertices": ["compute", "--sides", "3,4,5", "--vertices", "0,0,4,0,0,3"],
+    "error_bad_format": ["feuerbach", "--sides", "3,4,5", "--format", "xml"],
+    "error_no_subcommand": [],
+}
+ERROR_COLUMNS = "80"
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_golden(capsys, name):
@@ -88,6 +102,15 @@ def test_stdout_matches_golden(capsys, name):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_argparse_error_matches_golden(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", ERROR_COLUMNS)
+    code = cli.main(ERROR_CASES[name])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (cli.EXIT_INVALID_INPUT, "")
+    assert captured.err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
 
 
 if __name__ == "__main__":
@@ -102,4 +125,12 @@ if __name__ == "__main__":
         if code != 0:
             sys.exit(f"{name}: exit code {code}")
         (GOLDEN / f"{name}.out").write_text(out.getvalue(), encoding="utf-8")
-    print(f"wrote {len(CASES)} files to {GOLDEN}")
+    os.environ["COLUMNS"] = ERROR_COLUMNS
+    for name, argv in ERROR_CASES.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        if (code, out.getvalue()) != (cli.EXIT_INVALID_INPUT, ""):
+            sys.exit(f"{name}: exit code {code}, stdout {out.getvalue()!r}")
+        (GOLDEN / f"{name}.err").write_text(err.getvalue(), encoding="utf-8")
+    print(f"wrote {len(CASES) + len(ERROR_CASES)} files to {GOLDEN}")
