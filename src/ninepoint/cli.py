@@ -64,7 +64,9 @@ class RunConfig:
 
 def _parse_scalar(text: str, backend: str) -> Scalar:
     """One input number.  A run of digits longer than the interpreter's
-    int-to-str limit cannot be parsed; that is reported in input terms."""
+    int-to-str limit cannot be parsed, and on the float backend a number
+    that overflows, or that is nonzero but rounds to 0.0, has no double;
+    each is reported in input terms."""
     try:
         value = Fraction(text.strip())  # accepts "3", "3/1", "1.5"
     except ValueError:
@@ -77,9 +79,12 @@ def _parse_scalar(text: str, backend: str) -> Scalar:
     if backend == "exact":
         return value
     try:
-        return float(value)
+        result = float(value)
     except OverflowError:
         raise ValueError(f"{text.strip()} is beyond the float range; use --backend exact") from None
+    if result == 0.0 and value != 0:
+        raise ValueError(f"{text.strip()} is below the float range; use --backend exact")
+    return result
 
 
 def _resolve_input(args: argparse.Namespace) -> RunConfig:

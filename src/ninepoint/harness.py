@@ -479,9 +479,10 @@ def check_identity_suite(
             ok = lhs == rhs
             residual = 0.0 if ok else abs(float(lhs - rhs)) / max(1.0, abs(scale))
         else:
-            scale_f = max(1.0, abs(scale), abs(float(lhs)), abs(float(rhs)))
-            residual = abs(float(lhs) - float(rhs)) / scale_f
-            ok = abs(float(lhs) - float(rhs)) <= suite_tol.bound(scale_f)
+            lhs_f, rhs_f = float(lhs), float(rhs)
+            scale_f = max(1.0, abs(scale), abs(lhs_f), abs(rhs_f))
+            residual = abs(lhs_f - rhs_f) / scale_f
+            ok = abs(lhs_f - rhs_f) <= suite_tol.bound(scale_f)
         checks.append(IdentityCheck(name=name, passed=ok, residual=residual, detail=detail))
 
     def record_flag(name: str, ok: bool, detail: str = "") -> None:

@@ -309,6 +309,29 @@ class TestBeyondFloatRange:
         assert out == ""
         assert err == "error: 1e400 is beyond the float range; use --backend exact\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["feuerbach", "--sides", "1e-400,1e-400,1.5e-400", "--backend", "float"],
+        ["compute", "--vertices", "0,0,1e-400,0,0,1"],
+    ])
+    def test_float_underflow_rejected(self, capsys, argv):
+        # A nonzero number that rounds to 0.0 is not reported as a zero side.
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: 1e-400 is below the float range; use --backend exact\n"
+
+    def test_underflow_answers_exactly(self, capsys):
+        code, out, err = run(capsys, "feuerbach", "--sides", "1e-400,1e-400,1.5e-400")
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--vertices", "0,0,1,5e-324,-0,1"],
+        ["compute", "--vertices", "0,0,1,0,0,1", "--format", "json"],
+    ])
+    def test_float_zero_and_subnormal_accepted(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+
 
 class TestFuzzCommand:
     def test_exact_generic(self, capsys):

@@ -77,6 +77,11 @@ CASES = {
                                  "--format", "json", "--count", "20"],
     "fuzz_right_exact_json": ["fuzz", "--profile", "right-angled", "--backend", "exact",
                               "--format", "json", "--count", "20"],
+    # Float residuals up to conditioning 1e6, pinned bit for bit.
+    "fuzz_neardegen_float_json": ["fuzz", "--profile", "near-degenerate", "--backend", "float",
+                                  "--count", "40", "--seed", "11", "--format", "json"],
+    "fuzz_generic_float_json": ["fuzz", "--profile", "generic", "--backend", "float",
+                                "--count", "20", "--seed", "5", "--format", "json"],
     "131415_exact_compute_json": ["compute", "--sides", "13,14,15", "--format", "json"],
     # A generic-profile triangle (seed 7, index 4) whose exact embedding has
     # ragged denominators, so every Cartesian center prints as p/q.

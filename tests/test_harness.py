@@ -1,5 +1,6 @@
 """Fuzz profiles, the independent Cartesian oracle, and the identity suite."""
 
+import abc
 import math
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from ninepoint.harness import (
     check_identity_suite,
     random_triangle,
 )
-from ninepoint.triangle import Point2, SideLengths, canonical_vertices, metrics
+from ninepoint.triangle import Barycentric, Point2, SideLengths, canonical_vertices, metrics
 
 F = Fraction
 
@@ -259,6 +260,55 @@ class TestExactSuitePath:
             assert report.passed and report.exact
             assert built[0] <= 25
         assert roots == []
+
+
+class TestFloatTypeDispatch:
+    """Float scalars are classified by concrete type.  ``isinstance(x,
+    Fraction)`` on a float runs ``ABCMeta.__instancecheck__`` in Python, so
+    these count those calls."""
+
+    @pytest.fixture
+    def abc_checks(self, monkeypatch):
+        """``abc_checks(fn)`` calls ``fn`` and gives its result and the number
+        of ABC instance checks made during the call."""
+        calls = [0]
+        original = abc.ABCMeta.__instancecheck__
+
+        def counting(cls, instance):
+            calls[0] += 1
+            return original(cls, instance)
+
+        def run(fn):
+            calls[0] = 0
+            result = fn()
+            return result, calls[0]
+
+        monkeypatch.setattr(abc.ABCMeta, "__instancecheck__", counting)
+        return run
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: numeric.coerce_scalar(1.5),
+            lambda: numeric.is_exact(1.5),
+            lambda: Point2(1.0, 2.0),
+            lambda: Barycentric(0.25, 0.25, 0.5),
+        ],
+        ids=["coerce_scalar", "is_exact", "Point2", "Barycentric"],
+    )
+    def test_float_scalars_need_no_abc_check(self, abc_checks, build):
+        _, calls = abc_checks(build)
+        assert calls == 0
+
+    def test_float_suite_abc_checks(self, abc_checks):
+        # What remains are the centroid's Fraction(1, 3) weights meeting
+        # floats in Point2.scaled and barycentric_distance_sq.
+        sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
+        sides = sides.as_float()
+        vertices = tuple(p.as_float() for p in vertices)
+        report, calls = abc_checks(lambda: check_identity_suite(sides, vertices))
+        assert report.passed and not report.exact
+        assert calls <= 22
 
 
 class TestIdentitySuite:

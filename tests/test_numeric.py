@@ -1,5 +1,6 @@
 """Scalar backend: exact rationals, float tolerances, exact square roots."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -83,3 +84,85 @@ class TestScalarPredicates:
     def test_coerce_keeps_float(self):
         assert coerce_scalar(2.5) == 2.5
         assert isinstance(coerce_scalar(2.5), float)
+
+
+# --- type dispatch ----------------------------------------------------------
+#
+# is_exact and coerce_scalar decide the common carriers by concrete type.
+# These reference copies are the isinstance-only definitions they replaced;
+# every input must get the same value and type, or the same exception.
+
+
+def _reference_is_exact(value):
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _reference_coerce_scalar(value):
+    if isinstance(value, bool):
+        raise TypeError("bool is not a scalar")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, (Fraction, float)):
+        return value
+    raise TypeError(f"unsupported scalar type: {type(value).__name__}")
+
+
+class IntSub(int):
+    pass
+
+
+class FloatSub(float):
+    pass
+
+
+class FractionSub(Fraction):
+    pass
+
+
+def outcome(fn, *args):
+    """What a call gives: the value's type and repr, or the exception's type
+    and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the exception itself is the result compared
+        return ("raises", type(exc), str(exc))
+    return ("returns", type(value), repr(value))
+
+
+SCALAR_INPUTS = [
+    7,
+    0,
+    -3,
+    True,
+    False,
+    Fraction(1, 3),
+    Fraction(-5, 2),
+    1.5,
+    -0.0,
+    5e-324,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    IntSub(4),
+    FloatSub(2.5),
+    FloatSub("nan"),
+    FractionSub(3, 4),
+    Decimal("1.5"),
+    complex(1, 2),
+    "1.5",
+    None,
+]
+
+
+@pytest.mark.parametrize("value", SCALAR_INPUTS, ids=lambda v: f"{type(v).__name__}({v!r})")
+class TestTypeDispatchMatchesReference:
+    def test_is_exact(self, value):
+        assert outcome(is_exact, value) == outcome(_reference_is_exact, value)
+
+    def test_coerce_scalar(self, value):
+        assert outcome(coerce_scalar, value) == outcome(_reference_coerce_scalar, value)
+
+    def test_coerce_scalar_keeps_carriers(self, value):
+        # Floats and Fractions, subclasses included, come back as themselves.
+        if isinstance(value, (float, Fraction)):
+            assert coerce_scalar(value) is value

@@ -5,6 +5,9 @@ placement (C at the origin, B on the x-axis) before the formulas under test
 existed; the exact backend must reproduce them bit-for-bit.
 """
 
+import itertools
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -333,3 +336,200 @@ class TestPoint2:
         p = Point2(1, 2)
         assert p.is_exact
         assert isinstance(p.x, Fraction)
+
+
+# --- type dispatch ----------------------------------------------------------
+#
+# Point2, Barycentric and SideLengths skip work for coordinates that are
+# already floats or Fractions.  These reference copies are the validation
+# bodies from before that shortcut; every input must give the same fields
+# (value and type) or the same exception.
+
+
+def _reference_coerce_scalar(value):
+    if isinstance(value, bool):
+        raise TypeError("bool is not a scalar")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, (Fraction, float)):
+        return value
+    raise TypeError(f"unsupported scalar type: {type(value).__name__}")
+
+
+def _reference_is_exact(value):
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
+def _reference_finite(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"non-finite coordinate {value!r}")
+    return value
+
+
+def _reference_point2(x, y):
+    return (
+        _reference_finite(_reference_coerce_scalar(x)),
+        _reference_finite(_reference_coerce_scalar(y)),
+    )
+
+
+def _reference_barycentric(alpha, beta, gamma):
+    alpha = _reference_coerce_scalar(alpha)
+    beta = _reference_coerce_scalar(beta)
+    gamma = _reference_coerce_scalar(gamma)
+    total = alpha + beta + gamma
+    if _reference_is_exact(total):
+        if total != 1:
+            raise ValueError(f"barycentric coordinates sum to {total}, not 1")
+    else:
+        scale = max(1.0, *(abs(float(v)) for v in (alpha, beta, gamma)))
+        if abs(float(total) - 1.0) > DEFAULT_TOLERANCE.bound(scale):
+            raise ValueError(f"barycentric coordinates sum to {total!r}, not 1")
+    return (alpha, beta, gamma)
+
+
+def _reference_side_lengths(a, b, c):
+    a, b, c = (_reference_coerce_scalar(v) for v in (a, b, c))
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidTriangleError(f"non-finite side: {name} = {value!r}")
+        if value <= 0:
+            raise InvalidTriangleError(f"invalid side: {name} <= 0")
+    for (first, second), opposite, text in (
+        ((a, b), c, "a + b"),
+        ((b, c), a, "b + c"),
+        ((c, a), b, "c + a"),
+    ):
+        total = first + second
+        name = {"a + b": "c", "b + c": "a", "c + a": "b"}[text]
+        if total == opposite:
+            raise InvalidTriangleError(f"degenerate: {text} = {name}")
+        if total < opposite:
+            raise InvalidTriangleError(f"not a triangle: {text} < {name}")
+    return (a, b, c)
+
+
+class IntSub(int):
+    pass
+
+
+class FloatSub(float):
+    pass
+
+
+class FractionSub(Fraction):
+    pass
+
+
+def fields_outcome(build, *args):
+    """The fields a constructor keeps, each as (type, repr), or the
+    exception's type and message."""
+    try:
+        fields = build(*args)
+    except Exception as exc:  # the exception itself is the result compared
+        return ("raises", type(exc), str(exc))
+    return ("returns", tuple((type(v), repr(v)) for v in fields))
+
+
+def _point2_fields(x, y):
+    point = Point2(x, y)
+    return (point.x, point.y)
+
+
+def _ids(args):
+    return ",".join(f"{type(v).__name__}({v!r})" for v in args)
+
+
+COORDINATES = [
+    1,
+    2.0,
+    -0.0,
+    F(1, 3),
+    True,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    IntSub(2),
+    FloatSub(1.5),
+    FloatSub("inf"),
+    FractionSub(1, 2),
+    Decimal("1.5"),
+    complex(1, 2),
+    "1",
+]
+
+BARYCENTRIC_INPUTS = [
+    (F(1, 4), F(1, 3), F(5, 12)),
+    (F(1, 2), F(1, 2), F(1, 2)),
+    (F(-1, 2), F(2, 3), F(5, 6)),
+    (F(1, 3), F(1, 3), F(1, 3)),
+    (0.25, 0.25, 0.5),
+    (0.25, 0.25, 0.5 + 1e-12),
+    (0.25, 0.25, 0.51),
+    (-0.5, 0.75, 0.75),
+    (1e300, -1e300, 1.0),
+    (0.5, 0.5, float("nan")),
+    (float("inf"), 0.0, 0.0),
+    (1, 0, 0),
+    (2, -1, 0),
+    (1, 0, 0.0),
+    (F(1, 3), 1 / 3, 1 / 3),
+    (True, 0, 0),
+    (IntSub(1), 0, 0),
+    (FloatSub(0.5), 0.25, 0.25),
+    (FractionSub(1, 2), F(1, 4), F(1, 4)),
+    (Decimal("0.5"), 0.25, 0.25),
+    (complex(1, 0), 0.0, 0.0),
+    ("1", 0, 0),
+]
+
+SIDE_INPUTS = [
+    (3, 4, 5),
+    (3.0, 4.0, 5.0),
+    (F(3, 2), 2, F(5, 2)),
+    (3.0, F(4), 5.0),
+    (1.0, 1.0, 1.999999),
+    (0, 4, 5),
+    (3, -1, 5),
+    (3.0, 4.0, -0.0),
+    (1, 2, 3),
+    (7.0, 3.0, 4.0),
+    (1, 2, 10),
+    (float("nan"), 1.0, 1.0),
+    (1.0, float("inf"), 1.0),
+    (1.0, 1.0, float("-inf")),
+    (True, 1, 1),
+    (IntSub(3), 4, 5),
+    (FloatSub(3.0), 4.0, 5.0),
+    (FractionSub(3, 1), F(4), F(5)),
+    (Decimal("3"), 4, 5),
+    (complex(3, 0), 4.0, 5.0),
+    ("3", 4, 5),
+]
+
+
+class TestTypeDispatchMatchesReference:
+    @pytest.mark.parametrize("xy", list(itertools.product(COORDINATES, repeat=2)), ids=_ids)
+    def test_point2(self, xy):
+        expected = fields_outcome(_reference_point2, *xy)
+        actual = fields_outcome(_point2_fields, *xy)
+        assert actual == expected
+
+    @pytest.mark.parametrize("weights", BARYCENTRIC_INPUTS, ids=_ids)
+    def test_barycentric(self, weights):
+        expected = fields_outcome(_reference_barycentric, *weights)
+        actual = fields_outcome(lambda *w: Barycentric(*w).components, *weights)
+        assert actual == expected
+
+    @pytest.mark.parametrize("sides", SIDE_INPUTS, ids=_ids)
+    def test_side_lengths(self, sides):
+        expected = fields_outcome(_reference_side_lengths, *sides)
+        actual = fields_outcome(lambda *v: SideLengths(*v).as_tuple(), *sides)
+        assert actual == expected
+
+    def test_carriers_kept_as_given(self):
+        x, y = FloatSub(1.5), FractionSub(1, 2)
+        p = Point2(x, y)
+        assert p.x is x and p.y is y
+        third = F(1, 3)
+        assert Barycentric(third, third, third).alpha is third
