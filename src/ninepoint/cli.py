@@ -64,9 +64,7 @@ class RunConfig:
 
 def _parse_scalar(text: str, backend: str) -> Scalar:
     """One input number.  A run of digits longer than the interpreter's
-    int-to-str limit cannot be parsed, and on the float backend a number
-    that overflows, or that is nonzero but rounds to 0.0, has no double;
-    each is reported in input terms."""
+    int-to-str limit cannot be parsed; that is reported in input terms."""
     try:
         value = Fraction(text.strip())  # accepts "3", "3/1", "1.5"
     except ValueError:
@@ -79,12 +77,18 @@ def _parse_scalar(text: str, backend: str) -> Scalar:
     if backend == "exact":
         return value
     try:
-        result = float(value)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{text.strip()} is beyond the float range; use --backend exact") from None
-    if result == 0.0 and value != 0:
-        raise ValueError(f"{text.strip()} is below the float range; use --backend exact")
-    return result
+
+
+def _name_underflow(raw: Sequence[str], values: Sequence[Scalar]) -> None:
+    """Called when the float triangle built from ``values`` is invalid: a
+    nonzero input number that rounded to 0.0 is named as the cause instead
+    of the side or point it emptied."""
+    for text, value in zip(raw, values):
+        if value == 0 and not is_exact(value) and Fraction(text.strip()) != 0:
+            raise ValueError(f"{text.strip()} is below the float range; use --backend exact")
 
 
 def _resolve_input(args: argparse.Namespace) -> RunConfig:
@@ -98,12 +102,16 @@ def _resolve_input(args: argparse.Namespace) -> RunConfig:
                 f"--vertices needs 6 comma-separated values ax,ay,bx,by,cx,cy, got {len(raw)}"
             )
         coords = [_parse_scalar(part, backend) for part in raw]
-        vertices = (
-            Point2(coords[0], coords[1]),
-            Point2(coords[2], coords[3]),
-            Point2(coords[4], coords[5]),
-        )
-        sides = sides_from_vertices(*vertices, exact=(backend == "exact"))
+        try:
+            vertices = (
+                Point2(coords[0], coords[1]),
+                Point2(coords[2], coords[3]),
+                Point2(coords[4], coords[5]),
+            )
+            sides = sides_from_vertices(*vertices, exact=(backend == "exact"))
+        except InvalidTriangleError:
+            _name_underflow(raw, coords)
+            raise
         vertices_given = True
     else:
         if backend is None:
@@ -111,7 +119,12 @@ def _resolve_input(args: argparse.Namespace) -> RunConfig:
         raw = args.sides.split(",")
         if len(raw) != 3:
             raise ValueError(f"--sides needs 3 comma-separated values a,b,c, got {len(raw)}")
-        sides = SideLengths(*(_parse_scalar(part, backend) for part in raw))
+        values = [_parse_scalar(part, backend) for part in raw]
+        try:
+            sides = SideLengths(*values)
+        except InvalidTriangleError:
+            _name_underflow(raw, values)
+            raise
         vertices = canonical_vertices(sides) if backend == "float" else exact_vertices(sides)
         vertices_given = False
     tol = ToleranceProfile(rel_eps=args.rel_eps, abs_eps=args.abs_eps)

@@ -10,15 +10,14 @@ Values never migrate between backends implicitly.  ``int`` inputs are
 treated as exact and promoted to ``Fraction`` at type boundaries, which
 keeps ``/`` from silently producing floats.
 
-Scalars are classified by concrete type first: ``float``, ``Fraction`` and
-``int`` are decided by ``type(value) is ...``, and only other types (``bool``,
-subclasses, unsupported types) reach the ``isinstance`` tests.  The metaclass
-of ``Fraction`` is ``ABCMeta``, so ``isinstance(some_float, Fraction)`` runs
-``ABCMeta.__instancecheck__`` in Python, and a float identity suite would
-make over 600 of them per triangle.  ``Fraction`` arithmetic with a float operand
-still makes that check inside ``fractions``: the centroid's ``Fraction(1, 3)``
-weights do so on purpose, because turning them into floats could move the
-last bits of float results.
+Both classifiers ask about ``float`` first.  The metaclass of ``Fraction``
+is ``ABCMeta``, so ``isinstance(some_float, Fraction)`` runs
+``ABCMeta.__instancecheck__`` in Python, while ``isinstance`` against
+``float``, ``int`` or ``bool``, or against the exact type of its argument,
+does not.  ``Fraction`` arithmetic with a float operand still makes that
+check inside ``fractions``: the centroid's ``Fraction(1, 3)`` weights do so
+on purpose, because turning them into floats could move the last bits of
+float results.
 """
 
 from __future__ import annotations
@@ -63,26 +62,22 @@ DEFAULT_TOLERANCE = ToleranceProfile()
 
 def is_exact(value: Scalar) -> bool:
     """True when the value belongs to the exact (rational) backend."""
-    kind = type(value)
-    if kind is float:
-        return False
-    if kind is Fraction or kind is int:
-        return True
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    return (
+        not isinstance(value, float)
+        and isinstance(value, (int, Fraction))
+        and not isinstance(value, bool)
+    )
 
 
 def coerce_scalar(value: Scalar) -> Scalar:
     """Promote ints to Fraction; pass Fraction and float through unchanged."""
-    kind = type(value)
-    if kind is float or kind is Fraction:
+    if isinstance(value, float):
         return value
-    if kind is int:
-        return Fraction(value)
     if isinstance(value, bool):
         raise TypeError("bool is not a scalar")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (Fraction, float)):
+    if isinstance(value, Fraction):
         return value
     raise TypeError(f"unsupported scalar type: {type(value).__name__}")
 

@@ -115,15 +115,6 @@ def _finite(value: Scalar) -> Scalar:
     return value
 
 
-def _coerce_fields(obj: object, names: Tuple[str, ...]) -> None:
-    """Coerce the named scalar fields of a frozen dataclass in place; a field
-    that is already a float or a Fraction is left as it is."""
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not float and type(value) is not Fraction:
-            object.__setattr__(obj, name, coerce_scalar(value))
-
-
 @dataclass(frozen=True)
 class SideLengths:
     """Validated side lengths a = |BC|, b = |CA|, c = |AB|.
@@ -139,7 +130,9 @@ class SideLengths:
     c: Scalar
 
     def __post_init__(self) -> None:
-        _coerce_fields(self, ("a", "b", "c"))
+        object.__setattr__(self, "a", coerce_scalar(self.a))
+        object.__setattr__(self, "b", coerce_scalar(self.b))
+        object.__setattr__(self, "c", coerce_scalar(self.c))
         for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidTriangleError(f"non-finite side: {name} = {value!r}")
@@ -347,7 +340,9 @@ class Barycentric:
     gamma: Scalar
 
     def __post_init__(self) -> None:
-        _coerce_fields(self, ("alpha", "beta", "gamma"))
+        object.__setattr__(self, "alpha", coerce_scalar(self.alpha))
+        object.__setattr__(self, "beta", coerce_scalar(self.beta))
+        object.__setattr__(self, "gamma", coerce_scalar(self.gamma))
         total = self.alpha + self.beta + self.gamma
         if is_exact(total):
             if total != 1:

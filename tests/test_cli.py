@@ -324,6 +324,17 @@ class TestBeyondFloatRange:
         code, out, err = run(capsys, "feuerbach", "--sides", "1e-400,1e-400,1.5e-400")
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_float_underflow_in_valid_triangle_answers(self, capsys, fmt):
+        # A coordinate that rounds to 0.0 but leaves a valid triangle is
+        # answered as the rounded triangle.
+        answers = [
+            run(capsys, "compute", "--vertices", vertices, "--format", fmt)
+            for vertices in ("1e-400,0,1,0,0,1", "0,0,1,0,0,1")
+        ]
+        assert answers[0][0] == 0 and answers[0][2] == ""
+        assert answers[0] == answers[1]
+
     def test_float_zero_and_subnormal_accepted(self, capsys):
         code, _, err = run(capsys, "compute", "--vertices", "0,0,1,5e-324,-0,1")
         assert code == 0 and err == ""

@@ -88,9 +88,10 @@ class TestScalarPredicates:
 
 # --- type dispatch ----------------------------------------------------------
 #
-# is_exact and coerce_scalar decide the common carriers by concrete type.
-# These reference copies are the isinstance-only definitions they replaced;
-# every input must get the same value and type, or the same exception.
+# is_exact and coerce_scalar ask about float first, so a float never meets
+# the ABC instance check of Fraction.  These reference copies are the
+# definitions from before that order; every input must get the same value
+# and type, or the same exception.  tests/test_triangle.py uses them too.
 
 
 def _reference_is_exact(value):

@@ -15,6 +15,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ninepoint.numeric import DEFAULT_TOLERANCE
+from test_numeric import (
+    FloatSub,
+    FractionSub,
+    IntSub,
+    _reference_coerce_scalar,
+    _reference_is_exact,
+)
 from ninepoint.triangle import (
     Barycentric,
     InvalidTriangleError,
@@ -340,24 +347,10 @@ class TestPoint2:
 
 # --- type dispatch ----------------------------------------------------------
 #
-# Point2, Barycentric and SideLengths skip work for coordinates that are
-# already floats or Fractions.  These reference copies are the validation
-# bodies from before that shortcut; every input must give the same fields
-# (value and type) or the same exception.
-
-
-def _reference_coerce_scalar(value):
-    if isinstance(value, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, (Fraction, float)):
-        return value
-    raise TypeError(f"unsupported scalar type: {type(value).__name__}")
-
-
-def _reference_is_exact(value):
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+# Point2 keeps two Fractions or two finite floats as given, and every
+# constructor coerces through coerce_scalar, which asks about float first.
+# These reference copies are the validation bodies from before both; every
+# input must give the same fields (value and type) or the same exception.
 
 
 def _reference_finite(value):
@@ -407,18 +400,6 @@ def _reference_side_lengths(a, b, c):
         if total < opposite:
             raise InvalidTriangleError(f"not a triangle: {text} < {name}")
     return (a, b, c)
-
-
-class IntSub(int):
-    pass
-
-
-class FloatSub(float):
-    pass
-
-
-class FractionSub(Fraction):
-    pass
 
 
 def fields_outcome(build, *args):
