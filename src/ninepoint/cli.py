@@ -63,10 +63,12 @@ class RunConfig:
 
 
 def _parse_scalar(text: str, backend: str) -> Scalar:
-    """One input number.  A run of digits longer than the interpreter's
-    int-to-str limit cannot be parsed; that is reported in input terms."""
+    """One input number.  A zero denominator, or a run of digits longer than
+    the interpreter's int-to-str limit, is reported in input terms."""
     try:
         value = Fraction(text.strip())  # accepts "3", "3/1", "1.5"
+    except ZeroDivisionError:
+        raise ValueError(f"{text.strip()} has a zero denominator") from None
     except ValueError:
         limit = sys.get_int_max_str_digits()
         if limit and any(len(run) > limit for run in re.findall(r"\d+", text.replace("_", ""))):

@@ -15,7 +15,13 @@ barycentric machinery:
                - (beta*gamma*a^2 + gamma*alpha*b^2 + alpha*beta*c^2)
 
   which is how squared distances are evaluated without ever leaving the
-  rational field.
+  rational field.  On exact input it is one integer polynomial: the
+  weights over the lcm of their denominators, the distances over theirs
+  and the sides over the lcm L of the side denominators, with a single
+  division at the end.
+
+The sum check of exact barycentric coordinates cross-multiplies their
+numerators and denominators as integers.
 
 All functions are polymorphic over the scalar backend.  The float area uses
 the sorted-operand stable product form, so near-degenerate triangles lose
@@ -331,8 +337,8 @@ class Barycentric:
     """Normalized barycentric coordinates (components sum to 1).
 
     Components may be negative (excenters live outside the triangle).  The
-    sum constraint is checked exactly on the rational backend and against a
-    magnitude-aware tolerance on floats.
+    sum constraint is checked exactly, on integers, on the rational backend
+    and against a magnitude-aware tolerance on floats.
     """
 
     alpha: Scalar
@@ -340,17 +346,24 @@ class Barycentric:
     gamma: Scalar
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", coerce_scalar(self.alpha))
-        object.__setattr__(self, "beta", coerce_scalar(self.beta))
-        object.__setattr__(self, "gamma", coerce_scalar(self.gamma))
-        total = self.alpha + self.beta + self.gamma
-        if is_exact(total):
-            if total != 1:
-                raise ValueError(f"barycentric coordinates sum to {total}, not 1")
-        else:
-            scale = max(1.0, *(abs(float(v)) for v in self.components))
+        alpha = coerce_scalar(self.alpha)
+        beta = coerce_scalar(self.beta)
+        gamma = coerce_scalar(self.gamma)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
+        if isinstance(alpha, float) or isinstance(beta, float) or isinstance(gamma, float):
+            total = alpha + beta + gamma
+            scale = max(1.0, abs(float(alpha)), abs(float(beta)), abs(float(gamma)))
             if abs(float(total) - 1.0) > DEFAULT_TOLERANCE.bound(scale):
                 raise ValueError(f"barycentric coordinates sum to {total!r}, not 1")
+            return
+        # Three Fractions n/d sum to 1 exactly when, cross-multiplied,
+        # n_a d_b d_c + n_b d_a d_c + n_c d_a d_b = d_a d_b d_c.
+        d_a, d_b, d_c = alpha.denominator, beta.denominator, gamma.denominator
+        lhs = (alpha.numerator * d_b + beta.numerator * d_a) * d_c + gamma.numerator * d_a * d_b
+        if lhs != d_a * d_b * d_c:
+            raise ValueError(f"barycentric coordinates sum to {alpha + beta + gamma}, not 1")
 
     @property
     def components(self) -> Tuple[Scalar, Scalar, Scalar]:
@@ -400,6 +413,33 @@ def barycentric_distance_sq(
     dist_ay_sq = coerce_scalar(dist_ay_sq)
     dist_by_sq = coerce_scalar(dist_by_sq)
     dist_cy_sq = coerce_scalar(dist_cy_sq)
+    # Float first, then the first distance: the centroid's Fraction weights
+    # meet float distances, and both keep the expression below.
+    if not (
+        isinstance(alpha, float)
+        or isinstance(dist_ay_sq, float)
+        or isinstance(beta, float)
+        or isinstance(gamma, float)
+        or isinstance(dist_by_sq, float)
+        or isinstance(dist_cy_sq, float)
+    ) and sides.is_exact:
+        # Weights n/D1, distances m/D2 and sides (A, B, C)/L over common
+        # denominators: |XY|^2 = (W D1 L^2 - Q D2) / (D1^2 D2 L^2), with
+        # W = sum n m and Q = n_b n_c A^2 + n_c n_a B^2 + n_a n_b C^2.
+        d1 = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+        n_a = alpha.numerator * (d1 // alpha.denominator)
+        n_b = beta.numerator * (d1 // beta.denominator)
+        n_c = gamma.numerator * (d1 // gamma.denominator)
+        d2 = math.lcm(dist_ay_sq.denominator, dist_by_sq.denominator, dist_cy_sq.denominator)
+        weighted = (
+            n_a * dist_ay_sq.numerator * (d2 // dist_ay_sq.denominator)
+            + n_b * dist_by_sq.numerator * (d2 // dist_by_sq.denominator)
+            + n_c * dist_cy_sq.numerator * (d2 // dist_cy_sq.denominator)
+        )
+        t = sides._integer_form
+        pairwise = n_b * n_c * t.a * t.a + n_c * n_a * t.b * t.b + n_a * n_b * t.c * t.c
+        L_sq = t.L * t.L
+        return Fraction(weighted * d1 * L_sq - pairwise * d2, d1 * d1 * d2 * L_sq)
     a, b, c = sides.as_tuple()
     weighted = alpha * dist_ay_sq + beta * dist_by_sq + gamma * dist_cy_sq
     pairwise = beta * gamma * (a * a) + gamma * alpha * (b * b) + alpha * beta * (c * c)

@@ -127,6 +127,19 @@ class TestComputeErrors:
         code, _, _ = run(capsys, "compute", "--sides", "3,4,five")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, text", [
+        (["feuerbach", "--sides", "1/0,1,1"], "1/0"),
+        (["feuerbach", "--sides", "1/0,1,1", "--backend", "float"], "1/0"),
+        (["compute", "--sides", "3,4, 0/0 "], "0/0"),
+        (["feuerbach", "--vertices", "0,0,1,0,0,1/0"], "1/0"),
+        (["compute", "--vertices", "0,0,1,0,-3/0,1", "--backend", "exact"], "-3/0"),
+    ])
+    def test_zero_denominator_exit_2(self, capsys, argv, text):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {text} has a zero denominator\n"
+
     def test_unknown_flag_exit_2(self, capsys):
         code, _, _ = run(capsys, "compute", "--sides", "3,4,5", "--nope")
         assert code == 2

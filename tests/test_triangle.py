@@ -5,8 +5,10 @@ placement (C at the origin, B on the x-axis) before the formulas under test
 existed; the exact backend must reproduce them bit-for-bit.
 """
 
+import collections
 import itertools
 import math
+import struct
 from decimal import Decimal
 from fractions import Fraction
 
@@ -162,6 +164,33 @@ class TestMetrics:
         assert scaled.K_sq == k ** 4 * met.K_sq
 
 
+FRACTION_ARITHMETIC = (
+    "__add__",
+    "__radd__",
+    "__sub__",
+    "__rsub__",
+    "__mul__",
+    "__rmul__",
+    "__truediv__",
+    "__rtruediv__",
+)
+
+
+def count_fraction_calls(monkeypatch, names):
+    """Wrap the named Fraction operators so that each call is counted; the
+    wrappers stay in place until the test ends."""
+    calls = collections.Counter()
+    for name in names:
+        original = getattr(Fraction, name)
+
+        def counted(self, other, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, other)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
 class TestBarycentric:
     def test_components(self):
         coords = Barycentric(F(1, 4), F(1, 3), F(5, 12))
@@ -179,6 +208,18 @@ class TestBarycentric:
         Barycentric(0.25, 0.25, 0.5 + 1e-12)
         with pytest.raises(ValueError, match="sum"):
             Barycentric(0.25, 0.25, 0.51)
+
+    def test_exact_check_adds_no_fractions(self, monkeypatch):
+        weights = [
+            (F(1, 4), F(1, 3), F(5, 12)),
+            (F(-7, 3), 2, F(4, 3)),
+            (1, 0, 0),
+            (F(1, 2**61 - 1), F(1, 10**18 + 9), 1 - F(1, 2**61 - 1) - F(1, 10**18 + 9)),
+        ]
+        calls = count_fraction_calls(monkeypatch, ("__add__", "__radd__"))
+        for alpha, beta, gamma in weights:
+            Barycentric(alpha, beta, gamma)
+        assert sum(calls.values()) == 0
 
 
 class TestPointOnSide:
@@ -209,6 +250,49 @@ class TestPointOnSide:
         assert coords.gamma == pytest.approx(0.5)
 
 
+def _reference_barycentric_distance_sq(x, dist_ay_sq, dist_by_sq, dist_cy_sq, sides):
+    """The body before exact inputs were evaluated on integers."""
+    alpha, beta, gamma = x.components
+    dist_ay_sq = _reference_coerce_scalar(dist_ay_sq)
+    dist_by_sq = _reference_coerce_scalar(dist_by_sq)
+    dist_cy_sq = _reference_coerce_scalar(dist_cy_sq)
+    a, b, c = sides.as_tuple()
+    weighted = alpha * dist_ay_sq + beta * dist_by_sq + gamma * dist_cy_sq
+    pairwise = beta * gamma * (a * a) + gamma * alpha * (b * b) + alpha * beta * (c * c)
+    return weighted - pairwise
+
+
+def _same_scalar(actual, expected):
+    """Equal value and type; floats must agree bit for bit."""
+    if type(actual) is not type(expected):
+        return False
+    if isinstance(expected, float):
+        return struct.pack("<d", actual) == struct.pack("<d", expected)
+    return actual == expected
+
+
+# Weights of either sign, zero included, rotated so that the zero and the
+# derived third weight can sit in any slot.
+signed_weights = st.one_of(
+    st.just(F(0)),
+    st.integers(-5, 5),
+    st.fractions(min_value=-20, max_value=20, max_denominator=10**6),
+)
+
+
+def _rotated_barycentric(alpha, beta, shift):
+    weights = (F(alpha), F(beta), 1 - F(alpha) - F(beta))
+    return Barycentric(*weights[shift:], *weights[:shift])
+
+
+exact_barycentric = st.builds(_rotated_barycentric, signed_weights, signed_weights, st.integers(0, 2))
+exact_distance_sq = st.one_of(
+    st.integers(0, 10**9),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**9),
+)
+float_distance_sq = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+
+
 class TestBarycentricDistance:
     def test_incenter_to_ninepoint_3_4_5(self):
         # I = (1/4, 1/3, 5/12); squared distances from A, B, C to N are
@@ -237,6 +321,45 @@ class TestBarycentricDistance:
         d_b = (2 * c * c + 2 * a * a - b * b) / 9
         d_c = (2 * a * a + 2 * b * b - c * c) / 9
         assert barycentric_distance_sq(x, d_a, d_b, d_c, sides) == 0
+
+    @given(exact_barycentric, st.tuples(*[exact_distance_sq] * 3), rational_sides)
+    def test_exact_matches_reference(self, x, dist_sq, sides):
+        expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
+        assert _same_scalar(barycentric_distance_sq(x, *dist_sq, sides), expected)
+
+    @given(
+        exact_barycentric,
+        st.tuples(*[st.one_of(exact_distance_sq, float_distance_sq)] * 3),
+        rational_sides,
+        st.booleans(),
+    )
+    def test_mixed_and_float_match_reference(self, x, dist_sq, sides, float_sides):
+        # Fraction weights with float distances (the centroid's case), and
+        # exact weights and distances on float sides, keep the old expression.
+        if float_sides:
+            sides = sides.as_float()
+        expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
+        assert _same_scalar(barycentric_distance_sq(x, *dist_sq, sides), expected)
+
+    @given(rational_sides, st.tuples(*[float_distance_sq] * 3), st.tuples(*[st.floats(-5, 5)] * 2))
+    def test_float_matches_reference(self, sides, dist_sq, ab):
+        x = Barycentric(ab[0], ab[1], 1.0 - ab[0] - ab[1])
+        sides = sides.as_float()
+        expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
+        assert _same_scalar(barycentric_distance_sq(x, *dist_sq, sides), expected)
+
+    def test_exact_inputs_take_no_fraction_arithmetic(self, monkeypatch):
+        sides = SideLengths(F(7, 2), F(10, 3), 4)
+        cases = [
+            (Barycentric(F(1, 4), F(1, 3), F(5, 12)), (F(153, 16), F(97, 16), F(25, 16))),
+            (Barycentric(F(-3, 7), F(5, 7), F(5, 7)), (2, 0, F(9, 4))),
+            (Barycentric(0, 1, 0), (9, F(1, 10**12 + 39), 0)),
+        ]
+        expected = [_reference_barycentric_distance_sq(x, *d, sides) for x, d in cases]
+        calls = count_fraction_calls(monkeypatch, FRACTION_ARITHMETIC)
+        actual = [barycentric_distance_sq(x, *d, sides) for x, d in cases]
+        assert dict(calls) == {}
+        assert actual == expected
 
 
 class TestEmbeddings:
@@ -462,6 +585,21 @@ BARYCENTRIC_INPUTS = [
     (Decimal("0.5"), 0.25, 0.25),
     (complex(1, 0), 0.0, 0.0),
     ("1", 0, 0),
+    # Exact triples, checked by cross-multiplying.
+    (0, 0, 1),
+    (3, -2, 0),
+    (1, 1, 1),
+    (0, 0, 0),
+    (F(-7, 3), 2, F(4, 3)),
+    (F(1, 3), F(1, 3), F(1, 2)),
+    (F(1, 2**61 - 1), F(1, 10**18 + 9), 1 - F(1, 2**61 - 1) - F(1, 10**18 + 9)),
+    (F(1, 2**61 - 1), F(1, 10**18 + 9), F(1, (2**61 - 1) * (10**18 + 9))),
+    (F(10**30, 10**30 + 1), F(1, 10**30 + 1), 0),
+    (F(10**30, 10**30 + 1), F(1, 10**30 + 3), 0),
+    (F(2**89 - 1, 2**127 - 1), F(-(2**89 - 1), 2**127 - 1), 1),
+    (FractionSub(1, 3), F(1, 3), F(1, 3)),
+    (FractionSub(1, 3), IntSub(1), F(-1, 3)),
+    (IntSub(2), F(-1, 2), F(-1, 3)),
 ]
 
 SIDE_INPUTS = [
