@@ -6,18 +6,20 @@ incenter I = (a, b, c) / 2s, and the excenters, e.g. opposite A:
     E_a = (-a, b, c) / (2(s - a)).
 
 The circumcenter, orthocenter, and nine-point center are handled in
-Cartesian form instead: O solves the perpendicular-bisector system, H is
+Cartesian form instead: O is the meet of two perpendicular bisectors, H is
 derived from the Euler relation H - O = 3(G - O), and N is the midpoint of
 O and H.  The altitude property of H and the equal-distance property of N
 are checked against independent constructions in the test harness rather
 than assumed here.
 
 On exact sides the barycentric weights are evaluated on the triangle's
-integer form (weights do not change when the sides are scaled), and on
-exact vertices the Cartesian centers are integer homogeneous triples (see
-:mod:`ninepoint.homogeneous`): O is the meet of two perpendicular
-bisectors, and no gcd is taken until a ``Point2`` is asked for.  Float
-vertices keep the ``Point2`` arithmetic.
+integer form (weights do not change when the sides are scaled).  The
+Cartesian centers are one construction, written against a plane: integer
+homogeneous triples (:mod:`ninepoint.homogeneous`) when the sides and the
+vertices are all exact, where no gcd is taken until a ``Point2`` is asked
+for, and :class:`~ninepoint.triangle.FloatPlane` otherwise, which takes
+the vertices as floats.  Input that mixes exact and float values gets
+eight float centers.
 
 The incenter and the excenters come from one weight table, which the
 integer kernel reads too; the other vertex-specific formulas are rotated
@@ -29,15 +31,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Literal, Optional, Tuple, Union
+from typing import Any, Dict, Literal, Optional, Tuple
 
 from . import homogeneous
 from .numeric import Scalar
 from .triangle import (
     Barycentric,
+    FloatPlane,
     Point2,
     SideLengths,
-    barycentric_to_cartesian,
     metrics,
 )
 
@@ -50,9 +52,6 @@ __all__ = [
     "centroid_barycentric",
     "center_barycentric",
     "bisector_foot_barycentric",
-    "circumcenter_cartesian",
-    "orthocenter_from_euler",
-    "nine_point_center",
     "vertex_to_ninepoint_dist_sq",
     "circumdot",
     "center_set",
@@ -132,39 +131,6 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
     return Barycentric(*_unrotate(weights, vertex))
 
 
-def circumcenter_cartesian(
-    vertex_a: Point2, vertex_b: Point2, vertex_c: Point2
-) -> Point2:
-    """Intersection of the perpendicular bisectors of AB and AC.
-
-    Solves (B - A).O = (|B|^2 - |A|^2)/2 and the AC analogue by Cramer's
-    rule, staying rational for rational vertices.
-    """
-    ab = vertex_b - vertex_a
-    ac = vertex_c - vertex_a
-    det = ab.cross(ac)
-    if det == 0:
-        raise ValueError("collinear vertices have no circumcenter")
-    rhs_ab = (vertex_b.dot(vertex_b) - vertex_a.dot(vertex_a)) / 2
-    rhs_ac = (vertex_c.dot(vertex_c) - vertex_a.dot(vertex_a)) / 2
-    x = (rhs_ab * ac.y - rhs_ac * ab.y) / det
-    y = (ab.x * rhs_ac - ac.x * rhs_ab) / det
-    return Point2(x, y)
-
-
-def orthocenter_from_euler(circumcenter: Point2, centroid: Point2) -> Point2:
-    """H = O + 3(G - O); the altitude property is verified externally."""
-    return circumcenter + (centroid - circumcenter).scaled(3)
-
-
-def nine_point_center(circumcenter: Point2, orthocenter: Point2) -> Point2:
-    """N = midpoint of O and H."""
-    return Point2(
-        (circumcenter.x + orthocenter.x) / 2,
-        (circumcenter.y + orthocenter.y) / 2,
-    )
-
-
 def vertex_to_ninepoint_dist_sq(sides: SideLengths, vertex: Vertex) -> Scalar:
     """|vertex N|^2 from sides alone; A-form (R^2 - a^2 + b^2 + c^2) / 4.
     The three values are derived once per :class:`SideLengths`."""
@@ -196,21 +162,20 @@ class CenterSet:
     Barycentric forms exist for G, I and the excenters regardless of any
     embedding.  O, H and N have no closed barycentric form here and appear
     only when vertices are supplied.  ``frame`` holds the Cartesian centers
-    as they were computed: integer homogeneous triples for exact sides and
-    vertices, float ``Point2``s otherwise.  ``points`` and ``O`` ... ``Ec``
-    read them as ``Point2``s, built on first use.
+    as they were computed, and ``plane`` is the namespace that computed
+    them: integer homogeneous triples for exact sides and vertices, float
+    ``Point2``s otherwise.  ``points`` and ``O`` ... ``Ec`` read them as
+    ``Point2``s, built on first use.
     """
 
     barycentric: Dict[str, Barycentric]
-    frame: Optional[Dict[str, Union[Point2, homogeneous.Triple]]] = None
+    frame: Optional[Dict[str, Any]] = None
+    plane: Any = None
 
     @cached_property
     def points(self) -> Dict[str, Point2]:
         """The Cartesian centers in the order O, G, H, N, I, Ea, Eb, Ec."""
-        return {
-            label: p if isinstance(p, Point2) else homogeneous.as_point2(p)
-            for label, p in (self.frame or {}).items()
-        }
+        return {label: self.plane.as_point2(p) for label, p in (self.frame or {}).items()}
 
     O = _frame_point("O")
     G = _frame_point("G")
@@ -225,22 +190,6 @@ class CenterSet:
         return tuple(self.points.items())
 
 
-def _exact_frame(
-    sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]
-) -> Dict[str, homogeneous.Triple]:
-    """The Cartesian centers of exact sides and vertices as integer triples."""
-    h = homogeneous
-    va, vb, vc = h.lift(vertices)
-    circum = h.circumcenter(va, vb, vc)
-    centroid = h.barycentric_point((1, 1, 1), 3, va, vb, vc)
-    ortho = h.add(circum, h.scaled(h.sub(centroid, circum), 3))  # H = O + 3(G - O)
-    frame = {"O": circum, "G": centroid, "H": ortho, "N": h.midpoint(circum, ortho)}
-    t = sides._integer_form
-    for label, weights in CENTER_WEIGHTS.items():
-        frame[label] = h.barycentric_point(*weights(t.a, t.b, t.c), va, vb, vc)
-    return frame
-
-
 def center_set(
     sides: SideLengths,
     vertices: Optional[Tuple[Point2, Point2, Point2]] = None,
@@ -250,14 +199,20 @@ def center_set(
     bary.update((label, center_barycentric(sides, label)) for label in CENTER_WEIGHTS)
     if vertices is None:
         return CenterSet(barycentric=bary)
-    if sides.is_exact and all(p.is_exact for p in vertices):
-        return CenterSet(barycentric=bary, frame=_exact_frame(sides, vertices))
-    va, vb, vc = vertices
-    circum = circumcenter_cartesian(va, vb, vc)
-    centroid = barycentric_to_cartesian(bary["G"], va, vb, vc)
-    ortho = orthocenter_from_euler(circum, centroid)
-    frame = {"O": circum, "G": centroid, "H": ortho, "N": nine_point_center(circum, ortho)}
-    frame.update(
-        (label, barycentric_to_cartesian(bary[label], va, vb, vc)) for label in CENTER_WEIGHTS
-    )
-    return CenterSet(barycentric=bary, frame=frame)
+    exact = sides.is_exact
+    plane = homogeneous if exact and all(p.is_exact for p in vertices) else FloatPlane
+    va, vb, vc = plane.lift(vertices)
+    circum = plane.circumcenter(va, vb, vc)
+    centroid = plane.barycentric_point((1, 1, 1), 3, va, vb, vc)
+    ortho = plane.add(circum, plane.scaled(plane.sub(centroid, circum), 3))  # H = O + 3(G - O)
+    frame = {"O": circum, "G": centroid, "H": ortho, "N": plane.midpoint(circum, ortho)}
+    # Exact sides weigh by their integer form, as center_barycentric does:
+    # the integer plane needs it, and on floats each k/d rounds as before.
+    if exact:
+        t = sides._integer_form
+        a, b, c = t.a, t.b, t.c
+    else:
+        a, b, c = sides.as_tuple()
+    for label, weights in CENTER_WEIGHTS.items():
+        frame[label] = plane.barycentric_point(*weights(a, b, c), va, vb, vc)
+    return CenterSet(barycentric=bary, frame=frame, plane=plane)

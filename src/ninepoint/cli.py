@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .numeric import DEFAULT_TOLERANCE, Scalar, ToleranceProfile, is_exact
 from .triangle import (

@@ -23,19 +23,21 @@ joins, intersections are meets, a unit direction takes one ``isqrt``, and
 a comparison is a cross-multiplication; a ``Fraction`` is built only where
 a value enters a kernel formula.  Profiles that cannot embed rationally
 (near-equilateral, near-degenerate) fall back to float vertices and
-magnitude-aware tolerances, on the same constructions over ``Point2``.
+magnitude-aware tolerances, on the same constructions over
+:class:`~ninepoint.triangle.FloatPlane`.  The kernel's Cartesian centers
+(:func:`~ninepoint.centers.center_set`) choose their plane by the same
+rule, so the suite compares the two frames point for point on one plane.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from . import homogeneous
 from .numeric import (
@@ -45,11 +47,11 @@ from .numeric import (
     is_exact,
 )
 from .triangle import (
+    FloatPlane,
     Point2,
     SideLengths,
     barycentric_distance_sq,
     canonical_vertices,
-    cartesian_to_barycentric,
     metrics,
     orientation,
     point_on_side,
@@ -224,93 +226,7 @@ def random_triangle(
 # The oracle and the suite's Cartesian checks are written once, against a
 # plane: a namespace of the same constructions over one carrier.  Exact
 # vertices use ninepoint.homogeneous (integer triples; scalars are integer
-# ratios).  Everything else uses _FloatPlane, whose Point2 arithmetic keeps
-# float results bit-identical.
-
-
-class _FloatPlane:
-    """The constructions on float ``Point2``s; scalars are floats."""
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    scaled = staticmethod(Point2.scaled)
-    times = staticmethod(operator.mul)
-    dot = staticmethod(Point2.dot)
-    dist_sq = staticmethod(Point2.dist_sq)
-
-    @staticmethod
-    def lift(points: Sequence[Point2]) -> Tuple[Point2, ...]:
-        return tuple(points)
-
-    @staticmethod
-    def as_point2(p: Point2) -> Point2:
-        return p
-
-    @staticmethod
-    def value(v: float) -> float:
-        return v
-
-    @staticmethod
-    def coords(p: Point2) -> Tuple[Scalar, Scalar]:
-        return p.x, p.y
-
-    @staticmethod
-    def midpoint(p: Point2, q: Point2) -> Point2:
-        return Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
-
-    @staticmethod
-    def perp(d: Point2) -> Point2:
-        return Point2(-d.y, d.x)
-
-    @staticmethod
-    def unit_direction(src: Point2, dst: Point2) -> Point2:
-        delta = dst - src
-        return delta.scaled(1.0 / math.sqrt(float(delta.dot(delta))))
-
-    @staticmethod
-    def intersect(p1: Point2, d1: Point2, p2: Point2, d2: Point2) -> Point2:
-        """Intersection of p1 + t*d1 and p2 + u*d2."""
-        det = d1.cross(d2)
-        if det == 0:
-            raise ValueError("parallel construction lines")
-        t = (p2 - p1).cross(d2) / det
-        return p1 + d1.scaled(t)
-
-    @staticmethod
-    def equidistant_point(p1: Point2, p2: Point2, p3: Point2) -> Point2:
-        """The point with |X - p1| = |X - p2| = |X - p3|."""
-        ex = 2 * (p2.x - p1.x)
-        ey = 2 * (p2.y - p1.y)
-        fx = 2 * (p3.x - p1.x)
-        fy = 2 * (p3.y - p1.y)
-        rhs_e = p2.dot(p2) - p1.dot(p1)
-        rhs_f = p3.dot(p3) - p1.dot(p1)
-        det = ex * fy - ey * fx
-        if det == 0:
-            raise ValueError("collinear points have no equidistant center")
-        return Point2((rhs_e * fy - rhs_f * ey) / det, (ex * rhs_f - fx * rhs_e) / det)
-
-    @staticmethod
-    def line_dist_sq(point: Point2, on_line: Point2, toward: Point2) -> Scalar:
-        """Squared distance from a point to the infinite line through two points."""
-        d = toward - on_line
-        num = d.cross(point - on_line)
-        return (num * num) / d.dot(d)
-
-    @staticmethod
-    def project(point: Point2, on_line: Point2, toward: Point2) -> Point2:
-        d = toward - on_line
-        t = (point - on_line).dot(d) / d.dot(d)
-        return on_line + d.scaled(t)
-
-    @staticmethod
-    def barycentric(point: Point2, a: Point2, b: Point2, c: Point2) -> Tuple[Scalar, ...]:
-        return cartesian_to_barycentric(point, a, b, c).components
-
-
-def _on_floats(points: Sequence[Point2]) -> Tuple[Point2, ...]:
-    """The points with float coordinates only; float points pass through."""
-    return tuple(p.as_float() if is_exact(p.x) or is_exact(p.y) else p for p in points)
+# ratios).  Everything else uses triangle.FloatPlane (Point2s of floats).
 
 
 @dataclass(frozen=True)
@@ -402,7 +318,7 @@ def cartesian_oracle(
             return _construct(homogeneous, a, b, c)
     elif orientation(*vertices) == 0:
         raise ValueError("collinear vertices")
-    return _construct(_FloatPlane, *_on_floats(vertices))
+    return _construct(FloatPlane, *FloatPlane.lift(vertices))
 
 
 # --- identity suite --------------------------------------------------------
@@ -455,10 +371,12 @@ def check_identity_suite(
     ``tol.rel_eps + 64 * eps * conditioning^2``.
     """
     exact = sides.is_exact and all(p.is_exact for p in embedding)
-    if not exact:
-        embedding = _on_floats(embedding)
-    plane = homogeneous if exact else _FloatPlane
-    va, vb, vc = plane.lift(embedding)
+    if exact:
+        plane = homogeneous
+        va, vb, vc = homogeneous.lift(embedding)
+    else:
+        plane = FloatPlane
+        embedding = va, vb, vc = FloatPlane.lift(embedding)
     cond = sides.conditioning()
     suite_tol = ToleranceProfile(
         rel_eps=tol.rel_eps + 64.0 * _MACHINE_EPS * cond * cond,
@@ -468,16 +386,13 @@ def check_identity_suite(
     checks: List[IdentityCheck] = []
 
     def record(name: str, lhs: Any, rhs: Any, scale: float, detail: str = "") -> None:
-        if exact:
+        if exact or (is_exact(lhs) and is_exact(rhs)):
             # Integer ratios of the exact plane and kernel Fractions alike.
             (n1, d1), (n2, d2) = _as_ratio(lhs), _as_ratio(rhs)
             ok = n1 * d2 == n2 * d1
             residual = 0.0
             if not ok:
                 residual = abs(float(Fraction(n1, d1) - Fraction(n2, d2))) / max(1.0, abs(scale))
-        elif is_exact(lhs) and is_exact(rhs):
-            ok = lhs == rhs
-            residual = 0.0 if ok else abs(float(lhs - rhs)) / max(1.0, abs(scale))
         else:
             lhs_f, rhs_f = float(lhs), float(rhs)
             scale_f = max(1.0, abs(scale), abs(lhs_f), abs(rhs_f))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
 from .triangle import Point2, SideLengths, metrics

@@ -26,15 +26,20 @@ numerators and denominators as integers.
 All functions are polymorphic over the scalar backend.  The float area uses
 the sorted-operand stable product form, so near-degenerate triangles lose
 precision only where the input data already has.
+
+:class:`FloatPlane` holds the plane constructions on ``Point2``s under the
+names of :mod:`ninepoint.homogeneous`, so the Cartesian centers and the
+oracle are written once and run on either carrier.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -48,6 +53,7 @@ from .numeric import (
 __all__ = [
     "InvalidTriangleError",
     "Point2",
+    "FloatPlane",
     "SideLengths",
     "TriangleMetrics",
     "Barycentric",
@@ -121,6 +127,119 @@ def _finite(value: Scalar) -> Scalar:
     return value
 
 
+class FloatPlane:
+    """Plane constructions on ``Point2``s; scalars are plain numbers.
+
+    The namespace mirrors :mod:`ninepoint.homogeneous` name for name, so a
+    construction written against a "plane" runs on either carrier.  It is
+    the carrier of float vertices (:meth:`lift` turns exact coordinates
+    into floats); its ``Point2`` arithmetic keeps float results
+    bit-identical."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    scaled = staticmethod(Point2.scaled)
+    times = staticmethod(operator.mul)
+    dot = staticmethod(Point2.dot)
+    dist_sq = staticmethod(Point2.dist_sq)
+
+    @staticmethod
+    def lift(points: Sequence[Point2]) -> Tuple[Point2, ...]:
+        """The points with float coordinates only; float points pass through."""
+        return tuple(p.as_float() if is_exact(p.x) or is_exact(p.y) else p for p in points)
+
+    @staticmethod
+    def as_point2(p: Point2) -> Point2:
+        return p
+
+    @staticmethod
+    def value(v: Scalar) -> Scalar:
+        return v
+
+    @staticmethod
+    def coords(p: Point2) -> Tuple[Scalar, Scalar]:
+        return p.x, p.y
+
+    @staticmethod
+    def midpoint(p: Point2, q: Point2) -> Point2:
+        return Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+
+    @staticmethod
+    def perp(d: Point2) -> Point2:
+        return Point2(-d.y, d.x)
+
+    @staticmethod
+    def unit_direction(src: Point2, dst: Point2) -> Point2:
+        delta = dst - src
+        return delta.scaled(1.0 / math.sqrt(float(delta.dot(delta))))
+
+    @staticmethod
+    def intersect(p1: Point2, d1: Point2, p2: Point2, d2: Point2) -> Point2:
+        """Intersection of p1 + t*d1 and p2 + u*d2."""
+        det = d1.cross(d2)
+        if det == 0:
+            raise ValueError("parallel construction lines")
+        t = (p2 - p1).cross(d2) / det
+        return p1 + d1.scaled(t)
+
+    @staticmethod
+    def equidistant_point(p1: Point2, p2: Point2, p3: Point2) -> Point2:
+        """The point with |X - p1| = |X - p2| = |X - p3|."""
+        ex = 2 * (p2.x - p1.x)
+        ey = 2 * (p2.y - p1.y)
+        fx = 2 * (p3.x - p1.x)
+        fy = 2 * (p3.y - p1.y)
+        rhs_e = p2.dot(p2) - p1.dot(p1)
+        rhs_f = p3.dot(p3) - p1.dot(p1)
+        det = ex * fy - ey * fx
+        if det == 0:
+            raise ValueError("collinear points have no equidistant center")
+        return Point2((rhs_e * fy - rhs_f * ey) / det, (ex * rhs_f - fx * rhs_e) / det)
+
+    @staticmethod
+    def circumcenter(vertex_a: Point2, vertex_b: Point2, vertex_c: Point2) -> Point2:
+        """Intersection of the perpendicular bisectors of AB and AC.
+
+        Solves (B - A).O = (|B|^2 - |A|^2)/2 and the AC analogue by Cramer's
+        rule, staying rational for rational vertices.
+        """
+        ab = vertex_b - vertex_a
+        ac = vertex_c - vertex_a
+        det = ab.cross(ac)
+        if det == 0:
+            raise ValueError("collinear vertices have no circumcenter")
+        rhs_ab = (vertex_b.dot(vertex_b) - vertex_a.dot(vertex_a)) / 2
+        rhs_ac = (vertex_c.dot(vertex_c) - vertex_a.dot(vertex_a)) / 2
+        x = (rhs_ab * ac.y - rhs_ac * ab.y) / det
+        y = (ab.x * rhs_ac - ac.x * rhs_ab) / det
+        return Point2(x, y)
+
+    @staticmethod
+    def barycentric_point(
+        weights: Tuple[Scalar, Scalar, Scalar], d: Scalar, a: Point2, b: Point2, c: Point2
+    ) -> Point2:
+        """The point (k_a*a + k_b*b + k_c*c) / d, as a.scaled(k_a/d) + ..."""
+        k_a, k_b, k_c = weights
+        return a.scaled(k_a / d) + b.scaled(k_b / d) + c.scaled(k_c / d)
+
+    @staticmethod
+    def line_dist_sq(point: Point2, on_line: Point2, toward: Point2) -> Scalar:
+        """Squared distance from a point to the infinite line through two points."""
+        d = toward - on_line
+        num = d.cross(point - on_line)
+        return (num * num) / d.dot(d)
+
+    @staticmethod
+    def project(point: Point2, on_line: Point2, toward: Point2) -> Point2:
+        d = toward - on_line
+        t = (point - on_line).dot(d) / d.dot(d)
+        return on_line + d.scaled(t)
+
+    @staticmethod
+    def barycentric(point: Point2, a: Point2, b: Point2, c: Point2) -> Tuple[Scalar, ...]:
+        return cartesian_to_barycentric(point, a, b, c).components
+
+
 @dataclass(frozen=True)
 class SideLengths:
     """Validated side lengths a = |BC|, b = |CA|, c = |AB|.
@@ -144,13 +263,12 @@ class SideLengths:
                 raise InvalidTriangleError(f"non-finite side: {name} = {value!r}")
             if value <= 0:
                 raise InvalidTriangleError(f"invalid side: {name} <= 0")
-        for lhs, rhs, text in (
-            ((self.a, self.b), self.c, "a + b"),
-            ((self.b, self.c), self.a, "b + c"),
-            ((self.c, self.a), self.b, "c + a"),
+        for x, y, rhs, text, opposite in (
+            (self.a, self.b, self.c, "a + b", "c"),
+            (self.b, self.c, self.a, "b + c", "a"),
+            (self.c, self.a, self.b, "c + a", "b"),
         ):
-            total = lhs[0] + lhs[1]
-            opposite = {"a + b": "c", "b + c": "a", "c + a": "b"}[text]
+            total = x + y
             if total == rhs:
                 raise InvalidTriangleError(f"degenerate: {text} = {opposite}")
             if total < rhs:
@@ -369,10 +487,6 @@ class Barycentric:
     def components(self) -> Tuple[Scalar, Scalar, Scalar]:
         return (self.alpha, self.beta, self.gamma)
 
-    @property
-    def is_exact(self) -> bool:
-        return all(is_exact(v) for v in self.components)
-
 
 def point_on_side(
     dist_bx: Scalar,
@@ -457,10 +571,7 @@ def barycentric_to_cartesian(
     """Affine combination alpha*A + beta*B + gamma*C."""
     if orientation(vertex_a, vertex_b, vertex_c) == 0:
         raise ValueError("collinear vertices")
-    alpha, beta, gamma = x.components
-    return (
-        vertex_a.scaled(alpha) + vertex_b.scaled(beta) + vertex_c.scaled(gamma)
-    )
+    return FloatPlane.barycentric_point(x.components, 1, vertex_a, vertex_b, vertex_c)
 
 
 def cartesian_to_barycentric(

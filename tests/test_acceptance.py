@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from ninepoint import cli
-from ninepoint.centers import center_set, nine_point_center, vertex_to_ninepoint_dist_sq
+from ninepoint.centers import center_set, vertex_to_ninepoint_dist_sq
 from ninepoint.feuerbach import (
     Tangency,
     excircle_ninepoint_residual,

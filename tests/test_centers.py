@@ -12,23 +12,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ninepoint import homogeneous
 from ninepoint.centers import (
+    CENTER_WEIGHTS,
     VERTICES,
     CenterSet,
     bisector_foot_barycentric,
     center_barycentric,
     center_set,
     centroid_barycentric,
-    circumcenter_cartesian,
     circumdot,
-    nine_point_center,
-    orthocenter_from_euler,
     vertex_to_ninepoint_dist_sq,
 )
+from ninepoint.harness import PROFILE_KINDS, FuzzProfile, random_triangle
 from ninepoint.triangle import (
+    FloatPlane,
     Point2,
     SideLengths,
-    barycentric_to_cartesian,
     canonical_vertices,
     metrics,
 )
@@ -102,42 +102,35 @@ class TestBarycentricCenters:
 
 class TestCartesianCenters:
     def test_circumcenter_3_4_5(self, triangle345):
-        _, (va, vb, vc) = triangle345
-        center = circumcenter_cartesian(va, vb, vc)
-        assert (center.x, center.y) == (F(3, 2), F(2))
+        _, vertices = triangle345
+        center = homogeneous.circumcenter(*homogeneous.lift(vertices))
+        assert homogeneous.as_point2(center) == Point2(F(3, 2), F(2))
 
     def test_circumcenter_equilateral_float(self):
         va, vb, vc = canonical_vertices(SideLengths(1, 1, 1))
-        center = circumcenter_cartesian(va, vb, vc)
+        center = FloatPlane.circumcenter(va, vb, vc)
         assert center.x == pytest.approx(0.5)
         assert center.y == pytest.approx(3 ** 0.5 / 6)
 
-    def test_collinear_rejected(self):
-        with pytest.raises(ValueError):
-            circumcenter_cartesian(Point2(0, 0), Point2(1, 1), Point2(2, 2))
+    @pytest.mark.parametrize("plane", [homogeneous, FloatPlane], ids=["exact", "float"])
+    def test_collinear_rejected(self, plane):
+        collinear = plane.lift((Point2(0, 0), Point2(1, 1), Point2(2, 2)))
+        with pytest.raises(ValueError, match="collinear vertices have no circumcenter"):
+            plane.circumcenter(*collinear)
 
-    def test_orthocenter_from_euler_3_4_5(self, triangle345):
-        _, (va, vb, vc) = triangle345
-        circum = circumcenter_cartesian(va, vb, vc)
-        centroid = barycentric_to_cartesian(centroid_barycentric(), va, vb, vc)
-        ortho = orthocenter_from_euler(circum, centroid)
+    def test_orthocenter_3_4_5(self, triangle345):
         # Right angle at C puts the orthocenter on C itself.
-        assert (ortho.x, ortho.y) == (F(0), F(0))
+        assert center_set(*triangle345).H == Point2(F(0), F(0))
 
     def test_nine_point_center_3_4_5(self, triangle345):
-        _, (va, vb, vc) = triangle345
-        circum = circumcenter_cartesian(va, vb, vc)
-        centroid = barycentric_to_cartesian(centroid_barycentric(), va, vb, vc)
-        ortho = orthocenter_from_euler(circum, centroid)
-        nine = nine_point_center(circum, ortho)
-        assert (nine.x, nine.y) == (F(3, 4), F(1))
+        assert center_set(*triangle345).N == Point2(F(3, 4), F(1))
 
     @given(rational_sides)
     def test_circumcenter_equidistant(self, sides: SideLengths):
         va, vb, vc = canonical_vertices(sides)
         if not va.is_exact:
             return
-        center = circumcenter_cartesian(va, vb, vc)
+        center = center_set(sides, (va, vb, vc)).O
         assert center.dist_sq(va) == center.dist_sq(vb) == center.dist_sq(vc)
         assert center.dist_sq(va) == metrics(sides).R_sq
 
@@ -163,9 +156,7 @@ class TestDistancesAndDots:
         va, vb, vc = canonical_vertices(sides)
         if not va.is_exact:
             return
-        circum = circumcenter_cartesian(va, vb, vc)
-        centroid = barycentric_to_cartesian(centroid_barycentric(), va, vb, vc)
-        nine = nine_point_center(circum, orthocenter_from_euler(circum, centroid))
+        nine = center_set(sides, (va, vb, vc)).N
         assert vertex_to_ninepoint_dist_sq(sides, "A") == va.dist_sq(nine)
         assert vertex_to_ninepoint_dist_sq(sides, "B") == vb.dist_sq(nine)
         assert vertex_to_ninepoint_dist_sq(sides, "C") == vc.dist_sq(nine)
@@ -175,7 +166,7 @@ class TestDistancesAndDots:
         va, vb, vc = canonical_vertices(sides)
         if not va.is_exact:
             return
-        circum = circumcenter_cartesian(va, vb, vc)
+        circum = center_set(sides, (va, vb, vc)).O
         assert circumdot(sides, "AB") == (va - circum).dot(vb - circum)
         assert circumdot(sides, "BC") == (vb - circum).dot(vc - circum)
         assert circumdot(sides, "CA") == (vc - circum).dot(va - circum)
@@ -234,6 +225,98 @@ class TestCenterSet:
         foot_b = bisector_foot_barycentric(sides, "B").components
         foot_a_rot = bisector_foot_barycentric(rotated, "A").components
         assert foot_a_rot == (foot_b[1], foot_b[2], foot_b[0])
+
+
+# A copy of the two constructions that center_set replaced: integer triples
+# for exact sides and vertices, Point2 arithmetic for everything else.  The
+# single construction must reproduce them value for value and bit for bit.
+
+
+def _reference_exact_frame(sides, vertices):
+    h = homogeneous
+    va, vb, vc = h.lift(vertices)
+    circum = h.circumcenter(va, vb, vc)
+    centroid = h.barycentric_point((1, 1, 1), 3, va, vb, vc)
+    ortho = h.add(circum, h.scaled(h.sub(centroid, circum), 3))
+    frame = {"O": circum, "G": centroid, "H": ortho, "N": h.midpoint(circum, ortho)}
+    t = sides._integer_form
+    for label, weights in CENTER_WEIGHTS.items():
+        frame[label] = h.barycentric_point(*weights(t.a, t.b, t.c), va, vb, vc)
+    return {label: h.as_point2(p) for label, p in frame.items()}
+
+
+def _reference_point2_frame(sides, vertices):
+    va, vb, vc = vertices
+    ab, ac = vb - va, vc - va
+    det = ab.cross(ac)
+    rhs_ab = (vb.dot(vb) - va.dot(va)) / 2
+    rhs_ac = (vc.dot(vc) - va.dot(va)) / 2
+    circum = Point2((rhs_ab * ac.y - rhs_ac * ab.y) / det, (ab.x * rhs_ac - ac.x * rhs_ab) / det)
+
+    def affine(x):
+        alpha, beta, gamma = x.components
+        return va.scaled(alpha) + vb.scaled(beta) + vc.scaled(gamma)
+
+    centroid = affine(centroid_barycentric())
+    ortho = circum + (centroid - circum).scaled(3)
+    nine = Point2((circum.x + ortho.x) / 2, (circum.y + ortho.y) / 2)
+    frame = {"O": circum, "G": centroid, "H": ortho, "N": nine}
+    frame.update((label, affine(center_barycentric(sides, label))) for label in CENTER_WEIGHTS)
+    return frame
+
+
+def _reference_points(sides, vertices):
+    if sides.is_exact and all(p.is_exact for p in vertices):
+        return _reference_exact_frame(sides, vertices)
+    return _reference_point2_frame(sides, vertices)
+
+
+def _bits(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def _assert_matches_reference(sides, vertices):
+    expected = _reference_points(sides, vertices)
+    actual = center_set(sides, vertices).points
+    assert list(actual) == list(expected)
+    for label, point in expected.items():
+        got = actual[label]
+        assert (type(got.x), type(got.y)) == (type(point.x), type(point.y)), label
+        assert (_bits(got.x), _bits(got.y)) == (_bits(point.x), _bits(point.y)), label
+
+
+class TestOneConstruction:
+    """center_set against the reference copy of the two former paths."""
+
+    @given(rational_sides)
+    def test_rational_sides(self, sides: SideLengths):
+        # Exact sides: exact vertices when the altitude is rational, float
+        # vertices otherwise; then the same triangle on floats.
+        _assert_matches_reference(sides, canonical_vertices(sides))
+        floats = sides.as_float()
+        _assert_matches_reference(floats, canonical_vertices(floats))
+
+    @given(st.sampled_from(PROFILE_KINDS), st.integers(0, 10**6), st.integers(0, 50))
+    def test_fuzz_profiles(self, kind: str, seed: int, index: int):
+        sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), index)
+        _assert_matches_reference(sides, vertices)
+        floats = sides.as_float()
+        _assert_matches_reference(floats, canonical_vertices(floats))
+
+    def test_exact_sides_with_float_embedding(self):
+        # svg draws exact sides without a rational embedding on floats.
+        sides = SideLengths(2, 3, 4)
+        vertices = canonical_vertices(sides)
+        assert not vertices[0].is_exact
+        _assert_matches_reference(sides, vertices)
+
+    def test_mixed_input_gives_float_centers(self, triangle345):
+        sides, vertices = triangle345
+        centers = center_set(sides.as_float(), vertices)
+        assert len(centers.points) == 8
+        for label, point in centers.points.items():
+            assert type(point.x) is float and type(point.y) is float, label
+        assert (centers.O.x, centers.O.y) == (1.5, 2.0)
 
 
 def test_vertices_constant():

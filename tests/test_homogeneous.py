@@ -1,14 +1,18 @@
 """Integer homogeneous coordinates against Fraction arithmetic on the
 Cartesian points they stand for, with weights of either sign."""
 
+import ast
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from ninepoint import centers, harness
 from ninepoint import homogeneous as h
-from ninepoint.triangle import Point2
+from ninepoint.triangle import FloatPlane, Point2
 
 coord = st.integers(-60, 60)
 weight = st.integers(-12, 12).filter(bool)
@@ -113,3 +117,33 @@ def test_lift_shares_the_lcm():
 def test_parallel_lines_rejected():
     with pytest.raises(ValueError, match="parallel"):
         h.intersect((0, 0, 1), (1, 1, 1), (1, 0, 1), (2, 2, 3))
+
+
+def _plane_names(*functions):
+    """Names read from ``plane`` or ``self.plane`` in the functions' source."""
+    names = set()
+    for function in functions:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            owner = node.value
+            if isinstance(owner, ast.Name) and owner.id == "plane":
+                names.add(node.attr)
+            elif isinstance(owner, ast.Attribute) and owner.attr == "plane":
+                names.add(node.attr)
+    return names
+
+
+def test_both_planes_define_every_name_the_constructions_call():
+    names = _plane_names(
+        centers.center_set,
+        centers.CenterSet,
+        harness._construct,
+        harness.OracleResult,
+        harness.check_identity_suite,
+    )
+    assert {"lift", "circumcenter", "barycentric_point", "equidistant_point"} <= names
+    for plane in (h, FloatPlane):
+        missing = sorted(name for name in names if not hasattr(plane, name))
+        assert missing == [], plane
