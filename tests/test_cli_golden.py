@@ -64,6 +64,7 @@ CASES = {
                                     "--format", "json"],
     "ragged_float_compute_text": ["compute", "--sides", "3/5,2/3,1/7", "--backend", "float"],
     "big_exact_feuerbach_json": ["feuerbach", "--sides", BIG, "--format", "json"],
+    "big_exact_feuerbach_text": ["feuerbach", "--sides", BIG],
     "big_exact_compute_text": ["compute", "--sides", BIG],
     "big_exact_svg": ["compute", "--sides", BIG, "--format", "svg"],
     "big_float_feuerbach_json": ["feuerbach", "--sides", BIG, "--backend", "float", "--format", "json"],
