@@ -19,9 +19,12 @@ rather than tangent.
 
 On exact sides the report and the residuals come from integer polynomials
 instead (see :func:`_tangency_numerators`): the sides are scaled to
-integers, every term is put over one denominator per circle, tangency is
-decided by comparing integers, and a ``Fraction`` is built only for each
-output field.
+integers, every term is put over one denominator per circle, and tangency
+is decided by comparing integers.  A tangent circle's report then reduces
+one large number, its chosen right-hand side in a closed form that is
+also the left-hand side; the zero residual, the other residual and the
+other right-hand side follow without a large gcd (see
+:func:`_exact_tangency`).
 
 Tangency classification works on squared quantities only.  The cross term
 2*r1*r2 in (r1 +- r2)^2 is recovered with an exact square root of
@@ -87,6 +90,9 @@ CIRCLES = ("incircle", "exA", "exB", "exC")
 
 # Each circle's center, a label of centers.CENTER_WEIGHTS (I, Ea, Eb, Ec).
 _CENTER_OF = dict(zip(CIRCLES, CENTER_WEIGHTS))
+
+# The residual of an exact tangency; Fractions are immutable, so it is shared.
+_ZERO = Fraction(0)
 
 
 def _radius_terms(met: TriangleMetrics, circle: str) -> Tuple[Scalar, Scalar]:
@@ -244,16 +250,37 @@ def _exact_kind(lhs: Scalar, rhs_internal: Scalar, rhs_external: Scalar) -> Tang
 
 
 def _exact_tangency(t: _IntegerTriangle, circle: str) -> TangencyReport:
-    """The exact branch of :func:`classify_tangency_sq`, decided on integers."""
+    """The exact branch of :func:`classify_tangency_sq`, decided on integers.
+
+    A tangent kind gives every field from closed forms.  The circle's
+    weight sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen
+    rhs (abc*d -+ P)^2 / (4*P*d^2*L^2) is (abc -+ P/d)^2 / (4*P*L^2), and
+    it equals lhs; its residual is zero.  The two rhs differ by
+    4*abc*d*P over the shared denominator, that is abc/(d*L^2) = 2*R*r_X,
+    which is the other residual up to sign.  So one large number is
+    reduced per circle.  NotTangent has no identity to lean on and reduces
+    all five numerators."""
     lhs, rhs_internal, rhs_external, den = _tangency_numerators(t, circle)
-    return TangencyReport(
-        kind=_exact_kind(lhs, rhs_internal, rhs_external),
-        lhs=Fraction(lhs, den),
-        rhs_internal=Fraction(rhs_internal, den),
-        rhs_external=Fraction(rhs_external, den),
-        residual_internal=Fraction(lhs - rhs_internal, den),
-        residual_external=Fraction(lhs - rhs_external, den),
-    )
+    kind = _exact_kind(lhs, rhs_internal, rhs_external)
+    if kind is Tangency.NOT_TANGENT:
+        return TangencyReport(
+            kind=kind,
+            lhs=Fraction(lhs, den),
+            rhs_internal=Fraction(rhs_internal, den),
+            rhs_external=Fraction(rhs_external, den),
+            residual_internal=Fraction(lhs - rhs_internal, den),
+            residual_external=Fraction(lhs - rhs_external, den),
+        )
+    d = (t.p, t.u, t.v, t.w)[CIRCLES.index(circle)]
+    P_over_d = t.P // d
+    L_sq = t.L * t.L
+    if kind is Tangency.EXTERNAL_TANGENT:
+        value = Fraction((t.abc + P_over_d) ** 2, 4 * t.P * L_sq)
+        residual_internal = Fraction(t.abc, d * L_sq)
+        return TangencyReport(kind, value, value - residual_internal, value, residual_internal, _ZERO)
+    value = Fraction((t.abc - P_over_d) ** 2, 4 * t.P * L_sq)
+    residual_external = Fraction(-t.abc, d * L_sq)
+    return TangencyReport(kind, value, value, value - residual_external, _ZERO, residual_external)
 
 
 def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:

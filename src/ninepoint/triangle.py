@@ -263,12 +263,14 @@ class SideLengths:
                 raise InvalidTriangleError(f"non-finite side: {name} = {value!r}")
             if value <= 0:
                 raise InvalidTriangleError(f"invalid side: {name} <= 0")
-        for x, y, rhs, text, opposite in (
-            (self.a, self.b, self.c, "a + b", "c"),
-            (self.b, self.c, self.a, "b + c", "a"),
-            (self.c, self.a, self.b, "c + a", "b"),
-        ):
-            total = x + y
+        if self.is_exact:
+            # a + b - c = w/L and its rotations, with L > 0: the signs of w, u, v decide.
+            t = self._integer_form
+            inequalities = ((t.w, 0), (t.u, 0), (t.v, 0))
+        else:
+            a, b, c = self.as_tuple()
+            inequalities = ((a + b, c), (b + c, a), (c + a, b))
+        for (total, rhs), text, opposite in zip(inequalities, ("a + b", "b + c", "c + a"), "cab"):
             if total == rhs:
                 raise InvalidTriangleError(f"degenerate: {text} = {opposite}")
             if total < rhs:
@@ -318,18 +320,21 @@ class SideLengths:
         Exact sides go through the integer kernel: one division per field."""
         if self.is_exact:
             # With sides a/L, b/L, c/L: s = p/2L, K^2 = P/16L^4, R^2 = (abc)^2/(P L^2),
-            # r^2 = P/(4 p^2 L^2), R*r = abc/(2 p L^2), and u, v, w stand in for p
-            # in the excircle terms.
+            # r^2 = P/(4 p^2 L^2) = u v w/(4 p L^2), R*r = abc/(2 p L^2), and u, v, w
+            # stand in for p in the excircle terms.  Cancelling the known factor
+            # of P first leaves a smaller gcd.
             t = self._integer_form
             L_sq = t.L * t.L
+            vw = t.v * t.w
+            pu = t.p * t.u
             return TriangleMetrics(
                 s=Fraction(t.p, 2 * t.L),
                 K_sq=Fraction(t.P, 16 * L_sq * L_sq),
                 R_sq=Fraction(t.abc * t.abc, t.P * L_sq),
-                r_sq=Fraction(t.P, 4 * t.p * t.p * L_sq),
-                rA_sq=Fraction(t.P, 4 * t.u * t.u * L_sq),
-                rB_sq=Fraction(t.P, 4 * t.v * t.v * L_sq),
-                rC_sq=Fraction(t.P, 4 * t.w * t.w * L_sq),
+                r_sq=Fraction(t.u * vw, 4 * t.p * L_sq),
+                rA_sq=Fraction(t.p * vw, 4 * t.u * L_sq),
+                rB_sq=Fraction(pu * t.w, 4 * t.v * L_sq),
+                rC_sq=Fraction(pu * t.v, 4 * t.w * L_sq),
                 Rr=Fraction(t.abc, 2 * t.p * L_sq),
                 RrA=Fraction(t.abc, 2 * t.u * L_sq),
                 RrB=Fraction(t.abc, 2 * t.v * L_sq),

@@ -2,6 +2,7 @@
 differential test of every exact metric and report field against the
 Fraction closed forms, evaluated here."""
 
+import collections
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 
 from ninepoint.feuerbach import (
     Tangency,
+    TangencyReport,
+    _exact_kind,
+    _exact_tangency,
     _tangency_numerators,
     excircle_ninepoint_residual,
     feuerbach_report,
@@ -61,6 +65,24 @@ def test_tangency_numerators_are_polynomial_identities():
         assert sympy.cancel(lhs / den - dist_sq) == 0, circle
         assert sympy.cancel(rhs_internal / den - (R_sq / 4 + radius_sq - mixed)) == 0, circle
         assert sympy.cancel(rhs_external / den - (R_sq / 4 + radius_sq + mixed)) == 0, circle
+
+
+def test_cancelled_closed_forms_are_polynomial_identities():
+    """The weight sum d of each circle divides P; the chosen rhs over its
+    denominator is (abc -+ P/d)^2 / (4*P*L^2); and the two rhs numerators
+    differ by 4*abc*d*P, so the unchosen residual is -+abc/(d*L^2)."""
+    sympy = pytest.importorskip("sympy")
+    a, b, c, L = sympy.symbols("a b c L", positive=True)
+    t = _integer_triangle(a, b, c, L)
+    abc, P = t.abc, sympy.expand(t.P)
+    for circle, (_, d) in center_weights(a, b, c).items():
+        P_over_d, remainder = sympy.div(P, d, a, b, c)
+        assert remainder == 0, circle
+        _, rhs_internal, rhs_external, den = _tangency_numerators(t, circle)
+        assert sympy.cancel((abc - P_over_d) ** 2 / (4 * P * L**2) - rhs_internal / den) == 0
+        assert sympy.cancel((abc + P_over_d) ** 2 / (4 * P * L**2) - rhs_external / den) == 0
+        assert sympy.expand(rhs_external - rhs_internal - 4 * abc * d * P) == 0, circle
+        assert sympy.cancel(4 * abc * d * P / den - abc / (d * L**2)) == 0, circle
 
 
 def closed_form_metrics(a: Fraction, b: Fraction, c: Fraction) -> dict:
@@ -179,3 +201,75 @@ def test_exact_kernel_matches_fraction_closed_forms(sides: SideLengths):
     for vertex in "ABC":
         lhs, _, rhs_external = tangencies[f"ex{vertex}"]
         assert excircle_ninepoint_residual(sides, vertex) == lhs - rhs_external == 0
+
+
+def reduced_tangency(t, circle: str) -> TangencyReport:
+    """Every field reduced from its numerator over 4*P*d^2*L^2, as the exact
+    report once built them all."""
+    lhs, rhs_internal, rhs_external, den = _tangency_numerators(t, circle)
+    return TangencyReport(
+        kind=_exact_kind(lhs, rhs_internal, rhs_external),
+        lhs=Fraction(lhs, den),
+        rhs_internal=Fraction(rhs_internal, den),
+        rhs_external=Fraction(rhs_external, den),
+        residual_internal=Fraction(lhs - rhs_internal, den),
+        residual_external=Fraction(lhs - rhs_external, den),
+    )
+
+
+def report_fields(report: TangencyReport) -> tuple:
+    return (
+        report.kind,
+        report.lhs,
+        report.rhs_internal,
+        report.rhs_external,
+        report.residual_internal,
+        report.residual_external,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_rational_triangles())
+def test_closed_form_report_matches_reduced_numerators(sides: SideLengths):
+    """All six fields equal the five reductions, on the tangent kinds the
+    closed forms serve and on NotTangent, reached here by moving abc."""
+    t = sides._integer_form
+    for circle, entry in zip(CIRCLES, feuerbach_report(sides).entries):
+        assert report_fields(entry.report) == report_fields(reduced_tangency(t, circle)), circle
+    off = t._replace(abc=t.abc + 1)  # lhs - rhs is then a nonzero multiple of 2*d*P
+    for circle in CIRCLES:
+        got = _exact_tangency(off, circle)
+        assert got.kind is Tangency.NOT_TANGENT
+        assert report_fields(got) == report_fields(reduced_tangency(off, circle)), circle
+        assert all(type(v) is Fraction for v in report_fields(got)[1:]), circle
+
+
+def count_fraction_constructions(monkeypatch) -> collections.Counter:
+    """Wrap ``Fraction.__new__`` so that each construction is counted; the
+    wrapper stays in place until the test ends."""
+    calls = collections.Counter()
+    original = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        calls["__new__"] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "sides",
+    [(3, 4, 5), (2, 3, 4), (1, 1, 1), (F(7, 3), F(7, 3), F(5, 2)),
+     (F(10**40 + 7, 3**50), F(10**40 + 3, 3**50 + 1), F(10**40, 7**40))],
+    ids=["3-4-5", "2-3-4", "equilateral", "isoceles", "40-digit"],
+)
+def test_exact_report_builds_three_fractions_per_circle(monkeypatch, sides):
+    """With the metrics cached, each circle's report builds its one reduced
+    value, the unchosen residual and the unchosen rhs; nothing else."""
+    sides = SideLengths(*sides)
+    metrics(sides)
+    calls = count_fraction_constructions(monkeypatch)
+    report = feuerbach_report(sides)
+    assert calls["__new__"] == 3 * len(CIRCLES)
+    assert report.ok

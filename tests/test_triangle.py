@@ -50,6 +50,15 @@ rational_sides = st.tuples(positive_fractions, positive_fractions, positive_frac
 )
 
 
+@st.composite
+def positive_triples(draw):
+    """Three positive rationals in any order; in half the draws one is the
+    sum of the other two."""
+    a, b = draw(positive_fractions), draw(positive_fractions)
+    c = a + b if draw(st.booleans()) else draw(positive_fractions)
+    return tuple(draw(st.permutations((a, b, c))))
+
+
 class TestSideLengths:
     def test_valid(self):
         sides = SideLengths(3, 4, 5)
@@ -97,6 +106,36 @@ class TestSideLengths:
     def test_generated_sides_always_valid(self, sides: SideLengths):
         a, b, c = sides.as_tuple()
         assert a + b > c and b + c > a and c + a > b
+
+    @given(positive_triples())
+    def test_exact_inequalities_match_fraction_comparisons(self, triple):
+        """The integer-form checks raise what comparing Fraction sums raised,
+        in the same order."""
+        a, b, c = triple
+        expected = None
+        for x, y, rhs, text, opposite in (
+            (a, b, c, "a + b", "c"), (b, c, a, "b + c", "a"), (c, a, b, "c + a", "b")
+        ):
+            if x + y == rhs:
+                expected = f"degenerate: {text} = {opposite}"
+                break
+            if x + y < rhs:
+                expected = f"not a triangle: {text} < {opposite}"
+                break
+        try:
+            SideLengths(a, b, c)
+            got = None
+        except InvalidTriangleError as exc:
+            got = str(exc)
+        assert got == expected
+
+    def test_exact_inequalities_use_no_fraction_arithmetic(self, monkeypatch):
+        calls = count_fraction_calls(monkeypatch, FRACTION_ARITHMETIC)
+        SideLengths(F(13, 7), F(14, 9), F(15, 11))
+        for sides in ((1, 2, 3), (F(5, 6), F(1, 2), F(1, 3)), (1, 2, 10)):
+            with pytest.raises(InvalidTriangleError):
+                SideLengths(*sides)
+        assert dict(calls) == {}
 
 
 class TestMetrics:
