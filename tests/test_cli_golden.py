@@ -83,6 +83,14 @@ CASES = {
                                   "--count", "40", "--seed", "11", "--format", "json"],
     "fuzz_generic_float_json": ["fuzz", "--profile", "generic", "--backend", "float",
                                 "--count", "20", "--seed", "5", "--format", "json"],
+    # The near-equilateral profile on both backends, and exact sides on the
+    # float vertices of an irrational embedding (the suite's mixed branch).
+    "fuzz_nearequilateral_float_json": ["fuzz", "--profile", "near-equilateral", "--backend", "float",
+                                        "--count", "30", "--seed", "13", "--format", "json"],
+    "fuzz_nearequilateral_exact_json": ["fuzz", "--profile", "near-equilateral", "--backend", "exact",
+                                        "--count", "20", "--seed", "13", "--format", "json"],
+    "fuzz_neardegen_exact_json": ["fuzz", "--profile", "near-degenerate", "--backend", "exact",
+                                  "--count", "30", "--seed", "17", "--format", "json"],
     "131415_exact_compute_json": ["compute", "--sides", "13,14,15", "--format", "json"],
     # A generic-profile triangle (seed 7, index 4) whose exact embedding has
     # ragged denominators, so every Cartesian center prints as p/q.
