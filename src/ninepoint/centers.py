@@ -18,12 +18,14 @@ Cartesian centers are one construction, written against a plane: integer
 homogeneous triples (:mod:`ninepoint.homogeneous`) when the sides and the
 vertices are all exact, where no gcd is taken until a ``Point2`` is asked
 for, and :class:`~ninepoint.triangle.FloatPlane` otherwise, which takes
-the vertices as floats.  Input that mixes exact and float values gets
+the vertices as float pairs.  Input that mixes exact and float values gets
 eight float centers.
 
-The incenter and the excenters come from one weight table, which the
-integer kernel reads too; the other vertex-specific formulas are rotated
-from their A-form, so the three cases cannot drift apart.
+The incenter and the excenters come from one weight table,
+:data:`~ninepoint.triangle.CENTER_WEIGHTS`, which the integer kernel reads
+too; their barycentric forms are built once per ``SideLengths``.  The
+other vertex-specific formulas are rotated from their A-form, so the three
+cases cannot drift apart.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from typing import Any, Dict, Literal, Optional, Tuple
 from . import homogeneous
 from .numeric import Scalar
 from .triangle import (
+    CENTER_WEIGHTS,
     Barycentric,
     FloatPlane,
     Point2,
@@ -90,33 +93,14 @@ def centroid_barycentric() -> Barycentric:
     return Barycentric(third, third, third)
 
 
-# Barycentric weights (x_a, x_b, x_c) and their sum d of the incenter I and
-# the excenters Ea, Eb, Ec opposite A, B, C, as ring expressions of the
-# sides a, b, c: the center is (x_a, x_b, x_c) / d.  They serve every
-# backend, integers included; each d keeps the float addition order.
-CENTER_WEIGHTS = {
-    "I": lambda a, b, c: ((a, b, c), a + b + c),
-    "Ea": lambda a, b, c: ((-a, b, c), -a + b + c),
-    "Eb": lambda a, b, c: ((a, -b, c), -b + c + a),
-    "Ec": lambda a, b, c: ((a, b, -c), -c + a + b),
-}
-
-
 def center_barycentric(sides: SideLengths, label: str) -> Barycentric:
     """The center named by a :data:`CENTER_WEIGHTS` label, normalized.
 
-    Exact sides are weighted by their integer form: one division per
-    component."""
-    try:
-        weights = CENTER_WEIGHTS[label]
-    except KeyError:
-        raise ValueError(f"label must be one of {tuple(CENTER_WEIGHTS)}, got {label!r}") from None
-    if sides.is_exact:
-        t = sides._integer_form
-        (x_a, x_b, x_c), d = weights(t.a, t.b, t.c)
-        return Barycentric(Fraction(x_a, d), Fraction(x_b, d), Fraction(x_c, d))
-    (x_a, x_b, x_c), d = weights(*sides.as_tuple())
-    return Barycentric(x_a / d, x_b / d, x_c / d)
+    The four are built once per :class:`SideLengths`; exact sides are
+    weighted by their integer form, with one division per component."""
+    if label not in CENTER_WEIGHTS:
+        raise ValueError(f"label must be one of {tuple(CENTER_WEIGHTS)}, got {label!r}")
+    return sides._center_barycentrics[label]
 
 
 def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
@@ -137,14 +121,15 @@ def vertex_to_ninepoint_dist_sq(sides: SideLengths, vertex: Vertex) -> Scalar:
     return sides._vertex_ninepoint_dist_sq[_shift(vertex)]
 
 
-_OPPOSITE_OF_PAIR = {"AB": "c", "BC": "a", "CA": "b"}
+# The vertex opposite each pair; its side is the one the pair spans.
+_OPPOSITE_OF_PAIR = {"AB": "C", "BC": "A", "CA": "B"}
 
 
 def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
     """Dot product (P - O).(Q - O) for a vertex pair: R^2 - opposite^2 / 2."""
     if pair not in _OPPOSITE_OF_PAIR:
         raise ValueError(f"pair must be one of {tuple(_OPPOSITE_OF_PAIR)}, got {pair!r}")
-    opposite = dict(zip("abc", sides.as_tuple()))[_OPPOSITE_OF_PAIR[pair]]
+    opposite = sides.as_tuple()[_shift(_OPPOSITE_OF_PAIR[pair])]
     return metrics(sides).R_sq - (opposite * opposite) / 2
 
 
@@ -164,7 +149,7 @@ class CenterSet:
     only when vertices are supplied.  ``frame`` holds the Cartesian centers
     as they were computed, and ``plane`` is the namespace that computed
     them: integer homogeneous triples for exact sides and vertices, float
-    ``Point2``s otherwise.  ``points`` and ``O`` ... ``Ec`` read them as
+    pairs ``(x, y)`` otherwise.  ``points`` and ``O`` ... ``Ec`` read them as
     ``Point2``s, built on first use.
     """
 
@@ -192,16 +177,23 @@ class CenterSet:
 
 def center_set(
     sides: SideLengths,
-    vertices: Optional[Tuple[Point2, Point2, Point2]] = None,
+    vertices: Optional[Tuple[Any, Any, Any]] = None,
+    plane: Any = None,
 ) -> CenterSet:
-    """Assemble every center; vertices add the Cartesian layer."""
+    """Assemble every center; vertices add the Cartesian layer.
+
+    The vertices are ``Point2``s, or with ``plane`` already lifted onto the
+    plane this function would choose for them, as the identity suite
+    holds them."""
     bary = {"G": centroid_barycentric()}
-    bary.update((label, center_barycentric(sides, label)) for label in CENTER_WEIGHTS)
+    bary.update(sides._center_barycentrics)
     if vertices is None:
         return CenterSet(barycentric=bary)
     exact = sides.is_exact
-    plane = homogeneous if exact and all(p.is_exact for p in vertices) else FloatPlane
-    va, vb, vc = plane.lift(vertices)
+    if plane is None:
+        plane = homogeneous if exact and all(p.is_exact for p in vertices) else FloatPlane
+        vertices = plane.lift(vertices)
+    va, vb, vc = vertices
     circum = plane.circumcenter(va, vb, vc)
     centroid = plane.barycentric_point((1, 1, 1), 3, va, vb, vc)
     ortho = plane.add(circum, plane.scaled(plane.sub(centroid, circum), 3))  # H = O + 3(G - O)

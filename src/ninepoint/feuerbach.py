@@ -51,18 +51,14 @@ from .numeric import (
     sqrt_exact,
 )
 from .triangle import (
+    CENTER_WEIGHTS,
     SideLengths,
     TriangleMetrics,
     _IntegerTriangle,
     barycentric_distance_sq,
     metrics,
 )
-from .centers import (
-    CENTER_WEIGHTS,
-    VERTICES,
-    Vertex,
-    center_barycentric,
-)
+from .centers import VERTICES, Vertex
 
 __all__ = [
     "Tangency",
@@ -88,7 +84,7 @@ class Tangency(enum.Enum):
 # incircle, then the excircles opposite A, B and C.
 CIRCLES = ("incircle", "exA", "exB", "exC")
 
-# Each circle's center, a label of centers.CENTER_WEIGHTS (I, Ea, Eb, Ec).
+# Each circle's center, a label of triangle.CENTER_WEIGHTS (I, Ea, Eb, Ec).
 _CENTER_OF = dict(zip(CIRCLES, CENTER_WEIGHTS))
 
 # The residual of an exact tangency; Fractions are immutable, so it is shared.
@@ -293,7 +289,7 @@ def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     met = metrics(sides)
     r_sq, mixed = _radius_terms(met, circle)
     d_sq = barycentric_distance_sq(
-        center_barycentric(sides, _CENTER_OF[circle]), *sides._vertex_ninepoint_dist_sq, sides
+        sides._center_barycentrics[_CENTER_OF[circle]], *sides._vertex_ninepoint_dist_sq, sides
     )
     # R^2/4 + r_X^2 -+ R*r_X; negating a float is exact, so adding -R*r_X
     # rounds as subtracting it does.
@@ -371,7 +367,7 @@ def feuerbach_report(
         reports = tuple(
             classify_tangency_sq(
                 barycentric_distance_sq(
-                    center_barycentric(sides, _CENTER_OF[circle]), *vertex_dist_sq, sides
+                    sides._center_barycentrics[_CENTER_OF[circle]], *vertex_dist_sq, sides
                 ),
                 ninepoint_r_sq,
                 _radius_terms(met, circle)[0],

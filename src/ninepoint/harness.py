@@ -24,9 +24,11 @@ a comparison is a cross-multiplication; a ``Fraction`` is built only where
 a value enters a kernel formula.  Profiles that cannot embed rationally
 (near-equilateral, near-degenerate) fall back to float vertices and
 magnitude-aware tolerances, on the same constructions over
-:class:`~ninepoint.triangle.FloatPlane`.  The kernel's Cartesian centers
+:class:`~ninepoint.triangle.FloatPlane`, which carries points as bare
+``(x, y)`` float pairs.  The kernel's Cartesian centers
 (:func:`~ninepoint.centers.center_set`) choose their plane by the same
-rule, so the suite compares the two frames point for point on one plane.
+rule, so the suite compares the two frames point for point on one plane:
+it lifts the embedding once and hands the lifted vertices to both.
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ from .triangle import (
     barycentric_distance_sq,
     canonical_vertices,
     metrics,
-    orientation,
     point_on_side,
 )
 from .centers import (
     VERTICES,
+    _shift,
     bisector_foot_barycentric,
     center_set,
     circumdot,
@@ -226,7 +228,7 @@ def random_triangle(
 # The oracle and the suite's Cartesian checks are written once, against a
 # plane: a namespace of the same constructions over one carrier.  Exact
 # vertices use ninepoint.homogeneous (integer triples; scalars are integer
-# ratios).  Everything else uses triangle.FloatPlane (Point2s of floats).
+# ratios).  Everything else uses triangle.FloatPlane (float pairs).
 
 
 @dataclass(frozen=True)
@@ -235,10 +237,10 @@ class OracleResult:
 
     ``frame`` keeps the labeled points in the carrier they were built on,
     and ``plane`` is the namespace that built them: integer triples of
-    :mod:`ninepoint.homogeneous` for exact vertices, float ``Point2``s
-    otherwise.  ``frame_radius_sq`` is the radius in that carrier's scalar.
-    ``points`` and ``nine_point_radius_sq`` give them as ``Point2``s and a
-    ``Fraction`` or float, built on first use."""
+    :mod:`ninepoint.homogeneous` for exact vertices, float pairs
+    ``(x, y)`` otherwise.  ``frame_radius_sq`` is the radius in that
+    carrier's scalar.  ``points`` and ``nine_point_radius_sq`` give them as
+    ``Point2``s and a ``Fraction`` or float, built on first use."""
 
     plane: Any
     frame: Dict[str, Any]
@@ -300,25 +302,30 @@ def _construct(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResult:
 
 
 def cartesian_oracle(
-    vertex_a: Point2, vertex_b: Point2, vertex_c: Point2
+    vertex_a: Any, vertex_b: Any, vertex_c: Any, plane: Any = None
 ) -> OracleResult:
     """Every center from scratch; see the module docstring for the recipes.
 
-    Exact vertices run on integer homogeneous coordinates.  Exact vertices
-    with irrational side lengths cannot support the exact bisector
-    construction, so the oracle drops to floats for them, as for any
-    vertices that are not all exact.
+    Exact vertices run on integer homogeneous coordinates, and any others
+    on float pairs.  Exact vertices with irrational side lengths cannot
+    support the exact bisector construction, so the oracle drops to floats
+    for them.  The vertices are ``Point2``s, or with ``plane`` already
+    lifted onto it, as the identity suite holds them.
     """
+    if plane is None:
+        vertices = (vertex_a, vertex_b, vertex_c)
+        plane = homogeneous if all(p.is_exact for p in vertices) else FloatPlane
+        vertex_a, vertex_b, vertex_c = plane.lift(vertices)
     vertices = (vertex_a, vertex_b, vertex_c)
-    if all(p.is_exact for p in vertices):
-        a, b, c = homogeneous.lift(vertices)
-        if homogeneous.orientation(a, b, c) == 0:
-            raise ValueError("collinear vertices")
-        if all(homogeneous.length(p, q) is not None for p, q in ((b, c), (c, a), (a, b))):
-            return _construct(homogeneous, a, b, c)
-    elif orientation(*vertices) == 0:
+    if plane.orientation(*vertices) == 0:
         raise ValueError("collinear vertices")
-    return _construct(FloatPlane, *FloatPlane.lift(vertices))
+    if plane is homogeneous and any(
+        homogeneous.length(p, q) is None
+        for p, q in ((vertex_b, vertex_c), (vertex_c, vertex_a), (vertex_a, vertex_b))
+    ):
+        plane = FloatPlane
+        vertices = FloatPlane.lift([homogeneous.as_point2(p) for p in vertices])
+    return _construct(plane, *vertices)
 
 
 # --- identity suite --------------------------------------------------------
@@ -371,39 +378,50 @@ def check_identity_suite(
     ``tol.rel_eps + 64 * eps * conditioning^2``.
     """
     exact = sides.is_exact and all(p.is_exact for p in embedding)
-    if exact:
-        plane = homogeneous
-        va, vb, vc = homogeneous.lift(embedding)
-    else:
-        plane = FloatPlane
-        embedding = va, vb, vc = FloatPlane.lift(embedding)
+    plane = homogeneous if exact else FloatPlane
+    va, vb, vc = lifted = plane.lift(embedding)
     cond = sides.conditioning()
     suite_tol = ToleranceProfile(
         rel_eps=tol.rel_eps + 64.0 * _MACHINE_EPS * cond * cond,
         abs_eps=tol.abs_eps,
     )
+    abs_eps, rel_eps = suite_tol.abs_eps, suite_tol.rel_eps
 
     checks: List[IdentityCheck] = []
 
-    def record(name: str, lhs: Any, rhs: Any, scale: float, detail: str = "") -> None:
-        if exact or (is_exact(lhs) and is_exact(rhs)):
-            # Integer ratios of the exact plane and kernel Fractions alike.
-            (n1, d1), (n2, d2) = _as_ratio(lhs), _as_ratio(rhs)
-            ok = n1 * d2 == n2 * d1
-            residual = 0.0
-            if not ok:
-                residual = abs(float(Fraction(n1, d1) - Fraction(n2, d2))) / max(1.0, abs(scale))
+    def record_ratio(name: str, lhs: Any, rhs: Any, scale: float, detail: str = "") -> None:
+        # Integer ratios of the exact plane and kernel Fractions alike.
+        (n1, d1), (n2, d2) = _as_ratio(lhs), _as_ratio(rhs)
+        ok = n1 * d2 == n2 * d1
+        residual = 0.0
+        if not ok:
+            residual = abs(float(Fraction(n1, d1) - Fraction(n2, d2))) / max(1.0, abs(scale))
+        checks.append(IdentityCheck(name, ok, residual, detail))
+
+    def record_float(name: str, lhs: float, rhs: float, scale: float, detail: str = "") -> None:
+        gap = abs(lhs - rhs)
+        scale_f = max(1.0, abs(scale), abs(lhs), abs(rhs))
+        ok = gap <= abs_eps + rel_eps * scale_f  # suite_tol.bound(scale_f); scale_f >= 1
+        checks.append(IdentityCheck(name, ok, gap / scale_f, detail))
+
+    def record_mixed(name: str, lhs: Any, rhs: Any, scale: float, detail: str = "") -> None:
+        if is_exact(lhs) and is_exact(rhs):
+            record_ratio(name, lhs, rhs, scale, detail)
         else:
-            lhs_f, rhs_f = float(lhs), float(rhs)
-            scale_f = max(1.0, abs(scale), abs(lhs_f), abs(rhs_f))
-            residual = abs(lhs_f - rhs_f) / scale_f
-            ok = abs(lhs_f - rhs_f) <= suite_tol.bound(scale_f)
-        checks.append(IdentityCheck(name=name, passed=ok, residual=residual, detail=detail))
+            record_float(name, float(lhs), float(rhs), scale, detail)
+
+    # The branch is decided once: the exact plane compares ratios, float
+    # sides make every compared value a float, and exact sides on float
+    # vertices compare each value by its type.
+    if exact:
+        record = record_ratio
+    elif sides.is_exact:
+        record = record_mixed
+    else:
+        record = record_float
 
     def record_flag(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(
-            IdentityCheck(name=name, passed=ok, residual=0.0 if ok else math.inf, detail=detail)
-        )
+        checks.append(IdentityCheck(name, ok, 0.0 if ok else math.inf, detail))
 
     a, b, c = sides.as_tuple()
     fb = feuerbach_report(sides, suite_tol)
@@ -420,8 +438,8 @@ def check_identity_suite(
     if not all(check.passed for check in checks):
         raise ValueError("embedding does not match the side lengths")
 
-    oracle = cartesian_oracle(*embedding)
-    kernel = center_set(sides, embedding)
+    oracle = cartesian_oracle(*lifted, plane=plane)
+    kernel = center_set(sides, lifted, plane=plane)
     at = oracle.frame  # the constructed points, on the same plane
     o_pt, g_pt, h_pt, n_pt = at["O"], at["G"], at["H"], at["N"]
 
@@ -495,7 +513,7 @@ def check_identity_suite(
     record("point_on_side_midpoint_gamma", mid.gamma, (a / 2) / a, 1.0)
     for vertex in VERTICES:
         foot = bisector_foot_barycentric(sides, vertex)
-        own = foot.components[{"A": 0, "B": 1, "C": 2}[vertex]]
+        own = foot.components[_shift(vertex)]
         record_flag(
             f"bisector_foot_{vertex}_on_side",
             float(own) == 0.0

@@ -27,9 +27,12 @@ All functions are polymorphic over the scalar backend.  The float area uses
 the sorted-operand stable product form, so near-degenerate triangles lose
 precision only where the input data already has.
 
-:class:`FloatPlane` holds the plane constructions on ``Point2``s under the
-names of :mod:`ninepoint.homogeneous`, so the Cartesian centers and the
-oracle are written once and run on either carrier.
+:class:`FloatPlane` holds the plane constructions on bare ``(x, y)`` float
+pairs under the names of :mod:`ninepoint.homogeneous`, so the Cartesian
+centers and the oracle are written once and run on either carrier; a
+``Point2`` is built only where a value leaves it.  :data:`CENTER_WEIGHTS`
+gives the incenter and the excenters, and each :class:`SideLengths` builds
+their barycentric forms once.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -54,6 +57,7 @@ __all__ = [
     "InvalidTriangleError",
     "Point2",
     "FloatPlane",
+    "CENTER_WEIGHTS",
     "SideLengths",
     "TriangleMetrics",
     "Barycentric",
@@ -127,117 +131,197 @@ def _finite(value: Scalar) -> Scalar:
     return value
 
 
+Pair = Tuple[float, float]
+
+
+def _pair(x: float, y: float) -> Pair:
+    """The float point (x, y), with the finiteness check of ``Point2``."""
+    if math.isfinite(x) and math.isfinite(y):
+        return x, y
+    raise ValueError(f"non-finite coordinate {(y if math.isfinite(x) else x)!r}")
+
+
 class FloatPlane:
-    """Plane constructions on ``Point2``s; scalars are plain numbers.
+    """Plane constructions on float pairs ``(x, y)``; scalars are floats.
 
     The namespace mirrors :mod:`ninepoint.homogeneous` name for name, so a
     construction written against a "plane" runs on either carrier.  It is
-    the carrier of float vertices (:meth:`lift` turns exact coordinates
-    into floats); its ``Point2`` arithmetic keeps float results
-    bit-identical."""
+    the carrier of float vertices: :meth:`lift` turns ``Point2``s into
+    pairs, and :meth:`as_point2` turns a pair back where it leaves the
+    layer.  Each construction makes the float operations of the ``Point2``
+    arithmetic it replaces, in the same order, and checks each point it
+    makes as ``Point2`` does, so results and errors are bit-identical."""
 
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    scaled = staticmethod(Point2.scaled)
     times = staticmethod(operator.mul)
-    dot = staticmethod(Point2.dot)
-    dist_sq = staticmethod(Point2.dist_sq)
 
     @staticmethod
-    def lift(points: Sequence[Point2]) -> Tuple[Point2, ...]:
-        """The points with float coordinates only; float points pass through."""
-        return tuple(p.as_float() if is_exact(p.x) or is_exact(p.y) else p for p in points)
+    def lift(points: Sequence[Point2]) -> Tuple[Pair, ...]:
+        """The points as float pairs.  ``float`` of a ``Fraction`` is finite
+        or raises ``OverflowError``, so the pairs need no further check."""
+        return tuple((float(p.x), float(p.y)) for p in points)
 
     @staticmethod
-    def as_point2(p: Point2) -> Point2:
-        return p
+    def as_point2(p: Pair) -> Point2:
+        return Point2(p[0], p[1])
 
     @staticmethod
-    def value(v: Scalar) -> Scalar:
+    def value(v: float) -> float:
         return v
 
     @staticmethod
-    def coords(p: Point2) -> Tuple[Scalar, Scalar]:
-        return p.x, p.y
+    def coords(p: Pair) -> Pair:
+        return p
 
     @staticmethod
-    def midpoint(p: Point2, q: Point2) -> Point2:
-        return Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
+    def add(p: Pair, q: Pair) -> Pair:
+        return _pair(p[0] + q[0], p[1] + q[1])
 
     @staticmethod
-    def perp(d: Point2) -> Point2:
-        return Point2(-d.y, d.x)
+    def sub(p: Pair, q: Pair) -> Pair:
+        return _pair(p[0] - q[0], p[1] - q[1])
 
     @staticmethod
-    def unit_direction(src: Point2, dst: Point2) -> Point2:
-        delta = dst - src
-        return delta.scaled(1.0 / math.sqrt(float(delta.dot(delta))))
+    def scaled(p: Pair, k: Scalar) -> Pair:
+        return _pair(k * p[0], k * p[1])
 
     @staticmethod
-    def intersect(p1: Point2, d1: Point2, p2: Point2, d2: Point2) -> Point2:
+    def dot(p: Pair, q: Pair) -> float:
+        return p[0] * q[0] + p[1] * q[1]
+
+    @staticmethod
+    def dist_sq(p: Pair, q: Pair) -> float:
+        dx = p[0] - q[0]
+        dy = p[1] - q[1]
+        return dx * dx + dy * dy
+
+    @staticmethod
+    def midpoint(p: Pair, q: Pair) -> Pair:
+        return _pair((p[0] + q[0]) / 2, (p[1] + q[1]) / 2)
+
+    @staticmethod
+    def perp(d: Pair) -> Pair:
+        return -d[1], d[0]
+
+    @staticmethod
+    def orientation(vertex_a: Pair, vertex_b: Pair, vertex_c: Pair) -> float:
+        """Twice the signed area, as :func:`orientation` computes it."""
+        abx, aby = _pair(vertex_b[0] - vertex_a[0], vertex_b[1] - vertex_a[1])
+        acx, acy = _pair(vertex_c[0] - vertex_a[0], vertex_c[1] - vertex_a[1])
+        return abx * acy - aby * acx
+
+    @staticmethod
+    def unit_direction(src: Pair, dst: Pair) -> Pair:
+        dx, dy = _pair(dst[0] - src[0], dst[1] - src[1])
+        k = 1.0 / math.sqrt(dx * dx + dy * dy)
+        return _pair(k * dx, k * dy)
+
+    @staticmethod
+    def intersect(p1: Pair, d1: Pair, p2: Pair, d2: Pair) -> Pair:
         """Intersection of p1 + t*d1 and p2 + u*d2."""
-        det = d1.cross(d2)
+        d1x, d1y = d1
+        d2x, d2y = d2
+        det = d1x * d2y - d1y * d2x
         if det == 0:
             raise ValueError("parallel construction lines")
-        t = (p2 - p1).cross(d2) / det
-        return p1 + d1.scaled(t)
+        ex, ey = _pair(p2[0] - p1[0], p2[1] - p1[1])
+        t = (ex * d2y - ey * d2x) / det
+        sx, sy = _pair(t * d1x, t * d1y)
+        return _pair(p1[0] + sx, p1[1] + sy)
 
     @staticmethod
-    def equidistant_point(p1: Point2, p2: Point2, p3: Point2) -> Point2:
+    def equidistant_point(p1: Pair, p2: Pair, p3: Pair) -> Pair:
         """The point with |X - p1| = |X - p2| = |X - p3|."""
-        ex = 2 * (p2.x - p1.x)
-        ey = 2 * (p2.y - p1.y)
-        fx = 2 * (p3.x - p1.x)
-        fy = 2 * (p3.y - p1.y)
-        rhs_e = p2.dot(p2) - p1.dot(p1)
-        rhs_f = p3.dot(p3) - p1.dot(p1)
+        (x1, y1), (x2, y2), (x3, y3) = p1, p2, p3
+        ex = 2 * (x2 - x1)
+        ey = 2 * (y2 - y1)
+        fx = 2 * (x3 - x1)
+        fy = 2 * (y3 - y1)
+        n1 = x1 * x1 + y1 * y1
+        rhs_e = (x2 * x2 + y2 * y2) - n1
+        rhs_f = (x3 * x3 + y3 * y3) - n1
         det = ex * fy - ey * fx
         if det == 0:
             raise ValueError("collinear points have no equidistant center")
-        return Point2((rhs_e * fy - rhs_f * ey) / det, (ex * rhs_f - fx * rhs_e) / det)
+        return _pair((rhs_e * fy - rhs_f * ey) / det, (ex * rhs_f - fx * rhs_e) / det)
 
     @staticmethod
-    def circumcenter(vertex_a: Point2, vertex_b: Point2, vertex_c: Point2) -> Point2:
+    def circumcenter(vertex_a: Pair, vertex_b: Pair, vertex_c: Pair) -> Pair:
         """Intersection of the perpendicular bisectors of AB and AC.
 
         Solves (B - A).O = (|B|^2 - |A|^2)/2 and the AC analogue by Cramer's
-        rule, staying rational for rational vertices.
+        rule.
         """
-        ab = vertex_b - vertex_a
-        ac = vertex_c - vertex_a
-        det = ab.cross(ac)
+        (xa, ya), (xb, yb), (xc, yc) = vertex_a, vertex_b, vertex_c
+        abx, aby = _pair(xb - xa, yb - ya)
+        acx, acy = _pair(xc - xa, yc - ya)
+        det = abx * acy - aby * acx
         if det == 0:
             raise ValueError("collinear vertices have no circumcenter")
-        rhs_ab = (vertex_b.dot(vertex_b) - vertex_a.dot(vertex_a)) / 2
-        rhs_ac = (vertex_c.dot(vertex_c) - vertex_a.dot(vertex_a)) / 2
-        x = (rhs_ab * ac.y - rhs_ac * ab.y) / det
-        y = (ab.x * rhs_ac - ac.x * rhs_ab) / det
-        return Point2(x, y)
+        na = xa * xa + ya * ya
+        rhs_ab = ((xb * xb + yb * yb) - na) / 2
+        rhs_ac = ((xc * xc + yc * yc) - na) / 2
+        return _pair((rhs_ab * acy - rhs_ac * aby) / det, (abx * rhs_ac - acx * rhs_ab) / det)
 
     @staticmethod
     def barycentric_point(
-        weights: Tuple[Scalar, Scalar, Scalar], d: Scalar, a: Point2, b: Point2, c: Point2
-    ) -> Point2:
-        """The point (k_a*a + k_b*b + k_c*c) / d, as a.scaled(k_a/d) + ..."""
+        weights: Tuple[Scalar, Scalar, Scalar], d: Scalar, a: Pair, b: Pair, c: Pair
+    ) -> Pair:
+        """The point (k_a*a + k_b*b + k_c*c) / d, as (k_a/d)*a + (k_b/d)*b,
+        then + (k_c/d)*c."""
         k_a, k_b, k_c = weights
-        return a.scaled(k_a / d) + b.scaled(k_b / d) + c.scaled(k_c / d)
+        k = k_a / d
+        ax, ay = _pair(k * a[0], k * a[1])
+        k = k_b / d
+        bx, by = _pair(k * b[0], k * b[1])
+        sx, sy = _pair(ax + bx, ay + by)
+        k = k_c / d
+        cx, cy = _pair(k * c[0], k * c[1])
+        return _pair(sx + cx, sy + cy)
 
     @staticmethod
-    def line_dist_sq(point: Point2, on_line: Point2, toward: Point2) -> Scalar:
+    def line_dist_sq(point: Pair, on_line: Pair, toward: Pair) -> float:
         """Squared distance from a point to the infinite line through two points."""
-        d = toward - on_line
-        num = d.cross(point - on_line)
-        return (num * num) / d.dot(d)
+        x0, y0 = on_line
+        dx, dy = _pair(toward[0] - x0, toward[1] - y0)
+        ex, ey = _pair(point[0] - x0, point[1] - y0)
+        num = dx * ey - dy * ex
+        return (num * num) / (dx * dx + dy * dy)
 
     @staticmethod
-    def project(point: Point2, on_line: Point2, toward: Point2) -> Point2:
-        d = toward - on_line
-        t = (point - on_line).dot(d) / d.dot(d)
-        return on_line + d.scaled(t)
+    def project(point: Pair, on_line: Pair, toward: Pair) -> Pair:
+        x0, y0 = on_line
+        dx, dy = _pair(toward[0] - x0, toward[1] - y0)
+        ex, ey = _pair(point[0] - x0, point[1] - y0)
+        t = (ex * dx + ey * dy) / (dx * dx + dy * dy)
+        sx, sy = _pair(t * dx, t * dy)
+        return _pair(x0 + sx, y0 + sy)
 
     @staticmethod
-    def barycentric(point: Point2, a: Point2, b: Point2, c: Point2) -> Tuple[Scalar, ...]:
-        return cartesian_to_barycentric(point, a, b, c).components
+    def barycentric(point: Pair, a: Pair, b: Pair, c: Pair) -> Tuple[float, float, float]:
+        """Normalized barycentric coordinates of the point, as
+        :func:`cartesian_to_barycentric` solves for them."""
+        xc, yc = c
+        acx, acy = _pair(a[0] - xc, a[1] - yc)
+        bcx, bcy = _pair(b[0] - xc, b[1] - yc)
+        det = acx * bcy - acy * bcx
+        if det == 0:
+            raise ValueError("collinear vertices")
+        px, py = _pair(point[0] - xc, point[1] - yc)
+        alpha = (px * bcy - py * bcx) / det
+        beta = (acx * py - acy * px) / det
+        return Barycentric(alpha, beta, 1 - alpha - beta).components
+
+
+# Barycentric weights (x_a, x_b, x_c) and their sum d of the incenter I and
+# the excenters Ea, Eb, Ec opposite A, B, C, as ring expressions of the
+# sides a, b, c: the center is (x_a, x_b, x_c) / d.  They serve every
+# backend, integers included; each d keeps the float addition order.
+CENTER_WEIGHTS = {
+    "I": lambda a, b, c: ((a, b, c), a + b + c),
+    "Ea": lambda a, b, c: ((-a, b, c), -a + b + c),
+    "Eb": lambda a, b, c: ((a, -b, c), -b + c + a),
+    "Ec": lambda a, b, c: ((a, b, -c), -c + a + b),
+}
 
 
 @dataclass(frozen=True)
@@ -361,6 +445,26 @@ class SideLengths:
             RrB=abc / (4 * s_b),
             RrC=abc / (4 * s_c),
         )
+
+    @cached_property
+    def _center_barycentrics(self) -> Dict[str, "Barycentric"]:
+        """The incenter and the excenters, normalized, by their
+        :data:`CENTER_WEIGHTS` label.
+
+        Exact sides are weighted by their integer form: one division per
+        component."""
+        if self.is_exact:
+            t = self._integer_form
+            a, b, c = t.a, t.b, t.c
+            ratio = Fraction
+        else:
+            a, b, c = self.as_tuple()
+            ratio = operator.truediv
+        centers = {}
+        for label, weights in CENTER_WEIGHTS.items():
+            (x_a, x_b, x_c), d = weights(a, b, c)
+            centers[label] = Barycentric(ratio(x_a, d), ratio(x_b, d), ratio(x_c, d))
+        return centers
 
     @cached_property
     def _vertex_ninepoint_dist_sq(self) -> Tuple[Scalar, Scalar, Scalar]:
@@ -576,7 +680,7 @@ def barycentric_to_cartesian(
     """Affine combination alpha*A + beta*B + gamma*C."""
     if orientation(vertex_a, vertex_b, vertex_c) == 0:
         raise ValueError("collinear vertices")
-    return FloatPlane.barycentric_point(x.components, 1, vertex_a, vertex_b, vertex_c)
+    return vertex_a.scaled(x.alpha) + vertex_b.scaled(x.beta) + vertex_c.scaled(x.gamma)
 
 
 def cartesian_to_barycentric(

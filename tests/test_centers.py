@@ -107,10 +107,10 @@ class TestCartesianCenters:
         assert homogeneous.as_point2(center) == Point2(F(3, 2), F(2))
 
     def test_circumcenter_equilateral_float(self):
-        va, vb, vc = canonical_vertices(SideLengths(1, 1, 1))
-        center = FloatPlane.circumcenter(va, vb, vc)
-        assert center.x == pytest.approx(0.5)
-        assert center.y == pytest.approx(3 ** 0.5 / 6)
+        va, vb, vc = FloatPlane.lift(canonical_vertices(SideLengths(1, 1, 1)))
+        x, y = FloatPlane.circumcenter(va, vb, vc)
+        assert x == pytest.approx(0.5)
+        assert y == pytest.approx(3 ** 0.5 / 6)
 
     @pytest.mark.parametrize("plane", [homogeneous, FloatPlane], ids=["exact", "float"])
     def test_collinear_rejected(self, plane):

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ninepoint import numeric
-from ninepoint.centers import CENTER_WEIGHTS
+from ninepoint.centers import CENTER_WEIGHTS, VERTICES, center_barycentric, center_set
+from ninepoint.feuerbach import (
+    excircle_ninepoint_residual,
+    feuerbach_report,
+    incircle_ninepoint_residual,
+)
 from ninepoint.harness import (
     PROFILE_KINDS,
     FuzzProfile,
@@ -302,13 +307,62 @@ class TestFloatTypeDispatch:
 
     def test_float_suite_abc_checks(self, abc_checks):
         # What remains are the centroid's Fraction(1, 3) weights meeting
-        # floats in Point2.scaled and barycentric_distance_sq.
+        # floats in barycentric_distance_sq.
         sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
         sides = sides.as_float()
         vertices = tuple(p.as_float() for p in vertices)
         report, calls = abc_checks(lambda: check_identity_suite(sides, vertices))
         assert report.passed and not report.exact
-        assert calls <= 22
+        assert calls <= 12
+
+
+class TestFloatSuiteConstructions:
+    """The float suite runs on bare float pairs and reads each center
+    barycentric of a triangle from one construction."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        """Counts of ``Point2`` and ``Barycentric`` constructions."""
+        counts = {Point2: 0, Barycentric: 0}
+        for cls in counts:
+            original = cls.__post_init__
+
+            def counting(self, cls=cls, original=original):
+                counts[cls] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return counts
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_near_degenerate_suite(self, constructions, seed):
+        sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=seed), 0)
+        sides = sides.as_float()
+        vertices = tuple(p.as_float() for p in vertices)
+        constructions[Point2] = constructions[Barycentric] = 0
+        report = check_identity_suite(sides, vertices)
+        assert report.passed and not report.exact
+        # No Point2 at all: the given vertices are lifted to pairs once.
+        # Barycentrics: G, the four centers of each of the three SideLengths
+        # the suite builds (the given, doubled and rotated sides), the side
+        # midpoint, three bisector feet and the incenter round trip.
+        assert constructions == {Point2: 0, Barycentric: 1 + 3 * 4 + 1 + 3 + 1}
+
+    def test_each_center_built_once_per_sides(self, constructions):
+        # center_barycentric, center_set, feuerbach_report and the four
+        # residuals all read the same four centers of one SideLengths.
+        sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
+        sides = sides.as_float()
+        vertices = tuple(p.as_float() for p in vertices)
+        constructions[Barycentric] = 0
+        for label in CENTER_WEIGHTS:
+            center_barycentric(sides, label)
+        center_set(sides, vertices)
+        feuerbach_report(sides)
+        incircle_ninepoint_residual(sides)
+        for vertex in VERTICES:
+            excircle_ninepoint_residual(sides, vertex)
+        assert constructions[Barycentric] == 4 + 1  # and G in center_set
 
 
 class TestIdentitySuite:

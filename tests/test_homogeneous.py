@@ -140,6 +140,7 @@ def test_both_planes_define_every_name_the_constructions_call():
         centers.center_set,
         centers.CenterSet,
         harness._construct,
+        harness.cartesian_oracle,
         harness.OracleResult,
         harness.check_identity_suite,
     )

@@ -9,6 +9,7 @@ import collections
 import itertools
 import math
 import struct
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from test_numeric import (
 )
 from ninepoint.triangle import (
     Barycentric,
+    FloatPlane,
     InvalidTriangleError,
     Point2,
     SideLengths,
@@ -481,6 +483,180 @@ class TestCartesianConversions:
         pt = barycentric_to_cartesian(coords, va, vb, vc)
         back = cartesian_to_barycentric(pt, va, vb, vc)
         assert back.components == coords.components
+
+
+# --- FloatPlane on float pairs ----------------------------------------------
+#
+# The Point2 forms of each FloatPlane construction, as they were before the
+# plane moved to bare float pairs.  The pair versions must give the same
+# floats bit for bit, and raise the same errors with the same text.
+
+
+def _point2_intersect(p1, d1, p2, d2):
+    det = d1.cross(d2)
+    if det == 0:
+        raise ValueError("parallel construction lines")
+    t = (p2 - p1).cross(d2) / det
+    return p1 + d1.scaled(t)
+
+
+def _point2_equidistant_point(p1, p2, p3):
+    ex = 2 * (p2.x - p1.x)
+    ey = 2 * (p2.y - p1.y)
+    fx = 2 * (p3.x - p1.x)
+    fy = 2 * (p3.y - p1.y)
+    rhs_e = p2.dot(p2) - p1.dot(p1)
+    rhs_f = p3.dot(p3) - p1.dot(p1)
+    det = ex * fy - ey * fx
+    if det == 0:
+        raise ValueError("collinear points have no equidistant center")
+    return Point2((rhs_e * fy - rhs_f * ey) / det, (ex * rhs_f - fx * rhs_e) / det)
+
+
+def _point2_circumcenter(vertex_a, vertex_b, vertex_c):
+    ab = vertex_b - vertex_a
+    ac = vertex_c - vertex_a
+    det = ab.cross(ac)
+    if det == 0:
+        raise ValueError("collinear vertices have no circumcenter")
+    rhs_ab = (vertex_b.dot(vertex_b) - vertex_a.dot(vertex_a)) / 2
+    rhs_ac = (vertex_c.dot(vertex_c) - vertex_a.dot(vertex_a)) / 2
+    x = (rhs_ab * ac.y - rhs_ac * ab.y) / det
+    y = (ab.x * rhs_ac - ac.x * rhs_ab) / det
+    return Point2(x, y)
+
+
+def _point2_barycentric_point(weights, d, a, b, c):
+    k_a, k_b, k_c = weights
+    return a.scaled(k_a / d) + b.scaled(k_b / d) + c.scaled(k_c / d)
+
+
+def _point2_unit_direction(src, dst):
+    delta = dst - src
+    return delta.scaled(1.0 / math.sqrt(float(delta.dot(delta))))
+
+
+def _point2_line_dist_sq(point, on_line, toward):
+    d = toward - on_line
+    num = d.cross(point - on_line)
+    return (num * num) / d.dot(d)
+
+
+def _point2_project(point, on_line, toward):
+    d = toward - on_line
+    t = (point - on_line).dot(d) / d.dot(d)
+    return on_line + d.scaled(t)
+
+
+def _point2_barycentric(point, a, b, c):
+    return cartesian_to_barycentric(point, a, b, c).components
+
+
+def _point2_orientation(a, b, c):
+    return (b - a).cross(c - a)
+
+
+# Name -> (Point2 form, number of point arguments); barycentric_point takes
+# weights and their sum first.
+PLANE_CONSTRUCTIONS = {
+    "intersect": (_point2_intersect, 4),
+    "equidistant_point": (_point2_equidistant_point, 3),
+    "circumcenter": (_point2_circumcenter, 3),
+    "barycentric_point": (_point2_barycentric_point, 3),
+    "unit_direction": (_point2_unit_direction, 2),
+    "line_dist_sq": (_point2_line_dist_sq, 3),
+    "project": (_point2_project, 3),
+    "barycentric": (_point2_barycentric, 4),
+    "orientation": (_point2_orientation, 3),
+}
+
+
+def _plane_outcome(fn, *args):
+    """The result as float.hex strings, or the exception's type and text."""
+    try:
+        result = fn(*args)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, Point2):
+        result = (result.x, result.y)
+    if isinstance(result, tuple):
+        return tuple(v.hex() for v in result)
+    return result.hex()
+
+
+def _assert_plane_matches_point2_form(name, points, weights=None):
+    reference, _ = PLANE_CONSTRUCTIONS[name]
+    pairs = FloatPlane.lift(points)
+    lead = () if weights is None else weights
+    expected = _plane_outcome(reference, *lead, *points)
+    actual = _plane_outcome(getattr(FloatPlane, name), *lead, *pairs)
+    assert actual == expected, (name, points)
+
+
+# Every finite double; a modest range where the constructions succeed; and
+# magnitudes whose sums and products overflow, which must fail at the same
+# step and with the same text as in the Point2 forms.
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+modest = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+huge = st.builds(
+    lambda sign, x: sign * x,
+    st.sampled_from((-1.0, 1.0)),
+    st.floats(min_value=1e150, max_value=sys.float_info.max),
+)
+coordinate = st.one_of(modest, any_finite, huge)
+float_points = st.builds(Point2, coordinate, coordinate)
+
+
+@st.composite
+def near_collinear_points(draw, count):
+    """Points within a relative 1e-6 to 1e-15 of one line, or exactly on it
+    in exact arithmetic."""
+    x0, y0, dx, dy = (draw(modest) for _ in range(4))
+    points = []
+    for _ in range(count):
+        t = draw(modest)
+        eps = draw(st.sampled_from((0.0, 1e-15, 1e-12, 1e-9, 1e-6)))
+        points.append(Point2(x0 + t * dx - eps * dy, y0 + t * dy + eps * dx))
+    return tuple(points)
+
+
+plane_weights = st.tuples(
+    st.tuples(*(st.one_of(st.integers(-5, 5), any_finite) for _ in range(3))),
+    st.one_of(st.integers(0, 5), any_finite),
+)
+
+
+class TestFloatPlaneMatchesPoint2Forms:
+    @pytest.mark.parametrize("name", sorted(PLANE_CONSTRUCTIONS))
+    @given(data=st.data())
+    def test_any_points(self, name, data):
+        _, count = PLANE_CONSTRUCTIONS[name]
+        points = tuple(data.draw(float_points) for _ in range(count))
+        weights = data.draw(plane_weights) if name == "barycentric_point" else None
+        _assert_plane_matches_point2_form(name, points, weights)
+
+    @pytest.mark.parametrize("name", sorted(PLANE_CONSTRUCTIONS))
+    @given(data=st.data())
+    def test_near_collinear_points(self, name, data):
+        _, count = PLANE_CONSTRUCTIONS[name]
+        points = data.draw(near_collinear_points(count))
+        weights = data.draw(plane_weights) if name == "barycentric_point" else None
+        _assert_plane_matches_point2_form(name, points, weights)
+
+    def test_overflow_is_rejected_as_point2_rejects_it(self):
+        # 1e10 * 1e300 overflows to inf in the first scaled point.
+        points = (Point2(1e300, 0.0), Point2(0.0, 1.0), Point2(1.0, 0.0))
+        for construct, args in (
+            (FloatPlane.barycentric_point, FloatPlane.lift(points)),
+            (_point2_barycentric_point, points),
+        ):
+            with pytest.raises(ValueError, match=r"^non-finite coordinate inf$"):
+                construct((1e10, 0.0, 0.0), 1.0, *args)
+
+    def test_pairs_leave_as_point2(self):
+        pairs = FloatPlane.lift((Point2(F(1, 2), 2.5), Point2(3, 4)))
+        assert pairs == ((0.5, 2.5), (3.0, 4.0))
+        assert FloatPlane.as_point2(pairs[0]) == Point2(0.5, 2.5)
 
 
 class TestPoint2:
