@@ -148,9 +148,10 @@ class FloatPlane:
     construction written against a "plane" runs on either carrier.  It is
     the carrier of float vertices: :meth:`lift` turns ``Point2``s into
     pairs, and :meth:`as_point2` turns a pair back where it leaves the
-    layer.  Each construction makes the float operations of the ``Point2``
-    arithmetic it replaces, in the same order, and checks each point it
-    makes as ``Point2`` does, so results and errors are bit-identical."""
+    layer.  Each construction makes the float operations of the same
+    construction in ``Point2`` arithmetic, in the same order, and checks
+    each point it makes as ``Point2`` does, so results and errors match
+    that form bit for bit (the tests keep it as the reference)."""
 
     times = staticmethod(operator.mul)
 
