@@ -67,9 +67,8 @@ VERTICES: Tuple[Vertex, Vertex, Vertex] = ("A", "B", "C")
 _SHIFT = {"A": 0, "B": 1, "C": 2}
 
 
-def _rotated_sides(sides: SideLengths, vertex: Vertex) -> Tuple:
+def _rotated(triple: Tuple, vertex: Vertex) -> Tuple:
     """Sides relabeled so the requested vertex plays the role of A."""
-    triple = sides.as_tuple()
     k = _shift(vertex)
     return triple[k:] + triple[:k]
 
@@ -107,11 +106,17 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
     """Foot of the internal angle bisector from the vertex on the opposite side.
 
     A-form: (0, b/(b+c), c/(b+c)), i.e. the bisector from A meets BC at the
-    point dividing it in the ratio of the adjacent sides.
+    point dividing it in the ratio of the adjacent sides.  Exact sides are
+    weighted by their integer form: one division per component.
     """
-    a, b, c = _rotated_sides(sides, vertex)
-    zero = a - a
-    weights = (zero, b / (b + c), c / (b + c))
+    if sides.is_exact:
+        t = sides._integer_form
+        a, b, c = _rotated((t.a, t.b, t.c), vertex)
+        ratio = Fraction
+    else:
+        a, b, c = _rotated(sides.as_tuple(), vertex)
+        ratio = FloatPlane.quotient  # true division
+    weights = (a - a, ratio(b, b + c), ratio(c, b + c))
     return Barycentric(*_unrotate(weights, vertex))
 
 
@@ -126,10 +131,19 @@ _OPPOSITE_OF_PAIR = {"AB": "C", "BC": "A", "CA": "B"}
 
 
 def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
-    """Dot product (P - O).(Q - O) for a vertex pair: R^2 - opposite^2 / 2."""
+    """Dot product (P - O).(Q - O) for a vertex pair: R^2 - opposite^2 / 2.
+
+    Exact sides go through the integer form, where R^2 = (abc)^2/(P L^2)
+    and the opposite side is o/L: (2(abc)^2 - P o^2) / (2 P L^2), one
+    division."""
     if pair not in _OPPOSITE_OF_PAIR:
         raise ValueError(f"pair must be one of {tuple(_OPPOSITE_OF_PAIR)}, got {pair!r}")
-    opposite = sides.as_tuple()[_shift(_OPPOSITE_OF_PAIR[pair])]
+    k = _shift(_OPPOSITE_OF_PAIR[pair])
+    if sides.is_exact:
+        t = sides._integer_form
+        o = (t.a, t.b, t.c)[k]
+        return Fraction(2 * t.abc * t.abc - t.P * o * o, 2 * t.P * t.L * t.L)
+    opposite = sides.as_tuple()[k]
     return metrics(sides).R_sq - (opposite * opposite) / 2
 
 

@@ -323,11 +323,17 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     max_residual = 0.0
     all_exact = True
     for index in range(profile.count):
-        sides, vertices = random_triangle(profile, index)
-        if backend == "float":
-            sides = sides.as_float()
-            vertices = tuple(p.as_float() for p in vertices)
-        suite = check_identity_suite(sides, vertices, tol)
+        try:
+            sides, vertices = random_triangle(profile, index)
+            if backend == "float":
+                sides = sides.as_float()
+                vertices = tuple(p.as_float() for p in vertices)
+            suite = check_identity_suite(sides, vertices, tol)
+        except OverflowError:
+            raise ValueError(
+                f"--bound {profile.magnitude_bound} gives triangles beyond the float range; "
+                "use a smaller --bound"
+            ) from None
         all_exact = all_exact and suite.exact
         max_residual = max(max_residual, suite.max_residual)
         if suite.passed:

@@ -29,6 +29,16 @@ magnitude-aware tolerances, on the same constructions over
 (:func:`~ninepoint.centers.center_set`) choose their plane by the same
 rule, so the suite compares the two frames point for point on one plane:
 it lifts the embedding once and hands the lifted vertices to both.
+
+On exact sides the suite's own arithmetic on kernel values (the metric
+products such as 16 R^2 K^2 against (abc)^2, the squared sides, R^2/4)
+runs on integer ratios too: each kernel ``Fraction`` enters as its
+numerator and denominator, products and differences take no gcd, and a
+comparison is a cross-multiplication.  An exact suite converts nothing to
+a float unless a check fails, and then only to normalize that check's
+residual, so it runs on numbers beyond the range of a double.  Float
+sides run the same checks on the kernel's floats, in the same order of
+operations.  Each check is one :class:`IdentityCheck`, a ``NamedTuple``.
 """
 
 from __future__ import annotations
@@ -39,15 +49,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from . import homogeneous
-from .numeric import (
-    DEFAULT_TOLERANCE,
-    Scalar,
-    ToleranceProfile,
-    is_exact,
-)
+from .numeric import DEFAULT_TOLERANCE, Scalar, ToleranceProfile
 from .triangle import (
     FloatPlane,
     Point2,
@@ -331,8 +336,7 @@ def cartesian_oracle(
 # --- identity suite --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     name: str
     passed: bool
     residual: float  # normalized; 0.0 for exact matches
@@ -356,10 +360,24 @@ class SuiteReport:
         return tuple(check for check in self.checks if not check.passed)
 
 
-def _as_ratio(value: Any) -> Tuple[int, int]:
-    """An exact scalar, a Fraction or a ratio of the exact plane, as an
-    integer pair (num, den)."""
-    return value if isinstance(value, tuple) else (value.numerator, value.denominator)
+class _Root(NamedTuple):
+    """The square root of a scale, taken only when a residual needs it."""
+
+    square: Any
+
+
+def _as_float(value: Any) -> float:
+    """A compared value or a scale as a float.  A ratio of the exact plane
+    is one division of its integers, which rounds correctly, as ``float``
+    of the ``Fraction`` it stands for does."""
+    kind = type(value)
+    if kind is float:
+        return value
+    if kind is tuple:
+        return value[0] / value[1]
+    if kind is _Root:
+        return math.sqrt(_as_float(value.square))
+    return float(value)
 
 
 def check_identity_suite(
@@ -371,7 +389,9 @@ def check_identity_suite(
 
     Exact sides and vertices run the Cartesian checks on integer
     homogeneous coordinates; every comparison there is an exact equality,
-    made by cross-multiplication.  Otherwise the vertices are taken as
+    made by cross-multiplication.  On exact sides the suite's own products
+    of kernel values are integer ratios too, and a float is taken only for
+    the residual of a failed check.  Otherwise the vertices are taken as
     floats.  Float comparisons use a conditioning-aware tolerance:
     first-order error analysis puts rounding growth at
     O(eps * conditioning^2), so the relative bound is
@@ -379,24 +399,43 @@ def check_identity_suite(
     """
     exact = sides.is_exact and all(p.is_exact for p in embedding)
     plane = homogeneous if exact else FloatPlane
+    # The suite's own arithmetic on kernel scalars: integer ratios on exact
+    # sides, the kernel's floats in the same order otherwise.
+    ring = homogeneous if sides.is_exact else FloatPlane
     va, vb, vc = lifted = plane.lift(embedding)
-    cond = sides.conditioning()
-    suite_tol = ToleranceProfile(
-        rel_eps=tol.rel_eps + 64.0 * _MACHINE_EPS * cond * cond,
-        abs_eps=tol.abs_eps,
-    )
+
+    a, b, c = sides.as_tuple()
+    lift, product = ring.scalar, ring.product
+    A, B, C = lift(a), lift(b), lift(c)
+    if exact:
+        suite_tol = tol  # an exact suite compares no floats
+    else:
+        cond = sides.conditioning()
+        suite_tol = ToleranceProfile(
+            rel_eps=tol.rel_eps + 64.0 * _MACHINE_EPS * cond * cond,
+            abs_eps=tol.abs_eps,
+        )
     abs_eps, rel_eps = suite_tol.abs_eps, suite_tol.rel_eps
+    fb = feuerbach_report(sides, suite_tol)
+    met = fb.metrics
+    R_sq = lift(met.R_sq)
+    if exact:
+        scale_len_sq, scale_len = R_sq, _Root(R_sq)
+    else:
+        scale_len_sq = _as_float(R_sq)
+        scale_len = math.sqrt(scale_len_sq)
 
     checks: List[IdentityCheck] = []
 
-    def record_ratio(name: str, lhs: Any, rhs: Any, scale: float, detail: str = "") -> None:
-        # Integer ratios of the exact plane and kernel Fractions alike.
-        (n1, d1), (n2, d2) = _as_ratio(lhs), _as_ratio(rhs)
-        ok = n1 * d2 == n2 * d1
-        residual = 0.0
-        if not ok:
-            residual = abs(float(Fraction(n1, d1) - Fraction(n2, d2))) / max(1.0, abs(scale))
-        checks.append(IdentityCheck(name, ok, residual, detail))
+    def record_ratio(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
+        # Ratios of the exact plane and kernel Fractions alike.
+        n1, d1 = lhs if type(lhs) is tuple else lhs.as_integer_ratio()
+        n2, d2 = rhs if type(rhs) is tuple else rhs.as_integer_ratio()
+        if n1 * d2 == n2 * d1:
+            checks.append(IdentityCheck(name, True, 0.0, detail))
+            return
+        gap = abs(float(Fraction(n1, d1) - Fraction(n2, d2)))
+        checks.append(IdentityCheck(name, False, gap / max(1.0, abs(_as_float(scale))), detail))
 
     def record_float(name: str, lhs: float, rhs: float, scale: float, detail: str = "") -> None:
         gap = abs(lhs - rhs)
@@ -404,11 +443,11 @@ def check_identity_suite(
         ok = gap <= abs_eps + rel_eps * scale_f  # suite_tol.bound(scale_f); scale_f >= 1
         checks.append(IdentityCheck(name, ok, gap / scale_f, detail))
 
-    def record_mixed(name: str, lhs: Any, rhs: Any, scale: float, detail: str = "") -> None:
-        if is_exact(lhs) and is_exact(rhs):
-            record_ratio(name, lhs, rhs, scale, detail)
+    def record_mixed(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
+        if type(lhs) is float or type(rhs) is float:
+            record_float(name, _as_float(lhs), _as_float(rhs), _as_float(scale), detail)
         else:
-            record_float(name, float(lhs), float(rhs), scale, detail)
+            record_ratio(name, lhs, rhs, scale, detail)
 
     # The branch is decided once: the exact plane compares ratios, float
     # sides make every compared value a float, and exact sides on float
@@ -423,18 +462,13 @@ def check_identity_suite(
     def record_flag(name: str, ok: bool, detail: str = "") -> None:
         checks.append(IdentityCheck(name, ok, 0.0 if ok else math.inf, detail))
 
-    a, b, c = sides.as_tuple()
-    fb = feuerbach_report(sides, suite_tol)
-    met = fb.metrics
-    scale_len_sq = float(met.R_sq)
-    scale_len = math.sqrt(scale_len_sq)
-    zero = a - a
+    zero = ring.difference(A, A)
     dist_sq, sub, dot = plane.dist_sq, plane.sub, plane.dot
 
     # Embedding consistency: the vertex triple must reproduce the sides.
-    record("embedding_matches_sides_a", dist_sq(vb, vc), a * a, scale_len_sq)
-    record("embedding_matches_sides_b", dist_sq(vc, va), b * b, scale_len_sq)
-    record("embedding_matches_sides_c", dist_sq(va, vb), c * c, scale_len_sq)
+    record("embedding_matches_sides_a", dist_sq(vb, vc), product(A, A), scale_len_sq)
+    record("embedding_matches_sides_b", dist_sq(vc, va), product(B, B), scale_len_sq)
+    record("embedding_matches_sides_c", dist_sq(va, vb), product(C, C), scale_len_sq)
     if not all(check.passed for check in checks):
         raise ValueError("embedding does not match the side lengths")
 
@@ -444,23 +478,26 @@ def check_identity_suite(
     o_pt, g_pt, h_pt, n_pt = at["O"], at["G"], at["H"], at["N"]
 
     # Metric closed forms against their defining products.
-    abc_sq = (a * b * c) ** 2
-    record("metrics_circumradius_product", 16 * met.R_sq * met.K_sq, abc_sq, float(abc_sq))
-    record("metrics_inradius_product", met.r_sq * met.s * met.s, met.K_sq, float(met.K_sq))
-    for name, r_sq, side in (("rA", met.rA_sq, a), ("rB", met.rB_sq, b), ("rC", met.rC_sq, c)):
-        gap = met.s - side
-        record(f"metrics_exradius_product_{name}", r_sq * gap * gap, met.K_sq, float(met.K_sq))
-    record(
-        "metrics_mixed_product_Rr",
-        met.Rr * met.Rr,
-        met.R_sq * met.r_sq,
-        float(met.R_sq * met.r_sq),
-    )
+    K_sq, r_sq, s = lift(met.K_sq), lift(met.r_sq), lift(met.s)
+    abc_sq = ring.square(product(product(A, B), C))
+    record("metrics_circumradius_product", product(ring.times(16, R_sq), K_sq), abc_sq, abc_sq)
+    record("metrics_inradius_product", product(product(r_sq, s), s), K_sq, K_sq)
+    for name, r_x_sq, side in (("rA", met.rA_sq, A), ("rB", met.rB_sq, B), ("rC", met.rC_sq, C)):
+        gap = ring.difference(s, side)
+        record(
+            f"metrics_exradius_product_{name}",
+            product(product(lift(r_x_sq), gap), gap),
+            K_sq,
+            K_sq,
+        )
+    Rr = lift(met.Rr)
+    R_r = product(R_sq, r_sq)
+    record("metrics_mixed_product_Rr", product(Rr, Rr), R_r, R_r)
 
     # Circumcenter: constructed point is equidistant and matches R^2.
-    record("circumradius_matches_oracle", dist_sq(o_pt, at["A"]), met.R_sq, scale_len_sq)
-    record("circumcenter_equidistant_b", dist_sq(o_pt, at["B"]), met.R_sq, scale_len_sq)
-    record("circumcenter_equidistant_c", dist_sq(o_pt, at["C"]), met.R_sq, scale_len_sq)
+    record("circumradius_matches_oracle", dist_sq(o_pt, at["A"]), R_sq, scale_len_sq)
+    record("circumcenter_equidistant_b", dist_sq(o_pt, at["B"]), R_sq, scale_len_sq)
+    record("circumcenter_equidistant_c", dist_sq(o_pt, at["C"]), R_sq, scale_len_sq)
 
     # Kernel centers against oracle constructions.
     for label in ("O", "G", "H", "N", "I", "Ea", "Eb", "Ec"):
@@ -498,26 +535,28 @@ def check_identity_suite(
             met.r_sq,
             scale_len_sq,
         )
-    for label, r_sq in (("Ea", met.rA_sq), ("Eb", met.rB_sq), ("Ec", met.rC_sq)):
+    for label, r_x_sq in (("Ea", met.rA_sq), ("Eb", met.rB_sq), ("Ec", met.rC_sq)):
         for name, on_line, toward in lines:
             record(
                 f"excenter_{label}_line_distance_{name}",
                 plane.line_dist_sq(at[label], on_line, toward),
-                r_sq,
+                r_x_sq,
                 scale_len_sq,
             )
 
     # Side points: midpoint of BC and the three bisector feet.
-    mid = point_on_side(a / 2, a / 2, sides)
-    record("point_on_side_midpoint_beta", mid.beta, (a / 2) / a, 1.0)
-    record("point_on_side_midpoint_gamma", mid.gamma, (a / 2) / a, 1.0)
+    half = a / 2
+    mid = point_on_side(half, half, sides)
+    half_over_a = ring.quotient(lift(half), A)
+    record("point_on_side_midpoint_beta", mid.beta, half_over_a, 1.0)
+    record("point_on_side_midpoint_gamma", mid.gamma, half_over_a, 1.0)
+    # Exact feet lie on the side exactly; float ones within the bound.
+    foot_tol = 0 if sides.is_exact else suite_tol.bound(1.0)
     for vertex in VERTICES:
         foot = bisector_foot_barycentric(sides, vertex)
-        own = foot.components[_shift(vertex)]
         record_flag(
             f"bisector_foot_{vertex}_on_side",
-            float(own) == 0.0
-            and min(float(v) for v in foot.components) >= -suite_tol.bound(1.0),
+            foot.components[_shift(vertex)] == 0 and min(foot.components) >= -foot_tol,
         )
 
     # Barycentric <-> Cartesian round trip through the incenter.
@@ -564,7 +603,8 @@ def check_identity_suite(
         record(f"circumdot_{pair}", circumdot(sides, pair), direct, scale_len_sq)
 
     # Nine-point membership: side midpoints and altitude feet lie at R/2.
-    quarter_r_sq = met.R_sq / 4
+    four = lift(4)
+    quarter_r_sq = ring.quotient(R_sq, four)
     record("ninepoint_radius", oracle.frame_radius_sq, quarter_r_sq, scale_len_sq)
     memberships = (
         ("mid_bc", plane.midpoint(vb, vc)),
@@ -582,14 +622,14 @@ def check_identity_suite(
         "feuerbach_incircle_residual",
         incircle_ninepoint_residual(sides),
         zero,
-        float(quarter_r_sq),
+        quarter_r_sq,
     )
     for vertex in VERTICES:
         record(
             f"feuerbach_excircle_residual_{vertex}",
             excircle_ninepoint_residual(sides, vertex),
             zero,
-            float(quarter_r_sq),
+            quarter_r_sq,
         )
     for entry in fb.entries:
         record_flag(f"tangency_kind_{entry.circle}", entry.ok, detail=entry.report.kind.value)
@@ -603,12 +643,13 @@ def check_identity_suite(
     # and keeps the residual identically zero.
     scaled = SideLengths(2 * a, 2 * b, 2 * c)
     met_scaled = metrics(scaled)
-    record("scale_covariance_R_sq", met_scaled.R_sq, 4 * met.R_sq, 4.0 * scale_len_sq)
+    four_r_sq = ring.times(4, R_sq)
+    record("scale_covariance_R_sq", met_scaled.R_sq, four_r_sq, four_r_sq)
     record(
         "scale_covariance_residual",
         incircle_ninepoint_residual(scaled),
-        2 * zero,
-        float(met_scaled.R_sq) / 4.0,
+        ring.times(2, zero),
+        ring.quotient(lift(met_scaled.R_sq), four),
     )
 
     # Permutation equivariance: relabeling vertices permutes the excircles.
@@ -619,7 +660,7 @@ def check_identity_suite(
         "permutation_residual",
         excircle_ninepoint_residual(rotated, "A"),
         zero,
-        float(quarter_r_sq),
+        quarter_r_sq,
     )
 
     return SuiteReport(checks=tuple(checks), exact=exact)

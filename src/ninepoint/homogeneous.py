@@ -13,7 +13,11 @@ Every construction here is a ring expression in the coordinates, so no
 gcd is ever taken.  A scalar comes out as an integer pair (num, den) that
 stands for num/den: two of them are equal when num1*den2 == num2*den1, and
 a ``Fraction`` is built only where a value leaves this layer
-(:func:`value`, :func:`as_point2`).
+(:func:`value`, :func:`as_point2`).  A kernel ``Fraction`` enters as its
+numerator and denominator (:func:`scalar`), and ratios multiply, subtract
+and divide without reduction (:func:`product`, :func:`difference`,
+:func:`quotient`), so the identity suite checks the kernel's products on
+integers.
 
 :func:`lift` puts exact ``Point2``s over one shared weight, the lcm of
 their denominators.  :func:`equidistant_point` and
@@ -41,6 +45,11 @@ __all__ = [
     "sub",
     "scaled",
     "times",
+    "scalar",
+    "product",
+    "square",
+    "difference",
+    "quotient",
     "midpoint",
     "perp",
     "dot",
@@ -116,6 +125,28 @@ def scaled(p: Triple, k: int) -> Triple:
 
 def times(k: int, r: Ratio) -> Ratio:
     return (k * r[0], r[1])
+
+
+def scalar(v: Fraction) -> Ratio:
+    """A kernel scalar (a ``Fraction`` or an ``int``) as a ratio."""
+    return (v.numerator, v.denominator)
+
+
+def product(r: Ratio, s: Ratio) -> Ratio:
+    return (r[0] * s[0], r[1] * s[1])
+
+
+def square(r: Ratio) -> Ratio:
+    return (r[0] * r[0], r[1] * r[1])
+
+
+def difference(r: Ratio, s: Ratio) -> Ratio:
+    return (r[0] * s[1] - s[0] * r[1], r[1] * s[1])
+
+
+def quotient(r: Ratio, s: Ratio) -> Ratio:
+    """r / s, for s != 0; the denominator may come out negative."""
+    return (r[0] * s[1], r[1] * s[0])
 
 
 def midpoint(p: Triple, q: Triple) -> Triple:

@@ -154,6 +154,19 @@ class FloatPlane:
     that form bit for bit (the tests keep it as the reference)."""
 
     times = staticmethod(operator.mul)
+    product = staticmethod(operator.mul)
+    difference = staticmethod(operator.sub)
+    quotient = staticmethod(operator.truediv)
+
+    @staticmethod
+    def scalar(v: float) -> float:
+        return v
+
+    @staticmethod
+    def square(v: float) -> float:
+        """``v ** 2``: the float power, which raises ``OverflowError`` where
+        ``v * v`` would give an infinity."""
+        return v ** 2
 
     @staticmethod
     def lift(points: Sequence[Point2]) -> Tuple[Pair, ...]:
@@ -361,7 +374,9 @@ class SideLengths:
             if total < rhs:
                 raise InvalidTriangleError(f"not a triangle: {text} < {opposite}")
 
-    @property
+    # Read by nearly every kernel function; the fields are frozen, so it is
+    # decided once, like the derived values below.
+    @cached_property
     def is_exact(self) -> bool:
         return is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
 

@@ -319,5 +319,66 @@ class TestOneConstruction:
         assert (centers.O.x, centers.O.y) == (1.5, 2.0)
 
 
+# Copies of the bodies that the integer closed forms replaced on exact sides
+# (and that float sides still run).
+
+
+def _reference_circumdot(sides, pair):
+    opposite = sides.as_tuple()[{"BC": 0, "CA": 1, "AB": 2}[pair]]
+    return metrics(sides).R_sq - (opposite * opposite) / 2
+
+
+def _reference_bisector_foot(sides, vertex):
+    k = VERTICES.index(vertex)
+    triple = sides.as_tuple()
+    a, b, c = triple[k:] + triple[:k]
+    weights = (a - a, b / (b + c), c / (b + c))
+    return tuple(weights[(j - k) % 3] for j in range(3))
+
+
+class TestIntegerClosedForms:
+    """circumdot and the bisector feet on the integer form of exact sides,
+    against the former Fraction expressions, and bit for bit on floats."""
+
+    huge = (F(10**40 + 7, 3**50), F(10**40 + 3, 3**50 + 1), F(10**40, 7**40))
+
+    def _assert_matches_reference(self, sides):
+        for pair in ("AB", "BC", "CA"):
+            got, expected = circumdot(sides, pair), _reference_circumdot(sides, pair)
+            assert type(got) is type(expected) and _bits(got) == _bits(expected), pair
+        for vertex in VERTICES:
+            got = bisector_foot_barycentric(sides, vertex).components
+            expected = _reference_bisector_foot(sides, vertex)
+            assert [type(v) for v in got] == [type(v) for v in expected], vertex
+            assert list(map(_bits, got)) == list(map(_bits, expected)), vertex
+
+    @given(rational_sides)
+    def test_rational_sides(self, sides: SideLengths):
+        self._assert_matches_reference(sides)
+        self._assert_matches_reference(sides.as_float())
+
+    @pytest.mark.parametrize("triple", [(3, 4, 5), (2, 3, 4), (1, 1, 1), huge])
+    def test_fixed_sides(self, triple):
+        sides = SideLengths(*triple)
+        self._assert_matches_reference(sides)
+        self._assert_matches_reference(sides.as_float())
+
+    def test_one_fraction_per_value(self, monkeypatch):
+        sides = SideLengths(*self.huge)
+        built = [0]
+        original_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return original_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        circumdot(sides, "AB")
+        assert built[0] == 1
+        built[0] = 0
+        bisector_foot_barycentric(sides, "B")
+        assert built[0] == 3  # the two ratios and the zero
+
+
 def test_vertices_constant():
     assert VERTICES == ("A", "B", "C")

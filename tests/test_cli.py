@@ -393,6 +393,22 @@ class TestFuzzCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("bound, count", [(10**15, 3), (10**40, 2)])
+    def test_exact_large_bound(self, capsys, bound, count):
+        # The exact suite takes no float of a value that passes, so numbers
+        # beyond a double (R^2 is about 10^400 at bound 10^40) are fine.
+        code, out, err = run(capsys, "fuzz", "--bound", str(bound), "--count", str(count))
+        assert (code, err) == (0, "")
+        assert f"{count}/{count} exact-zero" in out
+
+    def test_float_large_bound_exit_2(self, capsys):
+        code, out, err = run(capsys, "fuzz", "--backend", "float", "--bound", str(10**15))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: --bound {10**15} gives triangles beyond the float range; "
+            "use a smaller --bound\n"
+        )
+
 
 class TestSvgCommand:
     def test_emits_svg(self, capsys):

@@ -19,6 +19,7 @@ from ninepoint.feuerbach import (
 from ninepoint.harness import (
     PROFILE_KINDS,
     FuzzProfile,
+    IdentityCheck,
     cartesian_oracle,
     check_identity_suite,
     random_triangle,
@@ -267,6 +268,27 @@ class TestExactSuitePath:
         assert roots == []
 
 
+    def test_at_most_100_fractions_per_triangle(self, monkeypatch):
+        # The suite's own products are integer ratios, and circumdot and the
+        # bisector feet build one Fraction per value: 99 per triangle, where
+        # Fraction arithmetic in the suite made 142.
+        profile = FuzzProfile(kind="generic", seed=4)
+        triangles = [random_triangle(profile, i) for i in range(20)]
+        built = [0]
+        original_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return original_new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        for sides, vertices in triangles:
+            built[0] = 0
+            report = check_identity_suite(sides, vertices)
+            assert report.passed and report.exact
+            assert built[0] <= 100
+
+
 class TestFloatTypeDispatch:
     """Float scalars are classified by concrete type.  ``isinstance(x,
     Fraction)`` on a float runs ``ABCMeta.__instancecheck__`` in Python, so
@@ -382,6 +404,13 @@ class TestIdentitySuite:
         assert report.passed
         assert not report.exact
         assert report.max_residual <= 1e-12
+
+    def test_identity_check_is_an_immutable_record(self):
+        check = IdentityCheck("x", True, 0.0)
+        assert check.detail == ""
+        assert repr(check) == "IdentityCheck(name='x', passed=True, residual=0.0, detail='')"
+        with pytest.raises(AttributeError):
+            check.passed = False  # type: ignore[misc]
 
     def test_check_names_are_unique(self):
         sides = SideLengths(3, 4, 5)

@@ -52,6 +52,35 @@ def test_vector_operations(p, q):
     assert h.value(h.dist_sq(p, q)) == dist_sq((px, py), (qx, qy))
 
 
+fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@given(fractions, fractions.filter(bool))
+def test_scalar_operations(x, y):
+    # Ratios without reduction stand for the Fraction results.
+    r, s = h.scalar(x), h.scalar(y)
+    assert r == (x.numerator, x.denominator)
+    assert ratio(h.product(r, s)) == x * y
+    assert ratio(h.square(r)) == x * x
+    assert ratio(h.difference(r, s)) == x - y
+    assert ratio(h.quotient(r, s)) == x / y
+    assert ratio(h.quotient(r, h.scalar(4))) == x / 4
+
+
+@given(finite_floats, finite_floats.filter(bool))
+def test_float_plane_scalar_operations(x, y):
+    # The float plane makes the float operation of each name.
+    fp = FloatPlane
+    assert fp.scalar(x) is x
+    assert fp.product(x, y) == x * y
+    assert fp.square(x) == x ** 2
+    assert fp.difference(x, y) == x - y
+    assert fp.quotient(x, y) == x / y
+    with pytest.raises(OverflowError):
+        fp.square(1e200)
+
+
 @given(triples, triples, triples)
 def test_lines(p, u, v):
     assume(cart(u) != cart(v))
@@ -120,7 +149,8 @@ def test_parallel_lines_rejected():
 
 
 def _plane_names(*functions):
-    """Names read from ``plane`` or ``self.plane`` in the functions' source."""
+    """Names read from ``plane``, ``ring`` or ``self.plane`` in the
+    functions' source."""
     names = set()
     for function in functions:
         tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
@@ -128,7 +158,7 @@ def _plane_names(*functions):
             if not isinstance(node, ast.Attribute):
                 continue
             owner = node.value
-            if isinstance(owner, ast.Name) and owner.id == "plane":
+            if isinstance(owner, ast.Name) and owner.id in ("plane", "ring"):
                 names.add(node.attr)
             elif isinstance(owner, ast.Attribute) and owner.attr == "plane":
                 names.add(node.attr)
@@ -145,6 +175,7 @@ def test_both_planes_define_every_name_the_constructions_call():
         harness.check_identity_suite,
     )
     assert {"lift", "circumcenter", "barycentric_point", "equidistant_point"} <= names
+    assert {"scalar", "product", "square", "difference", "quotient"} <= names
     for plane in (h, FloatPlane):
         missing = sorted(name for name in names if not hasattr(plane, name))
         assert missing == [], plane
