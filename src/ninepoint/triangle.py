@@ -151,7 +151,10 @@ class FloatPlane:
     layer.  Each construction makes the float operations of the same
     construction in ``Point2`` arithmetic, in the same order, and checks
     each point it makes as ``Point2`` does, so results and errors match
-    that form bit for bit (the tests keep it as the reference)."""
+    that form bit for bit (the tests keep it as the reference).  The
+    scalar operations (``scalar``, ``product``, ``square``, ``difference``,
+    ``quotient``) are the float operators, so the identity suite's own
+    arithmetic on float sides makes the operations it always made."""
 
     times = staticmethod(operator.mul)
     product = staticmethod(operator.mul)
