@@ -267,6 +267,23 @@ class TestExactSuitePath:
             assert built[0] <= 25
         assert roots == []
 
+    def test_no_float_of_a_fraction(self, monkeypatch):
+        # A passing exact suite converts nothing to a float: not the
+        # conditioning, not the scales of its residuals.
+        profile = FuzzProfile(kind="generic", seed=4)
+        triangles = [random_triangle(profile, i) for i in range(20)]
+        converted = [0]
+        original_float = Fraction.__float__
+
+        def counting_float(self):
+            converted[0] += 1
+            return original_float(self)
+
+        monkeypatch.setattr(Fraction, "__float__", counting_float)
+        for sides, vertices in triangles:
+            report = check_identity_suite(sides, vertices)
+            assert report.passed and report.exact
+        assert converted[0] == 0
 
     def test_at_most_100_fractions_per_triangle(self, monkeypatch):
         # The suite's own products are integer ratios, and circumdot and the
