@@ -24,8 +24,8 @@ eight float centers.
 The incenter and the excenters come from one weight table,
 :data:`~ninepoint.triangle.CENTER_WEIGHTS`, which the integer kernel reads
 too; their barycentric forms are built once per ``SideLengths``.  The
-other vertex-specific formulas are rotated from their A-form, so the three
-cases cannot drift apart.
+other vertex-specific formulas index the sides from the vertex's position,
+so the three cases are one expression.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ __all__ = [
     "CENTER_WEIGHTS",
     "CenterSet",
     "centroid_barycentric",
-    "center_barycentric",
     "bisector_foot_barycentric",
     "vertex_to_ninepoint_dist_sq",
     "circumdot",
@@ -67,12 +66,6 @@ VERTICES: Tuple[Vertex, Vertex, Vertex] = ("A", "B", "C")
 _SHIFT = {"A": 0, "B": 1, "C": 2}
 
 
-def _rotated(triple: Tuple, vertex: Vertex) -> Tuple:
-    """Sides relabeled so the requested vertex plays the role of A."""
-    k = _shift(vertex)
-    return triple[k:] + triple[:k]
-
-
 def _shift(vertex: Vertex) -> int:
     try:
         return _SHIFT[vertex]
@@ -80,26 +73,10 @@ def _shift(vertex: Vertex) -> int:
         raise ValueError(f"vertex must be one of {VERTICES}, got {vertex!r}") from None
 
 
-def _unrotate(weights: Tuple, vertex: Vertex) -> Tuple:
-    """Map A-form output weights back to the original (A, B, C) order."""
-    k = _shift(vertex)
-    return tuple(weights[(j - k) % 3] for j in range(3))
-
-
 def centroid_barycentric() -> Barycentric:
     """G = (1/3, 1/3, 1/3), independent of the side lengths."""
     third = Fraction(1, 3)
     return Barycentric(third, third, third)
-
-
-def center_barycentric(sides: SideLengths, label: str) -> Barycentric:
-    """The center named by a :data:`CENTER_WEIGHTS` label, normalized.
-
-    The four are built once per :class:`SideLengths`; exact sides are
-    weighted by their integer form, with one division per component."""
-    if label not in CENTER_WEIGHTS:
-        raise ValueError(f"label must be one of {tuple(CENTER_WEIGHTS)}, got {label!r}")
-    return sides._center_barycentrics[label]
 
 
 def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
@@ -109,15 +86,16 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
     point dividing it in the ratio of the adjacent sides.  Exact sides are
     weighted by their integer form: one division per component.
     """
+    k = _shift(vertex)
     if sides.is_exact:
         t = sides._integer_form
-        a, b, c = _rotated((t.a, t.b, t.c), vertex)
+        s = (t.a, t.b, t.c)
         ratio = Fraction
     else:
-        a, b, c = _rotated(sides.as_tuple(), vertex)
+        s = sides.as_tuple()
         ratio = FloatPlane.quotient  # true division
-    weights = (a - a, ratio(b, b + c), ratio(c, b + c))
-    return Barycentric(*_unrotate(weights, vertex))
+    d = s[(k + 1) % 3] + s[(k + 2) % 3]
+    return Barycentric(*(s[k] - s[k] if j == k else ratio(s[j], d) for j in range(3)))
 
 
 def vertex_to_ninepoint_dist_sq(sides: SideLengths, vertex: Vertex) -> Scalar:
@@ -185,9 +163,6 @@ class CenterSet:
     Eb = _frame_point("Eb")
     Ec = _frame_point("Ec")
 
-    def cartesian_items(self) -> Tuple[Tuple[str, Point2], ...]:
-        return tuple(self.points.items())
-
 
 def center_set(
     sides: SideLengths,
@@ -212,7 +187,7 @@ def center_set(
     centroid = plane.barycentric_point((1, 1, 1), 3, va, vb, vc)
     ortho = plane.add(circum, plane.scaled(plane.sub(centroid, circum), 3))  # H = O + 3(G - O)
     frame = {"O": circum, "G": centroid, "H": ortho, "N": plane.midpoint(circum, ortho)}
-    # Exact sides weigh by their integer form, as center_barycentric does:
+    # Exact sides weigh by their integer form, as _center_barycentrics does:
     # the integer plane needs it, and on floats each k/d rounds as before.
     if exact:
         t = sides._integer_form

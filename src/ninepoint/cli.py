@@ -158,15 +158,11 @@ def _rational_text(value: Scalar) -> str:
 
 
 def _scalar_json(value: Scalar) -> Union[str, float]:
+    """"p/q" for an exact value, the float otherwise.  Text output formats
+    the same value: ``str`` of a float is its ``repr``."""
     if is_exact(value):
         return _rational_text(value)
     return float(value)
-
-
-def _scalar_text(value: Scalar) -> str:
-    if is_exact(value):
-        return _rational_text(value)
-    return repr(float(value))
 
 
 def _bary_json(bary: Barycentric) -> List[Union[str, float]]:
@@ -185,7 +181,7 @@ def _metrics_dict(met: TriangleMetrics) -> dict:
 def _centers_dict(config: RunConfig) -> dict:
     centers = center_set(config.sides, config.vertices)
     barycentric = {name: _bary_json(bary) for name, bary in centers.barycentric.items()}
-    cartesian = {name: _point_json(point) for name, point in centers.cartesian_items()}
+    cartesian = {name: _point_json(point) for name, point in centers.points.items()}
     return {"barycentric": barycentric, "cartesian": cartesian if config.vertices else None}
 
 
@@ -246,12 +242,12 @@ def cmd_compute(config: RunConfig) -> int:
     lines = [f"backend: {config.backend}"]
     if config.vertices_given:
         pts = ", ".join(
-            f"{n}=({_scalar_text(p.x)}, {_scalar_text(p.y)})"
+            f"{n}=({_scalar_json(p.x)}, {_scalar_json(p.y)})"
             for n, p in zip("ABC", config.vertices)
         )
         lines.append(f"vertices: {pts}")
     a, b, c = config.sides.as_tuple()
-    lines.append(f"sides: a={_scalar_text(a)} b={_scalar_text(b)} c={_scalar_text(c)}")
+    lines.append(f"sides: a={_scalar_json(a)} b={_scalar_json(b)} c={_scalar_json(c)}")
     lines.append("metrics:")
     for name, value in doc["metrics"].items():
         lines.append(f"  {name:5s} = {value}")
@@ -283,10 +279,10 @@ def cmd_feuerbach(config: RunConfig) -> int:
     else:
         lines = [f"backend: {config.backend}"]
         a, b, c = config.sides.as_tuple()
-        lines.append(f"sides: a={_scalar_text(a)} b={_scalar_text(b)} c={_scalar_text(c)}")
+        lines.append(f"sides: a={_scalar_json(a)} b={_scalar_json(b)} c={_scalar_json(c)}")
         met = report.metrics
-        lines.append(f"R_sq = {_scalar_text(met.R_sq)}  r_sq = {_scalar_text(met.r_sq)}")
-        lines.append(f"nine-point radius squared (R_sq/4): {_scalar_text(met.R_sq / 4)}")
+        lines.append(f"R_sq = {_scalar_json(met.R_sq)}  r_sq = {_scalar_json(met.r_sq)}")
+        lines.append(f"nine-point radius squared (R_sq/4): {_scalar_json(met.R_sq / 4)}")
         if report.equilateral:
             lines.append("equilateral: incircle and nine-point circle coincide")
         for entry in report.entries:
@@ -295,9 +291,9 @@ def cmd_feuerbach(config: RunConfig) -> int:
                 kind = f"{kind} (equilateral)"
             lines.append(
                 f"{entry.circle:8s} {kind:18s} "
-                f"d_sq = {_scalar_text(entry.report.lhs)}  "
-                f"rhs = {_scalar_text(entry.report.rhs)}  "
-                f"residual = {_scalar_text(entry.report.residual)}"
+                f"d_sq = {_scalar_json(entry.report.lhs)}  "
+                f"rhs = {_scalar_json(entry.report.rhs)}  "
+                f"residual = {_scalar_json(entry.report.residual)}"
             )
         verdict = "all tangencies verified" if report.ok else "TANGENCY CHECK FAILED"
         if config.backend == "float" and report.ok:
@@ -326,8 +322,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         try:
             sides, vertices = random_triangle(profile, index)
             if backend == "float":
-                sides = sides.as_float()
-                vertices = tuple(p.as_float() for p in vertices)
+                sides = sides.as_float()  # the suite takes the vertices as floats too
             suite = check_identity_suite(sides, vertices, tol)
         except OverflowError:
             raise ValueError(

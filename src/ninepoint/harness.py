@@ -52,7 +52,7 @@ from functools import cached_property
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from . import homogeneous
-from .numeric import DEFAULT_TOLERANCE, Scalar, ToleranceProfile
+from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
 from .triangle import (
     FloatPlane,
     Point2,
@@ -244,8 +244,8 @@ class OracleResult:
     and ``plane`` is the namespace that built them: integer triples of
     :mod:`ninepoint.homogeneous` for exact vertices, float pairs
     ``(x, y)`` otherwise.  ``frame_radius_sq`` is the radius in that
-    carrier's scalar.  ``points`` and ``nine_point_radius_sq`` give them as
-    ``Point2``s and a ``Fraction`` or float, built on first use."""
+    carrier's scalar.  ``points`` gives the centers as ``Point2``s, built
+    on first use."""
 
     plane: Any
     frame: Dict[str, Any]
@@ -254,13 +254,6 @@ class OracleResult:
     @cached_property
     def points(self) -> Dict[str, Point2]:
         return {label: self.plane.as_point2(p) for label, p in self.frame.items()}
-
-    @property
-    def nine_point_radius_sq(self) -> Scalar:
-        return self.plane.value(self.frame_radius_sq)
-
-    def distance_sq(self, label1: str, label2: str) -> Scalar:
-        return self.plane.value(self.plane.dist_sq(self.frame[label1], self.frame[label2]))
 
 
 def _construct(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResult:

@@ -50,15 +50,13 @@ class ViewTransform:
         return (self.x(float(p.x)), self.y(float(p.y)))
 
 
-def fit_transform(
-    xs: Tuple[float, float], ys: Tuple[float, float], margin: float = MARGIN
-) -> ViewTransform:
+def fit_transform(xs: Tuple[float, float], ys: Tuple[float, float]) -> ViewTransform:
     """Uniform transform fitting the model bounding box into the viewBox."""
     min_x, max_x = xs
     min_y, max_y = ys
     width = max(max_x - min_x, 1e-12)
     height = max(max_y - min_y, 1e-12)
-    scale = (VIEWBOX - 2 * margin) / max(width, height)
+    scale = (VIEWBOX - 2 * MARGIN) / max(width, height)
     # Center the short axis.
     pad_x = (VIEWBOX - scale * width) / 2.0
     pad_y = (VIEWBOX - scale * height) / 2.0
@@ -111,10 +109,16 @@ def render_svg(
         "excircle-c": (centers.Ec, math.sqrt(float(met.rC_sq))),
     }
 
-    incircle_vs_ninepoint = classify_tangency_sq(
-        centers.I.dist_sq(centers.N), met.R_sq / 4, met.r_sq, tol
-    )
-    coincident = incircle_vs_ninepoint.kind is Tangency.COINCIDENT
+    # The two circles coincide exactly when R = 2r, that is on equilateral
+    # sides.  Exact sides are decided on the sides: their vertices may be
+    # the float embedding, whose |IN|^2 the float tolerance can call zero.
+    if sides.is_exact:
+        coincident = sides.is_equilateral
+    else:
+        incircle_vs_ninepoint = classify_tangency_sq(
+            centers.I.dist_sq(centers.N), met.R_sq / 4, met.r_sq, tol
+        )
+        coincident = incircle_vs_ninepoint.kind is Tangency.COINCIDENT
 
     xs: List[float] = []
     ys: List[float] = []

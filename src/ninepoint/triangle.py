@@ -47,7 +47,6 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from .numeric import (
     DEFAULT_TOLERANCE,
     Scalar,
-    ToleranceProfile,
     coerce_scalar,
     is_exact,
     sqrt_exact,
@@ -61,13 +60,10 @@ __all__ = [
     "SideLengths",
     "TriangleMetrics",
     "Barycentric",
-    "semiperimeter",
     "metrics",
     "point_on_side",
     "barycentric_distance_sq",
-    "barycentric_to_cartesian",
     "cartesian_to_barycentric",
-    "orientation",
     "exact_vertices",
     "canonical_vertices",
     "sides_from_vertices",
@@ -221,7 +217,7 @@ class FloatPlane:
 
     @staticmethod
     def orientation(vertex_a: Pair, vertex_b: Pair, vertex_c: Pair) -> float:
-        """Twice the signed area, as :func:`orientation` computes it."""
+        """Twice the signed area of the triangle; zero means collinear."""
         abx, aby = _pair(vertex_b[0] - vertex_a[0], vertex_b[1] - vertex_a[1])
         acx, acy = _pair(vertex_c[0] - vertex_a[0], vertex_c[1] - vertex_a[1])
         return abx * acy - aby * acx
@@ -444,7 +440,7 @@ class SideLengths:
                 RrC=Fraction(t.abc, 2 * t.w * L_sq),
             )
         a, b, c = self.as_tuple()
-        s = semiperimeter(self)
+        s = (a + b + c) / 2
         # Computed as half-sums directly: one rounding instead of two for floats.
         s_a = (-a + b + c) / 2
         s_b = (a - b + c) / 2
@@ -508,10 +504,6 @@ class SideLengths:
             (R_sq - b * b + c * c + a * a) / 4,
             (R_sq - c * c + a * a + b * b) / 4,
         )
-
-
-def semiperimeter(sides: SideLengths) -> Scalar:
-    return (sides.a + sides.b + sides.c) / 2
 
 
 @dataclass(frozen=True)
@@ -616,12 +608,7 @@ class Barycentric:
         return (self.alpha, self.beta, self.gamma)
 
 
-def point_on_side(
-    dist_bx: Scalar,
-    dist_cx: Scalar,
-    sides: SideLengths,
-    tol: ToleranceProfile = DEFAULT_TOLERANCE,
-) -> Barycentric:
+def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Barycentric:
     """Coordinates (0, |CX|/a, |BX|/a) of a point X on segment BC.
 
     Endpoints are allowed: |BX| = 0 gives vertex B itself.  The two
@@ -636,7 +623,7 @@ def point_on_side(
     if is_exact(total) and is_exact(a):
         if total != a:
             raise ValueError(f"|BX| + |CX| = {total} does not equal a = {a}")
-    elif abs(float(total) - float(a)) > tol.bound(float(a)):
+    elif abs(float(total) - float(a)) > DEFAULT_TOLERANCE.bound(float(a)):
         raise ValueError(f"|BX| + |CX| = {total!r} does not equal a = {a!r}")
     zero = a - a  # backend-matched zero
     return Barycentric(zero, dist_cx / a, dist_bx / a)
@@ -688,24 +675,12 @@ def barycentric_distance_sq(
     return weighted - pairwise
 
 
-def orientation(vertex_a: Point2, vertex_b: Point2, vertex_c: Point2) -> Scalar:
-    """Twice the signed area of ABC; zero means collinear."""
-    return (vertex_b - vertex_a).cross(vertex_c - vertex_a)
-
-
-def barycentric_to_cartesian(
-    x: Barycentric, vertex_a: Point2, vertex_b: Point2, vertex_c: Point2
-) -> Point2:
-    """Affine combination alpha*A + beta*B + gamma*C."""
-    if orientation(vertex_a, vertex_b, vertex_c) == 0:
-        raise ValueError("collinear vertices")
-    return vertex_a.scaled(x.alpha) + vertex_b.scaled(x.beta) + vertex_c.scaled(x.gamma)
-
-
 def cartesian_to_barycentric(
     point: Point2, vertex_a: Point2, vertex_b: Point2, vertex_c: Point2
 ) -> Barycentric:
-    """Inverse of :func:`barycentric_to_cartesian` (2x2 linear solve)."""
+    """Barycentric coordinates of a point (2x2 linear solve).  The
+    reference form of :meth:`FloatPlane.barycentric`, kept in ``Point2``
+    arithmetic."""
     ac = vertex_a - vertex_c
     bc = vertex_b - vertex_c
     det = ac.cross(bc)
@@ -751,28 +726,22 @@ def canonical_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:
 
 
 def sides_from_vertices(
-    vertex_a: Point2,
-    vertex_b: Point2,
-    vertex_c: Point2,
-    exact: Optional[bool] = None,
+    vertex_a: Point2, vertex_b: Point2, vertex_c: Point2, exact: bool
 ) -> SideLengths:
     """Side lengths a = |BC|, b = |CA|, c = |AB| of an embedded triangle.
 
-    With ``exact=True`` all three squared lengths must be perfect squares;
-    otherwise the lengths are irrational and only the float backend can
-    carry them (InvalidTriangleError points that out).  ``exact=None``
-    picks exact when possible and floats otherwise.
+    With ``exact=True`` the coordinates must be exact and all three squared
+    lengths perfect squares (InvalidTriangleError says which fails, since
+    only the float backend can carry irrational lengths); with
+    ``exact=False`` the lengths are float square roots.
     """
     sq = (
         vertex_b.dist_sq(vertex_c),
         vertex_c.dist_sq(vertex_a),
         vertex_a.dist_sq(vertex_b),
     )
-    coords_exact = all(p.is_exact for p in (vertex_a, vertex_b, vertex_c))
-    if exact is None:
-        exact = coords_exact and all(sqrt_exact(v) is not None for v in sq)
     if exact:
-        if not coords_exact:
+        if not all(p.is_exact for p in (vertex_a, vertex_b, vertex_c)):
             raise InvalidTriangleError("exact side lengths need exact coordinates")
         roots = [sqrt_exact(v) for v in sq]
         if any(r is None for r in roots):

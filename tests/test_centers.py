@@ -18,7 +18,6 @@ from ninepoint.centers import (
     VERTICES,
     CenterSet,
     bisector_foot_barycentric,
-    center_barycentric,
     center_set,
     centroid_barycentric,
     circumdot,
@@ -56,19 +55,21 @@ class TestBarycentricCenters:
         assert centroid_barycentric().components == (F(1, 3), F(1, 3), F(1, 3))
 
     def test_incenter_3_4_5(self, sides345):
-        assert center_barycentric(sides345, "I").components == (F(1, 4), F(1, 3), F(5, 12))
+        assert center_set(sides345).barycentric["I"].components == (F(1, 4), F(1, 3), F(5, 12))
 
     def test_excenters_3_4_5(self, sides345):
-        assert center_barycentric(sides345, "Ea").components == (F(-1, 2), F(2, 3), F(5, 6))
-        assert center_barycentric(sides345, "Eb").components == (F(3, 4), F(-1), F(5, 4))
-        assert center_barycentric(sides345, "Ec").components == (F(3, 2), F(2), F(-5, 2))
+        bary = center_set(sides345).barycentric
+        assert bary["Ea"].components == (F(-1, 2), F(2, 3), F(5, 6))
+        assert bary["Eb"].components == (F(3, 4), F(-1), F(5, 4))
+        assert bary["Ec"].components == (F(3, 2), F(2), F(-5, 2))
 
     def test_excenter_equilateral(self):
-        assert center_barycentric(SideLengths(1, 1, 1), "Ea").components == (F(-1), F(1), F(1))
+        ex_a = center_set(SideLengths(1, 1, 1)).barycentric["Ea"]
+        assert ex_a.components == (F(-1), F(1), F(1))
 
     def test_excenter_negative_only_at_own_vertex(self, sides345):
         for label, index in (("Ea", 0), ("Eb", 1), ("Ec", 2)):
-            coords = center_barycentric(sides345, label).components
+            coords = center_set(sides345).barycentric[label].components
             for j, value in enumerate(coords):
                 assert (value < 0) == (j == index)
 
@@ -82,13 +83,9 @@ class TestBarycentricCenters:
         coords = bisector_foot_barycentric(SideLengths(2, 2, 3), "C")
         assert coords.components == (F(1, 2), F(1, 2), F(0))
 
-    def test_unknown_vertex_rejected(self, sides345):
-        with pytest.raises(ValueError):
-            center_barycentric(sides345, "Ed")
-
     @given(rational_sides)
     def test_incenter_inside(self, sides: SideLengths):
-        coords = center_barycentric(sides, "I")
+        coords = center_set(sides).barycentric["I"]
         assert all(v > 0 for v in coords.components)
         assert sum(coords.components) == 1
 
@@ -195,7 +192,7 @@ class TestCenterSet:
 
     def test_cartesian_items_order(self, triangle345):
         sides, vertices = triangle345
-        names = [name for name, _ in center_set(sides, vertices).cartesian_items()]
+        names = list(center_set(sides, vertices).points)
         assert names == ["O", "G", "H", "N", "I", "Ea", "Eb", "Ec"]
 
     @given(rational_sides)
@@ -219,8 +216,8 @@ class TestCenterSet:
         # B-excenter data of the rotated triangle.
         a, b, c = sides.as_tuple()
         rotated = SideLengths(b, c, a)
-        ex_b = center_barycentric(sides, "Eb").components
-        ex_a_rot = center_barycentric(rotated, "Ea").components
+        ex_b = center_set(sides).barycentric["Eb"].components
+        ex_a_rot = center_set(rotated).barycentric["Ea"].components
         assert ex_a_rot == (ex_b[1], ex_b[2], ex_b[0])
         foot_b = bisector_foot_barycentric(sides, "B").components
         foot_a_rot = bisector_foot_barycentric(rotated, "A").components
@@ -261,7 +258,8 @@ def _reference_point2_frame(sides, vertices):
     ortho = circum + (centroid - circum).scaled(3)
     nine = Point2((circum.x + ortho.x) / 2, (circum.y + ortho.y) / 2)
     frame = {"O": circum, "G": centroid, "H": ortho, "N": nine}
-    frame.update((label, affine(center_barycentric(sides, label))) for label in CENTER_WEIGHTS)
+    bary = center_set(sides).barycentric
+    frame.update((label, affine(bary[label])) for label in CENTER_WEIGHTS)
     return frame
 
 

@@ -1,8 +1,10 @@
-"""Integer exact kernel: a symbolic proof of its polynomials, and a
-differential test of every exact metric and report field against the
-Fraction closed forms, evaluated here."""
+"""Integer exact kernel: a symbolic proof of its polynomials and of the
+geometric facts they rest on, and a differential test of every exact
+metric and report field against the Fraction closed forms, evaluated
+here."""
 
 import collections
+import types
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,7 @@ from ninepoint.feuerbach import (
     feuerbach_report,
     incircle_ninepoint_residual,
 )
-from ninepoint.triangle import SideLengths, _integer_triangle, metrics
+from ninepoint.triangle import CENTER_WEIGHTS, SideLengths, _integer_triangle, metrics
 
 F = Fraction
 
@@ -83,6 +85,158 @@ def test_cancelled_closed_forms_are_polynomial_identities():
         assert sympy.cancel((abc + P_over_d) ** 2 / (4 * P * L**2) - rhs_external / den) == 0
         assert sympy.expand(rhs_external - rhs_internal - 4 * abc * d * P) == 0, circle
         assert sympy.cancel(4 * abc * d * P / den - abc / (d * L**2)) == 0, circle
+
+
+# --- the preliminaries, proven in coordinates ------------------------------
+#
+# The kernel's closed forms rest on facts about the triangle: where the
+# circumcenter and the nine-point center are, and how far the incenter and
+# the excenters are from the side lines.  These tests prove them over
+# Q(a, b, c, L) in the coordinate model of a triangle with sides a/L, b/L
+# and c/L: C = (0, 0), B = (a/L, 0) and A = (x, y) with
+# x = (a^2 + b^2 - c^2)/(2aL).  Then y^2 = P/(4 a^2 L^2) with
+# P = (a + b + c)(-a + b + c)(a - b + c)(a + b - c), which restates
+# |CA|^2 = b^2/L^2, and y is in general irrational.  Each claim is an
+# expression in a, b, c, L and y that must vanish; its numerator, with y^2
+# replaced, is c0 + c1*y, and the claim holds exactly when c0 = c1 = 0.
+# The kernel's closed forms are evaluated by its own code on symbols, with
+# Fraction(n, d) read as n/d.
+
+
+def _vanishes(sympy, expr, y, y_sq) -> bool:
+    numerator, _ = sympy.fraction(sympy.together(expr))
+    parts = [0, 0]
+    for (k,), coeff in sympy.Poly(sympy.expand(numerator), y).terms():
+        parts[k % 2] += coeff * y_sq ** (k // 2)
+    return all(sympy.cancel(part) == 0 for part in parts)
+
+
+def _dist_sq(p, q):
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+
+
+def _cross(o, p, q):
+    """(p - o) x (q - o): twice the signed area of (o, p, q)."""
+    return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+
+@pytest.fixture
+def model(monkeypatch):
+    """The coordinate model, and the kernel's exact closed forms on its
+    integer form (a, b, c over L)."""
+    sympy = pytest.importorskip("sympy")
+    from ninepoint import centers, triangle
+
+    a, b, c, L, y = sympy.symbols("a b c L y", positive=True)
+    t = _integer_triangle(a, b, c, L)
+    vertices = {"A": ((a**2 + b**2 - c**2) / (2 * a * L), y), "B": (a / L, 0), "C": (0, 0)}
+    for module in (triangle, centers):
+        monkeypatch.setattr(module, "Fraction", lambda n, d: sympy.sympify(n) / d)
+    exact_sides = types.SimpleNamespace(is_exact=True, _integer_form=t)
+    return types.SimpleNamespace(
+        sympy=sympy,
+        t=t,
+        vertices=vertices,
+        vanishes=lambda expr: _vanishes(sympy, expr, y, t.P / (4 * a**2 * L**2)),
+        metrics=SideLengths._metrics.func(exact_sides),
+        vertex_ninepoint_dist_sq=SideLengths._vertex_ninepoint_dist_sq.func(exact_sides),
+        circumdot=lambda pair: centers.circumdot(exact_sides, pair),
+    )
+
+
+def _circumcenter(sympy, vertices):
+    """The point equidistant from the three vertices, solved for."""
+    o = sympy.symbols("o_x o_y")
+    va, vb, vc = vertices.values()
+    equations = [
+        sympy.expand(_dist_sq(o, va) - _dist_sq(o, vc)),
+        sympy.expand(_dist_sq(o, vb) - _dist_sq(o, vc)),
+    ]
+    (solution,) = sympy.solve(equations, o, dict=True)
+    return tuple(solution[v] for v in o)
+
+
+def test_model_reproduces_the_sides(model):
+    a, b, c = model.t.a, model.t.b, model.t.c
+    L = model.t.L
+    va, vb, vc = model.vertices.values()
+    assert model.vanishes(_dist_sq(vb, vc) - (a / L) ** 2)
+    assert model.vanishes(_dist_sq(vc, va) - (b / L) ** 2)
+    assert model.vanishes(_dist_sq(va, vb) - (c / L) ** 2)
+    assert not model.vanishes(_dist_sq(vc, va) - (a / L) ** 2)  # the check can fail
+
+
+def test_circumradius_is_abc_squared_over_P(model):
+    """The circumcenter is at squared distance (abc)^2/P, the kernel's R^2,
+    from each vertex; and each circumdot is (P - O).(Q - O)."""
+    t, sympy = model.t, model.sympy
+    assert sympy.cancel(model.metrics.R_sq - t.abc**2 / (t.P * t.L**2)) == 0
+    o = _circumcenter(sympy, model.vertices)
+    for label, vertex in model.vertices.items():
+        assert model.vanishes(_dist_sq(o, vertex) - model.metrics.R_sq), label
+    for pair in ("AB", "BC", "CA"):
+        p, q = (model.vertices[label] for label in pair)
+        dot = (p[0] - o[0]) * (q[0] - o[0]) + (p[1] - o[1]) * (q[1] - o[1])
+        assert model.vanishes(dot - model.circumdot(pair)), pair
+
+
+def test_ninepoint_center_gives_the_vertex_distances(model):
+    """H = 3G - 2O is on the altitudes, and N = (O + H)/2 is at the kernel's
+    vertex_to_ninepoint_dist_sq from each vertex."""
+    sympy = model.sympy
+    va, vb, vc = model.vertices.values()
+    o = _circumcenter(sympy, model.vertices)
+    g = tuple((va[k] + vb[k] + vc[k]) / 3 for k in range(2))
+    h = tuple(3 * g[k] - 2 * o[k] for k in range(2))
+    for p, q, r in ((va, vb, vc), (vb, vc, va)):
+        assert model.vanishes((h[0] - p[0]) * (q[0] - r[0]) + (h[1] - p[1]) * (q[1] - r[1]))
+    n = tuple((o[k] + h[k]) / 2 for k in range(2))
+    for vertex, want in zip(model.vertices.values(), model.vertex_ninepoint_dist_sq):
+        assert model.vanishes(_dist_sq(vertex, n) - want)
+
+
+def test_center_weights_are_at_their_radius_from_every_side_line(model):
+    """Each CENTER_WEIGHTS point (x_a A + x_b B + x_c C)/d is at squared
+    distance r_X^2, the kernel's radius of its circle, from all three side
+    lines: the incircle and the three excircles."""
+    t, met = model.t, model.metrics
+    va, vb, vc = model.vertices.values()
+    radius_sq = {"I": met.r_sq, "Ea": met.rA_sq, "Eb": met.rB_sq, "Ec": met.rC_sq}
+    for label, weights in CENTER_WEIGHTS.items():
+        (x_a, x_b, x_c), d = weights(t.a, t.b, t.c)
+        point = tuple((x_a * va[k] + x_b * vb[k] + x_c * vc[k]) / d for k in range(2))
+        for p, q in ((vb, vc), (vc, va), (va, vb)):
+            line_dist_sq = _cross(p, q, point) ** 2 / _dist_sq(p, q)
+            assert model.vanishes(line_dist_sq - radius_sq[label]), (label, p, q)
+
+
+def test_area_and_mixed_products(model):
+    """K^2 is the squared area (base a/L, height y), s the half perimeter,
+    and each mixed product R*r_X squares to R^2 * r_X^2."""
+    t, met, sympy = model.t, model.metrics, model.sympy
+    assert model.vanishes((t.a / t.L * model.vertices["A"][1] / 2) ** 2 - met.K_sq)
+    assert sympy.cancel(met.s - (t.a + t.b + t.c) / (2 * t.L)) == 0
+    pairs = ((met.Rr, met.r_sq), (met.RrA, met.rA_sq), (met.RrB, met.rB_sq), (met.RrC, met.rC_sq))
+    for mixed, radius_sq in pairs:
+        assert sympy.cancel(mixed**2 - met.R_sq * radius_sq) == 0
+
+
+def test_barycentric_distance_identity(model):
+    """|XY|^2 = alpha |AY|^2 + beta |BY|^2 + gamma |CY|^2
+    - (beta gamma a^2 + gamma alpha b^2 + alpha beta c^2) for any point
+    X = alpha A + beta B + gamma C with alpha + beta + gamma = 1 and any Y."""
+    sympy, t = model.sympy, model.t
+    alpha, beta, p, q = sympy.symbols("alpha beta p q")
+    gamma = 1 - alpha - beta
+    va, vb, vc = model.vertices.values()
+    x = tuple(alpha * va[k] + beta * vb[k] + gamma * vc[k] for k in range(2))
+    y_pt = (p, q)
+    a_sq, b_sq, c_sq = ((side / t.L) ** 2 for side in (t.a, t.b, t.c))
+    identity = (
+        alpha * _dist_sq(va, y_pt) + beta * _dist_sq(vb, y_pt) + gamma * _dist_sq(vc, y_pt)
+        - (beta * gamma * a_sq + gamma * alpha * b_sq + alpha * beta * c_sq)
+    )
+    assert model.vanishes(_dist_sq(x, y_pt) - identity)
 
 
 def closed_form_metrics(a: Fraction, b: Fraction, c: Fraction) -> dict:

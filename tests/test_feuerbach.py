@@ -6,11 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ninepoint.centers import (
-    VERTICES,
-    center_barycentric,
-    vertex_to_ninepoint_dist_sq,
-)
+from ninepoint.centers import VERTICES, center_set, vertex_to_ninepoint_dist_sq
 from ninepoint.feuerbach import (
     Tangency,
     classify_tangency_sq,
@@ -249,12 +245,8 @@ class TestFeuerbachReport:
         # circle on its own: |XN|^2 against R^2/4 and r_X^2.
         tol = ToleranceProfile()
         met = metrics(sides)
-        centers = {
-            "incircle": center_barycentric(sides, "I"),
-            "exA": center_barycentric(sides, "Ea"),
-            "exB": center_barycentric(sides, "Eb"),
-            "exC": center_barycentric(sides, "Ec"),
-        }
+        bary = center_set(sides).barycentric
+        centers = {"incircle": bary["I"], "exA": bary["Ea"], "exB": bary["Eb"], "exC": bary["Ec"]}
         radii_sq = {"incircle": met.r_sq, "exA": met.rA_sq, "exB": met.rB_sq, "exC": met.rC_sq}
         vertex_dist_sq = [vertex_to_ninepoint_dist_sq(sides, v) for v in VERTICES]
         report = feuerbach_report(sides, tol)

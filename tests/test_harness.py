@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ninepoint import numeric
-from ninepoint.centers import CENTER_WEIGHTS, VERTICES, center_barycentric, center_set
+from ninepoint import homogeneous, numeric
+from ninepoint.centers import CENTER_WEIGHTS, VERTICES, center_set
 from ninepoint.feuerbach import (
     excircle_ninepoint_residual,
     feuerbach_report,
@@ -140,12 +140,12 @@ class TestOracle:
     def test_3_4_5_nine_point_radius(self):
         va, vb, vc = canonical_vertices(SideLengths(3, 4, 5))
         oracle = cartesian_oracle(va, vb, vc)
-        assert oracle.nine_point_radius_sq == F(25, 16)
+        assert homogeneous.value(oracle.frame_radius_sq) == F(25, 16)
 
     def test_distance_helpers(self):
         va, vb, vc = canonical_vertices(SideLengths(3, 4, 5))
-        oracle = cartesian_oracle(va, vb, vc)
-        assert oracle.distance_sq("I", "N") == F(1, 16)
+        pts = cartesian_oracle(va, vb, vc).points
+        assert pts["I"].dist_sq(pts["N"]) == F(1, 16)
 
     def test_collinear_rejected(self):
         with pytest.raises(ValueError, match="collinear"):
@@ -163,8 +163,8 @@ class TestOracle:
         sides = SideLengths(F(13), F(14), F(15))
         oracle = cartesian_oracle(*canonical_vertices(sides))
         met = metrics(sides)
-        assert oracle.distance_sq("O", "A") == met.R_sq
-        assert oracle.nine_point_radius_sq == met.R_sq / 4
+        assert oracle.points["O"].dist_sq(oracle.points["A"]) == met.R_sq
+        assert homogeneous.value(oracle.frame_radius_sq) == met.R_sq / 4
 
 
 def _side(p, u, v):
@@ -205,7 +205,7 @@ class TestExactOracleDefinitions:
         assert _dist_sq(O, A) == _dist_sq(O, B) == _dist_sq(O, C)
         mids = (_midpoint(B, C), _midpoint(C, A), _midpoint(A, B))
         assert _dist_sq(N, mids[0]) == _dist_sq(N, mids[1]) == _dist_sq(N, mids[2])
-        assert oracle.nine_point_radius_sq == _dist_sq(N, mids[0])
+        assert homogeneous.value(oracle.frame_radius_sq) == _dist_sq(N, mids[0])
         # G lies on two medians, H on two altitudes.
         assert _side(G, A, mids[0]) == 0 and _side(G, B, mids[1]) == 0
         assert (H.x - A.x) * (B.x - C.x) + (H.y - A.y) * (B.y - C.y) == 0
@@ -388,14 +388,12 @@ class TestFloatSuiteConstructions:
         assert constructions == {Point2: 0, Barycentric: 1 + 3 * 4 + 1 + 3 + 1}
 
     def test_each_center_built_once_per_sides(self, constructions):
-        # center_barycentric, center_set, feuerbach_report and the four
-        # residuals all read the same four centers of one SideLengths.
+        # center_set, feuerbach_report and the four residuals all read the
+        # same four centers of one SideLengths.
         sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
         sides = sides.as_float()
         vertices = tuple(p.as_float() for p in vertices)
         constructions[Barycentric] = 0
-        for label in CENTER_WEIGHTS:
-            center_barycentric(sides, label)
         center_set(sides, vertices)
         feuerbach_report(sides)
         incircle_ninepoint_residual(sides)

@@ -99,3 +99,13 @@ class TestRenderSvg:
         text = render_svg(sides, canonical_vertices(sides))
         assert 'id="triangle"' in text
         assert 'id="euler-line"' in text
+
+    @pytest.mark.parametrize("near", [10**6, 10**5])
+    def test_exact_near_equilateral_draws_both_circles(self, near):
+        # (n, n + 1, n) has no rational embedding, so it is drawn on floats,
+        # where |IN|^2 falls inside the float tolerance of zero; the sides
+        # are not equilateral, so the circles are tangent, not coincident.
+        sides = SideLengths(near, near + 1, near)
+        text = render_svg(sides, canonical_vertices(sides))
+        assert 'id="ninepoint"' in text and 'id="incircle"' in text
+        assert "(equilateral)" not in text

@@ -32,13 +32,10 @@ from ninepoint.triangle import (
     Point2,
     SideLengths,
     barycentric_distance_sq,
-    barycentric_to_cartesian,
     canonical_vertices,
     cartesian_to_barycentric,
     metrics,
-    orientation,
     point_on_side,
-    semiperimeter,
     sides_from_vertices,
 )
 
@@ -173,9 +170,6 @@ class TestMetrics:
         met = metrics(SideLengths(2, 3, 4))
         assert met.s == F(9, 2)
         assert met.R_sq == F(576, 135)
-
-    def test_semiperimeter(self):
-        assert semiperimeter(SideLengths(3, 4, 5)) == F(6)
 
     def test_float_matches_exact(self):
         exact = metrics(SideLengths(3, 4, 5))
@@ -433,15 +427,10 @@ class TestEmbeddings:
         with pytest.raises(InvalidTriangleError, match="irrational"):
             sides_from_vertices(Point2(0, 0), Point2(1, 0), Point2(0, 1), exact=True)
 
-    def test_sides_from_vertices_auto_float(self):
-        sides = sides_from_vertices(Point2(0, 0), Point2(1, 0), Point2(0, 1))
+    def test_sides_from_vertices_float(self):
+        sides = sides_from_vertices(Point2(0, 0), Point2(1, 0), Point2(0, 1), exact=False)
         assert not sides.is_exact
         assert sides.a == pytest.approx(2 ** 0.5)
-
-    def test_orientation(self):
-        assert orientation(Point2(0, 0), Point2(1, 0), Point2(0, 1)) > 0
-        assert orientation(Point2(0, 0), Point2(0, 1), Point2(1, 0)) < 0
-        assert orientation(Point2(0, 0), Point2(1, 1), Point2(2, 2)) == 0
 
     @given(rational_sides)
     def test_embedding_matches_sides(self, sides: SideLengths):
@@ -455,10 +444,15 @@ class TestEmbeddings:
             assert float(vb.dist_sq(vc)) == pytest.approx(float(a * a), rel=1e-9)
 
 
+def _affine(x, va, vb, vc):
+    """alpha*A + beta*B + gamma*C in Point2 arithmetic."""
+    return va.scaled(x.alpha) + vb.scaled(x.beta) + vc.scaled(x.gamma)
+
+
 class TestCartesianConversions:
     def test_to_cartesian_incenter(self):
         va, vb, vc = canonical_vertices(SideLengths(3, 4, 5))
-        pt = barycentric_to_cartesian(Barycentric(F(1, 4), F(1, 3), F(5, 12)), va, vb, vc)
+        pt = _affine(Barycentric(F(1, 4), F(1, 3), F(5, 12)), va, vb, vc)
         assert (pt.x, pt.y) == (F(1), F(1))
 
     def test_roundtrip(self):
@@ -480,7 +474,7 @@ class TestCartesianConversions:
         if not va.is_exact:
             return
         coords = Barycentric(alpha, beta, 1 - alpha - beta)
-        pt = barycentric_to_cartesian(coords, va, vb, vc)
+        pt = _affine(coords, va, vb, vc)
         back = cartesian_to_barycentric(pt, va, vb, vc)
         assert back.components == coords.components
 
