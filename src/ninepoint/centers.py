@@ -19,7 +19,10 @@ homogeneous triples (:mod:`ninepoint.homogeneous`) when the sides and the
 vertices are all exact, where no gcd is taken until a ``Point2`` is asked
 for, and :class:`~ninepoint.triangle.FloatPlane` otherwise, which takes
 the vertices as float pairs.  Input that mixes exact and float values gets
-eight float centers.
+eight float centers.  That rule is stated once, in ``_lift``; the identity
+suite calls it too and hands the lifted vertices to ``center_set`` and to
+the harness's oracle, so both frames are built on one plane.  Callers read
+the centers as ``Point2``s through ``CenterSet.points``.
 
 The incenter and the excenters come from one weight table,
 :data:`~ninepoint.triangle.CENTER_WEIGHTS`, which the integer kernel reads
@@ -125,11 +128,13 @@ def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
     return metrics(sides).R_sq - (opposite * opposite) / 2
 
 
-def _frame_point(label: str) -> property:
-    return property(
-        lambda self: self.points.get(label),
-        doc=f"{label} as a Point2, or None without vertices.",
-    )
+def _lift(sides: SideLengths, vertices: Tuple[Point2, ...]) -> Tuple[Any, Tuple[Any, ...]]:
+    """The plane for these sides and vertices, and the vertices lifted onto
+    it: integer homogeneous triples when the sides and every vertex are
+    exact, float pairs otherwise."""
+    exact = sides.is_exact and all(p.is_exact for p in vertices)
+    plane = homogeneous if exact else FloatPlane
+    return plane, plane.lift(vertices)
 
 
 @dataclass(frozen=True)
@@ -141,8 +146,8 @@ class CenterSet:
     only when vertices are supplied.  ``frame`` holds the Cartesian centers
     as they were computed, and ``plane`` is the namespace that computed
     them: integer homogeneous triples for exact sides and vertices, float
-    pairs ``(x, y)`` otherwise.  ``points`` and ``O`` ... ``Ec`` read them as
-    ``Point2``s, built on first use.
+    pairs ``(x, y)`` otherwise.  ``points`` reads them as ``Point2``s, built
+    on first use.
     """
 
     barycentric: Dict[str, Barycentric]
@@ -151,17 +156,9 @@ class CenterSet:
 
     @cached_property
     def points(self) -> Dict[str, Point2]:
-        """The Cartesian centers in the order O, G, H, N, I, Ea, Eb, Ec."""
+        """The Cartesian centers in the order O, G, H, N, I, Ea, Eb, Ec;
+        empty without vertices."""
         return {label: self.plane.as_point2(p) for label, p in (self.frame or {}).items()}
-
-    O = _frame_point("O")
-    G = _frame_point("G")
-    H = _frame_point("H")
-    N = _frame_point("N")
-    I = _frame_point("I")
-    Ea = _frame_point("Ea")
-    Eb = _frame_point("Eb")
-    Ec = _frame_point("Ec")
 
 
 def center_set(
@@ -172,16 +169,13 @@ def center_set(
     """Assemble every center; vertices add the Cartesian layer.
 
     The vertices are ``Point2``s, or with ``plane`` already lifted onto the
-    plane this function would choose for them, as the identity suite
-    holds them."""
+    plane ``_lift`` chooses for them, as the identity suite holds them."""
     bary = {"G": centroid_barycentric()}
     bary.update(sides._center_barycentrics)
     if vertices is None:
         return CenterSet(barycentric=bary)
-    exact = sides.is_exact
     if plane is None:
-        plane = homogeneous if exact and all(p.is_exact for p in vertices) else FloatPlane
-        vertices = plane.lift(vertices)
+        plane, vertices = _lift(sides, vertices)
     va, vb, vc = vertices
     circum = plane.circumcenter(va, vb, vc)
     centroid = plane.barycentric_point((1, 1, 1), 3, va, vb, vc)
@@ -189,7 +183,7 @@ def center_set(
     frame = {"O": circum, "G": centroid, "H": ortho, "N": plane.midpoint(circum, ortho)}
     # Exact sides weigh by their integer form, as _center_barycentrics does:
     # the integer plane needs it, and on floats each k/d rounds as before.
-    if exact:
+    if sides.is_exact:
         t = sides._integer_form
         a, b, c = t.a, t.b, t.c
     else:

@@ -370,7 +370,7 @@ def cmd_svg(config: RunConfig) -> int:
     try:
         # Exact sides without an exact embedding are drawn on the float one.
         vertices = config.vertices or canonical_vertices(config.sides)
-        text = render_svg(config.sides, vertices, config.tol)
+        text = render_svg(config.sides, vertices)
     except OverflowError:
         raise ValueError("the triangle is beyond the float range that svg draws in") from None
     return _emit(text, config.out_path)

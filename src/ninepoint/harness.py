@@ -25,10 +25,12 @@ a value enters a kernel formula.  Profiles that cannot embed rationally
 (near-equilateral, near-degenerate) fall back to float vertices and
 magnitude-aware tolerances, on the same constructions over
 :class:`~ninepoint.triangle.FloatPlane`, which carries points as bare
-``(x, y)`` float pairs.  The kernel's Cartesian centers
-(:func:`~ninepoint.centers.center_set`) choose their plane by the same
-rule, so the suite compares the two frames point for point on one plane:
-it lifts the embedding once and hands the lifted vertices to both.
+``(x, y)`` float pairs.  The oracle does not choose a plane: it takes
+vertices already lifted onto one.  The rule that picks the plane lives in
+:mod:`ninepoint.centers` (``_lift``): the suite calls it once, lifts the
+embedding, and hands the lifted vertices to both the oracle and
+:func:`~ninepoint.centers.center_set`, so it compares the two frames point
+for point on one plane.
 
 On exact sides the suite's own arithmetic on kernel values (the metric
 products such as 16 R^2 K^2 against (abc)^2, the squared sides, R^2/4)
@@ -48,7 +50,6 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from . import homogeneous
@@ -64,6 +65,7 @@ from .triangle import (
 )
 from .centers import (
     VERTICES,
+    _lift,
     _shift,
     bisector_foot_barycentric,
     center_set,
@@ -136,7 +138,8 @@ def _rational_scale(rng: random.Random, bound: int) -> Fraction:
 def _generic_sides(rng: random.Random, bound: int) -> SideLengths:
     # Two right triangles cross-scaled to a common leg and glued along it
     # (or overlapped, for obtuse shapes): all three sides and the altitude
-    # are rational, so the canonical embedding is exact.
+    # are rational, so the canonical embedding is exact.  The apex sits at
+    # height q1 q2 > 0 over a nonzero base, so the triangle is never flat.
     while True:
         p1, q1, h1 = _pythagorean_legs(rng, bound)
         p2, q2, h2 = _pythagorean_legs(rng, bound)
@@ -155,26 +158,20 @@ def _generic_sides(rng: random.Random, bound: int) -> SideLengths:
         triple = [base * scale, hyp2 * scale, hyp1 * scale]
         shift = rng.randrange(3)
         triple = triple[shift:] + triple[:shift]
-        try:
-            return SideLengths(*triple)
-        except ValueError:
-            continue
+        return SideLengths(*triple)
 
 
 def _isoceles_sides(rng: random.Random, bound: int) -> SideLengths:
     # A right triangle mirrored across its height: base 2p, equal legs h.
-    while True:
-        p, q, h = _pythagorean_legs(rng, bound)
-        if rng.random() < 0.5:
-            p, q = q, p
-        scale = _rational_scale(rng, bound)
-        triple = [2 * p * scale, h * scale, h * scale]
-        shift = rng.randrange(3)
-        triple = triple[shift:] + triple[:shift]
-        try:
-            return SideLengths(*triple)
-        except ValueError:
-            continue
+    # The legs are hypotenuses h > p, so the triangle is never flat.
+    p, q, h = _pythagorean_legs(rng, bound)
+    if rng.random() < 0.5:
+        p, q = q, p
+    scale = _rational_scale(rng, bound)
+    triple = [2 * p * scale, h * scale, h * scale]
+    shift = rng.randrange(3)
+    triple = triple[shift:] + triple[:shift]
+    return SideLengths(*triple)
 
 
 def _right_angled_sides(rng: random.Random, bound: int) -> SideLengths:
@@ -240,24 +237,26 @@ def random_triangle(
 class OracleResult:
     """Constructed centers and the constructed nine-point radius squared.
 
-    ``frame`` keeps the labeled points in the carrier they were built on,
-    and ``plane`` is the namespace that built them: integer triples of
-    :mod:`ninepoint.homogeneous` for exact vertices, float pairs
-    ``(x, y)`` otherwise.  ``frame_radius_sq`` is the radius in that
-    carrier's scalar.  ``points`` gives the centers as ``Point2``s, built
-    on first use."""
+    ``frame`` keeps the labeled points (the vertices and the eight centers)
+    in the carrier of the plane they were built on: integer triples of
+    :mod:`ninepoint.homogeneous` or float pairs ``(x, y)``.
+    ``frame_radius_sq`` is the radius in that carrier's scalar."""
 
-    plane: Any
     frame: Dict[str, Any]
     frame_radius_sq: Any
 
-    @cached_property
-    def points(self) -> Dict[str, Point2]:
-        return {label: self.plane.as_point2(p) for label, p in self.frame.items()}
 
+def cartesian_oracle(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResult:
+    """Every center from scratch on ``plane``; see the module docstring for
+    the recipes.
 
-def _construct(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResult:
-    """The oracle's constructions on one plane."""
+    The vertices arrive already lifted onto ``plane``, which the caller
+    chooses (:func:`~ninepoint.centers._lift`).  The exact plane's bisectors
+    need rational edge lengths; the identity suite builds the oracle only
+    after it has matched each squared edge to a rational side squared.
+    """
+    if plane.orientation(a_pt, b_pt, c_pt) == 0:
+        raise ValueError("collinear vertices")
     mid_bc = plane.midpoint(b_pt, c_pt)
     mid_ca = plane.midpoint(c_pt, a_pt)
     mid_ab = plane.midpoint(a_pt, b_pt)
@@ -289,7 +288,6 @@ def _construct(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResult:
     ex_c = intersect(c_pt, bis_c, a_pt, ext_a)
 
     return OracleResult(
-        plane=plane,
         frame={
             "A": a_pt, "B": b_pt, "C": c_pt,
             "O": circum, "G": centroid, "H": ortho, "N": nine,
@@ -297,33 +295,6 @@ def _construct(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResult:
         },
         frame_radius_sq=plane.dist_sq(nine, mid_bc),
     )
-
-
-def cartesian_oracle(
-    vertex_a: Any, vertex_b: Any, vertex_c: Any, plane: Any = None
-) -> OracleResult:
-    """Every center from scratch; see the module docstring for the recipes.
-
-    Exact vertices run on integer homogeneous coordinates, and any others
-    on float pairs.  Exact vertices with irrational side lengths cannot
-    support the exact bisector construction, so the oracle drops to floats
-    for them.  The vertices are ``Point2``s, or with ``plane`` already
-    lifted onto it, as the identity suite holds them.
-    """
-    if plane is None:
-        vertices = (vertex_a, vertex_b, vertex_c)
-        plane = homogeneous if all(p.is_exact for p in vertices) else FloatPlane
-        vertex_a, vertex_b, vertex_c = plane.lift(vertices)
-    vertices = (vertex_a, vertex_b, vertex_c)
-    if plane.orientation(*vertices) == 0:
-        raise ValueError("collinear vertices")
-    if plane is homogeneous and any(
-        homogeneous.length(p, q) is None
-        for p, q in ((vertex_b, vertex_c), (vertex_c, vertex_a), (vertex_a, vertex_b))
-    ):
-        plane = FloatPlane
-        vertices = FloatPlane.lift([homogeneous.as_point2(p) for p in vertices])
-    return _construct(plane, *vertices)
 
 
 # --- identity suite --------------------------------------------------------
@@ -390,12 +361,12 @@ def check_identity_suite(
     O(eps * conditioning^2), so the relative bound is
     ``tol.rel_eps + 64 * eps * conditioning^2``.
     """
-    exact = sides.is_exact and all(p.is_exact for p in embedding)
-    plane = homogeneous if exact else FloatPlane
+    plane, lifted = _lift(sides, embedding)
+    exact = plane is homogeneous
     # The suite's own arithmetic on kernel scalars: integer ratios on exact
     # sides, the kernel's floats in the same order otherwise.
     ring = homogeneous if sides.is_exact else FloatPlane
-    va, vb, vc = lifted = plane.lift(embedding)
+    va, vb, vc = lifted
 
     a, b, c = sides.as_tuple()
     lift, product = ring.scalar, ring.product
@@ -465,7 +436,7 @@ def check_identity_suite(
     if not all(check.passed for check in checks):
         raise ValueError("embedding does not match the side lengths")
 
-    oracle = cartesian_oracle(*lifted, plane=plane)
+    oracle = cartesian_oracle(plane, va, vb, vc)
     kernel = center_set(sides, lifted, plane=plane)
     at = oracle.frame  # the constructed points, on the same plane
     o_pt, g_pt, h_pt, n_pt = at["O"], at["G"], at["H"], at["N"]

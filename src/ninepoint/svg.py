@@ -14,10 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
 from .triangle import Point2, SideLengths, metrics
 from .centers import center_set
-from .feuerbach import Tangency, classify_tangency_sq
 
 __all__ = ["ViewTransform", "fit_transform", "render_svg"]
 
@@ -93,32 +91,17 @@ def _text(x: float, y: float, label: str) -> str:
     )
 
 
-def render_svg(
-    sides: SideLengths,
-    vertices: Tuple[Point2, Point2, Point2],
-    tol: ToleranceProfile = DEFAULT_TOLERANCE,
-) -> str:
+def render_svg(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> str:
     """Schematic drawing; the returned string is a pure function of input."""
-    centers = center_set(sides, vertices)
+    centers = center_set(sides, vertices).points
     met = metrics(sides)
     radius_np = math.sqrt(float(met.R_sq)) / 2.0
     radius_in = math.sqrt(float(met.r_sq))
     radius_ex = {
-        "excircle-a": (centers.Ea, math.sqrt(float(met.rA_sq))),
-        "excircle-b": (centers.Eb, math.sqrt(float(met.rB_sq))),
-        "excircle-c": (centers.Ec, math.sqrt(float(met.rC_sq))),
+        "excircle-a": (centers["Ea"], math.sqrt(float(met.rA_sq))),
+        "excircle-b": (centers["Eb"], math.sqrt(float(met.rB_sq))),
+        "excircle-c": (centers["Ec"], math.sqrt(float(met.rC_sq))),
     }
-
-    # The two circles coincide exactly when R = 2r, that is on equilateral
-    # sides.  Exact sides are decided on the sides: their vertices may be
-    # the float embedding, whose |IN|^2 the float tolerance can call zero.
-    if sides.is_exact:
-        coincident = sides.is_equilateral
-    else:
-        incircle_vs_ninepoint = classify_tangency_sq(
-            centers.I.dist_sq(centers.N), met.R_sq / 4, met.r_sq, tol
-        )
-        coincident = incircle_vs_ninepoint.kind is Tangency.COINCIDENT
 
     xs: List[float] = []
     ys: List[float] = []
@@ -126,8 +109,8 @@ def render_svg(
         xs.append(float(p.x))
         ys.append(float(p.y))
     for center, radius in (
-        (centers.N, radius_np),
-        (centers.I, radius_in),
+        (centers["N"], radius_np),
+        (centers["I"], radius_in),
         *radius_ex.values(),
     ):
         xs.extend((float(center.x) - radius, float(center.x) + radius))
@@ -144,8 +127,8 @@ def render_svg(
         f'fill="none" stroke="#111111" stroke-width="2"/>\n'
     )
 
-    o_xy = view.point(centers.O)
-    h_xy = view.point(centers.H)
+    o_xy = view.point(centers["O"])
+    h_xy = view.point(centers["H"])
     if abs(o_xy[0] - h_xy[0]) > 1e-9 or abs(o_xy[1] - h_xy[1]) > 1e-9:
         parts.append(
             f'  <line id="euler-line" x1="{_fmt(o_xy[0])}" y1="{_fmt(o_xy[1])}" '
@@ -153,9 +136,11 @@ def render_svg(
             f'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>\n'
         )
 
-    n_xy = view.point(centers.N)
-    i_xy = view.point(centers.I)
-    if coincident:
+    n_xy = view.point(centers["N"])
+    i_xy = view.point(centers["I"])
+    # The two circles coincide exactly when R = 2r, that is exactly on
+    # equilateral sides, on either backend.
+    if sides.is_equilateral:
         parts.append(
             _circle("incircle", i_xy[0], i_xy[1], view.scale * radius_in, "#0055cc")
         )
@@ -177,14 +162,8 @@ def render_svg(
         c_xy = view.point(center)
         parts.append(_circle(element_id, c_xy[0], c_xy[1], view.scale * radius, "#008844"))
 
-    for label, center in (
-        ("O", centers.O),
-        ("G", centers.G),
-        ("H", centers.H),
-        ("N", centers.N),
-        ("I", centers.I),
-    ):
-        cx, cy = view.point(center)
+    for label in ("O", "G", "H", "N", "I"):
+        cx, cy = view.point(centers[label])
         parts.append(_dot(f"point-{label}", cx, cy))
         parts.append(_text(cx + 6.0, cy - 6.0, label))
 

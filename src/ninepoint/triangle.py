@@ -82,13 +82,6 @@ class Point2:
     y: Scalar
 
     def __post_init__(self) -> None:
-        # Two Fractions, or two finite floats, are already valid coordinates.
-        x, y = self.x, self.y
-        kind = type(x)
-        if kind is type(y) and (
-            kind is Fraction or (kind is float and math.isfinite(x) and math.isfinite(y))
-        ):
-            return
         object.__setattr__(self, "x", _finite(coerce_scalar(self.x)))
         object.__setattr__(self, "y", _finite(coerce_scalar(self.y)))
 

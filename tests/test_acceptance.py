@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from ninepoint import cli
+from ninepoint import cli, homogeneous
 from ninepoint.centers import center_set, vertex_to_ninepoint_dist_sq
 from ninepoint.feuerbach import (
     Tangency,
@@ -85,8 +85,8 @@ def test_criterion_02_worked_3_4_5_instance_via_cli(capsys):
 
 def test_criterion_03_euler_line_exact(generic_corpus):
     for sides, vertices in generic_corpus:
-        centers = center_set(sides, vertices)
-        o, g, h = centers.O, centers.G, centers.H
+        centers = center_set(sides, vertices).points
+        o, g, h = centers["O"], centers["G"], centers["H"]
         assert h.x - o.x == 3 * (g.x - o.x)
         assert h.y - o.y == 3 * (g.y - o.y)
         assert g.dist_sq(h) == 4 * o.dist_sq(g)
@@ -95,10 +95,11 @@ def test_criterion_03_euler_line_exact(generic_corpus):
 
 def test_criterion_04_vertex_to_ninepoint_equals_oracle(generic_corpus):
     for sides, vertices in generic_corpus:
-        oracle = cartesian_oracle(*vertices)
+        frame = cartesian_oracle(homogeneous, *homogeneous.lift(vertices)).frame
         for vertex in ("A", "B", "C"):
             kernel_value = vertex_to_ninepoint_dist_sq(sides, vertex)
-            assert kernel_value == oracle.points[vertex].dist_sq(oracle.points["N"])
+            oracle_value = homogeneous.value(homogeneous.dist_sq(frame[vertex], frame["N"]))
+            assert kernel_value == oracle_value
     print("ACCEPTANCE 4: 4|AN|^2 = R^2 - a^2 + b^2 + c^2 equals oracle, 1000 triangles: PASS")
 
 
@@ -141,8 +142,7 @@ def test_criterion_06_ninepoint_membership(generic_corpus):
     # Exact half: all six points at squared distance R^2/4, bit-for-bit.
     for sides, (va, vb, vc) in generic_corpus:
         met = metrics(sides)
-        centers = center_set(sides, (va, vb, vc))
-        n_pt = centers.N
+        n_pt = center_set(sides, (va, vb, vc)).points["N"]
         for member in _six_membership_points(va, vb, vc):
             assert n_pt.dist_sq(member) == met.R_sq / 4
     # Float half: same points within 1e-9 relative for conditioning <= 1e3.
@@ -154,7 +154,7 @@ def test_criterion_06_ninepoint_membership(generic_corpus):
         fsides = sides.as_float()
         va, vb, vc = (p.as_float() for p in vertices)
         quarter = float(metrics(fsides).R_sq) / 4.0
-        n_pt = center_set(fsides, (va, vb, vc)).N
+        n_pt = center_set(fsides, (va, vb, vc)).points["N"]
         for member in _six_membership_points(va, vb, vc):
             assert abs(float(n_pt.dist_sq(member)) - quarter) <= 1e-9 * quarter
     assert checked >= 900  # the corpus is dominated by well-conditioned triangles

@@ -117,17 +117,17 @@ class TestCartesianCenters:
 
     def test_orthocenter_3_4_5(self, triangle345):
         # Right angle at C puts the orthocenter on C itself.
-        assert center_set(*triangle345).H == Point2(F(0), F(0))
+        assert center_set(*triangle345).points["H"] == Point2(F(0), F(0))
 
     def test_nine_point_center_3_4_5(self, triangle345):
-        assert center_set(*triangle345).N == Point2(F(3, 4), F(1))
+        assert center_set(*triangle345).points["N"] == Point2(F(3, 4), F(1))
 
     @given(rational_sides)
     def test_circumcenter_equidistant(self, sides: SideLengths):
         va, vb, vc = canonical_vertices(sides)
         if not va.is_exact:
             return
-        center = center_set(sides, (va, vb, vc)).O
+        center = center_set(sides, (va, vb, vc)).points["O"]
         assert center.dist_sq(va) == center.dist_sq(vb) == center.dist_sq(vc)
         assert center.dist_sq(va) == metrics(sides).R_sq
 
@@ -153,7 +153,7 @@ class TestDistancesAndDots:
         va, vb, vc = canonical_vertices(sides)
         if not va.is_exact:
             return
-        nine = center_set(sides, (va, vb, vc)).N
+        nine = center_set(sides, (va, vb, vc)).points["N"]
         assert vertex_to_ninepoint_dist_sq(sides, "A") == va.dist_sq(nine)
         assert vertex_to_ninepoint_dist_sq(sides, "B") == vb.dist_sq(nine)
         assert vertex_to_ninepoint_dist_sq(sides, "C") == vc.dist_sq(nine)
@@ -163,7 +163,7 @@ class TestDistancesAndDots:
         va, vb, vc = canonical_vertices(sides)
         if not va.is_exact:
             return
-        circum = center_set(sides, (va, vb, vc)).O
+        circum = center_set(sides, (va, vb, vc)).points["O"]
         assert circumdot(sides, "AB") == (va - circum).dot(vb - circum)
         assert circumdot(sides, "BC") == (vb - circum).dot(vc - circum)
         assert circumdot(sides, "CA") == (vc - circum).dot(va - circum)
@@ -174,19 +174,21 @@ class TestCenterSet:
         sides, vertices = triangle345
         centers = center_set(sides, vertices)
         assert isinstance(centers, CenterSet)
-        assert centers.O is not None
-        assert (centers.O.x, centers.O.y) == (F(3, 2), F(2))
-        assert (centers.G.x, centers.G.y) == (F(1), F(4, 3))
-        assert (centers.H.x, centers.H.y) == (F(0), F(0))
-        assert (centers.N.x, centers.N.y) == (F(3, 4), F(1))
-        assert (centers.I.x, centers.I.y) == (F(1), F(1))
-        assert (centers.Ea.x, centers.Ea.y) == (F(2), F(-2))
-        assert (centers.Eb.x, centers.Eb.y) == (F(-3), F(3))
-        assert (centers.Ec.x, centers.Ec.y) == (F(6), F(6))
+        expected = {
+            "O": (F(3, 2), F(2)),
+            "G": (F(1), F(4, 3)),
+            "H": (F(0), F(0)),
+            "N": (F(3, 4), F(1)),
+            "I": (F(1), F(1)),
+            "Ea": (F(2), F(-2)),
+            "Eb": (F(-3), F(3)),
+            "Ec": (F(6), F(6)),
+        }
+        assert {label: (p.x, p.y) for label, p in centers.points.items()} == expected
 
     def test_barycentric_family(self, sides345):
         centers = center_set(sides345)
-        assert centers.O is None
+        assert centers.points == {}
         assert set(centers.barycentric) == {"G", "I", "Ea", "Eb", "Ec"}
         assert centers.barycentric["I"].components == (F(1, 4), F(1, 3), F(5, 12))
 
@@ -200,8 +202,8 @@ class TestCenterSet:
         va, vb, vc = canonical_vertices(sides)
         if not va.is_exact:
             return
-        centers = center_set(sides, (va, vb, vc))
-        o, g, h, n = centers.O, centers.G, centers.H, centers.N
+        centers = center_set(sides, (va, vb, vc)).points
+        o, g, h, n = centers["O"], centers["G"], centers["H"], centers["N"]
         # H - O = 3(G - O) componentwise, N the midpoint of OH.
         assert h.x - o.x == 3 * (g.x - o.x)
         assert h.y - o.y == 3 * (g.y - o.y)
@@ -314,7 +316,8 @@ class TestOneConstruction:
         assert len(centers.points) == 8
         for label, point in centers.points.items():
             assert type(point.x) is float and type(point.y) is float, label
-        assert (centers.O.x, centers.O.y) == (1.5, 2.0)
+        circum = centers.points["O"]
+        assert (circum.x, circum.y) == (1.5, 2.0)
 
 
 # Copies of the bodies that the integer closed forms replaced on exact sides

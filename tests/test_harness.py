@@ -1,7 +1,6 @@
 """Fuzz profiles, the independent Cartesian oracle, and the identity suite."""
 
 import abc
-import math
 import sys
 from fractions import Fraction
 
@@ -24,7 +23,14 @@ from ninepoint.harness import (
     check_identity_suite,
     random_triangle,
 )
-from ninepoint.triangle import Barycentric, Point2, SideLengths, canonical_vertices, metrics
+from ninepoint.triangle import (
+    Barycentric,
+    FloatPlane,
+    Point2,
+    SideLengths,
+    canonical_vertices,
+    metrics,
+)
 
 F = Fraction
 
@@ -119,10 +125,19 @@ class TestGeneration:
         assert min(conds) < 1e3  # and spans down to mildly flat shapes
 
 
+def _oracle_on_exact(vertices):
+    """The oracle on exact vertices, lifted onto the integer plane here as
+    the identity suite lifts them."""
+    return cartesian_oracle(homogeneous, *homogeneous.lift(vertices))
+
+
+def _frame_points(oracle):
+    return {label: homogeneous.as_point2(p) for label, p in oracle.frame.items()}
+
+
 class TestOracle:
     def test_3_4_5_centers(self):
-        va, vb, vc = canonical_vertices(SideLengths(3, 4, 5))
-        oracle = cartesian_oracle(va, vb, vc)
+        pts = _frame_points(_oracle_on_exact(canonical_vertices(SideLengths(3, 4, 5))))
         expected = {
             "O": (F(3, 2), F(2)),
             "G": (F(1), F(4, 3)),
@@ -134,36 +149,29 @@ class TestOracle:
             "Ec": (F(6), F(6)),
         }
         for label, (x, y) in expected.items():
-            pt = oracle.points[label]
+            pt = pts[label]
             assert (pt.x, pt.y) == (x, y), label
 
     def test_3_4_5_nine_point_radius(self):
-        va, vb, vc = canonical_vertices(SideLengths(3, 4, 5))
-        oracle = cartesian_oracle(va, vb, vc)
+        oracle = _oracle_on_exact(canonical_vertices(SideLengths(3, 4, 5)))
         assert homogeneous.value(oracle.frame_radius_sq) == F(25, 16)
 
     def test_distance_helpers(self):
-        va, vb, vc = canonical_vertices(SideLengths(3, 4, 5))
-        pts = cartesian_oracle(va, vb, vc).points
+        pts = _frame_points(_oracle_on_exact(canonical_vertices(SideLengths(3, 4, 5))))
         assert pts["I"].dist_sq(pts["N"]) == F(1, 16)
 
-    def test_collinear_rejected(self):
+    @pytest.mark.parametrize("plane", [homogeneous, FloatPlane], ids=["exact", "float"])
+    def test_collinear_rejected(self, plane):
+        collinear = plane.lift((Point2(0, 0), Point2(1, 1), Point2(2, 2)))
         with pytest.raises(ValueError, match="collinear"):
-            cartesian_oracle(Point2(0, 0), Point2(1, 1), Point2(2, 2))
-
-    def test_irrational_exact_input_degrades_to_float(self):
-        # Unit right isoceles triangle: hypotenuse sqrt(2) defeats the exact
-        # bisector construction, so the oracle runs on floats.
-        oracle = cartesian_oracle(Point2(0, 0), Point2(1, 0), Point2(0, 1))
-        assert not oracle.points["I"].is_exact
-        expected = 1 - math.sqrt(2) / 2  # classic incenter offset
-        assert float(oracle.points["I"].x) == pytest.approx(expected)
+            cartesian_oracle(plane, *collinear)
 
     def test_oracle_matches_metrics_radii(self):
         sides = SideLengths(F(13), F(14), F(15))
-        oracle = cartesian_oracle(*canonical_vertices(sides))
+        oracle = _oracle_on_exact(canonical_vertices(sides))
+        pts = _frame_points(oracle)
         met = metrics(sides)
-        assert oracle.points["O"].dist_sq(oracle.points["A"]) == met.R_sq
+        assert pts["O"].dist_sq(pts["A"]) == met.R_sq
         assert homogeneous.value(oracle.frame_radius_sq) == met.R_sq / 4
 
 
@@ -196,8 +204,8 @@ class TestExactOracleDefinitions:
     )
     def test_points_satisfy_their_definitions(self, kind, seed, index):
         _, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), index)
-        oracle = cartesian_oracle(*vertices)
-        pts = oracle.points
+        oracle = _oracle_on_exact(vertices)
+        pts = _frame_points(oracle)
         assert all(isinstance(v, Fraction) for p in pts.values() for v in (p.x, p.y))
         A, B, C, O, G, H, N = (pts[k] for k in ("A", "B", "C", "O", "G", "H", "N"))
         assert (A, B, C) == vertices

@@ -167,9 +167,9 @@ def _plane_names(*functions):
 
 def test_both_planes_define_every_name_the_constructions_call():
     names = _plane_names(
+        centers._lift,
         centers.center_set,
         centers.CenterSet,
-        harness._construct,
         harness.cartesian_oracle,
         harness.OracleResult,
         harness.check_identity_suite,

@@ -84,8 +84,9 @@ class TestRenderSvg:
             radii[match.group(1)] = float(match.group(2))
         assert radii["ninepoint"] / radii["incircle"] == pytest.approx(1.25, rel=1e-3)
 
-    def test_equilateral_renders_single_coincident_circle(self):
-        sides = SideLengths(1, 1, 1)
+    @pytest.mark.parametrize("one", [1, 1.0], ids=["exact", "float"])
+    def test_equilateral_renders_single_coincident_circle(self, one):
+        sides = SideLengths(one, one, one)
         text = render_svg(sides, canonical_vertices(sides))
         assert "incircle = nine-point circle (equilateral)" in text
         assert 'id="incircle"' in text
@@ -100,12 +101,20 @@ class TestRenderSvg:
         assert 'id="triangle"' in text
         assert 'id="euler-line"' in text
 
-    @pytest.mark.parametrize("near", [10**6, 10**5])
-    def test_exact_near_equilateral_draws_both_circles(self, near):
-        # (n, n + 1, n) has no rational embedding, so it is drawn on floats,
-        # where |IN|^2 falls inside the float tolerance of zero; the sides
-        # are not equilateral, so the circles are tangent, not coincident.
-        sides = SideLengths(near, near + 1, near)
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    @pytest.mark.parametrize(
+        "near",
+        [(10**6, 10**6 + 1, 10**6), (10**5, 10**5 + 1, 10**5), (1, 1, F("1.000001"))],
+        ids=["1e6", "1e5", "1+1e-6"],
+    )
+    def test_exact_near_equilateral_draws_both_circles(self, near, backend):
+        # These sides have no rational embedding, so they are drawn on
+        # floats, where |IN|^2 falls inside the float tolerance of zero; the
+        # sides are not equilateral, so the circles are tangent, not
+        # coincident, on either backend.
+        sides = SideLengths(*near)
+        if backend == "float":
+            sides = sides.as_float()
         text = render_svg(sides, canonical_vertices(sides))
         assert 'id="ninepoint"' in text and 'id="incircle"' in text
         assert "(equilateral)" not in text
