@@ -33,13 +33,13 @@ so the three cases are one expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Dict, Literal, Optional, Tuple
 
 from . import homogeneous
 from .numeric import Scalar
+from .record import Record, set_field
 from .triangle import (
     CENTER_WEIGHTS,
     Barycentric,
@@ -137,8 +137,7 @@ def _lift(sides: SideLengths, vertices: Tuple[Point2, ...]) -> Tuple[Any, Tuple[
     return plane, plane.lift(vertices)
 
 
-@dataclass(frozen=True)
-class CenterSet:
+class CenterSet(Record):
     """Centers of one triangle; Cartesian positions only in coordinate mode.
 
     Barycentric forms exist for G, I and the excenters regardless of any
@@ -147,12 +146,23 @@ class CenterSet:
     as they were computed, and ``plane`` is the namespace that computed
     them: integer homogeneous triples for exact sides and vertices, float
     pairs ``(x, y)`` otherwise.  ``points`` reads them as ``Point2``s, built
-    on first use.
+    on first use and cached in the instance ``__dict__``.
     """
 
+    _fields = ("barycentric", "frame", "plane")
     barycentric: Dict[str, Barycentric]
-    frame: Optional[Dict[str, Any]] = None
-    plane: Any = None
+    frame: Optional[Dict[str, Any]]
+    plane: Any
+
+    def __init__(
+        self,
+        barycentric: Dict[str, Barycentric],
+        frame: Optional[Dict[str, Any]] = None,
+        plane: Any = None,
+    ) -> None:
+        set_field(self, "barycentric", barycentric)
+        set_field(self, "frame", frame)
+        set_field(self, "plane", plane)
 
     @cached_property
     def points(self) -> Dict[str, Point2]:

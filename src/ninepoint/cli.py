@@ -20,11 +20,11 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .numeric import DEFAULT_TOLERANCE, Scalar, ToleranceProfile, is_exact
+from .record import Record, set_field
 from .triangle import (
     Barycentric,
     InvalidTriangleError,
@@ -49,10 +49,12 @@ EXIT_RESIDUAL_FAILURE = 3
 EXIT_IO_FAILURE = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Resolved invocation: triangle, backend, tolerances, output target."""
 
+    __slots__ = _fields = (
+        "backend", "fmt", "tol", "out_path", "sides", "vertices", "vertices_given"
+    )
     backend: str  # "exact" | "float"
     fmt: str  # "json" | "text" | "svg"
     tol: ToleranceProfile
@@ -60,6 +62,24 @@ class RunConfig:
     sides: SideLengths
     vertices: Optional[Tuple[Point2, Point2, Point2]]  # None: no embedding on the backend
     vertices_given: bool
+
+    def __init__(
+        self,
+        backend: str,
+        fmt: str,
+        tol: ToleranceProfile,
+        out_path: Optional[str],
+        sides: SideLengths,
+        vertices: Optional[Tuple[Point2, Point2, Point2]],
+        vertices_given: bool,
+    ) -> None:
+        set_field(self, "backend", backend)
+        set_field(self, "fmt", fmt)
+        set_field(self, "tol", tol)
+        set_field(self, "out_path", out_path)
+        set_field(self, "sides", sides)
+        set_field(self, "vertices", vertices)
+        set_field(self, "vertices_given", vertices_given)
 
 
 def _parse_scalar(text: str, backend: str) -> Scalar:
@@ -129,7 +149,11 @@ def _resolve_input(args: argparse.Namespace) -> RunConfig:
             raise
         vertices = canonical_vertices(sides) if backend == "float" else exact_vertices(sides)
         vertices_given = False
-    tol = ToleranceProfile(rel_eps=args.rel_eps, abs_eps=args.abs_eps)
+    # Of the triangle commands, only feuerbach takes a tolerance.
+    if args.command == "feuerbach":
+        tol = ToleranceProfile(rel_eps=args.rel_eps, abs_eps=args.abs_eps)
+    else:
+        tol = DEFAULT_TOLERANCE
     return RunConfig(
         backend=backend,
         fmt=getattr(args, "format", "text"),
@@ -391,11 +415,15 @@ def _add_triangle_arguments(parser: argparse.ArgumentParser, formats: Sequence[s
     )
     if formats:
         parser.add_argument("--format", choices=tuple(formats), default="text")
-    _add_common_arguments(parser)
+    _add_out_argument(parser)
 
 
-def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_out_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
+
+
+def _add_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
+    """The float comparison tolerance, for the commands that read it."""
     parser.add_argument("--rel-eps", type=float, default=DEFAULT_TOLERANCE.rel_eps)
     parser.add_argument("--abs-eps", type=float, default=DEFAULT_TOLERANCE.abs_eps)
 
@@ -412,6 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     feuer = sub.add_parser("feuerbach", help="nine-point tangency report")
     _add_triangle_arguments(feuer, ("json", "text", "svg"))
+    _add_tolerance_arguments(feuer)
 
     fuzz = sub.add_parser("fuzz", help="identity suite over a randomized profile")
     fuzz.add_argument("--profile", choices=PROFILE_KINDS, default="generic")
@@ -420,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--bound", type=int, default=10, help="magnitude bound for generated values")
     fuzz.add_argument("--backend", choices=("exact", "float"), default="exact")
     fuzz.add_argument("--format", choices=("json", "text"), default="text")
-    _add_common_arguments(fuzz)
+    _add_out_argument(fuzz)
+    _add_tolerance_arguments(fuzz)
 
     svg = sub.add_parser("svg", help="schematic SVG drawing")
     _add_triangle_arguments(svg, ())

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
@@ -50,6 +49,7 @@ from .numeric import (
     is_exact,
     sqrt_exact,
 )
+from .record import Record, set_field
 from .triangle import (
     CENTER_WEIGHTS,
     SideLengths,
@@ -97,8 +97,7 @@ def _radius_terms(met: TriangleMetrics, circle: str) -> Tuple[Scalar, Scalar]:
     return (met.r_sq, met.rA_sq, met.rB_sq, met.rC_sq)[k], (met.Rr, met.RrA, met.RrB, met.RrC)[k]
 
 
-@dataclass(frozen=True)
-class TangencyReport:
+class TangencyReport(Record):
     """Squared-distance comparison of two circles.
 
     ``lhs`` is the squared center distance; ``rhs_internal``/``rhs_external``
@@ -106,12 +105,31 @@ class TangencyReport:
     NotTangent outcome shows which comparison failed and by how much.
     """
 
+    __slots__ = _fields = (
+        "kind", "lhs", "rhs_internal", "rhs_external", "residual_internal", "residual_external"
+    )
     kind: Tangency
     lhs: Scalar
     rhs_internal: Scalar
     rhs_external: Scalar
     residual_internal: Scalar
     residual_external: Scalar
+
+    def __init__(
+        self,
+        kind: Tangency,
+        lhs: Scalar,
+        rhs_internal: Scalar,
+        rhs_external: Scalar,
+        residual_internal: Scalar,
+        residual_external: Scalar,
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs_internal", rhs_internal)
+        set_field(self, "rhs_external", rhs_external)
+        set_field(self, "residual_internal", residual_internal)
+        set_field(self, "residual_external", residual_external)
 
     @property
     def _internal_chosen(self) -> bool:
@@ -308,12 +326,16 @@ def excircle_ninepoint_residual(sides: SideLengths, vertex: Vertex) -> Scalar:
     return _ninepoint_residual(sides, f"ex{vertex}")
 
 
-@dataclass(frozen=True)
-class FeuerbachEntry:
+class FeuerbachEntry(Record):
     """One circle-vs-nine-point-circle comparison."""
 
+    __slots__ = _fields = ("circle", "report")
     circle: str  # one of CIRCLES
     report: TangencyReport
+
+    def __init__(self, circle: str, report: TangencyReport) -> None:
+        set_field(self, "circle", circle)
+        set_field(self, "report", report)
 
     @property
     def ok(self) -> bool:
@@ -322,14 +344,26 @@ class FeuerbachEntry:
         return self.report.kind is Tangency.EXTERNAL_TANGENT
 
 
-@dataclass(frozen=True)
-class FeuerbachReport:
+class FeuerbachReport(Record):
     """Tangency verdict for the incircle and all three excircles."""
 
+    __slots__ = _fields = ("sides", "metrics", "equilateral", "entries")
     sides: SideLengths
     metrics: TriangleMetrics
     equilateral: bool
     entries: Tuple[FeuerbachEntry, ...]
+
+    def __init__(
+        self,
+        sides: SideLengths,
+        metrics: TriangleMetrics,
+        equilateral: bool,
+        entries: Tuple[FeuerbachEntry, ...],
+    ) -> None:
+        set_field(self, "sides", sides)
+        set_field(self, "metrics", metrics)
+        set_field(self, "equilateral", equilateral)
+        set_field(self, "entries", entries)
 
     @property
     def ok(self) -> bool:

@@ -48,12 +48,12 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from . import homogeneous
 from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
+from .record import Record, set_field
 from .triangle import (
     FloatPlane,
     Point2,
@@ -101,22 +101,26 @@ PROFILE_KINDS = (
 _MACHINE_EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class FuzzProfile:
+class FuzzProfile(Record):
     """Deterministic generation recipe: same (profile, index) -> same triangle."""
 
+    __slots__ = _fields = ("kind", "count", "seed", "magnitude_bound")
     kind: str
-    count: int = 1
-    seed: int = 0
-    magnitude_bound: int = 10
+    count: int
+    seed: int
+    magnitude_bound: int
 
-    def __post_init__(self) -> None:
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"kind must be one of {PROFILE_KINDS}, got {self.kind!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.magnitude_bound < 2:
-            raise ValueError(f"magnitude_bound must be >= 2, got {self.magnitude_bound}")
+    def __init__(self, kind: str, count: int = 1, seed: int = 0, magnitude_bound: int = 10) -> None:
+        if kind not in PROFILE_KINDS:
+            raise ValueError(f"kind must be one of {PROFILE_KINDS}, got {kind!r}")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if magnitude_bound < 2:
+            raise ValueError(f"magnitude_bound must be >= 2, got {magnitude_bound}")
+        set_field(self, "kind", kind)
+        set_field(self, "count", count)
+        set_field(self, "seed", seed)
+        set_field(self, "magnitude_bound", magnitude_bound)
 
 
 def _rng_for(profile: FuzzProfile, index: int) -> random.Random:
@@ -233,8 +237,7 @@ def random_triangle(
 # ratios).  Everything else uses triangle.FloatPlane (float pairs).
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(Record):
     """Constructed centers and the constructed nine-point radius squared.
 
     ``frame`` keeps the labeled points (the vertices and the eight centers)
@@ -242,8 +245,13 @@ class OracleResult:
     :mod:`ninepoint.homogeneous` or float pairs ``(x, y)``.
     ``frame_radius_sq`` is the radius in that carrier's scalar."""
 
+    __slots__ = _fields = ("frame", "frame_radius_sq")
     frame: Dict[str, Any]
     frame_radius_sq: Any
+
+    def __init__(self, frame: Dict[str, Any], frame_radius_sq: Any) -> None:
+        set_field(self, "frame", frame)
+        set_field(self, "frame_radius_sq", frame_radius_sq)
 
 
 def cartesian_oracle(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResult:
@@ -307,10 +315,14 @@ class IdentityCheck(NamedTuple):
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
+    __slots__ = _fields = ("checks", "exact")
     checks: Tuple[IdentityCheck, ...]
     exact: bool
+
+    def __init__(self, checks: Tuple[IdentityCheck, ...], exact: bool) -> None:
+        set_field(self, "checks", checks)
+        set_field(self, "exact", exact)
 
     @property
     def passed(self) -> bool:

@@ -23,9 +23,10 @@ float results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
+
+from .record import Record, set_field
 
 Scalar = Union[Fraction, float]
 
@@ -39,18 +40,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ToleranceProfile:
+class ToleranceProfile(Record):
     """Relative/absolute tolerance pair used for every float comparison."""
 
-    rel_eps: float = 1e-9
-    abs_eps: float = 1e-12
+    __slots__ = _fields = ("rel_eps", "abs_eps")
+    rel_eps: float
+    abs_eps: float
 
-    def __post_init__(self) -> None:
-        if not (self.rel_eps > 0.0 and math.isfinite(self.rel_eps)):
-            raise ValueError(f"rel_eps must be positive and finite, got {self.rel_eps!r}")
-        if not (self.abs_eps > 0.0 and math.isfinite(self.abs_eps)):
-            raise ValueError(f"abs_eps must be positive and finite, got {self.abs_eps!r}")
+    def __init__(self, rel_eps: float = 1e-9, abs_eps: float = 1e-12) -> None:
+        if not (rel_eps > 0.0 and math.isfinite(rel_eps)):
+            raise ValueError(f"rel_eps must be positive and finite, got {rel_eps!r}")
+        if not (abs_eps > 0.0 and math.isfinite(abs_eps)):
+            raise ValueError(f"abs_eps must be positive and finite, got {abs_eps!r}")
+        set_field(self, "rel_eps", rel_eps)
+        set_field(self, "abs_eps", abs_eps)
 
     def bound(self, scale: float) -> float:
         """Largest |x - y| still considered equal at the given magnitude."""

@@ -11,9 +11,9 @@ mathematical upper half-plane points up on screen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Tuple
 
+from .record import Record, set_field
 from .triangle import Point2, SideLengths, metrics
 from .centers import center_set
 
@@ -30,13 +30,18 @@ _PREAMBLE = (
 _POSTAMBLE = "</svg>\n"
 
 
-@dataclass(frozen=True)
-class ViewTransform:
+class ViewTransform(Record):
     """Affine map from model coordinates to the viewBox (y flipped)."""
 
+    __slots__ = _fields = ("scale", "offset_x", "offset_y")
     scale: float
     offset_x: float
     offset_y: float
+
+    def __init__(self, scale: float, offset_x: float, offset_y: float) -> None:
+        set_field(self, "scale", scale)
+        set_field(self, "offset_x", offset_x)
+        set_field(self, "offset_y", offset_y)
 
     def x(self, value: float) -> float:
         return self.offset_x + self.scale * value

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
@@ -51,6 +50,7 @@ from .numeric import (
     is_exact,
     sqrt_exact,
 )
+from .record import Record, set_field
 
 __all__ = [
     "InvalidTriangleError",
@@ -74,16 +74,16 @@ class InvalidTriangleError(ValueError):
     """Side lengths that cannot form a nondegenerate triangle."""
 
 
-@dataclass(frozen=True)
-class Point2:
+class Point2(Record):
     """Plane point over either scalar backend."""
 
+    __slots__ = _fields = ("x", "y")
     x: Scalar
     y: Scalar
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", _finite(coerce_scalar(self.x)))
-        object.__setattr__(self, "y", _finite(coerce_scalar(self.y)))
+    def __init__(self, x: Scalar, y: Scalar) -> None:
+        set_field(self, "x", _finite(coerce_scalar(x)))
+        set_field(self, "y", _finite(coerce_scalar(y)))
 
     def __add__(self, other: "Point2") -> "Point2":
         return Point2(self.x + other.x, self.y + other.y)
@@ -330,25 +330,29 @@ CENTER_WEIGHTS = {
 }
 
 
-@dataclass(frozen=True)
-class SideLengths:
+class SideLengths(Record):
     """Validated side lengths a = |BC|, b = |CA|, c = |AB|.
 
     Construction enforces positivity and the strict triangle inequality;
     the diagnostic names the violated inequality.  Equilateral triples are
     accepted but flagged, because the incircle and the nine-point circle
-    then coincide instead of being tangent.
+    then coincide instead of being tangent.  No ``__slots__``: the derived
+    values below are cached in the instance ``__dict__``.
     """
 
+    _fields = ("a", "b", "c")
     a: Scalar
     b: Scalar
     c: Scalar
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", coerce_scalar(self.a))
-        object.__setattr__(self, "b", coerce_scalar(self.b))
-        object.__setattr__(self, "c", coerce_scalar(self.c))
-        for name, value in (("a", self.a), ("b", self.b), ("c", self.c)):
+    def __init__(self, a: Scalar, b: Scalar, c: Scalar) -> None:
+        a = coerce_scalar(a)
+        b = coerce_scalar(b)
+        c = coerce_scalar(c)
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
+        for name, value in (("a", a), ("b", b), ("c", c)):
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidTriangleError(f"non-finite side: {name} = {value!r}")
             if value <= 0:
@@ -358,7 +362,6 @@ class SideLengths:
             t = self._integer_form
             inequalities = ((t.w, 0), (t.u, 0), (t.v, 0))
         else:
-            a, b, c = self.as_tuple()
             inequalities = ((a + b, c), (b + c, a), (c + a, b))
         for (total, rhs), text, opposite in zip(inequalities, ("a + b", "b + c", "c + a"), "cab"):
             if total == rhs:
@@ -499,8 +502,7 @@ class SideLengths:
         )
 
 
-@dataclass(frozen=True)
-class TriangleMetrics:
+class TriangleMetrics(Record):
     """Squared metric quantities plus the mixed radius products.
 
     Storing R^2 rather than R (and R*r rather than either factor alone)
@@ -508,6 +510,9 @@ class TriangleMetrics:
     is usually irrational.
     """
 
+    __slots__ = _fields = (
+        "s", "K_sq", "R_sq", "r_sq", "rA_sq", "rB_sq", "rC_sq", "Rr", "RrA", "RrB", "RrC"
+    )
     s: Scalar
     K_sq: Scalar
     R_sq: Scalar
@@ -519,6 +524,32 @@ class TriangleMetrics:
     RrA: Scalar
     RrB: Scalar
     RrC: Scalar
+
+    def __init__(
+        self,
+        s: Scalar,
+        K_sq: Scalar,
+        R_sq: Scalar,
+        r_sq: Scalar,
+        rA_sq: Scalar,
+        rB_sq: Scalar,
+        rC_sq: Scalar,
+        Rr: Scalar,
+        RrA: Scalar,
+        RrB: Scalar,
+        RrC: Scalar,
+    ) -> None:
+        set_field(self, "s", s)
+        set_field(self, "K_sq", K_sq)
+        set_field(self, "R_sq", R_sq)
+        set_field(self, "r_sq", r_sq)
+        set_field(self, "rA_sq", rA_sq)
+        set_field(self, "rB_sq", rB_sq)
+        set_field(self, "rC_sq", rC_sq)
+        set_field(self, "Rr", Rr)
+        set_field(self, "RrA", RrA)
+        set_field(self, "RrB", RrB)
+        set_field(self, "RrC", RrC)
 
 
 def _area_sq_16(a: Scalar, b: Scalar, c: Scalar) -> Scalar:
@@ -563,8 +594,7 @@ def metrics(sides: SideLengths) -> TriangleMetrics:
     return sides._metrics
 
 
-@dataclass(frozen=True)
-class Barycentric:
+class Barycentric(Record):
     """Normalized barycentric coordinates (components sum to 1).
 
     Components may be negative (excenters live outside the triangle).  The
@@ -572,17 +602,18 @@ class Barycentric:
     and against a magnitude-aware tolerance on floats.
     """
 
+    __slots__ = _fields = ("alpha", "beta", "gamma")
     alpha: Scalar
     beta: Scalar
     gamma: Scalar
 
-    def __post_init__(self) -> None:
-        alpha = coerce_scalar(self.alpha)
-        beta = coerce_scalar(self.beta)
-        gamma = coerce_scalar(self.gamma)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", gamma)
+    def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar) -> None:
+        alpha = coerce_scalar(alpha)
+        beta = coerce_scalar(beta)
+        gamma = coerce_scalar(gamma)
+        set_field(self, "alpha", alpha)
+        set_field(self, "beta", beta)
+        set_field(self, "gamma", gamma)
         if isinstance(alpha, float) or isinstance(beta, float) or isinstance(gamma, float):
             total = alpha + beta + gamma
             scale = max(1.0, abs(float(alpha)), abs(float(beta)), abs(float(gamma)))

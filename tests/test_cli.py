@@ -153,6 +153,18 @@ class TestComputeErrors:
                          "--vertices", "0,4,3,0,0,0")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--sides", "3,4,5", "--rel-eps", "0.5"],
+        ["compute", "--sides", "3,4,5", "--abs-eps", "10"],
+        ["svg", "--sides", "1,1,1.000001", "--backend", "float", "--rel-eps", "0.5"],
+    ])
+    def test_tolerance_only_where_it_is_read(self, capsys, argv):
+        # Only feuerbach and fuzz compare with a tolerance, so only they take one.
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}\n" in err
+
 
 class TestFeuerbach:
     def test_json_3_4_5_exact(self, capsys):
@@ -537,6 +549,43 @@ def fresh_python(script: str, *args: str) -> str:
 def run_fresh(*argvs):
     """[exit code, stdout, stderr] of each argv, run in turn in one new interpreter."""
     return json.loads(fresh_python(RUN_ARGVS, json.dumps(argvs)))
+
+
+COLD_START = """
+import sys
+bare = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+__import__(sys.argv[2])
+print(" ".join(sorted(set(sys.modules) - bare)))
+"""
+
+# Introspection modules that dataclasses pulls in and no CLI request needs.
+INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def modules_added_by(module: str) -> set:
+    """The modules that importing ``module`` adds in a fresh ``python -I``,
+    beyond those the bare interpreter (with its ``site`` and ``.pth``
+    imports) already holds."""
+    import subprocess
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", COLD_START, src, module],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+class TestColdStart:
+    def test_cli_imports_no_introspection_modules(self):
+        added = modules_added_by("ninepoint.cli")
+        assert "ninepoint.cli" in added
+        assert added & INTROSPECTION == set()
+
+    def test_probe_sees_an_added_module(self):
+        assert "dataclasses" in modules_added_by("dataclasses")
 
 
 class TestSharedParser:

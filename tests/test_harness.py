@@ -259,15 +259,15 @@ class TestExactSuitePath:
             if name.startswith("ninepoint") and getattr(module, "sqrt_exact", None) is original_sqrt:
                 monkeypatch.setattr(module, "sqrt_exact", counting_sqrt)
         built = [0]
-        original_init = Point2.__post_init__
+        original_init = Point2.__init__
 
-        def counting_init(self):
+        def counting_init(self, x, y):
             built[0] += 1
-            original_init(self)
+            original_init(self, x, y)
 
         profile = FuzzProfile(kind="generic", seed=4)
         triangles = [random_triangle(profile, i) for i in range(20)]
-        monkeypatch.setattr(Point2, "__post_init__", counting_init)
+        monkeypatch.setattr(Point2, "__init__", counting_init)
         for sides, vertices in triangles:
             built[0] = 0
             report = check_identity_suite(sides, vertices)
@@ -372,13 +372,13 @@ class TestFloatSuiteConstructions:
         """Counts of ``Point2`` and ``Barycentric`` constructions."""
         counts = {Point2: 0, Barycentric: 0}
         for cls in counts:
-            original = cls.__post_init__
+            original = cls.__init__
 
-            def counting(self, cls=cls, original=original):
+            def counting(self, *args, cls=cls, original=original, **kwargs):
                 counts[cls] += 1
-                original(self)
+                original(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__post_init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         return counts
 
     @pytest.mark.parametrize("seed", [3, 8])
