@@ -48,6 +48,11 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        # copy and pickle rebuild a record through its constructor, since
+        # they could not set its fields one by one.
+        return self.__class__, self._values()
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 

@@ -6,8 +6,10 @@ existed; the exact backend must reproduce them bit-for-bit.
 """
 
 import collections
+import copy
 import itertools
 import math
+import pickle
 import struct
 import sys
 from decimal import Decimal
@@ -675,6 +677,19 @@ class TestPoint2:
         p = Point2(1, 2)
         assert p.is_exact
         assert isinstance(p.x, Fraction)
+
+    @pytest.mark.parametrize("copier", [
+        copy.copy,
+        copy.deepcopy,
+        lambda value: pickle.loads(pickle.dumps(value)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_records_copy_and_pickle(self, copier):
+        # The frozen records rebuild through their constructors.
+        sides = SideLengths(3, 4, 5)
+        records = (Point2(1, 2.5), Barycentric(F(1, 4), F(1, 4), F(1, 2)), sides, metrics(sides))
+        for record in records:
+            twin = copier(record)
+            assert type(twin) is type(record) and twin == record
 
 
 # --- type dispatch ----------------------------------------------------------
