@@ -9,15 +9,16 @@ Subcommands:
 
 Exit codes: 0 success, 2 invalid input, 3 residual failure (float-backend
 numeric breakdown), 4 I/O failure.  JSON output keeps a stable key order
-and serializes rationals as "p/q" strings, so byte-identical round trips
-are ``json.dumps(json.loads(text), indent=2) + "\\n" == text``.
+and serializes rationals as "p/q" strings.  The CLI writes the layout of
+``json.dumps(doc, indent=2)`` itself, byte for byte, without importing
+``json``, so byte-identical round trips are
+``json.dumps(json.loads(text), indent=2) + "\\n" == text``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -218,16 +219,26 @@ def _input_dict(config: RunConfig) -> dict:
     return doc
 
 
+def _sides_line(config: RunConfig, doc: dict) -> str:
+    """The text output's sides, in the document's text when it holds them."""
+    a, b, c = doc["input"].get("sides") or [_scalar_json(v) for v in config.sides.as_tuple()]
+    return f"sides: a={a} b={b} c={c}"
+
+
 def _feuerbach_list(report: FeuerbachReport) -> list:
+    """One dict per circle; the text output reads its values too.  A tangent
+    circle's rhs is its lhs object, and its text is made once."""
     entries = []
     for entry in report.entries:
+        tangency = entry.report
+        lhs = _scalar_json(tangency.lhs)
         entries.append(
             {
                 "circle": entry.circle,
-                "kind": entry.report.kind.value,
-                "lhs": _scalar_json(entry.report.lhs),
-                "rhs": _scalar_json(entry.report.rhs),
-                "residual": _scalar_json(entry.report.residual),
+                "kind": tangency.kind.value,
+                "lhs": lhs,
+                "rhs": lhs if tangency.rhs is tangency.lhs else _scalar_json(tangency.rhs),
+                "residual": _scalar_json(tangency.residual),
             }
         )
     return entries
@@ -246,7 +257,58 @@ def _emit(text: str, out_path: Optional[str]) -> int:
     return EXIT_OK
 
 
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# The ASCII characters that json escapes: quote, backslash, DEL and the controls.
+_JSON_UNSAFE = ('"', "\\", "\x7f", *map(chr, range(32)))
+
+
+def _json_text(value: object, newline: str, strings: List[str]) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` lays it out, nested after
+    ``newline``: dicts with str keys, lists, str, float, int, bool and None.
+    Each str is quoted as it is and appended to ``strings`` for the caller
+    to check."""
+    if isinstance(value, str):
+        strings.append(value)
+        return f'"{value}"'
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        strings.extend(value)
+        items = [f'"{key}": {_json_text(item, inner, strings)}' for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner, strings) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_FLOATS.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _dump_json(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.  The layout is
+    written here, because with an indent the standard library runs its
+    pure-Python encoder.  A document whose strings are not all printable
+    ASCII without ``"`` or ``\\`` (the CLI makes none) is left to ``json``,
+    so escaping can never differ."""
+    strings: List[str] = []
+    text = _json_text(doc, "\n", strings)
+    joined = "".join(strings)
+    if joined.isascii() and not any(char in joined for char in _JSON_UNSAFE):
+        return text + "\n"
+    import json
+
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -265,13 +327,9 @@ def cmd_compute(config: RunConfig) -> int:
         return _emit(_dump_json(doc), config.out_path)
     lines = [f"backend: {config.backend}"]
     if config.vertices_given:
-        pts = ", ".join(
-            f"{n}=({_scalar_json(p.x)}, {_scalar_json(p.y)})"
-            for n, p in zip("ABC", config.vertices)
-        )
+        pts = ", ".join(f"{n}=({x}, {y})" for n, (x, y) in zip("ABC", doc["input"]["vertices"]))
         lines.append(f"vertices: {pts}")
-    a, b, c = config.sides.as_tuple()
-    lines.append(f"sides: a={_scalar_json(a)} b={_scalar_json(b)} c={_scalar_json(c)}")
+    lines.append(_sides_line(config, doc))
     lines.append("metrics:")
     for name, value in doc["metrics"].items():
         lines.append(f"  {name:5s} = {value}")
@@ -301,23 +359,19 @@ def cmd_feuerbach(config: RunConfig) -> int:
     if config.fmt == "json":
         code = _emit(_dump_json(doc), config.out_path)
     else:
-        lines = [f"backend: {config.backend}"]
-        a, b, c = config.sides.as_tuple()
-        lines.append(f"sides: a={_scalar_json(a)} b={_scalar_json(b)} c={_scalar_json(c)}")
-        met = report.metrics
-        lines.append(f"R_sq = {_scalar_json(met.R_sq)}  r_sq = {_scalar_json(met.r_sq)}")
-        lines.append(f"nine-point radius squared (R_sq/4): {_scalar_json(met.R_sq / 4)}")
+        lines = [f"backend: {config.backend}", _sides_line(config, doc)]
+        met = doc["metrics"]
+        lines.append(f"R_sq = {met['R_sq']}  r_sq = {met['r_sq']}")
+        lines.append(f"nine-point radius squared (R_sq/4): {_scalar_json(report.metrics.R_sq / 4)}")
         if report.equilateral:
             lines.append("equilateral: incircle and nine-point circle coincide")
-        for entry in report.entries:
-            kind = entry.report.kind.value
-            if entry.circle == "incircle" and report.equilateral:
+        for entry in doc["feuerbach"]:
+            circle, kind = entry["circle"], entry["kind"]
+            if circle == "incircle" and report.equilateral:
                 kind = f"{kind} (equilateral)"
             lines.append(
-                f"{entry.circle:8s} {kind:18s} "
-                f"d_sq = {_scalar_json(entry.report.lhs)}  "
-                f"rhs = {_scalar_json(entry.report.rhs)}  "
-                f"residual = {_scalar_json(entry.report.residual)}"
+                f"{circle:8s} {kind:18s} d_sq = {entry['lhs']}  "
+                f"rhs = {entry['rhs']}  residual = {entry['residual']}"
             )
         verdict = "all tangencies verified" if report.ok else "TANGENCY CHECK FAILED"
         if config.backend == "float" and report.ok:

@@ -1,12 +1,17 @@
 """Command-line interface: schemas, exit codes, determinism, error text."""
 
+import collections
 import json
 import os
 import random
+import re
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ninepoint import cli
 
@@ -224,6 +229,85 @@ class TestFeuerbach:
     def test_json_roundtrip_byte_identical(self, capsys):
         _, out, _ = run(capsys, "feuerbach", "--sides", "3,4,5", "--format", "json")
         assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_each_printed_value_converted_once(self, capsys, monkeypatch, fmt):
+        # A tangent circle's rhs is its lhs object, and the text output
+        # prints the document's text.  Two small constants are one object
+        # each, printed in several places: the tangent circles' zero residual
+        # and the centroid's weight 1/3.
+        conversions = collections.Counter()
+        rational_text = cli._rational_text
+
+        def counting(value):
+            conversions[value] += 1
+            return rational_text(value)
+
+        monkeypatch.setattr(cli, "_rational_text", counting)
+        code, out, _ = run(capsys, "feuerbach", "--sides", "13/3,4,15/7", "--format", fmt)
+        assert code == 0
+        printed = {F(text) for text in re.findall(r"-?\d+/\d+", out)}
+        assert len(printed) >= 11
+        assert printed <= set(conversions)
+        assert {value for value, count in conversions.items() if count > 1} <= {F(0), F(1, 3)}
+
+
+def json_strings(value):
+    """Every str in a document, keys included."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from json_strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from json_strings(item)
+
+
+def is_plain(text: str) -> bool:
+    return all(" " <= char <= "~" and char not in '"\\' for char in text)
+
+
+PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'))
+# What json escapes, and any code point, lone surrogates included.
+ESCAPED_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\U0001f600"])
+    | st.characters(exclude_categories=())
+)
+NUMBERS = (
+    st.integers()
+    | st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e308, float("nan"),
+                       float("inf"), float("-inf")])
+)
+
+
+def json_documents(text):
+    leaves = st.none() | st.booleans() | NUMBERS | text
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(text, children, max_size=4),
+        max_leaves=30,
+    )
+
+
+class TestJsonWriter:
+    # Plain strings take the writer's own quoting; the rest go to json.
+    @given(json_documents(PLAIN_TEXT) | json_documents(PLAIN_TEXT | ESCAPED_TEXT))
+    @example({})
+    @example([])
+    @example({"a": {}, "b": [], "c": [{}, []]})
+    @example({"lhs": "-12/7", "k": [1.5, -0.0, float("nan"), float("inf"), float("-inf")]})
+    @example({"n": [-3, 2**64 + 1, -(2**70)], "t": [True, False, None]})
+    @example({"q": 'say "hi"', "b": "back\\slash", "c": "\x01\x7f", "u": "\xe9\ud800"})
+    def test_writes_json_dumps_layout(self, doc):
+        expected = json.dumps(doc, indent=2) + "\n"
+        with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
+            assert cli._dump_json(doc) == expected
+        # The standard library runs only for a string that needs escaping.
+        assert dumps.called == (not all(map(is_plain, json_strings(doc))))
 
 
 def seeded_sides(digits: int) -> str:
@@ -551,27 +635,37 @@ def run_fresh(*argvs):
     return json.loads(fresh_python(RUN_ARGVS, json.dumps(argvs)))
 
 
+# Imports a module in a fresh interpreter, then (for ninepoint.cli) answers
+# each request, one space-separated argv per argument, with stdout thrown
+# away; it prints the modules added since start-up.  It reads its arguments
+# without json, so that any json module it reports came from the package.
 COLD_START = """
-import sys
+import io, sys
 bare = set(sys.modules)
 sys.path.insert(0, sys.argv[1])
-__import__(sys.argv[2])
+module = __import__(sys.argv[2], fromlist=["__name__"])
+sys.stdout = io.StringIO()
+codes = [module.main(request.split()) for request in sys.argv[3:]]
+sys.stdout = sys.__stdout__
+assert codes == [0] * len(codes), codes
 print(" ".join(sorted(set(sys.modules) - bare)))
 """
 
 # Introspection modules that dataclasses pulls in and no CLI request needs.
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+# The CLI writes its JSON layout itself.
+JSON_MODULES = {"json", "json.decoder", "json.scanner", "_json"}
 
 
-def modules_added_by(module: str) -> set:
-    """The modules that importing ``module`` adds in a fresh ``python -I``,
-    beyond those the bare interpreter (with its ``site`` and ``.pth``
-    imports) already holds."""
+def modules_added_by(module: str, *requests: str) -> set:
+    """The modules that importing ``module`` and answering ``requests`` adds
+    in a fresh ``python -I``, beyond those the bare interpreter (with its
+    ``site`` and ``.pth`` imports) already holds."""
     import subprocess
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     result = subprocess.run(
-        [sys.executable, "-I", "-c", COLD_START, src, module],
+        [sys.executable, "-I", "-c", COLD_START, src, module, *requests],
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -584,8 +678,19 @@ class TestColdStart:
         assert "ninepoint.cli" in added
         assert added & INTROSPECTION == set()
 
+    def test_cli_answers_json_without_json(self):
+        added = modules_added_by(
+            "ninepoint.cli",
+            "feuerbach --sides 3,4,5 --format json",
+            "compute --sides 3,4,5 --format json",
+            "fuzz --count 1 --format json",
+        )
+        assert "ninepoint.harness" in added
+        assert added & JSON_MODULES == set()
+
     def test_probe_sees_an_added_module(self):
         assert "dataclasses" in modules_added_by("dataclasses")
+        assert "json" in modules_added_by("json")
 
 
 class TestSharedParser:
