@@ -662,7 +662,7 @@ print(" ".join(sorted(set(sys.modules) - bare)))
 # Introspection modules that dataclasses pulls in and no CLI request needs.
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 # The CLI writes its JSON layout itself.
-JSON_MODULES = {"json", "json.decoder", "json.scanner", "_json"}
+JSON_MODULES = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
 
 
 def modules_added_by(module: str, *requests: str) -> set:
