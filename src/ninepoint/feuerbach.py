@@ -19,11 +19,12 @@ rather than tangent.
 
 On exact sides the report and the residuals come from integer polynomials
 instead (see :func:`_tangency_numerators`): the sides are scaled to
-integers, every term is put over one denominator per circle, and tangency
-is decided by comparing integers.  A tangent circle's report then reduces
-one large number, its chosen right-hand side in a closed form that is
-also the left-hand side; the zero residual, the other residual and the
-other right-hand side follow without a large gcd (see
+integers, and each circle's two residuals are e +- 2*abc*d over
+4*d^2*L^2, so tangency is decided by testing e +- 2*abc*d for zero.  A
+tangent circle's report then reduces one large number, its chosen
+right-hand side in a closed form that is also the left-hand side; the
+zero residual and the other residual, -+2*R*r_X, need no large gcd, and
+the other right-hand side is built only when read (see
 :func:`_exact_tangency`).
 
 Tangency classification works on squared quantities only.  The cross term
@@ -103,15 +104,21 @@ class TangencyReport(Record):
     ``lhs`` is the squared center distance; ``rhs_internal``/``rhs_external``
     are (r1 - r2)^2 and (r1 + r2)^2.  Both residuals are carried so a
     NotTangent outcome shows which comparison failed and by how much.
+
+    An exact tangent report from :func:`feuerbach_report` stores its
+    unchosen rhs only once it is read, as ``lhs`` minus its residual; the
+    value, and so ``==``, ``hash``, ``repr``, copy and pickle, are those of
+    the report built with all six fields.
     """
 
-    __slots__ = _fields = (
+    __slots__ = (
+        "kind", "lhs", "_rhs_internal", "_rhs_external", "residual_internal", "residual_external"
+    )
+    _fields = (
         "kind", "lhs", "rhs_internal", "rhs_external", "residual_internal", "residual_external"
     )
     kind: Tangency
     lhs: Scalar
-    rhs_internal: Scalar
-    rhs_external: Scalar
     residual_internal: Scalar
     residual_external: Scalar
 
@@ -126,10 +133,45 @@ class TangencyReport(Record):
     ) -> None:
         set_field(self, "kind", kind)
         set_field(self, "lhs", lhs)
-        set_field(self, "rhs_internal", rhs_internal)
-        set_field(self, "rhs_external", rhs_external)
+        set_field(self, "_rhs_internal", rhs_internal)
+        set_field(self, "_rhs_external", rhs_external)
         set_field(self, "residual_internal", residual_internal)
         set_field(self, "residual_external", residual_external)
+
+    @classmethod
+    def _exact_tangent(
+        cls, kind: Tangency, value: Fraction, residual_internal: Fraction, residual_external: Fraction
+    ) -> "TangencyReport":
+        """A tangent or coincident exact report whose ``lhs`` and chosen rhs
+        are ``value``; the other rhs is left to be built on first read."""
+        report = cls.__new__(cls)
+        set_field(report, "kind", kind)
+        set_field(report, "lhs", value)
+        set_field(
+            report, "_rhs_external" if kind is Tangency.EXTERNAL_TANGENT else "_rhs_internal", value
+        )
+        set_field(report, "residual_internal", residual_internal)
+        set_field(report, "residual_external", residual_external)
+        return report
+
+    @property
+    def rhs_internal(self) -> Scalar:
+        try:
+            return self._rhs_internal
+        except AttributeError:
+            return self._build_rhs("_rhs_internal", self.residual_internal)
+
+    @property
+    def rhs_external(self) -> Scalar:
+        try:
+            return self._rhs_external
+        except AttributeError:
+            return self._build_rhs("_rhs_external", self.residual_external)
+
+    def _build_rhs(self, slot: str, residual: Scalar) -> Scalar:
+        value = self.lhs - residual
+        set_field(self, slot, value)
+        return value
 
     @property
     def _internal_chosen(self) -> bool:
@@ -199,7 +241,8 @@ def classify_tangency_sq(
     elif exact:
         rhs_internal = r1_sq + r2_sq - 2 * cross
         rhs_external = r1_sq + r2_sq + 2 * cross
-        kind = _exact_kind(d_sq, rhs_internal, rhs_external)
+        # A zero rhs_internal means equal radii.
+        kind = _exact_kind(d_sq, rhs_internal, rhs_external, rhs_internal == 0)
     else:
         d_sq = float(d_sq)
         r1_sq_f = float(r1_sq)
@@ -230,71 +273,74 @@ def classify_tangency_sq(
     )
 
 
-def _tangency_numerators(t: _IntegerTriangle, circle: str) -> Tuple[int, int, int, int]:
-    """Integer numerators (lhs, rhs_internal, rhs_external) of |XN|^2,
-    (R/2 - r_X)^2 and (R/2 + r_X)^2 for the circle with center X and radius
-    r_X, and their shared denominator 4*P*d^2*L^2.
+def _tangency_numerators(t: _IntegerTriangle, circle: str) -> Tuple[int, int, int]:
+    """e, 2*abc*d and d of the circle with center X and radius r_X, where
+    d is its weight sum: over 4*d^2*L^2, e + 2*abc*d is the residual
+    |XN|^2 - (R/2 - r_X)^2 and e - 2*abc*d is |XN|^2 - (R/2 + r_X)^2.
 
     With |AN|^2 = (R^2 - a^2 + b^2 + c^2)/4 and cyclic, R^2 = (abc)^2/P and
     weights x/d summing to 1, the barycentric distance identity gives
-    |XN|^2 = R^2/4 + Q1/(4d) - Q2/d^2; the radii satisfy R/2 -+ r_X =
-    (abc*d -+ P) / (2d*sqrt(P)), with the minus sign for the incircle.
-    Uses only ring operations, so it accepts symbolic sides as well.
+    |XN|^2 = R^2/4 + q1/(4d) - q2/d^2; the radii satisfy R/2 -+ r_X =
+    (abc*d -+ P) / (2d*sqrt(P)), with the minus sign for the incircle.  So
+    over 4*P*d^2*L^2 the numerators of |XN|^2 and (R/2 -+ r_X)^2 are
+    (abc*d)^2 + P*(d*q1 - 4*q2) and (abc*d -+ P)^2; their difference is
+    P*(e +- 2*abc*d) with e = d*q1 - 4*q2 - P, and P cancels.  Uses only
+    ring operations, so it accepts symbolic sides as well.
     """
     (x_a, x_b, x_c), d = CENTER_WEIGHTS[_CENTER_OF[circle]](t.a, t.b, t.c)
     a_sq, b_sq, c_sq = t.a * t.a, t.b * t.b, t.c * t.c
     q1 = x_a * (-a_sq + b_sq + c_sq) + x_b * (a_sq - b_sq + c_sq) + x_c * (a_sq + b_sq - c_sq)
     q2 = x_b * x_c * a_sq + x_c * x_a * b_sq + x_a * x_b * c_sq
-    abc_d = t.abc * d
-    lhs = abc_d * abc_d + t.P * (d * q1 - 4 * q2)
-    return lhs, (abc_d - t.P) ** 2, (abc_d + t.P) ** 2, 4 * t.P * (d * t.L) ** 2
+    return d * q1 - 4 * q2 - t.P, 2 * t.abc * d, d
 
 
-def _exact_kind(lhs: Scalar, rhs_internal: Scalar, rhs_external: Scalar) -> Tangency:
-    """The exact tangency decision.  With positive radii a zero
-    ``rhs_internal`` means equal radii, so coincident is a zero center
-    distance and a zero ``rhs_internal``."""
-    if lhs == 0 and rhs_internal == 0:
-        return Tangency.COINCIDENT
+def _exact_kind(
+    lhs: Scalar, rhs_internal: Scalar, rhs_external: Scalar, equal_radii: bool
+) -> Tangency:
+    """The exact tangency decision: ``lhs`` against each rhs, on the
+    values or on any one affine image of all three.  Coincident is an
+    internal tangency of equal radii, that is a zero center distance."""
     if lhs == rhs_internal:
-        return Tangency.INTERNAL_TANGENT
+        return Tangency.COINCIDENT if equal_radii else Tangency.INTERNAL_TANGENT
     if lhs == rhs_external:
         return Tangency.EXTERNAL_TANGENT
     return Tangency.NOT_TANGENT
 
 
-def _exact_tangency(t: _IntegerTriangle, circle: str) -> TangencyReport:
+def _exact_tangency(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> TangencyReport:
     """The exact branch of :func:`classify_tangency_sq`, decided on integers.
 
-    A tangent kind gives every field from closed forms.  The circle's
-    weight sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen
-    rhs (abc*d -+ P)^2 / (4*P*d^2*L^2) is (abc -+ P/d)^2 / (4*P*L^2), and
-    it equals lhs; its residual is zero.  The two rhs differ by
-    4*abc*d*P over the shared denominator, that is abc/(d*L^2) = 2*R*r_X,
-    which is the other residual up to sign.  So one large number is
-    reduced per circle.  NotTangent has no identity to lean on and reduces
-    all five numerators."""
-    lhs, rhs_internal, rhs_external, den = _tangency_numerators(t, circle)
-    kind = _exact_kind(lhs, rhs_internal, rhs_external)
+    |XN|^2 equals (R/2 - r_X)^2 exactly when e = -2*abc*d, and (R/2 + r_X)^2
+    when e = 2*abc*d; the radii are equal when abc*d = P, where
+    (R/2 - r_X)^2 vanishes.  A tangent kind gives every field from closed forms.  The circle's weight
+    sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen rhs
+    (abc*d -+ P)^2 / (4*P*d^2*L^2) is (abc -+ P/d)^2 / (4*P*L^2), and it
+    equals lhs; its residual is zero.  The two residuals differ by
+    4*abc*d / (4*d^2*L^2) = 2*R*r_X, so the other one is -+2*R*r_X, read
+    from ``met``.  So one large number is reduced per circle, and the other
+    rhs, lhs minus its residual, is built only if it is read.  NotTangent
+    has no identity to lean on and reduces all five fields."""
+    e, two_abc_d, d = _tangency_numerators(t, circle)
+    kind = _exact_kind(e, -two_abc_d, two_abc_d, two_abc_d == 2 * t.P)
     if kind is Tangency.NOT_TANGENT:
+        den = 4 * (d * t.L) ** 2
+        abc_d = t.abc * d
+        rhs_internal = (abc_d - t.P) ** 2
         return TangencyReport(
             kind=kind,
-            lhs=Fraction(lhs, den),
-            rhs_internal=Fraction(rhs_internal, den),
-            rhs_external=Fraction(rhs_external, den),
-            residual_internal=Fraction(lhs - rhs_internal, den),
-            residual_external=Fraction(lhs - rhs_external, den),
+            lhs=Fraction(rhs_internal + t.P * (e + two_abc_d), t.P * den),
+            rhs_internal=Fraction(rhs_internal, t.P * den),
+            rhs_external=Fraction((abc_d + t.P) ** 2, t.P * den),
+            residual_internal=Fraction(e + two_abc_d, den),
+            residual_external=Fraction(e - two_abc_d, den),
         )
-    d = (t.p, t.u, t.v, t.w)[CIRCLES.index(circle)]
-    P_over_d = t.P // d
-    L_sq = t.L * t.L
+    mixed = _radius_terms(met, circle)[1]
+    den = 4 * t.P * t.L * t.L
     if kind is Tangency.EXTERNAL_TANGENT:
-        value = Fraction((t.abc + P_over_d) ** 2, 4 * t.P * L_sq)
-        residual_internal = Fraction(t.abc, d * L_sq)
-        return TangencyReport(kind, value, value - residual_internal, value, residual_internal, _ZERO)
-    value = Fraction((t.abc - P_over_d) ** 2, 4 * t.P * L_sq)
-    residual_external = Fraction(-t.abc, d * L_sq)
-    return TangencyReport(kind, value, value, value - residual_external, _ZERO, residual_external)
+        value = Fraction((t.abc + t.P // d) ** 2, den)
+        return TangencyReport._exact_tangent(kind, value, 2 * mixed, _ZERO)
+    value = Fraction((t.abc - t.P // d) ** 2, den)
+    return TangencyReport._exact_tangent(kind, value, _ZERO, -2 * mixed)
 
 
 def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
@@ -302,8 +348,9 @@ def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     excircle: the comparison Feuerbach's theorem makes exact."""
     internal = circle == "incircle"
     if sides.is_exact:
-        lhs, rhs_internal, rhs_external, den = _tangency_numerators(sides._integer_form, circle)
-        return Fraction(lhs - (rhs_internal if internal else rhs_external), den)
+        t = sides._integer_form
+        e, two_abc_d, d = _tangency_numerators(t, circle)
+        return Fraction(e + two_abc_d if internal else e - two_abc_d, 4 * (d * t.L) ** 2)
     met = metrics(sides)
     r_sq, mixed = _radius_terms(met, circle)
     d_sq = barycentric_distance_sq(
@@ -393,7 +440,7 @@ def feuerbach_report(
     """Classify nine-point circle against incircle and the three excircles."""
     met = metrics(sides)
     if sides.is_exact:
-        reports = tuple(_exact_tangency(sides._integer_form, circle) for circle in CIRCLES)
+        reports = tuple(_exact_tangency(sides._integer_form, met, circle) for circle in CIRCLES)
     else:
         # Each center's |XN|^2 comes from the same three vertex-to-N distances.
         vertex_dist_sq = sides._vertex_ninepoint_dist_sq

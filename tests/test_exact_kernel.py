@@ -4,6 +4,7 @@ metric and report field against the Fraction closed forms, evaluated
 here."""
 
 import collections
+import math
 import types
 from fractions import Fraction
 
@@ -14,14 +15,20 @@ from hypothesis import strategies as st
 from ninepoint.feuerbach import (
     Tangency,
     TangencyReport,
-    _exact_kind,
     _exact_tangency,
     _tangency_numerators,
     excircle_ninepoint_residual,
     feuerbach_report,
     incircle_ninepoint_residual,
 )
-from ninepoint.triangle import CENTER_WEIGHTS, SideLengths, _integer_triangle, metrics
+from ninepoint.triangle import (
+    CENTER_WEIGHTS,
+    Barycentric,
+    SideLengths,
+    _integer_triangle,
+    barycentric_distance_sq,
+    metrics,
+)
 
 F = Fraction
 
@@ -38,53 +45,70 @@ def center_weights(a, b, c):
     }
 
 
-def test_tangency_numerators_are_polynomial_identities():
-    """lhs - rhs vanishes in Z[a, b, c] for the expected tangency of each
-    circle, and the numerators over their denominator are |XN|^2,
-    (R/2 - r_X)^2 and (R/2 + r_X)^2."""
-    sympy = pytest.importorskip("sympy")
-    a, b, c = sympy.symbols("a b c", positive=True)
-    t = _integer_triangle(a, b, c)
+def symbolic_closed_forms(sympy, a, b, c, L):
+    """R^2 and, per circle, (|XN|^2, r_X^2, R*r_X) for sides a/L, b/L, c/L,
+    from the barycentric distance identity and the metric closed forms."""
     P = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
-    R_sq = (a * b * c) ** 2 / P
+    R_sq = (a * b * c) ** 2 / (P * L**2)
+    a_sq, b_sq, c_sq = (a / L) ** 2, (b / L) ** 2, (c / L) ** 2
     vertex_n_sq = (
-        (R_sq - a**2 + b**2 + c**2) / 4,
-        (R_sq + a**2 - b**2 + c**2) / 4,
-        (R_sq + a**2 + b**2 - c**2) / 4,
+        (R_sq - a_sq + b_sq + c_sq) / 4,
+        (R_sq + a_sq - b_sq + c_sq) / 4,
+        (R_sq + a_sq + b_sq - c_sq) / 4,
     )
+    out = {}
     for circle, ((x_a, x_b, x_c), d) in center_weights(a, b, c).items():
-        lhs, rhs_internal, rhs_external, den = _tangency_numerators(t, circle)
-        tangent = rhs_internal if circle == "incircle" else rhs_external
-        assert sympy.expand(lhs - tangent) == 0, circle
-
         alpha, beta, gamma = x_a / d, x_b / d, x_c / d
         dist_sq = (
             alpha * vertex_n_sq[0] + beta * vertex_n_sq[1] + gamma * vertex_n_sq[2]
-            - (beta * gamma * a**2 + gamma * alpha * b**2 + alpha * beta * c**2)
+            - (beta * gamma * a_sq + gamma * alpha * b_sq + alpha * beta * c_sq)
         )
-        radius_sq = P / (4 * d**2)  # K^2 / (s - x)^2 with K^2 = P/16
-        mixed = a * b * c / (2 * d)  # R * r_X = abc / 4(s - x)
-        assert sympy.cancel(lhs / den - dist_sq) == 0, circle
-        assert sympy.cancel(rhs_internal / den - (R_sq / 4 + radius_sq - mixed)) == 0, circle
-        assert sympy.cancel(rhs_external / den - (R_sq / 4 + radius_sq + mixed)) == 0, circle
+        radius_sq = P / (4 * d**2 * L**2)  # K^2 / (s - x)^2 with K^2 = P/(16 L^4)
+        mixed = a * b * c / (2 * d * L**2)  # R * r_X = abc / 4(s - x)
+        out[circle] = (dist_sq, radius_sq, mixed)
+    return R_sq, out
+
+
+def test_tangency_numerators_are_polynomial_identities():
+    """Over 4*P*d^2*L^2, |XN|^2 - (R/2 -+ r_X)^2 is P*(e +- 2*abc*d); and
+    e + 2*abc*p vanishes in Z[a, b, c] for the incircle, e - 2*abc*d for
+    each excircle."""
+    sympy = pytest.importorskip("sympy")
+    a, b, c, L = sympy.symbols("a b c L", positive=True)
+    t = _integer_triangle(a, b, c, L)
+    R_sq, closed = symbolic_closed_forms(sympy, a, b, c, L)
+    for circle, (dist_sq, radius_sq, mixed) in closed.items():
+        e, two_abc_d, d = _tangency_numerators(t, circle)
+        assert sympy.expand(two_abc_d - 2 * a * b * c * d) == 0, circle
+        den = 4 * t.P * d**2 * L**2
+        base = R_sq / 4 + radius_sq
+        assert sympy.cancel((dist_sq - (base - mixed)) * den - t.P * (e + two_abc_d)) == 0
+        assert sympy.cancel((dist_sq - (base + mixed)) * den - t.P * (e - two_abc_d)) == 0
+        if circle == "incircle":
+            assert d == t.p
+            assert sympy.expand(e + two_abc_d) == 0
+        else:
+            assert sympy.expand(e - two_abc_d) == 0, circle
 
 
 def test_cancelled_closed_forms_are_polynomial_identities():
-    """The weight sum d of each circle divides P; the chosen rhs over its
-    denominator is (abc -+ P/d)^2 / (4*P*L^2); and the two rhs numerators
-    differ by 4*abc*d*P, so the unchosen residual is -+abc/(d*L^2)."""
+    """The weight sum d of each circle divides P; (R/2 -+ r_X)^2 is
+    (abc -+ P/d)^2 / (4*P*L^2); and the two residuals differ by 2*R*r_X."""
     sympy = pytest.importorskip("sympy")
     a, b, c, L = sympy.symbols("a b c L", positive=True)
     t = _integer_triangle(a, b, c, L)
     abc, P = t.abc, sympy.expand(t.P)
+    R_sq, closed = symbolic_closed_forms(sympy, a, b, c, L)
     for circle, (_, d) in center_weights(a, b, c).items():
+        _, radius_sq, mixed = closed[circle]
         P_over_d, remainder = sympy.div(P, d, a, b, c)
         assert remainder == 0, circle
-        _, rhs_internal, rhs_external, den = _tangency_numerators(t, circle)
-        assert sympy.cancel((abc - P_over_d) ** 2 / (4 * P * L**2) - rhs_internal / den) == 0
-        assert sympy.cancel((abc + P_over_d) ** 2 / (4 * P * L**2) - rhs_external / den) == 0
-        assert sympy.expand(rhs_external - rhs_internal - 4 * abc * d * P) == 0, circle
-        assert sympy.cancel(4 * abc * d * P / den - abc / (d * L**2)) == 0, circle
+        base = R_sq / 4 + radius_sq
+        assert sympy.cancel((abc - P_over_d) ** 2 / (4 * P * L**2) - (base - mixed)) == 0
+        assert sympy.cancel((abc + P_over_d) ** 2 / (4 * P * L**2) - (base + mixed)) == 0
+        e, two_abc_d, _ = _tangency_numerators(t, circle)
+        residual_gap = ((e + two_abc_d) - (e - two_abc_d)) / (4 * d**2 * L**2)
+        assert sympy.cancel(residual_gap - 2 * mixed) == 0, circle
 
 
 # --- the preliminaries, proven in coordinates ------------------------------
@@ -239,10 +263,11 @@ def test_barycentric_distance_identity(model):
     assert model.vanishes(_dist_sq(x, y_pt) - identity)
 
 
-def closed_form_metrics(a: Fraction, b: Fraction, c: Fraction) -> dict:
+def closed_form_metrics(a: Fraction, b: Fraction, c: Fraction, abc: Fraction) -> dict:
+    """The metric fields from Heron's formula, with ``abc`` standing for
+    the product of the sides."""
     s = (a + b + c) / 2
     K_sq = s * (s - a) * (s - b) * (s - c)
-    abc = a * b * c
     return {
         "s": s,
         "K_sq": K_sq,
@@ -315,7 +340,7 @@ def big_rational_triangles(draw):
 @given(big_rational_triangles())
 def test_exact_kernel_matches_fraction_closed_forms(sides: SideLengths):
     a, b, c = sides.as_tuple()
-    want = closed_form_metrics(a, b, c)
+    want = closed_form_metrics(a, b, c, a * b * c)
     met = metrics(sides)
     for name, value in want.items():
         got = getattr(met, name)
@@ -357,62 +382,101 @@ def test_exact_kernel_matches_fraction_closed_forms(sides: SideLengths):
         assert excircle_ninepoint_residual(sides, vertex) == lhs - rhs_external == 0
 
 
-def reduced_tangency(t, circle: str) -> TangencyReport:
-    """Every field reduced from its numerator over 4*P*d^2*L^2, as the exact
-    report once built them all."""
-    lhs, rhs_internal, rhs_external, den = _tangency_numerators(t, circle)
+def reference_report(sides: SideLengths, circle: str, abc: Fraction) -> TangencyReport:
+    """Every field from Fraction closed forms: R^2/4 + r_X^2 -+ R*r_X, and
+    |XN|^2 by ``barycentric_distance_sq``, with ``abc`` standing for the
+    product of the sides; the kind from comparing them."""
+    a, b, c = sides.as_tuple()
+    met = closed_form_metrics(a, b, c, abc)
+    k = CIRCLES.index(circle)
+    radius_sq = (met["r_sq"], met["rA_sq"], met["rB_sq"], met["rC_sq"])[k]
+    mixed = (met["Rr"], met["RrA"], met["RrB"], met["RrC"])[k]
+    weights, total = center_weights(a, b, c)[circle]
+    center = Barycentric(*(x / total for x in weights))
+    vertex_n_sq = (
+        (met["R_sq"] - a * a + b * b + c * c) / 4,
+        (met["R_sq"] + a * a - b * b + c * c) / 4,
+        (met["R_sq"] + a * a + b * b - c * c) / 4,
+    )
+    lhs = barycentric_distance_sq(center, *vertex_n_sq, sides)
+    rhs_internal = met["R_sq"] / 4 + radius_sq - mixed
+    rhs_external = met["R_sq"] / 4 + radius_sq + mixed
+    if lhs == rhs_internal:
+        kind = Tangency.COINCIDENT if lhs == 0 else Tangency.INTERNAL_TANGENT
+    elif lhs == rhs_external:
+        kind = Tangency.EXTERNAL_TANGENT
+    else:
+        kind = Tangency.NOT_TANGENT
     return TangencyReport(
-        kind=_exact_kind(lhs, rhs_internal, rhs_external),
-        lhs=Fraction(lhs, den),
-        rhs_internal=Fraction(rhs_internal, den),
-        rhs_external=Fraction(rhs_external, den),
-        residual_internal=Fraction(lhs - rhs_internal, den),
-        residual_external=Fraction(lhs - rhs_external, den),
+        kind, lhs, rhs_internal, rhs_external, lhs - rhs_internal, lhs - rhs_external
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(big_rational_triangles())
 def test_closed_form_report_matches_reduced_numerators(sides: SideLengths):
-    """All six fields (report equality compares each) equal the five
-    reductions, on the tangent kinds the closed forms serve and on
-    NotTangent, reached here by moving abc."""
-    t = sides._integer_form
+    """All six fields (report equality compares each) equal the reduced
+    Fractions of the reference, on the tangent kinds the closed forms serve
+    and on NotTangent, reached here by moving abc; both residual functions
+    are zero."""
+    a, b, c = sides.as_tuple()
+    t, met = sides._integer_form, metrics(sides)
     for circle, entry in zip(CIRCLES, feuerbach_report(sides).entries):
-        assert entry.report == reduced_tangency(t, circle), circle
-    off = t._replace(abc=t.abc + 1)  # lhs - rhs is then a nonzero multiple of 2*d*P
+        assert entry.report == reference_report(sides, circle, a * b * c), circle
+    assert incircle_ninepoint_residual(sides) == 0
+    assert all(excircle_ninepoint_residual(sides, vertex) == 0 for vertex in "ABC")
+    # The scaled abc is t.abc = L^3 * abc; moving it by one makes every
+    # residual nonzero.
+    off = t._replace(abc=t.abc + 1)
+    moved = a * b * c + Fraction(1, t.L**3)
     for circle in CIRCLES:
-        got = _exact_tangency(off, circle)
+        got = _exact_tangency(off, met, circle)
         assert got.kind is Tangency.NOT_TANGENT
-        assert got == reduced_tangency(off, circle), circle
+        assert got == reference_report(sides, circle, moved), circle
 
 
-def count_fraction_constructions(monkeypatch) -> collections.Counter:
-    """Wrap ``Fraction.__new__`` so that each construction is counted; the
-    wrapper stays in place until the test ends."""
+def count_large_gcds(monkeypatch, bits: int) -> collections.Counter:
+    """Wrap ``math.gcd``, which ``Fraction`` reduces with on every Python
+    version, so that each call whose operands all exceed ``bits`` bits is
+    counted; the wrapper stays in place until the test ends."""
     calls = collections.Counter()
-    original = Fraction.__new__
+    original = math.gcd
 
-    def counted(cls, *args, **kwargs):
-        calls["__new__"] += 1
-        return original(cls, *args, **kwargs)
+    def counted(*args):
+        if all(abs(n).bit_length() > bits for n in args):
+            calls["large"] += 1
+        return original(*args)
 
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    monkeypatch.setattr(math, "gcd", counted)
     return calls
 
 
 @pytest.mark.parametrize(
-    "sides",
-    [(3, 4, 5), (2, 3, 4), (1, 1, 1), (F(7, 3), F(7, 3), F(5, 2)),
-     (F(10**40 + 7, 3**50), F(10**40 + 3, 3**50 + 1), F(10**40, 7**40))],
-    ids=["3-4-5", "2-3-4", "equilateral", "isoceles", "40-digit"],
+    "sides, tangent",
+    [((F(10**40 + 7, 3**50), F(10**40 + 3, 3**50 + 1), F(10**40, 7**40)), 4),
+     ((F(10**40 + 7, 3**50), F(10**40 + 7, 3**50), F(10**40 + 3, 3**50 + 1)), 4),
+     ((F(10**40 + 7, 3**50),) * 3, 3)],
+    ids=["scalene", "isoceles", "equilateral"],
 )
-def test_exact_report_builds_three_fractions_per_circle(monkeypatch, sides):
-    """With the metrics cached, each circle's report builds its one reduced
-    value, the unchosen residual and the unchosen rhs; nothing else."""
+def test_exact_report_reduces_one_large_number_per_tangent_circle(monkeypatch, sides, tangent):
+    """With the metrics cached, each tangent circle's report reduces its
+    one value (a coincident circle's is zero); its other residual comes
+    from the metrics without a large gcd, and its other rhs is built on
+    first read, once."""
     sides = SideLengths(*sides)
     metrics(sides)
-    calls = count_fraction_constructions(monkeypatch)
+    calls = count_large_gcds(monkeypatch, 128)
     report = feuerbach_report(sides)
-    assert calls["__new__"] == 3 * len(CIRCLES)
+    assert calls["large"] == tangent
     assert report.ok
+    reports = [entry.report for entry in report.entries]
+    for got in reports:
+        assert got.rhs is got.lhs or got.kind is Tangency.COINCIDENT
+        assert type(got.residual_internal) is type(got.residual_external) is Fraction
+    assert calls["large"] == tangent
+    first = [(got.rhs_internal, got.rhs_external) for got in reports]
+    assert calls["large"] >= 2 * tangent
+    read = calls["large"]
+    second = [(got.rhs_internal, got.rhs_external) for got in reports]
+    assert all(x is y for pair, again in zip(first, second) for x, y in zip(pair, again))
+    assert calls["large"] == read

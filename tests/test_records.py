@@ -7,6 +7,8 @@ assignment or deletion.  Classes with a ``dict`` field compare field-wise
 but cannot be hashed.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 from typing import Any, Callable, Dict, NamedTuple, Tuple
 
@@ -14,7 +16,13 @@ import pytest
 
 from ninepoint.centers import CenterSet
 from ninepoint.cli import RunConfig
-from ninepoint.feuerbach import FeuerbachEntry, FeuerbachReport, Tangency, TangencyReport
+from ninepoint.feuerbach import (
+    FeuerbachEntry,
+    FeuerbachReport,
+    Tangency,
+    TangencyReport,
+    feuerbach_report,
+)
 from ninepoint.harness import FuzzProfile, IdentityCheck, OracleResult, SuiteReport
 from ninepoint.numeric import ToleranceProfile
 from ninepoint.svg import ViewTransform
@@ -246,3 +254,42 @@ def test_derived_values_leave_the_fields_alone():
     assert sides == fresh and hash(sides) == hash(fresh) and repr(sides) == repr(fresh)
     centers = CenterSet({"G": Barycentric(1, 0, 0)}, {"O": (0.0, 0.0)}, None)
     assert centers == CenterSet({"G": Barycentric(1, 0, 0)}, {"O": (0.0, 0.0)})
+
+
+# The 3-4-5 triangle's incircle and excircle opposite A, with all six
+# fields given.
+_EXACT_REPORTS = {
+    "incircle": TangencyReport(Tangency.INTERNAL_TANGENT, F(1, 16), F(1, 16), F(81, 16), F(0), F(-5)),
+    "exA": TangencyReport(Tangency.EXTERNAL_TANGENT, F(169, 16), F(9, 16), F(169, 16), F(10), F(0)),
+}
+
+
+@pytest.mark.parametrize("index, circle", [(0, "incircle"), (1, "exA")])
+def test_exact_report_with_rhs_built_on_read(index, circle):
+    # An exact tangent report stores its unchosen rhs only when it is
+    # read; every record operation sees the value the full report holds.
+    full = _EXACT_REPORTS[circle]
+    unread = "_rhs_external" if index == 0 else "_rhs_internal"
+
+    def fresh() -> TangencyReport:
+        report = feuerbach_report(SideLengths(3, 4, 5)).entries[index].report
+        assert not hasattr(report, unread)
+        return report
+
+    assert fresh() == full and full == fresh() and not fresh() != full
+    assert hash(fresh()) == hash(full)
+    assert repr(fresh()) == repr(full)
+    for rebuild in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        assert rebuild(fresh()) == full
+    report = fresh()
+    fields = CASES[TangencyReport].fields
+    assert tuple(getattr(report, name) for name in fields) == tuple(
+        getattr(full, name) for name in fields
+    )
+    assert getattr(report, unread[1:]) is getattr(report, unread[1:])
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(report, name, F(0))
+        with pytest.raises(AttributeError):
+            delattr(report, name)
+    assert report == full
