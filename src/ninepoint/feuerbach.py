@@ -140,7 +140,11 @@ class TangencyReport(Record):
 
     @classmethod
     def _exact_tangent(
-        cls, kind: Tangency, value: Fraction, residual_internal: Fraction, residual_external: Fraction
+        cls,
+        kind: Tangency,
+        value: Fraction,
+        residual_internal: Fraction,
+        residual_external: Fraction,
     ) -> "TangencyReport":
         """A tangent or coincident exact report whose ``lhs`` and chosen rhs
         are ``value``; the other rhs is left to be built on first read."""
@@ -312,14 +316,15 @@ def _exact_tangency(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> T
 
     |XN|^2 equals (R/2 - r_X)^2 exactly when e = -2*abc*d, and (R/2 + r_X)^2
     when e = 2*abc*d; the radii are equal when abc*d = P, where
-    (R/2 - r_X)^2 vanishes.  A tangent kind gives every field from closed forms.  The circle's weight
-    sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen rhs
-    (abc*d -+ P)^2 / (4*P*d^2*L^2) is (abc -+ P/d)^2 / (4*P*L^2), and it
-    equals lhs; its residual is zero.  The two residuals differ by
-    4*abc*d / (4*d^2*L^2) = 2*R*r_X, so the other one is -+2*R*r_X, read
-    from ``met``.  So one large number is reduced per circle, and the other
-    rhs, lhs minus its residual, is built only if it is read.  NotTangent
-    has no identity to lean on and reduces all five fields."""
+    (R/2 - r_X)^2 vanishes.  A tangent kind gives every field from closed
+    forms.  The circle's weight sum d (one of p, u, v, w) divides
+    P = p*u*v*w, so the chosen rhs (abc*d -+ P)^2 / (4*P*d^2*L^2) is
+    (abc -+ P/d)^2 / (4*P*L^2), and it equals lhs; its residual is zero.
+    The two residuals differ by 4*abc*d / (4*d^2*L^2) = 2*R*r_X, so the
+    other one is -+2*R*r_X, read from ``met``.  So one large number is
+    reduced per circle, and the other rhs, lhs minus its residual, is built
+    only if it is read.  NotTangent has no identity to lean on and reduces
+    all five fields."""
     e, two_abc_d, d = _tangency_numerators(t, circle)
     kind = _exact_kind(e, -two_abc_d, two_abc_d, two_abc_d == 2 * t.P)
     if kind is Tangency.NOT_TANGENT:

@@ -435,15 +435,15 @@ def test_closed_form_report_matches_reduced_numerators(sides: SideLengths):
         assert got == reference_report(sides, circle, moved), circle
 
 
-def count_large_gcds(monkeypatch, bits: int) -> collections.Counter:
+def count_large_gcds(monkeypatch) -> collections.Counter:
     """Wrap ``math.gcd``, which ``Fraction`` reduces with on every Python
-    version, so that each call whose operands all exceed ``bits`` bits is
+    version, so that each call whose operands all exceed 128 bits is
     counted; the wrapper stays in place until the test ends."""
     calls = collections.Counter()
     original = math.gcd
 
     def counted(*args):
-        if all(abs(n).bit_length() > bits for n in args):
+        if all(abs(n).bit_length() > 128 for n in args):
             calls["large"] += 1
         return original(*args)
 
@@ -465,7 +465,7 @@ def test_exact_report_reduces_one_large_number_per_tangent_circle(monkeypatch, s
     first read, once."""
     sides = SideLengths(*sides)
     metrics(sides)
-    calls = count_large_gcds(monkeypatch, 128)
+    calls = count_large_gcds(monkeypatch)
     report = feuerbach_report(sides)
     assert calls["large"] == tangent
     assert report.ok

@@ -256,21 +256,20 @@ def test_derived_values_leave_the_fields_alone():
     assert centers == CenterSet({"G": Barycentric(1, 0, 0)}, {"O": (0.0, 0.0)})
 
 
-# The 3-4-5 triangle's incircle and excircle opposite A, with all six
-# fields given.
-_EXACT_REPORTS = {
-    "incircle": TangencyReport(Tangency.INTERNAL_TANGENT, F(1, 16), F(1, 16), F(81, 16), F(0), F(-5)),
-    "exA": TangencyReport(Tangency.EXTERNAL_TANGENT, F(169, 16), F(9, 16), F(169, 16), F(10), F(0)),
-}
-
-
-@pytest.mark.parametrize("index, circle", [(0, "incircle"), (1, "exA")])
-def test_exact_report_with_rhs_built_on_read(index, circle):
-    # An exact tangent report stores its unchosen rhs only when it is
-    # read; every record operation sees the value the full report holds.
-    full = _EXACT_REPORTS[circle]
-    unread = "_rhs_external" if index == 0 else "_rhs_internal"
-
+@pytest.mark.parametrize(
+    "index, unread, full",
+    [
+        (0, "_rhs_external", TangencyReport(
+            Tangency.INTERNAL_TANGENT, F(1, 16), F(1, 16), F(81, 16), F(0), F(-5))),
+        (1, "_rhs_internal", TangencyReport(
+            Tangency.EXTERNAL_TANGENT, F(169, 16), F(9, 16), F(169, 16), F(10), F(0))),
+    ],
+    ids=["incircle", "exA"],
+)
+def test_exact_report_with_rhs_built_on_read(index, unread, full):
+    # An exact tangent report of the 3-4-5 triangle stores its unchosen rhs
+    # only when it is read; every record operation sees the value the
+    # report built with all six fields holds.
     def fresh() -> TangencyReport:
         report = feuerbach_report(SideLengths(3, 4, 5)).entries[index].report
         assert not hasattr(report, unread)
