@@ -39,7 +39,7 @@ from typing import Any, Dict, Literal, Optional, Tuple
 
 from . import homogeneous
 from .numeric import Scalar
-from .record import Record, set_field
+from .record import Record
 from .triangle import (
     CENTER_WEIGHTS,
     Barycentric,
@@ -150,19 +150,10 @@ class CenterSet(Record):
     """
 
     _fields = ("barycentric", "frame", "plane")
+    _defaults = {"frame": None, "plane": None}
     barycentric: Dict[str, Barycentric]
     frame: Optional[Dict[str, Any]]
     plane: Any
-
-    def __init__(
-        self,
-        barycentric: Dict[str, Barycentric],
-        frame: Optional[Dict[str, Any]] = None,
-        plane: Any = None,
-    ) -> None:
-        set_field(self, "barycentric", barycentric)
-        set_field(self, "frame", frame)
-        set_field(self, "plane", plane)
 
     @cached_property
     def points(self) -> Dict[str, Point2]:
@@ -183,7 +174,7 @@ def center_set(
     bary = {"G": centroid_barycentric()}
     bary.update(sides._center_barycentrics)
     if vertices is None:
-        return CenterSet(barycentric=bary)
+        return CenterSet(bary, None, None)
     if plane is None:
         plane, vertices = _lift(sides, vertices)
     va, vb, vc = vertices
@@ -200,4 +191,4 @@ def center_set(
         a, b, c = sides.as_tuple()
     for label, weights in CENTER_WEIGHTS.items():
         frame[label] = plane.barycentric_point(*weights(a, b, c), va, vb, vc)
-    return CenterSet(barycentric=bary, frame=frame, plane=plane)
+    return CenterSet(bary, frame, plane)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .numeric import DEFAULT_TOLERANCE, Scalar, ToleranceProfile, is_exact
-from .record import Record, set_field
+from .record import Record
 from .triangle import (
     Barycentric,
     InvalidTriangleError,
@@ -63,24 +63,6 @@ class RunConfig(Record):
     sides: SideLengths
     vertices: Optional[Tuple[Point2, Point2, Point2]]  # None: no embedding on the backend
     vertices_given: bool
-
-    def __init__(
-        self,
-        backend: str,
-        fmt: str,
-        tol: ToleranceProfile,
-        out_path: Optional[str],
-        sides: SideLengths,
-        vertices: Optional[Tuple[Point2, Point2, Point2]],
-        vertices_given: bool,
-    ) -> None:
-        set_field(self, "backend", backend)
-        set_field(self, "fmt", fmt)
-        set_field(self, "tol", tol)
-        set_field(self, "out_path", out_path)
-        set_field(self, "sides", sides)
-        set_field(self, "vertices", vertices)
-        set_field(self, "vertices_given", vertices_given)
 
 
 def _parse_scalar(text: str, backend: str) -> Scalar:
@@ -199,8 +181,7 @@ def _point_json(point: Point2) -> List[Union[str, float]]:
 
 
 def _metrics_dict(met: TriangleMetrics) -> dict:
-    fields = ("s", "K_sq", "R_sq", "r_sq", "rA_sq", "rB_sq", "rC_sq", "Rr", "RrA", "RrB", "RrC")
-    return {name: _scalar_json(getattr(met, name)) for name in fields}
+    return {name: _scalar_json(getattr(met, name)) for name in TriangleMetrics._fields}
 
 
 def _centers_dict(config: RunConfig) -> dict:

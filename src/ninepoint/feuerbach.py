@@ -385,10 +385,6 @@ class FeuerbachEntry(Record):
     circle: str  # one of CIRCLES
     report: TangencyReport
 
-    def __init__(self, circle: str, report: TangencyReport) -> None:
-        set_field(self, "circle", circle)
-        set_field(self, "report", report)
-
     @property
     def ok(self) -> bool:
         if self.circle == "incircle":
@@ -404,18 +400,6 @@ class FeuerbachReport(Record):
     metrics: TriangleMetrics
     equilateral: bool
     entries: Tuple[FeuerbachEntry, ...]
-
-    def __init__(
-        self,
-        sides: SideLengths,
-        metrics: TriangleMetrics,
-        equilateral: bool,
-        entries: Tuple[FeuerbachEntry, ...],
-    ) -> None:
-        set_field(self, "sides", sides)
-        set_field(self, "metrics", metrics)
-        set_field(self, "equilateral", equilateral)
-        set_field(self, "entries", entries)
 
     @property
     def ok(self) -> bool:
@@ -462,11 +446,8 @@ def feuerbach_report(
             for circle in CIRCLES
         )
     return FeuerbachReport(
-        sides=sides,
-        metrics=met,
-        equilateral=sides.is_equilateral,
-        entries=tuple(
-            FeuerbachEntry(circle=circle, report=report)
-            for circle, report in zip(CIRCLES, reports)
-        ),
+        sides,
+        met,
+        sides.is_equilateral,
+        tuple(FeuerbachEntry(circle, report) for circle, report in zip(CIRCLES, reports)),
     )

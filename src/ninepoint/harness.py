@@ -249,10 +249,6 @@ class OracleResult(Record):
     frame: Dict[str, Any]
     frame_radius_sq: Any
 
-    def __init__(self, frame: Dict[str, Any], frame_radius_sq: Any) -> None:
-        set_field(self, "frame", frame)
-        set_field(self, "frame_radius_sq", frame_radius_sq)
-
 
 def cartesian_oracle(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResult:
     """Every center from scratch on ``plane``; see the module docstring for
@@ -296,12 +292,12 @@ def cartesian_oracle(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResul
     ex_c = intersect(c_pt, bis_c, a_pt, ext_a)
 
     return OracleResult(
-        frame={
+        {
             "A": a_pt, "B": b_pt, "C": c_pt,
             "O": circum, "G": centroid, "H": ortho, "N": nine,
             "I": incenter, "Ea": ex_a, "Eb": ex_b, "Ec": ex_c,
         },
-        frame_radius_sq=plane.dist_sq(nine, mid_bc),
+        plane.dist_sq(nine, mid_bc),
     )
 
 
@@ -319,10 +315,6 @@ class SuiteReport(Record):
     __slots__ = _fields = ("checks", "exact")
     checks: Tuple[IdentityCheck, ...]
     exact: bool
-
-    def __init__(self, checks: Tuple[IdentityCheck, ...], exact: bool) -> None:
-        set_field(self, "checks", checks)
-        set_field(self, "exact", exact)
 
     @property
     def passed(self) -> bool:
@@ -639,4 +631,4 @@ def check_identity_suite(
         quarter_r_sq,
     )
 
-    return SuiteReport(checks=tuple(checks), exact=exact)
+    return SuiteReport(tuple(checks), exact)

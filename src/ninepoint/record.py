@@ -1,10 +1,14 @@
 """Frozen value records without :mod:`dataclasses`.
 
 The package's value classes subclass :class:`Record` and list their field
-names in ``_fields``, in parameter order.  Each class writes its own
-``__init__``, which coerces every field as its type requires and stores it
-once with :data:`set_field`; ``Record`` supplies field-wise ``==``,
-``hash`` and ``repr``, and refuses any later assignment or deletion with
+names in ``_fields``, in parameter order.  ``Record.__init__`` binds its
+positional and keyword arguments to those fields, fills the ones left out
+from the class's ``_defaults``, and stores each field once with
+:data:`set_field`; a missing, repeated, unexpected or surplus argument
+raises ``TypeError``, as it would for an ordinary function.  A class that
+coerces or validates its fields writes its own ``__init__`` and stores them
+the same way.  ``Record`` supplies field-wise ``==``, ``hash`` and
+``repr``, and refuses any later assignment or deletion with
 ``AttributeError``.  A class that caches derived values with
 ``functools.cached_property`` keeps an instance ``__dict__`` (it declares
 no ``__slots__``); ``cached_property`` writes to that dict directly, and
@@ -13,12 +17,12 @@ the cache takes no part in equality, hashing or the ``repr``.
 Importing ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and each ``@dataclass`` compiles its generated methods while
 the module loads.  Hand-written records keep that out of every process's
-start-up, and their constructors do less work per instance.
+start-up.
 """
 
 from __future__ import annotations
 
-from typing import Any, Tuple
+from typing import Any, Dict, Tuple
 
 __all__ = ["Record", "set_field"]
 
@@ -32,6 +36,35 @@ class Record:
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
+    _defaults: Dict[str, Any] = {}
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            set_field(self, name, value)
+
+    def _bind(self, args: Tuple[Any, ...], kwargs: Dict[str, Any]) -> Tuple[Any, ...]:
+        """Every field's value, in field order, from a call that did not
+        pass them all positionally."""
+        fields = self._fields
+        call = f"{type(self).__qualname__}()"
+        if len(args) > len(fields):
+            raise TypeError(f"{call} takes {len(fields)} arguments but {len(args)} were given")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in self._defaults:
+                values.append(self._defaults[name])
+            else:
+                raise TypeError(f"{call} missing argument {name!r}")
+        # A keyword still unread names a field given positionally, or none.
+        for name in kwargs:
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{call} got {problem} argument {name!r}")
+        return tuple(values)
 
     def _values(self) -> Tuple[Any, ...]:
         return tuple([getattr(self, name) for name in self._fields])

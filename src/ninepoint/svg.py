@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
-from .record import Record, set_field
+from .record import Record
 from .triangle import Point2, SideLengths, metrics
 from .centers import center_set
 
@@ -37,11 +37,6 @@ class ViewTransform(Record):
     scale: float
     offset_x: float
     offset_y: float
-
-    def __init__(self, scale: float, offset_x: float, offset_y: float) -> None:
-        set_field(self, "scale", scale)
-        set_field(self, "offset_x", offset_x)
-        set_field(self, "offset_y", offset_y)
 
     def x(self, value: float) -> float:
         return self.offset_x + self.scale * value
@@ -145,23 +140,12 @@ def render_svg(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> s
     i_xy = view.point(centers["I"])
     # The two circles coincide exactly when R = 2r, that is exactly on
     # equilateral sides, on either backend.
+    if not sides.is_equilateral:
+        parts.append(_circle("ninepoint", n_xy[0], n_xy[1], view.scale * radius_np, "#cc2200"))
+    parts.append(_circle("incircle", i_xy[0], i_xy[1], view.scale * radius_in, "#0055cc"))
     if sides.is_equilateral:
         parts.append(
-            _circle("incircle", i_xy[0], i_xy[1], view.scale * radius_in, "#0055cc")
-        )
-        parts.append(
-            _text(
-                i_xy[0] + 10.0,
-                i_xy[1] - 10.0,
-                "incircle = nine-point circle (equilateral)",
-            )
-        )
-    else:
-        parts.append(
-            _circle("ninepoint", n_xy[0], n_xy[1], view.scale * radius_np, "#cc2200")
-        )
-        parts.append(
-            _circle("incircle", i_xy[0], i_xy[1], view.scale * radius_in, "#0055cc")
+            _text(i_xy[0] + 10.0, i_xy[1] - 10.0, "incircle = nine-point circle (equilateral)")
         )
     for element_id, (center, radius) in radius_ex.items():
         c_xy = view.point(center)

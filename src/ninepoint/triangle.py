@@ -423,17 +423,17 @@ class SideLengths(Record):
             vw = t.v * t.w
             pu = t.p * t.u
             return TriangleMetrics(
-                s=Fraction(t.p, 2 * t.L),
-                K_sq=Fraction(t.P, 16 * L_sq * L_sq),
-                R_sq=Fraction(t.abc * t.abc, t.P * L_sq),
-                r_sq=Fraction(t.u * vw, 4 * t.p * L_sq),
-                rA_sq=Fraction(t.p * vw, 4 * t.u * L_sq),
-                rB_sq=Fraction(pu * t.w, 4 * t.v * L_sq),
-                rC_sq=Fraction(pu * t.v, 4 * t.w * L_sq),
-                Rr=Fraction(t.abc, 2 * t.p * L_sq),
-                RrA=Fraction(t.abc, 2 * t.u * L_sq),
-                RrB=Fraction(t.abc, 2 * t.v * L_sq),
-                RrC=Fraction(t.abc, 2 * t.w * L_sq),
+                Fraction(t.p, 2 * t.L),  # s
+                Fraction(t.P, 16 * L_sq * L_sq),  # K_sq
+                Fraction(t.abc * t.abc, t.P * L_sq),  # R_sq
+                Fraction(t.u * vw, 4 * t.p * L_sq),  # r_sq
+                Fraction(t.p * vw, 4 * t.u * L_sq),  # rA_sq
+                Fraction(pu * t.w, 4 * t.v * L_sq),  # rB_sq
+                Fraction(pu * t.v, 4 * t.w * L_sq),  # rC_sq
+                Fraction(t.abc, 2 * t.p * L_sq),  # Rr
+                Fraction(t.abc, 2 * t.u * L_sq),  # RrA
+                Fraction(t.abc, 2 * t.v * L_sq),  # RrB
+                Fraction(t.abc, 2 * t.w * L_sq),  # RrC
             )
         a, b, c = self.as_tuple()
         s = (a + b + c) / 2
@@ -444,17 +444,17 @@ class SideLengths(Record):
         K_sq = _area_sq_16(a, b, c) / 16
         abc = a * b * c
         return TriangleMetrics(
-            s=s,
-            K_sq=K_sq,
-            R_sq=(abc * abc) / (16 * K_sq),
-            r_sq=K_sq / (s * s),
-            rA_sq=K_sq / (s_a * s_a),
-            rB_sq=K_sq / (s_b * s_b),
-            rC_sq=K_sq / (s_c * s_c),
-            Rr=abc / (4 * s),
-            RrA=abc / (4 * s_a),
-            RrB=abc / (4 * s_b),
-            RrC=abc / (4 * s_c),
+            s,
+            K_sq,
+            (abc * abc) / (16 * K_sq),  # R_sq
+            K_sq / (s * s),  # r_sq
+            K_sq / (s_a * s_a),  # rA_sq
+            K_sq / (s_b * s_b),  # rB_sq
+            K_sq / (s_c * s_c),  # rC_sq
+            abc / (4 * s),  # Rr
+            abc / (4 * s_a),  # RrA
+            abc / (4 * s_b),  # RrB
+            abc / (4 * s_c),  # RrC
         )
 
     @cached_property
@@ -524,32 +524,6 @@ class TriangleMetrics(Record):
     RrA: Scalar
     RrB: Scalar
     RrC: Scalar
-
-    def __init__(
-        self,
-        s: Scalar,
-        K_sq: Scalar,
-        R_sq: Scalar,
-        r_sq: Scalar,
-        rA_sq: Scalar,
-        rB_sq: Scalar,
-        rC_sq: Scalar,
-        Rr: Scalar,
-        RrA: Scalar,
-        RrB: Scalar,
-        RrC: Scalar,
-    ) -> None:
-        set_field(self, "s", s)
-        set_field(self, "K_sq", K_sq)
-        set_field(self, "R_sq", R_sq)
-        set_field(self, "r_sq", r_sq)
-        set_field(self, "rA_sq", rA_sq)
-        set_field(self, "rB_sq", rB_sq)
-        set_field(self, "rC_sq", rC_sq)
-        set_field(self, "Rr", Rr)
-        set_field(self, "RrA", RrA)
-        set_field(self, "RrB", RrB)
-        set_field(self, "RrC", RrC)
 
 
 def _area_sq_16(a: Scalar, b: Scalar, c: Scalar) -> Scalar:

@@ -4,13 +4,18 @@ Each class is built positionally and by keyword (leaving out the fields
 that have defaults), and the tests pin what callers rely on: the ``repr``
 text, field-wise ``==`` and ``hash``, and ``AttributeError`` on any
 assignment or deletion.  Classes with a ``dict`` field compare field-wise
-but cannot be hashed.
+but cannot be hashed.  A call that an ordinary function would refuse
+raises ``TypeError``, whether the class writes its own constructor or
+uses the one ``Record`` supplies, and an ``ast`` guard keeps classes from
+writing a constructor that only repeats ``Record``'s.
 """
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
-from typing import Any, Callable, Dict, NamedTuple, Tuple
+from pathlib import Path
+from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 import pytest
 
@@ -29,6 +34,7 @@ from ninepoint.svg import ViewTransform
 from ninepoint.triangle import Barycentric, Point2, SideLengths, TriangleMetrics
 
 F = Fraction
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ninepoint"
 
 
 def _report(lhs: float = 1.0) -> TangencyReport:
@@ -292,3 +298,92 @@ def test_exact_report_with_rhs_built_on_read(index, unread, full):
         with pytest.raises(AttributeError):
             delattr(report, name)
     assert report == full
+
+
+def _wrong_calls():
+    """Four calls per class that an ordinary function would refuse: a
+    required field left out (ToleranceProfile has none), an unexpected
+    keyword, one positional argument too many, and a field given both
+    positionally and by keyword."""
+    for cls, case in CASES.items():
+        if case.kwargs():
+            yield cls, "missing", lambda cls=cls, case=case: cls(
+                **dict(list(case.kwargs().items())[1:])
+            )
+        yield cls, "unexpected", lambda cls=cls, case=case: cls(*case.args(), not_a_field=1)
+        yield cls, "surplus", lambda cls=cls, case=case: cls(*case.args(), None)
+        yield cls, "repeated", lambda cls=cls, case=case: cls(
+            *case.args(), **{case.fields[0]: case.args()[0]}
+        )
+
+
+@pytest.mark.parametrize(
+    "call", [pytest.param(call, id=f"{cls.__name__}-{kind}") for cls, kind, call in _wrong_calls()]
+)
+def test_wrong_call_raises_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_defaults_fill_only_the_fields_left_out():
+    bary = {"G": Barycentric(F(1, 3), F(1, 3), F(1, 3))}
+    assert CenterSet(bary, plane=1) == CenterSet(bary, None, 1)
+    assert CenterSet(plane=1, barycentric=bary).frame is None
+
+
+def field_storing_inits(source: str) -> List[str]:
+    """The ``Record`` subclasses whose ``__init__`` does nothing but store
+    each parameter under its own name with ``set_field``, which
+    ``Record.__init__`` already does."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.ClassDef)
+            and any(isinstance(base, ast.Name) and base.id == "Record" for base in node.bases)
+        ):
+            continue
+        for init in node.body:
+            if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                continue
+            params = {arg.arg for arg in init.args.args[1:]}
+            body = init.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            if all(
+                isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Call)
+                and isinstance(stmt.value.func, ast.Name)
+                and stmt.value.func.id == "set_field"
+                and len(stmt.value.args) == 3
+                and isinstance(stmt.value.args[0], ast.Name)
+                and isinstance(stmt.value.args[1], ast.Constant)
+                and isinstance(stmt.value.args[2], ast.Name)
+                and stmt.value.args[1].value == stmt.value.args[2].id in params
+                for stmt in body
+            ):
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_record_writes_the_constructor_record_supplies(path: Path):
+    assert field_storing_inits(path.read_text()) == []
+
+
+def test_detects_a_constructor_that_only_stores_its_parameters():
+    source = (
+        "class Plain(Record):\n"
+        "    def __init__(self, x, y):\n"
+        "        set_field(self, 'x', x)\n"
+        "        set_field(self, 'y', y)\n"
+        "class Coerced(Record):\n"
+        "    def __init__(self, x):\n"
+        "        set_field(self, 'x', float(x))\n"
+        "class Renamed(Record):\n"
+        "    def __init__(self, x):\n"
+        "        set_field(self, '_x', x)\n"
+        "class NotARecord:\n"
+        "    def __init__(self, x):\n"
+        "        set_field(self, 'x', x)\n"
+    )
+    assert field_storing_inits(source) == ["Plain"]
