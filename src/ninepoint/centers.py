@@ -34,12 +34,11 @@ so the three cases are one expression.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import Any, Dict, Literal, Optional, Tuple
 
 from . import homogeneous
 from .numeric import Scalar
-from .record import Record
+from .record import Record, cached
 from .triangle import (
     CENTER_WEIGHTS,
     Barycentric,
@@ -155,7 +154,7 @@ class CenterSet(Record):
     frame: Optional[Dict[str, Any]]
     plane: Any
 
-    @cached_property
+    @cached
     def points(self) -> Dict[str, Point2]:
         """The Cartesian centers in the order O, G, H, N, I, Ea, Eb, Ec;
         empty without vertices."""

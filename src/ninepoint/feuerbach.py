@@ -221,7 +221,8 @@ def classify_tangency_sq(
     if r1_sq <= 0 or r2_sq <= 0:
         raise ValueError("squared radii must be positive")
 
-    exact = all(is_exact(v) for v in (d_sq, r1_sq, r2_sq))
+    # A float distance, the float report's case, settles it at once.
+    exact = type(d_sq) is not float and all(is_exact(v) for v in (d_sq, r1_sq, r2_sq))
     if d_sq < 0:
         # A float distance can land a hair below zero through cancellation
         # in the upstream squared-distance evaluation; clamp that, reject

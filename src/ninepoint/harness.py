@@ -40,7 +40,10 @@ comparison is a cross-multiplication.  An exact suite converts nothing to
 a float unless a check fails, and then only to normalize that check's
 residual, so it runs on numbers beyond the range of a double.  Float
 sides run the same checks on the kernel's floats, in the same order of
-operations.  Each check is one :class:`IdentityCheck`, a ``NamedTuple``.
+operations.  Each check is recorded as a plain ``(name, passed, residual,
+detail)`` row; :class:`SuiteReport` answers ``passed`` and
+``max_residual`` from those rows, and makes them :class:`IdentityCheck`
+named tuples only when ``checks`` is read.
 """
 
 from __future__ import annotations
@@ -49,11 +52,12 @@ import math
 import random
 import sys
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
 from . import homogeneous
 from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
-from .record import Record, set_field
+from .record import Record, cached, set_field
 from .triangle import (
     FloatPlane,
     Point2,
@@ -311,18 +315,35 @@ class IdentityCheck(NamedTuple):
     detail: str = ""
 
 
+Row = Tuple[str, bool, float, str]
+
+
 class SuiteReport(Record):
-    __slots__ = _fields = ("checks", "exact")
-    checks: Tuple[IdentityCheck, ...]
+    """The checks of one suite run.  ``checks`` may be given as plain
+    ``(name, passed, residual, detail)`` rows, as the suite gives them:
+    ``passed`` and ``max_residual`` read the rows, and ``checks`` makes
+    them :class:`IdentityCheck` tuples on first read.  The value, and so
+    ``==``, ``hash``, ``repr``, copy and pickle, is that of the report
+    built from ``IdentityCheck`` tuples."""
+
+    _fields = ("checks", "exact")
     exact: bool
+
+    def __init__(self, checks: Tuple[Row, ...], exact: bool) -> None:
+        set_field(self, "_rows", checks)
+        set_field(self, "exact", exact)
+
+    @cached
+    def checks(self) -> Tuple[IdentityCheck, ...]:
+        return tuple([tuple.__new__(IdentityCheck, row) for row in self._rows])
 
     @property
     def passed(self) -> bool:
-        return all(check.passed for check in self.checks)
+        return all(map(itemgetter(1), self._rows))
 
     @property
     def max_residual(self) -> float:
-        return max((check.residual for check in self.checks), default=0.0)
+        return max(map(itemgetter(2), self._rows), default=0.0)
 
     def failures(self) -> Tuple[IdentityCheck, ...]:
         return tuple(check for check in self.checks if not check.passed)
@@ -393,23 +414,23 @@ def check_identity_suite(
         scale_len_sq = _as_float(R_sq)
         scale_len = math.sqrt(scale_len_sq)
 
-    checks: List[IdentityCheck] = []
+    checks: List[Row] = []
 
     def record_ratio(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
         # Ratios of the exact plane and kernel Fractions alike.
         n1, d1 = lhs if type(lhs) is tuple else lhs.as_integer_ratio()
         n2, d2 = rhs if type(rhs) is tuple else rhs.as_integer_ratio()
         if n1 * d2 == n2 * d1:
-            checks.append(IdentityCheck(name, True, 0.0, detail))
+            checks.append((name, True, 0.0, detail))
             return
         gap = abs(float(Fraction(n1, d1) - Fraction(n2, d2)))
-        checks.append(IdentityCheck(name, False, gap / max(1.0, abs(_as_float(scale))), detail))
+        checks.append((name, False, gap / max(1.0, abs(_as_float(scale))), detail))
 
     def record_float(name: str, lhs: float, rhs: float, scale: float, detail: str = "") -> None:
         gap = abs(lhs - rhs)
         scale_f = max(1.0, abs(scale), abs(lhs), abs(rhs))
         ok = gap <= abs_eps + rel_eps * scale_f  # suite_tol.bound(scale_f); scale_f >= 1
-        checks.append(IdentityCheck(name, ok, gap / scale_f, detail))
+        checks.append((name, ok, gap / scale_f, detail))
 
     def record_mixed(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
         if type(lhs) is float or type(rhs) is float:
@@ -428,7 +449,7 @@ def check_identity_suite(
         record = record_float
 
     def record_flag(name: str, ok: bool, detail: str = "") -> None:
-        checks.append(IdentityCheck(name, ok, 0.0 if ok else math.inf, detail))
+        checks.append((name, ok, 0.0 if ok else math.inf, detail))
 
     zero = ring.difference(A, A)
     dist_sq, sub, dot = plane.dist_sq, plane.sub, plane.dot
@@ -437,7 +458,7 @@ def check_identity_suite(
     record("embedding_matches_sides_a", dist_sq(vb, vc), product(A, A), scale_len_sq)
     record("embedding_matches_sides_b", dist_sq(vc, va), product(B, B), scale_len_sq)
     record("embedding_matches_sides_c", dist_sq(va, vb), product(C, C), scale_len_sq)
-    if not all(check.passed for check in checks):
+    if not all(map(itemgetter(1), checks)):
         raise ValueError("embedding does not match the side lengths")
 
     oracle = cartesian_oracle(plane, va, vb, vc)

@@ -10,14 +10,17 @@ Values never migrate between backends implicitly.  ``int`` inputs are
 treated as exact and promoted to ``Fraction`` at type boundaries, which
 keeps ``/`` from silently producing floats.
 
-Both classifiers ask about ``float`` first.  The metaclass of ``Fraction``
+Both classifiers ask about ``float`` first, and ``coerce_scalar`` tests
+the exact type before any ``isinstance``.  The metaclass of ``Fraction``
 is ``ABCMeta``, so ``isinstance(some_float, Fraction)`` runs
 ``ABCMeta.__instancecheck__`` in Python, while ``isinstance`` against
 ``float``, ``int`` or ``bool``, or against the exact type of its argument,
-does not.  ``Fraction`` arithmetic with a float operand still makes that
-check inside ``fractions``: the centroid's ``Fraction(1, 3)`` weights do so
-on purpose, because turning them into floats could move the last bits of
-float results.
+does not.  ``Fraction`` arithmetic with a float operand makes that check
+inside ``fractions``, and then computes with ``float()`` of the
+``Fraction``.  So ``triangle.barycentric_distance_sq`` turns the
+centroid's ``Fraction(1, 3)`` weights into floats itself before they meet
+float distances: the same operations on the same doubles, so no bit
+moves.
 """
 
 from __future__ import annotations
@@ -73,7 +76,11 @@ def is_exact(value: Scalar) -> bool:
 
 
 def coerce_scalar(value: Scalar) -> Scalar:
-    """Promote ints to Fraction; pass Fraction and float through unchanged."""
+    """Promote ints to Fraction; pass Fraction and float through unchanged.
+    Only a subclass of a scalar type reaches an ``isinstance`` test."""
+    kind = type(value)
+    if kind is float or kind is Fraction:
+        return value
     if isinstance(value, float):
         return value
     if isinstance(value, bool):

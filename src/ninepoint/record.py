@@ -10,9 +10,12 @@ coerces or validates its fields writes its own ``__init__`` and stores them
 the same way.  ``Record`` supplies field-wise ``==``, ``hash`` and
 ``repr``, and refuses any later assignment or deletion with
 ``AttributeError``.  A class that caches derived values with
-``functools.cached_property`` keeps an instance ``__dict__`` (it declares
-no ``__slots__``); ``cached_property`` writes to that dict directly, and
-the cache takes no part in equality, hashing or the ``repr``.
+:class:`cached` keeps an instance ``__dict__`` (it declares no
+``__slots__``); ``cached`` writes to that dict directly, and the cache
+takes no part in equality, hashing or the ``repr``.  Unlike
+``functools.cached_property``, it takes no lock (Python 3.11 and earlier
+lock every first read), since a value computed twice by two threads is
+the same value.
 
 Importing ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and each ``@dataclass`` compiles its generated methods while
@@ -22,12 +25,29 @@ start-up.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-__all__ = ["Record", "set_field"]
+__all__ = ["Record", "cached", "set_field"]
 
 # How a constructor stores a field past Record.__setattr__.
 set_field = object.__setattr__
+
+
+class cached:
+    """A method read as an attribute: computed on the first read and stored
+    in the instance ``__dict__``, which later reads find first, since this
+    descriptor defines no ``__set__``."""
+
+    def __init__(self, func: Callable[[Any], Any]) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
+        if instance is None:
+            return self
+        value = self.func(instance)
+        instance.__dict__[self.func.__name__] = value
+        return value
 
 
 class Record:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cached_property
 from fractions import Fraction
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
@@ -50,7 +49,7 @@ from .numeric import (
     is_exact,
     sqrt_exact,
 )
-from .record import Record, set_field
+from .record import Record, cached, set_field
 
 __all__ = [
     "InvalidTriangleError",
@@ -371,7 +370,7 @@ class SideLengths(Record):
 
     # Read by nearly every kernel function; the fields are frozen, so it is
     # decided once, like the derived values below.
-    @cached_property
+    @cached
     def is_exact(self) -> bool:
         return is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
 
@@ -394,7 +393,7 @@ class SideLengths(Record):
     # Derived once per triangle.  The fields are frozen, so these cannot go
     # stale; equality and hashing still read only a, b and c.
 
-    @cached_property
+    @cached
     def _integer_form(self) -> "_IntegerTriangle":
         """Integer form of exact sides; the exact kernel divides only when it
         builds an output field."""
@@ -407,7 +406,7 @@ class SideLengths(Record):
             L,
         )
 
-    @cached_property
+    @cached
     def _metrics(self) -> "TriangleMetrics":
         """K^2 = s(s-a)(s-b)(s-c), R^2 = (abc)^2 / 16K^2, r^2 = K^2/s^2,
         r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a).
@@ -457,7 +456,7 @@ class SideLengths(Record):
             abc / (4 * s_c),  # RrC
         )
 
-    @cached_property
+    @cached
     def _center_barycentrics(self) -> Dict[str, "Barycentric"]:
         """The incenter and the excenters, normalized, by their
         :data:`CENTER_WEIGHTS` label.
@@ -477,7 +476,7 @@ class SideLengths(Record):
             centers[label] = Barycentric(ratio(x_a, d), ratio(x_b, d), ratio(x_c, d))
         return centers
 
-    @cached_property
+    @cached
     def _vertex_ninepoint_dist_sq(self) -> Tuple[Scalar, Scalar, Scalar]:
         """|AN|^2, |BN|^2, |CN|^2: (R^2 - a^2 + b^2 + c^2)/4 and its rotations.
 
@@ -582,13 +581,16 @@ class Barycentric(Record):
     gamma: Scalar
 
     def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar) -> None:
-        alpha = coerce_scalar(alpha)
-        beta = coerce_scalar(beta)
-        gamma = coerce_scalar(gamma)
+        floats = type(alpha) is type(beta) is type(gamma) is float
+        if not floats:
+            alpha = coerce_scalar(alpha)
+            beta = coerce_scalar(beta)
+            gamma = coerce_scalar(gamma)
+            floats = isinstance(alpha, float) or isinstance(beta, float) or isinstance(gamma, float)
         set_field(self, "alpha", alpha)
         set_field(self, "beta", beta)
         set_field(self, "gamma", gamma)
-        if isinstance(alpha, float) or isinstance(beta, float) or isinstance(gamma, float):
+        if floats:
             total = alpha + beta + gamma
             scale = max(1.0, abs(float(alpha)), abs(float(beta)), abs(float(gamma)))
             if abs(float(total) - 1.0) > DEFAULT_TOLERANCE.bound(scale):
@@ -641,7 +643,7 @@ def barycentric_distance_sq(
     dist_by_sq = coerce_scalar(dist_by_sq)
     dist_cy_sq = coerce_scalar(dist_cy_sq)
     # Float first, then the first distance: the centroid's Fraction weights
-    # meet float distances, and both keep the expression below.
+    # meet float distances, and both take the expression below.
     if not (
         isinstance(alpha, float)
         or isinstance(dist_ay_sq, float)
@@ -668,8 +670,19 @@ def barycentric_distance_sq(
         L_sq = t.L * t.L
         return Fraction(weighted * d1 * L_sq - pairwise * d2, d1 * d1 * d2 * L_sq)
     a, b, c = sides.as_tuple()
+    bc, ca, ab = beta * gamma, gamma * alpha, alpha * beta
+    if (
+        type(bc) is not float
+        and type(dist_ay_sq) is type(dist_by_sq) is type(dist_cy_sq) is float
+        and type(a) is type(b) is type(c) is float
+    ):
+        # Exact weights meet only floats below, and a Fraction times a float
+        # is float(Fraction) times that float: converting each weight and
+        # weight product once gives the same bits.
+        alpha, beta, gamma = float(alpha), float(beta), float(gamma)
+        bc, ca, ab = float(bc), float(ca), float(ab)
     weighted = alpha * dist_ay_sq + beta * dist_by_sq + gamma * dist_cy_sq
-    pairwise = beta * gamma * (a * a) + gamma * alpha * (b * b) + alpha * beta * (c * c)
+    pairwise = bc * (a * a) + ca * (b * b) + ab * (c * c)
     return weighted - pairwise
 
 

@@ -32,6 +32,8 @@ from ninepoint.triangle import (
     metrics,
 )
 
+from test_triangle import FRACTION_ARITHMETIC, count_fraction_calls
+
 F = Fraction
 
 
@@ -239,11 +241,13 @@ class TestSuiteFindsKernelFaults:
         monkeypatch.setitem(CENTER_WEIGHTS, "Eb", CENTER_WEIGHTS["Ec"])
         sides, vertices = random_triangle(FuzzProfile(kind="generic", seed=1), 0)
         report = check_identity_suite(sides, vertices)
-        assert report.exact
+        assert report.exact and not report.passed
         assert {check.name for check in report.failures()} == {
             "center_agreement_Eb_x",
             "center_agreement_Eb_y",
         }
+        worst = max(check.residual for check in report.failures())
+        assert report.max_residual == worst > 0
 
 
 class TestExactSuitePath:
@@ -352,15 +356,21 @@ class TestFloatTypeDispatch:
         _, calls = abc_checks(build)
         assert calls == 0
 
-    def test_float_suite_abc_checks(self, abc_checks):
-        # What remains are the centroid's Fraction(1, 3) weights meeting
-        # floats in barycentric_distance_sq.
-        sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
-        sides = sides.as_float()
-        vertices = tuple(p.as_float() for p in vertices)
-        report, calls = abc_checks(lambda: check_identity_suite(sides, vertices))
-        assert report.passed and not report.exact
-        assert calls <= 12
+    def test_float_suite_abc_checks(self, abc_checks, monkeypatch):
+        # The centroid's Fraction(1, 3) weights become floats before they
+        # meet the float distances in barycentric_distance_sq, so no Fraction
+        # meets a float.  The Fraction arithmetic left is the three exact
+        # weight products of each of the two centroid checks.
+        fraction_calls = count_fraction_calls(monkeypatch, FRACTION_ARITHMETIC)
+        for seed in (3, 8, 11):
+            sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=seed), 0)
+            sides = sides.as_float()
+            vertices = tuple(p.as_float() for p in vertices)
+            fraction_calls.clear()
+            report, calls = abc_checks(lambda: check_identity_suite(sides, vertices))
+            assert report.passed and not report.exact
+            assert calls == 0
+            assert sum(fraction_calls.values()) <= 6
 
 
 class TestFloatSuiteConstructions:
@@ -427,6 +437,30 @@ class TestIdentitySuite:
         assert report.passed
         assert not report.exact
         assert report.max_residual <= 1e-12
+
+    @pytest.mark.parametrize(
+        "kind, backend", [("generic", "exact"), ("near-degenerate", "float")]
+    )
+    def test_checks_are_plain_rows_until_read(self, monkeypatch, kind, backend):
+        # The suite records each check as a plain tuple, and the report makes
+        # the IdentityChecks only when its checks are read, without calling
+        # IdentityCheck.__new__.
+        calls = [0]
+        original = IdentityCheck.__new__
+
+        def counting(cls, *args, **kwargs):
+            calls[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(IdentityCheck, "__new__", staticmethod(counting))
+        sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=3), 0)
+        if backend == "float":
+            sides, vertices = sides.as_float(), tuple(p.as_float() for p in vertices)
+        report = check_identity_suite(sides, vertices)
+        assert report.passed and calls == [0]
+        assert len(report.checks) == 87
+        assert all(type(check) is IdentityCheck for check in report.checks)
+        assert calls == [0]
 
     def test_identity_check_is_an_immutable_record(self):
         check = IdentityCheck("x", True, 0.0)

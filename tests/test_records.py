@@ -30,6 +30,7 @@ from ninepoint.feuerbach import (
 )
 from ninepoint.harness import FuzzProfile, IdentityCheck, OracleResult, SuiteReport
 from ninepoint.numeric import ToleranceProfile
+from ninepoint.record import Record, cached
 from ninepoint.svg import ViewTransform
 from ninepoint.triangle import Barycentric, Point2, SideLengths, TriangleMetrics
 
@@ -201,7 +202,18 @@ CASES = {
 }
 
 
+# The identity suite builds its report from plain (name, passed, residual,
+# detail) rows; the report reads as the one built from IdentityChecks.
+SUITE_REPORT_FROM_ROWS = Case(
+    CASES[SuiteReport].fields,
+    lambda: ((("x", True, 0.0, ""),), True),
+    lambda: {"exact": True, "checks": (("x", True, 0.0, ""),)},
+    CASES[SuiteReport].text,
+    lambda: SuiteReport((("x", True, 0.0, ""),), False),
+)
+
 PARAMS = [pytest.param(cls, case, id=cls.__name__) for cls, case in CASES.items()]
+PARAMS.append(pytest.param(SuiteReport, SUITE_REPORT_FROM_ROWS, id="SuiteReport-rows"))
 
 
 def test_every_record_class_is_covered():
@@ -260,6 +272,64 @@ def test_derived_values_leave_the_fields_alone():
     assert sides == fresh and hash(sides) == hash(fresh) and repr(sides) == repr(fresh)
     centers = CenterSet({"G": Barycentric(1, 0, 0)}, {"O": (0.0, 0.0)}, None)
     assert centers == CenterSet({"G": Barycentric(1, 0, 0)}, {"O": (0.0, 0.0)})
+
+
+class Doubled(Record):
+    """A record with one cached derived value, which counts its computations."""
+
+    _fields = ("x",)
+    computed: List[int] = []
+
+    @cached
+    def double(self) -> int:
+        self.computed.append(self.x)
+        return 2 * self.x
+
+
+def test_cached_value_is_computed_once_per_instance(monkeypatch):
+    monkeypatch.setattr(Doubled, "computed", [])
+    one, other = Doubled(1), Doubled(1)
+    assert one.double == 2 and one.double == 2 and Doubled.computed == [1]
+    assert one == other and hash(one) == hash(other)
+    assert repr(one) == repr(other) == "Doubled(x=1)"
+    assert other.double == 2 and Doubled.computed == [1, 1]
+    with pytest.raises(AttributeError):
+        one.double = 3
+    assert one.double == 2 and Doubled.computed == [1, 1]
+
+
+def test_cached_function_is_read_from_the_class():
+    assert Doubled.double.func(Doubled(4)) == 8
+    sides = SideLengths(3, 4, 5)
+    assert SideLengths._metrics.func(sides) == sides._metrics
+
+
+def test_suite_report_from_rows_is_the_report_from_checks():
+    rows = (("x", True, 0.0, ""), ("y", False, 0.5, "why"))
+    checks = tuple(IdentityCheck(*row) for row in rows)
+    full = SuiteReport(checks, False)
+
+    def fresh() -> SuiteReport:
+        return SuiteReport(rows, False)
+
+    assert fresh() == full and full == fresh() and not fresh() != full
+    assert hash(fresh()) == hash(full) and repr(fresh()) == repr(full)
+    for rebuild in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        assert rebuild(fresh()) == full
+    report = fresh()
+    assert report.checks == checks and report.checks is report.checks
+    assert all(type(check) is IdentityCheck for check in report.checks)
+
+
+def test_suite_report_verdicts_agree_on_a_failing_check():
+    rows = (("x", True, 0.25, ""), ("y", False, 2.0, "why"), ("z", True, 0.0, ""))
+    checks = tuple(IdentityCheck(*row) for row in rows)
+    for report in (SuiteReport(rows, False), SuiteReport(checks, False)):
+        assert not report.passed
+        assert report.max_residual == 2.0
+        assert report.failures() == (IdentityCheck("y", False, 2.0, "why"),)
+    empty = SuiteReport((), True)
+    assert empty.passed and empty.max_residual == 0.0 and empty.failures() == ()
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ninepoint.numeric import DEFAULT_TOLERANCE
@@ -370,9 +370,19 @@ class TestBarycentricDistance:
         rational_sides,
         st.booleans(),
     )
+    # Exact weights become floats only when the sides and all three
+    # distances are floats: here an exact distance meets float sides, and
+    # float distances meet exact sides.
+    @example(
+        Barycentric(0, F(1, 3), F(2, 3)), (0, 0, 5), SideLengths(F(1, 25), F(1, 25), F(1, 25)), True
+    )
+    @example(
+        Barycentric(1, 1, -1), (0.0, 0.0, 0.0), SideLengths(F(3, 50), F(1, 25), F(3, 50)), False
+    )
     def test_mixed_and_float_match_reference(self, x, dist_sq, sides, float_sides):
         # Fraction weights with float distances (the centroid's case), and
-        # exact weights and distances on float sides, keep the old expression.
+        # exact weights and distances on float sides, give the bits of the
+        # reference expression.
         if float_sides:
             sides = sides.as_float()
         expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
