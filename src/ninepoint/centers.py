@@ -1,16 +1,17 @@
 """Classical triangle centers in barycentric and Cartesian form.
 
-Barycentric closed forms exist for the centroid G = (1/3, 1/3, 1/3), the
-incenter I = (a, b, c) / 2s, and the excenters, e.g. opposite A:
+Every center has a barycentric closed form, a ring expression of the
+sides: the centroid G = (1/3, 1/3, 1/3), the incenter I = (a, b, c) / 2s,
+the excenters, e.g. opposite A
 
-    E_a = (-a, b, c) / (2(s - a)).
+    E_a = (-a, b, c) / (2(s - a)),
 
-The circumcenter, orthocenter, and nine-point center are handled in
-Cartesian form instead: O is the meet of two perpendicular bisectors, H is
-derived from the Euler relation H - O = 3(G - O), and N is the midpoint of
-O and H.  The altitude property of H and the equal-distance property of N
-are checked against independent constructions in the test harness rather
-than assumed here.
+and, with S_A = b^2 + c^2 - a^2 and cyclic, the circumcenter
+O = (a^2 S_A : b^2 S_B : c^2 S_C), the orthocenter
+H = (S_B S_C : S_C S_A : S_A S_B) and the nine-point center N, the midpoint
+of O and H.  The circumcenter property of O, the altitude property of H and
+the equal-distance property of N are checked against independent
+constructions in the test harness rather than assumed here.
 
 On exact sides the barycentric weights are evaluated on the triangle's
 integer form (weights do not change when the sides are scaled).  The
@@ -24,11 +25,13 @@ suite calls it too and hands the lifted vertices to ``center_set`` and to
 the harness's oracle, so both frames are built on one plane.  Callers read
 the centers as ``Point2``s through ``CenterSet.points``.
 
-The incenter and the excenters come from one weight table,
+All eight come from one weight table,
 :data:`~ninepoint.triangle.CENTER_WEIGHTS`, which the integer kernel reads
-too; their barycentric forms are built once per ``SideLengths``.  The
-other vertex-specific formulas index the sides from the vertex's position,
-so the three cases are one expression.
+too; the barycentric forms of the incenter and the excenters are built
+once per ``SideLengths``, and the Cartesian centers are one
+``barycentric_point`` per entry.  The other vertex-specific formulas index
+the sides from the vertex's position, so the three cases are one
+expression.
 """
 
 from __future__ import annotations
@@ -139,13 +142,12 @@ def _lift(sides: SideLengths, vertices: Tuple[Point2, ...]) -> Tuple[Any, Tuple[
 class CenterSet(Record):
     """Centers of one triangle; Cartesian positions only in coordinate mode.
 
-    Barycentric forms exist for G, I and the excenters regardless of any
-    embedding.  O, H and N have no closed barycentric form here and appear
-    only when vertices are supplied.  ``frame`` holds the Cartesian centers
-    as they were computed, and ``plane`` is the namespace that computed
-    them: integer homogeneous triples for exact sides and vertices, float
-    pairs ``(x, y)`` otherwise.  ``points`` reads them as ``Point2``s, built
-    on first use and cached in the instance ``__dict__``.
+    ``barycentric`` holds G, I and the excenters, which need no embedding.
+    The Cartesian centers appear only when vertices are supplied: ``frame``
+    holds them as they were computed, and ``plane`` is the namespace that
+    computed them: integer homogeneous triples for exact sides and
+    vertices, float pairs ``(x, y)`` otherwise.  ``points`` reads them as
+    ``Point2``s, built on first use and cached in the instance ``__dict__``.
     """
 
     _fields = ("barycentric", "frame", "plane")
@@ -177,10 +179,10 @@ def center_set(
     if plane is None:
         plane, vertices = _lift(sides, vertices)
     va, vb, vc = vertices
-    circum = plane.circumcenter(va, vb, vc)
-    centroid = plane.barycentric_point((1, 1, 1), 3, va, vb, vc)
-    ortho = plane.add(circum, plane.scaled(plane.sub(centroid, circum), 3))  # H = O + 3(G - O)
-    frame = {"O": circum, "G": centroid, "H": ortho, "N": plane.midpoint(circum, ortho)}
+    # The weights read only the sides, so they cannot see collinear
+    # vertices, such as a float embedding whose altitude underflowed.
+    if plane.orientation(va, vb, vc) == 0:
+        raise ValueError("collinear vertices have no circumcenter")
     # Exact sides weigh by their integer form, as _center_barycentrics does:
     # the integer plane needs it, and on floats each k/d rounds as before.
     if sides.is_exact:
@@ -188,6 +190,8 @@ def center_set(
         a, b, c = t.a, t.b, t.c
     else:
         a, b, c = sides.as_tuple()
-    for label, weights in CENTER_WEIGHTS.items():
-        frame[label] = plane.barycentric_point(*weights(a, b, c), va, vb, vc)
+    frame = {
+        label: plane.barycentric_point(*weights(a, b, c), va, vb, vc)
+        for label, weights in CENTER_WEIGHTS.items()
+    }
     return CenterSet(bary, frame, plane)

@@ -53,6 +53,7 @@ from .numeric import (
 from .record import Record, set_field
 from .triangle import (
     CENTER_WEIGHTS,
+    CIRCLE_CENTERS,
     SideLengths,
     TriangleMetrics,
     _IntegerTriangle,
@@ -85,8 +86,8 @@ class Tangency(enum.Enum):
 # incircle, then the excircles opposite A, B and C.
 CIRCLES = ("incircle", "exA", "exB", "exC")
 
-# Each circle's center, a label of triangle.CENTER_WEIGHTS (I, Ea, Eb, Ec).
-_CENTER_OF = dict(zip(CIRCLES, CENTER_WEIGHTS))
+# Each circle's center, a label of triangle.CENTER_WEIGHTS.
+_CENTER_OF = dict(zip(CIRCLES, CIRCLE_CENTERS))
 
 # The residual of an exact tangency; Fractions are immutable, so it is shared.
 _ZERO = Fraction(0)

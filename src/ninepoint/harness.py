@@ -2,16 +2,15 @@
 suite that cross-checks every formula in this package against it.
 
 The oracle re-derives each center from its defining construction, never
-from the closed forms under test:
+from the barycentric closed forms under test
+(:data:`~ninepoint.triangle.CENTER_WEIGHTS`):
 
-* circumcenter: equidistance from the vertices (normal equations, coded
-  separately from the kernel's perpendicular-bisector solve);
+* circumcenter: equidistance from the vertices (normal equations);
 * centroid: intersection of two medians;
-* orthocenter: intersection of two altitudes (not the Euler relation);
+* orthocenter: intersection of two altitudes;
 * incenter/excenters: intersections of internal/external angle bisectors
-  built from unit edge directions (not the (a, b, c)/2s coordinates);
-* nine-point center and radius: circumcircle of the three side midpoints
-  (not the midpoint of OH).
+  built from unit edge directions;
+* nine-point center and radius: circumcircle of the three side midpoints.
 
 Exactness: profiles generate rational side lengths whose canonical
 embedding is also rational wherever possible (two Pythagorean right

@@ -59,8 +59,6 @@ __all__ = [
     "unit_direction",
     "intersect",
     "equidistant_point",
-    "perpendicular_bisector",
-    "circumcenter",
     "barycentric_point",
     "line_dist_sq",
     "project",
@@ -195,21 +193,13 @@ def unit_direction(src: Triple, dst: Triple) -> Triple:
     return (x, y, m[0] if w > 0 else -m[0])
 
 
-def _meet(l1: Triple, l2: Triple, parallel: str) -> Triple:
-    p = cross(l1, l2)
-    if p[2] == 0:
-        raise ValueError(parallel)
-    return p
-
-
 def intersect(p1: Triple, d1: Triple, p2: Triple, d2: Triple) -> Triple:
     """The meet of the line through p1 along d1 and the line through p2
     along d2: each line joins its point with the direction at infinity."""
-    return _meet(
-        cross(p1, (d1[0], d1[1], 0)),
-        cross(p2, (d2[0], d2[1], 0)),
-        "parallel construction lines",
-    )
+    p = cross(cross(p1, (d1[0], d1[1], 0)), cross(p2, (d2[0], d2[1], 0)))
+    if p[2] == 0:
+        raise ValueError("parallel construction lines")
+    return p
 
 
 def _shared_weight(*points: Triple) -> int:
@@ -234,21 +224,6 @@ def equidistant_point(p1: Triple, p2: Triple, p3: Triple) -> Triple:
         raise ValueError("collinear points have no equidistant center")
     # Over weight w the right-hand sides carry 1/w^2 and det 1/w^2.
     return (rhs_e * fy - rhs_f * ey, ex * rhs_f - fx * rhs_e, det * w)
-
-
-def perpendicular_bisector(p: Triple, q: Triple) -> Triple:
-    """The line through the midpoint of pq, perpendicular to pq."""
-    x, y, _ = sub(q, p)
-    return cross(midpoint(p, q), (-y, x, 0))
-
-
-def circumcenter(a: Triple, b: Triple, c: Triple) -> Triple:
-    """The meet of the perpendicular bisectors of ab and ac."""
-    return _meet(
-        perpendicular_bisector(a, b),
-        perpendicular_bisector(a, c),
-        "collinear vertices have no circumcenter",
-    )
 
 
 def barycentric_point(

@@ -31,8 +31,9 @@ precision only where the input data already has.
 pairs under the names of :mod:`ninepoint.homogeneous`, so the Cartesian
 centers and the oracle are written once and run on either carrier; a
 ``Point2`` is built only where a value leaves it.  :data:`CENTER_WEIGHTS`
-gives the incenter and the excenters, and each :class:`SideLengths` builds
-their barycentric forms once.
+gives all eight kernel centers as barycentric weights, and each
+:class:`SideLengths` builds the barycentric forms of the incenter and the
+excenters once.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "Point2",
     "FloatPlane",
     "CENTER_WEIGHTS",
+    "CIRCLE_CENTERS",
     "SideLengths",
     "TriangleMetrics",
     "Barycentric",
@@ -250,24 +252,6 @@ class FloatPlane:
         return _pair((rhs_e * fy - rhs_f * ey) / det, (ex * rhs_f - fx * rhs_e) / det)
 
     @staticmethod
-    def circumcenter(vertex_a: Pair, vertex_b: Pair, vertex_c: Pair) -> Pair:
-        """Intersection of the perpendicular bisectors of AB and AC.
-
-        Solves (B - A).O = (|B|^2 - |A|^2)/2 and the AC analogue by Cramer's
-        rule.
-        """
-        (xa, ya), (xb, yb), (xc, yc) = vertex_a, vertex_b, vertex_c
-        abx, aby = _pair(xb - xa, yb - ya)
-        acx, acy = _pair(xc - xa, yc - ya)
-        det = abx * acy - aby * acx
-        if det == 0:
-            raise ValueError("collinear vertices have no circumcenter")
-        na = xa * xa + ya * ya
-        rhs_ab = ((xb * xb + yb * yb) - na) / 2
-        rhs_ac = ((xc * xc + yc * yc) - na) / 2
-        return _pair((rhs_ab * acy - rhs_ac * aby) / det, (abx * rhs_ac - acx * rhs_ab) / det)
-
-    @staticmethod
     def barycentric_point(
         weights: Tuple[Scalar, Scalar, Scalar], d: Scalar, a: Pair, b: Pair, c: Pair
     ) -> Pair:
@@ -317,16 +301,39 @@ class FloatPlane:
         return Barycentric(alpha, beta, 1 - alpha - beta).components
 
 
-# Barycentric weights (x_a, x_b, x_c) and their sum d of the incenter I and
-# the excenters Ea, Eb, Ec opposite A, B, C, as ring expressions of the
-# sides a, b, c: the center is (x_a, x_b, x_c) / d.  They serve every
-# backend, integers included; each d keeps the float addition order.
+# Barycentric weights (x_a, x_b, x_c) and their sum d of every kernel
+# center, as ring expressions of the sides a, b, c: the center is
+# (x_a, x_b, x_c) / d.  They serve every backend, integers included; the
+# sums of I and the excenters keep their float addition order.  With
+# Conway's S_A = b^2 + c^2 - a^2 (and cyclic), O = (a^2 S_A : b^2 S_B :
+# c^2 S_C) and H = (S_B S_C : S_C S_A : S_A S_B).  Both weight sums are
+# 16K^2, so their sum weighs N, the midpoint of OH (Kimberling,
+# Encyclopedia of Triangle Centers, X(3), X(4), X(5); Yiu, Introduction to
+# the Geometry of the Triangle).
+def _euler_weights(a, b, c):
+    """The weights of O and of H."""
+    a_sq, b_sq, c_sq = a * a, b * b, c * c
+    s_a, s_b, s_c = b_sq + c_sq - a_sq, c_sq + a_sq - b_sq, a_sq + b_sq - c_sq
+    return (a_sq * s_a, b_sq * s_b, c_sq * s_c), (s_b * s_c, s_c * s_a, s_a * s_b)
+
+
+def _summed(x):
+    return x, x[0] + x[1] + x[2]
+
+
 CENTER_WEIGHTS = {
+    "O": lambda a, b, c: _summed(_euler_weights(a, b, c)[0]),
+    "G": lambda a, b, c: ((1, 1, 1), 3),
+    "H": lambda a, b, c: _summed(_euler_weights(a, b, c)[1]),
+    "N": lambda a, b, c: _summed(tuple(map(operator.add, *_euler_weights(a, b, c)))),
     "I": lambda a, b, c: ((a, b, c), a + b + c),
     "Ea": lambda a, b, c: ((-a, b, c), -a + b + c),
     "Eb": lambda a, b, c: ((a, -b, c), -b + c + a),
     "Ec": lambda a, b, c: ((a, b, -c), -c + a + b),
 }
+# The centers of the incircle and the excircles, whose barycentric forms
+# each SideLengths builds and the tangency kernel reads.
+CIRCLE_CENTERS = ("I", "Ea", "Eb", "Ec")
 
 
 class SideLengths(Record):
@@ -458,8 +465,8 @@ class SideLengths(Record):
 
     @cached
     def _center_barycentrics(self) -> Dict[str, "Barycentric"]:
-        """The incenter and the excenters, normalized, by their
-        :data:`CENTER_WEIGHTS` label.
+        """The incenter and the excenters (:data:`CIRCLE_CENTERS`),
+        normalized, by their :data:`CENTER_WEIGHTS` label.
 
         Exact sides are weighted by their integer form: one division per
         component."""
@@ -471,8 +478,8 @@ class SideLengths(Record):
             a, b, c = self.as_tuple()
             ratio = operator.truediv
         centers = {}
-        for label, weights in CENTER_WEIGHTS.items():
-            (x_a, x_b, x_c), d = weights(a, b, c)
+        for label in CIRCLE_CENTERS:
+            (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](a, b, c)
             centers[label] = Barycentric(ratio(x_a, d), ratio(x_b, d), ratio(x_c, d))
         return centers
 

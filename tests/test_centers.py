@@ -12,9 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ninepoint import homogeneous
 from ninepoint.centers import (
-    CENTER_WEIGHTS,
     VERTICES,
     CenterSet,
     bisector_foot_barycentric,
@@ -25,7 +23,6 @@ from ninepoint.centers import (
 )
 from ninepoint.harness import PROFILE_KINDS, FuzzProfile, random_triangle
 from ninepoint.triangle import (
-    FloatPlane,
     Point2,
     SideLengths,
     canonical_vertices,
@@ -99,21 +96,23 @@ class TestBarycentricCenters:
 
 class TestCartesianCenters:
     def test_circumcenter_3_4_5(self, triangle345):
-        _, vertices = triangle345
-        center = homogeneous.circumcenter(*homogeneous.lift(vertices))
-        assert homogeneous.as_point2(center) == Point2(F(3, 2), F(2))
+        assert center_set(*triangle345).points["O"] == Point2(F(3, 2), F(2))
 
     def test_circumcenter_equilateral_float(self):
-        va, vb, vc = FloatPlane.lift(canonical_vertices(SideLengths(1, 1, 1)))
-        x, y = FloatPlane.circumcenter(va, vb, vc)
-        assert x == pytest.approx(0.5)
-        assert y == pytest.approx(3 ** 0.5 / 6)
+        sides = SideLengths(1.0, 1.0, 1.0)
+        center = center_set(sides, canonical_vertices(sides)).points["O"]
+        assert center.x == pytest.approx(0.5)
+        assert center.y == pytest.approx(3 ** 0.5 / 6)
 
-    @pytest.mark.parametrize("plane", [homogeneous, FloatPlane], ids=["exact", "float"])
-    def test_collinear_rejected(self, plane):
-        collinear = plane.lift((Point2(0, 0), Point2(1, 1), Point2(2, 2)))
+    @pytest.mark.parametrize("sides", [SideLengths(3, 4, 5), SideLengths(3.0, 4.0, 5.0)],
+                             ids=["exact", "float"])
+    def test_collinear_rejected(self, sides):
+        # The weights read only the sides; the vertices given are collinear.
+        collinear = (Point2(0, 0), Point2(1, 1), Point2(2, 2))
+        if not sides.is_exact:
+            collinear = tuple(p.as_float() for p in collinear)
         with pytest.raises(ValueError, match="collinear vertices have no circumcenter"):
-            plane.circumcenter(*collinear)
+            center_set(sides, collinear)
 
     def test_orthocenter_3_4_5(self, triangle345):
         # Right angle at C puts the orthocenter on C itself.
@@ -226,49 +225,45 @@ class TestCenterSet:
         assert foot_a_rot == (foot_b[1], foot_b[2], foot_b[0])
 
 
-# A copy of the two constructions that center_set replaced: integer triples
-# for exact sides and vertices, Point2 arithmetic for everything else.  The
-# single construction must reproduce them value for value and bit for bit.
+# The closed forms of the eight centers, written out again in Point2
+# arithmetic: Fractions for exact sides and vertices, floats otherwise.
+# center_set must reproduce them value for value and bit for bit.
 
 
-def _reference_exact_frame(sides, vertices):
-    h = homogeneous
-    va, vb, vc = h.lift(vertices)
-    circum = h.circumcenter(va, vb, vc)
-    centroid = h.barycentric_point((1, 1, 1), 3, va, vb, vc)
-    ortho = h.add(circum, h.scaled(h.sub(centroid, circum), 3))
-    frame = {"O": circum, "G": centroid, "H": ortho, "N": h.midpoint(circum, ortho)}
-    t = sides._integer_form
-    for label, weights in CENTER_WEIGHTS.items():
-        frame[label] = h.barycentric_point(*weights(t.a, t.b, t.c), va, vb, vc)
-    return {label: h.as_point2(p) for label, p in frame.items()}
-
-
-def _reference_point2_frame(sides, vertices):
-    va, vb, vc = vertices
-    ab, ac = vb - va, vc - va
-    det = ab.cross(ac)
-    rhs_ab = (vb.dot(vb) - va.dot(va)) / 2
-    rhs_ac = (vc.dot(vc) - va.dot(va)) / 2
-    circum = Point2((rhs_ab * ac.y - rhs_ac * ab.y) / det, (ab.x * rhs_ac - ac.x * rhs_ab) / det)
-
-    def affine(x):
-        alpha, beta, gamma = x.components
-        return va.scaled(alpha) + vb.scaled(beta) + vc.scaled(gamma)
-
-    centroid = affine(centroid_barycentric())
-    ortho = circum + (centroid - circum).scaled(3)
-    nine = Point2((circum.x + ortho.x) / 2, (circum.y + ortho.y) / 2)
-    frame = {"O": circum, "G": centroid, "H": ortho, "N": nine}
-    bary = center_set(sides).barycentric
-    frame.update((label, affine(bary[label])) for label in CENTER_WEIGHTS)
-    return frame
+def _reference_weights(a, b, c):
+    """Each center's weights and their sum, in the kernel's float order."""
+    a_sq, b_sq, c_sq = a * a, b * b, c * c
+    s_a, s_b, s_c = b_sq + c_sq - a_sq, c_sq + a_sq - b_sq, a_sq + b_sq - c_sq
+    o = (a_sq * s_a, b_sq * s_b, c_sq * s_c)
+    h = (s_b * s_c, s_c * s_a, s_a * s_b)
+    n = (o[0] + h[0], o[1] + h[1], o[2] + h[2])
+    return {
+        "O": (o, o[0] + o[1] + o[2]),
+        "G": ((1, 1, 1), 3),
+        "H": (h, h[0] + h[1] + h[2]),
+        "N": (n, n[0] + n[1] + n[2]),
+        "I": ((a, b, c), a + b + c),
+        "Ea": ((-a, b, c), -a + b + c),
+        "Eb": ((a, -b, c), -b + c + a),
+        "Ec": ((a, b, -c), -c + a + b),
+    }
 
 
 def _reference_points(sides, vertices):
-    if sides.is_exact and all(p.is_exact for p in vertices):
-        return _reference_exact_frame(sides, vertices)
-    return _reference_point2_frame(sides, vertices)
+    va, vb, vc = vertices
+    exact = sides.is_exact and all(p.is_exact for p in vertices)
+    if sides.is_exact:
+        t = sides._integer_form
+        a, b, c = t.a, t.b, t.c
+    else:
+        a, b, c = sides.as_tuple()
+    if not exact:
+        va, vb, vc = (p.as_float() for p in vertices)
+    ratio = Fraction if exact else (lambda k, d: k / d)
+    return {
+        label: va.scaled(ratio(k_a, d)) + vb.scaled(ratio(k_b, d)) + vc.scaled(ratio(k_c, d))
+        for label, ((k_a, k_b, k_c), d) in _reference_weights(a, b, c).items()
+    }
 
 
 def _bits(value):
@@ -286,7 +281,7 @@ def _assert_matches_reference(sides, vertices):
 
 
 class TestOneConstruction:
-    """center_set against the reference copy of the two former paths."""
+    """center_set against the closed forms in Point2 arithmetic."""
 
     @given(rational_sides)
     def test_rational_sides(self, sides: SideLengths):

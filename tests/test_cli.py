@@ -456,6 +456,15 @@ class TestBeyondFloatRange:
         code, _, err = run(capsys, "compute", "--vertices", "0,0,1,5e-324,-0,1")
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("backend", ["exact", "float"])
+    def test_svg_of_an_underflowed_altitude_is_refused(self, capsys, backend):
+        # The float embedding's altitude underflows to 0, so the vertices
+        # are collinear; the centers' weights read only the valid sides.
+        argv = ["svg", "--sides", "1e-160,1e-160,1.5e-160", "--backend", backend]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: collinear vertices have no circumcenter\n"
+
 
 class TestFuzzCommand:
     def test_exact_generic(self, capsys):

@@ -23,6 +23,7 @@ from ninepoint.feuerbach import (
 )
 from ninepoint.triangle import (
     CENTER_WEIGHTS,
+    CIRCLE_CENTERS,
     Barycentric,
     SideLengths,
     _integer_triangle,
@@ -204,31 +205,55 @@ def test_circumradius_is_abc_squared_over_P(model):
         assert model.vanishes(dot - model.circumdot(pair)), pair
 
 
+def _euler_points(sympy, vertices):
+    """The solved circumcenter O, the centroid G, H = 3G - 2O and
+    N = (O + H)/2."""
+    va, vb, vc = vertices.values()
+    o = _circumcenter(sympy, vertices)
+    g = tuple((va[k] + vb[k] + vc[k]) / 3 for k in range(2))
+    h = tuple(3 * g[k] - 2 * o[k] for k in range(2))
+    n = tuple((o[k] + h[k]) / 2 for k in range(2))
+    return {"O": o, "G": g, "H": h, "N": n}
+
+
 def test_ninepoint_center_gives_the_vertex_distances(model):
     """H = 3G - 2O is on the altitudes, and N = (O + H)/2 is at the kernel's
     vertex_to_ninepoint_dist_sq from each vertex."""
-    sympy = model.sympy
     va, vb, vc = model.vertices.values()
-    o = _circumcenter(sympy, model.vertices)
-    g = tuple((va[k] + vb[k] + vc[k]) / 3 for k in range(2))
-    h = tuple(3 * g[k] - 2 * o[k] for k in range(2))
+    points = _euler_points(model.sympy, model.vertices)
+    h, n = points["H"], points["N"]
     for p, q, r in ((va, vb, vc), (vb, vc, va)):
         assert model.vanishes((h[0] - p[0]) * (q[0] - r[0]) + (h[1] - p[1]) * (q[1] - r[1]))
-    n = tuple((o[k] + h[k]) / 2 for k in range(2))
     for vertex, want in zip(model.vertices.values(), model.vertex_ninepoint_dist_sq):
         assert model.vanishes(_dist_sq(vertex, n) - want)
 
 
+def _weighted_point(weights, t, vertices):
+    """The CENTER_WEIGHTS point (x_a A + x_b B + x_c C)/d."""
+    (x_a, x_b, x_c), d = weights(t.a, t.b, t.c)
+    va, vb, vc = vertices.values()
+    return tuple((x_a * va[k] + x_b * vb[k] + x_c * vc[k]) / d for k in range(2))
+
+
+def test_center_weights_of_the_euler_line(model):
+    """The CENTER_WEIGHTS points of O, G, H and N are the solved
+    circumcenter, the centroid, 3G - 2O and the midpoint of OH."""
+    for label, want in _euler_points(model.sympy, model.vertices).items():
+        point = _weighted_point(CENTER_WEIGHTS[label], model.t, model.vertices)
+        for k in range(2):
+            assert model.vanishes(point[k] - want[k]), (label, k)
+
+
 def test_center_weights_are_at_their_radius_from_every_side_line(model):
-    """Each CENTER_WEIGHTS point (x_a A + x_b B + x_c C)/d is at squared
-    distance r_X^2, the kernel's radius of its circle, from all three side
-    lines: the incircle and the three excircles."""
-    t, met = model.t, model.metrics
+    """Each circle center's CENTER_WEIGHTS point is at squared distance
+    r_X^2, the kernel's radius of its circle, from all three side lines:
+    the incircle and the three excircles."""
+    met = model.metrics
     va, vb, vc = model.vertices.values()
     radius_sq = {"I": met.r_sq, "Ea": met.rA_sq, "Eb": met.rB_sq, "Ec": met.rC_sq}
-    for label, weights in CENTER_WEIGHTS.items():
-        (x_a, x_b, x_c), d = weights(t.a, t.b, t.c)
-        point = tuple((x_a * va[k] + x_b * vb[k] + x_c * vc[k]) / d for k in range(2))
+    assert tuple(radius_sq) == CIRCLE_CENTERS
+    for label in CIRCLE_CENTERS:
+        point = _weighted_point(CENTER_WEIGHTS[label], model.t, model.vertices)
         for p, q in ((vb, vc), (vc, va), (va, vb)):
             line_dist_sq = _cross(p, q, point) ** 2 / _dist_sq(p, q)
             assert model.vanishes(line_dist_sq - radius_sq[label]), (label, p, q)

@@ -249,6 +249,31 @@ class TestSuiteFindsKernelFaults:
         worst = max(check.residual for check in report.failures())
         assert report.max_residual == worst > 0
 
+    @pytest.mark.parametrize("on_floats", [False, True], ids=["exact", "float"])
+    def test_wrong_circumcenter_weights_fail_only_its_checks(self, monkeypatch, on_floats):
+        # O built with the weights of H.  The oracle solves for O on its
+        # own, so only the circumcenter's agreement fails; the kernel's H
+        # and N do not go through O.
+        monkeypatch.setitem(CENTER_WEIGHTS, "O", CENTER_WEIGHTS["H"])
+        sides, vertices = random_triangle(FuzzProfile(kind="generic", seed=1), 0)
+        if on_floats:
+            sides, vertices = sides.as_float(), tuple(p.as_float() for p in vertices)
+        report = check_identity_suite(sides, vertices)
+        assert report.exact is not on_floats and not report.passed
+        assert {check.name for check in report.failures()} == {
+            "center_agreement_O_x",
+            "center_agreement_O_y",
+        }
+
+    def test_circumcenter_agreement_compares_two_computations(self):
+        # The kernel weighs the vertices by O's closed form and the oracle
+        # solves the normal equations, so on floats they round apart.
+        sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
+        report = check_identity_suite(sides.as_float(), tuple(p.as_float() for p in vertices))
+        residual = {check.name: check.residual for check in report.checks}
+        assert report.passed
+        assert residual["center_agreement_O_x"] > 0 and residual["center_agreement_O_y"] > 0
+
 
 class TestExactSuitePath:
     def test_no_square_roots_and_few_points(self, monkeypatch):

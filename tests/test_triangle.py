@@ -519,19 +519,6 @@ def _point2_equidistant_point(p1, p2, p3):
     return Point2((rhs_e * fy - rhs_f * ey) / det, (ex * rhs_f - fx * rhs_e) / det)
 
 
-def _point2_circumcenter(vertex_a, vertex_b, vertex_c):
-    ab = vertex_b - vertex_a
-    ac = vertex_c - vertex_a
-    det = ab.cross(ac)
-    if det == 0:
-        raise ValueError("collinear vertices have no circumcenter")
-    rhs_ab = (vertex_b.dot(vertex_b) - vertex_a.dot(vertex_a)) / 2
-    rhs_ac = (vertex_c.dot(vertex_c) - vertex_a.dot(vertex_a)) / 2
-    x = (rhs_ab * ac.y - rhs_ac * ab.y) / det
-    y = (ab.x * rhs_ac - ac.x * rhs_ab) / det
-    return Point2(x, y)
-
-
 def _point2_barycentric_point(weights, d, a, b, c):
     k_a, k_b, k_c = weights
     return a.scaled(k_a / d) + b.scaled(k_b / d) + c.scaled(k_c / d)
@@ -567,7 +554,6 @@ def _point2_orientation(a, b, c):
 PLANE_CONSTRUCTIONS = {
     "intersect": (_point2_intersect, 4),
     "equidistant_point": (_point2_equidistant_point, 3),
-    "circumcenter": (_point2_circumcenter, 3),
     "barycentric_point": (_point2_barycentric_point, 3),
     "unit_direction": (_point2_unit_direction, 2),
     "line_dist_sq": (_point2_line_dist_sq, 3),
