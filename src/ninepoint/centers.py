@@ -16,14 +16,16 @@ constructions in the test harness rather than assumed here.
 On exact sides the barycentric weights are evaluated on the triangle's
 integer form (weights do not change when the sides are scaled).  The
 Cartesian centers are one construction, written against a plane: integer
-homogeneous triples (:mod:`ninepoint.homogeneous`) when the sides and the
-vertices are all exact, where no gcd is taken until a ``Point2`` is asked
-for, and :class:`~ninepoint.triangle.FloatPlane` otherwise, which takes
-the vertices as float pairs.  Input that mixes exact and float values gets
-eight float centers.  That rule is stated once, in ``_lift``; the identity
-suite calls it too and hands the lifted vertices to ``center_set`` and to
-the harness's oracle, so both frames are built on one plane.  Callers read
-the centers as ``Point2``s through ``CenterSet.points``.
+homogeneous triples (:class:`ninepoint.homogeneous.Plane`) when the sides
+and the vertices are all exact, where no gcd is taken until a ``Point2``
+is asked for, and :class:`~ninepoint.triangle.FloatPlane` otherwise, which
+takes the vertices as float pairs.  Input that mixes exact and float
+values gets eight float centers.  The identity suite passes its own plane
+and frame instead, which for exact sides is the sides' integer frame
+under the metric x^2 + m*t^2; ``barycentric_point`` and ``orientation``
+are affine, so the same code serves it.  Callers read the centers as
+``Point2``s through ``CenterSet.points``, which only a Cartesian frame
+has.
 
 All eight come from one weight table,
 :data:`~ninepoint.triangle.CENTER_WEIGHTS`, which the integer kernel reads
@@ -130,24 +132,16 @@ def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
     return metrics(sides).R_sq - (opposite * opposite) / 2
 
 
-def _lift(sides: SideLengths, vertices: Tuple[Point2, ...]) -> Tuple[Any, Tuple[Any, ...]]:
-    """The plane for these sides and vertices, and the vertices lifted onto
-    it: integer homogeneous triples when the sides and every vertex are
-    exact, float pairs otherwise."""
-    exact = sides.is_exact and all(p.is_exact for p in vertices)
-    plane = homogeneous if exact else FloatPlane
-    return plane, plane.lift(vertices)
-
-
 class CenterSet(Record):
     """Centers of one triangle; Cartesian positions only in coordinate mode.
 
     ``barycentric`` holds G, I and the excenters, which need no embedding.
     The Cartesian centers appear only when vertices are supplied: ``frame``
     holds them as they were computed, and ``plane`` is the namespace that
-    computed them: integer homogeneous triples for exact sides and
-    vertices, float pairs ``(x, y)`` otherwise.  ``points`` reads them as
-    ``Point2``s, built on first use and cached in the instance ``__dict__``.
+    computed them: a :class:`~ninepoint.homogeneous.Plane` of integer
+    triples for exact sides and vertices, float pairs ``(x, y)`` otherwise.
+    ``points`` reads them as ``Point2``s, built on first use and cached in
+    the instance ``__dict__``.
     """
 
     _fields = ("barycentric", "frame", "plane")
@@ -159,7 +153,8 @@ class CenterSet(Record):
     @cached
     def points(self) -> Dict[str, Point2]:
         """The Cartesian centers in the order O, G, H, N, I, Ea, Eb, Ec;
-        empty without vertices."""
+        empty without vertices.  A frame whose metric is not Cartesian
+        (m != 1) has none, and raises."""
         return {label: self.plane.as_point2(p) for label, p in (self.frame or {}).items()}
 
 
@@ -170,14 +165,18 @@ def center_set(
 ) -> CenterSet:
     """Assemble every center; vertices add the Cartesian layer.
 
-    The vertices are ``Point2``s, or with ``plane`` already lifted onto the
-    plane ``_lift`` chooses for them, as the identity suite holds them."""
+    The vertices are ``Point2``s, lifted here onto integer triples when the
+    sides and every vertex are exact and onto float pairs otherwise.  With
+    ``plane`` they are already points of that plane, as the identity suite
+    holds them."""
     bary = {"G": centroid_barycentric()}
     bary.update(sides._center_barycentrics)
     if vertices is None:
         return CenterSet(bary, None, None)
     if plane is None:
-        plane, vertices = _lift(sides, vertices)
+        exact = sides.is_exact and all(p.is_exact for p in vertices)
+        plane = homogeneous.Plane() if exact else FloatPlane
+        vertices = plane.lift(vertices)
     va, vb, vc = vertices
     # The weights read only the sides, so they cannot see collinear
     # vertices, such as a float embedding whose altitude underflowed.

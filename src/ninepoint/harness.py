@@ -12,22 +12,24 @@ from the barycentric closed forms under test
   built from unit edge directions;
 * nine-point center and radius: circumcircle of the three side midpoints.
 
-Exactness: profiles generate rational side lengths whose canonical
-embedding is also rational wherever possible (two Pythagorean right
-triangles glued along a common leg).  For such triangles the unit edge
-directions are rational, so the whole oracle runs exactly, and every
-comparison in the suite is an exact equality.  The exact carrier is
-integer homogeneous coordinates (:mod:`ninepoint.homogeneous`): lines are
-joins, intersections are meets, a unit direction takes one ``isqrt``, and
-a comparison is a cross-multiplication; a ``Fraction`` is built only where
-a value enters a kernel formula.  Profiles that cannot embed rationally
-(near-equilateral, near-degenerate) fall back to float vertices and
-magnitude-aware tolerances, on the same constructions over
-:class:`~ninepoint.triangle.FloatPlane`, which carries points as bare
-``(x, y)`` float pairs.  The oracle does not choose a plane: it takes
-vertices already lifted onto one.  The rule that picks the plane lives in
-:mod:`ninepoint.centers` (``_lift``): the suite calls it once, lifts the
-embedding, and hands the lifted vertices to both the oracle and
+Exactness: every exact triangle runs exactly.  Profiles generate rational
+side lengths, and the exact carrier is integer homogeneous coordinates
+(:class:`ninepoint.homogeneous.Plane`): lines are joins, intersections are
+meets, a unit direction takes one ``isqrt``, and a comparison is a
+cross-multiplication; a ``Fraction`` is built only where a value enters a
+kernel formula.  The generic, isoceles and right-angled profiles glue
+Pythagorean right triangles, so their altitude is rational and their
+canonical embedding is Cartesian.  The near-equilateral and
+near-degenerate profiles mostly have an irrational altitude y.  The suite
+then runs on the sides' own frame, with second coordinate t = y/sqrt(m)
+and metric x^2 + m*t^2 (:func:`~ninepoint.triangle._canonical_frame`),
+where the vertices, the unit edge directions and every construction are
+rational again: the constructions only take inner products.  Float sides
+run the same constructions over :class:`~ninepoint.triangle.FloatPlane`,
+which carries points as bare ``(x, y)`` float pairs, with
+magnitude-aware tolerances.  The oracle does not choose a plane: it takes
+vertices already lifted onto one.  The suite chooses it from
+``sides.is_exact`` and hands the lifted vertices to both the oracle and
 :func:`~ninepoint.centers.center_set`, so it compares the two frames point
 for point on one plane.
 
@@ -52,7 +54,7 @@ import random
 import sys
 from fractions import Fraction
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import homogeneous
 from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
@@ -61,6 +63,7 @@ from .triangle import (
     FloatPlane,
     Point2,
     SideLengths,
+    _canonical_frame,
     barycentric_distance_sq,
     canonical_vertices,
     metrics,
@@ -68,7 +71,6 @@ from .triangle import (
 )
 from .centers import (
     VERTICES,
-    _lift,
     _shift,
     bisector_foot_barycentric,
     center_set,
@@ -88,6 +90,7 @@ __all__ = [
     "OracleResult",
     "IdentityCheck",
     "SuiteReport",
+    "random_sides",
     "random_triangle",
     "cartesian_oracle",
     "check_identity_suite",
@@ -222,13 +225,17 @@ _GENERATORS: Dict[str, Callable[[random.Random, int], SideLengths]] = {
 }
 
 
+def random_sides(profile: FuzzProfile, index: int) -> SideLengths:
+    """The side lengths of triangle number ``index`` of the profile."""
+    return _GENERATORS[profile.kind](_rng_for(profile, index), profile.magnitude_bound)
+
+
 def random_triangle(
     profile: FuzzProfile, index: int
 ) -> Tuple[SideLengths, Tuple[Point2, Point2, Point2]]:
     """Deterministic triangle number ``index`` of the profile: side lengths
     plus the canonical embedding (exact when the profile allows it)."""
-    rng = _rng_for(profile, index)
-    sides = _GENERATORS[profile.kind](rng, profile.magnitude_bound)
+    sides = random_sides(profile, index)
     return sides, canonical_vertices(sides)
 
 
@@ -236,16 +243,17 @@ def random_triangle(
 #
 # The oracle and the suite's Cartesian checks are written once, against a
 # plane: a namespace of the same constructions over one carrier.  Exact
-# vertices use ninepoint.homogeneous (integer triples; scalars are integer
-# ratios).  Everything else uses triangle.FloatPlane (float pairs).
+# sides use a ninepoint.homogeneous.Plane (integer triples under the
+# metric x^2 + m*t^2; scalars are integer ratios).  Float sides use
+# triangle.FloatPlane (float pairs).
 
 
 class OracleResult(Record):
     """Constructed centers and the constructed nine-point radius squared.
 
     ``frame`` keeps the labeled points (the vertices and the eight centers)
-    in the carrier of the plane they were built on: integer triples of
-    :mod:`ninepoint.homogeneous` or float pairs ``(x, y)``.
+    in the carrier of the plane they were built on: integer triples of a
+    :class:`ninepoint.homogeneous.Plane` or float pairs ``(x, y)``.
     ``frame_radius_sq`` is the radius in that carrier's scalar."""
 
     __slots__ = _fields = ("frame", "frame_radius_sq")
@@ -258,9 +266,9 @@ def cartesian_oracle(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResul
     the recipes.
 
     The vertices arrive already lifted onto ``plane``, which the caller
-    chooses (:func:`~ninepoint.centers._lift`).  The exact plane's bisectors
-    need rational edge lengths; the identity suite builds the oracle only
-    after it has matched each squared edge to a rational side squared.
+    chooses.  The exact plane's bisectors need rational edge lengths; the
+    identity suite builds the oracle only after it has matched each squared
+    edge to a rational side squared.
     """
     if plane.orientation(a_pt, b_pt, c_pt) == 0:
         raise ValueError("collinear vertices")
@@ -368,41 +376,66 @@ def _as_float(value: Any) -> float:
     return float(value)
 
 
+def _conditioned(sides: SideLengths, tol: ToleranceProfile) -> ToleranceProfile:
+    """The float suite's tolerance: first-order error analysis puts
+    rounding growth at O(eps * conditioning^2)."""
+    cond = sides.conditioning()
+    return ToleranceProfile(
+        rel_eps=tol.rel_eps + 64.0 * _MACHINE_EPS * cond * cond, abs_eps=tol.abs_eps
+    )
+
+
+def _refuse_wrong_float_embedding(
+    sides: SideLengths, embedding: Tuple[Point2, ...], tol: ToleranceProfile
+) -> None:
+    """Float vertices given with exact sides must reproduce the sides, by
+    the comparison a float suite makes of its embedding."""
+    bound = _conditioned(sides, tol).bound
+    va, vb, vc = FloatPlane.lift(embedding)
+    scale = float(metrics(sides).R_sq)
+    for p, q, side in ((vb, vc, sides.a), (vc, va, sides.b), (va, vb, sides.c)):
+        lhs, rhs = FloatPlane.dist_sq(p, q), float(side * side)
+        if abs(lhs - rhs) > bound(max(1.0, abs(scale), abs(lhs), abs(rhs))):
+            raise ValueError("embedding does not match the side lengths")
+
+
 def check_identity_suite(
     sides: SideLengths,
-    embedding: Tuple[Point2, Point2, Point2],
+    embedding: Optional[Tuple[Point2, Point2, Point2]],
     tol: ToleranceProfile = DEFAULT_TOLERANCE,
 ) -> SuiteReport:
     """Run every cross-check of kernel formulas against the oracle.
 
-    Exact sides and vertices run the Cartesian checks on integer
-    homogeneous coordinates; every comparison there is an exact equality,
-    made by cross-multiplication.  On exact sides the suite's own products
-    of kernel values are integer ratios too, and a float is taken only for
-    the residual of a failed check.  Otherwise the vertices are taken as
-    floats.  Float comparisons use a conditioning-aware tolerance:
-    first-order error analysis puts rounding growth at
-    O(eps * conditioning^2), so the relative bound is
+    Exact sides run the Cartesian checks on integer homogeneous
+    coordinates; every comparison there is an exact equality, made by
+    cross-multiplication, and so are the suite's own products of kernel
+    values, and a float is taken only for the residual of a failed check.
+    Exact vertices are lifted onto the Cartesian plane.  With no embedding
+    (None), or with float vertices, the suite runs on the sides' own frame
+    (:func:`~ninepoint.triangle._canonical_frame`), under the metric
+    x^2 + m*t^2; float vertices must first reproduce the sides, as on a
+    float suite.  Float sides take the vertices as floats, and compare
+    with a conditioning-aware tolerance: first-order error analysis puts
+    rounding growth at O(eps * conditioning^2), so the relative bound is
     ``tol.rel_eps + 64 * eps * conditioning^2``.
     """
-    plane, lifted = _lift(sides, embedding)
-    exact = plane is homogeneous
-    # The suite's own arithmetic on kernel scalars: integer ratios on exact
-    # sides, the kernel's floats in the same order otherwise.
-    ring = homogeneous if sides.is_exact else FloatPlane
+    exact = sides.is_exact
+    if not exact:
+        plane, suite_tol = FloatPlane, _conditioned(sides, tol)
+        lifted = plane.lift(embedding)
+    elif embedding and all(p.is_exact for p in embedding):
+        plane, suite_tol = homogeneous.Plane(), tol
+        lifted = plane.lift(embedding)
+    else:
+        if embedding:
+            _refuse_wrong_float_embedding(sides, embedding, tol)
+        m, lifted = _canonical_frame(sides._integer_form)
+        plane, suite_tol = homogeneous.Plane(m), tol  # an exact suite compares no floats
     va, vb, vc = lifted
 
     a, b, c = sides.as_tuple()
-    lift, product = ring.scalar, ring.product
+    lift, product = plane.scalar, plane.product
     A, B, C = lift(a), lift(b), lift(c)
-    if exact:
-        suite_tol = tol  # an exact suite compares no floats
-    else:
-        cond = sides.conditioning()
-        suite_tol = ToleranceProfile(
-            rel_eps=tol.rel_eps + 64.0 * _MACHINE_EPS * cond * cond,
-            abs_eps=tol.abs_eps,
-        )
     abs_eps, rel_eps = suite_tol.abs_eps, suite_tol.rel_eps
     fb = feuerbach_report(sides, suite_tol)
     met = fb.metrics
@@ -416,13 +449,16 @@ def check_identity_suite(
     checks: List[Row] = []
 
     def record_ratio(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
-        # Ratios of the exact plane and kernel Fractions alike.
+        # Ratios of the exact plane and kernel Fractions alike; a t
+        # coordinate of a frame with m != 1 compares as its ratio t/w.
         n1, d1 = lhs if type(lhs) is tuple else lhs.as_integer_ratio()
         n2, d2 = rhs if type(rhs) is tuple else rhs.as_integer_ratio()
         if n1 * d2 == n2 * d1:
             checks.append((name, True, 0.0, detail))
             return
         gap = abs(float(Fraction(n1, d1) - Fraction(n2, d2)))
+        if type(lhs) is homogeneous._TCoordinate:  # y = t * sqrt(m), for any size of m
+            gap *= math.exp(math.log(lhs[2]) / 2)
         checks.append((name, False, gap / max(1.0, abs(_as_float(scale))), detail))
 
     def record_float(name: str, lhs: float, rhs: float, scale: float, detail: str = "") -> None:
@@ -431,26 +467,12 @@ def check_identity_suite(
         ok = gap <= abs_eps + rel_eps * scale_f  # suite_tol.bound(scale_f); scale_f >= 1
         checks.append((name, ok, gap / scale_f, detail))
 
-    def record_mixed(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
-        if type(lhs) is float or type(rhs) is float:
-            record_float(name, _as_float(lhs), _as_float(rhs), _as_float(scale), detail)
-        else:
-            record_ratio(name, lhs, rhs, scale, detail)
-
-    # The branch is decided once: the exact plane compares ratios, float
-    # sides make every compared value a float, and exact sides on float
-    # vertices compare each value by its type.
-    if exact:
-        record = record_ratio
-    elif sides.is_exact:
-        record = record_mixed
-    else:
-        record = record_float
+    record = record_ratio if exact else record_float
 
     def record_flag(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, 0.0 if ok else math.inf, detail))
 
-    zero = ring.difference(A, A)
+    zero = plane.difference(A, A)
     dist_sq, sub, dot = plane.dist_sq, plane.sub, plane.dot
 
     # Embedding consistency: the vertex triple must reproduce the sides.
@@ -467,11 +489,11 @@ def check_identity_suite(
 
     # Metric closed forms against their defining products.
     K_sq, r_sq, s = lift(met.K_sq), lift(met.r_sq), lift(met.s)
-    abc_sq = ring.square(product(product(A, B), C))
-    record("metrics_circumradius_product", product(ring.times(16, R_sq), K_sq), abc_sq, abc_sq)
+    abc_sq = plane.square(product(product(A, B), C))
+    record("metrics_circumradius_product", product(plane.times(16, R_sq), K_sq), abc_sq, abc_sq)
     record("metrics_inradius_product", product(product(r_sq, s), s), K_sq, K_sq)
     for name, r_x_sq, side in (("rA", met.rA_sq, A), ("rB", met.rB_sq, B), ("rC", met.rC_sq, C)):
-        gap = ring.difference(s, side)
+        gap = plane.difference(s, side)
         record(
             f"metrics_exradius_product_{name}",
             product(product(lift(r_x_sq), gap), gap),
@@ -535,7 +557,7 @@ def check_identity_suite(
     # Side points: midpoint of BC and the three bisector feet.
     half = a / 2
     mid = point_on_side(half, half, sides)
-    half_over_a = ring.quotient(lift(half), A)
+    half_over_a = plane.quotient(lift(half), A)
     record("point_on_side_midpoint_beta", mid.beta, half_over_a, 1.0)
     record("point_on_side_midpoint_gamma", mid.gamma, half_over_a, 1.0)
     # Exact feet lie on the side exactly; float ones within the bound.
@@ -592,7 +614,7 @@ def check_identity_suite(
 
     # Nine-point membership: side midpoints and altitude feet lie at R/2.
     four = lift(4)
-    quarter_r_sq = ring.quotient(R_sq, four)
+    quarter_r_sq = plane.quotient(R_sq, four)
     record("ninepoint_radius", oracle.frame_radius_sq, quarter_r_sq, scale_len_sq)
     memberships = (
         ("mid_bc", plane.midpoint(vb, vc)),
@@ -631,13 +653,13 @@ def check_identity_suite(
     # and keeps the residual identically zero.
     scaled = SideLengths(2 * a, 2 * b, 2 * c)
     met_scaled = metrics(scaled)
-    four_r_sq = ring.times(4, R_sq)
+    four_r_sq = plane.times(4, R_sq)
     record("scale_covariance_R_sq", met_scaled.R_sq, four_r_sq, four_r_sq)
     record(
         "scale_covariance_residual",
         incircle_ninepoint_residual(scaled),
-        ring.times(2, zero),
-        ring.quotient(lift(met_scaled.R_sq), four),
+        plane.times(2, zero),
+        plane.quotient(lift(met_scaled.R_sq), four),
     )
 
     # Permutation equivariance: relabeling vertices permutes the excircles.

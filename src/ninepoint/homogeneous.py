@@ -1,28 +1,40 @@
 """Exact plane geometry on integer homogeneous coordinates.
 
-A point is an integer triple (X, Y, W) with W != 0.  It stands for the
-Cartesian point (X/W, Y/W), and W may have either sign.  A vector uses the
-same form.  A line is an integer triple (l, m, n): the points with
-l*X + m*Y + n*W = 0.  The line through two points is their cross product
+A point is an integer triple (X, T, W) with W != 0.  It stands for the
+point (X/W, T/W), and W may have either sign.  A vector uses the same
+form.  A line is an integer triple (l, k, n): the points with
+l*X + k*T + n*W = 0.  The line through two points is their cross product
 (the join), and so is the point where two lines cross (the meet); a
-direction (dx, dy) is the point at infinity (dx, dy, 0).  See J.
+direction (dx, dt) is the point at infinity (dx, dt, 0).  See J.
 Richter-Gebert, *Perspectives on Projective Geometry* (Springer 2011),
 ch. 1-2.
+
+A :class:`Plane` measures lengths with the diagonal metric x^2 + m*t^2
+for a positive integer m: its second coordinate is t = y/sqrt(m).  With
+m = 1 it is the Cartesian plane.  Every exact triangle has a rational
+frame on some such plane (N. J. Wildberger, *Divine Proportions*, 2005:
+quadrance over any field), so the identity suite runs exactly on every
+exact triangle, not only on those whose altitude is rational.  Only the
+constructions that read lengths take m (``dot``, ``dist_sq``, ``perp``,
+``length``, ``unit_direction``, ``equidistant_point``, ``line_dist_sq``,
+``project``); the affine ones (``midpoint``, ``intersect``,
+``barycentric_point``, ``orientation``, ``barycentric``) do not.  A frame
+with m != 1 has no Cartesian exit: :meth:`Plane.as_point2` and
+:meth:`Plane.value` of a t coordinate raise.
 
 Every construction here is a ring expression in the coordinates, so no
 gcd is ever taken.  A scalar comes out as an integer pair (num, den) that
 stands for num/den: two of them are equal when num1*den2 == num2*den1, and
 a ``Fraction`` is built only where a value leaves this layer
-(:func:`value`, :func:`as_point2`).  A kernel ``Fraction`` enters as its
-numerator and denominator (:func:`scalar`), and ratios multiply, subtract
-and divide without reduction (:func:`product`, :func:`difference`,
-:func:`quotient`), so the identity suite checks the kernel's products on
-integers.
+(:meth:`Plane.value`, :meth:`Plane.as_point2`).  A kernel ``Fraction``
+enters as its numerator and denominator (:meth:`Plane.scalar`), and ratios
+multiply, subtract and divide without reduction, so the identity suite
+checks the kernel's products on integers.
 
-:func:`lift` puts exact ``Point2``s over one shared weight, the lcm of
-their denominators.  :func:`equidistant_point` and
-:func:`barycentric_point` need points of one weight; sums, differences and
-midpoints of points of one weight share a weight again.
+:meth:`Plane.lift` puts exact ``Point2``s over one shared weight, the lcm
+of their denominators.  ``equidistant_point`` and ``barycentric_point``
+need points of one weight; sums, differences and midpoints of points of
+one weight share a weight again.
 """
 
 from __future__ import annotations
@@ -33,63 +45,10 @@ from typing import Optional, Sequence, Tuple
 
 from .triangle import Point2
 
-__all__ = [
-    "Triple",
-    "Ratio",
-    "lift",
-    "as_point2",
-    "value",
-    "coords",
-    "cross",
-    "add",
-    "sub",
-    "scaled",
-    "times",
-    "scalar",
-    "product",
-    "square",
-    "difference",
-    "quotient",
-    "midpoint",
-    "perp",
-    "dot",
-    "dist_sq",
-    "orientation",
-    "length",
-    "unit_direction",
-    "intersect",
-    "equidistant_point",
-    "barycentric_point",
-    "line_dist_sq",
-    "project",
-    "barycentric",
-]
+__all__ = ["Triple", "Ratio", "Plane", "cross"]
 
 Triple = Tuple[int, int, int]
 Ratio = Tuple[int, int]
-
-
-def lift(points: Sequence[Point2]) -> Tuple[Triple, ...]:
-    """Exact points over one shared weight, the lcm of their denominators."""
-    w = math.lcm(*(v.denominator for p in points for v in (p.x, p.y)))
-    return tuple(
-        (p.x.numerator * (w // p.x.denominator), p.y.numerator * (w // p.y.denominator), w)
-        for p in points
-    )
-
-
-def as_point2(p: Triple) -> Point2:
-    x, y, w = p
-    return Point2(Fraction(x, w), Fraction(y, w))
-
-
-def value(r: Ratio) -> Fraction:
-    return Fraction(r[0], r[1])
-
-
-def coords(p: Triple) -> Tuple[Ratio, Ratio]:
-    x, y, w = p
-    return (x, w), (y, w)
 
 
 def cross(p: Triple, q: Triple) -> Triple:
@@ -102,104 +61,14 @@ def _dot3(p: Triple, q: Triple) -> int:
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
-def add(p: Triple, q: Triple) -> Triple:
-    (x1, y1, w1), (x2, y2, w2) = p, q
-    if w1 == w2:
-        return (x1 + x2, y1 + y2, w1)
-    return (x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, w1 * w2)
+class _TCoordinate(tuple):
+    """A t coordinate of a frame with m != 1, as (t, w, m): the ratio t/w,
+    which compares within its frame, but is not a Cartesian value."""
 
+    __slots__ = ()
 
-def sub(p: Triple, q: Triple) -> Triple:
-    (x1, y1, w1), (x2, y2, w2) = p, q
-    if w1 == w2:
-        return (x1 - x2, y1 - y2, w1)
-    return (x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2)
-
-
-def scaled(p: Triple, k: int) -> Triple:
-    x, y, w = p
-    return (k * x, k * y, w)
-
-
-def times(k: int, r: Ratio) -> Ratio:
-    return (k * r[0], r[1])
-
-
-def scalar(v: Fraction) -> Ratio:
-    """A kernel scalar (a ``Fraction`` or an ``int``) as a ratio."""
-    return (v.numerator, v.denominator)
-
-
-def product(r: Ratio, s: Ratio) -> Ratio:
-    return (r[0] * s[0], r[1] * s[1])
-
-
-def square(r: Ratio) -> Ratio:
-    return (r[0] * r[0], r[1] * r[1])
-
-
-def difference(r: Ratio, s: Ratio) -> Ratio:
-    return (r[0] * s[1] - s[0] * r[1], r[1] * s[1])
-
-
-def quotient(r: Ratio, s: Ratio) -> Ratio:
-    """r / s, for s != 0; the denominator may come out negative."""
-    return (r[0] * s[1], r[1] * s[0])
-
-
-def midpoint(p: Triple, q: Triple) -> Triple:
-    x, y, w = add(p, q)
-    return (x, y, 2 * w)
-
-
-def perp(v: Triple) -> Triple:
-    """The vector turned a quarter turn counterclockwise."""
-    x, y, w = v
-    return (-y, x, w)
-
-
-def dot(u: Triple, v: Triple) -> Ratio:
-    (x1, y1, w1), (x2, y2, w2) = u, v
-    return (x1 * x2 + y1 * y2, w1 * w2)
-
-
-def dist_sq(p: Triple, q: Triple) -> Ratio:
-    x, y, w = sub(p, q)
-    return (x * x + y * y, w * w)
-
-
-def orientation(a: Triple, b: Triple, c: Triple) -> int:
-    """det[a; b; c]: zero exactly when the three points are collinear."""
-    return _dot3(a, cross(b, c))
-
-
-def length(p: Triple, q: Triple) -> Optional[Ratio]:
-    """|pq| as a ratio when it is rational, else None."""
-    x, y, w = sub(p, q)
-    n = x * x + y * y
-    m = math.isqrt(n)
-    if m * m != n:
-        return None
-    return (m, abs(w))
-
-
-def unit_direction(src: Triple, dst: Triple) -> Triple:
-    """(dst - src) / |dst - src|; the length must be rational."""
-    x, y, w = sub(dst, src)
-    m = length(src, dst)
-    if m is None:
-        raise ValueError("irrational edge length; run the oracle on floats")
-    # (x/w) / (m/|w|) = x * sign(w) / m
-    return (x, y, m[0] if w > 0 else -m[0])
-
-
-def intersect(p1: Triple, d1: Triple, p2: Triple, d2: Triple) -> Triple:
-    """The meet of the line through p1 along d1 and the line through p2
-    along d2: each line joins its point with the direction at infinity."""
-    p = cross(cross(p1, (d1[0], d1[1], 0)), cross(p2, (d2[0], d2[1], 0)))
-    if p[2] == 0:
-        raise ValueError("parallel construction lines")
-    return p
+    def as_integer_ratio(self) -> Ratio:
+        return self[0], self[1]
 
 
 def _shared_weight(*points: Triple) -> int:
@@ -209,58 +78,182 @@ def _shared_weight(*points: Triple) -> int:
     return w
 
 
-def equidistant_point(p1: Triple, p2: Triple, p3: Triple) -> Triple:
-    """The point X with |X - p1| = |X - p2| = |X - p3|, from the normal
-    equations 2(p2 - p1).X = |p2|^2 - |p1|^2 (and p3) by Cramer's rule."""
-    w = _shared_weight(p1, p2, p3)
-    (x1, y1, _), (x2, y2, _), (x3, y3, _) = p1, p2, p3
-    ex, ey = 2 * (x2 - x1), 2 * (y2 - y1)
-    fx, fy = 2 * (x3 - x1), 2 * (y3 - y1)
-    n1 = x1 * x1 + y1 * y1
-    rhs_e = x2 * x2 + y2 * y2 - n1
-    rhs_f = x3 * x3 + y3 * y3 - n1
-    det = ex * fy - ey * fx
-    if det == 0:
-        raise ValueError("collinear points have no equidistant center")
-    # Over weight w the right-hand sides carry 1/w^2 and det 1/w^2.
-    return (rhs_e * fy - rhs_f * ey, ex * rhs_f - fx * rhs_e, det * w)
+class Plane:
+    """The constructions on integer triples under the metric x^2 + m*t^2.
 
+    Scalars are integer ratios; the scalar operations (``scalar``,
+    ``product``, ``square``, ``difference``, ``quotient``, ``times``) do
+    not read m, so the identity suite's own arithmetic on kernel values
+    runs on the same namespace as its constructions."""
 
-def barycentric_point(
-    weights: Tuple[int, int, int], d: int, a: Triple, b: Triple, c: Triple
-) -> Triple:
-    """The point (k_a*a + k_b*b + k_c*c) / d, for points of one weight."""
-    w = _shared_weight(a, b, c)
-    k_a, k_b, k_c = weights
-    return (
-        k_a * a[0] + k_b * b[0] + k_c * c[0],
-        k_a * a[1] + k_b * b[1] + k_c * c[1],
-        d * w,
-    )
+    __slots__ = ("m",)
 
+    def __init__(self, m: int = 1) -> None:
+        self.m = m
 
-def line_dist_sq(p: Triple, on_line: Triple, toward: Triple) -> Ratio:
-    """Squared distance from p to the line through on_line and toward."""
-    l, m, n = cross(on_line, toward)
-    x, y, w = p
-    s = l * x + m * y + n * w
-    return (s * s, w * w * (l * l + m * m))
+    def lift(self, points: Sequence[Point2]) -> Tuple[Triple, ...]:
+        """Exact points over one shared weight, the lcm of their denominators."""
+        w = math.lcm(*(v.denominator for p in points for v in (p.x, p.y)))
+        return tuple(
+            (p.x.numerator * (w // p.x.denominator), p.y.numerator * (w // p.y.denominator), w)
+            for p in points
+        )
 
+    def as_point2(self, p: Triple) -> Point2:
+        if self.m != 1:
+            raise ValueError("t = y/sqrt(m) is not a Cartesian coordinate")
+        x, y, w = p
+        return Point2(Fraction(x, w), Fraction(y, w))
 
-def project(p: Triple, on_line: Triple, toward: Triple) -> Triple:
-    """Foot of the perpendicular from p to the line through on_line and
-    toward: the meet of that line with the join of p and the line's normal
-    direction."""
-    line = cross(on_line, toward)
-    return cross(line, cross(p, (line[0], line[1], 0)))
+    def value(self, r: Ratio) -> Fraction:
+        """A scalar as a ``Fraction``; a t coordinate of a frame with
+        m != 1 raises."""
+        if type(r) is _TCoordinate:
+            raise ValueError("t = y/sqrt(m) is not a Cartesian coordinate")
+        return Fraction(r[0], r[1])
 
+    def coords(self, p: Triple) -> Tuple[Ratio, Ratio]:
+        """The x and t coordinates, for comparison within this frame.  With
+        m != 1 the t ratio is typed as a coordinate that has no value."""
+        x, t, w = p
+        return (x, w), ((t, w) if self.m == 1 else _TCoordinate((t, w, self.m)))
 
-def barycentric(p: Triple, a: Triple, b: Triple, c: Triple) -> Tuple[Ratio, Ratio, Ratio]:
-    """Normalized barycentric coordinates of p: each is a ratio of
-    determinants, e.g. alpha = det[p; b; c] * w_a / (det[a; b; c] * w_p)."""
-    bc, ca, ab = cross(b, c), cross(c, a), cross(a, b)
-    det = _dot3(a, bc)
-    if det == 0:
-        raise ValueError("collinear vertices")
-    den = det * p[2]
-    return ((_dot3(p, bc) * a[2], den), (_dot3(p, ca) * b[2], den), (_dot3(p, ab) * c[2], den))
+    def add(self, p: Triple, q: Triple) -> Triple:
+        (x1, y1, w1), (x2, y2, w2) = p, q
+        if w1 == w2:
+            return (x1 + x2, y1 + y2, w1)
+        return (x1 * w2 + x2 * w1, y1 * w2 + y2 * w1, w1 * w2)
+
+    def sub(self, p: Triple, q: Triple) -> Triple:
+        (x1, y1, w1), (x2, y2, w2) = p, q
+        if w1 == w2:
+            return (x1 - x2, y1 - y2, w1)
+        return (x1 * w2 - x2 * w1, y1 * w2 - y2 * w1, w1 * w2)
+
+    def scaled(self, p: Triple, k: int) -> Triple:
+        x, y, w = p
+        return (k * x, k * y, w)
+
+    def times(self, k: int, r: Ratio) -> Ratio:
+        return (k * r[0], r[1])
+
+    def scalar(self, v: Fraction) -> Ratio:
+        """A kernel scalar (a ``Fraction`` or an ``int``) as a ratio."""
+        return (v.numerator, v.denominator)
+
+    def product(self, r: Ratio, s: Ratio) -> Ratio:
+        return (r[0] * s[0], r[1] * s[1])
+
+    def square(self, r: Ratio) -> Ratio:
+        return (r[0] * r[0], r[1] * r[1])
+
+    def difference(self, r: Ratio, s: Ratio) -> Ratio:
+        return (r[0] * s[1] - s[0] * r[1], r[1] * s[1])
+
+    def quotient(self, r: Ratio, s: Ratio) -> Ratio:
+        """r / s, for s != 0; the denominator may come out negative."""
+        return (r[0] * s[1], r[1] * s[0])
+
+    def midpoint(self, p: Triple, q: Triple) -> Triple:
+        x, y, w = self.add(p, q)
+        return (x, y, 2 * w)
+
+    def perp(self, v: Triple) -> Triple:
+        """A normal of the vector: its quarter turn counterclockwise,
+        scaled by sqrt(m)."""
+        x, t, w = v
+        return (-self.m * t, x, w)
+
+    def dot(self, u: Triple, v: Triple) -> Ratio:
+        (x1, t1, w1), (x2, t2, w2) = u, v
+        return (x1 * x2 + self.m * t1 * t2, w1 * w2)
+
+    def dist_sq(self, p: Triple, q: Triple) -> Ratio:
+        x, t, w = self.sub(p, q)
+        return (x * x + self.m * t * t, w * w)
+
+    def orientation(self, a: Triple, b: Triple, c: Triple) -> int:
+        """det[a; b; c]: zero exactly when the three points are collinear."""
+        return _dot3(a, cross(b, c))
+
+    def length(self, p: Triple, q: Triple) -> Optional[Ratio]:
+        """|pq| as a ratio when it is rational, else None."""
+        x, t, w = self.sub(p, q)
+        n = x * x + self.m * t * t
+        root = math.isqrt(n)
+        if root * root != n:
+            return None
+        return (root, abs(w))
+
+    def unit_direction(self, src: Triple, dst: Triple) -> Triple:
+        """(dst - src) / |dst - src|; the length must be rational."""
+        x, t, w = self.sub(dst, src)
+        length = self.length(src, dst)
+        if length is None:
+            raise ValueError("irrational edge length; the oracle needs a frame of exact sides")
+        # (x/w) / (n/|w|) = x * sign(w) / n
+        return (x, t, length[0] if w > 0 else -length[0])
+
+    def intersect(self, p1: Triple, d1: Triple, p2: Triple, d2: Triple) -> Triple:
+        """The meet of the line through p1 along d1 and the line through p2
+        along d2: each line joins its point with the direction at infinity."""
+        p = cross(cross(p1, (d1[0], d1[1], 0)), cross(p2, (d2[0], d2[1], 0)))
+        if p[2] == 0:
+            raise ValueError("parallel construction lines")
+        return p
+
+    def equidistant_point(self, p1: Triple, p2: Triple, p3: Triple) -> Triple:
+        """The point X with |X - p1| = |X - p2| = |X - p3|, from the normal
+        equations 2(p2 - p1).X = |p2|^2 - |p1|^2 (and p3) by Cramer's rule."""
+        w = _shared_weight(p1, p2, p3)
+        m = self.m
+        (x1, t1, _), (x2, t2, _), (x3, t3, _) = p1, p2, p3
+        ex, et = 2 * (x2 - x1), 2 * m * (t2 - t1)
+        fx, ft = 2 * (x3 - x1), 2 * m * (t3 - t1)
+        n1 = x1 * x1 + m * t1 * t1
+        rhs_e = x2 * x2 + m * t2 * t2 - n1
+        rhs_f = x3 * x3 + m * t3 * t3 - n1
+        det = ex * ft - et * fx
+        if det == 0:
+            raise ValueError("collinear points have no equidistant center")
+        # Over weight w the right-hand sides carry 1/w^2 and det 1/w^2.
+        return (rhs_e * ft - rhs_f * et, ex * rhs_f - fx * rhs_e, det * w)
+
+    def barycentric_point(
+        self, weights: Tuple[int, int, int], d: int, a: Triple, b: Triple, c: Triple
+    ) -> Triple:
+        """The point (k_a*a + k_b*b + k_c*c) / d, for points of one weight."""
+        w = _shared_weight(a, b, c)
+        k_a, k_b, k_c = weights
+        return (
+            k_a * a[0] + k_b * b[0] + k_c * c[0],
+            k_a * a[1] + k_b * b[1] + k_c * c[1],
+            d * w,
+        )
+
+    def line_dist_sq(self, p: Triple, on_line: Triple, toward: Triple) -> Ratio:
+        """Squared distance from p to the line l*x + k*t + n = 0 through
+        on_line and toward: s^2 / (l^2 + k^2/m), with s the line's value at p."""
+        l, k, n = cross(on_line, toward)
+        x, t, w = p
+        s = l * x + k * t + n * w
+        return (self.m * s * s, w * w * (self.m * l * l + k * k))
+
+    def project(self, p: Triple, on_line: Triple, toward: Triple) -> Triple:
+        """Foot of the perpendicular from p to the line through on_line and
+        toward: the meet of that line with the join of p and the line's
+        normal direction (m*l, k)."""
+        line = cross(on_line, toward)
+        return cross(line, cross(p, (self.m * line[0], line[1], 0)))
+
+    def barycentric(
+        self, p: Triple, a: Triple, b: Triple, c: Triple
+    ) -> Tuple[Ratio, Ratio, Ratio]:
+        """Normalized barycentric coordinates of p: each is a ratio of
+        determinants, e.g. alpha = det[p; b; c] * w_a / (det[a; b; c] * w_p)."""
+        bc, ca, ab = cross(b, c), cross(c, a), cross(a, b)
+        det = _dot3(a, bc)
+        if det == 0:
+            raise ValueError("collinear vertices")
+        den = det * p[2]
+        return ((_dot3(p, bc) * a[2], den), (_dot3(p, ca) * b[2], den), (_dot3(p, ab) * c[2], den))

@@ -28,10 +28,14 @@ the sorted-operand stable product form, so near-degenerate triangles lose
 precision only where the input data already has.
 
 :class:`FloatPlane` holds the plane constructions on bare ``(x, y)`` float
-pairs under the names of :mod:`ninepoint.homogeneous`, so the Cartesian
-centers and the oracle are written once and run on either carrier; a
-``Point2`` is built only where a value leaves it.  :data:`CENTER_WEIGHTS`
-gives all eight kernel centers as barycentric weights, and each
+pairs under the names of :class:`ninepoint.homogeneous.Plane`, so the
+Cartesian centers and the oracle are written once and run on either
+carrier; a ``Point2`` is built only where a value leaves it.  The exact
+embedding is written once, as integer triples in the frame of
+:func:`_canonical_frame`, whose metric makes every exact triangle
+rational; :func:`exact_vertices` is its Cartesian case.
+:data:`CENTER_WEIGHTS` gives all eight kernel centers as barycentric
+weights, and each
 :class:`SideLengths` builds the barycentric forms of the incenter and the
 excenters once.
 """
@@ -134,14 +138,14 @@ def _pair(x: float, y: float) -> Pair:
 class FloatPlane:
     """Plane constructions on float pairs ``(x, y)``; scalars are floats.
 
-    The namespace mirrors :mod:`ninepoint.homogeneous` name for name, so a
-    construction written against a "plane" runs on either carrier.  It is
-    the carrier of float vertices: :meth:`lift` turns ``Point2``s into
-    pairs, and :meth:`as_point2` turns a pair back where it leaves the
-    layer.  Each construction makes the float operations of the same
-    construction in ``Point2`` arithmetic, in the same order, and checks
-    each point it makes as ``Point2`` does, so results and errors match
-    that form bit for bit (the tests keep it as the reference).  The
+    The namespace mirrors :class:`ninepoint.homogeneous.Plane` name for
+    name, so a construction written against a "plane" runs on either
+    carrier.  It is the carrier of float vertices: :meth:`lift` turns
+    ``Point2``s into pairs, and :meth:`as_point2` turns a pair back where
+    it leaves the layer.  Each construction makes the float operations of
+    the same construction in ``Point2`` arithmetic, in the same order, and
+    checks each point it makes as ``Point2`` does, so results and errors
+    match that form bit for bit (the tests keep it as the reference).  The
     scalar operations (``scalar``, ``product``, ``square``, ``difference``,
     ``quotient``) are the float operators, so the identity suite's own
     arithmetic on float sides makes the operations it always made."""
@@ -711,22 +715,35 @@ def cartesian_to_barycentric(
     return Barycentric(alpha, beta, gamma)
 
 
-def exact_vertices(sides: SideLengths) -> Optional[Tuple[Point2, Point2, Point2]]:
-    """The canonical embedding over the rationals, or None for float sides.
+def _canonical_frame(t: _IntegerTriangle) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+    """The canonical embedding of an integer form as integer triples
+    (x, t, w) of one weight, in the frame whose metric is x^2 + m*t^2:
+    (m, (A, B, C)).
 
-    On the integer form, A = (x, y) with x = (a^2 + b^2 - c^2)/2aL and
-    y^2 = P/(2aL)^2, so y is rational exactly when P is a perfect square.
-    """
+    C = (0, 0), B = (a, 0) and A = (x, k/2aL), with x = (a^2 + b^2 - c^2)/2aL
+    and m*k^2 = P, so that t = y/sqrt(m) for the altitude y of A, whose
+    square is P/(2aL)^2.  When P is a perfect square, m = 1 and k = isqrt(P):
+    the Cartesian embedding.  Otherwise k = 1 and m = P.  The shared weight
+    is reduced to the smallest, which on m = 1 is the lcm of the
+    coordinates' denominators."""
+    k = math.isqrt(t.P)
+    k, m = (k, 1) if k * k == t.P else (1, t.P)
+    x, b_x, w = t.a * t.a + t.b * t.b - t.c * t.c, 2 * t.a * t.a, 2 * t.a * t.L
+    g = math.gcd(x, k, b_x, w)
+    w //= g
+    return m, ((x // g, k // g, w), (b_x // g, 0, w), (0, 0, w))
+
+
+def exact_vertices(sides: SideLengths) -> Optional[Tuple[Point2, Point2, Point2]]:
+    """The canonical embedding over the rationals, or None for float sides
+    and for sides whose altitude is irrational: the m = 1 case of
+    :func:`_canonical_frame`."""
     if not sides.is_exact:
         return None
-    t = sides._integer_form
-    root = math.isqrt(t.P)
-    if root * root != t.P:
+    m, frame = _canonical_frame(sides._integer_form)
+    if m != 1:
         return None
-    den = 2 * t.a * t.L
-    zero = Fraction(0)
-    x = Fraction(t.a * t.a + t.b * t.b - t.c * t.c, den)
-    return (Point2(x, Fraction(root, den)), Point2(sides.a, zero), Point2(zero, zero))
+    return tuple(Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in frame)
 
 
 def canonical_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:

@@ -72,8 +72,8 @@ CASES = {
                                   "--count", "40", "--seed", "11", "--format", "json"],
     "fuzz_generic_float_json": ["fuzz", "--profile", "generic", "--backend", "float",
                                 "--count", "20", "--seed", "5", "--format", "json"],
-    # The near-equilateral profile on both backends, and exact sides on the
-    # float vertices of an irrational embedding (the suite's mixed branch).
+    # The near-equilateral profile on both backends, and exact sides with an
+    # irrational altitude, which the exact suite runs on their own frame.
     "fuzz_nearequilateral_float_json": ["fuzz", "--profile", "near-equilateral", "--backend", "float",
                                         "--count", "30", "--seed", "13", "--format", "json"],
     "fuzz_nearequilateral_exact_json": ["fuzz", "--profile", "near-equilateral", "--backend", "exact",

@@ -514,6 +514,17 @@ class TestFuzzCommand:
         assert (code, err) == (0, "")
         assert f"{count}/{count} exact-zero" in out
 
+    @pytest.mark.parametrize("profile", ["near-degenerate", "near-equilateral"])
+    @pytest.mark.parametrize("bound", [10**80, 10**200], ids=["1e80", "1e200"])
+    def test_exact_irrational_embeddings_beyond_float_range(self, capsys, profile, bound):
+        # These profiles' altitudes are irrational.  The exact suite runs
+        # them on the sides' own integer frame and builds no float
+        # embedding, which would overflow here.
+        code, out, err = run(capsys, "fuzz", "--profile", profile, "--backend", "exact",
+                             "--bound", str(bound), "--count", "2")
+        assert (code, err) == (0, "")
+        assert "2/2 exact-zero" in out
+
     def test_float_large_bound_exit_2(self, capsys):
         code, out, err = run(capsys, "fuzz", "--backend", "float", "--bound", str(10**15))
         assert (code, out) == (2, "")

@@ -169,6 +169,37 @@ def model(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("square", [True, False], ids=["rational_altitude", "irrational_altitude"])
+def test_canonical_frame_reproduces_the_sides(monkeypatch, square):
+    """Under the metric x^2 + m*t^2, the squared edges of the canonical
+    frame are a^2, b^2 and c^2 in both of its cases: P = k^2 with m = 1,
+    and m = P with k = 1.  isqrt returns the symbol k, which stands for
+    sqrt(P)."""
+    sympy = pytest.importorskip("sympy")
+    from ninepoint import homogeneous, triangle
+
+    a, b, c, L, k = sympy.symbols("a b c L k", positive=True, integer=True)
+    t = _integer_triangle(a, b, c, L)
+    P = t.P
+    if square:
+        t = t._replace(P=k**2)
+    monkeypatch.setattr(
+        triangle, "math", types.SimpleNamespace(isqrt=lambda n: k, gcd=lambda *n: 1)
+    )
+    m, (va, vb, vc) = triangle._canonical_frame(t)
+    assert (m == 1) is square
+    plane = homogeneous.Plane(m)
+
+    def dist_sq(p, q):
+        num, den = plane.dist_sq(p, q)
+        return (num / den).subs(k, sympy.sqrt(P))
+
+    assert sympy.cancel(dist_sq(vb, vc) - (a / L) ** 2) == 0
+    assert sympy.cancel(dist_sq(vc, va) - (b / L) ** 2) == 0
+    assert sympy.cancel(dist_sq(va, vb) - (c / L) ** 2) == 0
+    assert sympy.cancel(dist_sq(vc, va) - (a / L) ** 2) != 0  # the check can fail
+
+
 def _circumcenter(sympy, vertices):
     """The point equidistant from the three vertices, solved for."""
     o = sympy.symbols("o_x o_y")

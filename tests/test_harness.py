@@ -29,6 +29,7 @@ from ninepoint.triangle import (
     Point2,
     SideLengths,
     canonical_vertices,
+    exact_vertices,
     metrics,
 )
 
@@ -127,14 +128,17 @@ class TestGeneration:
         assert min(conds) < 1e3  # and spans down to mildly flat shapes
 
 
+CARTESIAN = homogeneous.Plane()
+
+
 def _oracle_on_exact(vertices):
     """The oracle on exact vertices, lifted onto the integer plane here as
     the identity suite lifts them."""
-    return cartesian_oracle(homogeneous, *homogeneous.lift(vertices))
+    return cartesian_oracle(CARTESIAN, *CARTESIAN.lift(vertices))
 
 
 def _frame_points(oracle):
-    return {label: homogeneous.as_point2(p) for label, p in oracle.frame.items()}
+    return {label: CARTESIAN.as_point2(p) for label, p in oracle.frame.items()}
 
 
 class TestOracle:
@@ -156,13 +160,13 @@ class TestOracle:
 
     def test_3_4_5_nine_point_radius(self):
         oracle = _oracle_on_exact(canonical_vertices(SideLengths(3, 4, 5)))
-        assert homogeneous.value(oracle.frame_radius_sq) == F(25, 16)
+        assert CARTESIAN.value(oracle.frame_radius_sq) == F(25, 16)
 
     def test_distance_helpers(self):
         pts = _frame_points(_oracle_on_exact(canonical_vertices(SideLengths(3, 4, 5))))
         assert pts["I"].dist_sq(pts["N"]) == F(1, 16)
 
-    @pytest.mark.parametrize("plane", [homogeneous, FloatPlane], ids=["exact", "float"])
+    @pytest.mark.parametrize("plane", [CARTESIAN, FloatPlane], ids=["exact", "float"])
     def test_collinear_rejected(self, plane):
         collinear = plane.lift((Point2(0, 0), Point2(1, 1), Point2(2, 2)))
         with pytest.raises(ValueError, match="collinear"):
@@ -174,7 +178,7 @@ class TestOracle:
         pts = _frame_points(oracle)
         met = metrics(sides)
         assert pts["O"].dist_sq(pts["A"]) == met.R_sq
-        assert homogeneous.value(oracle.frame_radius_sq) == met.R_sq / 4
+        assert CARTESIAN.value(oracle.frame_radius_sq) == met.R_sq / 4
 
 
 def _side(p, u, v):
@@ -215,7 +219,7 @@ class TestExactOracleDefinitions:
         assert _dist_sq(O, A) == _dist_sq(O, B) == _dist_sq(O, C)
         mids = (_midpoint(B, C), _midpoint(C, A), _midpoint(A, B))
         assert _dist_sq(N, mids[0]) == _dist_sq(N, mids[1]) == _dist_sq(N, mids[2])
-        assert homogeneous.value(oracle.frame_radius_sq) == _dist_sq(N, mids[0])
+        assert CARTESIAN.value(oracle.frame_radius_sq) == _dist_sq(N, mids[0])
         # G lies on two medians, H on two altitudes.
         assert _side(G, A, mids[0]) == 0 and _side(G, B, mids[1]) == 0
         assert (H.x - A.x) * (B.x - C.x) + (H.y - A.y) * (B.y - C.y) == 0
@@ -249,13 +253,20 @@ class TestSuiteFindsKernelFaults:
         worst = max(check.residual for check in report.failures())
         assert report.max_residual == worst > 0
 
-    @pytest.mark.parametrize("on_floats", [False, True], ids=["exact", "float"])
-    def test_wrong_circumcenter_weights_fail_only_its_checks(self, monkeypatch, on_floats):
+    @pytest.mark.parametrize(
+        "kind, on_floats",
+        [("generic", False), ("generic", True), ("near-degenerate", False)],
+        ids=["exact", "float", "exact_irrational_frame"],
+    )
+    def test_wrong_circumcenter_weights_fail_only_its_checks(self, monkeypatch, kind, on_floats):
         # O built with the weights of H.  The oracle solves for O on its
         # own, so only the circumcenter's agreement fails; the kernel's H
-        # and N do not go through O.
+        # and N do not go through O.  The near-degenerate triangle's
+        # altitude is irrational, so its exact suite runs on a frame with
+        # metric x^2 + m*t^2, m != 1.
         monkeypatch.setitem(CENTER_WEIGHTS, "O", CENTER_WEIGHTS["H"])
-        sides, vertices = random_triangle(FuzzProfile(kind="generic", seed=1), 0)
+        sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=1), 0)
+        assert (exact_vertices(sides) is None) == (kind == "near-degenerate")
         if on_floats:
             sides, vertices = sides.as_float(), tuple(p.as_float() for p in vertices)
         report = check_identity_suite(sides, vertices)
@@ -264,6 +275,9 @@ class TestSuiteFindsKernelFaults:
             "center_agreement_O_x",
             "center_agreement_O_y",
         }
+        # Both gaps are a sizable part of R.  On the metric frame the y gap
+        # is the t gap times sqrt(m); read in t, it would be about 1e-6.
+        assert all(check.residual > 0.1 for check in report.failures())
 
     def test_circumcenter_agreement_compares_two_computations(self):
         # The kernel weighs the vertices by O's closed form and the oracle
@@ -503,8 +517,11 @@ class TestIdentitySuite:
     def test_embedding_mismatch_raises(self):
         sides = SideLengths(3, 4, 5)
         wrong = (Point2(0, 5), Point2(3, 0), Point2(0, 0))
-        with pytest.raises(ValueError, match="embedding"):
-            check_identity_suite(sides, wrong)
+        # Exact vertices, and float ones, which exact sides test and then
+        # replace by their own frame.
+        for vertices in (wrong, tuple(p.as_float() for p in wrong)):
+            with pytest.raises(ValueError, match="embedding"):
+                check_identity_suite(sides, vertices)
 
     def test_equilateral_passes_with_coincident_flag(self):
         sides = SideLengths(1, 1, 1)
@@ -513,7 +530,7 @@ class TestIdentitySuite:
         by_name = {check.name: check for check in report.checks}
         assert by_name["tangency_kind_incircle"].detail == "coincident"
 
-    @pytest.mark.parametrize("kind", ["generic", "isoceles", "right-angled"])
+    @pytest.mark.parametrize("kind", PROFILE_KINDS)
     def test_rational_profiles_run_exact(self, kind: str):
         profile = FuzzProfile(kind=kind, seed=1)
         for i in range(10):

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ninepoint import centers, harness
-from ninepoint import homogeneous as h
-from ninepoint.triangle import FloatPlane, Point2
+from ninepoint import centers, harness, homogeneous
+from ninepoint.centers import center_set
+from ninepoint.triangle import FloatPlane, Point2, SideLengths, _canonical_frame
+
+h = homogeneous.Plane()
 
 coord = st.integers(-60, 60)
 weight = st.integers(-12, 12).filter(bool)
@@ -138,6 +140,30 @@ def test_lift_shares_the_lcm():
     assert h.lift(points) == ((6, 4, 12), (24, 15, 12), (0, 0, 12))
 
 
+def test_a_frame_with_a_metric_has_no_cartesian_exit():
+    # 2, 3, 4 has P = 9 * 5 * 3 * 1 = 135, not a square: the altitude is
+    # irrational, and the frame's t = y/sqrt(135).
+    sides = SideLengths(2, 3, 4)
+    m, (va, vb, vc) = _canonical_frame(sides._integer_form)
+    frame = homogeneous.Plane(m)
+    assert m == 135
+    edges = ((vb, vc), (vc, va), (va, vb))
+    assert [frame.value(frame.dist_sq(p, q)) for p, q in edges] == [4, 9, 16]
+    x, t = frame.coords(va)
+    assert frame.value(x) == Fraction(-3, 4)
+    kernel = center_set(sides, (va, vb, vc), plane=frame)
+    for leave in (
+        lambda: frame.value(t),
+        lambda: frame.as_point2(va),
+        lambda: kernel.points,
+    ):
+        with pytest.raises(ValueError, match="not a Cartesian coordinate"):
+            leave()
+    # The Cartesian frame keeps its exits.
+    assert h.value(h.coords((3, 4, 2))[1]) == 2
+    assert h.as_point2((3, 4, 2)) == Point2(Fraction(3, 2), 2)
+
+
 def test_parallel_lines_rejected():
     with pytest.raises(ValueError, match="parallel"):
         h.intersect((0, 0, 1), (1, 1, 1), (1, 0, 1), (2, 2, 3))
@@ -162,7 +188,6 @@ def _plane_names(*functions):
 
 def test_both_planes_define_every_name_the_constructions_call():
     names = _plane_names(
-        centers._lift,
         centers.center_set,
         centers.CenterSet,
         harness.cartesian_oracle,

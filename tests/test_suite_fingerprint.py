@@ -5,11 +5,13 @@ tests/golden/suite_fingerprint.json.
 The fuzz goldens pin only pass counts and the largest residual; this file
 pins each check, so a change to how the suite compares values (or to the
 order of its checks) shows here first.  The cases are an exact triangle
-on exact vertices, exact near-degenerate sides on float vertices (the
-suite's mixed branch), the same triangle on floats, and the exact
-triangle with a kernel fault (the excenter Eb built with the weights of
-Ec), which pins the residuals of failed exact checks.  After an intended
-change, rewrite the golden with
+on exact vertices, exact near-degenerate sides whose altitude is
+irrational (given with float vertices, which the suite tests and then
+replaces by the sides' own frame, with metric x^2 + m*t^2 and m != 1),
+the same triangle on floats, and the exact triangle with a kernel fault
+(the excenter Eb built with the weights of Ec), which pins the residuals
+of failed exact checks.  After an intended change, rewrite the golden
+with
 
     PYTHONPATH=src python tests/test_suite_fingerprint.py
 """
@@ -23,6 +25,7 @@ import pytest
 
 from ninepoint.centers import CENTER_WEIGHTS
 from ninepoint.harness import FuzzProfile, check_identity_suite, random_triangle
+from ninepoint.triangle import _canonical_frame
 
 GOLDEN = Path(__file__).parent / "golden" / "suite_fingerprint.json"
 
@@ -48,7 +51,7 @@ def _eb_weighted_as_ec():
 CASES = {
     "generic_exact": lambda: _case("generic", 4, False),
     "generic_exact_faulty_eb": lambda: _case("generic", 4, False),
-    "neardegen_exact_sides_float_vertices": lambda: _case("near-degenerate", 3, False),
+    "neardegen_exact_irrational_frame": lambda: _case("near-degenerate", 3, False),
     "neardegen_float": lambda: _case("near-degenerate", 3, True),
 }
 
@@ -75,8 +78,10 @@ def test_suite_fingerprint(name):
 def test_cases_take_their_branches():
     exact_sides, exact_vertices = CASES["generic_exact"]()
     assert exact_sides.is_exact and all(p.is_exact for p in exact_vertices)
-    mixed_sides, mixed_vertices = CASES["neardegen_exact_sides_float_vertices"]()
-    assert mixed_sides.is_exact and not any(p.is_exact for p in mixed_vertices)
+    frame_sides, float_vertices = CASES["neardegen_exact_irrational_frame"]()
+    assert frame_sides.is_exact and not any(p.is_exact for p in float_vertices)
+    m, _ = _canonical_frame(frame_sides._integer_form)
+    assert m != 1 and check_identity_suite(frame_sides, float_vertices).exact
     float_sides, _ = CASES["neardegen_float"]()
     assert not float_sides.is_exact
 
