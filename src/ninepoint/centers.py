@@ -46,10 +46,12 @@ from .numeric import Scalar
 from .record import Record, cached
 from .triangle import (
     CENTER_WEIGHTS,
+    CIRCLE_CENTERS,
     Barycentric,
     FloatPlane,
     Point2,
     SideLengths,
+    _ZERO,
     metrics,
 )
 
@@ -80,10 +82,14 @@ def _shift(vertex: Vertex) -> int:
         raise ValueError(f"vertex must be one of {VERTICES}, got {vertex!r}") from None
 
 
+# The centroid is the same for every triangle, and a Barycentric is frozen.
+_CENTROID = Barycentric(Fraction(1, 3), Fraction(1, 3), Fraction(1, 3))
+
+
 def centroid_barycentric() -> Barycentric:
-    """G = (1/3, 1/3, 1/3), independent of the side lengths."""
-    third = Fraction(1, 3)
-    return Barycentric(third, third, third)
+    """G = (1/3, 1/3, 1/3), independent of the side lengths: one shared
+    record."""
+    return _CENTROID
 
 
 def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
@@ -91,18 +97,19 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
 
     A-form: (0, b/(b+c), c/(b+c)), i.e. the bisector from A meets BC at the
     point dividing it in the ratio of the adjacent sides.  Exact sides are
-    weighted by their integer form: one division per component.
+    weighted by their integer form: one division per nonzero component, and
+    the zero is the shared exact zero.
     """
     k = _shift(vertex)
     if sides.is_exact:
         t = sides._integer_form
         s = (t.a, t.b, t.c)
-        ratio = Fraction
+        ratio, zero = Fraction, _ZERO
     else:
         s = sides.as_tuple()
-        ratio = FloatPlane.quotient  # true division
+        ratio, zero = FloatPlane.quotient, s[k] - s[k]  # true division; backend-matched zero
     d = s[(k + 1) % 3] + s[(k + 2) % 3]
-    return Barycentric(*(s[k] - s[k] if j == k else ratio(s[j], d) for j in range(3)))
+    return Barycentric(*(zero if j == k else ratio(s[j], d) for j in range(3)))
 
 
 def vertex_to_ninepoint_dist_sq(sides: SideLengths, vertex: Vertex) -> Scalar:
@@ -170,7 +177,7 @@ def center_set(
     ``plane`` they are already points of that plane, as the identity suite
     holds them."""
     bary = {"G": centroid_barycentric()}
-    bary.update(sides._center_barycentrics)
+    bary.update((label, sides._circle_center(label)) for label in CIRCLE_CENTERS)
     if vertices is None:
         return CenterSet(bary, None, None)
     if plane is None:
@@ -182,7 +189,7 @@ def center_set(
     # vertices, such as a float embedding whose altitude underflowed.
     if plane.orientation(va, vb, vc) == 0:
         raise ValueError("collinear vertices have no circumcenter")
-    # Exact sides weigh by their integer form, as _center_barycentrics does:
+    # Exact sides weigh by their integer form, as _circle_center does:
     # the integer plane needs it, and on floats each k/d rounds as before.
     if sides.is_exact:
         t = sides._integer_form

@@ -57,6 +57,7 @@ from .triangle import (
     SideLengths,
     TriangleMetrics,
     _IntegerTriangle,
+    _ZERO,
     barycentric_distance_sq,
     metrics,
 )
@@ -88,9 +89,6 @@ CIRCLES = ("incircle", "exA", "exB", "exC")
 
 # Each circle's center, a label of triangle.CENTER_WEIGHTS.
 _CENTER_OF = dict(zip(CIRCLES, CIRCLE_CENTERS))
-
-# The residual of an exact tangency; Fractions are immutable, so it is shared.
-_ZERO = Fraction(0)
 
 
 def _radius_terms(met: TriangleMetrics, circle: str) -> Tuple[Scalar, Scalar]:
@@ -216,14 +214,19 @@ def classify_tangency_sq(
     zero center distance and equal radii; it outranks the degenerate
     internal comparison at distance zero.
     """
-    d_sq = coerce_scalar(center_dist_sq)
-    r1_sq = coerce_scalar(radius1_sq)
-    r2_sq = coerce_scalar(radius2_sq)
+    # Three floats, the float report's case, settle it at once.
+    floats = type(center_dist_sq) is type(radius1_sq) is type(radius2_sq) is float
+    if floats:
+        d_sq, r1_sq, r2_sq = center_dist_sq, radius1_sq, radius2_sq
+        exact = False
+    else:
+        d_sq = coerce_scalar(center_dist_sq)
+        r1_sq = coerce_scalar(radius1_sq)
+        r2_sq = coerce_scalar(radius2_sq)
+        exact = type(d_sq) is not float and all(is_exact(v) for v in (d_sq, r1_sq, r2_sq))
     if r1_sq <= 0 or r2_sq <= 0:
         raise ValueError("squared radii must be positive")
 
-    # A float distance, the float report's case, settles it at once.
-    exact = type(d_sq) is not float and all(is_exact(v) for v in (d_sq, r1_sq, r2_sq))
     if d_sq < 0:
         # A float distance can land a hair below zero through cancellation
         # in the upstream squared-distance evaluation; clamp that, reject
@@ -250,18 +253,17 @@ def classify_tangency_sq(
         # A zero rhs_internal means equal radii.
         kind = _exact_kind(d_sq, rhs_internal, rhs_external, rhs_internal == 0)
     else:
-        d_sq = float(d_sq)
-        r1_sq_f = float(r1_sq)
-        r2_sq_f = float(r2_sq)
-        cross_f = 2.0 * math.sqrt(r1_sq_f * r2_sq_f)
-        rhs_internal = r1_sq_f + r2_sq_f - cross_f
-        rhs_external = r1_sq_f + r2_sq_f + cross_f
-        scale = max(d_sq, r1_sq_f, r2_sq_f)
+        if not floats:
+            d_sq, r1_sq, r2_sq = float(d_sq), float(r1_sq), float(r2_sq)
+        cross_f = 2.0 * math.sqrt(r1_sq * r2_sq)
+        rhs_internal = r1_sq + r2_sq - cross_f
+        rhs_external = r1_sq + r2_sq + cross_f
+        scale = max(d_sq, r1_sq, r2_sq)
         gap_internal = abs(d_sq - rhs_internal)
         gap_external = abs(d_sq - rhs_external)
         internal_fits = gap_internal <= tol.bound(max(d_sq, abs(rhs_internal), scale))
         external_fits = gap_external <= tol.bound(max(d_sq, rhs_external))
-        if d_sq <= tol.bound(scale) and abs(r1_sq_f - r2_sq_f) <= tol.bound(scale):
+        if d_sq <= tol.bound(scale) and abs(r1_sq - r2_sq) <= tol.bound(scale):
             kind = Tangency.COINCIDENT
         elif internal_fits and (not external_fits or gap_internal <= gap_external):
             kind = Tangency.INTERNAL_TANGENT
@@ -361,7 +363,7 @@ def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     met = metrics(sides)
     r_sq, mixed = _radius_terms(met, circle)
     d_sq = barycentric_distance_sq(
-        sides._center_barycentrics[_CENTER_OF[circle]], *sides._vertex_ninepoint_dist_sq, sides
+        sides._circle_center(_CENTER_OF[circle]), *sides._vertex_ninepoint_dist_sq, sides
     )
     # R^2/4 + r_X^2 -+ R*r_X; negating a float is exact, so adding -R*r_X
     # rounds as subtracting it does.
@@ -439,7 +441,7 @@ def feuerbach_report(
         reports = tuple(
             classify_tangency_sq(
                 barycentric_distance_sq(
-                    sides._center_barycentrics[_CENTER_OF[circle]], *vertex_dist_sq, sides
+                    sides._circle_center(_CENTER_OF[circle]), *vertex_dist_sq, sides
                 ),
                 ninepoint_r_sq,
                 _radius_terms(met, circle)[0],

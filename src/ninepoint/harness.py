@@ -38,13 +38,15 @@ products such as 16 R^2 K^2 against (abc)^2, the squared sides, R^2/4)
 runs on integer ratios too: each kernel ``Fraction`` enters as its
 numerator and denominator, products and differences take no gcd, and a
 comparison is a cross-multiplication.  An exact suite converts nothing to
-a float unless a check fails, and then only to normalize that check's
-residual, so it runs on numbers beyond the range of a double.  Float
-sides run the same checks on the kernel's floats, in the same order of
-operations.  Each check is recorded as a plain ``(name, passed, residual,
-detail)`` row; :class:`SuiteReport` answers ``passed`` and
-``max_residual`` from those rows, and makes them :class:`IdentityCheck`
-named tuples only when ``checks`` is read.
+a float unless a check fails, and then only the normalized residual of
+that check, which is at most 2, so it runs on numbers beyond the range of
+a double.  A failed check is normalized alike on both backends, by
+max(1, |scale|, |lhs|, |rhs|), so one kernel fault reads the same size on
+either.  Float sides run the same checks on the kernel's floats, in the
+same order of operations.  Each check is recorded as a plain ``(name,
+passed, residual, detail)`` row; :class:`SuiteReport` answers ``passed``
+and ``max_residual`` from those rows, and makes them
+:class:`IdentityCheck` named tuples only when ``checks`` is read.
 """
 
 from __future__ import annotations
@@ -141,8 +143,10 @@ def _pythagorean_legs(rng: random.Random, bound: int) -> Tuple[int, int, int]:
     return (m * m - n * n, 2 * m * n, m * m + n * n)
 
 
-def _rational_scale(rng: random.Random, bound: int) -> Fraction:
-    return Fraction(rng.randrange(1, bound + 1), rng.randrange(1, bound + 1))
+def _rational_scale(rng: random.Random, bound: int) -> Tuple[int, int]:
+    """A scale p/q as the integers (p, q); each side made with it is one
+    ``Fraction``."""
+    return rng.randrange(1, bound + 1), rng.randrange(1, bound + 1)
 
 
 def _generic_sides(rng: random.Random, bound: int) -> SideLengths:
@@ -164,8 +168,8 @@ def _generic_sides(rng: random.Random, bound: int) -> SideLengths:
         base = u + v if rng.random() < 0.5 else abs(u - v)
         if base == 0:
             continue
-        scale = _rational_scale(rng, bound)
-        triple = [base * scale, hyp2 * scale, hyp1 * scale]
+        num, den = _rational_scale(rng, bound)
+        triple = [Fraction(base * num, den), Fraction(hyp2 * num, den), Fraction(hyp1 * num, den)]
         shift = rng.randrange(3)
         triple = triple[shift:] + triple[:shift]
         return SideLengths(*triple)
@@ -177,8 +181,8 @@ def _isoceles_sides(rng: random.Random, bound: int) -> SideLengths:
     p, q, h = _pythagorean_legs(rng, bound)
     if rng.random() < 0.5:
         p, q = q, p
-    scale = _rational_scale(rng, bound)
-    triple = [2 * p * scale, h * scale, h * scale]
+    num, den = _rational_scale(rng, bound)
+    triple = [Fraction(2 * p * num, den), Fraction(h * num, den), Fraction(h * num, den)]
     shift = rng.randrange(3)
     triple = triple[shift:] + triple[:shift]
     return SideLengths(*triple)
@@ -186,18 +190,18 @@ def _isoceles_sides(rng: random.Random, bound: int) -> SideLengths:
 
 def _right_angled_sides(rng: random.Random, bound: int) -> SideLengths:
     p, q, h = _pythagorean_legs(rng, bound)
-    scale = _rational_scale(rng, bound)
-    return SideLengths(p * scale, q * scale, h * scale)
+    num, den = _rational_scale(rng, bound)
+    return SideLengths(Fraction(p * num, den), Fraction(q * num, den), Fraction(h * num, den))
 
 
 def _near_equilateral_sides(rng: random.Random, bound: int) -> SideLengths:
     # Max/min side ratio stays below 1 + 1/4000 <= 1 + 1e-3.
     base = 4000 * bound
-    scale = _rational_scale(rng, bound)
+    num, den = _rational_scale(rng, bound)
     return SideLengths(
-        (base + rng.randrange(0, bound + 1)) * scale,
-        (base + rng.randrange(0, bound + 1)) * scale,
-        (base + rng.randrange(0, bound + 1)) * scale,
+        Fraction((base + rng.randrange(0, bound + 1)) * num, den),
+        Fraction((base + rng.randrange(0, bound + 1)) * num, den),
+        Fraction((base + rng.randrange(0, bound + 1)) * num, den),
     )
 
 
@@ -208,10 +212,11 @@ def _near_degenerate_sides(rng: random.Random, bound: int) -> SideLengths:
         n = rng.randrange(1, bound + 1)
         m = rng.randrange(1, bound + 1)
         k = min(int(10.0 ** (1.0 + 5.0 * rng.random())), 1_000_000)
-        gap = Fraction(2 * (n + m), k)
-        scale = _rational_scale(rng, bound)
+        num, den = _rational_scale(rng, bound)
+        # c = (n + m - 2(n + m)/k) * num/den
+        c = Fraction((n + m) * (k - 2) * num, k * den)
         try:
-            return SideLengths(n * scale, m * scale, (n + m - gap) * scale)
+            return SideLengths(Fraction(n * num, den), Fraction(m * num, den), c)
         except ValueError:
             continue
 
@@ -362,18 +367,26 @@ class _Root(NamedTuple):
     square: Any
 
 
-def _as_float(value: Any) -> float:
-    """A compared value or a scale as a float.  A ratio of the exact plane
-    is one division of its integers, which rounds correctly, as ``float``
-    of the ``Fraction`` it stands for does."""
-    kind = type(value)
-    if kind is float:
-        return value
-    if kind is tuple:
-        return value[0] / value[1]
-    if kind is _Root:
-        return math.sqrt(_as_float(value.square))
-    return float(value)
+def _ratio(value: Any) -> Tuple[int, int]:
+    """An exact compared value or scale as (num, den): a ratio of the exact
+    plane as it is, a ``Fraction``, an ``int``, a float or a t coordinate
+    (the ratio t/w) by ``as_integer_ratio``."""
+    return value if type(value) is tuple else value.as_integer_ratio()
+
+
+def _exact_residual(lhs: Any, rhs: Any, scale: Any) -> float:
+    """|lhs - rhs| / max(1, |scale|, |lhs|, |rhs|) of a failed exact check,
+    the normalization of a float check.  A t coordinate is read in y =
+    t*sqrt(m), and a scale may be a square root, so the squared quotient is
+    taken exactly; it is at most 4, and only it becomes a float."""
+    x1, x2 = Fraction(*_ratio(lhs)), Fraction(*_ratio(rhs))
+    m = lhs[2] if type(lhs) is homogeneous._TCoordinate else 1
+    if type(scale) is _Root:
+        scale_sq = Fraction(*_ratio(scale.square))
+    else:
+        scale_sq = Fraction(*_ratio(scale)) ** 2
+    bound_sq = max(1, scale_sq, x1 * x1 * m, x2 * x2 * m)
+    return math.sqrt((x1 - x2) ** 2 * m / bound_sq)
 
 
 def _conditioned(sides: SideLengths, tol: ToleranceProfile) -> ToleranceProfile:
@@ -440,11 +453,8 @@ def check_identity_suite(
     fb = feuerbach_report(sides, suite_tol)
     met = fb.metrics
     R_sq = lift(met.R_sq)
-    if exact:
-        scale_len_sq, scale_len = R_sq, _Root(R_sq)
-    else:
-        scale_len_sq = _as_float(R_sq)
-        scale_len = math.sqrt(scale_len_sq)
+    scale_len_sq = R_sq
+    scale_len = _Root(R_sq) if exact else math.sqrt(R_sq)
 
     checks: List[Row] = []
 
@@ -456,10 +466,7 @@ def check_identity_suite(
         if n1 * d2 == n2 * d1:
             checks.append((name, True, 0.0, detail))
             return
-        gap = abs(float(Fraction(n1, d1) - Fraction(n2, d2)))
-        if type(lhs) is homogeneous._TCoordinate:  # y = t * sqrt(m), for any size of m
-            gap *= math.exp(math.log(lhs[2]) / 2)
-        checks.append((name, False, gap / max(1.0, abs(_as_float(scale))), detail))
+        checks.append((name, False, _exact_residual(lhs, rhs, scale), detail))
 
     def record_float(name: str, lhs: float, rhs: float, scale: float, detail: str = "") -> None:
         gap = abs(lhs - rhs)

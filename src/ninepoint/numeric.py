@@ -10,6 +10,14 @@ Values never migrate between backends implicitly.  ``int`` inputs are
 treated as exact and promoted to ``Fraction`` at type boundaries, which
 keeps ``/`` from silently producing floats.
 
+The dispatch rule: a kernel helper reads its backend first, from the
+exact types of its operands (``type(x) is float``, ``type(x) is
+Fraction``) or from ``SideLengths.is_exact``, and then runs only that
+backend's formula.  Floats stay bare floats, and exact values stay integer
+pairs until one ``Fraction`` is built per output.  ``coerce_scalar`` runs
+only on other input (an ``int``, a subclass, carriers that mix), which
+takes the general form of the formula.
+
 Both classifiers ask about ``float`` first, and ``coerce_scalar`` tests
 the exact type before any ``isinstance``.  The metaclass of ``Fraction``
 is ``ABCMeta``, so ``isinstance(some_float, Fraction)`` runs
@@ -17,10 +25,10 @@ is ``ABCMeta``, so ``isinstance(some_float, Fraction)`` runs
 ``float``, ``int`` or ``bool``, or against the exact type of its argument,
 does not.  ``Fraction`` arithmetic with a float operand makes that check
 inside ``fractions``, and then computes with ``float()`` of the
-``Fraction``.  So ``triangle.barycentric_distance_sq`` turns the
-centroid's ``Fraction(1, 3)`` weights into floats itself before they meet
-float distances: the same operations on the same doubles, so no bit
-moves.
+``Fraction``, one correctly rounded true division of its integers.  So
+``triangle.barycentric_distance_sq`` divides the integers of the
+centroid's ``Fraction(1, 3)`` weights, and of their products, itself
+before they meet float distances: the same doubles, so no bit moves.
 """
 
 from __future__ import annotations

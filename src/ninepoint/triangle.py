@@ -68,11 +68,15 @@ __all__ = [
     "metrics",
     "point_on_side",
     "barycentric_distance_sq",
-    "cartesian_to_barycentric",
     "exact_vertices",
     "canonical_vertices",
     "sides_from_vertices",
 ]
+
+
+# The exact zero of a barycentric component or a residual; Fractions are
+# immutable, so one is shared.
+_ZERO = Fraction(0)
 
 
 class InvalidTriangleError(ValueError):
@@ -90,22 +94,6 @@ class Point2(Record):
         set_field(self, "x", _finite(coerce_scalar(x)))
         set_field(self, "y", _finite(coerce_scalar(y)))
 
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def scaled(self, k: Scalar) -> "Point2":
-        k = coerce_scalar(k)
-        return Point2(k * self.x, k * self.y)
-
-    def dot(self, other: "Point2") -> Scalar:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point2") -> Scalar:
-        return self.x * other.y - self.y * other.x
-
     def dist_sq(self, other: "Point2") -> Scalar:
         dx = self.x - other.x
         dy = self.y - other.y
@@ -114,9 +102,6 @@ class Point2(Record):
     @property
     def is_exact(self) -> bool:
         return is_exact(self.x) and is_exact(self.y)
-
-    def as_float(self) -> "Point2":
-        return Point2(float(self.x), float(self.y))
 
 
 def _finite(value: Scalar) -> Scalar:
@@ -145,7 +130,8 @@ class FloatPlane:
     it leaves the layer.  Each construction makes the float operations of
     the same construction in ``Point2`` arithmetic, in the same order, and
     checks each point it makes as ``Point2`` does, so results and errors
-    match that form bit for bit (the tests keep it as the reference).  The
+    match that form bit for bit (``tests/point2_reference.py`` keeps it as
+    the reference, with the ``Point2`` arithmetic it needs).  The
     scalar operations (``scalar``, ``product``, ``square``, ``difference``,
     ``quotient``) are the float operators, so the identity suite's own
     arithmetic on float sides makes the operations it always made."""
@@ -291,8 +277,8 @@ class FloatPlane:
 
     @staticmethod
     def barycentric(point: Pair, a: Pair, b: Pair, c: Pair) -> Tuple[float, float, float]:
-        """Normalized barycentric coordinates of the point, as
-        :func:`cartesian_to_barycentric` solves for them."""
+        """Normalized barycentric coordinates of the point, by Cramer's
+        rule on the vectors from C."""
         xc, yc = c
         acx, acy = _pair(a[0] - xc, a[1] - yc)
         bcx, bcy = _pair(b[0] - xc, b[1] - yc)
@@ -354,20 +340,29 @@ class SideLengths(Record):
     a: Scalar
     b: Scalar
     c: Scalar
+    # Read by nearly every kernel function; decided once, from the sides'
+    # types, like the derived values below.
+    is_exact: bool
 
     def __init__(self, a: Scalar, b: Scalar, c: Scalar) -> None:
-        a = coerce_scalar(a)
-        b = coerce_scalar(b)
-        c = coerce_scalar(c)
+        kind = type(a)
+        if kind is type(b) is type(c) and (kind is float or kind is Fraction):
+            exact = kind is Fraction
+        else:
+            a = coerce_scalar(a)
+            b = coerce_scalar(b)
+            c = coerce_scalar(c)
+            exact = is_exact(a) and is_exact(b) and is_exact(c)
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "c", c)
+        set_field(self, "is_exact", exact)
         for name, value in (("a", a), ("b", b), ("c", c)):
-            if isinstance(value, float) and not math.isfinite(value):
+            if not exact and isinstance(value, float) and not math.isfinite(value):
                 raise InvalidTriangleError(f"non-finite side: {name} = {value!r}")
-            if value <= 0:
+            if (value.numerator if exact else value) <= 0:
                 raise InvalidTriangleError(f"invalid side: {name} <= 0")
-        if self.is_exact:
+        if exact:
             # a + b - c = w/L and its rotations, with L > 0: the signs of w, u, v decide.
             t = self._integer_form
             inequalities = ((t.w, 0), (t.u, 0), (t.v, 0))
@@ -379,14 +374,11 @@ class SideLengths(Record):
             if total < rhs:
                 raise InvalidTriangleError(f"not a triangle: {text} < {opposite}")
 
-    # Read by nearly every kernel function; the fields are frozen, so it is
-    # decided once, like the derived values below.
-    @cached
-    def is_exact(self) -> bool:
-        return is_exact(self.a) and is_exact(self.b) and is_exact(self.c)
-
     @property
     def is_equilateral(self) -> bool:
+        if self.is_exact:
+            t = self._integer_form
+            return t.a == t.b == t.c
         return self.a == self.b == self.c
 
     def as_tuple(self) -> Tuple[Scalar, Scalar, Scalar]:
@@ -468,24 +460,30 @@ class SideLengths(Record):
         )
 
     @cached
-    def _center_barycentrics(self) -> Dict[str, "Barycentric"]:
-        """The incenter and the excenters (:data:`CIRCLE_CENTERS`),
-        normalized, by their :data:`CENTER_WEIGHTS` label.
+    def _circle_centers(self) -> Dict[str, "Barycentric"]:
+        """The circle centers that :meth:`_circle_center` has built, by
+        label."""
+        return {}
+
+    def _circle_center(self, label: str) -> "Barycentric":
+        """The incenter or an excenter (a label of :data:`CIRCLE_CENTERS`),
+        normalized; built on first read, once per triangle, so a caller that
+        reads one center builds only that one.
 
         Exact sides are weighted by their integer form: one division per
         component."""
-        if self.is_exact:
-            t = self._integer_form
-            a, b, c = t.a, t.b, t.c
-            ratio = Fraction
-        else:
-            a, b, c = self.as_tuple()
-            ratio = operator.truediv
-        centers = {}
-        for label in CIRCLE_CENTERS:
-            (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](a, b, c)
-            centers[label] = Barycentric(ratio(x_a, d), ratio(x_b, d), ratio(x_c, d))
-        return centers
+        built = self._circle_centers
+        center = built.get(label)
+        if center is None:
+            if self.is_exact:
+                t = self._integer_form
+                (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](t.a, t.b, t.c)
+                center = Barycentric(Fraction(x_a, d), Fraction(x_b, d), Fraction(x_c, d))
+            else:
+                (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](self.a, self.b, self.c)
+                center = Barycentric(x_a / d, x_b / d, x_c / d)
+            built[label] = center
+        return center
 
     @cached
     def _vertex_ninepoint_dist_sq(self) -> Tuple[Scalar, Scalar, Scalar]:
@@ -602,9 +600,11 @@ class Barycentric(Record):
         set_field(self, "beta", beta)
         set_field(self, "gamma", gamma)
         if floats:
+            # With one float among them the sum is a float, and a Fraction
+            # meets the float tolerance as float() of itself.
             total = alpha + beta + gamma
-            scale = max(1.0, abs(float(alpha)), abs(float(beta)), abs(float(gamma)))
-            if abs(float(total) - 1.0) > DEFAULT_TOLERANCE.bound(scale):
+            scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
+            if abs(total - 1.0) > DEFAULT_TOLERANCE.bound(scale):
                 raise ValueError(f"barycentric coordinates sum to {total!r}, not 1")
             return
         # Three Fractions n/d sum to 1 exactly when, cross-multiplied,
@@ -623,13 +623,26 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
     """Coordinates (0, |CX|/a, |BX|/a) of a point X on segment BC.
 
     Endpoints are allowed: |BX| = 0 gives vertex B itself.  The two
-    distances must be nonnegative and sum to a.
+    distances must be nonnegative and sum to a.  On exact input the sum is
+    tested by cross-multiplying numerators and denominators, and each
+    component is one ``Fraction``.
     """
-    dist_bx = coerce_scalar(dist_bx)
-    dist_cx = coerce_scalar(dist_cx)
+    if type(dist_bx) is not type(dist_cx) or type(dist_bx) not in (Fraction, float):
+        dist_bx = coerce_scalar(dist_bx)
+        dist_cx = coerce_scalar(dist_cx)
+    a = sides.a
+    if sides.is_exact and is_exact(dist_bx) and is_exact(dist_cx):
+        (n_b, d_b), (n_c, d_c), (n_a, d_a) = (
+            (v.numerator, v.denominator) for v in (dist_bx, dist_cx, a)
+        )
+        if n_b < 0 or n_c < 0:
+            raise ValueError(f"negative distance along BC: |BX| = {dist_bx}, |CX| = {dist_cx}")
+        if (n_b * d_c + n_c * d_b) * d_a != n_a * d_b * d_c:
+            raise ValueError(f"|BX| + |CX| = {dist_bx + dist_cx} does not equal a = {a}")
+        # |CX|/a = n_c d_a / (d_c n_a), and n_a > 0.
+        return Barycentric(_ZERO, Fraction(n_c * d_a, d_c * n_a), Fraction(n_b * d_a, d_b * n_a))
     if dist_bx < 0 or dist_cx < 0:
         raise ValueError(f"negative distance along BC: |BX| = {dist_bx}, |CX| = {dist_cx}")
-    a = sides.a
     total = dist_bx + dist_cx
     if is_exact(total) and is_exact(a):
         if total != a:
@@ -648,13 +661,31 @@ def barycentric_distance_sq(
     sides: SideLengths,
 ) -> Scalar:
     """Squared distance |XY|^2 from X (barycentric) to Y (via its squared
-    distances to the vertices); see the module docstring for the identity."""
+    distances to the vertices); see the module docstring for the identity.
+
+    Float distances on float sides take the float expression at once.
+    ``Fraction`` weights there (the centroid's) meet only floats, and a
+    ``Fraction`` times a float is ``float()`` of the ``Fraction`` times that
+    float, which divides its integers; so each weight and weight product
+    is one integer true division, which rounds as that does."""
     alpha, beta, gamma = x.components
-    dist_ay_sq = coerce_scalar(dist_ay_sq)
-    dist_by_sq = coerce_scalar(dist_by_sq)
-    dist_cy_sq = coerce_scalar(dist_cy_sq)
-    # Float first, then the first distance: the centroid's Fraction weights
-    # meet float distances, and both take the expression below.
+    a, b, c = sides.a, sides.b, sides.c
+    if (
+        type(dist_ay_sq) is type(dist_by_sq) is type(dist_cy_sq) is float
+        and type(a) is type(b) is type(c) is float
+    ):
+        if type(alpha) is type(beta) is type(gamma) is Fraction:
+            (n_a, d_a), (n_b, d_b), (n_c, d_c) = (w.as_integer_ratio() for w in x.components)
+            alpha, beta, gamma = n_a / d_a, n_b / d_b, n_c / d_c
+            bc, ca, ab = n_b * n_c / (d_b * d_c), n_c * n_a / (d_c * d_a), n_a * n_b / (d_a * d_b)
+        else:
+            bc, ca, ab = beta * gamma, gamma * alpha, alpha * beta
+        weighted = alpha * dist_ay_sq + beta * dist_by_sq + gamma * dist_cy_sq
+        return weighted - (bc * (a * a) + ca * (b * b) + ab * (c * c))
+    if not type(dist_ay_sq) is type(dist_by_sq) is type(dist_cy_sq) is Fraction:
+        dist_ay_sq = coerce_scalar(dist_ay_sq)
+        dist_by_sq = coerce_scalar(dist_by_sq)
+        dist_cy_sq = coerce_scalar(dist_cy_sq)
     if not (
         isinstance(alpha, float)
         or isinstance(dist_ay_sq, float)
@@ -680,39 +711,9 @@ def barycentric_distance_sq(
         pairwise = n_b * n_c * t.a * t.a + n_c * n_a * t.b * t.b + n_a * n_b * t.c * t.c
         L_sq = t.L * t.L
         return Fraction(weighted * d1 * L_sq - pairwise * d2, d1 * d1 * d2 * L_sq)
-    a, b, c = sides.as_tuple()
-    bc, ca, ab = beta * gamma, gamma * alpha, alpha * beta
-    if (
-        type(bc) is not float
-        and type(dist_ay_sq) is type(dist_by_sq) is type(dist_cy_sq) is float
-        and type(a) is type(b) is type(c) is float
-    ):
-        # Exact weights meet only floats below, and a Fraction times a float
-        # is float(Fraction) times that float: converting each weight and
-        # weight product once gives the same bits.
-        alpha, beta, gamma = float(alpha), float(beta), float(gamma)
-        bc, ca, ab = float(bc), float(ca), float(ab)
     weighted = alpha * dist_ay_sq + beta * dist_by_sq + gamma * dist_cy_sq
-    pairwise = bc * (a * a) + ca * (b * b) + ab * (c * c)
+    pairwise = beta * gamma * (a * a) + gamma * alpha * (b * b) + alpha * beta * (c * c)
     return weighted - pairwise
-
-
-def cartesian_to_barycentric(
-    point: Point2, vertex_a: Point2, vertex_b: Point2, vertex_c: Point2
-) -> Barycentric:
-    """Barycentric coordinates of a point (2x2 linear solve).  The
-    reference form of :meth:`FloatPlane.barycentric`, kept in ``Point2``
-    arithmetic."""
-    ac = vertex_a - vertex_c
-    bc = vertex_b - vertex_c
-    det = ac.cross(bc)
-    if det == 0:
-        raise ValueError("collinear vertices")
-    xc = point - vertex_c
-    alpha = xc.cross(bc) / det
-    beta = ac.cross(xc) / det
-    gamma = 1 - alpha - beta
-    return Barycentric(alpha, beta, gamma)
 
 
 def _canonical_frame(t: _IntegerTriangle) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:

@@ -27,6 +27,7 @@ from ninepoint.triangle import (
     barycentric_distance_sq,
     metrics,
 )
+from point2_reference import add, as_float, dot, scaled, sub
 
 F = Fraction
 
@@ -112,7 +113,7 @@ def test_criterion_05_distance_identity_equals_cartesian(generic_corpus):
         alpha = F(rng.randrange(-20, 21), rng.randrange(1, 13))
         beta = F(rng.randrange(-20, 21), rng.randrange(1, 13))
         x = Barycentric(alpha, beta, 1 - alpha - beta)
-        x_pt = va.scaled(x.alpha) + vb.scaled(x.beta) + vc.scaled(x.gamma)
+        x_pt = add(add(scaled(va, x.alpha), scaled(vb, x.beta)), scaled(vc, x.gamma))
         y_pt = Point2(
             F(rng.randrange(-100, 101), rng.randrange(1, 13)),
             F(rng.randrange(-100, 101), rng.randrange(1, 13)),
@@ -126,9 +127,9 @@ def test_criterion_05_distance_identity_equals_cartesian(generic_corpus):
 
 def _six_membership_points(va, vb, vc):
     def project(point, on_line, toward):
-        d = toward - on_line
-        t = (point - on_line).dot(d) / d.dot(d)
-        return on_line + d.scaled(t)
+        d = sub(toward, on_line)
+        t = dot(sub(point, on_line), d) / dot(d, d)
+        return add(on_line, scaled(d, t))
 
     def mid(p, q):
         return Point2((p.x + q.x) / 2, (p.y + q.y) / 2)
@@ -153,7 +154,7 @@ def test_criterion_06_ninepoint_membership(generic_corpus):
             continue
         checked += 1
         fsides = sides.as_float()
-        va, vb, vc = (p.as_float() for p in vertices)
+        va, vb, vc = (as_float(p) for p in vertices)
         quarter = float(metrics(fsides).R_sq) / 4.0
         n_pt = center_set(fsides, (va, vb, vc)).points["N"]
         for member in _six_membership_points(va, vb, vc):

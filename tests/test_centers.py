@@ -28,6 +28,7 @@ from ninepoint.triangle import (
     canonical_vertices,
     metrics,
 )
+from point2_reference import add, as_float, dot, scaled, sub
 
 F = Fraction
 
@@ -50,6 +51,8 @@ def triangle345(sides345):
 class TestBarycentricCenters:
     def test_centroid(self):
         assert centroid_barycentric().components == (F(1, 3), F(1, 3), F(1, 3))
+        # One frozen record, built once.
+        assert centroid_barycentric() is centroid_barycentric()
 
     def test_incenter_3_4_5(self, sides345):
         assert center_set(sides345).barycentric["I"].components == (F(1, 4), F(1, 3), F(5, 12))
@@ -110,7 +113,7 @@ class TestCartesianCenters:
         # The weights read only the sides; the vertices given are collinear.
         collinear = (Point2(0, 0), Point2(1, 1), Point2(2, 2))
         if not sides.is_exact:
-            collinear = tuple(p.as_float() for p in collinear)
+            collinear = tuple(as_float(p) for p in collinear)
         with pytest.raises(ValueError, match="collinear vertices have no circumcenter"):
             center_set(sides, collinear)
 
@@ -163,9 +166,9 @@ class TestDistancesAndDots:
         if not va.is_exact:
             return
         circum = center_set(sides, (va, vb, vc)).points["O"]
-        assert circumdot(sides, "AB") == (va - circum).dot(vb - circum)
-        assert circumdot(sides, "BC") == (vb - circum).dot(vc - circum)
-        assert circumdot(sides, "CA") == (vc - circum).dot(va - circum)
+        assert circumdot(sides, "AB") == dot(sub(va, circum), sub(vb, circum))
+        assert circumdot(sides, "BC") == dot(sub(vb, circum), sub(vc, circum))
+        assert circumdot(sides, "CA") == dot(sub(vc, circum), sub(va, circum))
 
 
 class TestCenterSet:
@@ -258,10 +261,12 @@ def _reference_points(sides, vertices):
     else:
         a, b, c = sides.as_tuple()
     if not exact:
-        va, vb, vc = (p.as_float() for p in vertices)
+        va, vb, vc = (as_float(p) for p in vertices)
     ratio = Fraction if exact else (lambda k, d: k / d)
     return {
-        label: va.scaled(ratio(k_a, d)) + vb.scaled(ratio(k_b, d)) + vc.scaled(ratio(k_c, d))
+        label: add(
+            add(scaled(va, ratio(k_a, d)), scaled(vb, ratio(k_b, d))), scaled(vc, ratio(k_c, d))
+        )
         for label, ((k_a, k_b, k_c), d) in _reference_weights(a, b, c).items()
     }
 
@@ -373,7 +378,7 @@ class TestIntegerClosedForms:
         assert built[0] == 1
         built[0] = 0
         bisector_foot_barycentric(sides, "B")
-        assert built[0] == 3  # the two ratios and the zero
+        assert built[0] == 2  # the two ratios; the zero is shared
 
 
 def test_vertices_constant():

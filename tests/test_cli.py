@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ninepoint import cli
+from ninepoint.triangle import CENTER_WEIGHTS
 
 F = Fraction
 
@@ -524,6 +525,25 @@ class TestFuzzCommand:
                              "--bound", str(bound), "--count", "2")
         assert (code, err) == (0, "")
         assert "2/2 exact-zero" in out
+
+    @pytest.mark.parametrize("profile", ["generic", "near-degenerate"])
+    @pytest.mark.parametrize("bound", [10**80, 10**200], ids=["1e80", "1e200"])
+    def test_exact_fault_beyond_float_range_names_its_check(
+        self, capsys, monkeypatch, profile, bound
+    ):
+        # O built with the weights of H.  A failed exact check is normalized
+        # before its residual becomes a float, so the fault is reported
+        # (exit 3, naming the check), not taken for a float overflow.
+        monkeypatch.setitem(CENTER_WEIGHTS, "O", CENTER_WEIGHTS["H"])
+        code, out, err = run(capsys, "fuzz", "--profile", profile, "--backend", "exact",
+                             "--bound", str(bound), "--count", "2")
+        assert (code, err) == (3, "")
+        lines = out.splitlines()
+        assert lines[1] == "0/2 within tolerance"
+        assert [re.sub(r"_[xy] residual .*", "", line) for line in lines[3:]] == [
+            "index 0: center_agreement_O",
+            "index 1: center_agreement_O",
+        ]
 
     def test_float_large_bound_exit_2(self, capsys):
         code, out, err = run(capsys, "fuzz", "--backend", "float", "--bound", str(10**15))

@@ -33,6 +33,7 @@ from ninepoint.triangle import (
     metrics,
 )
 
+from point2_reference import as_float
 from test_triangle import FRACTION_ARITHMETIC, count_fraction_calls
 
 F = Fraction
@@ -253,6 +254,25 @@ class TestSuiteFindsKernelFaults:
         worst = max(check.residual for check in report.failures())
         assert report.max_residual == worst > 0
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_a_fault_reads_alike_on_both_backends(self, monkeypatch, seed):
+        # O built with the weights of H, on the exact frame and on floats.
+        # A failed exact check is normalized as a float one is, by
+        # max(1, |scale|, |lhs|, |rhs|), so one fault reads the same size.
+        monkeypatch.setitem(CENTER_WEIGHTS, "O", CENTER_WEIGHTS["H"])
+        sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=seed), 0)
+        exact = check_identity_suite(sides, None)
+        floats = check_identity_suite(sides.as_float(), vertices)
+        assert exact.exact and not floats.exact
+        exact_residual = {check.name: check.residual for check in exact.failures()}
+        float_residual = {check.name: check.residual for check in floats.failures()}
+        assert set(exact_residual) == set(float_residual) == {
+            "center_agreement_O_x",
+            "center_agreement_O_y",
+        }
+        for name, residual in exact_residual.items():
+            assert residual == pytest.approx(float_residual[name], rel=1e-6), name
+
     @pytest.mark.parametrize(
         "kind, on_floats",
         [("generic", False), ("generic", True), ("near-degenerate", False)],
@@ -268,7 +288,7 @@ class TestSuiteFindsKernelFaults:
         sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=1), 0)
         assert (exact_vertices(sides) is None) == (kind == "near-degenerate")
         if on_floats:
-            sides, vertices = sides.as_float(), tuple(p.as_float() for p in vertices)
+            sides, vertices = sides.as_float(), tuple(as_float(p) for p in vertices)
         report = check_identity_suite(sides, vertices)
         assert report.exact is not on_floats and not report.passed
         assert {check.name for check in report.failures()} == {
@@ -283,7 +303,7 @@ class TestSuiteFindsKernelFaults:
         # The kernel weighs the vertices by O's closed form and the oracle
         # solves the normal equations, so on floats they round apart.
         sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
-        report = check_identity_suite(sides.as_float(), tuple(p.as_float() for p in vertices))
+        report = check_identity_suite(sides.as_float(), tuple(as_float(p) for p in vertices))
         residual = {check.name: check.residual for check in report.checks}
         assert report.passed
         assert residual["center_agreement_O_x"] > 0 and residual["center_agreement_O_y"] > 0
@@ -336,10 +356,11 @@ class TestExactSuitePath:
             assert report.passed and report.exact
         assert converted[0] == 0
 
-    def test_at_most_100_fractions_per_triangle(self, monkeypatch):
-        # The suite's own products are integer ratios, and circumdot and the
-        # bisector feet build one Fraction per value: 99 per triangle, where
-        # Fraction arithmetic in the suite made 142.
+    def test_at_most_89_fractions_per_triangle(self, monkeypatch):
+        # The suite's own products are integer ratios, and circumdot, the
+        # side midpoint and the bisector feet build one Fraction per nonzero
+        # value; the zeros and the centroid are shared: 89 per triangle,
+        # where Fraction arithmetic in the suite made 142.
         profile = FuzzProfile(kind="generic", seed=4)
         triangles = [random_triangle(profile, i) for i in range(20)]
         built = [0]
@@ -354,7 +375,7 @@ class TestExactSuitePath:
             built[0] = 0
             report = check_identity_suite(sides, vertices)
             assert report.passed and report.exact
-            assert built[0] <= 100
+            assert built[0] <= 89
 
 
 class TestFloatTypeDispatch:
@@ -396,20 +417,20 @@ class TestFloatTypeDispatch:
         assert calls == 0
 
     def test_float_suite_abc_checks(self, abc_checks, monkeypatch):
-        # The centroid's Fraction(1, 3) weights become floats before they
-        # meet the float distances in barycentric_distance_sq, so no Fraction
-        # meets a float.  The Fraction arithmetic left is the three exact
-        # weight products of each of the two centroid checks.
+        # The centroid's Fraction(1, 3) weights and their products become
+        # floats by integer division before they meet the float distances in
+        # barycentric_distance_sq, so no Fraction meets a float, and a float
+        # suite makes no Fraction arithmetic at all.
         fraction_calls = count_fraction_calls(monkeypatch, FRACTION_ARITHMETIC)
         for seed in (3, 8, 11):
             sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=seed), 0)
             sides = sides.as_float()
-            vertices = tuple(p.as_float() for p in vertices)
+            vertices = tuple(as_float(p) for p in vertices)
             fraction_calls.clear()
             report, calls = abc_checks(lambda: check_identity_suite(sides, vertices))
             assert report.passed and not report.exact
             assert calls == 0
-            assert sum(fraction_calls.values()) <= 6
+            assert dict(fraction_calls) == {}
 
 
 class TestFloatSuiteConstructions:
@@ -434,29 +455,31 @@ class TestFloatSuiteConstructions:
     def test_near_degenerate_suite(self, constructions, seed):
         sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=seed), 0)
         sides = sides.as_float()
-        vertices = tuple(p.as_float() for p in vertices)
+        vertices = tuple(as_float(p) for p in vertices)
         constructions[Point2] = constructions[Barycentric] = 0
         report = check_identity_suite(sides, vertices)
         assert report.passed and not report.exact
         # No Point2 at all: the given vertices are lifted to pairs once.
-        # Barycentrics: G, the four centers of each of the three SideLengths
-        # the suite builds (the given, doubled and rotated sides), the side
-        # midpoint, three bisector feet and the incenter round trip.
-        assert constructions == {Point2: 0, Barycentric: 1 + 3 * 4 + 1 + 3 + 1}
+        # Barycentrics: the four circle centers of the given sides, the one
+        # center that each of the doubled and rotated sides reads (I for the
+        # incircle residual, Ea for the excircle opposite A), the side
+        # midpoint, three bisector feet and the incenter round trip.  G is
+        # one shared record.
+        assert constructions == {Point2: 0, Barycentric: 4 + 1 + 1 + 1 + 3 + 1}
 
     def test_each_center_built_once_per_sides(self, constructions):
         # center_set, feuerbach_report and the four residuals all read the
-        # same four centers of one SideLengths.
+        # same four centers of one SideLengths; G is built once, on import.
         sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
         sides = sides.as_float()
-        vertices = tuple(p.as_float() for p in vertices)
+        vertices = tuple(as_float(p) for p in vertices)
         constructions[Barycentric] = 0
         center_set(sides, vertices)
         feuerbach_report(sides)
         incircle_ninepoint_residual(sides)
         for vertex in VERTICES:
             excircle_ninepoint_residual(sides, vertex)
-        assert constructions[Barycentric] == 4 + 1  # and G in center_set
+        assert constructions[Barycentric] == 4
 
 
 class TestIdentitySuite:
@@ -471,7 +494,7 @@ class TestIdentitySuite:
 
     def test_float_3_4_5(self):
         sides = SideLengths(3.0, 4.0, 5.0)
-        vertices = tuple(p.as_float() for p in canonical_vertices(SideLengths(3, 4, 5)))
+        vertices = tuple(as_float(p) for p in canonical_vertices(SideLengths(3, 4, 5)))
         report = check_identity_suite(sides, vertices)
         assert report.passed
         assert not report.exact
@@ -494,7 +517,7 @@ class TestIdentitySuite:
         monkeypatch.setattr(IdentityCheck, "__new__", staticmethod(counting))
         sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=3), 0)
         if backend == "float":
-            sides, vertices = sides.as_float(), tuple(p.as_float() for p in vertices)
+            sides, vertices = sides.as_float(), tuple(as_float(p) for p in vertices)
         report = check_identity_suite(sides, vertices)
         assert report.passed and calls == [0]
         assert len(report.checks) == 87
@@ -519,7 +542,7 @@ class TestIdentitySuite:
         wrong = (Point2(0, 5), Point2(3, 0), Point2(0, 0))
         # Exact vertices, and float ones, which exact sides test and then
         # replace by their own frame.
-        for vertices in (wrong, tuple(p.as_float() for p in wrong)):
+        for vertices in (wrong, tuple(as_float(p) for p in wrong)):
             with pytest.raises(ValueError, match="embedding"):
                 check_identity_suite(sides, vertices)
 
@@ -546,6 +569,6 @@ class TestIdentitySuite:
         for i in range(10):
             sides, vertices = random_triangle(profile, i)
             report = check_identity_suite(
-                sides.as_float(), tuple(p.as_float() for p in vertices)
+                sides.as_float(), tuple(as_float(p) for p in vertices)
             )
             assert report.passed, (kind, i, report.failures())

@@ -26,6 +26,7 @@ import pytest
 from ninepoint.centers import CENTER_WEIGHTS
 from ninepoint.harness import FuzzProfile, check_identity_suite, random_triangle
 from ninepoint.triangle import _canonical_frame
+from point2_reference import as_float
 
 GOLDEN = Path(__file__).parent / "golden" / "suite_fingerprint.json"
 
@@ -34,7 +35,7 @@ def _case(kind: str, seed: int, on_floats: bool):
     sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), 0)
     if on_floats:
         sides = sides.as_float()
-        vertices = tuple(p.as_float() for p in vertices)
+        vertices = tuple(as_float(p) for p in vertices)
     return sides, vertices
 
 

@@ -19,7 +19,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ninepoint.centers import bisector_foot_barycentric
 from ninepoint.numeric import DEFAULT_TOLERANCE
+from point2_reference import add, cartesian_to_barycentric, cross, dot, scaled, sub
 from test_numeric import (
     FloatSub,
     FractionSub,
@@ -35,7 +37,6 @@ from ninepoint.triangle import (
     SideLengths,
     barycentric_distance_sq,
     canonical_vertices,
-    cartesian_to_barycentric,
     metrics,
     point_on_side,
     sides_from_vertices,
@@ -138,6 +139,20 @@ class TestSideLengths:
                 SideLengths(*sides)
         assert dict(calls) == {}
 
+    def test_exact_sides_make_no_fraction_comparisons(self, monkeypatch):
+        # Positivity is read from the numerators and the equilateral flag
+        # from the integer form.
+        calls = count_fraction_calls(monkeypatch, FRACTION_ARITHMETIC + FRACTION_COMPARISONS)
+        flags = [
+            SideLengths(*sides).is_equilateral
+            for sides in ((F(13, 7), F(14, 9), F(15, 11)), (F(5, 3), F(5, 3), F(5, 3)))
+        ]
+        for sides in ((0, 4, 5), (F(3), F(-1, 2), F(5))):
+            with pytest.raises(InvalidTriangleError, match="invalid side"):
+                SideLengths(*sides)
+        assert dict(calls) == {}
+        assert flags == [False, True]
+
 
 class TestMetrics:
     def test_3_4_5(self):
@@ -211,6 +226,7 @@ FRACTION_ARITHMETIC = (
     "__truediv__",
     "__rtruediv__",
 )
+FRACTION_COMPARISONS = ("__lt__", "__le__", "__gt__", "__ge__", "__eq__")
 
 
 def count_fraction_calls(monkeypatch, names):
@@ -285,6 +301,27 @@ class TestPointOnSide:
         coords = point_on_side(1.5, 1.5, SideLengths(3.0, 4.0, 5.0))
         assert coords.beta == pytest.approx(0.5)
         assert coords.gamma == pytest.approx(0.5)
+
+    @given(rational_sides, st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    def test_exact_matches_fraction_arithmetic(self, sides, share):
+        a = sides.a
+        dist_bx = share * a
+        coords = point_on_side(dist_bx, a - dist_bx, sides)
+        assert coords.components == (0, (a - dist_bx) / a, dist_bx / a)
+        assert all(type(v) is Fraction for v in coords.components)
+
+    def test_exact_input_takes_no_fraction_arithmetic(self, monkeypatch):
+        # The sum is tested by cross-multiplication, and each nonzero
+        # component is one Fraction; the bisector feet likewise.
+        sides = SideLengths(F(7, 2), F(10, 3), 4)
+        calls = count_fraction_calls(monkeypatch, FRACTION_ARITHMETIC)
+        on_side = point_on_side(F(7, 4), F(7, 4), sides).components
+        feet = [bisector_foot_barycentric(sides, vertex).components for vertex in "ABC"]
+        with pytest.raises(ValueError, match="negative distance"):
+            point_on_side(F(-1, 2), F(4), sides)
+        assert dict(calls) == {}
+        assert on_side == (0, F(1, 2), F(1, 2))
+        assert feet[0] == (0, F(5, 11), F(6, 11))
 
 
 def _reference_barycentric_distance_sq(x, dist_ay_sq, dist_by_sq, dist_cy_sq, sides):
@@ -395,6 +432,31 @@ class TestBarycentricDistance:
         expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
         assert _same_scalar(barycentric_distance_sq(x, *dist_sq, sides), expected)
 
+    @given(
+        st.tuples(*[st.integers(1, 2**20)] * 2),
+        st.tuples(*[st.integers(2**61 - 2**20, 2**61 + 2**20)] * 2),
+        st.integers(0, 2),
+        st.tuples(*[float_distance_sq] * 3),
+        rational_sides,
+    )
+    @example((1, 1), (3, 3), 0, (2.0, 3.0, 5.0), SideLengths(F(3), F(4), F(5)))
+    def test_fraction_weights_on_float_distances_keep_their_bits(
+        self, numerators, denominators, shift, dist_sq, sides
+    ):
+        # The centroid's case, and weights whose products need more than 53
+        # bits: each weight and weight product, divided as integers, rounds
+        # as float() of the Fraction does, so the bits are those of the
+        # Fraction-times-float expression, and no Fraction arithmetic runs.
+        alpha, beta = (F(n, d) for n, d in zip(numerators, denominators))
+        x = _rotated_barycentric(alpha, beta, shift)
+        sides = sides.as_float()
+        expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_fraction_calls(patch, FRACTION_ARITHMETIC)
+            actual = barycentric_distance_sq(x, *dist_sq, sides)
+        assert dict(calls) == {}
+        assert _same_scalar(actual, expected)
+
     def test_exact_inputs_take_no_fraction_arithmetic(self, monkeypatch):
         sides = SideLengths(F(7, 2), F(10, 3), 4)
         cases = [
@@ -458,7 +520,7 @@ class TestEmbeddings:
 
 def _affine(x, va, vb, vc):
     """alpha*A + beta*B + gamma*C in Point2 arithmetic."""
-    return va.scaled(x.alpha) + vb.scaled(x.beta) + vc.scaled(x.gamma)
+    return add(add(scaled(va, x.alpha), scaled(vb, x.beta)), scaled(vc, x.gamma))
 
 
 class TestCartesianConversions:
@@ -494,16 +556,17 @@ class TestCartesianConversions:
 # --- FloatPlane on float pairs ----------------------------------------------
 #
 # The Point2 forms of each FloatPlane construction, as they were before the
-# plane moved to bare float pairs.  The pair versions must give the same
-# floats bit for bit, and raise the same errors with the same text.
+# plane moved to bare float pairs, in the Point2 arithmetic of
+# point2_reference.  The pair versions must give the same floats bit for
+# bit, and raise the same errors with the same text.
 
 
 def _point2_intersect(p1, d1, p2, d2):
-    det = d1.cross(d2)
+    det = cross(d1, d2)
     if det == 0:
         raise ValueError("parallel construction lines")
-    t = (p2 - p1).cross(d2) / det
-    return p1 + d1.scaled(t)
+    t = cross(sub(p2, p1), d2) / det
+    return add(p1, scaled(d1, t))
 
 
 def _point2_equidistant_point(p1, p2, p3):
@@ -511,8 +574,8 @@ def _point2_equidistant_point(p1, p2, p3):
     ey = 2 * (p2.y - p1.y)
     fx = 2 * (p3.x - p1.x)
     fy = 2 * (p3.y - p1.y)
-    rhs_e = p2.dot(p2) - p1.dot(p1)
-    rhs_f = p3.dot(p3) - p1.dot(p1)
+    rhs_e = dot(p2, p2) - dot(p1, p1)
+    rhs_f = dot(p3, p3) - dot(p1, p1)
     det = ex * fy - ey * fx
     if det == 0:
         raise ValueError("collinear points have no equidistant center")
@@ -521,24 +584,24 @@ def _point2_equidistant_point(p1, p2, p3):
 
 def _point2_barycentric_point(weights, d, a, b, c):
     k_a, k_b, k_c = weights
-    return a.scaled(k_a / d) + b.scaled(k_b / d) + c.scaled(k_c / d)
+    return add(add(scaled(a, k_a / d), scaled(b, k_b / d)), scaled(c, k_c / d))
 
 
 def _point2_unit_direction(src, dst):
-    delta = dst - src
-    return delta.scaled(1.0 / math.sqrt(float(delta.dot(delta))))
+    delta = sub(dst, src)
+    return scaled(delta, 1.0 / math.sqrt(float(dot(delta, delta))))
 
 
 def _point2_line_dist_sq(point, on_line, toward):
-    d = toward - on_line
-    num = d.cross(point - on_line)
-    return (num * num) / d.dot(d)
+    d = sub(toward, on_line)
+    num = cross(d, sub(point, on_line))
+    return (num * num) / dot(d, d)
 
 
 def _point2_project(point, on_line, toward):
-    d = toward - on_line
-    t = (point - on_line).dot(d) / d.dot(d)
-    return on_line + d.scaled(t)
+    d = sub(toward, on_line)
+    t = dot(sub(point, on_line), d) / dot(d, d)
+    return add(on_line, scaled(d, t))
 
 
 def _point2_barycentric(point, a, b, c):
@@ -546,7 +609,7 @@ def _point2_barycentric(point, a, b, c):
 
 
 def _point2_orientation(a, b, c):
-    return (b - a).cross(c - a)
+    return cross(sub(b, a), sub(c, a))
 
 
 # Name -> (Point2 form, number of point arguments); barycentric_point takes
@@ -653,16 +716,18 @@ class TestFloatPlaneMatchesPoint2Forms:
 
 class TestPoint2:
     def test_arithmetic(self):
+        # The reference arithmetic of point2_reference, and Point2's own
+        # dist_sq.
         p = Point2(F(1), F(2))
         q = Point2(F(3), F(5))
-        assert ((p + q).x, (p + q).y) == (F(4), F(7))
-        assert ((q - p).x, (q - p).y) == (F(2), F(3))
-        assert p.dot(q) == F(13)
-        assert p.cross(q) == F(-1)
+        assert (add(p, q).x, add(p, q).y) == (F(4), F(7))
+        assert (sub(q, p).x, sub(q, p).y) == (F(2), F(3))
+        assert dot(p, q) == F(13)
+        assert cross(p, q) == F(-1)
         assert p.dist_sq(q) == F(13)
 
     def test_scaled(self):
-        p = Point2(F(1), F(2)).scaled(F(3, 2))
+        p = scaled(Point2(F(1), F(2)), F(3, 2))
         assert (p.x, p.y) == (F(3, 2), F(3))
 
     def test_non_finite_rejected(self):

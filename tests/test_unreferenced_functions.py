@@ -17,12 +17,6 @@ import ninepoint
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ninepoint"
 
-# Kept without a package caller: the ``Point2`` form of
-# ``FloatPlane.barycentric``, which the tests hold that construction to
-# bit for bit.
-REFERENCE_FORMS = ["triangle.cartesian_to_barycentric"]
-
-
 def _references(node: ast.AST) -> Iterator[str]:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -50,7 +44,7 @@ def unreferenced_functions(sources: Dict[str, str], exported: List[str]) -> List
 
 def test_every_public_function_is_reached_or_exported():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_functions(sources, ninepoint.__all__) == REFERENCE_FORMS
+    assert unreferenced_functions(sources, ninepoint.__all__) == []
 
 
 def test_detects_what_no_package_code_reaches():
