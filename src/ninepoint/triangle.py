@@ -35,9 +35,8 @@ embedding is written once, as integer triples in the frame of
 :func:`_canonical_frame`, whose metric makes every exact triangle
 rational; :func:`exact_vertices` is its Cartesian case.
 :data:`CENTER_WEIGHTS` gives all eight kernel centers as barycentric
-weights, and each
-:class:`SideLengths` builds the barycentric forms of the incenter and the
-excenters once.
+weights, and each :class:`SideLengths` builds the barycentric form of the
+incenter and of each excenter once, on its first read.
 """
 
 from __future__ import annotations
