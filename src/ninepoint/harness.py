@@ -367,24 +367,18 @@ class _Root(NamedTuple):
     square: Any
 
 
-def _ratio(value: Any) -> Tuple[int, int]:
-    """An exact compared value or scale as (num, den): a ratio of the exact
-    plane as it is, a ``Fraction``, an ``int``, a float or a t coordinate
-    (the ratio t/w) by ``as_integer_ratio``."""
-    return value if type(value) is tuple else value.as_integer_ratio()
-
-
-def _exact_residual(lhs: Any, rhs: Any, scale: Any) -> float:
-    """|lhs - rhs| / max(1, |scale|, |lhs|, |rhs|) of a failed exact check,
-    the normalization of a float check.  A t coordinate is read in y =
-    t*sqrt(m), and a scale may be a square root, so the squared quotient is
-    taken exactly; it is at most 4, and only it becomes a float."""
-    x1, x2 = Fraction(*_ratio(lhs)), Fraction(*_ratio(rhs))
-    m = lhs[2] if type(lhs) is homogeneous._TCoordinate else 1
+def _exact_residual(lhs: Tuple[int, int], rhs: Tuple[int, int], m: int, scale: Any) -> float:
+    """|lhs - rhs| / max(1, |scale|, |lhs|, |rhs|) of a failed exact check
+    on the ratios (num, den), the normalization of a float check.  A t
+    coordinate (m != 1) is read in y = t*sqrt(m).  The scale is a ratio of
+    the exact plane, a ``Fraction``, an ``int`` or a float, or the square
+    root of a ratio, so the squared quotient is taken exactly; it is at
+    most 4, and only it becomes a float."""
+    x1, x2 = Fraction(*lhs), Fraction(*rhs)
     if type(scale) is _Root:
-        scale_sq = Fraction(*_ratio(scale.square))
+        scale_sq = Fraction(*scale.square)
     else:
-        scale_sq = Fraction(*_ratio(scale)) ** 2
+        scale_sq = (Fraction(*scale) if type(scale) is tuple else Fraction(scale)) ** 2
     bound_sq = max(1, scale_sq, x1 * x1 * m, x2 * x2 * m)
     return math.sqrt((x1 - x2) ** 2 * m / bound_sq)
 
@@ -466,7 +460,8 @@ def check_identity_suite(
         if n1 * d2 == n2 * d1:
             checks.append((name, True, 0.0, detail))
             return
-        checks.append((name, False, _exact_residual(lhs, rhs, scale), detail))
+        m = lhs[2] if type(lhs) is homogeneous._TCoordinate else 1
+        checks.append((name, False, _exact_residual((n1, d1), (n2, d2), m, scale), detail))
 
     def record_float(name: str, lhs: float, rhs: float, scale: float, detail: str = "") -> None:
         gap = abs(lhs - rhs)

@@ -630,7 +630,7 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
         dist_bx = coerce_scalar(dist_bx)
         dist_cx = coerce_scalar(dist_cx)
     a = sides.a
-    if sides.is_exact and is_exact(dist_bx) and is_exact(dist_cx):
+    if is_exact(a) and is_exact(dist_bx) and is_exact(dist_cx):
         (n_b, d_b), (n_c, d_c), (n_a, d_a) = (
             (v.numerator, v.denominator) for v in (dist_bx, dist_cx, a)
         )
@@ -643,10 +643,7 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
     if dist_bx < 0 or dist_cx < 0:
         raise ValueError(f"negative distance along BC: |BX| = {dist_bx}, |CX| = {dist_cx}")
     total = dist_bx + dist_cx
-    if is_exact(total) and is_exact(a):
-        if total != a:
-            raise ValueError(f"|BX| + |CX| = {total} does not equal a = {a}")
-    elif abs(float(total) - float(a)) > DEFAULT_TOLERANCE.bound(float(a)):
+    if abs(float(total) - float(a)) > DEFAULT_TOLERANCE.bound(float(a)):
         raise ValueError(f"|BX| + |CX| = {total!r} does not equal a = {a!r}")
     zero = a - a  # backend-matched zero
     return Barycentric(zero, dist_cx / a, dist_bx / a)
