@@ -13,17 +13,19 @@ of O and H.  The circumcenter property of O, the altitude property of H and
 the equal-distance property of N are checked against independent
 constructions in the test harness rather than assumed here.
 
-On exact sides the barycentric weights are evaluated on the triangle's
-integer form (weights do not change when the sides are scaled).  The
-Cartesian centers are one construction, written against a plane: integer
-homogeneous triples (:class:`ninepoint.homogeneous.Plane`) when the sides
-and the vertices are all exact, where no gcd is taken until a ``Point2``
-is asked for, and :class:`~ninepoint.triangle.FloatPlane` otherwise, which
-takes the vertices as float pairs.  Input that mixes exact and float
-values gets eight float centers.  The identity suite passes its own plane
-and frame instead, which for exact sides is the sides' integer frame
-under the metric x^2 + m*t^2; ``barycentric_point`` and ``orientation``
-are affine, so the same code serves it.  Callers read the centers as
+A triangle's backend is its sides': on exact sides the barycentric
+weights are evaluated on the triangle's integer form (weights do not
+change when the sides are scaled).  The Cartesian centers are one
+construction, written against a plane: integer homogeneous triples
+(:class:`ninepoint.homogeneous.Plane`) when the sides and the vertices
+are all exact, where no gcd is taken until a ``Point2`` is asked for, and
+:class:`~ninepoint.triangle.FloatPlane` otherwise, which takes the
+vertices as float pairs.  So exact sides with float vertices, as ``svg``
+draws a triangle whose altitude is irrational, get eight float centers.
+The identity suite passes its own plane and frame instead, which for
+exact sides is always the sides' integer frame under the metric
+x^2 + m*t^2; ``barycentric_point`` and ``orientation`` are affine, so the
+same code serves it.  Callers read the centers as
 ``Point2``s through ``CenterSet.points``, which only a Cartesian frame
 has.
 
@@ -107,7 +109,7 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
         ratio, zero = Fraction, _ZERO
     else:
         s = sides.as_tuple()
-        ratio, zero = FloatPlane.quotient, s[k] - s[k]  # true division; backend-matched zero
+        ratio, zero = FloatPlane.quotient, 0.0  # true division
     d = s[(k + 1) % 3] + s[(k + 2) % 3]
     return Barycentric(*(zero if j == k else ratio(s[j], d) for j in range(3)))
 

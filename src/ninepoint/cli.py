@@ -57,7 +57,7 @@ class RunConfig(Record):
         "backend", "fmt", "tol", "out_path", "sides", "vertices", "vertices_given"
     )
     backend: str  # "exact" | "float"
-    fmt: str  # "json" | "text" | "svg"
+    fmt: str  # "json" | "text"
     tol: ToleranceProfile
     out_path: Optional[str]
     sides: SideLengths
@@ -113,7 +113,7 @@ def _resolve_input(args: argparse.Namespace) -> RunConfig:
                 Point2(coords[2], coords[3]),
                 Point2(coords[4], coords[5]),
             )
-            sides = sides_from_vertices(*vertices, exact=(backend == "exact"))
+            sides = sides_from_vertices(*vertices)
         except InvalidTriangleError:
             _name_underflow(raw, coords)
             raise
@@ -297,8 +297,6 @@ def _dump_json(doc: dict) -> str:
 
 
 def cmd_compute(config: RunConfig) -> int:
-    if config.fmt == "svg":
-        return cmd_svg(config)
     doc = {
         "input": _input_dict(config),
         "metrics": _metrics_dict(metrics(config.sides)),
@@ -327,8 +325,6 @@ def cmd_compute(config: RunConfig) -> int:
 
 
 def cmd_feuerbach(config: RunConfig) -> int:
-    if config.fmt == "svg":
-        return cmd_svg(config)
     report = feuerbach_report(config.sides, config.tol)
     doc = {
         "input": _input_dict(config),
@@ -473,10 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="metrics and centers of one triangle")
-    _add_triangle_arguments(compute, ("json", "text", "svg"))
+    _add_triangle_arguments(compute, ("json", "text"))
 
     feuer = sub.add_parser("feuerbach", help="nine-point tangency report")
-    _add_triangle_arguments(feuer, ("json", "text", "svg"))
+    _add_triangle_arguments(feuer, ("json", "text"))
     _add_tolerance_arguments(feuer)
 
     fuzz = sub.add_parser("fuzz", help="identity suite over a randomized profile")

@@ -46,8 +46,7 @@ from .numeric import (
     DEFAULT_TOLERANCE,
     Scalar,
     ToleranceProfile,
-    coerce_scalar,
-    is_exact,
+    coerce_backend,
     sqrt_exact,
 )
 from .record import Record, set_field
@@ -206,24 +205,22 @@ def classify_tangency_sq(
 ) -> TangencyReport:
     """Classify from squared center distance and squared radii.
 
-    Exact inputs are compared exactly; floats within the tolerance of the
-    candidate right-hand side count as tangent, and when both candidates fit
-    inside the band the one with the smaller residual wins (near-degenerate
-    triangles can squeeze (r1 - r2)^2 and (r1 + r2)^2 closer together than
-    the conditioning-widened tolerance).  Coincident means the same circle:
-    zero center distance and equal radii; it outranks the degenerate
-    internal comparison at distance zero.
+    The three values are exact (ints promoted) or floats; a mix raises
+    ``TypeError``.  Exact inputs are compared exactly; floats within the
+    tolerance of the candidate right-hand side count as tangent, and when
+    both candidates fit inside the band the one with the smaller residual
+    wins (near-degenerate triangles can squeeze (r1 - r2)^2 and
+    (r1 + r2)^2 closer together than the conditioning-widened tolerance).
+    Coincident means the same circle: zero center distance and equal
+    radii; it outranks the degenerate internal comparison at distance
+    zero.
     """
-    # Three floats, the float report's case, settle it at once.
-    floats = type(center_dist_sq) is type(radius1_sq) is type(radius2_sq) is float
-    if floats:
-        d_sq, r1_sq, r2_sq = center_dist_sq, radius1_sq, radius2_sq
-        exact = False
+    d_sq, r1_sq, r2_sq = center_dist_sq, radius1_sq, radius2_sq
+    carrier = type(d_sq)
+    if carrier is type(r1_sq) is type(r2_sq) and (carrier is float or carrier is Fraction):
+        exact = carrier is Fraction
     else:
-        d_sq = coerce_scalar(center_dist_sq)
-        r1_sq = coerce_scalar(radius1_sq)
-        r2_sq = coerce_scalar(radius2_sq)
-        exact = type(d_sq) is not float and all(is_exact(v) for v in (d_sq, r1_sq, r2_sq))
+        (d_sq, r1_sq, r2_sq), exact = coerce_backend(d_sq, r1_sq, r2_sq)
     if r1_sq <= 0 or r2_sq <= 0:
         raise ValueError("squared radii must be positive")
 
@@ -231,7 +228,7 @@ def classify_tangency_sq(
         # A float distance can land a hair below zero through cancellation
         # in the upstream squared-distance evaluation; clamp that, reject
         # anything genuinely negative (and any exact negative).
-        if exact or -float(d_sq) > tol.bound(max(float(r1_sq), float(r2_sq))):
+        if exact or -d_sq > tol.bound(max(r1_sq, r2_sq)):
             raise ValueError(
                 f"squared center distance must be nonnegative, got {d_sq}"
             )
@@ -253,8 +250,6 @@ def classify_tangency_sq(
         # A zero rhs_internal means equal radii.
         kind = _exact_kind(d_sq, rhs_internal, rhs_external, rhs_internal == 0)
     else:
-        if not floats:
-            d_sq, r1_sq, r2_sq = float(d_sq), float(r1_sq), float(r2_sq)
         cross_f = 2.0 * math.sqrt(r1_sq * r2_sq)
         rhs_internal = r1_sq + r2_sq - cross_f
         rhs_external = r1_sq + r2_sq + cross_f

@@ -17,19 +17,20 @@ side lengths, and the exact carrier is integer homogeneous coordinates
 (:class:`ninepoint.homogeneous.Plane`): lines are joins, intersections are
 meets, a unit direction takes one ``isqrt``, and a comparison is a
 cross-multiplication; a ``Fraction`` is built only where a value enters a
-kernel formula.  The generic, isoceles and right-angled profiles glue
-Pythagorean right triangles, so their altitude is rational and their
-canonical embedding is Cartesian.  The near-equilateral and
-near-degenerate profiles mostly have an irrational altitude y.  The suite
-then runs on the sides' own frame, with second coordinate t = y/sqrt(m)
-and metric x^2 + m*t^2 (:func:`~ninepoint.triangle._canonical_frame`),
-where the vertices, the unit edge directions and every construction are
-rational again: the constructions only take inner products.  Float sides
-run the same constructions over :class:`~ninepoint.triangle.FloatPlane`,
-which carries points as bare ``(x, y)`` float pairs, with
-magnitude-aware tolerances.  The oracle does not choose a plane: it takes
-vertices already lifted onto one.  The suite chooses it from
-``sides.is_exact`` and hands the lifted vertices to both the oracle and
+kernel formula.  An exact suite always runs on the sides' own frame,
+with second coordinate t = y/sqrt(m) for the altitude y and metric
+x^2 + m*t^2 (:func:`~ninepoint.triangle._canonical_frame`), where the
+vertices, the unit edge directions and every construction are rational:
+the constructions only take inner products.  The generic, isoceles and
+right-angled profiles glue Pythagorean right triangles, so their
+altitude is rational and their frame is Cartesian (m = 1); the
+near-equilateral and near-degenerate profiles mostly have an irrational
+altitude.  Float sides run the same constructions on the vertices they
+are given, over :class:`~ninepoint.triangle.FloatPlane`, which carries
+points as bare ``(x, y)`` float pairs, with magnitude-aware tolerances.
+The oracle does not choose a plane: it takes vertices already lifted onto
+one.  The suite chooses it from ``sides.is_exact`` alone and hands the
+lifted vertices to both the oracle and
 :func:`~ninepoint.centers.center_set`, so it compares the two frames point
 for point on one plane.
 
@@ -392,20 +393,6 @@ def _conditioned(sides: SideLengths, tol: ToleranceProfile) -> ToleranceProfile:
     )
 
 
-def _refuse_wrong_float_embedding(
-    sides: SideLengths, embedding: Tuple[Point2, ...], tol: ToleranceProfile
-) -> None:
-    """Float vertices given with exact sides must reproduce the sides, by
-    the comparison a float suite makes of its embedding."""
-    bound = _conditioned(sides, tol).bound
-    va, vb, vc = FloatPlane.lift(embedding)
-    scale = float(metrics(sides).R_sq)
-    for p, q, side in ((vb, vc, sides.a), (vc, va, sides.b), (va, vb, sides.c)):
-        lhs, rhs = FloatPlane.dist_sq(p, q), float(side * side)
-        if abs(lhs - rhs) > bound(max(1.0, abs(scale), abs(lhs), abs(rhs))):
-            raise ValueError("embedding does not match the side lengths")
-
-
 def check_identity_suite(
     sides: SideLengths,
     embedding: Optional[Tuple[Point2, Point2, Point2]],
@@ -413,31 +400,30 @@ def check_identity_suite(
 ) -> SuiteReport:
     """Run every cross-check of kernel formulas against the oracle.
 
-    Exact sides run the Cartesian checks on integer homogeneous
-    coordinates; every comparison there is an exact equality, made by
-    cross-multiplication, and so are the suite's own products of kernel
-    values, and a float is taken only for the residual of a failed check.
-    Exact vertices are lifted onto the Cartesian plane.  With no embedding
-    (None), or with float vertices, the suite runs on the sides' own frame
-    (:func:`~ninepoint.triangle._canonical_frame`), under the metric
-    x^2 + m*t^2; float vertices must first reproduce the sides, as on a
-    float suite.  Float sides take the vertices as floats, and compare
-    with a conditioning-aware tolerance: first-order error analysis puts
-    rounding growth at O(eps * conditioning^2), so the relative bound is
+    Exact sides take no embedding (``embedding`` is None; anything else
+    raises ``ValueError``): they run on their own frame
+    (:func:`~ninepoint.triangle._canonical_frame`) of integer homogeneous
+    coordinates under the metric x^2 + m*t^2, which is Cartesian (m = 1)
+    when the altitude is rational.  Every comparison there is an exact
+    equality, made by cross-multiplication, and so are the suite's own
+    products of kernel values, and a float is taken only for the residual
+    of a failed check.  Float sides need an embedding, whose vertices they
+    take as floats and which must reproduce the sides, and compare with a
+    conditioning-aware tolerance: first-order error analysis puts rounding
+    growth at O(eps * conditioning^2), so the relative bound is
     ``tol.rel_eps + 64 * eps * conditioning^2``.
     """
     exact = sides.is_exact
-    if not exact:
-        plane, suite_tol = FloatPlane, _conditioned(sides, tol)
-        lifted = plane.lift(embedding)
-    elif embedding and all(p.is_exact for p in embedding):
-        plane, suite_tol = homogeneous.Plane(), tol
-        lifted = plane.lift(embedding)
-    else:
-        if embedding:
-            _refuse_wrong_float_embedding(sides, embedding, tol)
+    if exact:
+        if embedding is not None:
+            raise ValueError("exact sides run on their own frame; pass no embedding")
         m, lifted = _canonical_frame(sides._integer_form)
         plane, suite_tol = homogeneous.Plane(m), tol  # an exact suite compares no floats
+    else:
+        if embedding is None:
+            raise ValueError("float sides need an embedding")
+        plane, suite_tol = FloatPlane, _conditioned(sides, tol)
+        lifted = plane.lift(embedding)
     va, vb, vc = lifted
 
     a, b, c = sides.as_tuple()
@@ -477,7 +463,8 @@ def check_identity_suite(
     zero = plane.difference(A, A)
     dist_sq, sub, dot = plane.dist_sq, plane.sub, plane.dot
 
-    # Embedding consistency: the vertex triple must reproduce the sides.
+    # Embedding consistency: the vertex triple must reproduce the sides
+    # (the exact frame does by construction).
     record("embedding_matches_sides_a", dist_sq(vb, vc), product(A, A), scale_len_sq)
     record("embedding_matches_sides_b", dist_sq(vc, va), product(B, B), scale_len_sq)
     record("embedding_matches_sides_c", dist_sq(va, vb), product(C, C), scale_len_sq)

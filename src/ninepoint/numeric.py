@@ -10,13 +10,18 @@ Values never migrate between backends implicitly.  ``int`` inputs are
 treated as exact and promoted to ``Fraction`` at type boundaries, which
 keeps ``/`` from silently producing floats.
 
-The dispatch rule: a kernel helper reads its backend first, from the
-exact types of its operands (``type(x) is float``, ``type(x) is
-Fraction``) or from ``SideLengths.is_exact``, and then runs only that
-backend's formula.  Floats stay bare floats, and exact values stay integer
-pairs until one ``Fraction`` is built per output.  ``coerce_scalar`` runs
-only on other input (an ``int``, a subclass, carriers that mix), which
-takes the general form of the formula.
+The dispatch rule: a triangle's backend is its sides'.  ``SideLengths``
+and ``Barycentric`` hold three exact values or three floats, and a kernel
+helper reads its backend from ``SideLengths.is_exact`` (the sides-free
+``feuerbach.classify_tangency_sq`` from its three values), and then runs
+only that backend's formula; the other values it takes, such as
+distances, must be on that backend too.  Floats stay bare floats, and
+exact values stay integer pairs until one ``Fraction`` is built per
+output.  Three floats or three ``Fraction``s pass an exact-type test;
+only other input (an ``int``, a subclass) reaches :func:`coerce_backend`,
+which promotes ints and raises ``TypeError`` where exact and float values
+mix.  The one exception is the constant weights of the centroid, exact on
+either backend; see ``triangle.barycentric_distance_sq``.
 
 Both classifiers ask about ``float`` first, and ``coerce_scalar`` tests
 the exact type before any ``isinstance``.  The metaclass of ``Fraction``
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 from .record import Record, set_field
 
@@ -48,6 +53,7 @@ __all__ = [
     "sqrt_exact",
     "is_exact",
     "coerce_scalar",
+    "coerce_backend",
 ]
 
 
@@ -98,6 +104,21 @@ def coerce_scalar(value: Scalar) -> Scalar:
     if isinstance(value, Fraction):
         return value
     raise TypeError(f"unsupported scalar type: {type(value).__name__}")
+
+
+def coerce_backend(
+    *values: Scalar, exact: Optional[bool] = None
+) -> Tuple[Tuple[Scalar, ...], bool]:
+    """``coerce_scalar`` of each value, and whether they are exact.  The
+    values must share one backend, the one ``exact`` names when it is
+    given; ``TypeError`` otherwise."""
+    values = tuple(map(coerce_scalar, values))
+    kinds = set(map(is_exact, values))
+    if exact is None and len(kinds) == 1:
+        (exact,) = kinds
+    if kinds != {exact}:
+        raise TypeError("exact and float scalars do not mix")
+    return values, exact
 
 
 def sqrt_exact(value: Union[Fraction, int]) -> Optional[Fraction]:

@@ -23,7 +23,9 @@ barycentric machinery:
 The sum check of exact barycentric coordinates cross-multiplies their
 numerators and denominators as integers.
 
-All functions are polymorphic over the scalar backend.  The float area uses
+A triangle's backend is its sides': ``SideLengths`` and ``Barycentric``
+hold three exact values or three floats, and the functions here take
+their other values on the sides' backend.  The float area uses
 the sorted-operand stable product form, so near-degenerate triangles lose
 precision only where the input data already has.
 
@@ -49,6 +51,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 from .numeric import (
     DEFAULT_TOLERANCE,
     Scalar,
+    coerce_backend,
     coerce_scalar,
     is_exact,
     sqrt_exact,
@@ -328,11 +331,13 @@ CIRCLE_CENTERS = ("I", "Ea", "Eb", "Ec")
 class SideLengths(Record):
     """Validated side lengths a = |BC|, b = |CA|, c = |AB|.
 
-    Construction enforces positivity and the strict triangle inequality;
-    the diagnostic names the violated inequality.  Equilateral triples are
-    accepted but flagged, because the incircle and the nine-point circle
-    then coincide instead of being tangent.  No ``__slots__``: the derived
-    values below are cached in the instance ``__dict__``.
+    The three sides are exact (ints are promoted to ``Fraction``) or
+    floats; a triple that mixes them raises ``TypeError``.  Construction
+    enforces positivity and the strict triangle inequality; the diagnostic
+    names the violated inequality.  Equilateral triples are accepted but
+    flagged, because the incircle and the nine-point circle then coincide
+    instead of being tangent.  No ``__slots__``: the derived values below
+    are cached in the instance ``__dict__``.
     """
 
     _fields = ("a", "b", "c")
@@ -348,16 +353,13 @@ class SideLengths(Record):
         if kind is type(b) is type(c) and (kind is float or kind is Fraction):
             exact = kind is Fraction
         else:
-            a = coerce_scalar(a)
-            b = coerce_scalar(b)
-            c = coerce_scalar(c)
-            exact = is_exact(a) and is_exact(b) and is_exact(c)
+            (a, b, c), exact = coerce_backend(a, b, c)
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "c", c)
         set_field(self, "is_exact", exact)
         for name, value in (("a", a), ("b", b), ("c", c)):
-            if not exact and isinstance(value, float) and not math.isfinite(value):
+            if not exact and not math.isfinite(value):
                 raise InvalidTriangleError(f"non-finite side: {name} = {value!r}")
             if (value.numerator if exact else value) <= 0:
                 raise InvalidTriangleError(f"invalid side: {name} <= 0")
@@ -578,9 +580,10 @@ def metrics(sides: SideLengths) -> TriangleMetrics:
 class Barycentric(Record):
     """Normalized barycentric coordinates (components sum to 1).
 
-    Components may be negative (excenters live outside the triangle).  The
-    sum constraint is checked exactly, on integers, on the rational backend
-    and against a magnitude-aware tolerance on floats.
+    Components may be negative (excenters live outside the triangle).  They
+    are three exact values (ints promoted) or three floats; a mix raises
+    ``TypeError``.  The sum constraint is checked exactly, on integers, on
+    the rational backend and against a magnitude-aware tolerance on floats.
     """
 
     __slots__ = _fields = ("alpha", "beta", "gamma")
@@ -589,18 +592,15 @@ class Barycentric(Record):
     gamma: Scalar
 
     def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar) -> None:
-        floats = type(alpha) is type(beta) is type(gamma) is float
-        if not floats:
-            alpha = coerce_scalar(alpha)
-            beta = coerce_scalar(beta)
-            gamma = coerce_scalar(gamma)
-            floats = isinstance(alpha, float) or isinstance(beta, float) or isinstance(gamma, float)
+        kind = type(alpha)
+        if kind is type(beta) is type(gamma) and (kind is float or kind is Fraction):
+            exact = kind is Fraction
+        else:
+            (alpha, beta, gamma), exact = coerce_backend(alpha, beta, gamma)
         set_field(self, "alpha", alpha)
         set_field(self, "beta", beta)
         set_field(self, "gamma", gamma)
-        if floats:
-            # With one float among them the sum is a float, and a Fraction
-            # meets the float tolerance as float() of itself.
+        if not exact:
             total = alpha + beta + gamma
             scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
             if abs(total - 1.0) > DEFAULT_TOLERANCE.bound(scale):
@@ -622,15 +622,15 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
     """Coordinates (0, |CX|/a, |BX|/a) of a point X on segment BC.
 
     Endpoints are allowed: |BX| = 0 gives vertex B itself.  The two
-    distances must be nonnegative and sum to a.  On exact input the sum is
-    tested by cross-multiplying numerators and denominators, and each
-    component is one ``Fraction``.
+    distances are on the sides' backend, nonnegative, and sum to a.  On
+    exact sides the sum is tested by cross-multiplying numerators and
+    denominators, and each component is one ``Fraction``.
     """
-    if type(dist_bx) is not type(dist_cx) or type(dist_bx) not in (Fraction, float):
-        dist_bx = coerce_scalar(dist_bx)
-        dist_cx = coerce_scalar(dist_cx)
+    exact = sides.is_exact
+    if not type(dist_bx) is type(dist_cx) is (Fraction if exact else float):
+        (dist_bx, dist_cx), _ = coerce_backend(dist_bx, dist_cx, exact=exact)
     a = sides.a
-    if is_exact(a) and is_exact(dist_bx) and is_exact(dist_cx):
+    if exact:
         (n_b, d_b), (n_c, d_c), (n_a, d_a) = (
             (v.numerator, v.denominator) for v in (dist_bx, dist_cx, a)
         )
@@ -643,10 +643,9 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
     if dist_bx < 0 or dist_cx < 0:
         raise ValueError(f"negative distance along BC: |BX| = {dist_bx}, |CX| = {dist_cx}")
     total = dist_bx + dist_cx
-    if abs(float(total) - float(a)) > DEFAULT_TOLERANCE.bound(float(a)):
+    if abs(total - a) > DEFAULT_TOLERANCE.bound(a):
         raise ValueError(f"|BX| + |CX| = {total!r} does not equal a = {a!r}")
-    zero = a - a  # backend-matched zero
-    return Barycentric(zero, dist_cx / a, dist_bx / a)
+    return Barycentric(0.0, dist_cx / a, dist_bx / a)
 
 
 def barycentric_distance_sq(
@@ -659,18 +658,21 @@ def barycentric_distance_sq(
     """Squared distance |XY|^2 from X (barycentric) to Y (via its squared
     distances to the vertices); see the module docstring for the identity.
 
-    Float distances on float sides take the float expression at once.
-    ``Fraction`` weights there (the centroid's) meet only floats, and a
-    ``Fraction`` times a float is ``float()`` of the ``Fraction`` times that
-    float, which divides its integers; so each weight and weight product
-    is one integer true division, which rounds as that does."""
+    The distances are on the sides' backend.  On float sides, exact
+    weights (the centroid's) meet only floats, as ``float()`` of each
+    weight and weight product: one integer true division each, which
+    rounds as ``float()`` of a ``Fraction`` does.  Float weights on exact
+    sides raise ``TypeError``."""
     alpha, beta, gamma = x.components
-    a, b, c = sides.a, sides.b, sides.c
-    if (
-        type(dist_ay_sq) is type(dist_by_sq) is type(dist_cy_sq) is float
-        and type(a) is type(b) is type(c) is float
-    ):
-        if type(alpha) is type(beta) is type(gamma) is Fraction:
+    exact = sides.is_exact
+    kind = Fraction if exact else float
+    if not type(dist_ay_sq) is type(dist_by_sq) is type(dist_cy_sq) is kind:
+        (dist_ay_sq, dist_by_sq, dist_cy_sq), _ = coerce_backend(
+            dist_ay_sq, dist_by_sq, dist_cy_sq, exact=exact
+        )
+    if not exact:
+        a, b, c = sides.a, sides.b, sides.c
+        if type(alpha) is Fraction:
             (n_a, d_a), (n_b, d_b), (n_c, d_c) = (w.as_integer_ratio() for w in x.components)
             alpha, beta, gamma = n_a / d_a, n_b / d_b, n_c / d_c
             bc, ca, ab = n_b * n_c / (d_b * d_c), n_c * n_a / (d_c * d_a), n_a * n_b / (d_a * d_b)
@@ -678,38 +680,25 @@ def barycentric_distance_sq(
             bc, ca, ab = beta * gamma, gamma * alpha, alpha * beta
         weighted = alpha * dist_ay_sq + beta * dist_by_sq + gamma * dist_cy_sq
         return weighted - (bc * (a * a) + ca * (b * b) + ab * (c * c))
-    if not type(dist_ay_sq) is type(dist_by_sq) is type(dist_cy_sq) is Fraction:
-        dist_ay_sq = coerce_scalar(dist_ay_sq)
-        dist_by_sq = coerce_scalar(dist_by_sq)
-        dist_cy_sq = coerce_scalar(dist_cy_sq)
-    if not (
-        isinstance(alpha, float)
-        or isinstance(dist_ay_sq, float)
-        or isinstance(beta, float)
-        or isinstance(gamma, float)
-        or isinstance(dist_by_sq, float)
-        or isinstance(dist_cy_sq, float)
-    ) and sides.is_exact:
-        # Weights n/D1, distances m/D2 and sides (A, B, C)/L over common
-        # denominators: |XY|^2 = (W D1 L^2 - Q D2) / (D1^2 D2 L^2), with
-        # W = sum n m and Q = n_b n_c A^2 + n_c n_a B^2 + n_a n_b C^2.
-        d1 = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
-        n_a = alpha.numerator * (d1 // alpha.denominator)
-        n_b = beta.numerator * (d1 // beta.denominator)
-        n_c = gamma.numerator * (d1 // gamma.denominator)
-        d2 = math.lcm(dist_ay_sq.denominator, dist_by_sq.denominator, dist_cy_sq.denominator)
-        weighted = (
-            n_a * dist_ay_sq.numerator * (d2 // dist_ay_sq.denominator)
-            + n_b * dist_by_sq.numerator * (d2 // dist_by_sq.denominator)
-            + n_c * dist_cy_sq.numerator * (d2 // dist_cy_sq.denominator)
-        )
-        t = sides._integer_form
-        pairwise = n_b * n_c * t.a * t.a + n_c * n_a * t.b * t.b + n_a * n_b * t.c * t.c
-        L_sq = t.L * t.L
-        return Fraction(weighted * d1 * L_sq - pairwise * d2, d1 * d1 * d2 * L_sq)
-    weighted = alpha * dist_ay_sq + beta * dist_by_sq + gamma * dist_cy_sq
-    pairwise = beta * gamma * (a * a) + gamma * alpha * (b * b) + alpha * beta * (c * c)
-    return weighted - pairwise
+    if isinstance(alpha, float):
+        raise TypeError("exact and float scalars do not mix")
+    # Weights n/D1, distances m/D2 and sides (A, B, C)/L over common
+    # denominators: |XY|^2 = (W D1 L^2 - Q D2) / (D1^2 D2 L^2), with
+    # W = sum n m and Q = n_b n_c A^2 + n_c n_a B^2 + n_a n_b C^2.
+    d1 = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+    n_a = alpha.numerator * (d1 // alpha.denominator)
+    n_b = beta.numerator * (d1 // beta.denominator)
+    n_c = gamma.numerator * (d1 // gamma.denominator)
+    d2 = math.lcm(dist_ay_sq.denominator, dist_by_sq.denominator, dist_cy_sq.denominator)
+    weighted = (
+        n_a * dist_ay_sq.numerator * (d2 // dist_ay_sq.denominator)
+        + n_b * dist_by_sq.numerator * (d2 // dist_by_sq.denominator)
+        + n_c * dist_cy_sq.numerator * (d2 // dist_cy_sq.denominator)
+    )
+    t = sides._integer_form
+    pairwise = n_b * n_c * t.a * t.a + n_c * n_a * t.b * t.b + n_a * n_b * t.c * t.c
+    L_sq = t.L * t.L
+    return Fraction(weighted * d1 * L_sq - pairwise * d2, d1 * d1 * d2 * L_sq)
 
 
 def _canonical_frame(t: _IntegerTriangle) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
@@ -757,24 +746,20 @@ def canonical_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:
     return (Point2(x, y), Point2(a, 0.0), Point2(0.0, 0.0))
 
 
-def sides_from_vertices(
-    vertex_a: Point2, vertex_b: Point2, vertex_c: Point2, exact: bool
-) -> SideLengths:
+def sides_from_vertices(vertex_a: Point2, vertex_b: Point2, vertex_c: Point2) -> SideLengths:
     """Side lengths a = |BC|, b = |CA|, c = |AB| of an embedded triangle.
 
-    With ``exact=True`` the coordinates must be exact and all three squared
-    lengths perfect squares (InvalidTriangleError says which fails, since
-    only the float backend can carry irrational lengths); with
-    ``exact=False`` the lengths are float square roots.
+    Exact coordinates give exact sides, so all three squared lengths must
+    be perfect squares (InvalidTriangleError otherwise, since only the
+    float backend can carry irrational lengths); float coordinates give
+    float square roots.
     """
     sq = (
         vertex_b.dist_sq(vertex_c),
         vertex_c.dist_sq(vertex_a),
         vertex_a.dist_sq(vertex_b),
     )
-    if exact:
-        if not all(p.is_exact for p in (vertex_a, vertex_b, vertex_c)):
-            raise InvalidTriangleError("exact side lengths need exact coordinates")
+    if all(p.is_exact for p in (vertex_a, vertex_b, vertex_c)):
         roots = [sqrt_exact(v) for v in sq]
         if any(r is None for r in roots):
             raise InvalidTriangleError(

@@ -36,7 +36,7 @@ CASES = {
     "234_exact_compute_json": ["compute", "--sides", "2,3,4", "--format", "json"],
     "234_exact_feuerbach_json": ["feuerbach", "--sides", "2,3,4", "--format", "json"],
     "234_exact_feuerbach_text": ["feuerbach", "--sides", "2,3,4"],
-    "234_exact_svg": ["feuerbach", "--sides", "2,3,4", "--format", "svg"],
+    "234_exact_svg": ["svg", "--sides", "2,3,4"],
     "234_float_feuerbach_json": ["feuerbach", "--sides", "2,3,4", "--backend", "float", "--format", "json"],
     "234_float_compute_text": ["compute", "--sides", "2,3,4", "--backend", "float"],
     "111_exact_feuerbach_json": ["feuerbach", "--sides", "1,1,1", "--format", "json"],
@@ -55,7 +55,7 @@ CASES = {
     "big_exact_feuerbach_json": ["feuerbach", "--sides", BIG, "--format", "json"],
     "big_exact_feuerbach_text": ["feuerbach", "--sides", BIG],
     "big_exact_compute_text": ["compute", "--sides", BIG],
-    "big_exact_svg": ["compute", "--sides", BIG, "--format", "svg"],
+    "big_exact_svg": ["svg", "--sides", BIG],
     "big_float_feuerbach_json": ["feuerbach", "--sides", BIG, "--backend", "float", "--format", "json"],
     "vertices_float_feuerbach_json": ["feuerbach", "--vertices", "0,0,4,0,0,3", "--format", "json"],
     "vertices_exact_compute_text": ["compute", "--vertices", "1/2,0,7/2,0,1/2,4", "--backend", "exact"],

@@ -408,8 +408,8 @@ class TestBeyondFloatRange:
 
     @pytest.mark.parametrize("argv", [
         ["svg", "--sides", HUGE],
-        ["compute", "--sides", HUGE, "--format", "svg"],
-        ["feuerbach", "--sides", "3e400,4e400,5e400", "--format", "svg"],
+        ["svg", "--sides", "3e400,4e400,5e400"],
+        ["svg", "--vertices", "0,0,3e400,0,0,4e400", "--backend", "exact"],
     ])
     def test_svg_cannot_draw(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -561,10 +561,12 @@ class TestSvgCommand:
         assert out.startswith('<?xml version="1.0"')
         assert 'id="ninepoint"' in out
 
-    def test_compute_format_svg_matches(self, capsys):
-        _, direct, _ = run(capsys, "svg", "--sides", "3,4,5")
-        _, via_compute, _ = run(capsys, "compute", "--sides", "3,4,5", "--format", "svg")
-        assert direct == via_compute
+    @pytest.mark.parametrize("command", ["compute", "feuerbach"])
+    def test_svg_is_not_a_format(self, capsys, command):
+        # The svg command is the one way to draw.
+        code, out, err = run(capsys, command, "--sides", "2,3,4", "--format", "svg")
+        assert (code, out) == (2, "")
+        assert "argument --format: invalid choice: 'svg'" in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "svg", "--sides", "2,3,4")

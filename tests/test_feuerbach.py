@@ -120,6 +120,10 @@ class TestClassifySq:
         with pytest.raises(ValueError, match="nonnegative"):
             classify_tangency_sq(F(-1, 16), F(9), F(4))
 
+    def test_mixed_backends_raise(self):
+        with pytest.raises(TypeError, match="exact and float scalars do not mix"):
+            classify_tangency_sq(F(1), 1.0, 4.0)
+
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             classify_tangency_sq(F(1), F(0), F(4))

@@ -244,8 +244,8 @@ class TestSuiteFindsKernelFaults:
         # so it checks Ec's tangency instead and stays green: the center
         # agreement is what catches this fault.
         monkeypatch.setitem(CENTER_WEIGHTS, "Eb", CENTER_WEIGHTS["Ec"])
-        sides, vertices = random_triangle(FuzzProfile(kind="generic", seed=1), 0)
-        report = check_identity_suite(sides, vertices)
+        sides, _ = random_triangle(FuzzProfile(kind="generic", seed=1), 0)
+        report = check_identity_suite(sides, None)
         assert report.exact and not report.passed
         assert {check.name for check in report.failures()} == {
             "center_agreement_Eb_x",
@@ -288,8 +288,9 @@ class TestSuiteFindsKernelFaults:
         sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=1), 0)
         assert (exact_vertices(sides) is None) == (kind == "near-degenerate")
         if on_floats:
-            sides, vertices = sides.as_float(), tuple(as_float(p) for p in vertices)
-        report = check_identity_suite(sides, vertices)
+            report = check_identity_suite(sides.as_float(), tuple(as_float(p) for p in vertices))
+        else:
+            report = check_identity_suite(sides, None)
         assert report.exact is not on_floats and not report.passed
         assert {check.name for check in report.failures()} == {
             "center_agreement_O_x",
@@ -331,9 +332,9 @@ class TestExactSuitePath:
         profile = FuzzProfile(kind="generic", seed=4)
         triangles = [random_triangle(profile, i) for i in range(20)]
         monkeypatch.setattr(Point2, "__init__", counting_init)
-        for sides, vertices in triangles:
+        for sides, _ in triangles:
             built[0] = 0
-            report = check_identity_suite(sides, vertices)
+            report = check_identity_suite(sides, None)
             assert report.passed and report.exact
             assert built[0] <= 25
         assert roots == []
@@ -351,8 +352,8 @@ class TestExactSuitePath:
             return original_float(self)
 
         monkeypatch.setattr(Fraction, "__float__", counting_float)
-        for sides, vertices in triangles:
-            report = check_identity_suite(sides, vertices)
+        for sides, _ in triangles:
+            report = check_identity_suite(sides, None)
             assert report.passed and report.exact
         assert converted[0] == 0
 
@@ -371,9 +372,9 @@ class TestExactSuitePath:
             return original_new(cls, *args, **kwargs)
 
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-        for sides, vertices in triangles:
+        for sides, _ in triangles:
             built[0] = 0
-            report = check_identity_suite(sides, vertices)
+            report = check_identity_suite(sides, None)
             assert report.passed and report.exact
             assert built[0] <= 89
 
@@ -484,8 +485,7 @@ class TestFloatSuiteConstructions:
 
 class TestIdentitySuite:
     def test_3_4_5_all_exact(self):
-        sides = SideLengths(3, 4, 5)
-        report = check_identity_suite(sides, canonical_vertices(sides))
+        report = check_identity_suite(SideLengths(3, 4, 5), None)
         assert report.passed
         assert report.exact
         assert report.max_residual == 0.0
@@ -517,8 +517,9 @@ class TestIdentitySuite:
         monkeypatch.setattr(IdentityCheck, "__new__", staticmethod(counting))
         sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=3), 0)
         if backend == "float":
-            sides, vertices = sides.as_float(), tuple(as_float(p) for p in vertices)
-        report = check_identity_suite(sides, vertices)
+            report = check_identity_suite(sides.as_float(), tuple(as_float(p) for p in vertices))
+        else:
+            report = check_identity_suite(sides, None)
         assert report.passed and calls == [0]
         assert len(report.checks) == 87
         assert all(type(check) is IdentityCheck for check in report.checks)
@@ -532,23 +533,31 @@ class TestIdentitySuite:
             check.passed = False  # type: ignore[misc]
 
     def test_check_names_are_unique(self):
-        sides = SideLengths(3, 4, 5)
-        report = check_identity_suite(sides, canonical_vertices(sides))
+        report = check_identity_suite(SideLengths(3, 4, 5), None)
         names = [check.name for check in report.checks]
         assert len(names) == len(set(names))
 
     def test_embedding_mismatch_raises(self):
+        # Float sides need vertices that reproduce them.
+        wrong = (Point2(0.0, 5.0), Point2(3.0, 0.0), Point2(0.0, 0.0))
+        with pytest.raises(ValueError, match="embedding does not match the side lengths"):
+            check_identity_suite(SideLengths(3.0, 4.0, 5.0), wrong)
+
+    def test_float_sides_need_an_embedding(self):
+        with pytest.raises(ValueError, match="float sides need an embedding"):
+            check_identity_suite(SideLengths(3.0, 4.0, 5.0), None)
+
+    def test_exact_sides_take_no_embedding(self):
+        # Exact sides run on their own frame, so any embedding is refused,
+        # a right one too.
         sides = SideLengths(3, 4, 5)
-        wrong = (Point2(0, 5), Point2(3, 0), Point2(0, 0))
-        # Exact vertices, and float ones, which exact sides test and then
-        # replace by their own frame.
-        for vertices in (wrong, tuple(as_float(p) for p in wrong)):
-            with pytest.raises(ValueError, match="embedding"):
+        right = canonical_vertices(sides)
+        for vertices in (right, tuple(as_float(p) for p in right)):
+            with pytest.raises(ValueError, match="pass no embedding"):
                 check_identity_suite(sides, vertices)
 
     def test_equilateral_passes_with_coincident_flag(self):
-        sides = SideLengths(1, 1, 1)
-        report = check_identity_suite(sides, canonical_vertices(sides))
+        report = check_identity_suite(SideLengths(1, 1, 1), None)
         assert report.passed
         by_name = {check.name: check for check in report.checks}
         assert by_name["tangency_kind_incircle"].detail == "coincident"
@@ -557,8 +566,8 @@ class TestIdentitySuite:
     def test_rational_profiles_run_exact(self, kind: str):
         profile = FuzzProfile(kind=kind, seed=1)
         for i in range(10):
-            sides, vertices = random_triangle(profile, i)
-            report = check_identity_suite(sides, vertices)
+            sides, _ = random_triangle(profile, i)
+            report = check_identity_suite(sides, None)
             assert report.passed, report.failures()
             assert report.exact
             assert report.max_residual == 0.0

@@ -5,10 +5,10 @@ tests/golden/suite_fingerprint.json.
 The fuzz goldens pin only pass counts and the largest residual; this file
 pins each check, so a change to how the suite compares values (or to the
 order of its checks) shows here first.  The cases are an exact triangle
-on exact vertices, exact near-degenerate sides whose altitude is
-irrational (given with float vertices, which the suite tests and then
-replaces by the sides' own frame, with metric x^2 + m*t^2 and m != 1),
-the same triangle on floats, and the exact triangle with a kernel fault
+with a rational altitude, whose own frame is Cartesian, exact
+near-degenerate sides whose altitude is irrational (their frame has the
+metric x^2 + m*t^2 with m != 1), the same triangle on floats with its
+float vertices, and the exact triangle with a kernel fault
 (the excenter Eb built with the weights of Ec), which pins the residuals
 of failed exact checks.  After an intended change, rewrite the golden
 with
@@ -32,11 +32,12 @@ GOLDEN = Path(__file__).parent / "golden" / "suite_fingerprint.json"
 
 
 def _case(kind: str, seed: int, on_floats: bool):
+    """The sides and the embedding the suite takes: float vertices for
+    float sides, None for exact sides, which run on their own frame."""
     sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), 0)
     if on_floats:
-        sides = sides.as_float()
-        vertices = tuple(as_float(p) for p in vertices)
-    return sides, vertices
+        return sides.as_float(), tuple(as_float(p) for p in vertices)
+    return sides, None
 
 
 @contextmanager
@@ -77,14 +78,16 @@ def test_suite_fingerprint(name):
 
 
 def test_cases_take_their_branches():
-    exact_sides, exact_vertices = CASES["generic_exact"]()
-    assert exact_sides.is_exact and all(p.is_exact for p in exact_vertices)
-    frame_sides, float_vertices = CASES["neardegen_exact_irrational_frame"]()
-    assert frame_sides.is_exact and not any(p.is_exact for p in float_vertices)
-    m, _ = _canonical_frame(frame_sides._integer_form)
-    assert m != 1 and check_identity_suite(frame_sides, float_vertices).exact
-    float_sides, _ = CASES["neardegen_float"]()
-    assert not float_sides.is_exact
+    # The two branches of the suite: exact sides on their own frame, with
+    # m = 1 (Cartesian) and m != 1, and float sides on float vertices.
+    for name, cartesian in (("generic_exact", True), ("neardegen_exact_irrational_frame", False)):
+        sides, embedding = CASES[name]()
+        m, _ = _canonical_frame(sides._integer_form)
+        assert sides.is_exact and embedding is None and (m == 1) == cartesian
+        assert check_identity_suite(sides, embedding).exact
+    float_sides, float_vertices = CASES["neardegen_float"]()
+    assert not float_sides.is_exact and not any(p.is_exact for p in float_vertices)
+    assert not check_identity_suite(float_sides, float_vertices).exact
 
 
 if __name__ == "__main__":

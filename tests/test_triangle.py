@@ -101,8 +101,9 @@ class TestSideLengths:
         # s = 6; s-a = 3, s-b = 2, s-c = 1 -> max side / min gap = 5.
         assert SideLengths(3, 4, 5).conditioning() == pytest.approx(5.0)
 
-    def test_mixed_backends_count_as_inexact(self):
-        assert not SideLengths(3.0, F(4), 5.0).is_exact
+    def test_mixed_backends_raise(self):
+        with pytest.raises(TypeError, match="exact and float scalars do not mix"):
+            SideLengths(3.0, F(4), 5.0)
 
     @given(rational_sides)
     def test_generated_sides_always_valid(self, sides: SideLengths):
@@ -257,6 +258,10 @@ class TestBarycentric:
         with pytest.raises(ValueError, match="sum"):
             Barycentric(F(1, 2), F(1, 2), F(1, 2))
 
+    def test_mixed_backends_raise(self):
+        with pytest.raises(TypeError, match="exact and float scalars do not mix"):
+            Barycentric(1, 0, 0.0)
+
     def test_float_sum_tolerance(self):
         Barycentric(0.25, 0.25, 0.5 + 1e-12)
         with pytest.raises(ValueError, match="sum"):
@@ -301,6 +306,19 @@ class TestPointOnSide:
         coords = point_on_side(1.5, 1.5, SideLengths(3.0, 4.0, 5.0))
         assert coords.beta == pytest.approx(0.5)
         assert coords.gamma == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "dist_bx, dist_cx, sides",
+        [
+            (1.0, 2.0, SideLengths(3, 4, 5)),
+            (F(1), 2.0, SideLengths(3, 4, 5)),
+            (1, 2, SideLengths(3.0, 4.0, 5.0)),
+        ],
+        ids=["float_on_exact", "mixed_on_exact", "exact_on_float"],
+    )
+    def test_distances_off_the_sides_backend_raise(self, dist_bx, dist_cx, sides):
+        with pytest.raises(TypeError, match="exact and float scalars do not mix"):
+            point_on_side(dist_bx, dist_cx, sides)
 
     @given(rational_sides, st.fractions(min_value=0, max_value=1, max_denominator=10**6))
     def test_exact_matches_fraction_arithmetic(self, sides, share):
@@ -401,27 +419,12 @@ class TestBarycentricDistance:
         expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
         assert _same_scalar(barycentric_distance_sq(x, *dist_sq, sides), expected)
 
-    @given(
-        exact_barycentric,
-        st.tuples(*[st.one_of(exact_distance_sq, float_distance_sq)] * 3),
-        rational_sides,
-        st.booleans(),
-    )
-    # Exact weights become floats only when the sides and all three
-    # distances are floats: here an exact distance meets float sides, and
-    # float distances meet exact sides.
-    @example(
-        Barycentric(0, F(1, 3), F(2, 3)), (0, 0, 5), SideLengths(F(1, 25), F(1, 25), F(1, 25)), True
-    )
-    @example(
-        Barycentric(1, 1, -1), (0.0, 0.0, 0.0), SideLengths(F(3, 50), F(1, 25), F(3, 50)), False
-    )
-    def test_mixed_and_float_match_reference(self, x, dist_sq, sides, float_sides):
-        # Fraction weights with float distances (the centroid's case), and
-        # exact weights and distances on float sides, give the bits of the
-        # reference expression.
-        if float_sides:
-            sides = sides.as_float()
+    @given(exact_barycentric, st.tuples(*[float_distance_sq] * 3), rational_sides)
+    @example(Barycentric(1, 1, -1), (0.0, 0.0, 0.0), SideLengths(F(3, 50), F(1, 25), F(3, 50)))
+    def test_mixed_and_float_match_reference(self, x, dist_sq, sides):
+        # Fraction weights with float distances on float sides (the
+        # centroid's case) give the bits of the reference expression.
+        sides = sides.as_float()
         expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
         assert _same_scalar(barycentric_distance_sq(x, *dist_sq, sides), expected)
 
@@ -456,6 +459,19 @@ class TestBarycentricDistance:
             actual = barycentric_distance_sq(x, *dist_sq, sides)
         assert dict(calls) == {}
         assert _same_scalar(actual, expected)
+
+    @pytest.mark.parametrize(
+        "x, dist_sq, sides",
+        [
+            (Barycentric(F(1, 4), F(1, 3), F(5, 12)), (F(153, 16), 97 / 16, F(25, 16)), (3, 4, 5)),
+            (Barycentric(0.25, 1 / 3, 5 / 12), (F(153, 16), F(97, 16), F(25, 16)), (3, 4, 5)),
+            (Barycentric(0.25, 0.25, 0.5), (9, 16, 25), (3.0, 4.0, 5.0)),
+        ],
+        ids=["float_distance_on_exact", "float_weights_on_exact", "exact_distances_on_float"],
+    )
+    def test_off_the_sides_backend_raises(self, x, dist_sq, sides):
+        with pytest.raises(TypeError, match="exact and float scalars do not mix"):
+            barycentric_distance_sq(x, *dist_sq, SideLengths(*sides))
 
     def test_exact_inputs_take_no_fraction_arithmetic(self, monkeypatch):
         sides = SideLengths(F(7, 2), F(10, 3), 4)
@@ -494,15 +510,18 @@ class TestEmbeddings:
         assert va.dist_sq(vb) == F(225)
 
     def test_sides_from_vertices_exact(self):
-        sides = sides_from_vertices(Point2(0, 4), Point2(3, 0), Point2(0, 0), exact=True)
+        # Exact coordinates give exact sides.
+        sides = sides_from_vertices(Point2(0, 4), Point2(3, 0), Point2(0, 0))
+        assert sides.is_exact
         assert sides.as_tuple() == (F(3), F(4), F(5))
 
     def test_sides_from_vertices_irrational_rejected(self):
         with pytest.raises(InvalidTriangleError, match="irrational"):
-            sides_from_vertices(Point2(0, 0), Point2(1, 0), Point2(0, 1), exact=True)
+            sides_from_vertices(Point2(0, 0), Point2(1, 0), Point2(0, 1))
 
     def test_sides_from_vertices_float(self):
-        sides = sides_from_vertices(Point2(0, 0), Point2(1, 0), Point2(0, 1), exact=False)
+        # Float coordinates give float sides, irrational lengths included.
+        sides = sides_from_vertices(Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(0.0, 1.0))
         assert not sides.is_exact
         assert sides.a == pytest.approx(2 ** 0.5)
 
@@ -757,8 +776,10 @@ class TestPoint2:
 #
 # Point2 keeps two Fractions or two finite floats as given, and every
 # constructor coerces through coerce_scalar, which asks about float first.
-# These reference copies are the validation bodies from before both; every
-# input must give the same fields (value and type) or the same exception.
+# These reference copies are the validation bodies from before both, where
+# SideLengths and Barycentric also refuse a triple that mixes exact and
+# float values; every input must give the same fields (value and type) or
+# the same exception.
 
 
 def _reference_finite(value):
@@ -774,10 +795,15 @@ def _reference_point2(x, y):
     )
 
 
+def _reference_one_backend(values):
+    values = tuple(_reference_coerce_scalar(v) for v in values)
+    if len({_reference_is_exact(v) for v in values}) != 1:
+        raise TypeError("exact and float scalars do not mix")
+    return values
+
+
 def _reference_barycentric(alpha, beta, gamma):
-    alpha = _reference_coerce_scalar(alpha)
-    beta = _reference_coerce_scalar(beta)
-    gamma = _reference_coerce_scalar(gamma)
+    alpha, beta, gamma = _reference_one_backend((alpha, beta, gamma))
     total = alpha + beta + gamma
     if _reference_is_exact(total):
         if total != 1:
@@ -790,7 +816,7 @@ def _reference_barycentric(alpha, beta, gamma):
 
 
 def _reference_side_lengths(a, b, c):
-    a, b, c = (_reference_coerce_scalar(v) for v in (a, b, c))
+    a, b, c = _reference_one_backend((a, b, c))
     for name, value in (("a", a), ("b", b), ("c", c)):
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidTriangleError(f"non-finite side: {name} = {value!r}")
