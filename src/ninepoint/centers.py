@@ -22,10 +22,11 @@ are all exact, where no gcd is taken until a ``Point2`` is asked for, and
 :class:`~ninepoint.triangle.FloatPlane` otherwise, which takes the
 vertices as float pairs.  So exact sides with float vertices, as ``svg``
 draws a triangle whose altitude is irrational, get eight float centers.
-The identity suite passes its own plane and frame instead, which for
-exact sides is always the sides' integer frame under the metric
-x^2 + m*t^2; ``barycentric_point`` and ``orientation`` are affine, so the
-same code serves it.  Callers read the centers as
+The identity suite passes its own plane and frame instead: float sides
+call ``center_set``, and exact sides, on their integer frame under the
+metric x^2 + m*t^2, weigh the frame with :func:`_weighted_frame` alone,
+which builds no ``Fraction``; ``barycentric_point`` and ``orientation``
+are affine, so the same code serves both.  Callers read the centers as
 ``Point2``s through ``CenterSet.points``, which only a Cartesian frame
 has.
 
@@ -33,9 +34,9 @@ All eight come from one weight table,
 :data:`~ninepoint.triangle.CENTER_WEIGHTS`, which the integer kernel reads
 too; the barycentric forms of the incenter and the excenters are built
 once per ``SideLengths``, and the Cartesian centers are one
-``barycentric_point`` per entry.  The other vertex-specific formulas index
-the sides from the vertex's position, so the three cases are one
-expression.
+``barycentric_point`` per entry.  The bisector feet have a weight form of
+the same kind.  The other vertex-specific formulas index the sides from
+the vertex's position, so the three cases are one expression.
 """
 
 from __future__ import annotations
@@ -94,6 +95,14 @@ def centroid_barycentric() -> Barycentric:
     return _CENTROID
 
 
+def _bisector_foot_weights(a: Any, b: Any, c: Any, k: int) -> Tuple[Tuple[Any, ...], Any]:
+    """The weights of the bisector foot from vertex k and their sum d: the
+    sides at the other two vertices and 0 at k, so the A-form is
+    (0, b, c) / (b + c).  A ring expression, like CENTER_WEIGHTS."""
+    s = (a, b, c)
+    return tuple(0 if j == k else s[j] for j in range(3)), s[(k + 1) % 3] + s[(k + 2) % 3]
+
+
 def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
     """Foot of the internal angle bisector from the vertex on the opposite side.
 
@@ -105,13 +114,11 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
     k = _shift(vertex)
     if sides.is_exact:
         t = sides._integer_form
-        s = (t.a, t.b, t.c)
-        ratio, zero = Fraction, _ZERO
+        s, ratio, zero = (t.a, t.b, t.c), Fraction, _ZERO
     else:
-        s = sides.as_tuple()
-        ratio, zero = FloatPlane.quotient, 0.0  # true division
-    d = s[(k + 1) % 3] + s[(k + 2) % 3]
-    return Barycentric(*(zero if j == k else ratio(s[j], d) for j in range(3)))
+        s, ratio, zero = sides.as_tuple(), FloatPlane.quotient, 0.0  # true division
+    x, d = _bisector_foot_weights(*s, k)
+    return Barycentric(*(zero if j == k else ratio(x[j], d) for j in range(3)))
 
 
 def vertex_to_ninepoint_dist_sq(sides: SideLengths, vertex: Vertex) -> Scalar:
@@ -127,16 +134,12 @@ _OPPOSITE_OF_PAIR = {"AB": "C", "BC": "A", "CA": "B"}
 def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
     """Dot product (P - O).(Q - O) for a vertex pair: R^2 - opposite^2 / 2.
 
-    Exact sides go through the integer form, where R^2 = (abc)^2/(P L^2)
-    and the opposite side is o/L: (2(abc)^2 - P o^2) / (2 P L^2), one
-    division."""
+    Exact sides reduce the integer kernel's ratio, one division."""
     if pair not in _OPPOSITE_OF_PAIR:
         raise ValueError(f"pair must be one of {tuple(_OPPOSITE_OF_PAIR)}, got {pair!r}")
     k = _shift(_OPPOSITE_OF_PAIR[pair])
     if sides.is_exact:
-        t = sides._integer_form
-        o = (t.a, t.b, t.c)[k]
-        return Fraction(2 * t.abc * t.abc - t.P * o * o, 2 * t.P * t.L * t.L)
+        return Fraction(*sides._integer_form.circumdot(k))
     opposite = sides.as_tuple()[k]
     return metrics(sides).R_sq - (opposite * opposite) / 2
 
@@ -198,8 +201,11 @@ def center_set(
         a, b, c = t.a, t.b, t.c
     else:
         a, b, c = sides.as_tuple()
-    frame = {
-        label: plane.barycentric_point(*weights(a, b, c), va, vb, vc)
-        for label, weights in CENTER_WEIGHTS.items()
-    }
-    return CenterSet(bary, frame, plane)
+    return CenterSet(bary, _weighted_frame(plane, a, b, c, va, vb, vc)[1], plane)
+
+
+def _weighted_frame(plane: Any, a: Any, b: Any, c: Any, va: Any, vb: Any, vc: Any) -> Tuple:
+    """Each center's weights and weight sum from the sides a, b, c, as
+    CENTER_WEIGHTS gives them when called, and its point on the plane."""
+    weights = {label: weights_of(a, b, c) for label, weights_of in CENTER_WEIGHTS.items()}
+    return weights, {label: plane.barycentric_point(*w, va, vb, vc) for label, w in weights.items()}

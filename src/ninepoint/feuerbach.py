@@ -310,6 +310,29 @@ def _exact_kind(
     return Tangency.NOT_TANGENT
 
 
+def _exact_decision(t: _IntegerTriangle, circle: str) -> Tuple[Tangency, Tuple[int, int, int]]:
+    """The circle's exact kind, decided on its numerators (see
+    :func:`_exact_tangency`), and the numerators."""
+    numerators = e, two_abc_d, _ = _tangency_numerators(t, circle)
+    return _exact_kind(e, -two_abc_d, two_abc_d, two_abc_d == 2 * t.P), numerators
+
+
+def _residual_ratio(t: _IntegerTriangle, circle: str) -> Tuple[int, int]:
+    """The residual of :func:`_ninepoint_residual` as a ratio:
+    (e + 2*abc*d) / (4*d^2*L^2) for the incircle, e - 2*abc*d over the same
+    for an excircle."""
+    e, two_abc_d, d = _tangency_numerators(t, circle)
+    return e + two_abc_d if circle == "incircle" else e - two_abc_d, 4 * (d * t.L) ** 2
+
+
+def _kind_ok(circle: str, kind: Tangency) -> bool:
+    """Whether the kind is the theorem's: the incircle internally tangent
+    (or coincident), an excircle externally tangent."""
+    if circle == "incircle":
+        return kind is Tangency.INTERNAL_TANGENT or kind is Tangency.COINCIDENT
+    return kind is Tangency.EXTERNAL_TANGENT
+
+
 def _exact_tangency(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> TangencyReport:
     """The exact branch of :func:`classify_tangency_sq`, decided on integers.
 
@@ -324,8 +347,7 @@ def _exact_tangency(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> T
     reduced per circle, and the other rhs, lhs minus its residual, is built
     only if it is read.  NotTangent has no identity to lean on and reduces
     all five fields."""
-    e, two_abc_d, d = _tangency_numerators(t, circle)
-    kind = _exact_kind(e, -two_abc_d, two_abc_d, two_abc_d == 2 * t.P)
+    kind, (e, two_abc_d, d) = _exact_decision(t, circle)
     if kind is Tangency.NOT_TANGENT:
         den = 4 * (d * t.L) ** 2
         abc_d = t.abc * d
@@ -350,11 +372,9 @@ def _exact_tangency(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> T
 def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2 for an
     excircle: the comparison Feuerbach's theorem makes exact."""
-    internal = circle == "incircle"
     if sides.is_exact:
-        t = sides._integer_form
-        e, two_abc_d, d = _tangency_numerators(t, circle)
-        return Fraction(e + two_abc_d if internal else e - two_abc_d, 4 * (d * t.L) ** 2)
+        return Fraction(*_residual_ratio(sides._integer_form, circle))
+    internal = circle == "incircle"
     met = metrics(sides)
     r_sq, mixed = _radius_terms(met, circle)
     d_sq = barycentric_distance_sq(
@@ -386,9 +406,7 @@ class FeuerbachEntry(Record):
 
     @property
     def ok(self) -> bool:
-        if self.circle == "incircle":
-            return self.report.kind in (Tangency.INTERNAL_TANGENT, Tangency.COINCIDENT)
-        return self.report.kind is Tangency.EXTERNAL_TANGENT
+        return _kind_ok(self.circle, self.report.kind)
 
 
 class FeuerbachReport(Record):

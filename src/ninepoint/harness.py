@@ -16,8 +16,7 @@ Exactness: every exact triangle runs exactly.  Profiles generate rational
 side lengths, and the exact carrier is integer homogeneous coordinates
 (:class:`ninepoint.homogeneous.Plane`): lines are joins, intersections are
 meets, a unit direction takes one ``isqrt``, and a comparison is a
-cross-multiplication; a ``Fraction`` is built only where a value enters a
-kernel formula.  An exact suite always runs on the sides' own frame,
+cross-multiplication.  An exact suite always runs on the sides' own frame,
 with second coordinate t = y/sqrt(m) for the altitude y and metric
 x^2 + m*t^2 (:func:`~ninepoint.triangle._canonical_frame`), where the
 vertices, the unit edge directions and every construction are rational:
@@ -30,18 +29,23 @@ are given, over :class:`~ninepoint.triangle.FloatPlane`, which carries
 points as bare ``(x, y)`` float pairs, with magnitude-aware tolerances.
 The oracle does not choose a plane: it takes vertices already lifted onto
 one.  The suite chooses it from ``sides.is_exact`` alone and hands the
-lifted vertices to both the oracle and
-:func:`~ninepoint.centers.center_set`, so it compares the two frames point
-for point on one plane.
+lifted vertices to both the oracle and the kernel's centers
+(:func:`~ninepoint.centers.center_set` on float sides, the weights of
+:data:`~ninepoint.triangle.CENTER_WEIGHTS` on exact ones), so it compares
+the two frames point for point on one plane.
 
-On exact sides the suite's own arithmetic on kernel values (the metric
-products such as 16 R^2 K^2 against (abc)^2, the squared sides, R^2/4)
-runs on integer ratios too: each kernel ``Fraction`` enters as its
-numerator and denominator, products and differences take no gcd, and a
-comparison is a cross-multiplication.  An exact suite converts nothing to
-a float unless a check fails, and then only the normalized residual of
-that check, which is at most 2, so it runs on numbers beyond the range of
-a double.  A failed check is normalized alike on both backends, by
+The suite chooses its value source once, with its plane.  On exact sides
+it reads the integer kernel (the methods of
+``triangle._IntegerTriangle``, the tangency decisions and residuals of
+``feuerbach`` and the weights of ``centers``), whose every value is an
+unreduced integer ratio (num, den); the scaled and rotated triangles are
+integer forms over the same L.  Its own arithmetic on those values (the
+metric products such as 16 R^2 K^2 against (abc)^2, the squared sides,
+R^2/4) takes no gcd either, and a comparison is a cross-multiplication.
+So a passing exact triangle builds no ``Fraction`` and no float; a
+failed check builds them only for its normalized residual, which is at
+most 2, so the suite runs on numbers beyond the range of a double.  A
+failed check is normalized alike on both backends, by
 max(1, |scale|, |lhs|, |rhs|), so one kernel fault reads the same size on
 either.  Float sides run the same checks on the kernel's floats, in the
 same order of operations.  Each check is recorded as a plain ``(name,
@@ -56,6 +60,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -67,6 +72,8 @@ from .triangle import (
     Point2,
     SideLengths,
     _canonical_frame,
+    _integer_triangle,
+    _IntegerTriangle,
     barycentric_distance_sq,
     canonical_vertices,
     metrics,
@@ -74,17 +81,21 @@ from .triangle import (
 )
 from .centers import (
     VERTICES,
-    _shift,
+    _bisector_foot_weights,
+    _weighted_frame,
     bisector_foot_barycentric,
     center_set,
     circumdot,
     vertex_to_ninepoint_dist_sq,
 )
 from .feuerbach import (
+    CIRCLES,
     Tangency,
-    excircle_ninepoint_residual,
+    _exact_decision,
+    _kind_ok,
+    _ninepoint_residual,
+    _residual_ratio,
     feuerbach_report,
-    incircle_ninepoint_residual,
 )
 
 __all__ = [
@@ -404,45 +415,56 @@ def check_identity_suite(
     raises ``ValueError``): they run on their own frame
     (:func:`~ninepoint.triangle._canonical_frame`) of integer homogeneous
     coordinates under the metric x^2 + m*t^2, which is Cartesian (m = 1)
-    when the altitude is rational.  Every comparison there is an exact
-    equality, made by cross-multiplication, and so are the suite's own
-    products of kernel values, and a float is taken only for the residual
-    of a failed check.  Float sides need an embedding, whose vertices they
-    take as floats and which must reproduce the sides, and compare with a
-    conditioning-aware tolerance: first-order error analysis puts rounding
-    growth at O(eps * conditioning^2), so the relative bound is
-    ``tol.rel_eps + 64 * eps * conditioning^2``.
+    when the altitude is rational, and read the kernel's integer ratios,
+    not its ``Fraction``s.  Every comparison there is an exact equality,
+    made by cross-multiplication, and so are the suite's own products of
+    kernel values, and a ``Fraction`` and a float are taken only for the
+    residual of a failed check.  Float sides need an embedding, whose
+    vertices they take as floats and which must reproduce the sides, and
+    compare with a conditioning-aware tolerance: first-order error analysis
+    puts rounding growth at O(eps * conditioning^2), so the relative bound
+    is ``tol.rel_eps + 64 * eps * conditioning^2``.
     """
     exact = sides.is_exact
     if exact:
         if embedding is not None:
             raise ValueError("exact sides run on their own frame; pass no embedding")
-        m, lifted = _canonical_frame(sides._integer_form)
+        # The integer kernel reads the sides as (a, b, c) over L and gives
+        # each value as a ratio (num, den).
+        t = kernel = sides._integer_form
+        m, lifted = _canonical_frame(t)
         plane, suite_tol = homogeneous.Plane(m), tol  # an exact suite compares no floats
+        a, b, c = t.a, t.b, t.c
+        A, B, C = (a, t.L), (b, t.L), (c, t.L)
+        sides_of, metrics_of = partial(_integer_triangle, L=t.L), _IntegerTriangle.metrics
+        residual_of = _residual_ratio
+        kinds = [(circle, _exact_decision(t, circle)[0]) for circle in CIRCLES]
+        equilateral = sides.is_equilateral
     else:
         if embedding is None:
             raise ValueError("float sides need an embedding")
         plane, suite_tol = FloatPlane, _conditioned(sides, tol)
         lifted = plane.lift(embedding)
+        kernel, sides_of, metrics_of = sides, SideLengths, metrics
+        residual_of = _ninepoint_residual
+        a, b, c = A, B, C = sides.as_tuple()
+        fb = feuerbach_report(sides, suite_tol)
+        kinds = [(entry.circle, entry.report.kind) for entry in fb.entries]
+        equilateral = fb.equilateral
     va, vb, vc = lifted
 
-    a, b, c = sides.as_tuple()
-    lift, product = plane.scalar, plane.product
-    A, B, C = lift(a), lift(b), lift(c)
+    product = plane.product
     abs_eps, rel_eps = suite_tol.abs_eps, suite_tol.rel_eps
-    fb = feuerbach_report(sides, suite_tol)
-    met = fb.metrics
-    R_sq = lift(met.R_sq)
+    met = metrics_of(kernel)
+    R_sq = met.R_sq
     scale_len_sq = R_sq
     scale_len = _Root(R_sq) if exact else math.sqrt(R_sq)
 
     checks: List[Row] = []
 
     def record_ratio(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
-        # Ratios of the exact plane and kernel Fractions alike; a t
-        # coordinate of a frame with m != 1 compares as its ratio t/w.
-        n1, d1 = lhs if type(lhs) is tuple else lhs.as_integer_ratio()
-        n2, d2 = rhs if type(rhs) is tuple else rhs.as_integer_ratio()
+        # A t coordinate of a frame with m != 1 compares as its ratio t/w.
+        n1, d1, n2, d2 = lhs[0], lhs[1], rhs[0], rhs[1]
         if n1 * d2 == n2 * d1:
             checks.append((name, True, 0.0, detail))
             return
@@ -472,24 +494,24 @@ def check_identity_suite(
         raise ValueError("embedding does not match the side lengths")
 
     oracle = cartesian_oracle(plane, va, vb, vc)
-    kernel = center_set(sides, lifted, plane=plane)
+    if exact:
+        # The kernel's centers straight from their weights.
+        weights, frame = _weighted_frame(plane, a, b, c, va, vb, vc)
+    else:
+        bary = center_set(sides, lifted, plane=plane)
+        frame = bary.frame
     at = oracle.frame  # the constructed points, on the same plane
     o_pt, g_pt, h_pt, n_pt = at["O"], at["G"], at["H"], at["N"]
 
     # Metric closed forms against their defining products.
-    K_sq, r_sq, s = lift(met.K_sq), lift(met.r_sq), lift(met.s)
+    K_sq, r_sq, s = met.K_sq, met.r_sq, met.s
     abc_sq = plane.square(product(product(A, B), C))
     record("metrics_circumradius_product", product(plane.times(16, R_sq), K_sq), abc_sq, abc_sq)
     record("metrics_inradius_product", product(product(r_sq, s), s), K_sq, K_sq)
     for name, r_x_sq, side in (("rA", met.rA_sq, A), ("rB", met.rB_sq, B), ("rC", met.rC_sq, C)):
         gap = plane.difference(s, side)
-        record(
-            f"metrics_exradius_product_{name}",
-            product(product(lift(r_x_sq), gap), gap),
-            K_sq,
-            K_sq,
-        )
-    Rr = lift(met.Rr)
+        record(f"metrics_exradius_product_{name}", product(product(r_x_sq, gap), gap), K_sq, K_sq)
+    Rr = met.Rr
     R_r = product(R_sq, r_sq)
     record("metrics_mixed_product_Rr", product(Rr, Rr), R_r, R_r)
 
@@ -500,7 +522,7 @@ def check_identity_suite(
 
     # Kernel centers against oracle constructions.
     for label in ("O", "G", "H", "N", "I", "Ea", "Eb", "Ec"):
-        kernel_x, kernel_y = plane.coords(kernel.frame[label])
+        kernel_x, kernel_y = plane.coords(frame[label])
         oracle_x, oracle_y = plane.coords(at[label])
         record(f"center_agreement_{label}_x", kernel_x, oracle_x, scale_len)
         record(f"center_agreement_{label}_y", kernel_y, oracle_y, scale_len)
@@ -544,42 +566,53 @@ def check_identity_suite(
             )
 
     # Side points: midpoint of BC and the three bisector feet.
-    half = a / 2
-    mid = point_on_side(half, half, sides)
-    half_over_a = plane.quotient(lift(half), A)
-    record("point_on_side_midpoint_beta", mid.beta, half_over_a, 1.0)
-    record("point_on_side_midpoint_gamma", mid.gamma, half_over_a, 1.0)
-    # Exact feet lie on the side exactly; float ones within the bound.
-    foot_tol = 0 if sides.is_exact else suite_tol.bound(1.0)
-    for vertex in VERTICES:
-        foot = bisector_foot_barycentric(sides, vertex)
-        record_flag(
-            f"bisector_foot_{vertex}_on_side",
-            foot.components[_shift(vertex)] == 0 and min(foot.components) >= -foot_tol,
-        )
+    if exact:
+        half = (a, 2 * t.L)
+        mid = t.side_point(half, half)
+    else:
+        half = a / 2
+        mid = point_on_side(half, half, sides).components[1:]
+    half_over_a = plane.quotient(half, A)
+    record("point_on_side_midpoint_beta", mid[0], half_over_a, 1.0)
+    record("point_on_side_midpoint_gamma", mid[1], half_over_a, 1.0)
+    # Exact feet lie on the side exactly (their weights x over d have the
+    # signs of x*d); float ones within the bound.
+    foot_tol = 0 if exact else suite_tol.bound(1.0)
+    for k, vertex in enumerate(VERTICES):
+        if exact:
+            x, d = _bisector_foot_weights(a, b, c, k)
+            foot = [n * d for n in x]
+        else:
+            foot = bisector_foot_barycentric(sides, vertex).components
+        record_flag(f"bisector_foot_{vertex}_on_side", foot[k] == 0 and min(foot) >= -foot_tol)
 
     # Barycentric <-> Cartesian round trip through the incenter.
-    i_bary = kernel.barycentric["I"]
-    i_back = plane.barycentric(kernel.frame["I"], va, vb, vc)
-    record("roundtrip_incenter_alpha", i_back[0], i_bary.alpha, 1.0)
-    record("roundtrip_incenter_beta", i_back[1], i_bary.beta, 1.0)
-    record("roundtrip_incenter_gamma", i_back[2], i_bary.gamma, 1.0)
+    if exact:
+        x, d = weights["I"]
+        i_bary = [(n, d) for n in x]
+    else:
+        i_bary = bary.barycentric["I"].components
+    i_back = plane.barycentric(frame["I"], va, vb, vc)
+    record("roundtrip_incenter_alpha", i_back[0], i_bary[0], 1.0)
+    record("roundtrip_incenter_beta", i_back[1], i_bary[1], 1.0)
+    record("roundtrip_incenter_gamma", i_back[2], i_bary[2], 1.0)
 
     # Squared-distance identity at constructed points: X in {I, Ea, G},
     # Y in {N, O}, against the direct Cartesian distance.  The distances
-    # from the vertices enter the kernel formula as Scalars.
+    # from the vertices enter the kernel formula as its scalars; the
+    # vertices share one weight, so on the exact plane their distances to
+    # one point share one denominator.
     vertex_dist_sq = {
-        y_label: [plane.value(dist_sq(at[v], at[y_label])) for v in VERTICES]
-        for y_label in ("N", "O")
+        y_label: [dist_sq(at[v], at[y_label]) for v in VERTICES] for y_label in ("N", "O")
     }
-    x_cases = (
-        ("I", i_bary),
-        ("Ea", kernel.barycentric["Ea"]),
-        ("G", kernel.barycentric["G"]),
-    )
-    for x_label, x_bary in x_cases:
+    for x_label in ("I", "Ea", "G"):
         for y_label in ("N", "O"):
-            via_formula = barycentric_distance_sq(x_bary, *vertex_dist_sq[y_label], sides)
+            dists = vertex_dist_sq[y_label]
+            if exact:
+                x, d = weights[x_label]
+                via_formula = t.distance_sq(x, d, [n for n, _ in dists], dists[0][1])
+            else:
+                via_formula = barycentric_distance_sq(bary.barycentric[x_label], *dists, sides)
             record(
                 f"distance_identity_{x_label}{y_label}",
                 via_formula,
@@ -588,21 +621,26 @@ def check_identity_suite(
             )
 
     # Vertex-to-nine-point-center distances from sides alone.
-    for vertex in VERTICES:
+    if exact:
+        vertex_n = t.vertex_ninepoint_dist_sq()
+    else:
+        vertex_n = [vertex_to_ninepoint_dist_sq(sides, vertex) for vertex in VERTICES]
+    for vertex, from_sides in zip(VERTICES, vertex_n):
         record(
             f"vertex_ninepoint_distance_{vertex}",
-            vertex_to_ninepoint_dist_sq(sides, vertex),
+            from_sides,
             dist_sq(at[vertex], n_pt),
             scale_len_sq,
         )
 
     # Circumcenter dot products.
-    for pair, p_label, q_label in (("AB", "A", "B"), ("BC", "B", "C"), ("CA", "C", "A")):
-        direct = dot(sub(at[p_label], o_pt), sub(at[q_label], o_pt))
-        record(f"circumdot_{pair}", circumdot(sides, pair), direct, scale_len_sq)
+    for pair, opposite in (("AB", 2), ("BC", 0), ("CA", 1)):
+        direct = dot(sub(at[pair[0]], o_pt), sub(at[pair[1]], o_pt))
+        from_sides = t.circumdot(opposite) if exact else circumdot(sides, pair)
+        record(f"circumdot_{pair}", from_sides, direct, scale_len_sq)
 
     # Nine-point membership: side midpoints and altitude feet lie at R/2.
-    four = lift(4)
+    four = (4, 1) if exact else 4
     quarter_r_sq = plane.quotient(R_sq, four)
     record("ninepoint_radius", oracle.frame_radius_sq, quarter_r_sq, scale_len_sq)
     memberships = (
@@ -617,49 +655,39 @@ def check_identity_suite(
         record(f"ninepoint_membership_{name}", dist_sq(n_pt, member), quarter_r_sq, scale_len_sq)
 
     # Feuerbach residuals and tangency kinds.
-    record(
-        "feuerbach_incircle_residual",
-        incircle_ninepoint_residual(sides),
-        zero,
-        quarter_r_sq,
-    )
+    record("feuerbach_incircle_residual", residual_of(kernel, "incircle"), zero, quarter_r_sq)
     for vertex in VERTICES:
         record(
             f"feuerbach_excircle_residual_{vertex}",
-            excircle_ninepoint_residual(sides, vertex),
+            residual_of(kernel, f"ex{vertex}"),
             zero,
             quarter_r_sq,
         )
-    for entry in fb.entries:
-        record_flag(f"tangency_kind_{entry.circle}", entry.ok, detail=entry.report.kind.value)
+    for circle, kind in kinds:
+        record_flag(f"tangency_kind_{circle}", _kind_ok(circle, kind), detail=kind.value)
     record_flag(
         "tangency_equilateral_flag",
-        fb.equilateral == sides.is_equilateral
-        and (not fb.equilateral or fb.entries[0].report.kind is Tangency.COINCIDENT),
+        equilateral == sides.is_equilateral
+        and (not equilateral or kinds[0][1] is Tangency.COINCIDENT),
     )
 
     # Scale covariance: doubling the sides multiplies squared lengths by 4
-    # and keeps the residual identically zero.
-    scaled = SideLengths(2 * a, 2 * b, 2 * c)
-    met_scaled = metrics(scaled)
+    # and keeps the residual identically zero.  Exact sides double their
+    # integer form over the same L.
+    scaled = sides_of(2 * a, 2 * b, 2 * c)
+    met_scaled = metrics_of(scaled)
     four_r_sq = plane.times(4, R_sq)
     record("scale_covariance_R_sq", met_scaled.R_sq, four_r_sq, four_r_sq)
     record(
         "scale_covariance_residual",
-        incircle_ninepoint_residual(scaled),
+        residual_of(scaled, "incircle"),
         plane.times(2, zero),
-        plane.quotient(lift(met_scaled.R_sq), four),
+        plane.quotient(met_scaled.R_sq, four),
     )
 
     # Permutation equivariance: relabeling vertices permutes the excircles.
-    rotated = SideLengths(b, c, a)
-    met_rot = metrics(rotated)
-    record("permutation_exradius", met_rot.rA_sq, met.rB_sq, scale_len_sq)
-    record(
-        "permutation_residual",
-        excircle_ninepoint_residual(rotated, "A"),
-        zero,
-        quarter_r_sq,
-    )
+    rotated = sides_of(b, c, a)
+    record("permutation_exradius", metrics_of(rotated).rA_sq, met.rB_sq, scale_len_sq)
+    record("permutation_residual", residual_of(rotated, "exA"), zero, quarter_r_sq)
 
     return SuiteReport(tuple(checks), exact)

@@ -19,17 +19,17 @@ constructions that read lengths take m (``dot``, ``dist_sq``, ``perp``,
 ``length``, ``unit_direction``, ``equidistant_point``, ``line_dist_sq``,
 ``project``); the affine ones (``midpoint``, ``intersect``,
 ``barycentric_point``, ``orientation``, ``barycentric``) do not.  A frame
-with m != 1 has no Cartesian exit: :meth:`Plane.as_point2` and
-:meth:`Plane.value` of a t coordinate raise.
+with m != 1 has no Cartesian exit: :meth:`Plane.as_point2` raises.
 
 Every construction here is a ring expression in the coordinates, so no
 gcd is ever taken.  A scalar comes out as an integer pair (num, den) that
 stands for num/den: two of them are equal when num1*den2 == num2*den1, and
-a ``Fraction`` is built only where a value leaves this layer
-(:meth:`Plane.value`, :meth:`Plane.as_point2`).  A kernel ``Fraction``
-enters as its numerator and denominator (:meth:`Plane.scalar`), and ratios
-multiply, subtract and divide without reduction, so the identity suite
-checks the kernel's products on integers.
+a ``Fraction`` is built only where a point leaves this layer
+(:meth:`Plane.as_point2`).  The exact kernel's values
+are integer pairs of the same form (the methods of
+``triangle._IntegerTriangle``), and ratios multiply, subtract and divide
+without reduction, so the identity suite checks the kernel's products on
+integers and builds no ``Fraction`` on a passing triangle.
 
 :meth:`Plane.lift` puts exact ``Point2``s over one shared weight, the lcm
 of their denominators.  ``equidistant_point`` and ``barycentric_point``
@@ -43,12 +43,11 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .triangle import Point2
+from .triangle import Point2, Ratio
 
 __all__ = ["Triple", "Ratio", "Plane", "cross"]
 
 Triple = Tuple[int, int, int]
-Ratio = Tuple[int, int]
 
 
 def cross(p: Triple, q: Triple) -> Triple:
@@ -67,9 +66,6 @@ class _TCoordinate(tuple):
 
     __slots__ = ()
 
-    def as_integer_ratio(self) -> Ratio:
-        return self[0], self[1]
-
 
 def _shared_weight(*points: Triple) -> int:
     w = points[0][2]
@@ -81,10 +77,10 @@ def _shared_weight(*points: Triple) -> int:
 class Plane:
     """The constructions on integer triples under the metric x^2 + m*t^2.
 
-    Scalars are integer ratios; the scalar operations (``scalar``,
-    ``product``, ``square``, ``difference``, ``quotient``, ``times``) do
-    not read m, so the identity suite's own arithmetic on kernel values
-    runs on the same namespace as its constructions."""
+    Scalars are integer ratios; the scalar operations (``product``,
+    ``square``, ``difference``, ``quotient``, ``times``) do not read m, so
+    the identity suite's own arithmetic on kernel values runs on the same
+    namespace as its constructions."""
 
     __slots__ = ("m",)
 
@@ -105,16 +101,9 @@ class Plane:
         x, y, w = p
         return Point2(Fraction(x, w), Fraction(y, w))
 
-    def value(self, r: Ratio) -> Fraction:
-        """A scalar as a ``Fraction``; a t coordinate of a frame with
-        m != 1 raises."""
-        if type(r) is _TCoordinate:
-            raise ValueError("t = y/sqrt(m) is not a Cartesian coordinate")
-        return Fraction(r[0], r[1])
-
     def coords(self, p: Triple) -> Tuple[Ratio, Ratio]:
         """The x and t coordinates, for comparison within this frame.  With
-        m != 1 the t ratio is typed as a coordinate that has no value."""
+        m != 1 the t ratio is typed as a coordinate that carries m."""
         x, t, w = p
         return (x, w), ((t, w) if self.m == 1 else _TCoordinate((t, w, self.m)))
 
@@ -136,10 +125,6 @@ class Plane:
 
     def times(self, k: int, r: Ratio) -> Ratio:
         return (k * r[0], r[1])
-
-    def scalar(self, v: Fraction) -> Ratio:
-        """A kernel scalar (a ``Fraction`` or an ``int``) as a ratio."""
-        return (v.numerator, v.denominator)
 
     def product(self, r: Ratio, s: Ratio) -> Ratio:
         return (r[0] * s[0], r[1] * s[1])

@@ -17,7 +17,8 @@ helper reads its backend from ``SideLengths.is_exact`` (the sides-free
 only that backend's formula; the other values it takes, such as
 distances, must be on that backend too.  Floats stay bare floats, and
 exact values stay integer pairs until one ``Fraction`` is built per
-output.  Three floats or three ``Fraction``s pass an exact-type test;
+output; the identity suite reads the pairs and builds a ``Fraction`` only
+for a failed check's residual.  Three floats or three ``Fraction``s pass an exact-type test;
 only other input (an ``int``, a subclass) reaches :func:`coerce_backend`,
 which promotes ints and raises ``TypeError`` where exact and float values
 mix.  The one exception is the constant weights of the centroid, exact on

@@ -52,8 +52,6 @@ from .numeric import (
     DEFAULT_TOLERANCE,
     Scalar,
     coerce_backend,
-    coerce_scalar,
-    is_exact,
     sqrt_exact,
 )
 from .record import Record, cached, set_field
@@ -86,15 +84,22 @@ class InvalidTriangleError(ValueError):
 
 
 class Point2(Record):
-    """Plane point over either scalar backend."""
+    """Plane point over either scalar backend: two exact coordinates (ints
+    are promoted to ``Fraction``) or two finite floats; a pair that mixes
+    them raises ``TypeError``, as ``SideLengths`` does."""
 
     __slots__ = _fields = ("x", "y")
     x: Scalar
     y: Scalar
 
     def __init__(self, x: Scalar, y: Scalar) -> None:
-        set_field(self, "x", _finite(coerce_scalar(x)))
-        set_field(self, "y", _finite(coerce_scalar(y)))
+        kind = type(x)
+        if kind is not type(y) or kind is not float and kind is not Fraction:
+            (x, y), _ = coerce_backend(x, y)
+        if isinstance(x, float):
+            x, y = _pair(x, y)
+        set_field(self, "x", x)
+        set_field(self, "y", y)
 
     def dist_sq(self, other: "Point2") -> Scalar:
         dx = self.x - other.x
@@ -103,13 +108,7 @@ class Point2(Record):
 
     @property
     def is_exact(self) -> bool:
-        return is_exact(self.x) and is_exact(self.y)
-
-
-def _finite(value: Scalar) -> Scalar:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(f"non-finite coordinate {value!r}")
-    return value
+        return not isinstance(self.x, float)
 
 
 Pair = Tuple[float, float]
@@ -134,7 +133,7 @@ class FloatPlane:
     checks each point it makes as ``Point2`` does, so results and errors
     match that form bit for bit (``tests/point2_reference.py`` keeps it as
     the reference, with the ``Point2`` arithmetic it needs).  The
-    scalar operations (``scalar``, ``product``, ``square``, ``difference``,
+    scalar operations (``times``, ``product``, ``square``, ``difference``,
     ``quotient``) are the float operators, so the identity suite's own
     arithmetic on float sides makes the operations it always made."""
 
@@ -142,10 +141,6 @@ class FloatPlane:
     product = staticmethod(operator.mul)
     difference = staticmethod(operator.sub)
     quotient = staticmethod(operator.truediv)
-
-    @staticmethod
-    def scalar(v: float) -> float:
-        return v
 
     @staticmethod
     def square(v: float) -> float:
@@ -162,10 +157,6 @@ class FloatPlane:
     @staticmethod
     def as_point2(p: Pair) -> Point2:
         return Point2(p[0], p[1])
-
-    @staticmethod
-    def value(v: float) -> float:
-        return v
 
     @staticmethod
     def coords(p: Pair) -> Pair:
@@ -415,29 +406,11 @@ class SideLengths(Record):
         """K^2 = s(s-a)(s-b)(s-c), R^2 = (abc)^2 / 16K^2, r^2 = K^2/s^2,
         r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a).
 
-        Exact sides go through the integer kernel: one division per field."""
+        Exact sides reduce the integer kernel's ratios: one division per
+        field."""
         if self.is_exact:
-            # With sides a/L, b/L, c/L: s = p/2L, K^2 = P/16L^4, R^2 = (abc)^2/(P L^2),
-            # r^2 = P/(4 p^2 L^2) = u v w/(4 p L^2), R*r = abc/(2 p L^2), and u, v, w
-            # stand in for p in the excircle terms.  Cancelling the known factor
-            # of P first leaves a smaller gcd.
-            t = self._integer_form
-            L_sq = t.L * t.L
-            vw = t.v * t.w
-            pu = t.p * t.u
-            return TriangleMetrics(
-                Fraction(t.p, 2 * t.L),  # s
-                Fraction(t.P, 16 * L_sq * L_sq),  # K_sq
-                Fraction(t.abc * t.abc, t.P * L_sq),  # R_sq
-                Fraction(t.u * vw, 4 * t.p * L_sq),  # r_sq
-                Fraction(t.p * vw, 4 * t.u * L_sq),  # rA_sq
-                Fraction(pu * t.w, 4 * t.v * L_sq),  # rB_sq
-                Fraction(pu * t.v, 4 * t.w * L_sq),  # rC_sq
-                Fraction(t.abc, 2 * t.p * L_sq),  # Rr
-                Fraction(t.abc, 2 * t.u * L_sq),  # RrA
-                Fraction(t.abc, 2 * t.v * L_sq),  # RrB
-                Fraction(t.abc, 2 * t.w * L_sq),  # RrC
-            )
+            ratios = self._integer_form.metrics()._values()
+            return TriangleMetrics(*[Fraction(n, d) for n, d in ratios])
         a, b, c = self.as_tuple()
         s = (a + b + c) / 2
         # Computed as half-sums directly: one rounding instead of two for floats.
@@ -490,18 +463,11 @@ class SideLengths(Record):
     def _vertex_ninepoint_dist_sq(self) -> Tuple[Scalar, Scalar, Scalar]:
         """|AN|^2, |BN|^2, |CN|^2: (R^2 - a^2 + b^2 + c^2)/4 and its rotations.
 
-        Exact sides go through the integer form, where R^2 = (abc)^2/(P L^2):
-        one division per value."""
+        Exact sides reduce the integer kernel's ratios: one division per
+        value."""
         if self.is_exact:
-            t = self._integer_form
-            a_sq, b_sq, c_sq = t.a * t.a, t.b * t.b, t.c * t.c
-            abc_sq = t.abc * t.abc
-            den = 4 * t.P * t.L * t.L
-            return (
-                Fraction(abc_sq + t.P * (-a_sq + b_sq + c_sq), den),
-                Fraction(abc_sq + t.P * (-b_sq + c_sq + a_sq), den),
-                Fraction(abc_sq + t.P * (-c_sq + a_sq + b_sq), den),
-            )
+            ratios = self._integer_form.vertex_ninepoint_dist_sq()
+            return tuple([Fraction(n, d) for n, d in ratios])
         R_sq = self._metrics.R_sq
         a, b, c = self.as_tuple()
         return (
@@ -516,7 +482,9 @@ class TriangleMetrics(Record):
 
     Storing R^2 rather than R (and R*r rather than either factor alone)
     keeps every field rational in the side lengths; the circumradius itself
-    is usually irrational.
+    is usually irrational.  The exact kernel's
+    :meth:`_IntegerTriangle.metrics` holds the same fields as integer
+    ratios ``(num, den)``.
     """
 
     __slots__ = _fields = (
@@ -542,12 +510,21 @@ def _area_sq_16(a: Scalar, b: Scalar, c: Scalar) -> Scalar:
     return (x + (y + z)) * (z - (x - y)) * (z + (x - y)) * (x + (y - z))
 
 
+Ratio = Tuple[int, int]
+
+
 class _IntegerTriangle(NamedTuple):
     """Exact sides scaled by the lcm L of their denominators, plus the
     integer polynomials every exact quantity is built from: p = a + b + c,
     (u, v, w) = p - 2(a, b, c) and P = p*u*v*w = 16K^2 of the scaled
     triangle.  Squared lengths of the original triangle are those of the
-    scaled one divided by L^2."""
+    scaled one divided by L^2.
+
+    The methods are the exact kernel: each quantity has one formula, an
+    unreduced ratio (num, den) of integers.  The public functions reduce
+    it to one ``Fraction``; the identity suite compares the ratios by
+    cross-multiplication.  The methods use only ring operations, so they
+    accept symbolic sides as well."""
 
     L: int
     a: int
@@ -559,6 +536,64 @@ class _IntegerTriangle(NamedTuple):
     w: int
     P: int
     abc: int
+
+    def metrics(self) -> "TriangleMetrics":
+        """The metric fields as ratios.  With sides a/L, b/L, c/L: s = p/2L,
+        K^2 = P/16L^4, R^2 = (abc)^2/(P L^2), r^2 = P/(4 p^2 L^2) =
+        u v w/(4 p L^2), R*r = abc/(2 p L^2), and u, v, w stand in for p in
+        the excircle terms.  Cancelling the known factor of P first leaves
+        a smaller gcd."""
+        L, _, _, _, p, u, v, w, P, abc = self
+        L_sq, vw, pu = L * L, v * w, p * u
+        return TriangleMetrics(
+            (p, 2 * L),  # s
+            (P, 16 * L_sq * L_sq),  # K_sq
+            (abc * abc, P * L_sq),  # R_sq
+            (u * vw, 4 * p * L_sq),  # r_sq
+            (p * vw, 4 * u * L_sq),  # rA_sq
+            (pu * w, 4 * v * L_sq),  # rB_sq
+            (pu * v, 4 * w * L_sq),  # rC_sq
+            (abc, 2 * p * L_sq),  # Rr
+            (abc, 2 * u * L_sq),  # RrA
+            (abc, 2 * v * L_sq),  # RrB
+            (abc, 2 * w * L_sq),  # RrC
+        )
+
+    def vertex_ninepoint_dist_sq(self) -> Tuple[Ratio, Ratio, Ratio]:
+        """|AN|^2, |BN|^2, |CN|^2: (R^2 - a^2 + b^2 + c^2)/4 and its rotations."""
+        a_sq, b_sq, c_sq = self.a * self.a, self.b * self.b, self.c * self.c
+        abc_sq, P = self.abc * self.abc, self.P
+        den = 4 * P * self.L * self.L
+        return (
+            (abc_sq + P * (-a_sq + b_sq + c_sq), den),
+            (abc_sq + P * (-b_sq + c_sq + a_sq), den),
+            (abc_sq + P * (-c_sq + a_sq + b_sq), den),
+        )
+
+    def circumdot(self, k: int) -> Ratio:
+        """(P - O).(Q - O) for the two vertices other than vertex k:
+        R^2 - o^2/2 for the side o/L opposite k, (2(abc)^2 - P o^2) / (2 P L^2)."""
+        o = (self.a, self.b, self.c)[k]
+        return 2 * self.abc * self.abc - self.P * o * o, 2 * self.P * self.L * self.L
+
+    def side_point(self, bx: Ratio, cx: Ratio) -> Tuple[Ratio, Ratio]:
+        """|CX|/a and |BX|/a, the B and C coordinates of the point X on BC
+        with |BX| = bx and |CX| = cx."""
+        return (cx[0] * self.L, cx[1] * self.a), (bx[0] * self.L, bx[1] * self.a)
+
+    def distance_sq(
+        self, x: Tuple[int, int, int], d1: int, dist: Tuple[int, int, int], d2: int
+    ) -> Ratio:
+        """|XY|^2 by the barycentric distance identity, for X = x/d1 and Y
+        at squared distances dist/d2 from A, B and C: (W d1 L^2 - Q d2) /
+        (d1^2 d2 L^2), with W = sum x dist and
+        Q = x_b x_c a^2 + x_c x_a b^2 + x_a x_b c^2."""
+        (n_a, n_b, n_c), (m_a, m_b, m_c) = x, dist
+        weighted = n_a * m_a + n_b * m_b + n_c * m_c
+        pairwise = n_b * n_c * self.a * self.a + n_c * n_a * self.b * self.b
+        pairwise += n_a * n_b * self.c * self.c
+        L_sq = self.L * self.L
+        return weighted * d1 * L_sq - pairwise * d2, d1 * d1 * d2 * L_sq
 
 
 def _integer_triangle(a, b, c, L=1) -> _IntegerTriangle:
@@ -631,15 +666,14 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
         (dist_bx, dist_cx), _ = coerce_backend(dist_bx, dist_cx, exact=exact)
     a = sides.a
     if exact:
-        (n_b, d_b), (n_c, d_c), (n_a, d_a) = (
-            (v.numerator, v.denominator) for v in (dist_bx, dist_cx, a)
-        )
-        if n_b < 0 or n_c < 0:
+        bx, cx = dist_bx.as_integer_ratio(), dist_cx.as_integer_ratio()
+        if bx[0] < 0 or cx[0] < 0:
             raise ValueError(f"negative distance along BC: |BX| = {dist_bx}, |CX| = {dist_cx}")
-        if (n_b * d_c + n_c * d_b) * d_a != n_a * d_b * d_c:
+        t = sides._integer_form  # a = t.a / t.L
+        if (bx[0] * cx[1] + cx[0] * bx[1]) * t.L != t.a * bx[1] * cx[1]:
             raise ValueError(f"|BX| + |CX| = {dist_bx + dist_cx} does not equal a = {a}")
-        # |CX|/a = n_c d_a / (d_c n_a), and n_a > 0.
-        return Barycentric(_ZERO, Fraction(n_c * d_a, d_c * n_a), Fraction(n_b * d_a, d_b * n_a))
+        beta, gamma = t.side_point(bx, cx)
+        return Barycentric(_ZERO, Fraction(*beta), Fraction(*gamma))
     if dist_bx < 0 or dist_cx < 0:
         raise ValueError(f"negative distance along BC: |BX| = {dist_bx}, |CX| = {dist_cx}")
     total = dist_bx + dist_cx
@@ -682,23 +716,19 @@ def barycentric_distance_sq(
         return weighted - (bc * (a * a) + ca * (b * b) + ab * (c * c))
     if isinstance(alpha, float):
         raise TypeError("exact and float scalars do not mix")
-    # Weights n/D1, distances m/D2 and sides (A, B, C)/L over common
-    # denominators: |XY|^2 = (W D1 L^2 - Q D2) / (D1^2 D2 L^2), with
-    # W = sum n m and Q = n_b n_c A^2 + n_c n_a B^2 + n_a n_b C^2.
+    # The weights over the lcm D1 of their denominators and the distances
+    # over theirs, D2, for the integer kernel's identity.
     d1 = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
     n_a = alpha.numerator * (d1 // alpha.denominator)
     n_b = beta.numerator * (d1 // beta.denominator)
     n_c = gamma.numerator * (d1 // gamma.denominator)
     d2 = math.lcm(dist_ay_sq.denominator, dist_by_sq.denominator, dist_cy_sq.denominator)
-    weighted = (
-        n_a * dist_ay_sq.numerator * (d2 // dist_ay_sq.denominator)
-        + n_b * dist_by_sq.numerator * (d2 // dist_by_sq.denominator)
-        + n_c * dist_cy_sq.numerator * (d2 // dist_cy_sq.denominator)
+    dist = (
+        dist_ay_sq.numerator * (d2 // dist_ay_sq.denominator),
+        dist_by_sq.numerator * (d2 // dist_by_sq.denominator),
+        dist_cy_sq.numerator * (d2 // dist_cy_sq.denominator),
     )
-    t = sides._integer_form
-    pairwise = n_b * n_c * t.a * t.a + n_c * n_a * t.b * t.b + n_a * n_b * t.c * t.c
-    L_sq = t.L * t.L
-    return Fraction(weighted * d1 * L_sq - pairwise * d2, d1 * d1 * d2 * L_sq)
+    return Fraction(*sides._integer_form.distance_sq((n_a, n_b, n_c), d1, dist, d2))
 
 
 def _canonical_frame(t: _IntegerTriangle) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:

@@ -100,7 +100,7 @@ def test_criterion_04_vertex_to_ninepoint_equals_oracle(generic_corpus):
         frame = cartesian_oracle(plane, *plane.lift(vertices)).frame
         for vertex in ("A", "B", "C"):
             kernel_value = vertex_to_ninepoint_dist_sq(sides, vertex)
-            oracle_value = plane.value(plane.dist_sq(frame[vertex], frame["N"]))
+            oracle_value = Fraction(*plane.dist_sq(frame[vertex], frame["N"]))
             assert kernel_value == oracle_value
     print("ACCEPTANCE 4: 4|AN|^2 = R^2 - a^2 + b^2 + c^2 equals oracle, 1000 triangles: PASS")
 

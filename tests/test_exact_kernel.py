@@ -16,6 +16,7 @@ from ninepoint.feuerbach import (
     Tangency,
     TangencyReport,
     _exact_tangency,
+    _residual_ratio,
     _tangency_numerators,
     excircle_ninepoint_residual,
     feuerbach_report,
@@ -26,6 +27,7 @@ from ninepoint.triangle import (
     CIRCLE_CENTERS,
     Barycentric,
     SideLengths,
+    TriangleMetrics,
     _integer_triangle,
     barycentric_distance_sq,
     metrics,
@@ -85,6 +87,10 @@ def test_tangency_numerators_are_polynomial_identities():
         base = R_sq / 4 + radius_sq
         assert sympy.cancel((dist_sq - (base - mixed)) * den - t.P * (e + two_abc_d)) == 0
         assert sympy.cancel((dist_sq - (base + mixed)) * den - t.P * (e - two_abc_d)) == 0
+        # The residual that Feuerbach's theorem makes zero, as a ratio.
+        num, den = _residual_ratio(t, circle)
+        theorem = base - mixed if circle == "incircle" else base + mixed
+        assert sympy.cancel(num / den - (dist_sq - theorem)) == 0, circle
         if circle == "incircle":
             assert d == t.p
             assert sympy.expand(e + two_abc_d) == 0
@@ -124,8 +130,8 @@ def test_cancelled_closed_forms_are_polynomial_identities():
 # |CA|^2 = b^2/L^2, and y is in general irrational.  Each claim is an
 # expression in a, b, c, L and y that must vanish; its numerator, with y^2
 # replaced, is c0 + c1*y, and the claim holds exactly when c0 = c1 = 0.
-# The kernel's closed forms are evaluated by its own code on symbols, with
-# Fraction(n, d) read as n/d.
+# The kernel's closed forms are its own ratio forms, evaluated on symbols
+# and read as num/den.
 
 
 def _vanishes(sympy, expr, y, y_sq) -> bool:
@@ -146,26 +152,28 @@ def _cross(o, p, q):
 
 
 @pytest.fixture
-def model(monkeypatch):
+def model():
     """The coordinate model, and the kernel's exact closed forms on its
-    integer form (a, b, c over L)."""
+    integer form (a, b, c over L): each ratio (num, den) read as num/den."""
     sympy = pytest.importorskip("sympy")
-    from ninepoint import centers, triangle
 
     a, b, c, L, y = sympy.symbols("a b c L y", positive=True)
     t = _integer_triangle(a, b, c, L)
     vertices = {"A": ((a**2 + b**2 - c**2) / (2 * a * L), y), "B": (a / L, 0), "C": (0, 0)}
-    for module in (triangle, centers):
-        monkeypatch.setattr(module, "Fraction", lambda n, d: sympy.sympify(n) / d)
-    exact_sides = types.SimpleNamespace(is_exact=True, _integer_form=t)
+
+    def ratio(r):
+        return sympy.sympify(r[0]) / r[1]
+
     return types.SimpleNamespace(
         sympy=sympy,
         t=t,
+        ratio=ratio,
         vertices=vertices,
         vanishes=lambda expr: _vanishes(sympy, expr, y, t.P / (4 * a**2 * L**2)),
-        metrics=SideLengths._metrics.func(exact_sides),
-        vertex_ninepoint_dist_sq=SideLengths._vertex_ninepoint_dist_sq.func(exact_sides),
-        circumdot=lambda pair: centers.circumdot(exact_sides, pair),
+        metrics=TriangleMetrics(*map(ratio, t.metrics()._values())),
+        vertex_ninepoint_dist_sq=tuple(map(ratio, t.vertex_ninepoint_dist_sq())),
+        # A pair's circumdot is indexed by the vertex opposite it.
+        circumdot=lambda pair: ratio(t.circumdot({"AB": 2, "BC": 0, "CA": 1}[pair])),
     )
 
 
@@ -317,6 +325,27 @@ def test_barycentric_distance_identity(model):
         - (beta * gamma * a_sq + gamma * alpha * b_sq + alpha * beta * c_sq)
     )
     assert model.vanishes(_dist_sq(x, y_pt) - identity)
+    # The kernel's ratio form of the identity, for weights x/d1 and
+    # distances dist/d2.
+    weights = sympy.symbols("x_a x_b x_c")
+    dist, d2 = sympy.symbols("m_a m_b m_c"), sympy.Symbol("d_2", positive=True)
+    d1 = sum(weights)
+    alpha, beta, gamma = (w / d1 for w in weights)
+    want = (
+        (alpha * dist[0] + beta * dist[1] + gamma * dist[2]) / d2
+        - (beta * gamma * a_sq + gamma * alpha * b_sq + alpha * beta * c_sq)
+    )
+    assert sympy.cancel(model.ratio(t.distance_sq(weights, d1, dist, d2)) - want) == 0
+
+
+def test_side_point_divides_by_the_side(model):
+    """The B and C coordinates of a point X on BC are |CX|/a and |BX|/a."""
+    sympy, t = model.sympy, model.t
+    bx, cx = sympy.symbols("n_b d_b"), sympy.symbols("n_c d_c")
+    beta, gamma = t.side_point(bx, cx)
+    a = t.a / t.L
+    assert sympy.cancel(model.ratio(beta) - (cx[0] / cx[1]) / a) == 0
+    assert sympy.cancel(model.ratio(gamma) - (bx[0] / bx[1]) / a) == 0
 
 
 def closed_form_metrics(a: Fraction, b: Fraction, c: Fraction, abc: Fraction) -> dict:

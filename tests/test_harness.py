@@ -1,6 +1,7 @@
 """Fuzz profiles, the independent Cartesian oracle, and the identity suite."""
 
 import abc
+import fractions
 import sys
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from ninepoint.harness import (
     IdentityCheck,
     cartesian_oracle,
     check_identity_suite,
+    random_sides,
     random_triangle,
 )
 from ninepoint.triangle import (
@@ -28,6 +30,7 @@ from ninepoint.triangle import (
     FloatPlane,
     Point2,
     SideLengths,
+    _canonical_frame,
     canonical_vertices,
     exact_vertices,
     metrics,
@@ -161,7 +164,7 @@ class TestOracle:
 
     def test_3_4_5_nine_point_radius(self):
         oracle = _oracle_on_exact(canonical_vertices(SideLengths(3, 4, 5)))
-        assert CARTESIAN.value(oracle.frame_radius_sq) == F(25, 16)
+        assert F(*oracle.frame_radius_sq) == F(25, 16)
 
     def test_distance_helpers(self):
         pts = _frame_points(_oracle_on_exact(canonical_vertices(SideLengths(3, 4, 5))))
@@ -179,7 +182,7 @@ class TestOracle:
         pts = _frame_points(oracle)
         met = metrics(sides)
         assert pts["O"].dist_sq(pts["A"]) == met.R_sq
-        assert CARTESIAN.value(oracle.frame_radius_sq) == met.R_sq / 4
+        assert F(*oracle.frame_radius_sq) == met.R_sq / 4
 
 
 def _side(p, u, v):
@@ -220,7 +223,7 @@ class TestExactOracleDefinitions:
         assert _dist_sq(O, A) == _dist_sq(O, B) == _dist_sq(O, C)
         mids = (_midpoint(B, C), _midpoint(C, A), _midpoint(A, B))
         assert _dist_sq(N, mids[0]) == _dist_sq(N, mids[1]) == _dist_sq(N, mids[2])
-        assert CARTESIAN.value(oracle.frame_radius_sq) == _dist_sq(N, mids[0])
+        assert F(*oracle.frame_radius_sq) == _dist_sq(N, mids[0])
         # G lies on two medians, H on two altitudes.
         assert _side(G, A, mids[0]) == 0 and _side(G, B, mids[1]) == 0
         assert (H.x - A.x) * (B.x - C.x) + (H.y - A.y) * (B.y - C.y) == 0
@@ -357,26 +360,31 @@ class TestExactSuitePath:
             assert report.passed and report.exact
         assert converted[0] == 0
 
-    def test_at_most_89_fractions_per_triangle(self, monkeypatch):
-        # The suite's own products are integer ratios, and circumdot, the
-        # side midpoint and the bisector feet build one Fraction per nonzero
-        # value; the zeros and the centroid are shared: 89 per triangle,
-        # where Fraction arithmetic in the suite made 142.
-        profile = FuzzProfile(kind="generic", seed=4)
-        triangles = [random_triangle(profile, i) for i in range(20)]
-        built = [0]
-        original_new = Fraction.__new__
+    @pytest.mark.parametrize("kind", ["generic", "near-degenerate", "near-equilateral"])
+    def test_no_call_into_fractions(self, kind):
+        # The suite reads the integer kernel's ratios, so a passing exact
+        # triangle calls no code of the fractions module: no Fraction is
+        # built, reduced, compared or taken apart.  A profile hook sees every
+        # such call, also the Fractions that Python 3.12+ arithmetic builds
+        # without Fraction.__new__.  The near-degenerate triangles run on a
+        # frame with m != 1.
+        triangles = [random_sides(FuzzProfile(kind=kind, seed=4), i) for i in range(10)]
+        calls = []
 
-        def counting_new(cls, *args, **kwargs):
-            built[0] += 1
-            return original_new(cls, *args, **kwargs)
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == fractions.__file__:
+                calls.append(frame.f_code.co_name)
 
-        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-        for sides, _ in triangles:
-            built[0] = 0
-            report = check_identity_suite(sides, None)
+        for sides in triangles:
+            sys.setprofile(profile)
+            try:
+                report = check_identity_suite(sides, None)
+            finally:
+                sys.setprofile(None)
             assert report.passed and report.exact
-            assert built[0] <= 89
+        assert calls == []
+        metrics_m = [_canonical_frame(sides._integer_form)[0] for sides in triangles]
+        assert kind == "generic" or any(m != 1 for m in metrics_m)
 
 
 class TestFloatTypeDispatch:

@@ -51,7 +51,6 @@ def test_vector_operations(p, q):
     assert ratio(h.times(4, h.dist_sq(p, q))) == 4 * dist_sq((px, py), (qx, qy))
     assert tuple(map(ratio, h.coords(p))) == (px, py)
     assert h.as_point2(p) == Point2(px, py)
-    assert h.value(h.dist_sq(p, q)) == dist_sq((px, py), (qx, qy))
 
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=60)
@@ -61,20 +60,18 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 @given(fractions, fractions.filter(bool))
 def test_scalar_operations(x, y):
     # Ratios without reduction stand for the Fraction results.
-    r, s = h.scalar(x), h.scalar(y)
-    assert r == (x.numerator, x.denominator)
+    r, s = (x.numerator, x.denominator), (y.numerator, y.denominator)
     assert ratio(h.product(r, s)) == x * y
     assert ratio(h.square(r)) == x * x
     assert ratio(h.difference(r, s)) == x - y
     assert ratio(h.quotient(r, s)) == x / y
-    assert ratio(h.quotient(r, h.scalar(4))) == x / 4
+    assert ratio(h.quotient(r, (4, 1))) == x / 4
 
 
 @given(finite_floats, finite_floats.filter(bool))
 def test_float_plane_scalar_operations(x, y):
     # The float plane makes the float operation of each name.
     fp = FloatPlane
-    assert fp.scalar(x) is x
     assert fp.product(x, y) == x * y
     assert fp.square(x) == x ** 2
     assert fp.difference(x, y) == x - y
@@ -148,19 +145,19 @@ def test_a_frame_with_a_metric_has_no_cartesian_exit():
     frame = homogeneous.Plane(m)
     assert m == 135
     edges = ((vb, vc), (vc, va), (va, vb))
-    assert [frame.value(frame.dist_sq(p, q)) for p, q in edges] == [4, 9, 16]
+    assert [ratio(frame.dist_sq(p, q)) for p, q in edges] == [4, 9, 16]
     x, t = frame.coords(va)
-    assert frame.value(x) == Fraction(-3, 4)
+    assert ratio(x) == Fraction(-3, 4)
+    assert t[2] == m  # the t ratio carries its metric
     kernel = center_set(sides, (va, vb, vc), plane=frame)
     for leave in (
-        lambda: frame.value(t),
         lambda: frame.as_point2(va),
         lambda: kernel.points,
     ):
         with pytest.raises(ValueError, match="not a Cartesian coordinate"):
             leave()
     # The Cartesian frame keeps its exits.
-    assert h.value(h.coords((3, 4, 2))[1]) == 2
+    assert ratio(h.coords((3, 4, 2))[1]) == 2
     assert h.as_point2((3, 4, 2)) == Point2(Fraction(3, 2), 2)
 
 
@@ -189,13 +186,14 @@ def _plane_names(*functions):
 def test_both_planes_define_every_name_the_constructions_call():
     names = _plane_names(
         centers.center_set,
+        centers._weighted_frame,
         centers.CenterSet,
         harness.cartesian_oracle,
         harness.OracleResult,
         harness.check_identity_suite,
     )
     assert {"lift", "orientation", "barycentric_point", "equidistant_point"} <= names
-    assert {"scalar", "product", "square", "difference", "quotient"} <= names
+    assert {"times", "product", "square", "difference", "quotient"} <= names
     for plane in (h, FloatPlane):
         missing = sorted(name for name in names if not hasattr(plane, name))
         assert missing == [], plane

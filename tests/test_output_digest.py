@@ -35,7 +35,9 @@ def test_request_set_holds_goldens_workloads_and_edges():
     assert [] in requests  # the argparse error case without a subcommand
     assert sum(argv[:1] == ["fuzz"] and "--seed" in argv for argv in requests) >= 4
     assert ["svg", "--sides", "1e-160,1e-160,1.5e-160", "--backend", "float"] in requests
-    assert len(output_digest.edge_requests()) == 5 * 2 * 3 + 4 * 3 * 2
+    assert len(output_digest.edge_requests()) == 5 * 2 * 3 + 5 + 4 * 3 * 2
+    assert ["fuzz", "--profile", "near-degenerate", "--backend", "exact", "--count", "100",
+            "--seed", "1", "--format", "json"] in requests
 
 
 def test_compare_reports_a_one_byte_change(tmp_path, capsys):

@@ -728,7 +728,7 @@ class TestFloatPlaneMatchesPoint2Forms:
                 construct((1e10, 0.0, 0.0), 1.0, *args)
 
     def test_pairs_leave_as_point2(self):
-        pairs = FloatPlane.lift((Point2(F(1, 2), 2.5), Point2(3, 4)))
+        pairs = FloatPlane.lift((Point2(F(1, 2), F(5, 2)), Point2(3.0, 4.0)))
         assert pairs == ((0.5, 2.5), (3.0, 4.0))
         assert FloatPlane.as_point2(pairs[0]) == Point2(0.5, 2.5)
 
@@ -758,6 +758,17 @@ class TestPoint2:
         assert p.is_exact
         assert isinstance(p.x, Fraction)
 
+    @pytest.mark.parametrize(
+        "xy",
+        [(1, 2.5), (F(1, 2), 2.5), (2.5, F(1, 2)), (float("nan"), F(1, 2))],
+        ids=["int_float", "fraction_float", "float_fraction", "nan_fraction"],
+    )
+    def test_mixed_backends_raise(self, xy):
+        # As SideLengths and Barycentric: the mix is refused before the
+        # finiteness test, so a NaN beside a Fraction raises TypeError.
+        with pytest.raises(TypeError, match="^exact and float scalars do not mix$"):
+            Point2(*xy)
+
     @pytest.mark.parametrize("copier", [
         copy.copy,
         copy.deepcopy,
@@ -766,7 +777,7 @@ class TestPoint2:
     def test_records_copy_and_pickle(self, copier):
         # The frozen records rebuild through their constructors.
         sides = SideLengths(3, 4, 5)
-        records = (Point2(1, 2.5), Barycentric(F(1, 4), F(1, 4), F(1, 2)), sides, metrics(sides))
+        records = (Point2(1, F(5, 2)), Point2(1.0, 2.5), Barycentric(F(1, 4), F(1, 4), F(1, 2)), sides, metrics(sides))
         for record in records:
             twin = copier(record)
             assert type(twin) is type(record) and twin == record
@@ -777,9 +788,9 @@ class TestPoint2:
 # Point2 keeps two Fractions or two finite floats as given, and every
 # constructor coerces through coerce_scalar, which asks about float first.
 # These reference copies are the validation bodies from before both, where
-# SideLengths and Barycentric also refuse a triple that mixes exact and
-# float values; every input must give the same fields (value and type) or
-# the same exception.
+# SideLengths, Barycentric and Point2 also refuse a triple or pair that
+# mixes exact and float values; every input must give the same fields
+# (value and type) or the same exception.
 
 
 def _reference_finite(value):
@@ -789,10 +800,7 @@ def _reference_finite(value):
 
 
 def _reference_point2(x, y):
-    return (
-        _reference_finite(_reference_coerce_scalar(x)),
-        _reference_finite(_reference_coerce_scalar(y)),
-    )
+    return tuple(_reference_finite(v) for v in _reference_one_backend((x, y)))
 
 
 def _reference_one_backend(values):
@@ -958,8 +966,9 @@ class TestTypeDispatchMatchesReference:
         assert actual == expected
 
     def test_carriers_kept_as_given(self):
-        x, y = FloatSub(1.5), FractionSub(1, 2)
-        p = Point2(x, y)
-        assert p.x is x and p.y is y
+        for x, y in ((FloatSub(1.5), 2.5), (FractionSub(1, 2), F(1, 3))):
+            p = Point2(x, y)
+            assert p.x is x and p.y is y
+            assert p.is_exact is (type(y) is Fraction)
         third = F(1, 3)
         assert Barycentric(third, third, third).alpha is third
