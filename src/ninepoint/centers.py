@@ -24,7 +24,7 @@ vertices as float pairs.  So exact sides with float vertices, as ``svg``
 draws a triangle whose altitude is irrational, get eight float centers.
 The identity suite passes its own plane and frame instead: float sides
 call ``center_set``, and exact sides, on their integer frame under the
-metric x^2 + m*t^2, weigh the frame with :func:`_weighted_frame` alone,
+metric x^2 + m*t^2, weigh the frame with :func:`_center_frame` alone,
 which builds no ``Fraction``; ``barycentric_point`` and ``orientation``
 are affine, so the same code serves both.  Callers read the centers as
 ``Point2``s through ``CenterSet.points``, which only a Cartesian frame
@@ -95,12 +95,11 @@ def centroid_barycentric() -> Barycentric:
     return _CENTROID
 
 
-def _bisector_foot_weights(a: Any, b: Any, c: Any, k: int) -> Tuple[Tuple[Any, ...], Any]:
-    """The weights of the bisector foot from vertex k and their sum d: the
-    sides at the other two vertices and 0 at k, so the A-form is
-    (0, b, c) / (b + c).  A ring expression, like CENTER_WEIGHTS."""
-    s = (a, b, c)
-    return tuple(0 if j == k else s[j] for j in range(3)), s[(k + 1) % 3] + s[(k + 2) % 3]
+def _bisector_foot_weights(s: Tuple[Any, Any, Any], k: int) -> Tuple[Tuple[Any, ...], Any]:
+    """The weights of the bisector foot from vertex k of the sides s and
+    their sum d: the sides at the other two vertices and 0 at k, so the
+    A-form is (0, b, c) / (b + c).  A ring expression, like CENTER_WEIGHTS."""
+    return s[:k] + (0,) + s[k + 1:], s[(k + 1) % 3] + s[(k + 2) % 3]
 
 
 def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric:
@@ -117,7 +116,7 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
         s, ratio, zero = (t.a, t.b, t.c), Fraction, _ZERO
     else:
         s, ratio, zero = sides.as_tuple(), FloatPlane.quotient, 0.0  # true division
-    x, d = _bisector_foot_weights(*s, k)
+    x, d = _bisector_foot_weights(s, k)
     return Barycentric(*(zero if j == k else ratio(x[j], d) for j in range(3)))
 
 
@@ -201,11 +200,13 @@ def center_set(
         a, b, c = t.a, t.b, t.c
     else:
         a, b, c = sides.as_tuple()
-    return CenterSet(bary, _weighted_frame(plane, a, b, c, va, vb, vc)[1], plane)
+    return CenterSet(bary, _center_frame(plane, a, b, c, va, vb, vc), plane)
 
 
-def _weighted_frame(plane: Any, a: Any, b: Any, c: Any, va: Any, vb: Any, vc: Any) -> Tuple:
-    """Each center's weights and weight sum from the sides a, b, c, as
-    CENTER_WEIGHTS gives them when called, and its point on the plane."""
-    weights = {label: weights_of(a, b, c) for label, weights_of in CENTER_WEIGHTS.items()}
-    return weights, {label: plane.barycentric_point(*w, va, vb, vc) for label, w in weights.items()}
+def _center_frame(plane: Any, a: Any, b: Any, c: Any, va: Any, vb: Any, vc: Any) -> Dict:
+    """Every center on the plane, weighted by the sides a, b, c as
+    CENTER_WEIGHTS gives its weights when called."""
+    return {
+        label: plane.barycentric_point(*weights(a, b, c), va, vb, vc)
+        for label, weights in CENTER_WEIGHTS.items()
+    }

@@ -71,6 +71,7 @@ from .triangle import (
     FloatPlane,
     Point2,
     SideLengths,
+    TriangleMetrics,
     _canonical_frame,
     _integer_triangle,
     _IntegerTriangle,
@@ -81,8 +82,9 @@ from .triangle import (
 )
 from .centers import (
     VERTICES,
+    CENTER_WEIGHTS,
     _bisector_foot_weights,
-    _weighted_frame,
+    _center_frame,
     bisector_foot_barycentric,
     center_set,
     circumdot,
@@ -404,6 +406,11 @@ def _conditioned(sides: SideLengths, tol: ToleranceProfile) -> ToleranceProfile:
     )
 
 
+def _ratio_metrics(t: _IntegerTriangle) -> TriangleMetrics:
+    """The integer kernel's metric ratios under their field names."""
+    return TriangleMetrics(*t.metrics())
+
+
 def check_identity_suite(
     sides: SideLengths,
     embedding: Optional[Tuple[Point2, Point2, Point2]],
@@ -436,7 +443,7 @@ def check_identity_suite(
         plane, suite_tol = homogeneous.Plane(m), tol  # an exact suite compares no floats
         a, b, c = t.a, t.b, t.c
         A, B, C = (a, t.L), (b, t.L), (c, t.L)
-        sides_of, metrics_of = partial(_integer_triangle, L=t.L), _IntegerTriangle.metrics
+        sides_of, metrics_of = partial(_integer_triangle, L=t.L), _ratio_metrics
         residual_of = _residual_ratio
         kinds = [(circle, _exact_decision(t, circle)[0]) for circle in CIRCLES]
         equilateral = sides.is_equilateral
@@ -496,7 +503,7 @@ def check_identity_suite(
     oracle = cartesian_oracle(plane, va, vb, vc)
     if exact:
         # The kernel's centers straight from their weights.
-        weights, frame = _weighted_frame(plane, a, b, c, va, vb, vc)
+        frame = _center_frame(plane, a, b, c, va, vb, vc)
     else:
         bary = center_set(sides, lifted, plane=plane)
         frame = bary.frame
@@ -580,7 +587,7 @@ def check_identity_suite(
     foot_tol = 0 if exact else suite_tol.bound(1.0)
     for k, vertex in enumerate(VERTICES):
         if exact:
-            x, d = _bisector_foot_weights(a, b, c, k)
+            x, d = _bisector_foot_weights((a, b, c), k)
             foot = [n * d for n in x]
         else:
             foot = bisector_foot_barycentric(sides, vertex).components
@@ -588,7 +595,7 @@ def check_identity_suite(
 
     # Barycentric <-> Cartesian round trip through the incenter.
     if exact:
-        x, d = weights["I"]
+        x, d = CENTER_WEIGHTS["I"](a, b, c)
         i_bary = [(n, d) for n in x]
     else:
         i_bary = bary.barycentric["I"].components
@@ -606,10 +613,11 @@ def check_identity_suite(
         y_label: [dist_sq(at[v], at[y_label]) for v in VERTICES] for y_label in ("N", "O")
     }
     for x_label in ("I", "Ea", "G"):
+        if exact:
+            x, d = CENTER_WEIGHTS[x_label](a, b, c)
         for y_label in ("N", "O"):
             dists = vertex_dist_sq[y_label]
             if exact:
-                x, d = weights[x_label]
                 via_formula = t.distance_sq(x, d, [n for n, _ in dists], dists[0][1])
             else:
                 via_formula = barycentric_distance_sq(bary.barycentric[x_label], *dists, sides)

@@ -409,8 +409,7 @@ class SideLengths(Record):
         Exact sides reduce the integer kernel's ratios: one division per
         field."""
         if self.is_exact:
-            ratios = self._integer_form.metrics()._values()
-            return TriangleMetrics(*[Fraction(n, d) for n, d in ratios])
+            return TriangleMetrics(*[Fraction(n, d) for n, d in self._integer_form.metrics()])
         a, b, c = self.as_tuple()
         s = (a + b + c) / 2
         # Computed as half-sums directly: one rounding instead of two for floats.
@@ -537,15 +536,15 @@ class _IntegerTriangle(NamedTuple):
     P: int
     abc: int
 
-    def metrics(self) -> "TriangleMetrics":
-        """The metric fields as ratios.  With sides a/L, b/L, c/L: s = p/2L,
-        K^2 = P/16L^4, R^2 = (abc)^2/(P L^2), r^2 = P/(4 p^2 L^2) =
-        u v w/(4 p L^2), R*r = abc/(2 p L^2), and u, v, w stand in for p in
-        the excircle terms.  Cancelling the known factor of P first leaves
-        a smaller gcd."""
+    def metrics(self) -> Tuple[Ratio, ...]:
+        """The fields of :class:`TriangleMetrics`, in order, as ratios.  With
+        sides a/L, b/L, c/L: s = p/2L, K^2 = P/16L^4, R^2 = (abc)^2/(P L^2),
+        r^2 = P/(4 p^2 L^2) = u v w/(4 p L^2), R*r = abc/(2 p L^2), and u, v,
+        w stand in for p in the excircle terms.  Cancelling the known factor
+        of P first leaves a smaller gcd."""
         L, _, _, _, p, u, v, w, P, abc = self
         L_sq, vw, pu = L * L, v * w, p * u
-        return TriangleMetrics(
+        return (
             (p, 2 * L),  # s
             (P, 16 * L_sq * L_sq),  # K_sq
             (abc * abc, P * L_sq),  # R_sq

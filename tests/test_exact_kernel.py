@@ -170,7 +170,7 @@ def model():
         ratio=ratio,
         vertices=vertices,
         vanishes=lambda expr: _vanishes(sympy, expr, y, t.P / (4 * a**2 * L**2)),
-        metrics=TriangleMetrics(*map(ratio, t.metrics()._values())),
+        metrics=TriangleMetrics(*map(ratio, t.metrics())),
         vertex_ninepoint_dist_sq=tuple(map(ratio, t.vertex_ninepoint_dist_sq())),
         # A pair's circumdot is indexed by the vertex opposite it.
         circumdot=lambda pair: ratio(t.circumdot({"AB": 2, "BC": 0, "CA": 1}[pair])),

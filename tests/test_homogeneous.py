@@ -186,7 +186,7 @@ def _plane_names(*functions):
 def test_both_planes_define_every_name_the_constructions_call():
     names = _plane_names(
         centers.center_set,
-        centers._weighted_frame,
+        centers._center_frame,
         centers.CenterSet,
         harness.cartesian_oracle,
         harness.OracleResult,
