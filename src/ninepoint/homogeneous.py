@@ -25,11 +25,11 @@ Every construction here is a ring expression in the coordinates, so no
 gcd is ever taken.  A scalar comes out as an integer pair (num, den) that
 stands for num/den: two of them are equal when num1*den2 == num2*den1, and
 a ``Fraction`` is built only where a point leaves this layer
-(:meth:`Plane.as_point2`).  The exact kernel's values
-are integer pairs of the same form (the methods of
-``triangle._IntegerTriangle``), and ratios multiply, subtract and divide
-without reduction, so the identity suite checks the kernel's products on
-integers and builds no ``Fraction`` on a passing triangle.
+(:meth:`Plane.as_point2`).  The exact kernel's values are integer pairs
+of the same form (the methods of ``triangle._IntegerTriangle``), and
+ratios multiply, subtract and divide without reduction, so the identity
+suite checks the kernel's products on integers and builds no
+``Fraction`` on a passing triangle.
 
 :meth:`Plane.lift` puts exact ``Point2``s over one shared weight, the lcm
 of their denominators.  ``equidistant_point`` and ``barycentric_point``
