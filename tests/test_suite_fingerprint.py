@@ -1,4 +1,4 @@
-"""The identity suite check by check: for four cases, every check's
+"""The identity suite check by check: for six cases, every check's
 name, verdict, residual (as ``float.hex``) and detail, in order, must equal
 tests/golden/suite_fingerprint.json.
 
@@ -8,10 +8,11 @@ order of its checks) shows here first.  The cases are an exact triangle
 with a rational altitude, whose own frame is Cartesian, exact
 near-degenerate sides whose altitude is irrational (their frame has the
 metric x^2 + m*t^2 with m != 1), the same triangle on floats with its
-float vertices, and the exact triangle with a kernel fault
-(the excenter Eb built with the weights of Ec), which pins the residuals
-of failed exact checks.  After an intended change, rewrite the golden
-with
+float vertices, the generic triangle on floats, and the exact generic and
+the float near-degenerate triangle with a kernel fault (the excenter Eb
+built with the weights of Ec), which pin the residuals of failed checks
+and that both kernels read the weight table when they are called.  After
+an intended change, rewrite the golden with
 
     PYTHONPATH=src python tests/test_suite_fingerprint.py
 """
@@ -53,8 +54,10 @@ def _eb_weighted_as_ec():
 CASES = {
     "generic_exact": lambda: _case("generic", 4, False),
     "generic_exact_faulty_eb": lambda: _case("generic", 4, False),
+    "generic_float": lambda: _case("generic", 4, True),
     "neardegen_exact_irrational_frame": lambda: _case("near-degenerate", 3, False),
     "neardegen_float": lambda: _case("near-degenerate", 3, True),
+    "neardegen_float_faulty_eb": lambda: _case("near-degenerate", 3, True),
 }
 
 
