@@ -24,8 +24,9 @@ program name (``"compute --sides 3,4,5"``); with none, the fixed set runs:
   default 0);
 * edge requests: every fuzz profile and backend at ``--bound 10**80``,
   at ``--bound 10**200`` and at ``--rel-eps 1e-300 --abs-eps 1e-300``;
-  100 exact fuzz triangles of every profile (``--seed 1 --format json``),
-  so the exact suite runs on many frames with metric m != 1; and
+  100 fuzz triangles of every profile on each backend (``--seed 1
+  --format json``), so the exact suite runs on many frames with metric
+  m != 1 and the float suite on every profile; and
   ``feuerbach``, ``compute`` and ``svg`` on the sides (x, x, 1.5x) for x
   in 1e-320, 1e-160, 1e154 and 1e200, on both backends.
 
@@ -60,7 +61,7 @@ EDGE_FUZZ_OPTIONS = (
     ["--rel-eps", "1e-300", "--abs-eps", "1e-300"],
 )
 EDGE_FUZZ_COUNT = "5"
-EDGE_EXACT_FUZZ = ["--backend", "exact", "--count", "100", "--seed", "1", "--format", "json"]
+EDGE_COUNT_FUZZ = ["--count", "100", "--seed", "1", "--format", "json"]
 EDGE_SCALES = ("1e-320", "1e-160", "1e154", "1e200")
 COLUMNS = "80"
 # A changed line is shown this many characters either side of where it
@@ -87,7 +88,8 @@ def edge_requests() -> List[List[str]]:
                     ["fuzz", "--profile", profile, "--backend", backend,
                      "--count", EDGE_FUZZ_COUNT, *options]
                 )
-        requests.append(["fuzz", "--profile", profile, *EDGE_EXACT_FUZZ])
+        for backend in ("exact", "float"):
+            requests.append(["fuzz", "--profile", profile, "--backend", backend, *EDGE_COUNT_FUZZ])
     for scale in EDGE_SCALES:
         sides = f"{scale},{scale},1.5{scale[1:]}"
         for command in ("feuerbach", "compute", "svg"):
