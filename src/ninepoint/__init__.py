@@ -16,8 +16,9 @@ from .triangle import (
     SideLengths,
     barycentric_distance_sq,
     metrics,
+    point_on_side,
 )
-from .centers import vertex_to_ninepoint_dist_sq
+from .centers import bisector_foot_barycentric, vertex_to_ninepoint_dist_sq
 from .feuerbach import (
     Tangency,
     classify_tangency_sq,
@@ -39,6 +40,8 @@ __all__ = [
     "Tangency",
     "classify_tangency_sq",
     "barycentric_distance_sq",
+    "point_on_side",
+    "bisector_foot_barycentric",
     "vertex_to_ninepoint_dist_sq",
     "incircle_ninepoint_residual",
     "excircle_ninepoint_residual",

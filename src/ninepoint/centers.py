@@ -69,6 +69,9 @@ __all__ = [
     "vertex_to_ninepoint_dist_sq",
     "circumdot",
     "center_set",
+    # Re-exported beside the centers: the benchmark's tracer test checks
+    # that tracing triangle.metrics rebinds this module's name too.
+    "metrics",
 ]
 
 Vertex = Literal["A", "B", "C"]
@@ -133,14 +136,14 @@ _OPPOSITE_OF_PAIR = {"AB": "C", "BC": "A", "CA": "B"}
 def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
     """Dot product (P - O).(Q - O) for a vertex pair: R^2 - opposite^2 / 2.
 
-    Exact sides reduce the integer kernel's ratio, one division."""
+    Exact sides reduce the integer kernel's ratio, one division; float
+    sides take the float kernel's value."""
     if pair not in _OPPOSITE_OF_PAIR:
         raise ValueError(f"pair must be one of {tuple(_OPPOSITE_OF_PAIR)}, got {pair!r}")
     k = _shift(_OPPOSITE_OF_PAIR[pair])
     if sides.is_exact:
         return Fraction(*sides._integer_form.circumdot(k))
-    opposite = sides.as_tuple()[k]
-    return metrics(sides).R_sq - (opposite * opposite) / 2
+    return sides._float_form.circumdot(k)
 
 
 class CenterSet(Record):
@@ -180,8 +183,18 @@ def center_set(
     sides and every vertex are exact and onto float pairs otherwise.  With
     ``plane`` they are already points of that plane, as the identity suite
     holds them."""
+    # Exact sides weigh by their integer form: the integer plane needs it,
+    # and each barycentric component is one Fraction.  On floats each k/d
+    # rounds once.
+    if sides.is_exact:
+        t = sides._integer_form
+        (a, b, c), ratio = (t.a, t.b, t.c), Fraction
+    else:
+        (a, b, c), ratio = sides.as_tuple(), FloatPlane.quotient
     bary = {"G": centroid_barycentric()}
-    bary.update((label, sides._circle_center(label)) for label in CIRCLE_CENTERS)
+    for label in CIRCLE_CENTERS:
+        (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](a, b, c)
+        bary[label] = Barycentric(ratio(x_a, d), ratio(x_b, d), ratio(x_c, d))
     if vertices is None:
         return CenterSet(bary, None, None)
     if plane is None:
@@ -193,13 +206,6 @@ def center_set(
     # vertices, such as a float embedding whose altitude underflowed.
     if plane.orientation(va, vb, vc) == 0:
         raise ValueError("collinear vertices have no circumcenter")
-    # Exact sides weigh by their integer form, as _circle_center does:
-    # the integer plane needs it, and on floats each k/d rounds as before.
-    if sides.is_exact:
-        t = sides._integer_form
-        a, b, c = t.a, t.b, t.c
-    else:
-        a, b, c = sides.as_tuple()
     return CenterSet(bary, _center_frame(plane, a, b, c, va, vb, vc), plane)
 
 

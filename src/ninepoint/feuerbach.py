@@ -55,9 +55,9 @@ from .triangle import (
     CIRCLE_CENTERS,
     SideLengths,
     TriangleMetrics,
+    _FloatTriangle,
     _IntegerTriangle,
     _ZERO,
-    barycentric_distance_sq,
     metrics,
 )
 from .centers import VERTICES, Vertex
@@ -221,51 +221,25 @@ def classify_tangency_sq(
         exact = carrier is Fraction
     else:
         (d_sq, r1_sq, r2_sq), exact = coerce_backend(d_sq, r1_sq, r2_sq)
-    if r1_sq <= 0 or r2_sq <= 0:
-        raise ValueError("squared radii must be positive")
-
-    if d_sq < 0:
-        # A float distance can land a hair below zero through cancellation
-        # in the upstream squared-distance evaluation; clamp that, reject
-        # anything genuinely negative (and any exact negative).
-        if exact or -d_sq > tol.bound(max(r1_sq, r2_sq)):
-            raise ValueError(
-                f"squared center distance must be nonnegative, got {d_sq}"
-            )
-        d_sq = 0.0
-
-    cross = sqrt_exact(r1_sq * r2_sq) if exact else None  # r1 * r2 when rational
-    if exact and cross is None:
-        # d^2 - r1^2 - r2^2 is rational but +-2*r1*r2 is not: the
-        # tangency equations have no rational solution.  The residuals
-        # below come out as floats (Fraction - float).
-        prod = 2.0 * math.sqrt(float(r1_sq) * float(r2_sq))
-        base = float(r1_sq) + float(r2_sq)
-        rhs_internal = base - prod
-        rhs_external = base + prod
-        kind = Tangency.NOT_TANGENT
-    elif exact:
-        rhs_internal = r1_sq + r2_sq - 2 * cross
-        rhs_external = r1_sq + r2_sq + 2 * cross
-        # A zero rhs_internal means equal radii.
-        kind = _exact_kind(d_sq, rhs_internal, rhs_external, rhs_internal == 0)
+    if not exact:
+        kind, d_sq, rhs_internal, rhs_external = _float_decision(d_sq, r1_sq, r2_sq, tol)
     else:
-        cross_f = 2.0 * math.sqrt(r1_sq * r2_sq)
-        rhs_internal = r1_sq + r2_sq - cross_f
-        rhs_external = r1_sq + r2_sq + cross_f
-        scale = max(d_sq, r1_sq, r2_sq)
-        gap_internal = abs(d_sq - rhs_internal)
-        gap_external = abs(d_sq - rhs_external)
-        internal_fits = gap_internal <= tol.bound(max(d_sq, abs(rhs_internal), scale))
-        external_fits = gap_external <= tol.bound(max(d_sq, rhs_external))
-        if d_sq <= tol.bound(scale) and abs(r1_sq - r2_sq) <= tol.bound(scale):
-            kind = Tangency.COINCIDENT
-        elif internal_fits and (not external_fits or gap_internal <= gap_external):
-            kind = Tangency.INTERNAL_TANGENT
-        elif external_fits:
-            kind = Tangency.EXTERNAL_TANGENT
-        else:
+        _checked_lhs(d_sq, r1_sq, r2_sq, tol, True)
+        cross = sqrt_exact(r1_sq * r2_sq)  # r1 * r2 when rational
+        if cross is None:
+            # d^2 - r1^2 - r2^2 is rational but +-2*r1*r2 is not: the
+            # tangency equations have no rational solution.  The residuals
+            # below come out as floats (Fraction - float).
+            prod = 2.0 * math.sqrt(float(r1_sq) * float(r2_sq))
+            base = float(r1_sq) + float(r2_sq)
+            rhs_internal = base - prod
+            rhs_external = base + prod
             kind = Tangency.NOT_TANGENT
+        else:
+            rhs_internal = r1_sq + r2_sq - 2 * cross
+            rhs_external = r1_sq + r2_sq + 2 * cross
+            # A zero rhs_internal means equal radii.
+            kind = _exact_kind(d_sq, rhs_internal, rhs_external, rhs_internal == 0)
     return TangencyReport(
         kind=kind,
         lhs=d_sq,
@@ -274,6 +248,47 @@ def classify_tangency_sq(
         residual_internal=d_sq - rhs_internal,
         residual_external=d_sq - rhs_external,
     )
+
+
+def _checked_lhs(
+    d_sq: Scalar, r1_sq: Scalar, r2_sq: Scalar, tol: ToleranceProfile, exact: bool
+) -> Scalar:
+    """The squared center distance, checked with the squared radii."""
+    if r1_sq <= 0 or r2_sq <= 0:
+        raise ValueError("squared radii must be positive")
+    if d_sq < 0:
+        # A float distance can land a hair below zero through cancellation
+        # in the upstream squared-distance evaluation; clamp that, reject
+        # anything genuinely negative (and any exact negative).
+        if exact or -d_sq > tol.bound(max(r1_sq, r2_sq)):
+            raise ValueError(f"squared center distance must be nonnegative, got {d_sq}")
+        d_sq = 0.0
+    return d_sq
+
+
+def _float_decision(
+    d_sq: float, r1_sq: float, r2_sq: float, tol: ToleranceProfile
+) -> Tuple[Tangency, float, float, float]:
+    """The float branch of :func:`classify_tangency_sq`: the kind, then the
+    checked lhs and the two right-hand sides, which only the report reads."""
+    d_sq = _checked_lhs(d_sq, r1_sq, r2_sq, tol, False)
+    cross = 2.0 * math.sqrt(r1_sq * r2_sq)
+    rhs_internal = r1_sq + r2_sq - cross
+    rhs_external = r1_sq + r2_sq + cross
+    scale = max(d_sq, r1_sq, r2_sq)
+    gap_internal = abs(d_sq - rhs_internal)
+    gap_external = abs(d_sq - rhs_external)
+    internal_fits = gap_internal <= tol.bound(max(d_sq, abs(rhs_internal), scale))
+    external_fits = gap_external <= tol.bound(max(d_sq, rhs_external))
+    if d_sq <= tol.bound(scale) and abs(r1_sq - r2_sq) <= tol.bound(scale):
+        kind = Tangency.COINCIDENT
+    elif internal_fits and (not external_fits or gap_internal <= gap_external):
+        kind = Tangency.INTERNAL_TANGENT
+    elif external_fits:
+        kind = Tangency.EXTERNAL_TANGENT
+    else:
+        kind = Tangency.NOT_TANGENT
+    return kind, d_sq, rhs_internal, rhs_external
 
 
 def _tangency_numerators(t: _IntegerTriangle, circle: str) -> Tuple[int, int, int]:
@@ -325,6 +340,22 @@ def _residual_ratio(t: _IntegerTriangle, circle: str) -> Tuple[int, int]:
     return e + two_abc_d if circle == "incircle" else e - two_abc_d, 4 * (d * t.L) ** 2
 
 
+def _center_dist_sq(t: _FloatTriangle, circle: str, vertex_n: Tuple[float, ...]) -> float:
+    """|XN|^2 for the circle's center X on the float kernel, by the
+    barycentric distance identity with the vertex-to-N distances; the
+    weights are read from CENTER_WEIGHTS when called."""
+    return t.distance_sq(*CENTER_WEIGHTS[_CENTER_OF[circle]](t.a, t.b, t.c), vertex_n, 1)
+
+
+def _float_residual(met: TriangleMetrics, circle: str, d_sq: float) -> float:
+    """The residual of :func:`_ninepoint_residual` on float sides, from the
+    circle's |XN|^2."""
+    r_sq, mixed = _radius_terms(met, circle)
+    # R^2/4 + r_X^2 -+ R*r_X; negating a float is exact, so adding -R*r_X
+    # rounds as subtracting it does.
+    return d_sq - (met.R_sq / 4 + r_sq + (-mixed if circle == "incircle" else mixed))
+
+
 def _kind_ok(circle: str, kind: Tangency) -> bool:
     """Whether the kind is the theorem's: the incircle internally tangent
     (or coincident), an excircle externally tangent."""
@@ -374,15 +405,9 @@ def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     excircle: the comparison Feuerbach's theorem makes exact."""
     if sides.is_exact:
         return Fraction(*_residual_ratio(sides._integer_form, circle))
-    internal = circle == "incircle"
     met = metrics(sides)
-    r_sq, mixed = _radius_terms(met, circle)
-    d_sq = barycentric_distance_sq(
-        sides._circle_center(_CENTER_OF[circle]), *sides._vertex_ninepoint_dist_sq, sides
-    )
-    # R^2/4 + r_X^2 -+ R*r_X; negating a float is exact, so adding -R*r_X
-    # rounds as subtracting it does.
-    return d_sq - (met.R_sq / 4 + r_sq + (-mixed if internal else mixed))
+    d_sq = _center_dist_sq(sides._float_form, circle, sides._vertex_ninepoint_dist_sq)
+    return _float_residual(met, circle, d_sq)
 
 
 def incircle_ninepoint_residual(sides: SideLengths) -> Scalar:
@@ -449,19 +474,12 @@ def feuerbach_report(
         reports = tuple(_exact_tangency(sides._integer_form, met, circle) for circle in CIRCLES)
     else:
         # Each center's |XN|^2 comes from the same three vertex-to-N distances.
-        vertex_dist_sq = sides._vertex_ninepoint_dist_sq
+        t, vertex_n = sides._float_form, sides._vertex_ninepoint_dist_sq
         ninepoint_r_sq = met.R_sq / 4
-        reports = tuple(
-            classify_tangency_sq(
-                barycentric_distance_sq(
-                    sides._circle_center(_CENTER_OF[circle]), *vertex_dist_sq, sides
-                ),
-                ninepoint_r_sq,
-                _radius_terms(met, circle)[0],
-                tol,
-            )
-            for circle in CIRCLES
-        )
+        reports = []
+        for circle in CIRCLES:
+            d_sq, r_sq = _center_dist_sq(t, circle, vertex_n), _radius_terms(met, circle)[0]
+            reports.append(classify_tangency_sq(d_sq, ninepoint_r_sq, r_sq, tol))
     return FeuerbachReport(
         sides,
         met,

@@ -57,6 +57,7 @@ and ``max_residual`` from those rows, and makes them
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -70,34 +71,27 @@ from .record import Record, cached, set_field
 from .triangle import (
     FloatPlane,
     Point2,
+    Ratio,
     SideLengths,
     TriangleMetrics,
     _canonical_frame,
+    _float_triangle,
+    _FloatTriangle,
     _integer_triangle,
     _IntegerTriangle,
-    barycentric_distance_sq,
     canonical_vertices,
-    metrics,
-    point_on_side,
 )
-from .centers import (
-    VERTICES,
-    CENTER_WEIGHTS,
-    _bisector_foot_weights,
-    _center_frame,
-    bisector_foot_barycentric,
-    center_set,
-    circumdot,
-    vertex_to_ninepoint_dist_sq,
-)
+from .centers import VERTICES, CENTER_WEIGHTS, _bisector_foot_weights, _center_frame
 from .feuerbach import (
     CIRCLES,
     Tangency,
+    _center_dist_sq,
     _exact_decision,
+    _float_decision,
+    _float_residual,
     _kind_ok,
-    _ninepoint_residual,
+    _radius_terms,
     _residual_ratio,
-    feuerbach_report,
 )
 
 __all__ = [
@@ -406,9 +400,9 @@ def _conditioned(sides: SideLengths, tol: ToleranceProfile) -> ToleranceProfile:
     )
 
 
-def _ratio_metrics(t: _IntegerTriangle) -> TriangleMetrics:
-    """The integer kernel's metric ratios under their field names."""
-    return TriangleMetrics(*t.metrics())
+def _ratio(n: int, d: int) -> Tuple[int, int]:
+    """n/d as a scalar of the exact plane."""
+    return n, d
 
 
 def check_identity_suite(
@@ -438,31 +432,55 @@ def check_identity_suite(
             raise ValueError("exact sides run on their own frame; pass no embedding")
         # The integer kernel reads the sides as (a, b, c) over L and gives
         # each value as a ratio (num, den).
-        t = kernel = sides._integer_form
-        m, lifted = _canonical_frame(t)
+        kernel = sides._integer_form
+        m, lifted = _canonical_frame(kernel)
         plane, suite_tol = homogeneous.Plane(m), tol  # an exact suite compares no floats
-        a, b, c = t.a, t.b, t.c
-        A, B, C = (a, t.L), (b, t.L), (c, t.L)
-        sides_of, metrics_of = partial(_integer_triangle, L=t.L), _ratio_metrics
-        residual_of = _residual_ratio
-        kinds = [(circle, _exact_decision(t, circle)[0]) for circle in CIRCLES]
-        equilateral = sides.is_equilateral
+        a, b, c, L = kernel.a, kernel.b, kernel.c, kernel.L
+        A, B, C = (a, L), (b, L), (c, L)
+        kernel_of, two, four = partial(_integer_triangle, L=L), (2, 1), (4, 1)
+        # A weight x over its sum d as a ratio, and with the sign of x*d.
+        ratio, signed, foot_tol = _ratio, operator.mul, 0
+
+        def residual_of(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> Ratio:
+            return _residual_ratio(t, circle)
+
+        met = TriangleMetrics(*kernel.metrics())
+        vertex_n = kernel.vertex_ninepoint_dist_sq()
+        verdicts = [
+            (circle, _exact_decision(kernel, circle)[0], _residual_ratio(kernel, circle))
+            for circle in CIRCLES
+        ]
     else:
         if embedding is None:
             raise ValueError("float sides need an embedding")
         plane, suite_tol = FloatPlane, _conditioned(sides, tol)
         lifted = plane.lift(embedding)
-        kernel, sides_of, metrics_of = sides, SideLengths, metrics
-        residual_of = _ninepoint_residual
+        kernel = sides._float_form
         a, b, c = A, B, C = sides.as_tuple()
-        fb = feuerbach_report(sides, suite_tol)
-        kinds = [(entry.circle, entry.report.kind) for entry in fb.entries]
-        equilateral = fb.equilateral
+        kernel_of, two, four = _float_triangle, 2, 4
+        ratio = signed = operator.truediv
+        foot_tol = suite_tol.bound(1.0)
+
+        def residual_of(t: _FloatTriangle, met: TriangleMetrics, circle: str) -> float:
+            vertex_n = t.vertex_ninepoint_dist_sq()
+            return _float_residual(met, circle, _center_dist_sq(t, circle, vertex_n))
+
+        # Each circle's |XN|^2 is computed once: its kind is decided (and
+        # its checks may raise) before the embedding rows, and its residual
+        # is recorded below.
+        met = TriangleMetrics(*kernel.metrics())
+        vertex_n = kernel.vertex_ninepoint_dist_sq()
+        ninepoint_r_sq = met.R_sq / 4
+        verdicts = []
+        for circle in CIRCLES:
+            d_sq = _center_dist_sq(kernel, circle, vertex_n)
+            r_sq = _radius_terms(met, circle)[0]
+            kind = _float_decision(d_sq, ninepoint_r_sq, r_sq, suite_tol)[0]
+            verdicts.append((circle, kind, _float_residual(met, circle, d_sq)))
     va, vb, vc = lifted
 
     product = plane.product
     abs_eps, rel_eps = suite_tol.abs_eps, suite_tol.rel_eps
-    met = metrics_of(kernel)
     R_sq = met.R_sq
     scale_len_sq = R_sq
     scale_len = _Root(R_sq) if exact else math.sqrt(R_sq)
@@ -501,12 +519,8 @@ def check_identity_suite(
         raise ValueError("embedding does not match the side lengths")
 
     oracle = cartesian_oracle(plane, va, vb, vc)
-    if exact:
-        # The kernel's centers straight from their weights.
-        frame = _center_frame(plane, a, b, c, va, vb, vc)
-    else:
-        bary = center_set(sides, lifted, plane=plane)
-        frame = bary.frame
+    # The kernel's centers straight from their weights.
+    frame = _center_frame(plane, a, b, c, va, vb, vc)
     at = oracle.frame  # the constructed points, on the same plane
     o_pt, g_pt, h_pt, n_pt = at["O"], at["G"], at["H"], at["N"]
 
@@ -573,32 +587,20 @@ def check_identity_suite(
             )
 
     # Side points: midpoint of BC and the three bisector feet.
-    if exact:
-        half = (a, 2 * t.L)
-        mid = t.side_point(half, half)
-    else:
-        half = a / 2
-        mid = point_on_side(half, half, sides).components[1:]
+    half = plane.quotient(A, two)
+    mid = kernel.side_point(half, half)
     half_over_a = plane.quotient(half, A)
     record("point_on_side_midpoint_beta", mid[0], half_over_a, 1.0)
     record("point_on_side_midpoint_gamma", mid[1], half_over_a, 1.0)
-    # Exact feet lie on the side exactly (their weights x over d have the
-    # signs of x*d); float ones within the bound.
-    foot_tol = 0 if exact else suite_tol.bound(1.0)
+    # Exact feet lie on the side exactly; float ones within the bound.
     for k, vertex in enumerate(VERTICES):
-        if exact:
-            x, d = _bisector_foot_weights((a, b, c), k)
-            foot = [n * d for n in x]
-        else:
-            foot = bisector_foot_barycentric(sides, vertex).components
+        x, d = _bisector_foot_weights((a, b, c), k)
+        foot = [signed(n, d) for n in x]
         record_flag(f"bisector_foot_{vertex}_on_side", foot[k] == 0 and min(foot) >= -foot_tol)
 
     # Barycentric <-> Cartesian round trip through the incenter.
-    if exact:
-        x, d = CENTER_WEIGHTS["I"](a, b, c)
-        i_bary = [(n, d) for n in x]
-    else:
-        i_bary = bary.barycentric["I"].components
+    x, d = CENTER_WEIGHTS["I"](a, b, c)
+    i_bary = [ratio(n, d) for n in x]
     i_back = plane.barycentric(frame["I"], va, vb, vc)
     record("roundtrip_incenter_alpha", i_back[0], i_bary[0], 1.0)
     record("roundtrip_incenter_beta", i_back[1], i_bary[1], 1.0)
@@ -606,33 +608,24 @@ def check_identity_suite(
 
     # Squared-distance identity at constructed points: X in {I, Ea, G},
     # Y in {N, O}, against the direct Cartesian distance.  The distances
-    # from the vertices enter the kernel formula as its scalars; the
-    # vertices share one weight, so on the exact plane their distances to
-    # one point share one denominator.
+    # from the vertices enter the kernel formula as numerators over one
+    # denominator; the vertices share one weight, so on the exact plane
+    # their distances to one point share one denominator.
     vertex_dist_sq = {
-        y_label: [dist_sq(at[v], at[y_label]) for v in VERTICES] for y_label in ("N", "O")
+        y_label: plane.over_one([dist_sq(at[v], at[y_label]) for v in VERTICES])
+        for y_label in ("N", "O")
     }
     for x_label in ("I", "Ea", "G"):
-        if exact:
-            x, d = CENTER_WEIGHTS[x_label](a, b, c)
+        x, d = CENTER_WEIGHTS[x_label](a, b, c)
         for y_label in ("N", "O"):
-            dists = vertex_dist_sq[y_label]
-            if exact:
-                via_formula = t.distance_sq(x, d, [n for n, _ in dists], dists[0][1])
-            else:
-                via_formula = barycentric_distance_sq(bary.barycentric[x_label], *dists, sides)
             record(
                 f"distance_identity_{x_label}{y_label}",
-                via_formula,
+                kernel.distance_sq(x, d, *vertex_dist_sq[y_label]),
                 dist_sq(at[x_label], at[y_label]),
                 scale_len_sq,
             )
 
     # Vertex-to-nine-point-center distances from sides alone.
-    if exact:
-        vertex_n = t.vertex_ninepoint_dist_sq()
-    else:
-        vertex_n = [vertex_to_ninepoint_dist_sq(sides, vertex) for vertex in VERTICES]
     for vertex, from_sides in zip(VERTICES, vertex_n):
         record(
             f"vertex_ninepoint_distance_{vertex}",
@@ -644,11 +637,9 @@ def check_identity_suite(
     # Circumcenter dot products.
     for pair, opposite in (("AB", 2), ("BC", 0), ("CA", 1)):
         direct = dot(sub(at[pair[0]], o_pt), sub(at[pair[1]], o_pt))
-        from_sides = t.circumdot(opposite) if exact else circumdot(sides, pair)
-        record(f"circumdot_{pair}", from_sides, direct, scale_len_sq)
+        record(f"circumdot_{pair}", kernel.circumdot(opposite), direct, scale_len_sq)
 
     # Nine-point membership: side midpoints and altitude feet lie at R/2.
-    four = (4, 1) if exact else 4
     quarter_r_sq = plane.quotient(R_sq, four)
     record("ninepoint_radius", oracle.frame_radius_sq, quarter_r_sq, scale_len_sq)
     memberships = (
@@ -663,39 +654,34 @@ def check_identity_suite(
         record(f"ninepoint_membership_{name}", dist_sq(n_pt, member), quarter_r_sq, scale_len_sq)
 
     # Feuerbach residuals and tangency kinds.
-    record("feuerbach_incircle_residual", residual_of(kernel, "incircle"), zero, quarter_r_sq)
-    for vertex in VERTICES:
-        record(
-            f"feuerbach_excircle_residual_{vertex}",
-            residual_of(kernel, f"ex{vertex}"),
-            zero,
-            quarter_r_sq,
-        )
-    for circle, kind in kinds:
+    record("feuerbach_incircle_residual", verdicts[0][2], zero, quarter_r_sq)
+    for vertex, (_, _, residual) in zip(VERTICES, verdicts[1:]):
+        record(f"feuerbach_excircle_residual_{vertex}", residual, zero, quarter_r_sq)
+    for circle, kind, _ in verdicts:
         record_flag(f"tangency_kind_{circle}", _kind_ok(circle, kind), detail=kind.value)
     record_flag(
         "tangency_equilateral_flag",
-        equilateral == sides.is_equilateral
-        and (not equilateral or kinds[0][1] is Tangency.COINCIDENT),
+        not sides.is_equilateral or verdicts[0][1] is Tangency.COINCIDENT,
     )
 
     # Scale covariance: doubling the sides multiplies squared lengths by 4
     # and keeps the residual identically zero.  Exact sides double their
     # integer form over the same L.
-    scaled = sides_of(2 * a, 2 * b, 2 * c)
-    met_scaled = metrics_of(scaled)
+    scaled = kernel_of(2 * a, 2 * b, 2 * c)
+    met_scaled = TriangleMetrics(*scaled.metrics())
     four_r_sq = plane.times(4, R_sq)
     record("scale_covariance_R_sq", met_scaled.R_sq, four_r_sq, four_r_sq)
     record(
         "scale_covariance_residual",
-        residual_of(scaled, "incircle"),
+        residual_of(scaled, met_scaled, "incircle"),
         plane.times(2, zero),
         plane.quotient(met_scaled.R_sq, four),
     )
 
     # Permutation equivariance: relabeling vertices permutes the excircles.
-    rotated = sides_of(b, c, a)
-    record("permutation_exradius", metrics_of(rotated).rA_sq, met.rB_sq, scale_len_sq)
-    record("permutation_residual", residual_of(rotated, "exA"), zero, quarter_r_sq)
+    rotated = kernel_of(b, c, a)
+    met_rotated = TriangleMetrics(*rotated.metrics())
+    record("permutation_exradius", met_rotated.rA_sq, met.rB_sq, scale_len_sq)
+    record("permutation_residual", residual_of(rotated, met_rotated, "exA"), zero, quarter_r_sq)
 
     return SuiteReport(tuple(checks), exact)

@@ -107,6 +107,10 @@ class Plane:
         x, t, w = p
         return (x, w), ((t, w) if self.m == 1 else _TCoordinate((t, w, self.m)))
 
+    def over_one(self, ratios: Sequence[Ratio]) -> Tuple[list, int]:
+        """Ratios that share one denominator, as their numerators and it."""
+        return [n for n, _ in ratios], ratios[0][1]
+
     def add(self, p: Triple, q: Triple) -> Triple:
         (x1, y1, w1), (x2, y2, w2) = p, q
         if w1 == w2:

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, NamedTuple, Optional, Sequence, Tuple
 
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -161,6 +161,12 @@ class FloatPlane:
     @staticmethod
     def coords(p: Pair) -> Pair:
         return p
+
+    @staticmethod
+    def over_one(values: Sequence[float]) -> Tuple[Sequence[float], int]:
+        """The values over the denominator 1: the form in which the exact
+        plane gives ratios that share one denominator."""
+        return values, 1
 
     @staticmethod
     def add(p: Pair, q: Pair) -> Pair:
@@ -402,61 +408,20 @@ class SideLengths(Record):
         )
 
     @cached
+    def _float_form(self) -> "_FloatTriangle":
+        """The float kernel of float sides."""
+        return _float_triangle(self.a, self.b, self.c)
+
+    @cached
     def _metrics(self) -> "TriangleMetrics":
         """K^2 = s(s-a)(s-b)(s-c), R^2 = (abc)^2 / 16K^2, r^2 = K^2/s^2,
         r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a).
 
         Exact sides reduce the integer kernel's ratios: one division per
-        field."""
+        field; float sides take the float kernel's values."""
         if self.is_exact:
             return TriangleMetrics(*[Fraction(n, d) for n, d in self._integer_form.metrics()])
-        a, b, c = self.as_tuple()
-        s = (a + b + c) / 2
-        # Computed as half-sums directly: one rounding instead of two for floats.
-        s_a = (-a + b + c) / 2
-        s_b = (a - b + c) / 2
-        s_c = (a + b - c) / 2
-        K_sq = _area_sq_16(a, b, c) / 16
-        abc = a * b * c
-        return TriangleMetrics(
-            s,
-            K_sq,
-            (abc * abc) / (16 * K_sq),  # R_sq
-            K_sq / (s * s),  # r_sq
-            K_sq / (s_a * s_a),  # rA_sq
-            K_sq / (s_b * s_b),  # rB_sq
-            K_sq / (s_c * s_c),  # rC_sq
-            abc / (4 * s),  # Rr
-            abc / (4 * s_a),  # RrA
-            abc / (4 * s_b),  # RrB
-            abc / (4 * s_c),  # RrC
-        )
-
-    @cached
-    def _circle_centers(self) -> Dict[str, "Barycentric"]:
-        """The circle centers that :meth:`_circle_center` has built, by
-        label."""
-        return {}
-
-    def _circle_center(self, label: str) -> "Barycentric":
-        """The incenter or an excenter (a label of :data:`CIRCLE_CENTERS`),
-        normalized; built on first read, once per triangle, so a caller that
-        reads one center builds only that one.
-
-        Exact sides are weighted by their integer form: one division per
-        component."""
-        built = self._circle_centers
-        center = built.get(label)
-        if center is None:
-            if self.is_exact:
-                t = self._integer_form
-                (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](t.a, t.b, t.c)
-                center = Barycentric(Fraction(x_a, d), Fraction(x_b, d), Fraction(x_c, d))
-            else:
-                (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](self.a, self.b, self.c)
-                center = Barycentric(x_a / d, x_b / d, x_c / d)
-            built[label] = center
-        return center
+        return TriangleMetrics(*self._float_form.metrics())
 
     @cached
     def _vertex_ninepoint_dist_sq(self) -> Tuple[Scalar, Scalar, Scalar]:
@@ -467,13 +432,7 @@ class SideLengths(Record):
         if self.is_exact:
             ratios = self._integer_form.vertex_ninepoint_dist_sq()
             return tuple([Fraction(n, d) for n, d in ratios])
-        R_sq = self._metrics.R_sq
-        a, b, c = self.as_tuple()
-        return (
-            (R_sq - a * a + b * b + c * c) / 4,
-            (R_sq - b * b + c * c + a * a) / 4,
-            (R_sq - c * c + a * a + b * b) / 4,
-        )
+        return self._float_form.vertex_ninepoint_dist_sq()
 
 
 class TriangleMetrics(Record):
@@ -483,7 +442,8 @@ class TriangleMetrics(Record):
     keeps every field rational in the side lengths; the circumradius itself
     is usually irrational.  The exact kernel's
     :meth:`_IntegerTriangle.metrics` holds the same fields as integer
-    ratios ``(num, den)``.
+    ratios ``(num, den)``, and the float kernel's
+    :meth:`_FloatTriangle.metrics` as bare floats.
     """
 
     __slots__ = _fields = (
@@ -605,6 +565,90 @@ def _integer_triangle(a, b, c, L=1) -> _IntegerTriangle:
     return _IntegerTriangle(L, a, b, c, p, u, v, w, p * u * v * w, a * b * c)
 
 
+class _FloatTriangle(NamedTuple):
+    """Float sides and the terms every float quantity is built from: s and
+    s - a, s - b, s - c as half-sums (one rounding each), K^2 by the
+    sorted-operand product and abc.  None of them divides by a value of
+    the sides, so building one raises nothing.
+
+    The methods are the float kernel, under the names and argument order
+    of :class:`_IntegerTriangle`'s: each float quantity has one formula,
+    which returns bare floats, and the public functions on float sides
+    forward to it.  Each makes the float operations that those functions
+    have always made, in the same order, so no bit moves."""
+
+    a: float
+    b: float
+    c: float
+    s: float
+    s_a: float
+    s_b: float
+    s_c: float
+    K_sq: float
+    abc: float
+
+    def _R_sq(self) -> float:
+        return (self.abc * self.abc) / (16 * self.K_sq)
+
+    def metrics(self) -> Tuple[float, ...]:
+        """The fields of :class:`TriangleMetrics`, in order: R^2 =
+        (abc)^2/16K^2, r^2 = K^2/s^2, r_a^2 = K^2/(s-a)^2, R*r = abc/4s,
+        R*r_a = abc/4(s-a) and their rotations."""
+        _, _, _, s, s_a, s_b, s_c, K_sq, abc = self
+        return (
+            s, K_sq, self._R_sq(),
+            K_sq / (s * s), K_sq / (s_a * s_a), K_sq / (s_b * s_b), K_sq / (s_c * s_c),
+            abc / (4 * s), abc / (4 * s_a), abc / (4 * s_b), abc / (4 * s_c),
+        )
+
+    def vertex_ninepoint_dist_sq(self) -> Tuple[float, float, float]:
+        """|AN|^2, |BN|^2, |CN|^2: (R^2 - a^2 + b^2 + c^2)/4 and its rotations."""
+        R_sq, a, b, c = self._R_sq(), self.a, self.b, self.c
+        return (
+            (R_sq - a * a + b * b + c * c) / 4,
+            (R_sq - b * b + c * c + a * a) / 4,
+            (R_sq - c * c + a * a + b * b) / 4,
+        )
+
+    def circumdot(self, k: int) -> float:
+        """(P - O).(Q - O) for the two vertices other than vertex k:
+        R^2 - o^2/2 for the side o opposite k."""
+        o = self[k]
+        return self._R_sq() - (o * o) / 2
+
+    def side_point(self, bx: float, cx: float) -> Tuple[float, float]:
+        """|CX|/a and |BX|/a, the B and C coordinates of the point X on BC
+        with |BX| = bx and |CX| = cx."""
+        return cx / self.a, bx / self.a
+
+    def distance_sq(
+        self, x: Tuple[Any, Any, Any], d1: Any, dist: Tuple[float, float, float], d2: Any
+    ) -> float:
+        """|XY|^2 by the barycentric distance identity, for X = x/d1 and Y
+        at squared distances dist/d2 from A, B and C.  Integer weights
+        (exact weights over their lcm) round each weight and each weight
+        product once, by integer true division, as ``float()`` of the
+        ``Fraction`` does; float weights multiply their rounded quotients.
+        Wherever d2 is 1, its division is exact."""
+        x_a, x_b, x_c = x
+        alpha, beta, gamma = x_a / d1, x_b / d1, x_c / d1
+        if type(d1) is int:
+            d1_sq = d1 * d1
+            bc, ca, ab = x_b * x_c / d1_sq, x_c * x_a / d1_sq, x_a * x_b / d1_sq
+        else:
+            bc, ca, ab = beta * gamma, gamma * alpha, alpha * beta
+        m_a, m_b, m_c = dist
+        a, b, c = self.a, self.b, self.c
+        weighted = (alpha * m_a + beta * m_b + gamma * m_c) / d2
+        return weighted - (bc * (a * a) + ca * (b * b) + ab * (c * c))
+
+
+def _float_triangle(a: float, b: float, c: float) -> _FloatTriangle:
+    """Derived terms of float sides."""
+    s, s_a, s_b, s_c = (a + b + c) / 2, (-a + b + c) / 2, (a - b + c) / 2, (a + b - c) / 2
+    return _FloatTriangle(a, b, c, s, s_a, s_b, s_c, _area_sq_16(a, b, c) / 16, a * b * c)
+
+
 def metrics(sides: SideLengths) -> TriangleMetrics:
     """All squared quantities of the triangle (see :class:`TriangleMetrics`),
     derived once per :class:`SideLengths` and shared by every caller."""
@@ -678,7 +722,7 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
     total = dist_bx + dist_cx
     if abs(total - a) > DEFAULT_TOLERANCE.bound(a):
         raise ValueError(f"|BX| + |CX| = {total!r} does not equal a = {a!r}")
-    return Barycentric(0.0, dist_cx / a, dist_bx / a)
+    return Barycentric(0.0, *sides._float_form.side_point(dist_bx, dist_cx))
 
 
 def barycentric_distance_sq(
@@ -693,9 +737,10 @@ def barycentric_distance_sq(
 
     The distances are on the sides' backend.  On float sides, exact
     weights (the centroid's) meet only floats, as ``float()`` of each
-    weight and weight product: one integer true division each, which
-    rounds as ``float()`` of a ``Fraction`` does.  Float weights on exact
-    sides raise ``TypeError``."""
+    weight and weight product: the float kernel takes them over their lcm
+    and makes one integer true division each, which rounds as ``float()``
+    of a ``Fraction`` does.  Float weights on exact sides raise
+    ``TypeError``."""
     alpha, beta, gamma = x.components
     exact = sides.is_exact
     kind = Fraction if exact else float
@@ -703,24 +748,19 @@ def barycentric_distance_sq(
         (dist_ay_sq, dist_by_sq, dist_cy_sq), _ = coerce_backend(
             dist_ay_sq, dist_by_sq, dist_cy_sq, exact=exact
         )
-    if not exact:
-        a, b, c = sides.a, sides.b, sides.c
-        if type(alpha) is Fraction:
-            (n_a, d_a), (n_b, d_b), (n_c, d_c) = (w.as_integer_ratio() for w in x.components)
-            alpha, beta, gamma = n_a / d_a, n_b / d_b, n_c / d_c
-            bc, ca, ab = n_b * n_c / (d_b * d_c), n_c * n_a / (d_c * d_a), n_a * n_b / (d_a * d_b)
-        else:
-            bc, ca, ab = beta * gamma, gamma * alpha, alpha * beta
-        weighted = alpha * dist_ay_sq + beta * dist_by_sq + gamma * dist_cy_sq
-        return weighted - (bc * (a * a) + ca * (b * b) + ab * (c * c))
-    if isinstance(alpha, float):
-        raise TypeError("exact and float scalars do not mix")
-    # The weights over the lcm D1 of their denominators and the distances
-    # over theirs, D2, for the integer kernel's identity.
+    float_dist = (dist_ay_sq, dist_by_sq, dist_cy_sq)
+    if type(alpha) is float:
+        if exact:
+            raise TypeError("exact and float scalars do not mix")
+        return sides._float_form.distance_sq(x.components, 1.0, float_dist, 1)
+    # The weights over the lcm D1 of their denominators, for either
+    # kernel's identity; the exact one takes the distances over theirs, D2.
     d1 = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
     n_a = alpha.numerator * (d1 // alpha.denominator)
     n_b = beta.numerator * (d1 // beta.denominator)
     n_c = gamma.numerator * (d1 // gamma.denominator)
+    if not exact:
+        return sides._float_form.distance_sq((n_a, n_b, n_c), d1, float_dist, 1)
     d2 = math.lcm(dist_ay_sq.denominator, dist_by_sq.denominator, dist_cy_sq.denominator)
     dist = (
         dist_ay_sq.numerator * (d2 // dist_ay_sq.denominator),

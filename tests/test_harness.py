@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ninepoint import homogeneous, numeric
-from ninepoint.centers import CENTER_WEIGHTS, VERTICES, center_set
+from ninepoint.centers import CENTER_WEIGHTS, VERTICES, CenterSet, center_set
 from ninepoint.feuerbach import (
+    FeuerbachEntry,
+    FeuerbachReport,
+    TangencyReport,
     excircle_ninepoint_residual,
     feuerbach_report,
     incircle_ninepoint_residual,
@@ -443,13 +446,17 @@ class TestFloatTypeDispatch:
 
 
 class TestFloatSuiteConstructions:
-    """The float suite runs on bare float pairs and reads each center
-    barycentric of a triangle from one construction."""
+    """The float suite runs on bare float pairs and reads the float
+    kernel's bare floats, not the public records."""
+
+    RECORDS = (
+        Point2, Barycentric, SideLengths, TangencyReport, FeuerbachEntry, FeuerbachReport, CenterSet
+    )
 
     @pytest.fixture
     def constructions(self, monkeypatch):
-        """Counts of ``Point2`` and ``Barycentric`` constructions."""
-        counts = {Point2: 0, Barycentric: 0}
+        """Counts of the constructions of each record class."""
+        counts = dict.fromkeys(self.RECORDS, 0)
         for cls in counts:
             original = cls.__init__
 
@@ -462,19 +469,25 @@ class TestFloatSuiteConstructions:
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_near_degenerate_suite(self, constructions, seed):
-        sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=seed), 0)
-        sides = sides.as_float()
-        vertices = tuple(as_float(p) for p in vertices)
-        constructions[Point2] = constructions[Barycentric] = 0
-        report = check_identity_suite(sides, vertices)
-        assert report.passed and not report.exact
-        # No Point2 at all: the given vertices are lifted to pairs once.
-        # Barycentrics: the four circle centers of the given sides, the one
-        # center that each of the doubled and rotated sides reads (I for the
-        # incircle residual, Ea for the excircle opposite A), the side
-        # midpoint, three bisector feet and the incenter round trip.  G is
-        # one shared record.
-        assert constructions == {Point2: 0, Barycentric: 4 + 1 + 1 + 1 + 3 + 1}
+        # A passing float triangle of every profile, the near-degenerate
+        # one included.  No Point2: the given vertices are lifted to pairs
+        # once.  One Barycentric: the incenter round trip's, which
+        # FloatPlane.barycentric returns through the constructor's sum
+        # check.  The doubled and rotated triangles are float kernels, not
+        # SideLengths, and the kinds and residuals come from the kernel's
+        # floats, with no TangencyReport, FeuerbachEntry, FeuerbachReport
+        # or CenterSet.
+        for kind in PROFILE_KINDS:
+            sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), 0)
+            sides = sides.as_float()
+            vertices = tuple(as_float(p) for p in vertices)
+            for cls in constructions:
+                constructions[cls] = 0
+            report = check_identity_suite(sides, vertices)
+            assert report.passed and not report.exact, kind
+            expected = dict.fromkeys(self.RECORDS, 0)
+            expected[Barycentric] = 1
+            assert constructions == expected, kind
 
     def test_each_center_built_once_per_sides(self, constructions):
         # center_set, feuerbach_report and the four residuals all read the
