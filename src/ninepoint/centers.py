@@ -22,18 +22,19 @@ are all exact, where no gcd is taken until a ``Point2`` is asked for, and
 :class:`~ninepoint.triangle.FloatPlane` otherwise, which takes the
 vertices as float pairs.  So exact sides with float vertices, as ``svg``
 draws a triangle whose altitude is irrational, get eight float centers.
-The identity suite passes its own plane and frame instead: float sides
-call ``center_set``, and exact sides, on their integer frame under the
-metric x^2 + m*t^2, weigh the frame with :func:`_center_frame` alone,
-which builds no ``Fraction``; ``barycentric_point`` and ``orientation``
+The identity suite weighs its own plane and frame with
+:func:`_center_frame` alone, on either backend: exact sides on their
+integer frame under the metric x^2 + m*t^2, with no ``Fraction``, and
+float sides on float pairs; ``barycentric_point`` and ``orientation``
 are affine, so the same code serves both.  Callers read the centers as
 ``Point2``s through ``CenterSet.points``, which only a Cartesian frame
-has.
+has.  ``circumdot`` and ``vertex_to_ninepoint_dist_sq`` read the kernel
+of the sides (``triangle._IntegerTriangle`` or ``_FloatTriangle``).
 
 All eight come from one weight table,
-:data:`~ninepoint.triangle.CENTER_WEIGHTS`, which the integer kernel reads
-too; the barycentric forms of the incenter and the excenters are built
-once per ``SideLengths``, and the Cartesian centers are one
+:data:`~ninepoint.triangle.CENTER_WEIGHTS`, which both kernels read
+too; ``center_set`` builds the barycentric forms of the incenter and the
+excenters on each call, and the Cartesian centers are one
 ``barycentric_point`` per entry.  The bisector feet have a weight form of
 the same kind.  The other vertex-specific formulas index the sides from
 the vertex's position, so the three cases are one expression.

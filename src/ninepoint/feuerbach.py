@@ -27,6 +27,14 @@ zero residual and the other residual, -+2*R*r_X, need no large gcd, and
 the other right-hand side is built only when read (see
 :func:`_exact_tangency`).
 
+On float sides the formulas are those of the float kernel
+(``triangle._FloatTriangle``): each circle's |XN|^2 is its distance
+identity (:func:`_center_dist_sq`), its residual comes from that value
+(:func:`_float_residual`), and its kind from the float branch of
+:func:`classify_tangency_sq` (:func:`_float_decision`).  The public
+functions forward to them, and the identity suite reads them directly,
+with each |XN|^2 computed once for both the kind and the residual.
+
 Tangency classification works on squared quantities only.  The cross term
 2*r1*r2 in (r1 +- r2)^2 is recovered with an exact square root of
 r1^2 * r2^2; when that product is not a perfect square the circles cannot

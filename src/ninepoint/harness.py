@@ -29,26 +29,33 @@ are given, over :class:`~ninepoint.triangle.FloatPlane`, which carries
 points as bare ``(x, y)`` float pairs, with magnitude-aware tolerances.
 The oracle does not choose a plane: it takes vertices already lifted onto
 one.  The suite chooses it from ``sides.is_exact`` alone and hands the
-lifted vertices to both the oracle and the kernel's centers
-(:func:`~ninepoint.centers.center_set` on float sides, the weights of
-:data:`~ninepoint.triangle.CENTER_WEIGHTS` on exact ones), so it compares
-the two frames point for point on one plane.
+lifted vertices to both the oracle and the kernel's centers (the weights
+of :data:`~ninepoint.triangle.CENTER_WEIGHTS`, by
+``centers._center_frame``), so it compares the two frames point for
+point on one plane.
 
-The suite chooses its value source once, with its plane.  On exact sides
-it reads the integer kernel (the methods of
-``triangle._IntegerTriangle``, the tangency decisions and residuals of
-``feuerbach`` and the weights of ``centers``), whose every value is an
-unreduced integer ratio (num, den); the scaled and rotated triangles are
-integer forms over the same L.  Its own arithmetic on those values (the
-metric products such as 16 R^2 K^2 against (abc)^2, the squared sides,
-R^2/4) takes no gcd either, and a comparison is a cross-multiplication.
-So a passing exact triangle builds no ``Fraction`` and no float; a
-failed check builds them only for its normalized residual, which is at
-most 2, so the suite runs on numbers beyond the range of a double.  A
-failed check is normalized alike on both backends, by
-max(1, |scale|, |lhs|, |rhs|), so one kernel fault reads the same size on
-either.  Float sides run the same checks on the kernel's floats, in the
-same order of operations.  Each check is recorded as a plain ``(name,
+The suite chooses its kernel once, with its plane, and reads it under the
+same method names on both backends (``metrics``,
+``vertex_ninepoint_dist_sq``, ``circumdot``, ``side_point`` and
+``distance_sq``).  On exact sides it reads the integer kernel
+(``triangle._IntegerTriangle``, and the tangency decisions and residuals
+of ``feuerbach`` on it), whose every value is an unreduced integer ratio
+(num, den); the scaled and rotated triangles are integer forms over the
+same L.  Its own arithmetic on those values (the metric products such as
+16 R^2 K^2 against (abc)^2, the squared sides, R^2/4) takes no gcd
+either, and a comparison is a cross-multiplication.  So a passing exact
+triangle builds no ``Fraction`` and no float; a failed check builds them
+only for its normalized residual, which is at most 2, so the suite runs
+on numbers beyond the range of a double.  A failed check is normalized
+alike on both backends, by max(1, |scale|, |lhs|, |rhs|), so one kernel
+fault reads the same size on either.  On float sides it reads the float
+kernel (``triangle._FloatTriangle``, and the float kind decisions and
+residuals of ``feuerbach``), whose values are bare floats made by the
+operations of the public float functions, in the same order; the scaled
+and rotated triangles are float kernels, and each circle's |XN|^2 is
+computed once for its kind and its residual.  A passing float triangle
+builds one ``Barycentric`` (the incenter round trip's) and none of the
+public records.  Each check is recorded as a plain ``(name,
 passed, residual, detail)`` row; :class:`SuiteReport` answers ``passed``
 and ``max_residual`` from those rows, and makes them
 :class:`IdentityCheck` named tuples only when ``checks`` is read.
@@ -421,10 +428,13 @@ def check_identity_suite(
     made by cross-multiplication, and so are the suite's own products of
     kernel values, and a ``Fraction`` and a float are taken only for the
     residual of a failed check.  Float sides need an embedding, whose
-    vertices they take as floats and which must reproduce the sides, and
-    compare with a conditioning-aware tolerance: first-order error analysis
-    puts rounding growth at O(eps * conditioning^2), so the relative bound
-    is ``tol.rel_eps + 64 * eps * conditioning^2``.
+    vertices they take as floats and which must reproduce the sides, read
+    the float kernel's bare floats, and compare with a conditioning-aware
+    tolerance: first-order error analysis puts rounding growth at
+    O(eps * conditioning^2), so the relative bound is
+    ``tol.rel_eps + 64 * eps * conditioning^2``.  The kinds are decided
+    before the first check, so a value the float kind decision refuses
+    raises before the embedding is compared.
     """
     exact = sides.is_exact
     if exact:

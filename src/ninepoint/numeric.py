@@ -14,12 +14,15 @@ The dispatch rule: a triangle's backend is its sides'.  ``SideLengths``
 and ``Barycentric`` hold three exact values or three floats, and a kernel
 helper reads its backend from ``SideLengths.is_exact`` (the sides-free
 ``feuerbach.classify_tangency_sq`` from its three values), and then runs
-only that backend's formula; the other values it takes, such as
+only that backend's formula, the method of that backend's kernel
+(``triangle._IntegerTriangle`` or ``triangle._FloatTriangle``, which
+share their method names); the other values it takes, such as
 distances, must be on that backend too.  Floats stay bare floats, and
 exact values stay integer pairs until one ``Fraction`` is built per
-output; the identity suite reads the pairs and builds a ``Fraction`` only
-for a failed check's residual.  Three floats or three ``Fraction``s pass an exact-type test;
-only other input (an ``int``, a subclass) reaches :func:`coerce_backend`,
+output; the identity suite reads the pairs, or the bare floats, and
+builds a ``Fraction`` only for a failed exact check's residual.  Three
+floats or three ``Fraction``s pass an exact-type test; only other input
+(an ``int``, a subclass) reaches :func:`coerce_backend`,
 which promotes ints and raises ``TypeError`` where exact and float values
 mix.  The one exception is the constant weights of the centroid, exact on
 either backend; see ``triangle.barycentric_distance_sq``.

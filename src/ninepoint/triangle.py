@@ -25,7 +25,11 @@ numerators and denominators as integers.
 
 A triangle's backend is its sides': ``SideLengths`` and ``Barycentric``
 hold three exact values or three floats, and the functions here take
-their other values on the sides' backend.  The float area uses
+their other values on the sides' backend.  Each backend has one kernel,
+which holds one formula per quantity under the same method names:
+:class:`_IntegerTriangle`, whose values are unreduced integer ratios,
+and :class:`_FloatTriangle`, whose values are bare floats.  The public
+functions forward to the kernel of the sides.  The float area uses
 the sorted-operand stable product form, so near-degenerate triangles lose
 precision only where the input data already has.
 
@@ -37,8 +41,7 @@ embedding is written once, as integer triples in the frame of
 :func:`_canonical_frame`, whose metric makes every exact triangle
 rational; :func:`exact_vertices` is its Cartesian case.
 :data:`CENTER_WEIGHTS` gives all eight kernel centers as barycentric
-weights, and each :class:`SideLengths` builds the barycentric form of the
-incenter and of each excenter once, on its first read.
+weights, which both kernels read when they are called.
 """
 
 from __future__ import annotations
@@ -748,26 +751,24 @@ def barycentric_distance_sq(
         (dist_ay_sq, dist_by_sq, dist_cy_sq), _ = coerce_backend(
             dist_ay_sq, dist_by_sq, dist_cy_sq, exact=exact
         )
-    float_dist = (dist_ay_sq, dist_by_sq, dist_cy_sq)
     if type(alpha) is float:
         if exact:
             raise TypeError("exact and float scalars do not mix")
-        return sides._float_form.distance_sq(x.components, 1.0, float_dist, 1)
-    # The weights over the lcm D1 of their denominators, for either
-    # kernel's identity; the exact one takes the distances over theirs, D2.
-    d1 = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
-    n_a = alpha.numerator * (d1 // alpha.denominator)
-    n_b = beta.numerator * (d1 // beta.denominator)
-    n_c = gamma.numerator * (d1 // gamma.denominator)
+        weights, d1 = x.components, 1.0
+    else:
+        # The weights over the lcm D1 of their denominators, for either
+        # kernel's identity; the exact one takes the distances over theirs, D2.
+        d1 = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
+        weights = [w.numerator * (d1 // w.denominator) for w in x.components]
     if not exact:
-        return sides._float_form.distance_sq((n_a, n_b, n_c), d1, float_dist, 1)
+        return sides._float_form.distance_sq(weights, d1, (dist_ay_sq, dist_by_sq, dist_cy_sq), 1)
     d2 = math.lcm(dist_ay_sq.denominator, dist_by_sq.denominator, dist_cy_sq.denominator)
     dist = (
         dist_ay_sq.numerator * (d2 // dist_ay_sq.denominator),
         dist_by_sq.numerator * (d2 // dist_by_sq.denominator),
         dist_cy_sq.numerator * (d2 // dist_cy_sq.denominator),
     )
-    return Fraction(*sides._integer_form.distance_sq((n_a, n_b, n_c), d1, dist, d2))
+    return Fraction(*sides._integer_form.distance_sq(weights, d1, dist, d2))
 
 
 def _canonical_frame(t: _IntegerTriangle) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
