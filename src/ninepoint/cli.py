@@ -39,7 +39,7 @@ from .triangle import (
 )
 from .centers import center_set
 from .feuerbach import FeuerbachReport, feuerbach_report
-from .harness import PROFILE_KINDS, FuzzProfile, check_identity_suite, random_sides
+from .harness import PROFILE_KINDS, FuzzProfile, _integer_sides, check_identity_suite, random_sides
 from .svg import render_svg
 
 __all__ = ["RunConfig", "main", "cmd_compute", "cmd_feuerbach", "cmd_fuzz", "cmd_svg"]
@@ -374,8 +374,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     max_residual = 0.0
     all_exact = True
     for index in range(profile.count):
-        sides = random_sides(profile, index)
         if backend == "float":
+            sides = random_sides(profile, index)
             try:
                 # The float suite takes the exact sides' embedding as floats.
                 suite = check_identity_suite(sides.as_float(), canonical_vertices(sides), tol)
@@ -385,7 +385,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                     "use a smaller --bound"
                 ) from None
         else:
-            suite = check_identity_suite(sides, None, tol)
+            # The exact suite takes the generator's integer form as it is.
+            suite = check_identity_suite(_integer_sides(profile, index), None, tol)
         all_exact = all_exact and suite.exact
         max_residual = max(max_residual, suite.max_residual)
         if suite.passed:

@@ -25,7 +25,9 @@ tangent circle's report then reduces one large number, its chosen
 right-hand side in a closed form that is also the left-hand side; the
 zero residual and the other residual, -+2*R*r_X, need no large gcd, and
 the other right-hand side is built only when read (see
-:func:`_exact_tangency`).
+:func:`_exact_tangency`).  The identity suite decides a circle's kind
+(:func:`_exact_decision`) and takes its residual (:func:`_residual_ratio`)
+from one set of numerators.
 
 On float sides the formulas are those of the float kernel
 (``triangle._FloatTriangle``): each circle's |XN|^2 is its distance
@@ -340,12 +342,13 @@ def _exact_decision(t: _IntegerTriangle, circle: str) -> Tuple[Tangency, Tuple[i
     return _exact_kind(e, -two_abc_d, two_abc_d, two_abc_d == 2 * t.P), numerators
 
 
-def _residual_ratio(t: _IntegerTriangle, circle: str) -> Tuple[int, int]:
-    """The residual of :func:`_ninepoint_residual` as a ratio:
+def _residual_ratio(circle: str, numerators: Tuple[int, int, int], L: int) -> Tuple[int, int]:
+    """The residual of :func:`_ninepoint_residual` as a ratio, from the
+    circle's :func:`_tangency_numerators` on sides over L:
     (e + 2*abc*d) / (4*d^2*L^2) for the incircle, e - 2*abc*d over the same
     for an excircle."""
-    e, two_abc_d, d = _tangency_numerators(t, circle)
-    return e + two_abc_d if circle == "incircle" else e - two_abc_d, 4 * (d * t.L) ** 2
+    e, two_abc_d, d = numerators
+    return e + two_abc_d if circle == "incircle" else e - two_abc_d, 4 * (d * L) ** 2
 
 
 def _center_dist_sq(t: _FloatTriangle, circle: str, vertex_n: Tuple[float, ...]) -> float:
@@ -355,13 +358,12 @@ def _center_dist_sq(t: _FloatTriangle, circle: str, vertex_n: Tuple[float, ...])
     return t.distance_sq(*CENTER_WEIGHTS[_CENTER_OF[circle]](t.a, t.b, t.c), vertex_n, 1)
 
 
-def _float_residual(met: TriangleMetrics, circle: str, d_sq: float) -> float:
+def _float_residual(circle: str, d_sq: float, R_sq: float, r_sq: float, mixed: float) -> float:
     """The residual of :func:`_ninepoint_residual` on float sides, from the
-    circle's |XN|^2."""
-    r_sq, mixed = _radius_terms(met, circle)
+    circle's |XN|^2, R^2, r_X^2 and R*r_X."""
     # R^2/4 + r_X^2 -+ R*r_X; negating a float is exact, so adding -R*r_X
     # rounds as subtracting it does.
-    return d_sq - (met.R_sq / 4 + r_sq + (-mixed if circle == "incircle" else mixed))
+    return d_sq - (R_sq / 4 + r_sq + (-mixed if circle == "incircle" else mixed))
 
 
 def _kind_ok(circle: str, kind: Tangency) -> bool:
@@ -412,10 +414,11 @@ def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2 for an
     excircle: the comparison Feuerbach's theorem makes exact."""
     if sides.is_exact:
-        return Fraction(*_residual_ratio(sides._integer_form, circle))
+        t = sides._integer_form
+        return Fraction(*_residual_ratio(circle, _tangency_numerators(t, circle), t.L))
     met = metrics(sides)
     d_sq = _center_dist_sq(sides._float_form, circle, sides._vertex_ninepoint_dist_sq)
-    return _float_residual(met, circle, d_sq)
+    return _float_residual(circle, d_sq, met.R_sq, *_radius_terms(met, circle))
 
 
 def incircle_ninepoint_residual(sides: SideLengths) -> Scalar:

@@ -13,7 +13,11 @@ from the barycentric closed forms under test
 * nine-point center and radius: circumcircle of the three side midpoints.
 
 Exactness: every exact triangle runs exactly.  Profiles generate rational
-side lengths, and the exact carrier is integer homogeneous coordinates
+side lengths, each generator as their integer form (a, b, c) over L (the
+form ``SideLengths`` builds, checked as it checks exact sides), which
+exact ``fuzz`` hands to the suite as its kernel, with no ``Fraction``
+built; ``random_sides`` wraps it in a ``SideLengths``.  The exact
+carrier is integer homogeneous coordinates
 (:class:`ninepoint.homogeneous.Plane`): lines are joins, intersections are
 meets, a unit direction takes one ``isqrt``, and a comparison is a
 cross-multiplication.  An exact suite always runs on the sides' own frame,
@@ -28,8 +32,8 @@ altitude.  Float sides run the same constructions on the vertices they
 are given, over :class:`~ninepoint.triangle.FloatPlane`, which carries
 points as bare ``(x, y)`` float pairs, with magnitude-aware tolerances.
 The oracle does not choose a plane: it takes vertices already lifted onto
-one.  The suite chooses it from ``sides.is_exact`` alone and hands the
-lifted vertices to both the oracle and the kernel's centers (the weights
+one.  The suite chooses it from the kernel alone and hands the lifted
+vertices to both the oracle and the kernel's centers (the weights
 of :data:`~ninepoint.triangle.CENTER_WEIGHTS`, by
 ``centers._center_frame``), so it compares the two frames point for
 point on one plane.
@@ -37,27 +41,32 @@ point on one plane.
 The suite chooses its kernel once, with its plane, and reads it under the
 same method names on both backends (``metrics``,
 ``vertex_ninepoint_dist_sq``, ``circumdot``, ``side_point`` and
-``distance_sq``).  On exact sides it reads the integer kernel
-(``triangle._IntegerTriangle``, and the tangency decisions and residuals
-of ``feuerbach`` on it), whose every value is an unreduced integer ratio
-(num, den); the scaled and rotated triangles are integer forms over the
-same L.  Its own arithmetic on those values (the metric products such as
-16 R^2 K^2 against (abc)^2, the squared sides, R^2/4) takes no gcd
-either, and a comparison is a cross-multiplication.  So a passing exact
-triangle builds no ``Fraction`` and no float; a failed check builds them
-only for its normalized residual, which is at most 2, so the suite runs
-on numbers beyond the range of a double.  A failed check is normalized
-alike on both backends, by max(1, |scale|, |lhs|, |rhs|), so one kernel
-fault reads the same size on either.  On float sides it reads the float
-kernel (``triangle._FloatTriangle``, and the float kind decisions and
-residuals of ``feuerbach``), whose values are bare floats made by the
-operations of the public float functions, in the same order; the scaled
-and rotated triangles are float kernels, and each circle's |XN|^2 is
-computed once for its kind and its residual.  A passing float triangle
-builds one ``Barycentric`` (the incenter round trip's) and none of the
-public records.  Each check is recorded as a plain ``(name,
-passed, residual, detail)`` row; :class:`SuiteReport` answers ``passed``
-and ``max_residual`` from those rows, and makes them
+``distance_sq``), unpacking the metrics tuple rather than building a
+``TriangleMetrics``, and it computes each value once: each circle's
+kind and residual, the vertex-to-O and vertex-to-N distances, and the
+three side lines serve every row that reads them.  On exact sides it
+reads the integer kernel (``triangle._IntegerTriangle``, and the tangency
+decisions and residuals of ``feuerbach`` on it, both from one
+``_tangency_numerators`` triple per circle), whose every value is an
+unreduced integer ratio (num, den); the scaled and rotated triangles are
+integer forms over the same L.  Its own arithmetic on those values (the
+metric products such as 16 R^2 K^2 against (abc)^2, the squared sides,
+R^2/4) takes no gcd either, and a comparison is a cross-multiplication.
+So a passing exact triangle builds no ``Fraction`` and no float; a
+failed check builds them only for its normalized residual, which is at
+most 2, so the suite runs on numbers beyond the range of a double.  A
+failed check is normalized alike on both backends, by max(1, |scale|,
+|lhs|, |rhs|), so one kernel fault reads the same size on either.  On
+float sides it reads the float kernel (``triangle._FloatTriangle``, and
+the float kind decisions and residuals of ``feuerbach``), whose values
+are bare floats made by the operations of the public float functions, in
+the same order; the scaled and rotated triangles are float kernels, and
+each circle's |XN|^2 is computed once for its kind and its residual.  A passing float triangle
+builds none of the public records, no ``Barycentric`` either: the
+incenter round trip's ``FloatPlane.barycentric`` runs the sum check of
+``Barycentric`` on its bare floats.  Each check is recorded as a plain
+``(name, passed, residual, detail)`` row; :class:`SuiteReport` answers
+``passed`` and ``max_residual`` from those rows, and makes them
 :class:`IdentityCheck` named tuples only when ``checks`` is read.
 """
 
@@ -70,18 +79,20 @@ import sys
 from fractions import Fraction
 from functools import partial
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import homogeneous
 from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
 from .record import Record, cached, set_field
 from .triangle import (
     FloatPlane,
+    InvalidTriangleError,
     Point2,
     Ratio,
     SideLengths,
-    TriangleMetrics,
     _canonical_frame,
+    _checked_integer_form,
+    _conditioning,
     _float_triangle,
     _FloatTriangle,
     _integer_triangle,
@@ -97,8 +108,8 @@ from .feuerbach import (
     _float_decision,
     _float_residual,
     _kind_ok,
-    _radius_terms,
     _residual_ratio,
+    _tangency_numerators,
 )
 
 __all__ = [
@@ -159,12 +170,20 @@ def _pythagorean_legs(rng: random.Random, bound: int) -> Tuple[int, int, int]:
 
 
 def _rational_scale(rng: random.Random, bound: int) -> Tuple[int, int]:
-    """A scale p/q as the integers (p, q); each side made with it is one
-    ``Fraction``."""
+    """A scale p/q as the integers (p, q)."""
     return rng.randrange(1, bound + 1), rng.randrange(1, bound + 1)
 
 
-def _generic_sides(rng: random.Random, bound: int) -> SideLengths:
+def _over(a: int, b: int, c: int, den: int) -> _IntegerTriangle:
+    """The sides a/den, b/den, c/den as their integer form, checked as
+    ``SideLengths`` checks exact sides.  Its L, den / gcd(a, b, c, den), is
+    the lcm of the reduced denominators, so the form is the one
+    ``SideLengths`` builds from the three reduced ``Fraction``s."""
+    g = math.gcd(a, b, c, den)
+    return _checked_integer_form(_integer_triangle(a // g, b // g, c // g, den // g))
+
+
+def _generic_sides(rng: random.Random, bound: int) -> _IntegerTriangle:
     # Two right triangles cross-scaled to a common leg and glued along it
     # (or overlapped, for obtuse shapes): all three sides and the altitude
     # are rational, so the canonical embedding is exact.  The apex sits at
@@ -184,43 +203,44 @@ def _generic_sides(rng: random.Random, bound: int) -> SideLengths:
         if base == 0:
             continue
         num, den = _rational_scale(rng, bound)
-        triple = [Fraction(base * num, den), Fraction(hyp2 * num, den), Fraction(hyp1 * num, den)]
+        triple = [base * num, hyp2 * num, hyp1 * num]
         shift = rng.randrange(3)
         triple = triple[shift:] + triple[:shift]
-        return SideLengths(*triple)
+        return _over(*triple, den)
 
 
-def _isoceles_sides(rng: random.Random, bound: int) -> SideLengths:
+def _isoceles_sides(rng: random.Random, bound: int) -> _IntegerTriangle:
     # A right triangle mirrored across its height: base 2p, equal legs h.
     # The legs are hypotenuses h > p, so the triangle is never flat.
     p, q, h = _pythagorean_legs(rng, bound)
     if rng.random() < 0.5:
         p, q = q, p
     num, den = _rational_scale(rng, bound)
-    triple = [Fraction(2 * p * num, den), Fraction(h * num, den), Fraction(h * num, den)]
+    triple = [2 * p * num, h * num, h * num]
     shift = rng.randrange(3)
     triple = triple[shift:] + triple[:shift]
-    return SideLengths(*triple)
+    return _over(*triple, den)
 
 
-def _right_angled_sides(rng: random.Random, bound: int) -> SideLengths:
+def _right_angled_sides(rng: random.Random, bound: int) -> _IntegerTriangle:
     p, q, h = _pythagorean_legs(rng, bound)
     num, den = _rational_scale(rng, bound)
-    return SideLengths(Fraction(p * num, den), Fraction(q * num, den), Fraction(h * num, den))
+    return _over(p * num, q * num, h * num, den)
 
 
-def _near_equilateral_sides(rng: random.Random, bound: int) -> SideLengths:
+def _near_equilateral_sides(rng: random.Random, bound: int) -> _IntegerTriangle:
     # Max/min side ratio stays below 1 + 1/4000 <= 1 + 1e-3.
     base = 4000 * bound
     num, den = _rational_scale(rng, bound)
-    return SideLengths(
-        Fraction((base + rng.randrange(0, bound + 1)) * num, den),
-        Fraction((base + rng.randrange(0, bound + 1)) * num, den),
-        Fraction((base + rng.randrange(0, bound + 1)) * num, den),
+    return _over(
+        (base + rng.randrange(0, bound + 1)) * num,
+        (base + rng.randrange(0, bound + 1)) * num,
+        (base + rng.randrange(0, bound + 1)) * num,
+        den,
     )
 
 
-def _near_degenerate_sides(rng: random.Random, bound: int) -> SideLengths:
+def _near_degenerate_sides(rng: random.Random, bound: int) -> _IntegerTriangle:
     # Flat scalene: c just under a + b.  Conditioning is about k, drawn
     # log-uniform up to 1e6, but the triple is never exactly degenerate.
     while True:
@@ -228,15 +248,15 @@ def _near_degenerate_sides(rng: random.Random, bound: int) -> SideLengths:
         m = rng.randrange(1, bound + 1)
         k = min(int(10.0 ** (1.0 + 5.0 * rng.random())), 1_000_000)
         num, den = _rational_scale(rng, bound)
-        # c = (n + m - 2(n + m)/k) * num/den
-        c = Fraction((n + m) * (k - 2) * num, k * den)
+        # a = n*num/den, b = m*num/den and c = (n + m - 2(n + m)/k) * num/den,
+        # over k*den.
         try:
-            return SideLengths(Fraction(n * num, den), Fraction(m * num, den), c)
-        except ValueError:
+            return _over(n * num * k, m * num * k, (n + m) * (k - 2) * num, k * den)
+        except InvalidTriangleError:
             continue
 
 
-_GENERATORS: Dict[str, Callable[[random.Random, int], SideLengths]] = {
+_GENERATORS: Dict[str, Callable[[random.Random, int], _IntegerTriangle]] = {
     "generic": _generic_sides,
     "isoceles": _isoceles_sides,
     "right-angled": _right_angled_sides,
@@ -245,9 +265,16 @@ _GENERATORS: Dict[str, Callable[[random.Random, int], SideLengths]] = {
 }
 
 
+def _integer_sides(profile: FuzzProfile, index: int) -> _IntegerTriangle:
+    """The integer form of triangle number ``index`` of the profile: the
+    kernel that exact ``fuzz`` hands to the identity suite."""
+    return _GENERATORS[profile.kind](_rng_for(profile, index), profile.magnitude_bound)
+
+
 def random_sides(profile: FuzzProfile, index: int) -> SideLengths:
     """The side lengths of triangle number ``index`` of the profile."""
-    return _GENERATORS[profile.kind](_rng_for(profile, index), profile.magnitude_bound)
+    t = _integer_sides(profile, index)
+    return SideLengths(Fraction(t.a, t.L), Fraction(t.b, t.L), Fraction(t.c, t.L))
 
 
 def random_triangle(
@@ -302,13 +329,14 @@ def cartesian_oracle(plane: Any, a_pt: Any, b_pt: Any, c_pt: Any) -> OracleResul
     ortho = intersect(a_pt, perp(sub(c_pt, b_pt)), b_pt, perp(sub(a_pt, c_pt)))
     nine = plane.equidistant_point(mid_bc, mid_ca, mid_ab)
 
-    unit = plane.unit_direction
+    # One unit direction per edge; the reverse one is its exact negation.
+    unit, scaled = plane.unit_direction, plane.scaled
     to_b_from_a = unit(a_pt, b_pt)
     to_c_from_a = unit(a_pt, c_pt)
-    to_a_from_b = unit(b_pt, a_pt)
     to_c_from_b = unit(b_pt, c_pt)
-    to_a_from_c = unit(c_pt, a_pt)
-    to_b_from_c = unit(c_pt, b_pt)
+    to_a_from_b = scaled(to_b_from_a, -1)
+    to_a_from_c = scaled(to_c_from_a, -1)
+    to_b_from_c = scaled(to_c_from_b, -1)
 
     bis_a = plane.add(to_b_from_a, to_c_from_a)
     bis_b = plane.add(to_a_from_b, to_c_from_b)
@@ -398,10 +426,10 @@ def _exact_residual(lhs: Tuple[int, int], rhs: Tuple[int, int], m: int, scale: A
     return math.sqrt((x1 - x2) ** 2 * m / bound_sq)
 
 
-def _conditioned(sides: SideLengths, tol: ToleranceProfile) -> ToleranceProfile:
+def _conditioned(t: _FloatTriangle, tol: ToleranceProfile) -> ToleranceProfile:
     """The float suite's tolerance: first-order error analysis puts
     rounding growth at O(eps * conditioning^2)."""
-    cond = sides.conditioning()
+    cond = _conditioning(t)
     return ToleranceProfile(
         rel_eps=tol.rel_eps + 64.0 * _MACHINE_EPS * cond * cond, abs_eps=tol.abs_eps
     )
@@ -413,85 +441,95 @@ def _ratio(n: int, d: int) -> Tuple[int, int]:
 
 
 def check_identity_suite(
-    sides: SideLengths,
+    sides: Union[SideLengths, _IntegerTriangle, _FloatTriangle],
     embedding: Optional[Tuple[Point2, Point2, Point2]],
     tol: ToleranceProfile = DEFAULT_TOLERANCE,
 ) -> SuiteReport:
     """Run every cross-check of kernel formulas against the oracle.
 
-    Exact sides take no embedding (``embedding`` is None; anything else
-    raises ``ValueError``): they run on their own frame
-    (:func:`~ninepoint.triangle._canonical_frame`) of integer homogeneous
-    coordinates under the metric x^2 + m*t^2, which is Cartesian (m = 1)
-    when the altitude is rational, and read the kernel's integer ratios,
-    not its ``Fraction``s.  Every comparison there is an exact equality,
-    made by cross-multiplication, and so are the suite's own products of
-    kernel values, and a ``Fraction`` and a float are taken only for the
-    residual of a failed check.  Float sides need an embedding, whose
-    vertices they take as floats and which must reproduce the sides, read
-    the float kernel's bare floats, and compare with a conditioning-aware
-    tolerance: first-order error analysis puts rounding growth at
-    O(eps * conditioning^2), so the relative bound is
+    The suite is keyed on the kernel of the sides: it takes a
+    ``SideLengths`` or the kernel itself, the integer form of exact sides
+    (as exact ``fuzz`` generates it, with no ``Fraction``) or the float
+    kernel of float sides.  Exact sides take no embedding (``embedding``
+    is None; anything else raises ``ValueError``): they run on their own
+    frame (:func:`~ninepoint.triangle._canonical_frame`) of integer
+    homogeneous coordinates under the metric x^2 + m*t^2, which is
+    Cartesian (m = 1) when the altitude is rational, and read the kernel's
+    integer ratios, not its ``Fraction``s.  Every comparison there is an
+    exact equality, made by cross-multiplication, and so are the suite's
+    own products of kernel values, and a ``Fraction`` and a float are
+    taken only for the residual of a failed check.  Float sides need an
+    embedding, whose vertices they take as floats and which must reproduce
+    the sides, read the float kernel's bare floats, and compare with a
+    conditioning-aware tolerance: first-order error analysis puts rounding
+    growth at O(eps * conditioning^2), so the relative bound is
     ``tol.rel_eps + 64 * eps * conditioning^2``.  The kinds are decided
     before the first check, so a value the float kind decision refuses
     raises before the embedding is compared.
     """
-    exact = sides.is_exact
+    kernel = sides
+    if isinstance(sides, SideLengths):
+        kernel = sides._integer_form if sides.is_exact else sides._float_form
+    exact = type(kernel) is _IntegerTriangle
+    a, b, c = kernel.a, kernel.b, kernel.c
     if exact:
         if embedding is not None:
             raise ValueError("exact sides run on their own frame; pass no embedding")
         # The integer kernel reads the sides as (a, b, c) over L and gives
         # each value as a ratio (num, den).
-        kernel = sides._integer_form
         m, lifted = _canonical_frame(kernel)
         plane, suite_tol = homogeneous.Plane(m), tol  # an exact suite compares no floats
-        a, b, c, L = kernel.a, kernel.b, kernel.c, kernel.L
+        L = kernel.L
         A, B, C = (a, L), (b, L), (c, L)
         kernel_of, two, four = partial(_integer_triangle, L=L), (2, 1), (4, 1)
         # A weight x over its sum d as a ratio, and with the sign of x*d.
         ratio, signed, foot_tol = _ratio, operator.mul, 0
 
-        def residual_of(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> Ratio:
-            return _residual_ratio(t, circle)
+        def residual_of(t: _IntegerTriangle, t_met: Tuple[Ratio, ...], circle: str) -> Ratio:
+            return _residual_ratio(circle, _tangency_numerators(t, circle), L)
 
-        met = TriangleMetrics(*kernel.metrics())
+        met = kernel.metrics()
         vertex_n = kernel.vertex_ninepoint_dist_sq()
-        verdicts = [
-            (circle, _exact_decision(kernel, circle)[0], _residual_ratio(kernel, circle))
-            for circle in CIRCLES
-        ]
+        # Each circle's numerators are computed once, for its kind and its
+        # residual.
+        verdicts = []
+        for circle in CIRCLES:
+            kind, numerators = _exact_decision(kernel, circle)
+            verdicts.append((circle, kind, _residual_ratio(circle, numerators, L)))
     else:
         if embedding is None:
             raise ValueError("float sides need an embedding")
-        plane, suite_tol = FloatPlane, _conditioned(sides, tol)
+        plane, suite_tol = FloatPlane, _conditioned(kernel, tol)
         lifted = plane.lift(embedding)
-        kernel = sides._float_form
-        a, b, c = A, B, C = sides.as_tuple()
+        A, B, C = a, b, c
         kernel_of, two, four = _float_triangle, 2, 4
         ratio = signed = operator.truediv
         foot_tol = suite_tol.bound(1.0)
 
-        def residual_of(t: _FloatTriangle, met: TriangleMetrics, circle: str) -> float:
-            vertex_n = t.vertex_ninepoint_dist_sq()
-            return _float_residual(met, circle, _center_dist_sq(t, circle, vertex_n))
+        def residual_of(t: _FloatTriangle, t_met: Tuple[float, ...], circle: str) -> float:
+            # R^2, then the circle's r_X^2 and R*r_X, in the field order of
+            # TriangleMetrics.
+            k = CIRCLES.index(circle)
+            d_sq = _center_dist_sq(t, circle, t.vertex_ninepoint_dist_sq())
+            return _float_residual(circle, d_sq, t_met[2], t_met[3 + k], t_met[7 + k])
 
         # Each circle's |XN|^2 is computed once: its kind is decided (and
         # its checks may raise) before the embedding rows, and its residual
         # is recorded below.
-        met = TriangleMetrics(*kernel.metrics())
+        met = kernel.metrics()
         vertex_n = kernel.vertex_ninepoint_dist_sq()
-        ninepoint_r_sq = met.R_sq / 4
+        ninepoint_r_sq = met[2] / 4
         verdicts = []
-        for circle in CIRCLES:
+        for circle, r_x_sq, mixed in zip(CIRCLES, met[3:7], met[7:]):
             d_sq = _center_dist_sq(kernel, circle, vertex_n)
-            r_sq = _radius_terms(met, circle)[0]
-            kind = _float_decision(d_sq, ninepoint_r_sq, r_sq, suite_tol)[0]
-            verdicts.append((circle, kind, _float_residual(met, circle, d_sq)))
+            kind = _float_decision(d_sq, ninepoint_r_sq, r_x_sq, suite_tol)[0]
+            verdicts.append((circle, kind, _float_residual(circle, d_sq, met[2], r_x_sq, mixed)))
+    # The fields of TriangleMetrics, in order, from the kernel's tuple.
+    s, K_sq, R_sq, r_sq, rA_sq, rB_sq, rC_sq, Rr = met[:8]
     va, vb, vc = lifted
 
     product = plane.product
     abs_eps, rel_eps = suite_tol.abs_eps, suite_tol.rel_eps
-    R_sq = met.R_sq
     scale_len_sq = R_sq
     scale_len = _Root(R_sq) if exact else math.sqrt(R_sq)
 
@@ -535,21 +573,24 @@ def check_identity_suite(
     o_pt, g_pt, h_pt, n_pt = at["O"], at["G"], at["H"], at["N"]
 
     # Metric closed forms against their defining products.
-    K_sq, r_sq, s = met.K_sq, met.r_sq, met.s
     abc_sq = plane.square(product(product(A, B), C))
     record("metrics_circumradius_product", product(plane.times(16, R_sq), K_sq), abc_sq, abc_sq)
     record("metrics_inradius_product", product(product(r_sq, s), s), K_sq, K_sq)
-    for name, r_x_sq, side in (("rA", met.rA_sq, A), ("rB", met.rB_sq, B), ("rC", met.rC_sq, C)):
+    for name, r_x_sq, side in (("rA", rA_sq, A), ("rB", rB_sq, B), ("rC", rC_sq, C)):
         gap = plane.difference(s, side)
         record(f"metrics_exradius_product_{name}", product(product(r_x_sq, gap), gap), K_sq, K_sq)
-    Rr = met.Rr
     R_r = product(R_sq, r_sq)
     record("metrics_mixed_product_Rr", product(Rr, Rr), R_r, R_r)
 
+    # The squared distances from the vertices to O and to N, computed once
+    # each for the rows below.
+    to_o = [dist_sq(vertex, o_pt) for vertex in lifted]
+    to_n = [dist_sq(vertex, n_pt) for vertex in lifted]
+
     # Circumcenter: constructed point is equidistant and matches R^2.
-    record("circumradius_matches_oracle", dist_sq(o_pt, at["A"]), R_sq, scale_len_sq)
-    record("circumcenter_equidistant_b", dist_sq(o_pt, at["B"]), R_sq, scale_len_sq)
-    record("circumcenter_equidistant_c", dist_sq(o_pt, at["C"]), R_sq, scale_len_sq)
+    record("circumradius_matches_oracle", to_o[0], R_sq, scale_len_sq)
+    record("circumcenter_equidistant_b", to_o[1], R_sq, scale_len_sq)
+    record("circumcenter_equidistant_c", to_o[2], R_sq, scale_len_sq)
 
     # Kernel centers against oracle constructions.
     for label in ("O", "G", "H", "N", "I", "Ea", "Eb", "Ec"):
@@ -578,20 +619,22 @@ def check_identity_suite(
     record("orthocenter_altitude_a", dot(sub(h_pt, va), sub(vb, vc)), zero, scale_len_sq)
     record("orthocenter_altitude_b", dot(sub(h_pt, vb), sub(vc, va)), zero, scale_len_sq)
 
-    # Equal tangent distances of incenter and excenters to the side lines.
-    lines = (("bc", vb, vc), ("ca", vc, va), ("ab", va, vb))
-    for name, on_line, toward in lines:
+    # Equal tangent distances of incenter and excenters to the side lines,
+    # each line built once.
+    line, line_dist_sq = plane.line, plane.line_dist_sq
+    lines = (("bc", line(vb, vc)), ("ca", line(vc, va)), ("ab", line(va, vb)))
+    for name, side_line in lines:
         record(
             f"incenter_line_distance_{name}",
-            plane.line_dist_sq(at["I"], on_line, toward),
-            met.r_sq,
+            line_dist_sq(at["I"], side_line),
+            r_sq,
             scale_len_sq,
         )
-    for label, r_x_sq in (("Ea", met.rA_sq), ("Eb", met.rB_sq), ("Ec", met.rC_sq)):
-        for name, on_line, toward in lines:
+    for label, r_x_sq in (("Ea", rA_sq), ("Eb", rB_sq), ("Ec", rC_sq)):
+        for name, side_line in lines:
             record(
                 f"excenter_{label}_line_distance_{name}",
-                plane.line_dist_sq(at[label], on_line, toward),
+                line_dist_sq(at[label], side_line),
                 r_x_sq,
                 scale_len_sq,
             )
@@ -621,10 +664,7 @@ def check_identity_suite(
     # from the vertices enter the kernel formula as numerators over one
     # denominator; the vertices share one weight, so on the exact plane
     # their distances to one point share one denominator.
-    vertex_dist_sq = {
-        y_label: plane.over_one([dist_sq(at[v], at[y_label]) for v in VERTICES])
-        for y_label in ("N", "O")
-    }
+    vertex_dist_sq = {"N": plane.over_one(to_n), "O": plane.over_one(to_o)}
     for x_label in ("I", "Ea", "G"):
         x, d = CENTER_WEIGHTS[x_label](a, b, c)
         for y_label in ("N", "O"):
@@ -636,13 +676,8 @@ def check_identity_suite(
             )
 
     # Vertex-to-nine-point-center distances from sides alone.
-    for vertex, from_sides in zip(VERTICES, vertex_n):
-        record(
-            f"vertex_ninepoint_distance_{vertex}",
-            from_sides,
-            dist_sq(at[vertex], n_pt),
-            scale_len_sq,
-        )
+    for vertex, from_sides, direct in zip(VERTICES, vertex_n, to_n):
+        record(f"vertex_ninepoint_distance_{vertex}", from_sides, direct, scale_len_sq)
 
     # Circumcenter dot products.
     for pair, opposite in (("AB", 2), ("BC", 0), ("CA", 1)):
@@ -671,27 +706,27 @@ def check_identity_suite(
         record_flag(f"tangency_kind_{circle}", _kind_ok(circle, kind), detail=kind.value)
     record_flag(
         "tangency_equilateral_flag",
-        not sides.is_equilateral or verdicts[0][1] is Tangency.COINCIDENT,
+        not a == b == c or verdicts[0][1] is Tangency.COINCIDENT,
     )
 
     # Scale covariance: doubling the sides multiplies squared lengths by 4
     # and keeps the residual identically zero.  Exact sides double their
     # integer form over the same L.
     scaled = kernel_of(2 * a, 2 * b, 2 * c)
-    met_scaled = TriangleMetrics(*scaled.metrics())
+    met_scaled = scaled.metrics()
     four_r_sq = plane.times(4, R_sq)
-    record("scale_covariance_R_sq", met_scaled.R_sq, four_r_sq, four_r_sq)
+    record("scale_covariance_R_sq", met_scaled[2], four_r_sq, four_r_sq)
     record(
         "scale_covariance_residual",
         residual_of(scaled, met_scaled, "incircle"),
         plane.times(2, zero),
-        plane.quotient(met_scaled.R_sq, four),
+        plane.quotient(met_scaled[2], four),
     )
 
     # Permutation equivariance: relabeling vertices permutes the excircles.
     rotated = kernel_of(b, c, a)
-    met_rotated = TriangleMetrics(*rotated.metrics())
-    record("permutation_exradius", met_rotated.rA_sq, met.rB_sq, scale_len_sq)
+    met_rotated = rotated.metrics()
+    record("permutation_exradius", met_rotated[4], rB_sq, scale_len_sq)
     record("permutation_residual", residual_of(rotated, met_rotated, "exA"), zero, quarter_r_sq)
 
     return SuiteReport(tuple(checks), exact)

@@ -16,8 +16,8 @@ frame on some such plane (N. J. Wildberger, *Divine Proportions*, 2005:
 quadrance over any field), so the identity suite runs exactly on every
 exact triangle, not only on those whose altitude is rational.  Only the
 constructions that read lengths take m (``dot``, ``dist_sq``, ``perp``,
-``length``, ``unit_direction``, ``equidistant_point``, ``line_dist_sq``,
-``project``); the affine ones (``midpoint``, ``intersect``,
+``unit_direction``, ``equidistant_point``, ``line_dist_sq``,
+``project``); the affine ones (``midpoint``, ``intersect``, ``line``,
 ``barycentric_point``, ``orientation``, ``barycentric``) do not.  A frame
 with m != 1 has no Cartesian exit: :meth:`Plane.as_point2` raises.
 
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .triangle import Point2, Ratio
 
@@ -67,9 +67,9 @@ class _TCoordinate(tuple):
     __slots__ = ()
 
 
-def _shared_weight(*points: Triple) -> int:
-    w = points[0][2]
-    if any(p[2] != w for p in points):
+def _shared_weight(a: Triple, b: Triple, c: Triple) -> int:
+    w = a[2]
+    if b[2] != w or c[2] != w:
         raise ValueError("the points must share one weight")
     return w
 
@@ -165,23 +165,15 @@ class Plane:
         """det[a; b; c]: zero exactly when the three points are collinear."""
         return _dot3(a, cross(b, c))
 
-    def length(self, p: Triple, q: Triple) -> Optional[Ratio]:
-        """|pq| as a ratio when it is rational, else None."""
-        x, t, w = self.sub(p, q)
-        n = x * x + self.m * t * t
-        root = math.isqrt(n)
-        if root * root != n:
-            return None
-        return (root, abs(w))
-
     def unit_direction(self, src: Triple, dst: Triple) -> Triple:
         """(dst - src) / |dst - src|; the length must be rational."""
         x, t, w = self.sub(dst, src)
-        length = self.length(src, dst)
-        if length is None:
+        n = x * x + self.m * t * t
+        root = math.isqrt(n)
+        if root * root != n:
             raise ValueError("irrational edge length; the oracle needs a frame of exact sides")
-        # (x/w) / (n/|w|) = x * sign(w) / n
-        return (x, t, length[0] if w > 0 else -length[0])
+        # The length is root/|w|, and (x/w) / (root/|w|) = x * sign(w) / root.
+        return (x, t, root if w > 0 else -root)
 
     def intersect(self, p1: Triple, d1: Triple, p2: Triple, d2: Triple) -> Triple:
         """The meet of the line through p1 along d1 and the line through p2
@@ -220,10 +212,14 @@ class Plane:
             d * w,
         )
 
-    def line_dist_sq(self, p: Triple, on_line: Triple, toward: Triple) -> Ratio:
-        """Squared distance from p to the line l*x + k*t + n = 0 through
-        on_line and toward: s^2 / (l^2 + k^2/m), with s the line's value at p."""
-        l, k, n = cross(on_line, toward)
+    def line(self, on_line: Triple, toward: Triple) -> Triple:
+        """The line through two points: their join."""
+        return cross(on_line, toward)
+
+    def line_dist_sq(self, p: Triple, line: Triple) -> Ratio:
+        """Squared distance from p to the line l*x + k*t + n = 0:
+        s^2 / (l^2 + k^2/m), with s the line's value at p."""
+        l, k, n = line
         x, t, w = p
         s = l * x + k * t + n * w
         return (self.m * s * s, w * w * (self.m * l * l + k * k))

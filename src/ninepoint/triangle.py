@@ -260,10 +260,16 @@ class FloatPlane:
         return _pair(sx + cx, sy + cy)
 
     @staticmethod
-    def line_dist_sq(point: Pair, on_line: Pair, toward: Pair) -> float:
-        """Squared distance from a point to the infinite line through two points."""
+    def line(on_line: Pair, toward: Pair) -> Tuple[float, float, float, float]:
+        """The infinite line through two points, as one of them and the
+        direction to the other: (x0, y0, dx, dy)."""
         x0, y0 = on_line
-        dx, dy = _pair(toward[0] - x0, toward[1] - y0)
+        return (x0, y0, *_pair(toward[0] - x0, toward[1] - y0))
+
+    @staticmethod
+    def line_dist_sq(point: Pair, line: Tuple[float, float, float, float]) -> float:
+        """Squared distance from a point to a line of :meth:`line`."""
+        x0, y0, dx, dy = line
         ex, ey = _pair(point[0] - x0, point[1] - y0)
         num = dx * ey - dy * ex
         return (num * num) / (dx * dx + dy * dy)
@@ -290,7 +296,9 @@ class FloatPlane:
         px, py = _pair(point[0] - xc, point[1] - yc)
         alpha = (px * bcy - py * bcx) / det
         beta = (acx * py - acy * px) / det
-        return Barycentric(alpha, beta, 1 - alpha - beta).components
+        gamma = 1 - alpha - beta
+        _check_float_sum(alpha, beta, gamma)
+        return alpha, beta, gamma
 
 
 # Barycentric weights (x_a, x_b, x_c) and their sum d of every kernel
@@ -364,16 +372,9 @@ class SideLengths(Record):
             if (value.numerator if exact else value) <= 0:
                 raise InvalidTriangleError(f"invalid side: {name} <= 0")
         if exact:
-            # a + b - c = w/L and its rotations, with L > 0: the signs of w, u, v decide.
-            t = self._integer_form
-            inequalities = ((t.w, 0), (t.u, 0), (t.v, 0))
+            _checked_integer_form(self._integer_form)
         else:
-            inequalities = ((a + b, c), (b + c, a), (c + a, b))
-        for (total, rhs), text, opposite in zip(inequalities, ("a + b", "b + c", "c + a"), "cab"):
-            if total == rhs:
-                raise InvalidTriangleError(f"degenerate: {text} = {opposite}")
-            if total < rhs:
-                raise InvalidTriangleError(f"not a triangle: {text} < {opposite}")
+            _check_inequalities(((a + b, c), (b + c, a), (c + a, b)))
 
     @property
     def is_equilateral(self) -> bool:
@@ -390,9 +391,7 @@ class SideLengths(Record):
 
     def conditioning(self) -> float:
         """max side over min(s - a, s - b, s - c); large means near-degenerate."""
-        a, b, c = (float(self.a), float(self.b), float(self.c))
-        gaps = ((-a + b + c) / 2.0, (a - b + c) / 2.0, (a + b - c) / 2.0)
-        return max(a, b, c) / min(gaps)
+        return _conditioning(_float_triangle(float(self.a), float(self.b), float(self.c)))
 
     # Derived once per triangle.  The fields are frozen, so these cannot go
     # stale; equality and hashing still read only a, b and c.
@@ -568,6 +567,26 @@ def _integer_triangle(a, b, c, L=1) -> _IntegerTriangle:
     return _IntegerTriangle(L, a, b, c, p, u, v, w, p * u * v * w, a * b * c)
 
 
+def _check_inequalities(inequalities: Tuple[Tuple[Any, Any], ...]) -> None:
+    """The strict triangle inequalities a + b > c, b + c > a and
+    c + a > b, each given as a pair (total, rhs); the diagnostic names the
+    violated one."""
+    for (total, rhs), text, opposite in zip(inequalities, ("a + b", "b + c", "c + a"), "cab"):
+        if total == rhs:
+            raise InvalidTriangleError(f"degenerate: {text} = {opposite}")
+        if total < rhs:
+            raise InvalidTriangleError(f"not a triangle: {text} < {opposite}")
+
+
+def _checked_integer_form(t: _IntegerTriangle) -> _IntegerTriangle:
+    """The integer form, checked against the triangle inequalities as
+    ``SideLengths`` checks exact sides: a + b - c = w/L and its rotations,
+    with L > 0, so the signs of w, u, v decide (and, all positive, make the
+    sides positive too)."""
+    _check_inequalities(((t.w, 0), (t.u, 0), (t.v, 0)))
+    return t
+
+
 class _FloatTriangle(NamedTuple):
     """Float sides and the terms every float quantity is built from: s and
     s - a, s - b, s - c as half-sums (one rounding each), K^2 by the
@@ -652,6 +671,12 @@ def _float_triangle(a: float, b: float, c: float) -> _FloatTriangle:
     return _FloatTriangle(a, b, c, s, s_a, s_b, s_c, _area_sq_16(a, b, c) / 16, a * b * c)
 
 
+def _conditioning(t: _FloatTriangle) -> float:
+    """The conditioning of :meth:`SideLengths.conditioning` on the float
+    kernel's half-sums."""
+    return max(t.a, t.b, t.c) / min(t.s_a, t.s_b, t.s_c)
+
+
 def metrics(sides: SideLengths) -> TriangleMetrics:
     """All squared quantities of the triangle (see :class:`TriangleMetrics`),
     derived once per :class:`SideLengths` and shared by every caller."""
@@ -682,10 +707,7 @@ class Barycentric(Record):
         set_field(self, "beta", beta)
         set_field(self, "gamma", gamma)
         if not exact:
-            total = alpha + beta + gamma
-            scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
-            if abs(total - 1.0) > DEFAULT_TOLERANCE.bound(scale):
-                raise ValueError(f"barycentric coordinates sum to {total!r}, not 1")
+            _check_float_sum(alpha, beta, gamma)
             return
         # Three Fractions n/d sum to 1 exactly when, cross-multiplied,
         # n_a d_b d_c + n_b d_a d_c + n_c d_a d_b = d_a d_b d_c.
@@ -697,6 +719,15 @@ class Barycentric(Record):
     @property
     def components(self) -> Tuple[Scalar, Scalar, Scalar]:
         return (self.alpha, self.beta, self.gamma)
+
+
+def _check_float_sum(alpha: float, beta: float, gamma: float) -> None:
+    """The sum check of float barycentric coordinates: within the default
+    tolerance of 1, on the scale of the largest component."""
+    total = alpha + beta + gamma
+    scale = max(1.0, abs(alpha), abs(beta), abs(gamma))
+    if abs(total - 1.0) > DEFAULT_TOLERANCE.bound(scale):
+        raise ValueError(f"barycentric coordinates sum to {total!r}, not 1")
 
 
 def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Barycentric:

@@ -88,7 +88,7 @@ def test_tangency_numerators_are_polynomial_identities():
         assert sympy.cancel((dist_sq - (base - mixed)) * den - t.P * (e + two_abc_d)) == 0
         assert sympy.cancel((dist_sq - (base + mixed)) * den - t.P * (e - two_abc_d)) == 0
         # The residual that Feuerbach's theorem makes zero, as a ratio.
-        num, den = _residual_ratio(t, circle)
+        num, den = _residual_ratio(circle, (e, two_abc_d, d), L)
         theorem = base - mixed if circle == "incircle" else base + mixed
         assert sympy.cancel(num / den - (dist_sq - theorem)) == 0, circle
         if circle == "incircle":

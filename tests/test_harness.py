@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ninepoint import homogeneous, numeric
+from ninepoint import cli, feuerbach, harness, homogeneous, numeric
 from ninepoint.centers import CENTER_WEIGHTS, VERTICES, CenterSet, center_set
 from ninepoint.feuerbach import (
     FeuerbachEntry,
@@ -23,6 +23,7 @@ from ninepoint.harness import (
     PROFILE_KINDS,
     FuzzProfile,
     IdentityCheck,
+    _integer_sides,
     cartesian_oracle,
     check_identity_suite,
     random_sides,
@@ -31,9 +32,12 @@ from ninepoint.harness import (
 from ninepoint.triangle import (
     Barycentric,
     FloatPlane,
+    InvalidTriangleError,
     Point2,
     SideLengths,
     _canonical_frame,
+    _checked_integer_form,
+    _integer_triangle,
     canonical_vertices,
     exact_vertices,
     metrics,
@@ -133,6 +137,65 @@ class TestGeneration:
         assert max(conds) <= 2e6  # capped near 1e6 with slack for rounding
         assert max(conds) > 1e4  # actually reaches the hard region
         assert min(conds) < 1e3  # and spans down to mildly flat shapes
+
+
+def _rows(report):
+    return report._rows
+
+
+class TestIntegerGeneration:
+    """Each generator gives the integer form (a, b, c, L) straight, and
+    exact ``fuzz`` hands it to the identity suite as it is."""
+
+    PROFILES = [
+        FuzzProfile(kind=kind, seed=seed, magnitude_bound=bound)
+        for kind in PROFILE_KINDS
+        for seed, bound in ((0, 10), (1, 10), (2, 10), (3, 10), (0, 10**80))
+    ]
+
+    def test_integer_form_is_that_of_the_sides(self):
+        # Every profile, seeds 0-3 at the default bound and seed 0 at
+        # --bound 10**80: the form over the smallest L, as SideLengths
+        # builds it from the reduced Fractions.
+        for profile in self.PROFILES:
+            count = 500 if profile.magnitude_bound == 10 else 50
+            for index in range(count):
+                t = _integer_sides(profile, index)
+                assert t == random_sides(profile, index)._integer_form, (profile, index)
+
+    @pytest.mark.parametrize("faulty", [False, True], ids=["kernel", "faulty_eb"])
+    def test_exact_fuzz_suite_rows_are_those_of_the_sides(self, monkeypatch, faulty):
+        # The suite keyed on the generated kernel gives the rows of the
+        # suite on random_sides, also with the fingerprint's injected fault
+        # (Eb weighted as Ec).  The kernels are equal (above), so a subset
+        # of the indices suffices here.
+        if faulty:
+            monkeypatch.setitem(CENTER_WEIGHTS, "Eb", CENTER_WEIGHTS["Ec"])
+        for profile in self.PROFILES:
+            for index in range(20 if profile.magnitude_bound == 10 else 5):
+                direct = check_identity_suite(_integer_sides(profile, index), None)
+                via_sides = check_identity_suite(random_sides(profile, index), None)
+                assert _rows(direct) == _rows(via_sides), (profile, index)
+                assert direct.passed is not faulty, (profile, index)
+
+    def test_float_suite_keyed_on_the_float_kernel(self):
+        # The float kernel's half-sums give SideLengths.conditioning() bit
+        # for bit, so the suite keyed on the kernel gives the same rows.
+        for kind in PROFILE_KINDS:
+            for index in range(20):
+                sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=2), index)
+                sides = sides.as_float()
+                vertices = tuple(as_float(p) for p in vertices)
+                direct = check_identity_suite(sides._float_form, vertices)
+                assert _rows(direct) == _rows(check_identity_suite(sides, vertices)), kind
+
+    def test_near_degenerate_retries_as_side_lengths_refuses(self):
+        # The generator's check is SideLengths' own: the triples it skips
+        # are those SideLengths refuses, with SideLengths' texts.
+        with pytest.raises(InvalidTriangleError, match=r"^not a triangle: b \+ c < a$"):
+            SideLengths(F(9), F(1), F(8) - F(1, 10**6))
+        with pytest.raises(InvalidTriangleError, match=r"^not a triangle: b \+ c < a$"):
+            _checked_integer_form(_integer_triangle(9 * 10**6, 10**6, 8 * 10**6 - 1, 10**6))
 
 
 CARTESIAN = homogeneous.Plane()
@@ -389,6 +452,45 @@ class TestExactSuitePath:
         frame_metrics = [_canonical_frame(sides._integer_form)[0] for sides in triangles]
         assert kind == "generic" or any(m != 1 for m in frame_metrics)
 
+    @pytest.mark.parametrize("kind", ["generic", "near-degenerate", "near-equilateral"])
+    def test_exact_fuzz_request_makes_no_call_into_fractions(self, kind, capsys):
+        # A whole exact fuzz request: the generator gives the integer form
+        # straight and the suite reads it, so no Fraction is built to be
+        # taken apart again.
+        argv = ["fuzz", "--profile", kind, "--backend", "exact", "--count", "10", "--seed", "4"]
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals is fractions.__dict__:
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and "10/10 exact-zero" in capsys.readouterr().out
+        assert calls == []
+
+    def test_tangency_numerators_once_per_circle(self, monkeypatch):
+        # Each circle's kind and residual come from one numerator triple:
+        # four circles, then the doubled triangle's incircle and the
+        # rotated triangle's excircle opposite A.
+        calls = [0]
+        original = feuerbach._tangency_numerators
+
+        def counting(t, circle):
+            calls[0] += 1
+            return original(t, circle)
+
+        for module in (feuerbach, harness):
+            monkeypatch.setattr(module, "_tangency_numerators", counting)
+        for kind in PROFILE_KINDS:
+            for index in range(4):
+                calls[0] = 0
+                report = check_identity_suite(_integer_sides(FuzzProfile(kind=kind), index), None)
+                assert report.passed and calls[0] == 6, (kind, index)
+
 
 class TestFloatTypeDispatch:
     """Float scalars are classified by concrete type.  ``isinstance(x,
@@ -471,12 +573,11 @@ class TestFloatSuiteConstructions:
     def test_near_degenerate_suite(self, constructions, seed):
         # A passing float triangle of every profile, the near-degenerate
         # one included.  No Point2: the given vertices are lifted to pairs
-        # once.  One Barycentric: the incenter round trip's, which
-        # FloatPlane.barycentric returns through the constructor's sum
-        # check.  The doubled and rotated triangles are float kernels, not
-        # SideLengths, and the kinds and residuals come from the kernel's
-        # floats, with no TangencyReport, FeuerbachEntry, FeuerbachReport
-        # or CenterSet.
+        # once.  No Barycentric: FloatPlane.barycentric runs the
+        # constructor's sum check on its bare floats.  The doubled and
+        # rotated triangles are float kernels, not SideLengths, and the
+        # kinds and residuals come from the kernel's floats, with no
+        # TangencyReport, FeuerbachEntry, FeuerbachReport or CenterSet.
         for kind in PROFILE_KINDS:
             sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), 0)
             sides = sides.as_float()
@@ -485,9 +586,7 @@ class TestFloatSuiteConstructions:
                 constructions[cls] = 0
             report = check_identity_suite(sides, vertices)
             assert report.passed and not report.exact, kind
-            expected = dict.fromkeys(self.RECORDS, 0)
-            expected[Barycentric] = 1
-            assert constructions == expected, kind
+            assert constructions == dict.fromkeys(self.RECORDS, 0), kind
 
     def test_each_center_built_once_per_sides(self, constructions):
         # center_set, feuerbach_report and the four residuals all read the

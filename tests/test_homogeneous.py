@@ -84,7 +84,7 @@ def test_float_plane_scalar_operations(x, y):
 def test_lines(p, u, v):
     assume(cart(u) != cart(v))
     cp, cu, cv = cart(p), cart(u), cart(v)
-    assert ratio(h.line_dist_sq(p, u, v)) == side(cp, cu, cv) ** 2 / dist_sq(cu, cv)
+    assert ratio(h.line_dist_sq(p, h.line(u, v))) == side(cp, cu, cv) ** 2 / dist_sq(cu, cv)
     foot = cart(h.project(p, u, v))
     assert side(foot, cu, cv) == 0
     direction = (cv[0] - cu[0], cv[1] - cu[1])
@@ -125,9 +125,10 @@ def test_mixed_weights_rejected():
 def test_unit_direction_and_length():
     # (3, 4)/(-5) to the origin: the vector is (3/5, 4/5), of length 1.
     src, dst = (3, 4, -5), (0, 0, 7)
-    assert h.length(src, dst) is not None and ratio(h.length(src, dst)) == 1
-    assert cart(h.unit_direction(src, dst)) == (Fraction(3, 5), Fraction(4, 5))
-    assert h.length((0, 0, 1), (1, 1, 1)) is None
+    unit = h.unit_direction(src, dst)
+    assert cart(unit) == (Fraction(3, 5), Fraction(4, 5))
+    assert ratio(h.dot(unit, unit)) == 1
+    # The edge of length sqrt(2) has no rational unit direction.
     with pytest.raises(ValueError, match="irrational"):
         h.unit_direction((0, 0, 1), (1, 1, 1))
 

@@ -645,6 +645,15 @@ PLANE_CONSTRUCTIONS = {
 }
 
 
+# The FloatPlane form of a construction whose plane method takes another
+# shape than the points: the distance to a line takes the line.
+PAIR_FORMS = {
+    "line_dist_sq": lambda point, on_line, toward: FloatPlane.line_dist_sq(
+        point, FloatPlane.line(on_line, toward)
+    ),
+}
+
+
 def _plane_outcome(fn, *args):
     """The result as float.hex strings, or the exception's type and text."""
     try:
@@ -663,7 +672,7 @@ def _assert_plane_matches_point2_form(name, points, weights=None):
     pairs = FloatPlane.lift(points)
     lead = () if weights is None else weights
     expected = _plane_outcome(reference, *lead, *points)
-    actual = _plane_outcome(getattr(FloatPlane, name), *lead, *pairs)
+    actual = _plane_outcome(PAIR_FORMS.get(name, getattr(FloatPlane, name)), *lead, *pairs)
     assert actual == expected, (name, points)
 
 
