@@ -139,10 +139,6 @@ class TestGeneration:
         assert min(conds) < 1e3  # and spans down to mildly flat shapes
 
 
-def _rows(report):
-    return report._rows
-
-
 class TestIntegerGeneration:
     """Each generator gives the integer form (a, b, c, L) straight, and
     exact ``fuzz`` hands it to the identity suite as it is."""
@@ -175,7 +171,7 @@ class TestIntegerGeneration:
             for index in range(20 if profile.magnitude_bound == 10 else 5):
                 direct = check_identity_suite(_integer_sides(profile, index), None)
                 via_sides = check_identity_suite(random_sides(profile, index), None)
-                assert _rows(direct) == _rows(via_sides), (profile, index)
+                assert direct._rows == via_sides._rows, (profile, index)
                 assert direct.passed is not faulty, (profile, index)
 
     def test_float_suite_keyed_on_the_float_kernel(self):
@@ -187,7 +183,7 @@ class TestIntegerGeneration:
                 sides = sides.as_float()
                 vertices = tuple(as_float(p) for p in vertices)
                 direct = check_identity_suite(sides._float_form, vertices)
-                assert _rows(direct) == _rows(check_identity_suite(sides, vertices)), kind
+                assert direct._rows == check_identity_suite(sides, vertices)._rows, kind
 
     def test_near_degenerate_retries_as_side_lengths_refuses(self):
         # The generator's check is SideLengths' own: the triples it skips
