@@ -13,9 +13,11 @@ of O and H.  The circumcenter property of O, the altitude property of H and
 the equal-distance property of N are checked against independent
 constructions in the test harness rather than assumed here.
 
-A triangle's backend is its sides': on exact sides the barycentric
-weights are evaluated on the triangle's integer form (weights do not
-change when the sides are scaled).  The Cartesian centers are one
+A triangle's backend is its sides': the barycentric weights are
+evaluated on the kernel of the sides, so on exact sides on their integer
+form (weights do not change when the sides are scaled), and each
+component is the kernel's ``ratio`` of a weight over its sum: one
+``Fraction`` or one true division.  The Cartesian centers are one
 construction, written against a plane: integer homogeneous triples
 (:class:`ninepoint.homogeneous.Plane`) when the sides and the vertices
 are all exact, where no gcd is taken until a ``Point2`` is asked for, and
@@ -28,8 +30,9 @@ integer frame under the metric x^2 + m*t^2, with no ``Fraction``, and
 float sides on float pairs; ``barycentric_point`` and ``orientation``
 are affine, so the same code serves both.  Callers read the centers as
 ``Point2``s through ``CenterSet.points``, which only a Cartesian frame
-has.  ``circumdot`` and ``vertex_to_ninepoint_dist_sq`` read the kernel
-of the sides (``triangle._IntegerTriangle`` or ``_FloatTriangle``).
+has.  ``circumdot``, ``vertex_to_ninepoint_dist_sq`` and the bisector
+feet read the kernel of the sides (``triangle._IntegerTriangle`` or
+``_FloatTriangle``) without asking which it is.
 
 All eight come from one weight table,
 :data:`~ninepoint.triangle.CENTER_WEIGHTS`, which both kernels read
@@ -55,7 +58,6 @@ from .triangle import (
     FloatPlane,
     Point2,
     SideLengths,
-    _ZERO,
     metrics,
 )
 
@@ -110,18 +112,14 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
     """Foot of the internal angle bisector from the vertex on the opposite side.
 
     A-form: (0, b/(b+c), c/(b+c)), i.e. the bisector from A meets BC at the
-    point dividing it in the ratio of the adjacent sides.  Exact sides are
-    weighted by their integer form: one division per nonzero component, and
-    the zero is the shared exact zero.
+    point dividing it in the ratio of the adjacent sides.  The sides'
+    kernel weighs it: one division per nonzero component, and the zero is
+    the kernel's (on exact sides the shared exact zero).
     """
     k = _shift(vertex)
-    if sides.is_exact:
-        t = sides._integer_form
-        s, ratio, zero = (t.a, t.b, t.c), Fraction, _ZERO
-    else:
-        s, ratio, zero = sides.as_tuple(), FloatPlane.quotient, 0.0  # true division
-    x, d = _bisector_foot_weights(s, k)
-    return Barycentric(*(zero if j == k else ratio(x[j], d) for j in range(3)))
+    t = sides._kernel
+    x, d = _bisector_foot_weights((t.a, t.b, t.c), k)
+    return Barycentric(*(t.zero if j == k else t.ratio(x[j], d) for j in range(3)))
 
 
 def vertex_to_ninepoint_dist_sq(sides: SideLengths, vertex: Vertex) -> Scalar:
@@ -135,16 +133,12 @@ _OPPOSITE_OF_PAIR = {"AB": "C", "BC": "A", "CA": "B"}
 
 
 def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
-    """Dot product (P - O).(Q - O) for a vertex pair: R^2 - opposite^2 / 2.
-
-    Exact sides reduce the integer kernel's ratio, one division; float
-    sides take the float kernel's value."""
+    """Dot product (P - O).(Q - O) for a vertex pair: R^2 - opposite^2 / 2,
+    the public value of the kernel's (one division on exact sides)."""
     if pair not in _OPPOSITE_OF_PAIR:
         raise ValueError(f"pair must be one of {tuple(_OPPOSITE_OF_PAIR)}, got {pair!r}")
-    k = _shift(_OPPOSITE_OF_PAIR[pair])
-    if sides.is_exact:
-        return Fraction(*sides._integer_form.circumdot(k))
-    return sides._float_form.circumdot(k)
+    t = sides._kernel
+    return t.value(t.circumdot(_shift(_OPPOSITE_OF_PAIR[pair])))
 
 
 class CenterSet(Record):
@@ -184,14 +178,11 @@ def center_set(
     sides and every vertex are exact and onto float pairs otherwise.  With
     ``plane`` they are already points of that plane, as the identity suite
     holds them."""
-    # Exact sides weigh by their integer form: the integer plane needs it,
-    # and each barycentric component is one Fraction.  On floats each k/d
-    # rounds once.
-    if sides.is_exact:
-        t = sides._integer_form
-        (a, b, c), ratio = (t.a, t.b, t.c), Fraction
-    else:
-        (a, b, c), ratio = sides.as_tuple(), FloatPlane.quotient
+    # The sides' kernel weighs: exact sides by their integer form, which the
+    # integer plane needs, with each barycentric component one Fraction; on
+    # floats each k/d rounds once.
+    t = sides._kernel
+    a, b, c, ratio = t.a, t.b, t.c, t.ratio
     bary = {"G": centroid_barycentric()}
     for label in CIRCLE_CENTERS:
         (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](a, b, c)

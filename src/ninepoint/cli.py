@@ -39,7 +39,7 @@ from .triangle import (
 )
 from .centers import center_set
 from .feuerbach import FeuerbachReport, feuerbach_report
-from .harness import PROFILE_KINDS, FuzzProfile, _integer_sides, check_identity_suite, random_sides
+from .harness import PROFILE_KINDS, FuzzProfile, _float_sides, _integer_sides, check_identity_suite
 from .svg import render_svg
 
 __all__ = ["RunConfig", "main", "cmd_compute", "cmd_feuerbach", "cmd_fuzz", "cmd_svg"]
@@ -374,11 +374,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     max_residual = 0.0
     all_exact = True
     for index in range(profile.count):
+        t = _integer_sides(profile, index)
         if backend == "float":
-            sides = random_sides(profile, index)
             try:
-                # The float suite takes the exact sides' embedding as floats.
-                suite = check_identity_suite(sides.as_float(), canonical_vertices(sides), tol)
+                # The float suite takes the generated sides and their
+                # embedding as floats.
+                suite = check_identity_suite(*_float_sides(t), tol)
             except OverflowError:
                 raise ValueError(
                     f"--bound {profile.magnitude_bound} gives triangles beyond the float range; "
@@ -386,7 +387,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 ) from None
         else:
             # The exact suite takes the generator's integer form as it is.
-            suite = check_identity_suite(_integer_sides(profile, index), None, tol)
+            suite = check_identity_suite(t, None, tol)
         all_exact = all_exact and suite.exact
         max_residual = max(max_residual, suite.max_residual)
         if suite.passed:

@@ -17,25 +17,22 @@ case: there the incircle and the nine-point circle coincide (r = R/2 and
 I = N), so the report flags them and classifies the pair as coincident
 rather than tangent.
 
-On exact sides the report and the residuals come from integer polynomials
-instead (see :func:`_tangency_numerators`): the sides are scaled to
-integers, and each circle's two residuals are e +- 2*abc*d over
-4*d^2*L^2, so tangency is decided by testing e +- 2*abc*d for zero.  A
-tangent circle's report then reduces one large number, its chosen
-right-hand side in a closed form that is also the left-hand side; the
-zero residual and the other residual, -+2*R*r_X, need no large gcd, and
-the other right-hand side is built only when read (see
-:func:`_exact_tangency`).  The identity suite decides a circle's kind
-(:func:`_exact_decision`) and takes its residual (:func:`_residual_ratio`)
-from one set of numerators.
-
-On float sides the formulas are those of the float kernel
-(``triangle._FloatTriangle``): each circle's |XN|^2 is its distance
-identity (:func:`_center_dist_sq`), its residual comes from that value
-(:func:`_float_residual`), and its kind from the float branch of
-:func:`classify_tangency_sq` (:func:`_float_decision`).  The public
-functions forward to them, and the identity suite reads them directly,
-with each |XN|^2 computed once for both the kind and the residual.
+The tangency formulas of the triangle's circles are methods of the
+kernel of its sides (``triangle._IntegerTriangle`` and
+``triangle._FloatTriangle``), under the same names: each circle's
+``residual``, and its ``verdict``, the kind and the residual from one
+computation, which the identity suite reads.  The residual functions
+here forward to the kernel without asking which it is.  On exact sides
+the sides are scaled to integers, and each circle's two residuals are
+e +- 2*abc*d over 4*d^2*L^2 (``_IntegerTriangle.tangency_numerators``),
+so tangency is decided by testing e +- 2*abc*d for zero.  A tangent
+circle's report then reduces one large number, its chosen right-hand
+side in a closed form that is also the left-hand side; the zero residual
+and the other residual, -+2*R*r_X, need no large gcd, and the other
+right-hand side is built only when read (see :func:`_exact_tangency`).
+On float sides each circle's |XN|^2 is its distance identity
+(``_FloatTriangle.center_dist_sq``), its residual comes from that value,
+and its kind from the float branch of :func:`classify_tangency_sq`.
 
 Tangency classification works on squared quantities only.  The cross term
 2*r1*r2 in (r1 +- r2)^2 is recovered with an exact square root of
@@ -47,7 +44,6 @@ float residuals.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from typing import Tuple
@@ -61,13 +57,15 @@ from .numeric import (
 )
 from .record import Record, set_field
 from .triangle import (
-    CENTER_WEIGHTS,
-    CIRCLE_CENTERS,
+    CIRCLES,
     SideLengths,
+    Tangency,
     TriangleMetrics,
-    _FloatTriangle,
     _IntegerTriangle,
     _ZERO,
+    _checked_lhs,
+    _exact_kind,
+    _float_decision,
     metrics,
 )
 from .centers import VERTICES, Vertex
@@ -83,21 +81,6 @@ __all__ = [
     "excircle_ninepoint_residual",
     "feuerbach_report",
 ]
-
-
-class Tangency(enum.Enum):
-    INTERNAL_TANGENT = "internal_tangent"
-    EXTERNAL_TANGENT = "external_tangent"
-    COINCIDENT = "coincident"
-    NOT_TANGENT = "not_tangent"
-
-
-# The circles compared with the nine-point circle, in report order: the
-# incircle, then the excircles opposite A, B and C.
-CIRCLES = ("incircle", "exA", "exB", "exC")
-
-# Each circle's center, a label of triangle.CENTER_WEIGHTS.
-_CENTER_OF = dict(zip(CIRCLES, CIRCLE_CENTERS))
 
 
 def _radius_terms(met: TriangleMetrics, circle: str) -> Tuple[Scalar, Scalar]:
@@ -260,112 +243,6 @@ def classify_tangency_sq(
     )
 
 
-def _checked_lhs(
-    d_sq: Scalar, r1_sq: Scalar, r2_sq: Scalar, tol: ToleranceProfile, exact: bool
-) -> Scalar:
-    """The squared center distance, checked with the squared radii."""
-    if r1_sq <= 0 or r2_sq <= 0:
-        raise ValueError("squared radii must be positive")
-    if d_sq < 0:
-        # A float distance can land a hair below zero through cancellation
-        # in the upstream squared-distance evaluation; clamp that, reject
-        # anything genuinely negative (and any exact negative).
-        if exact or -d_sq > tol.bound(max(r1_sq, r2_sq)):
-            raise ValueError(f"squared center distance must be nonnegative, got {d_sq}")
-        d_sq = 0.0
-    return d_sq
-
-
-def _float_decision(
-    d_sq: float, r1_sq: float, r2_sq: float, tol: ToleranceProfile
-) -> Tuple[Tangency, float, float, float]:
-    """The float branch of :func:`classify_tangency_sq`: the kind, then the
-    checked lhs and the two right-hand sides, which only the report reads."""
-    d_sq = _checked_lhs(d_sq, r1_sq, r2_sq, tol, False)
-    cross = 2.0 * math.sqrt(r1_sq * r2_sq)
-    rhs_internal = r1_sq + r2_sq - cross
-    rhs_external = r1_sq + r2_sq + cross
-    scale = max(d_sq, r1_sq, r2_sq)
-    gap_internal = abs(d_sq - rhs_internal)
-    gap_external = abs(d_sq - rhs_external)
-    internal_fits = gap_internal <= tol.bound(max(d_sq, abs(rhs_internal), scale))
-    external_fits = gap_external <= tol.bound(max(d_sq, rhs_external))
-    if d_sq <= tol.bound(scale) and abs(r1_sq - r2_sq) <= tol.bound(scale):
-        kind = Tangency.COINCIDENT
-    elif internal_fits and (not external_fits or gap_internal <= gap_external):
-        kind = Tangency.INTERNAL_TANGENT
-    elif external_fits:
-        kind = Tangency.EXTERNAL_TANGENT
-    else:
-        kind = Tangency.NOT_TANGENT
-    return kind, d_sq, rhs_internal, rhs_external
-
-
-def _tangency_numerators(t: _IntegerTriangle, circle: str) -> Tuple[int, int, int]:
-    """e, 2*abc*d and d of the circle with center X and radius r_X, where
-    d is its weight sum: over 4*d^2*L^2, e + 2*abc*d is the residual
-    |XN|^2 - (R/2 - r_X)^2 and e - 2*abc*d is |XN|^2 - (R/2 + r_X)^2.
-
-    With |AN|^2 = (R^2 - a^2 + b^2 + c^2)/4 and cyclic, R^2 = (abc)^2/P and
-    weights x/d summing to 1, the barycentric distance identity gives
-    |XN|^2 = R^2/4 + q1/(4d) - q2/d^2; the radii satisfy R/2 -+ r_X =
-    (abc*d -+ P) / (2d*sqrt(P)), with the minus sign for the incircle.  So
-    over 4*P*d^2*L^2 the numerators of |XN|^2 and (R/2 -+ r_X)^2 are
-    (abc*d)^2 + P*(d*q1 - 4*q2) and (abc*d -+ P)^2; their difference is
-    P*(e +- 2*abc*d) with e = d*q1 - 4*q2 - P, and P cancels.  Uses only
-    ring operations, so it accepts symbolic sides as well.
-    """
-    (x_a, x_b, x_c), d = CENTER_WEIGHTS[_CENTER_OF[circle]](t.a, t.b, t.c)
-    a_sq, b_sq, c_sq = t.a * t.a, t.b * t.b, t.c * t.c
-    q1 = x_a * (-a_sq + b_sq + c_sq) + x_b * (a_sq - b_sq + c_sq) + x_c * (a_sq + b_sq - c_sq)
-    q2 = x_b * x_c * a_sq + x_c * x_a * b_sq + x_a * x_b * c_sq
-    return d * q1 - 4 * q2 - t.P, 2 * t.abc * d, d
-
-
-def _exact_kind(
-    lhs: Scalar, rhs_internal: Scalar, rhs_external: Scalar, equal_radii: bool
-) -> Tangency:
-    """The exact tangency decision: ``lhs`` against each rhs, on the
-    values or on any one affine image of all three.  Coincident is an
-    internal tangency of equal radii, that is a zero center distance."""
-    if lhs == rhs_internal:
-        return Tangency.COINCIDENT if equal_radii else Tangency.INTERNAL_TANGENT
-    if lhs == rhs_external:
-        return Tangency.EXTERNAL_TANGENT
-    return Tangency.NOT_TANGENT
-
-
-def _exact_decision(t: _IntegerTriangle, circle: str) -> Tuple[Tangency, Tuple[int, int, int]]:
-    """The circle's exact kind, decided on its numerators (see
-    :func:`_exact_tangency`), and the numerators."""
-    numerators = e, two_abc_d, _ = _tangency_numerators(t, circle)
-    return _exact_kind(e, -two_abc_d, two_abc_d, two_abc_d == 2 * t.P), numerators
-
-
-def _residual_ratio(circle: str, numerators: Tuple[int, int, int], L: int) -> Tuple[int, int]:
-    """The residual of :func:`_ninepoint_residual` as a ratio, from the
-    circle's :func:`_tangency_numerators` on sides over L:
-    (e + 2*abc*d) / (4*d^2*L^2) for the incircle, e - 2*abc*d over the same
-    for an excircle."""
-    e, two_abc_d, d = numerators
-    return e + two_abc_d if circle == "incircle" else e - two_abc_d, 4 * (d * L) ** 2
-
-
-def _center_dist_sq(t: _FloatTriangle, circle: str, vertex_n: Tuple[float, ...]) -> float:
-    """|XN|^2 for the circle's center X on the float kernel, by the
-    barycentric distance identity with the vertex-to-N distances; the
-    weights are read from CENTER_WEIGHTS when called."""
-    return t.distance_sq(*CENTER_WEIGHTS[_CENTER_OF[circle]](t.a, t.b, t.c), vertex_n, 1)
-
-
-def _float_residual(circle: str, d_sq: float, R_sq: float, r_sq: float, mixed: float) -> float:
-    """The residual of :func:`_ninepoint_residual` on float sides, from the
-    circle's |XN|^2, R^2, r_X^2 and R*r_X."""
-    # R^2/4 + r_X^2 -+ R*r_X; negating a float is exact, so adding -R*r_X
-    # rounds as subtracting it does.
-    return d_sq - (R_sq / 4 + r_sq + (-mixed if circle == "incircle" else mixed))
-
-
 def _kind_ok(circle: str, kind: Tangency) -> bool:
     """Whether the kind is the theorem's: the incircle internally tangent
     (or coincident), an excircle externally tangent."""
@@ -375,20 +252,19 @@ def _kind_ok(circle: str, kind: Tangency) -> bool:
 
 
 def _exact_tangency(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> TangencyReport:
-    """The exact branch of :func:`classify_tangency_sq`, decided on integers.
+    """The exact branch of :func:`classify_tangency_sq`, decided on integers
+    (``_IntegerTriangle.decision``).
 
-    |XN|^2 equals (R/2 - r_X)^2 exactly when e = -2*abc*d, and (R/2 + r_X)^2
-    when e = 2*abc*d; the radii are equal when abc*d = P, where
-    (R/2 - r_X)^2 vanishes.  A tangent kind gives every field from closed
-    forms.  The circle's weight sum d (one of p, u, v, w) divides
-    P = p*u*v*w, so the chosen rhs (abc*d -+ P)^2 / (4*P*d^2*L^2) is
-    (abc -+ P/d)^2 / (4*P*L^2), and it equals lhs; its residual is zero.
+    A tangent kind gives every field from closed forms.  The circle's
+    weight sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen
+    rhs (abc*d -+ P)^2 / (4*P*d^2*L^2) is (abc -+ P/d)^2 / (4*P*L^2), and
+    it equals lhs; its residual is zero.
     The two residuals differ by 4*abc*d / (4*d^2*L^2) = 2*R*r_X, so the
     other one is -+2*R*r_X, read from ``met``.  So one large number is
     reduced per circle, and the other rhs, lhs minus its residual, is built
     only if it is read.  NotTangent has no identity to lean on and reduces
     all five fields."""
-    kind, (e, two_abc_d, d) = _exact_decision(t, circle)
+    kind, (e, two_abc_d, d) = t.decision(circle)
     if kind is Tangency.NOT_TANGENT:
         den = 4 * (d * t.L) ** 2
         abc_d = t.abc * d
@@ -413,12 +289,8 @@ def _exact_tangency(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> T
 def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2 for an
     excircle: the comparison Feuerbach's theorem makes exact."""
-    if sides.is_exact:
-        t = sides._integer_form
-        return Fraction(*_residual_ratio(circle, _tangency_numerators(t, circle), t.L))
-    met = metrics(sides)
-    d_sq = _center_dist_sq(sides._float_form, circle, sides._vertex_ninepoint_dist_sq)
-    return _float_residual(circle, d_sq, met.R_sq, *_radius_terms(met, circle))
+    t = sides._kernel
+    return t.value(t.residual(circle, t.metrics()))
 
 
 def incircle_ninepoint_residual(sides: SideLengths) -> Scalar:
@@ -481,15 +353,16 @@ def feuerbach_report(
 ) -> FeuerbachReport:
     """Classify nine-point circle against incircle and the three excircles."""
     met = metrics(sides)
+    t = sides._kernel
     if sides.is_exact:
-        reports = tuple(_exact_tangency(sides._integer_form, met, circle) for circle in CIRCLES)
+        reports = tuple(_exact_tangency(t, met, circle) for circle in CIRCLES)
     else:
         # Each center's |XN|^2 comes from the same three vertex-to-N distances.
-        t, vertex_n = sides._float_form, sides._vertex_ninepoint_dist_sq
+        vertex_n = sides._vertex_ninepoint_dist_sq
         ninepoint_r_sq = met.R_sq / 4
         reports = []
         for circle in CIRCLES:
-            d_sq, r_sq = _center_dist_sq(t, circle, vertex_n), _radius_terms(met, circle)[0]
+            d_sq, r_sq = t.center_dist_sq(circle, vertex_n), _radius_terms(met, circle)[0]
             reports.append(classify_tangency_sq(d_sq, ninepoint_r_sq, r_sq, tol))
     return FeuerbachReport(
         sides,

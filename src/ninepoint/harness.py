@@ -16,7 +16,10 @@ Exactness: every exact triangle runs exactly.  Profiles generate rational
 side lengths, each generator as their integer form (a, b, c) over L (the
 form ``SideLengths`` builds, checked as it checks exact sides), which
 exact ``fuzz`` hands to the suite as its kernel, with no ``Fraction``
-built; ``random_sides`` wraps it in a ``SideLengths``.  The exact
+built; ``random_sides`` wraps it in a ``SideLengths``.  Float ``fuzz``
+takes the same form to floats (``_float_sides``): each side and each
+coordinate of a Cartesian frame is one integer true division, so its
+float triangle is ``random_triangle``'s, bit for bit.  The exact
 carrier is integer homogeneous coordinates
 (:class:`ninepoint.homogeneous.Plane`): lines are joins, intersections are
 meets, a unit direction takes one ``isqrt``, and a comparison is a
@@ -38,18 +41,20 @@ of :data:`~ninepoint.triangle.CENTER_WEIGHTS`, by
 ``centers._center_frame``), so it compares the two frames point for
 point on one plane.
 
-The suite chooses its kernel once, with its plane, and reads it under the
-same method names on both backends (``metrics``,
-``vertex_ninepoint_dist_sq``, ``circumdot``, ``side_point`` and
-``distance_sq``), unpacking the metrics tuple rather than building a
-``TriangleMetrics``, and it computes each value once: each circle's
-kind and residual, the vertex-to-O and vertex-to-N distances, and the
-three side lines serve every row that reads them.  On exact sides it
-reads the integer kernel (``triangle._IntegerTriangle``, and the tangency
-decisions and residuals of ``feuerbach`` on it, both from one
-``_tangency_numerators`` triple per circle), whose every value is an
-unreduced integer ratio (num, den); the scaled and rotated triangles are
-integer forms over the same L.  Its own arithmetic on those values (the
+The suite reads the kernel of the sides under the same method names on
+both backends (``metrics``, ``vertex_ninepoint_dist_sq``, ``circumdot``,
+``side_point``, ``distance_sq``, each circle's ``verdict`` and
+``residual``, and ``with_sides`` for the scaled and rotated triangles),
+so only its plane, its vertices, its tolerance and its scalar constants
+are chosen per backend.  It unpacks the metrics tuple rather than
+building a ``TriangleMetrics``, and it computes each value once: each
+circle's kind and residual, the vertex-to-O and vertex-to-N distances,
+and the three side lines serve every row that reads them.  On exact
+sides it reads the integer kernel (``triangle._IntegerTriangle``, whose
+verdict takes a circle's kind and residual from one
+``tangency_numerators`` triple), whose every value is an unreduced
+integer ratio (num, den); the scaled and rotated triangles are integer
+forms over the same L.  Its own arithmetic on those values (the
 metric products such as 16 R^2 K^2 against (abc)^2, the squared sides,
 R^2/4) takes no gcd either, and a comparison is a cross-multiplication.
 So a passing exact triangle builds no ``Fraction`` and no float; a
@@ -57,11 +62,11 @@ failed check builds them only for its normalized residual, which is at
 most 2, so the suite runs on numbers beyond the range of a double.  A
 failed check is normalized alike on both backends, by max(1, |scale|,
 |lhs|, |rhs|), so one kernel fault reads the same size on either.  On
-float sides it reads the float kernel (``triangle._FloatTriangle``, and
-the float kind decisions and residuals of ``feuerbach``), whose values
-are bare floats made by the operations of the public float functions, in
-the same order; the scaled and rotated triangles are float kernels, and
-each circle's |XN|^2 is computed once for its kind and its residual.  A passing float triangle
+float sides it reads the float kernel (``triangle._FloatTriangle``),
+whose values are bare floats made by the operations of the public float
+functions, in the same order; the scaled and rotated triangles are float
+kernels, and each circle's |XN|^2 is computed once for its kind and its
+residual.  A passing float triangle
 builds none of the public records, no ``Barycentric`` either: the
 incenter round trip's ``FloatPlane.barycentric`` runs the sum check of
 ``Barycentric`` on its bare floats.  Each check is recorded as a plain
@@ -77,7 +82,6 @@ import operator
 import random
 import sys
 from fractions import Fraction
-from functools import partial
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
@@ -85,32 +89,22 @@ from . import homogeneous
 from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
 from .record import Record, cached, set_field
 from .triangle import (
+    CIRCLES,
     FloatPlane,
     InvalidTriangleError,
     Point2,
-    Ratio,
     SideLengths,
+    Tangency,
     _canonical_frame,
     _checked_integer_form,
     _conditioning,
-    _float_triangle,
     _FloatTriangle,
     _integer_triangle,
     _IntegerTriangle,
     canonical_vertices,
 )
 from .centers import VERTICES, CENTER_WEIGHTS, _bisector_foot_weights, _center_frame
-from .feuerbach import (
-    CIRCLES,
-    Tangency,
-    _center_dist_sq,
-    _exact_decision,
-    _float_decision,
-    _float_residual,
-    _kind_ok,
-    _residual_ratio,
-    _tangency_numerators,
-)
+from .feuerbach import _kind_ok
 
 __all__ = [
     "PROFILE_KINDS",
@@ -275,6 +269,20 @@ def random_sides(profile: FuzzProfile, index: int) -> SideLengths:
     """The side lengths of triangle number ``index`` of the profile."""
     t = _integer_sides(profile, index)
     return SideLengths(Fraction(t.a, t.L), Fraction(t.b, t.L), Fraction(t.c, t.L))
+
+
+def _float_sides(t: _IntegerTriangle) -> Tuple[SideLengths, Tuple[Point2, Point2, Point2]]:
+    """The float sides of an integer form and their canonical embedding:
+    those of ``random_triangle`` taken to floats, bit for bit, which float
+    ``fuzz`` hands to the suite.  Integer true division rounds as
+    ``float()`` of a ``Fraction`` does, and raises ``OverflowError`` where
+    it does.  A Cartesian frame (m = 1) divides each coordinate by its
+    weight; otherwise the float sides are embedded."""
+    sides = SideLengths(t.a / t.L, t.b / t.L, t.c / t.L)
+    m, frame = _canonical_frame(t)
+    if m != 1:
+        return sides, canonical_vertices(sides)
+    return sides, tuple([Point2(x / w, y / w) for x, y, w in frame])
 
 
 def random_triangle(
@@ -467,72 +475,6 @@ def check_identity_suite(
     before the first check, so a value the float kind decision refuses
     raises before the embedding is compared.
     """
-    kernel = sides
-    if isinstance(sides, SideLengths):
-        kernel = sides._integer_form if sides.is_exact else sides._float_form
-    exact = type(kernel) is _IntegerTriangle
-    a, b, c = kernel.a, kernel.b, kernel.c
-    if exact:
-        if embedding is not None:
-            raise ValueError("exact sides run on their own frame; pass no embedding")
-        # The integer kernel reads the sides as (a, b, c) over L and gives
-        # each value as a ratio (num, den).
-        m, lifted = _canonical_frame(kernel)
-        plane, suite_tol = homogeneous.Plane(m), tol  # an exact suite compares no floats
-        L = kernel.L
-        A, B, C = (a, L), (b, L), (c, L)
-        kernel_of, two, four = partial(_integer_triangle, L=L), (2, 1), (4, 1)
-        # A weight x over its sum d as a ratio, and with the sign of x*d.
-        ratio, signed, foot_tol = _ratio, operator.mul, 0
-
-        def residual_of(t: _IntegerTriangle, t_met: Tuple[Ratio, ...], circle: str) -> Ratio:
-            return _residual_ratio(circle, _tangency_numerators(t, circle), L)
-
-        met = kernel.metrics()
-        vertex_n = kernel.vertex_ninepoint_dist_sq()
-        # Each circle's numerators are computed once, for its kind and its
-        # residual.
-        verdicts = []
-        for circle in CIRCLES:
-            kind, numerators = _exact_decision(kernel, circle)
-            verdicts.append((circle, kind, _residual_ratio(circle, numerators, L)))
-    else:
-        if embedding is None:
-            raise ValueError("float sides need an embedding")
-        plane, suite_tol = FloatPlane, _conditioned(kernel, tol)
-        lifted = plane.lift(embedding)
-        A, B, C = a, b, c
-        kernel_of, two, four = _float_triangle, 2, 4
-        ratio = signed = operator.truediv
-        foot_tol = suite_tol.bound(1.0)
-
-        def residual_of(t: _FloatTriangle, t_met: Tuple[float, ...], circle: str) -> float:
-            # R^2, then the circle's r_X^2 and R*r_X, in the field order of
-            # TriangleMetrics.
-            k = CIRCLES.index(circle)
-            d_sq = _center_dist_sq(t, circle, t.vertex_ninepoint_dist_sq())
-            return _float_residual(circle, d_sq, t_met[2], t_met[3 + k], t_met[7 + k])
-
-        # Each circle's |XN|^2 is computed once: its kind is decided (and
-        # its checks may raise) before the embedding rows, and its residual
-        # is recorded below.
-        met = kernel.metrics()
-        vertex_n = kernel.vertex_ninepoint_dist_sq()
-        ninepoint_r_sq = met[2] / 4
-        verdicts = []
-        for circle, r_x_sq, mixed in zip(CIRCLES, met[3:7], met[7:]):
-            d_sq = _center_dist_sq(kernel, circle, vertex_n)
-            kind = _float_decision(d_sq, ninepoint_r_sq, r_x_sq, suite_tol)[0]
-            verdicts.append((circle, kind, _float_residual(circle, d_sq, met[2], r_x_sq, mixed)))
-    # The fields of TriangleMetrics, in order, from the kernel's tuple.
-    s, K_sq, R_sq, r_sq, rA_sq, rB_sq, rC_sq, Rr = met[:8]
-    va, vb, vc = lifted
-
-    product = plane.product
-    abs_eps, rel_eps = suite_tol.abs_eps, suite_tol.rel_eps
-    scale_len_sq = R_sq
-    scale_len = _Root(R_sq) if exact else math.sqrt(R_sq)
-
     checks: List[Row] = []
 
     def record_ratio(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
@@ -550,10 +492,49 @@ def check_identity_suite(
         ok = gap <= abs_eps + rel_eps * scale_f  # suite_tol.bound(scale_f); scale_f >= 1
         checks.append((name, ok, gap / scale_f, detail))
 
-    record = record_ratio if exact else record_float
-
     def record_flag(name: str, ok: bool, detail: str = "") -> None:
         checks.append((name, ok, 0.0 if ok else math.inf, detail))
+
+    kernel = sides._kernel if isinstance(sides, SideLengths) else sides
+    exact = type(kernel) is _IntegerTriangle
+    a, b, c = kernel.a, kernel.b, kernel.c
+    if exact:
+        if embedding is not None:
+            raise ValueError("exact sides run on their own frame; pass no embedding")
+        # The integer kernel reads the sides as (a, b, c) over L and gives
+        # each value as a ratio (num, den).
+        m, lifted = _canonical_frame(kernel)
+        plane, suite_tol = homogeneous.Plane(m), tol  # an exact suite compares no floats
+        A, B, C = (a, kernel.L), (b, kernel.L), (c, kernel.L)
+        two, four = (2, 1), (4, 1)
+        # A weight x over its sum d as a ratio, and with the sign of x*d.
+        ratio, signed, foot_tol = _ratio, operator.mul, 0
+        # Lengths stay squared; a scale's root is taken only for a residual.
+        record, root = record_ratio, _Root
+    else:
+        if embedding is None:
+            raise ValueError("float sides need an embedding")
+        plane, suite_tol = FloatPlane, _conditioned(kernel, tol)
+        lifted = plane.lift(embedding)
+        A, B, C = a, b, c
+        two, four = 2, 4
+        ratio = signed = operator.truediv
+        foot_tol = suite_tol.bound(1.0)
+        record, root = record_float, math.sqrt
+    met = kernel.metrics()
+    vertex_n = kernel.vertex_ninepoint_dist_sq()
+    # Each circle's kind and residual come from one computation, made
+    # before the first check, so a value the float kind decision refuses
+    # raises before the embedding is compared.
+    verdicts = [kernel.verdict(circle, met, vertex_n, suite_tol) for circle in CIRCLES]
+    # The fields of TriangleMetrics, in order, from the kernel's tuple.
+    s, K_sq, R_sq, r_sq, rA_sq, rB_sq, rC_sq, Rr = met[:8]
+    va, vb, vc = lifted
+
+    product = plane.product
+    abs_eps, rel_eps = suite_tol.abs_eps, suite_tol.rel_eps
+    scale_len_sq = R_sq
+    scale_len = root(R_sq)
 
     zero = plane.difference(A, A)
     dist_sq, sub, dot = plane.dist_sq, plane.sub, plane.dot
@@ -699,34 +680,34 @@ def check_identity_suite(
         record(f"ninepoint_membership_{name}", dist_sq(n_pt, member), quarter_r_sq, scale_len_sq)
 
     # Feuerbach residuals and tangency kinds.
-    record("feuerbach_incircle_residual", verdicts[0][2], zero, quarter_r_sq)
-    for vertex, (_, _, residual) in zip(VERTICES, verdicts[1:]):
+    record("feuerbach_incircle_residual", verdicts[0][1], zero, quarter_r_sq)
+    for vertex, (_, residual) in zip(VERTICES, verdicts[1:]):
         record(f"feuerbach_excircle_residual_{vertex}", residual, zero, quarter_r_sq)
-    for circle, kind, _ in verdicts:
+    for circle, (kind, _) in zip(CIRCLES, verdicts):
         record_flag(f"tangency_kind_{circle}", _kind_ok(circle, kind), detail=kind.value)
     record_flag(
         "tangency_equilateral_flag",
-        not a == b == c or verdicts[0][1] is Tangency.COINCIDENT,
+        not a == b == c or verdicts[0][0] is Tangency.COINCIDENT,
     )
 
     # Scale covariance: doubling the sides multiplies squared lengths by 4
     # and keeps the residual identically zero.  Exact sides double their
     # integer form over the same L.
-    scaled = kernel_of(2 * a, 2 * b, 2 * c)
+    scaled = kernel.with_sides(2 * a, 2 * b, 2 * c)
     met_scaled = scaled.metrics()
     four_r_sq = plane.times(4, R_sq)
     record("scale_covariance_R_sq", met_scaled[2], four_r_sq, four_r_sq)
     record(
         "scale_covariance_residual",
-        residual_of(scaled, met_scaled, "incircle"),
+        scaled.residual("incircle", met_scaled),
         plane.times(2, zero),
         plane.quotient(met_scaled[2], four),
     )
 
     # Permutation equivariance: relabeling vertices permutes the excircles.
-    rotated = kernel_of(b, c, a)
+    rotated = kernel.with_sides(b, c, a)
     met_rotated = rotated.metrics()
     record("permutation_exradius", met_rotated[4], rB_sq, scale_len_sq)
-    record("permutation_residual", residual_of(rotated, met_rotated, "exA"), zero, quarter_r_sq)
+    record("permutation_residual", rotated.residual("exA", met_rotated), zero, quarter_r_sq)
 
     return SuiteReport(tuple(checks), exact)

@@ -11,16 +11,18 @@ treated as exact and promoted to ``Fraction`` at type boundaries, which
 keeps ``/`` from silently producing floats.
 
 The dispatch rule: a triangle's backend is its sides'.  ``SideLengths``
-and ``Barycentric`` hold three exact values or three floats, and a kernel
-helper reads its backend from ``SideLengths.is_exact`` (the sides-free
-``feuerbach.classify_tangency_sq`` from its three values), and then runs
-only that backend's formula, the method of that backend's kernel
-(``triangle._IntegerTriangle`` or ``triangle._FloatTriangle``, which
-share their method names); the other values it takes, such as
-distances, must be on that backend too.  Floats stay bare floats, and
-exact values stay integer pairs until one ``Fraction`` is built per
-output; the identity suite reads the pairs, or the bare floats, and
-builds a ``Fraction`` only for a failed exact check's residual.  Three
+and ``Barycentric`` hold three exact values or three floats, and each
+``SideLengths`` caches one kernel, which is its backend: the integer form
+``triangle._IntegerTriangle`` of exact sides or the float kernel
+``triangle._FloatTriangle`` of float sides.  The two share their method
+names, so a kernel helper calls the method of the sides' kernel and runs
+only that backend's formula, without asking which backend it is (the
+sides-free ``feuerbach.classify_tangency_sq`` reads its backend from its
+three values); the other values it takes, such as distances, must be on
+that backend too.  Floats stay bare floats, and exact values stay
+integer pairs until one ``Fraction`` is built per output; the identity
+suite reads the pairs, or the bare floats, and builds a ``Fraction``
+only for a failed exact check's residual.  Three
 floats or three ``Fraction``s pass an exact-type test; only other input
 (an ``int``, a subclass) reaches :func:`coerce_backend`,
 which promotes ints and raises ``TypeError`` where exact and float values

@@ -25,12 +25,19 @@ numerators and denominators as integers.
 
 A triangle's backend is its sides': ``SideLengths`` and ``Barycentric``
 hold three exact values or three floats, and the functions here take
-their other values on the sides' backend.  Each backend has one kernel,
-which holds one formula per quantity under the same method names:
-:class:`_IntegerTriangle`, whose values are unreduced integer ratios,
-and :class:`_FloatTriangle`, whose values are bare floats.  The public
-functions forward to the kernel of the sides.  The float area uses
-the sorted-operand stable product form, so near-degenerate triangles lose
+their other values on the sides' backend.  ``SideLengths`` caches one
+kernel, its backend: :class:`_IntegerTriangle`, whose values are
+unreduced integer ratios, or :class:`_FloatTriangle`, whose values are
+bare floats.  Both hold one formula per quantity, the tangency verdicts
+and residuals of Feuerbach's circles included, under the same method
+names, and both answer the same small vocabulary: the public value of a
+result (``value``, ``values``), a weight over its sum (``ratio``), the
+zero of a component (``zero``) and the kernel of other sides
+(``with_sides``).  So the public functions forward to the kernel of the
+sides without asking which one it is; only validation and the records
+that differ per backend (``point_on_side``, ``barycentric_distance_sq``,
+``exact_vertices``) still branch.  The float area uses the
+sorted-operand stable product form, so near-degenerate triangles lose
 precision only where the input data already has.
 
 :class:`FloatPlane` holds the plane constructions on bare ``(x, y)`` float
@@ -46,14 +53,17 @@ weights, which both kernels read when they are called.
 
 from __future__ import annotations
 
+import enum
 import math
 import operator
 from fractions import Fraction
-from typing import Any, NamedTuple, Optional, Sequence, Tuple
+from itertools import starmap
+from typing import Any, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .numeric import (
     DEFAULT_TOLERANCE,
     Scalar,
+    ToleranceProfile,
     coerce_backend,
     sqrt_exact,
 )
@@ -334,6 +344,10 @@ CENTER_WEIGHTS = {
 # The centers of the incircle and the excircles, whose barycentric forms
 # each SideLengths builds and the tangency kernel reads.
 CIRCLE_CENTERS = ("I", "Ea", "Eb", "Ec")
+# The circles compared with the nine-point circle, in report order: the
+# incircle, then the excircles opposite A, B and C; and each one's center.
+CIRCLES = ("incircle", "exA", "exB", "exC")
+_CENTER_OF = dict(zip(CIRCLES, CIRCLE_CENTERS))
 
 
 class SideLengths(Record):
@@ -372,16 +386,14 @@ class SideLengths(Record):
             if (value.numerator if exact else value) <= 0:
                 raise InvalidTriangleError(f"invalid side: {name} <= 0")
         if exact:
-            _checked_integer_form(self._integer_form)
+            _checked_integer_form(self._kernel)
         else:
             _check_inequalities(((a + b, c), (b + c, a), (c + a, b)))
 
     @property
     def is_equilateral(self) -> bool:
-        if self.is_exact:
-            t = self._integer_form
-            return t.a == t.b == t.c
-        return self.a == self.b == self.c
+        t = self._kernel
+        return t.a == t.b == t.c
 
     def as_tuple(self) -> Tuple[Scalar, Scalar, Scalar]:
         return (self.a, self.b, self.c)
@@ -397,9 +409,12 @@ class SideLengths(Record):
     # stale; equality and hashing still read only a, b and c.
 
     @cached
-    def _integer_form(self) -> "_IntegerTriangle":
-        """Integer form of exact sides; the exact kernel divides only when it
-        builds an output field."""
+    def _kernel(self) -> Union["_IntegerTriangle", "_FloatTriangle"]:
+        """The kernel that every quantity of the sides is read from: the
+        integer form of exact sides, which divides only when it builds an
+        output field, or the float kernel of float sides."""
+        if not self.is_exact:
+            return _float_triangle(self.a, self.b, self.c)
         a, b, c = self.as_tuple()
         L = math.lcm(a.denominator, b.denominator, c.denominator)
         return _integer_triangle(
@@ -410,31 +425,18 @@ class SideLengths(Record):
         )
 
     @cached
-    def _float_form(self) -> "_FloatTriangle":
-        """The float kernel of float sides."""
-        return _float_triangle(self.a, self.b, self.c)
-
-    @cached
     def _metrics(self) -> "TriangleMetrics":
         """K^2 = s(s-a)(s-b)(s-c), R^2 = (abc)^2 / 16K^2, r^2 = K^2/s^2,
-        r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a).
-
-        Exact sides reduce the integer kernel's ratios: one division per
-        field; float sides take the float kernel's values."""
-        if self.is_exact:
-            return TriangleMetrics(*[Fraction(n, d) for n, d in self._integer_form.metrics()])
-        return TriangleMetrics(*self._float_form.metrics())
+        r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a): the public
+        values of the kernel's, one division per exact field."""
+        t = self._kernel
+        return TriangleMetrics(*t.values(t.metrics()))
 
     @cached
     def _vertex_ninepoint_dist_sq(self) -> Tuple[Scalar, Scalar, Scalar]:
-        """|AN|^2, |BN|^2, |CN|^2: (R^2 - a^2 + b^2 + c^2)/4 and its rotations.
-
-        Exact sides reduce the integer kernel's ratios: one division per
-        value."""
-        if self.is_exact:
-            ratios = self._integer_form.vertex_ninepoint_dist_sq()
-            return tuple([Fraction(n, d) for n, d in ratios])
-        return self._float_form.vertex_ninepoint_dist_sq()
+        """|AN|^2, |BN|^2, |CN|^2: (R^2 - a^2 + b^2 + c^2)/4 and its rotations."""
+        t = self._kernel
+        return t.values(t.vertex_ninepoint_dist_sq())
 
 
 class TriangleMetrics(Record):
@@ -483,9 +485,9 @@ class _IntegerTriangle(NamedTuple):
 
     The methods are the exact kernel: each quantity has one formula, an
     unreduced ratio (num, den) of integers.  The public functions reduce
-    it to one ``Fraction``; the identity suite compares the ratios by
-    cross-multiplication.  The methods use only ring operations, so they
-    accept symbolic sides as well."""
+    it to one ``Fraction`` (:meth:`value`); the identity suite compares
+    the ratios by cross-multiplication.  The methods use only ring
+    operations, so they accept symbolic sides as well."""
 
     L: int
     a: int
@@ -497,6 +499,23 @@ class _IntegerTriangle(NamedTuple):
     w: int
     P: int
     abc: int
+
+    # The public value of a result: one reduced Fraction.  A weight over
+    # its sum is one Fraction too, and a zero component the shared zero.
+    @staticmethod
+    def value(r: Ratio) -> Fraction:
+        return Fraction(*r)
+
+    @staticmethod
+    def values(rs: Sequence[Ratio]) -> Tuple[Fraction, ...]:
+        return tuple(starmap(Fraction, rs))
+
+    ratio = staticmethod(Fraction)
+    zero = _ZERO
+
+    def with_sides(self, a: int, b: int, c: int) -> "_IntegerTriangle":
+        """The integer form of the sides a, b, c over the same L."""
+        return _integer_triangle(a, b, c, self.L)
 
     def metrics(self) -> Tuple[Ratio, ...]:
         """The fields of :class:`TriangleMetrics`, in order, as ratios.  With
@@ -541,6 +560,52 @@ class _IntegerTriangle(NamedTuple):
         """|CX|/a and |BX|/a, the B and C coordinates of the point X on BC
         with |BX| = bx and |CX| = cx."""
         return (cx[0] * self.L, cx[1] * self.a), (bx[0] * self.L, bx[1] * self.a)
+
+    def tangency_numerators(self, circle: str) -> Tuple[int, int, int]:
+        """e, 2*abc*d and d of the circle with center X and radius r_X, where
+        d is its weight sum: over 4*d^2*L^2, e + 2*abc*d is the residual
+        |XN|^2 - (R/2 - r_X)^2 and e - 2*abc*d is |XN|^2 - (R/2 + r_X)^2.
+
+        With |AN|^2 = (R^2 - a^2 + b^2 + c^2)/4 and cyclic, R^2 = (abc)^2/P and
+        weights x/d summing to 1, the barycentric distance identity gives
+        |XN|^2 = R^2/4 + q1/(4d) - q2/d^2; the radii satisfy R/2 -+ r_X =
+        (abc*d -+ P) / (2d*sqrt(P)), with the minus sign for the incircle.  So
+        over 4*P*d^2*L^2 the numerators of |XN|^2 and (R/2 -+ r_X)^2 are
+        (abc*d)^2 + P*(d*q1 - 4*q2) and (abc*d -+ P)^2; their difference is
+        P*(e +- 2*abc*d) with e = d*q1 - 4*q2 - P, and P cancels.
+        """
+        a, b, c = self.a, self.b, self.c
+        (x_a, x_b, x_c), d = CENTER_WEIGHTS[_CENTER_OF[circle]](a, b, c)
+        a_sq, b_sq, c_sq = a * a, b * b, c * c
+        q1 = x_a * (-a_sq + b_sq + c_sq) + x_b * (a_sq - b_sq + c_sq) + x_c * (a_sq + b_sq - c_sq)
+        q2 = x_b * x_c * a_sq + x_c * x_a * b_sq + x_a * x_b * c_sq
+        return d * q1 - 4 * q2 - self.P, 2 * self.abc * d, d
+
+    def decision(self, circle: str) -> Tuple["Tangency", Tuple[int, int, int]]:
+        """The circle's exact kind, decided on its numerators: |XN|^2 equals
+        (R/2 - r_X)^2 exactly when e = -2*abc*d, (R/2 + r_X)^2 when
+        e = 2*abc*d, and the radii are equal when abc*d = P; and the
+        numerators."""
+        numerators = e, two_abc_d, _ = self.tangency_numerators(circle)
+        return _exact_kind(e, -two_abc_d, two_abc_d, two_abc_d == 2 * self.P), numerators
+
+    def verdict(self, circle: str, met: Any, vertex_n: Any, tol: Any) -> Tuple["Tangency", Ratio]:
+        """The circle's kind and its :meth:`residual`, from one numerator
+        triple; exact sides need neither the metrics, the vertex-to-N
+        distances nor a tolerance."""
+        kind, numerators = self.decision(circle)
+        return kind, self._residual_ratio(circle, numerators)
+
+    def residual(self, circle: str, met: Any) -> Ratio:
+        """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2
+        for an excircle: the comparison Feuerbach's theorem makes exact."""
+        return self._residual_ratio(circle, self.tangency_numerators(circle))
+
+    def _residual_ratio(self, circle: str, numerators: Tuple[int, int, int]) -> Ratio:
+        """(e + 2*abc*d) / (4*d^2*L^2) for the incircle, e - 2*abc*d over
+        the same for an excircle."""
+        e, two_abc_d, d = numerators
+        return e + two_abc_d if circle == "incircle" else e - two_abc_d, 4 * (d * self.L) ** 2
 
     def distance_sq(
         self, x: Tuple[int, int, int], d1: int, dist: Tuple[int, int, int], d2: int
@@ -597,7 +662,8 @@ class _FloatTriangle(NamedTuple):
     of :class:`_IntegerTriangle`'s: each float quantity has one formula,
     which returns bare floats, and the public functions on float sides
     forward to it.  Each makes the float operations that those functions
-    have always made, in the same order, so no bit moves."""
+    have always made, in the same order, so no bit moves.  A ``met``
+    argument is the tuple of :meth:`metrics`."""
 
     a: float
     b: float
@@ -608,6 +674,18 @@ class _FloatTriangle(NamedTuple):
     s_c: float
     K_sq: float
     abc: float
+
+    # The public value of a result is the bare float (``float`` and
+    # ``tuple`` return a float and a tuple as they are); a weight over its
+    # sum is one true division.
+    value = staticmethod(float)
+    values = staticmethod(tuple)
+    ratio = staticmethod(operator.truediv)
+    zero = 0.0
+
+    def with_sides(self, a: float, b: float, c: float) -> "_FloatTriangle":
+        """The float kernel of the sides a, b, c."""
+        return _float_triangle(a, b, c)
 
     def _R_sq(self) -> float:
         return (self.abc * self.abc) / (16 * self.K_sq)
@@ -664,6 +742,37 @@ class _FloatTriangle(NamedTuple):
         weighted = (alpha * m_a + beta * m_b + gamma * m_c) / d2
         return weighted - (bc * (a * a) + ca * (b * b) + ab * (c * c))
 
+    def center_dist_sq(self, circle: str, vertex_n: Tuple[float, float, float]) -> float:
+        """|XN|^2 for the circle's center X, by the barycentric distance
+        identity with the vertex-to-N distances; the weights are read from
+        CENTER_WEIGHTS when called."""
+        weights = CENTER_WEIGHTS[_CENTER_OF[circle]](self.a, self.b, self.c)
+        return self.distance_sq(*weights, vertex_n, 1)
+
+    def verdict(
+        self, circle: str, met: Tuple[float, ...], vertex_n: Tuple[float, float, float], tol: Any
+    ) -> Tuple["Tangency", float]:
+        """The circle's kind, the float branch of
+        ``feuerbach.classify_tangency_sq`` within ``tol``, and its
+        :meth:`residual`, from one |XN|^2."""
+        k = CIRCLES.index(circle)
+        d_sq = self.center_dist_sq(circle, vertex_n)
+        kind = _float_decision(d_sq, met[2] / 4, met[3 + k], tol)[0]
+        return kind, self._residual_from(k, d_sq, met)
+
+    def residual(self, circle: str, met: Tuple[float, ...]) -> float:
+        """The residual of :meth:`_IntegerTriangle.residual` on float sides."""
+        d_sq = self.center_dist_sq(circle, self.vertex_ninepoint_dist_sq())
+        return self._residual_from(CIRCLES.index(circle), d_sq, met)
+
+    @staticmethod
+    def _residual_from(k: int, d_sq: float, met: Tuple[float, ...]) -> float:
+        """The residual of circle number k of CIRCLES from its |XN|^2, R^2,
+        r_X^2 and R*r_X: R^2/4 + r_X^2 -+ R*r_X; negating a float is exact,
+        so adding -R*r_X rounds as subtracting it does."""
+        mixed = met[7 + k]
+        return d_sq - (met[2] / 4 + met[3 + k] + (-mixed if k == 0 else mixed))
+
 
 def _float_triangle(a: float, b: float, c: float) -> _FloatTriangle:
     """Derived terms of float sides."""
@@ -675,6 +784,68 @@ def _conditioning(t: _FloatTriangle) -> float:
     """The conditioning of :meth:`SideLengths.conditioning` on the float
     kernel's half-sums."""
     return max(t.a, t.b, t.c) / min(t.s_a, t.s_b, t.s_c)
+
+
+class Tangency(enum.Enum):
+    INTERNAL_TANGENT = "internal_tangent"
+    EXTERNAL_TANGENT = "external_tangent"
+    COINCIDENT = "coincident"
+    NOT_TANGENT = "not_tangent"
+
+
+def _exact_kind(
+    lhs: Scalar, rhs_internal: Scalar, rhs_external: Scalar, equal_radii: bool
+) -> Tangency:
+    """The exact tangency decision: ``lhs`` against each rhs, on the
+    values or on any one affine image of all three.  Coincident is an
+    internal tangency of equal radii, that is a zero center distance."""
+    if lhs == rhs_internal:
+        return Tangency.COINCIDENT if equal_radii else Tangency.INTERNAL_TANGENT
+    if lhs == rhs_external:
+        return Tangency.EXTERNAL_TANGENT
+    return Tangency.NOT_TANGENT
+
+
+def _checked_lhs(
+    d_sq: Scalar, r1_sq: Scalar, r2_sq: Scalar, tol: ToleranceProfile, exact: bool
+) -> Scalar:
+    """The squared center distance, checked with the squared radii."""
+    if r1_sq <= 0 or r2_sq <= 0:
+        raise ValueError("squared radii must be positive")
+    if d_sq < 0:
+        # A float distance can land a hair below zero through cancellation
+        # in the upstream squared-distance evaluation; clamp that, reject
+        # anything genuinely negative (and any exact negative).
+        if exact or -d_sq > tol.bound(max(r1_sq, r2_sq)):
+            raise ValueError(f"squared center distance must be nonnegative, got {d_sq}")
+        d_sq = 0.0
+    return d_sq
+
+
+def _float_decision(
+    d_sq: float, r1_sq: float, r2_sq: float, tol: ToleranceProfile
+) -> Tuple[Tangency, float, float, float]:
+    """The float branch of ``feuerbach.classify_tangency_sq``: the kind,
+    then the checked lhs and the two right-hand sides, which only the
+    report reads."""
+    d_sq = _checked_lhs(d_sq, r1_sq, r2_sq, tol, False)
+    cross = 2.0 * math.sqrt(r1_sq * r2_sq)
+    rhs_internal = r1_sq + r2_sq - cross
+    rhs_external = r1_sq + r2_sq + cross
+    scale = max(d_sq, r1_sq, r2_sq)
+    gap_internal = abs(d_sq - rhs_internal)
+    gap_external = abs(d_sq - rhs_external)
+    internal_fits = gap_internal <= tol.bound(max(d_sq, abs(rhs_internal), scale))
+    external_fits = gap_external <= tol.bound(max(d_sq, rhs_external))
+    if d_sq <= tol.bound(scale) and abs(r1_sq - r2_sq) <= tol.bound(scale):
+        kind = Tangency.COINCIDENT
+    elif internal_fits and (not external_fits or gap_internal <= gap_external):
+        kind = Tangency.INTERNAL_TANGENT
+    elif external_fits:
+        kind = Tangency.EXTERNAL_TANGENT
+    else:
+        kind = Tangency.NOT_TANGENT
+    return kind, d_sq, rhs_internal, rhs_external
 
 
 def metrics(sides: SideLengths) -> TriangleMetrics:
@@ -746,7 +917,7 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
         bx, cx = dist_bx.as_integer_ratio(), dist_cx.as_integer_ratio()
         if bx[0] < 0 or cx[0] < 0:
             raise ValueError(f"negative distance along BC: |BX| = {dist_bx}, |CX| = {dist_cx}")
-        t = sides._integer_form  # a = t.a / t.L
+        t = sides._kernel  # a = t.a / t.L
         if (bx[0] * cx[1] + cx[0] * bx[1]) * t.L != t.a * bx[1] * cx[1]:
             raise ValueError(f"|BX| + |CX| = {dist_bx + dist_cx} does not equal a = {a}")
         beta, gamma = t.side_point(bx, cx)
@@ -756,7 +927,7 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
     total = dist_bx + dist_cx
     if abs(total - a) > DEFAULT_TOLERANCE.bound(a):
         raise ValueError(f"|BX| + |CX| = {total!r} does not equal a = {a!r}")
-    return Barycentric(0.0, *sides._float_form.side_point(dist_bx, dist_cx))
+    return Barycentric(0.0, *sides._kernel.side_point(dist_bx, dist_cx))
 
 
 def barycentric_distance_sq(
@@ -792,14 +963,14 @@ def barycentric_distance_sq(
         d1 = math.lcm(alpha.denominator, beta.denominator, gamma.denominator)
         weights = [w.numerator * (d1 // w.denominator) for w in x.components]
     if not exact:
-        return sides._float_form.distance_sq(weights, d1, (dist_ay_sq, dist_by_sq, dist_cy_sq), 1)
+        return sides._kernel.distance_sq(weights, d1, (dist_ay_sq, dist_by_sq, dist_cy_sq), 1)
     d2 = math.lcm(dist_ay_sq.denominator, dist_by_sq.denominator, dist_cy_sq.denominator)
     dist = (
         dist_ay_sq.numerator * (d2 // dist_ay_sq.denominator),
         dist_by_sq.numerator * (d2 // dist_by_sq.denominator),
         dist_cy_sq.numerator * (d2 // dist_cy_sq.denominator),
     )
-    return Fraction(*sides._integer_form.distance_sq(weights, d1, dist, d2))
+    return Fraction(*sides._kernel.distance_sq(weights, d1, dist, d2))
 
 
 def _canonical_frame(t: _IntegerTriangle) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
@@ -827,7 +998,7 @@ def exact_vertices(sides: SideLengths) -> Optional[Tuple[Point2, Point2, Point2]
     :func:`_canonical_frame`."""
     if not sides.is_exact:
         return None
-    m, frame = _canonical_frame(sides._integer_form)
+    m, frame = _canonical_frame(sides._kernel)
     if m != 1:
         return None
     return tuple(Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in frame)

@@ -256,7 +256,7 @@ def _reference_points(sides, vertices):
     va, vb, vc = vertices
     exact = sides.is_exact and all(p.is_exact for p in vertices)
     if sides.is_exact:
-        t = sides._integer_form
+        t = sides._kernel
         a, b, c = t.a, t.b, t.c
     else:
         a, b, c = sides.as_tuple()

@@ -16,8 +16,6 @@ from ninepoint.feuerbach import (
     Tangency,
     TangencyReport,
     _exact_tangency,
-    _residual_ratio,
-    _tangency_numerators,
     excircle_ninepoint_residual,
     feuerbach_report,
     incircle_ninepoint_residual,
@@ -81,14 +79,14 @@ def test_tangency_numerators_are_polynomial_identities():
     t = _integer_triangle(a, b, c, L)
     R_sq, closed = symbolic_closed_forms(sympy, a, b, c, L)
     for circle, (dist_sq, radius_sq, mixed) in closed.items():
-        e, two_abc_d, d = _tangency_numerators(t, circle)
+        e, two_abc_d, d = t.tangency_numerators(circle)
         assert sympy.expand(two_abc_d - 2 * a * b * c * d) == 0, circle
         den = 4 * t.P * d**2 * L**2
         base = R_sq / 4 + radius_sq
         assert sympy.cancel((dist_sq - (base - mixed)) * den - t.P * (e + two_abc_d)) == 0
         assert sympy.cancel((dist_sq - (base + mixed)) * den - t.P * (e - two_abc_d)) == 0
         # The residual that Feuerbach's theorem makes zero, as a ratio.
-        num, den = _residual_ratio(circle, (e, two_abc_d, d), L)
+        num, den = t.residual(circle, t.metrics())
         theorem = base - mixed if circle == "incircle" else base + mixed
         assert sympy.cancel(num / den - (dist_sq - theorem)) == 0, circle
         if circle == "incircle":
@@ -113,7 +111,7 @@ def test_cancelled_closed_forms_are_polynomial_identities():
         base = R_sq / 4 + radius_sq
         assert sympy.cancel((abc - P_over_d) ** 2 / (4 * P * L**2) - (base - mixed)) == 0
         assert sympy.cancel((abc + P_over_d) ** 2 / (4 * P * L**2) - (base + mixed)) == 0
-        e, two_abc_d, _ = _tangency_numerators(t, circle)
+        e, two_abc_d, _ = t.tangency_numerators(circle)
         residual_gap = ((e + two_abc_d) - (e - two_abc_d)) / (4 * d**2 * L**2)
         assert sympy.cancel(residual_gap - 2 * mixed) == 0, circle
 
@@ -505,7 +503,7 @@ def test_closed_form_report_matches_reduced_numerators(sides: SideLengths):
     and on NotTangent, reached here by moving abc; both residual functions
     are zero."""
     a, b, c = sides.as_tuple()
-    t, met = sides._integer_form, metrics(sides)
+    t, met = sides._kernel, metrics(sides)
     for circle, entry in zip(CIRCLES, feuerbach_report(sides).entries):
         assert entry.report == reference_report(sides, circle, a * b * c), circle
     assert incircle_ninepoint_residual(sides) == 0

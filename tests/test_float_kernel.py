@@ -25,7 +25,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ninepoint import feuerbach, harness
+from ninepoint import centers, feuerbach, harness, triangle
 from ninepoint.harness import PROFILE_KINDS, FuzzProfile, random_sides
 from ninepoint.triangle import CENTER_WEIGHTS, SideLengths, _FloatTriangle, _IntegerTriangle
 
@@ -49,6 +49,10 @@ BOUND = {
     "side_point": 0.24,
     "distance_sq": 2.71,
 }
+# The kernel's other shared names: each circle's verdict and residual, and
+# the vocabulary of the public functions (a result's public value, a weight
+# over its sum, the kernel of other sides).
+SHARED = {"verdict", "residual", "value", "values", "ratio", "with_sides"}
 
 
 def _kernel_calls(*functions):
@@ -66,15 +70,37 @@ def _kernel_calls(*functions):
 
 
 def test_both_kernels_define_every_method_the_suite_calls():
-    names = _kernel_calls(harness.check_identity_suite, feuerbach._center_dist_sq)
-    assert names == set(MEASURED)
+    # The suite and every public function that reads the sides' kernel
+    # without asking which one it is.
+    names = _kernel_calls(
+        harness.check_identity_suite,
+        SideLengths._metrics.func,
+        SideLengths._vertex_ninepoint_dist_sq.func,
+        centers.circumdot,
+        centers.bisector_foot_barycentric,
+        feuerbach._ninepoint_residual,
+    )
+    assert names == set(MEASURED) | SHARED
     for name in names:
         exact, floating = getattr(_IntegerTriangle, name), getattr(_FloatTriangle, name)
         assert callable(exact) and callable(floating), name
-        # The same argument order, under the same names.
-        assert list(inspect.signature(exact).parameters) == list(
-            inspect.signature(floating).parameters
-        ), name
+        if inspect.isfunction(floating):
+            # The same argument order, under the same names.
+            assert list(inspect.signature(exact).parameters) == list(
+                inspect.signature(floating).parameters
+            ), name
+    # The builtins of the vocabulary, checked on values: a public value is
+    # one Fraction or the float itself, a weight over its sum one Fraction
+    # or one true division, and a zero component the shared exact zero or
+    # 0.0.
+    ratios, floats = ((3, 4), (-1, 8)), (0.75, -0.125)
+    assert list(map(type, _IntegerTriangle.values(ratios))) == [Fraction, Fraction]
+    assert _IntegerTriangle.values(ratios) == floats == _FloatTriangle.values(floats)
+    assert _FloatTriangle.values(floats) is floats and _FloatTriangle.value(0.75) == 0.75
+    exact, floating = _IntegerTriangle.ratio(3, 4), _FloatTriangle.ratio(3, 4)
+    assert type(exact) is Fraction and exact == Fraction(3, 4)
+    assert type(floating) is float and floating == 0.75
+    assert _IntegerTriangle.zero is triangle._ZERO and _FloatTriangle.zero == 0.0
 
 
 def _normalized(value: float, true: Fraction, scale: Fraction) -> float:
@@ -91,8 +117,8 @@ def ratio(pair) -> Fraction:
 def shadow_errors(sides: SideLengths):
     """Per quantity, the largest normalized error of the float kernel of
     float sides against their exact shadow, over eps * cond."""
-    t = sides._float_form
-    shadow = SideLengths(*map(Fraction, sides.as_tuple()))._integer_form
+    t = sides._kernel
+    shadow = SideLengths(*map(Fraction, sides.as_tuple()))._kernel
     true_metrics = [ratio(pair) for pair in shadow.metrics()]
     R_sq = true_metrics[METRIC_FIELDS.index("R_sq")]
     errors = {}

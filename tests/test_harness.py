@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ninepoint import cli, feuerbach, harness, homogeneous, numeric
+from ninepoint import cli, harness, homogeneous, numeric
 from ninepoint.centers import CENTER_WEIGHTS, VERTICES, CenterSet, center_set
 from ninepoint.feuerbach import (
     FeuerbachEntry,
@@ -23,6 +23,7 @@ from ninepoint.harness import (
     PROFILE_KINDS,
     FuzzProfile,
     IdentityCheck,
+    _float_sides,
     _integer_sides,
     cartesian_oracle,
     check_identity_suite,
@@ -38,6 +39,7 @@ from ninepoint.triangle import (
     _canonical_frame,
     _checked_integer_form,
     _integer_triangle,
+    _IntegerTriangle,
     canonical_vertices,
     exact_vertices,
     metrics,
@@ -157,7 +159,7 @@ class TestIntegerGeneration:
             count = 500 if profile.magnitude_bound == 10 else 50
             for index in range(count):
                 t = _integer_sides(profile, index)
-                assert t == random_sides(profile, index)._integer_form, (profile, index)
+                assert t == random_sides(profile, index)._kernel, (profile, index)
 
     @pytest.mark.parametrize("faulty", [False, True], ids=["kernel", "faulty_eb"])
     def test_exact_fuzz_suite_rows_are_those_of_the_sides(self, monkeypatch, faulty):
@@ -182,8 +184,30 @@ class TestIntegerGeneration:
                 sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=2), index)
                 sides = sides.as_float()
                 vertices = tuple(as_float(p) for p in vertices)
-                direct = check_identity_suite(sides._float_form, vertices)
+                direct = check_identity_suite(sides._kernel, vertices)
                 assert direct._rows == check_identity_suite(sides, vertices)._rows, kind
+
+    def test_float_sides_are_the_exact_triangle_as_floats(self):
+        # Float fuzz builds its sides and embedding from the generator's
+        # integer form.  Bit for bit (signed zeros included), and error for
+        # error, they are the exact triangle's taken to floats: every
+        # profile at seeds 0-2, and at seed 0 with --bound 10**80.
+        def outcome(build):
+            try:
+                sides, vertices = build()
+                pairs = FloatPlane.lift(vertices)
+            except (OverflowError, ValueError) as exc:
+                return type(exc), str(exc)
+            return [v.hex() for v in sides.as_tuple()] + [x.hex() for p in pairs for x in p]
+
+        for profile in self.PROFILES:
+            if profile.seed == 3:
+                continue
+            for index in range(300 if profile.magnitude_bound == 10 else 50):
+                sides = random_sides(profile, index)
+                t = _integer_sides(profile, index)
+                old = outcome(lambda: (sides.as_float(), canonical_vertices(sides)))
+                assert outcome(lambda: _float_sides(t)) == old, (profile, index)
 
     def test_near_degenerate_retries_as_side_lengths_refuses(self):
         # The generator's check is SideLengths' own: the triples it skips
@@ -445,7 +469,7 @@ class TestExactSuitePath:
                 sys.setprofile(None)
             assert report.passed and report.exact
         assert calls == []
-        frame_metrics = [_canonical_frame(sides._integer_form)[0] for sides in triangles]
+        frame_metrics = [_canonical_frame(sides._kernel)[0] for sides in triangles]
         assert kind == "generic" or any(m != 1 for m in frame_metrics)
 
     @pytest.mark.parametrize("kind", ["generic", "near-degenerate", "near-equilateral"])
@@ -473,14 +497,13 @@ class TestExactSuitePath:
         # four circles, then the doubled triangle's incircle and the
         # rotated triangle's excircle opposite A.
         calls = [0]
-        original = feuerbach._tangency_numerators
+        original = _IntegerTriangle.tangency_numerators
 
         def counting(t, circle):
             calls[0] += 1
             return original(t, circle)
 
-        for module in (feuerbach, harness):
-            monkeypatch.setattr(module, "_tangency_numerators", counting)
+        monkeypatch.setattr(_IntegerTriangle, "tangency_numerators", counting)
         for kind in PROFILE_KINDS:
             for index in range(4):
                 calls[0] = 0

@@ -142,7 +142,7 @@ def test_a_frame_with_a_metric_has_no_cartesian_exit():
     # 2, 3, 4 has P = 9 * 5 * 3 * 1 = 135, not a square: the altitude is
     # irrational, and the frame's t = y/sqrt(135).
     sides = SideLengths(2, 3, 4)
-    m, (va, vb, vc) = _canonical_frame(sides._integer_form)
+    m, (va, vb, vc) = _canonical_frame(sides._kernel)
     frame = homogeneous.Plane(m)
     assert m == 135
     edges = ((vb, vc), (vc, va), (va, vb))

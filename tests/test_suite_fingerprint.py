@@ -85,7 +85,7 @@ def test_cases_take_their_branches():
     # m = 1 (Cartesian) and m != 1, and float sides on float vertices.
     for name, cartesian in (("generic_exact", True), ("neardegen_exact_irrational_frame", False)):
         sides, embedding = CASES[name]()
-        m, _ = _canonical_frame(sides._integer_form)
+        m, _ = _canonical_frame(sides._kernel)
         assert sides.is_exact and embedding is None and (m == 1) == cartesian
         assert check_identity_suite(sides, embedding).exact
     float_sides, float_vertices = CASES["neardegen_float"]()
