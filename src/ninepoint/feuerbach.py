@@ -290,7 +290,7 @@ def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2 for an
     excircle: the comparison Feuerbach's theorem makes exact."""
     t = sides._kernel
-    return t.value(t.residual(circle, t.metrics()))
+    return t.value(t.residual(circle))
 
 
 def incircle_ninepoint_residual(sides: SideLengths) -> Scalar:

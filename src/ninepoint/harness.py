@@ -45,8 +45,8 @@ The suite reads the kernel of the sides under the same method names on
 both backends (``metrics``, ``vertex_ninepoint_dist_sq``, ``circumdot``,
 ``side_point``, ``distance_sq``, each circle's ``verdict`` and
 ``residual``, and ``with_sides`` for the scaled and rotated triangles),
-so only its plane, its vertices, its tolerance and its scalar constants
-are chosen per backend.  It unpacks the metrics tuple rather than
+so only its plane, its vertices, its tolerance, its scalar constants and
+the way it records a comparison are chosen per backend.  It unpacks the metrics tuple rather than
 building a ``TriangleMetrics``, and it computes each value once: each
 circle's kind and residual, the vertex-to-O and vertex-to-N distances,
 and the three side lines serve every row that reads them.  On exact
@@ -699,7 +699,7 @@ def check_identity_suite(
     record("scale_covariance_R_sq", met_scaled[2], four_r_sq, four_r_sq)
     record(
         "scale_covariance_residual",
-        scaled.residual("incircle", met_scaled),
+        scaled.residual("incircle"),
         plane.times(2, zero),
         plane.quotient(met_scaled[2], four),
     )
@@ -708,6 +708,6 @@ def check_identity_suite(
     rotated = kernel.with_sides(b, c, a)
     met_rotated = rotated.metrics()
     record("permutation_exradius", met_rotated[4], rB_sq, scale_len_sq)
-    record("permutation_residual", rotated.residual("exA", met_rotated), zero, quarter_r_sq)
+    record("permutation_residual", rotated.residual("exA"), zero, quarter_r_sq)
 
     return SuiteReport(tuple(checks), exact)

@@ -596,7 +596,7 @@ class _IntegerTriangle(NamedTuple):
         kind, numerators = self.decision(circle)
         return kind, self._residual_ratio(circle, numerators)
 
-    def residual(self, circle: str, met: Any) -> Ratio:
+    def residual(self, circle: str) -> Ratio:
         """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2
         for an excircle: the comparison Feuerbach's theorem makes exact."""
         return self._residual_ratio(circle, self.tangency_numerators(circle))
@@ -760,10 +760,10 @@ class _FloatTriangle(NamedTuple):
         kind = _float_decision(d_sq, met[2] / 4, met[3 + k], tol)[0]
         return kind, self._residual_from(k, d_sq, met)
 
-    def residual(self, circle: str, met: Tuple[float, ...]) -> float:
+    def residual(self, circle: str) -> float:
         """The residual of :meth:`_IntegerTriangle.residual` on float sides."""
         d_sq = self.center_dist_sq(circle, self.vertex_ninepoint_dist_sq())
-        return self._residual_from(CIRCLES.index(circle), d_sq, met)
+        return self._residual_from(CIRCLES.index(circle), d_sq, self.metrics())
 
     @staticmethod
     def _residual_from(k: int, d_sq: float, met: Tuple[float, ...]) -> float:

@@ -86,7 +86,7 @@ def test_tangency_numerators_are_polynomial_identities():
         assert sympy.cancel((dist_sq - (base - mixed)) * den - t.P * (e + two_abc_d)) == 0
         assert sympy.cancel((dist_sq - (base + mixed)) * den - t.P * (e - two_abc_d)) == 0
         # The residual that Feuerbach's theorem makes zero, as a ratio.
-        num, den = t.residual(circle, t.metrics())
+        num, den = t.residual(circle)
         theorem = base - mixed if circle == "incircle" else base + mixed
         assert sympy.cancel(num / den - (dist_sq - theorem)) == 0, circle
         if circle == "incircle":
