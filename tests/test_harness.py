@@ -2,6 +2,7 @@
 
 import abc
 import fractions
+import math
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from ninepoint.triangle import (
     SideLengths,
     _canonical_frame,
     _checked_integer_form,
+    _FloatTriangle,
     _integer_triangle,
     _IntegerTriangle,
     canonical_vertices,
@@ -663,6 +665,66 @@ class TestIdentitySuite:
         assert len(report.checks) == 87
         assert all(type(check) is IdentityCheck for check in report.checks)
         assert calls == [0]
+
+    # A float check's verdict and residual on special operands: (x, y, w)
+    # go into the four rows that read the scaled and rotated triangles, as
+    # (x, 4R^2, 4R^2), (y, 0.0, x/4), (w, r_B^2, R^2) and (y, 0.0, R^2/4) of
+    # the 3-4-5 triangle (lhs, rhs, scale), with each row's passed flag and
+    # float.hex residual as the abs/max form computes them.  A NaN never
+    # becomes the floor max(1, |scale|, |lhs|, |rhs|), an infinite gap
+    # passes within an infinite floor with a NaN residual, and a -0.0 gap
+    # gives a +0.0 residual.
+    ROW_CHECK_CASES = [
+        ((0.0, -math.inf, -0.25),
+         [(False, "0x1.0000000000000p+0"), (True, "nan"),
+          (False, "0x1.071c71c71c71cp+0"), (True, "nan")]),
+        ((-0.0, math.nan, 7.5),
+         [(False, "0x1.0000000000000p+0"), (False, "nan"),
+          (False, "0x1.5555555555555p-3"), (False, "nan")]),
+        ((math.inf, 0.25, -7.5),
+         [(True, "nan"), (True, "0x0.0p+0"),
+          (False, "0x1.d555555555555p+0"), (False, "0x1.47ae147ae147bp-3")]),
+        ((-math.inf, -0.25, 1e300),
+         [(True, "nan"), (True, "0x0.0p+0"),
+          (False, "0x1.0000000000000p+0"), (False, "0x1.47ae147ae147bp-3")]),
+        ((math.nan, 7.5, 0.0),
+         [(False, "nan"), (False, "0x1.0000000000000p+0"),
+          (False, "0x1.0000000000000p+0"), (False, "0x1.0000000000000p+0")]),
+        ((0.25, -7.5, -0.0),
+         [(False, "0x1.fae147ae147aep-1"), (False, "0x1.0000000000000p+0"),
+          (False, "0x1.0000000000000p+0"), (False, "0x1.0000000000000p+0")]),
+        ((-0.25, 1e300, math.inf),
+         [(False, "0x1.028f5c28f5c29p+0"), (False, "0x1.0000000000000p+0"),
+          (True, "nan"), (False, "0x1.0000000000000p+0")]),
+        ((7.5, 0.0, -math.inf),
+         [(False, "0x1.6666666666666p-1"), (True, "0x0.0p+0"),
+          (True, "nan"), (True, "0x0.0p+0")]),
+        ((-7.5, -0.0, math.nan),
+         [(False, "0x1.4cccccccccccdp+0"), (True, "0x0.0p+0"),
+          (False, "nan"), (True, "0x0.0p+0")]),
+        ((1e300, math.inf, 0.25),
+         [(False, "0x1.0000000000000p+0"), (True, "nan"),
+          (False, "0x1.f1c71c71c71c7p-1"), (True, "nan")]),
+    ]
+
+    @pytest.mark.parametrize("operands, expected", ROW_CHECK_CASES)
+    def test_float_row_check_on_special_operands(self, monkeypatch, operands, expected):
+        x, y, w = operands
+
+        class Injected:
+            def metrics(self):
+                return (0.0, 0.0, x, 0.0, w)
+
+            def residual(self, circle):
+                return y
+
+        monkeypatch.setattr(_FloatTriangle, "with_sides", lambda self, a, b, c: Injected())
+        sides = SideLengths(3.0, 4.0, 5.0)
+        report = check_identity_suite(sides, canonical_vertices(sides))
+        rows = {check.name: check for check in report.checks}
+        names = ("scale_covariance_R_sq", "scale_covariance_residual",
+                 "permutation_exradius", "permutation_residual")
+        assert [(rows[n].passed, rows[n].residual.hex()) for n in names] == expected
 
     def test_identity_check_is_an_immutable_record(self):
         check = IdentityCheck("x", True, 0.0)

@@ -1,4 +1,4 @@
-"""The identity suite check by check: for six cases, every check's
+"""The identity suite check by check: for eight cases, every check's
 name, verdict, residual (as ``float.hex``) and detail, in order, must equal
 tests/golden/suite_fingerprint.json.
 
@@ -11,7 +11,10 @@ metric x^2 + m*t^2 with m != 1), the same triangle on floats with its
 float vertices, the generic triangle on floats, and the exact generic and
 the float near-degenerate triangle with a kernel fault (the excenter Eb
 built with the weights of Ec), which pin the residuals of failed checks
-and that both kernels read the weight table when they are called.  After
+and that both kernels read the weight table when they are called.  The
+equilateral triangle 3, 3, 3, exact on its own frame and on floats with
+its float vertices, pins the ``tangency_equilateral_flag`` row and the
+coincident incircle of both kernels, which no fuzz profile generates.  After
 an intended change, rewrite the golden with
 
     PYTHONPATH=src python tests/test_suite_fingerprint.py
@@ -26,7 +29,7 @@ import pytest
 
 from ninepoint.centers import CENTER_WEIGHTS
 from ninepoint.harness import FuzzProfile, check_identity_suite, random_triangle
-from ninepoint.triangle import _canonical_frame
+from ninepoint.triangle import SideLengths, _canonical_frame, canonical_vertices
 from point2_reference import as_float
 
 GOLDEN = Path(__file__).parent / "golden" / "suite_fingerprint.json"
@@ -41,6 +44,13 @@ def _case(kind: str, seed: int, on_floats: bool):
     return sides, None
 
 
+def _equilateral(on_floats: bool):
+    if on_floats:
+        sides = SideLengths(3.0, 3.0, 3.0)
+        return sides, canonical_vertices(sides)
+    return SideLengths(3, 3, 3), None
+
+
 @contextmanager
 def _eb_weighted_as_ec():
     saved = CENTER_WEIGHTS["Eb"]
@@ -52,6 +62,8 @@ def _eb_weighted_as_ec():
 
 
 CASES = {
+    "equilateral_exact": lambda: _equilateral(False),
+    "equilateral_float": lambda: _equilateral(True),
     "generic_exact": lambda: _case("generic", 4, False),
     "generic_exact_faulty_eb": lambda: _case("generic", 4, False),
     "generic_float": lambda: _case("generic", 4, True),
@@ -91,6 +103,13 @@ def test_cases_take_their_branches():
     float_sides, float_vertices = CASES["neardegen_float"]()
     assert not float_sides.is_exact and not any(p.is_exact for p in float_vertices)
     assert not check_identity_suite(float_sides, float_vertices).exact
+    # Both kernels take the equilateral triangle's incircle as coincident.
+    for name, exact in (("equilateral_exact", True), ("equilateral_float", False)):
+        report = check_identity_suite(*CASES[name]())
+        assert report.exact == exact
+        assert [c.detail for c in report.checks if c.name == "tangency_kind_incircle"] == [
+            "coincident"
+        ]
 
 
 if __name__ == "__main__":
