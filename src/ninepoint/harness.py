@@ -19,7 +19,8 @@ exact ``fuzz`` hands to the suite as its kernel, with no ``Fraction``
 built; ``random_sides`` wraps it in a ``SideLengths``.  Float ``fuzz``
 takes the same form to floats (``_float_sides``): each side and each
 coordinate of a Cartesian frame is one integer true division, so its
-float triangle is ``random_triangle``'s, bit for bit.  The exact
+float triangle is ``random_triangle``'s, bit for bit, and it hands the
+suite its vertices as float pairs, with no ``Point2`` built.  The exact
 carrier is integer homogeneous coordinates
 (:class:`ninepoint.homogeneous.Plane`): lines are joins, intersections are
 meets, a unit direction takes one ``isqrt``, and a comparison is a
@@ -92,12 +93,14 @@ from .triangle import (
     CIRCLES,
     FloatPlane,
     InvalidTriangleError,
+    Pair,
     Point2,
     SideLengths,
     Tangency,
     _canonical_frame,
     _checked_integer_form,
     _conditioning,
+    _float_embedding,
     _FloatTriangle,
     _integer_triangle,
     _IntegerTriangle,
@@ -271,18 +274,22 @@ def random_sides(profile: FuzzProfile, index: int) -> SideLengths:
     return SideLengths(Fraction(t.a, t.L), Fraction(t.b, t.L), Fraction(t.c, t.L))
 
 
-def _float_sides(t: _IntegerTriangle) -> Tuple[SideLengths, Tuple[Point2, Point2, Point2]]:
-    """The float sides of an integer form and their canonical embedding:
-    those of ``random_triangle`` taken to floats, bit for bit, which float
-    ``fuzz`` hands to the suite.  Integer true division rounds as
-    ``float()`` of a ``Fraction`` does, and raises ``OverflowError`` where
-    it does.  A Cartesian frame (m = 1) divides each coordinate by its
-    weight; otherwise the float sides are embedded."""
+def _float_sides(t: _IntegerTriangle) -> Tuple[SideLengths, Tuple[Pair, Pair, Pair]]:
+    """The float sides of an integer form and their canonical embedding as
+    float pairs (x, y): those of ``random_triangle`` taken to floats, bit
+    for bit, which float ``fuzz`` hands to the suite with no ``Point2``
+    built.  Integer true division rounds as ``float()`` of a ``Fraction``
+    does, and raises ``OverflowError`` where it does.  A Cartesian frame
+    (m = 1) divides each coordinate by its weight; otherwise the float
+    sides are embedded (:func:`~ninepoint.triangle._float_embedding`, the
+    float half of ``canonical_vertices``), whose apex is checked as
+    ``Point2`` checks it, with the same error; a quotient of integers is
+    finite or raises."""
     sides = SideLengths(t.a / t.L, t.b / t.L, t.c / t.L)
     m, frame = _canonical_frame(t)
     if m != 1:
-        return sides, canonical_vertices(sides)
-    return sides, tuple([Point2(x / w, y / w) for x, y, w in frame])
+        return sides, _float_embedding(sides.a, sides.b, sides.c)
+    return sides, tuple([(x / w, y / w) for x, y, w in frame])
 
 
 def random_triangle(
@@ -450,7 +457,7 @@ def _ratio(n: int, d: int) -> Tuple[int, int]:
 
 def check_identity_suite(
     sides: Union[SideLengths, _IntegerTriangle, _FloatTriangle],
-    embedding: Optional[Tuple[Point2, Point2, Point2]],
+    embedding: Optional[Tuple[Union[Point2, Pair], ...]],
     tol: ToleranceProfile = DEFAULT_TOLERANCE,
 ) -> SuiteReport:
     """Run every cross-check of kernel formulas against the oracle.
@@ -467,8 +474,11 @@ def check_identity_suite(
     exact equality, made by cross-multiplication, and so are the suite's
     own products of kernel values, and a ``Fraction`` and a float are
     taken only for the residual of a failed check.  Float sides need an
-    embedding, whose vertices they take as floats and which must reproduce
-    the sides, read the float kernel's bare floats, and compare with a
+    embedding, which must reproduce the sides: three ``Point2`` vertices,
+    whose coordinates they take as floats (``FloatPlane.lift``), or three
+    finite float pairs ``(x, y)``, taken as they are, as float ``fuzz``
+    hands them (:func:`_float_sides`).  They read the float kernel's bare
+    floats, and compare with a
     conditioning-aware tolerance: first-order error analysis puts rounding
     growth at O(eps * conditioning^2), so the relative bound is
     ``tol.rel_eps + 64 * eps * conditioning^2``.  The kinds are decided
@@ -476,24 +486,32 @@ def check_identity_suite(
     raises before the embedding is compared.
     """
     checks: List[Row] = []
+    append = checks.append
 
     def record_ratio(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
         # A t coordinate of a frame with m != 1 compares as its ratio t/w.
         n1, d1, n2, d2 = lhs[0], lhs[1], rhs[0], rhs[1]
         if n1 * d2 == n2 * d1:
-            checks.append((name, True, 0.0, detail))
+            append((name, True, 0.0, detail))
             return
         m = lhs[2] if type(lhs) is homogeneous._TCoordinate else 1
-        checks.append((name, False, _exact_residual((n1, d1), (n2, d2), m, scale), detail))
+        append((name, False, _exact_residual((n1, d1), (n2, d2), m, scale), detail))
 
     def record_float(name: str, lhs: float, rhs: float, scale: float, detail: str = "") -> None:
         gap = abs(lhs - rhs)
-        scale_f = max(1.0, abs(scale), abs(lhs), abs(rhs))
-        ok = gap <= abs_eps + rel_eps * scale_f  # suite_tol.bound(scale_f); scale_f >= 1
-        checks.append((name, ok, gap / scale_f, detail))
+        # floor = max(1.0, |scale|, |lhs|, |rhs|), compared in max's order
+        # without its call, so a NaN never replaces it either.
+        x = abs(scale)
+        floor = x if x > 1.0 else 1.0
+        x = abs(lhs)
+        floor = x if x > floor else floor
+        x = abs(rhs)
+        floor = x if x > floor else floor
+        # suite_tol.bound(floor), as floor >= 1
+        append((name, gap <= abs_eps + rel_eps * floor, gap / floor, detail))
 
     def record_flag(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, ok, 0.0 if ok else math.inf, detail))
+        append((name, ok, 0.0 if ok else math.inf, detail))
 
     kernel = sides._kernel if isinstance(sides, SideLengths) else sides
     exact = type(kernel) is _IntegerTriangle
@@ -515,7 +533,7 @@ def check_identity_suite(
         if embedding is None:
             raise ValueError("float sides need an embedding")
         plane, suite_tol = FloatPlane, _conditioned(kernel, tol)
-        lifted = plane.lift(embedding)
+        lifted = embedding if type(embedding[0]) is tuple else plane.lift(embedding)
         A, B, C = a, b, c
         two, four = 2, 4
         ratio = signed = operator.truediv

@@ -398,9 +398,6 @@ class SideLengths(Record):
     def as_tuple(self) -> Tuple[Scalar, Scalar, Scalar]:
         return (self.a, self.b, self.c)
 
-    def as_float(self) -> "SideLengths":
-        return SideLengths(float(self.a), float(self.b), float(self.c))
-
     def conditioning(self) -> float:
         """max side over min(s - a, s - b, s - c); large means near-degenerate."""
         return _conditioning(_float_triangle(float(self.a), float(self.b), float(self.c)))
@@ -725,11 +722,13 @@ class _FloatTriangle(NamedTuple):
         self, x: Tuple[Any, Any, Any], d1: Any, dist: Tuple[float, float, float], d2: Any
     ) -> float:
         """|XY|^2 by the barycentric distance identity, for X = x/d1 and Y
-        at squared distances dist/d2 from A, B and C.  Integer weights
-        (exact weights over their lcm) round each weight and each weight
-        product once, by integer true division, as ``float()`` of the
-        ``Fraction`` does; float weights multiply their rounded quotients.
-        Wherever d2 is 1, its division is exact."""
+        at squared distances dist from A, B and C.  Integer weights (exact
+        weights over their lcm) round each weight and each weight product
+        once, by integer true division, as ``float()`` of the ``Fraction``
+        does; float weights multiply their rounded quotients.  Float
+        distances take no denominator: d2 is 1 from every caller, and the
+        parameter stays so that the identity suite makes one call for both
+        kernels."""
         x_a, x_b, x_c = x
         alpha, beta, gamma = x_a / d1, x_b / d1, x_c / d1
         if type(d1) is int:
@@ -739,7 +738,7 @@ class _FloatTriangle(NamedTuple):
             bc, ca, ab = beta * gamma, gamma * alpha, alpha * beta
         m_a, m_b, m_c = dist
         a, b, c = self.a, self.b, self.c
-        weighted = (alpha * m_a + beta * m_b + gamma * m_c) / d2
+        weighted = alpha * m_a + beta * m_b + gamma * m_c
         return weighted - (bc * (a * a) + ca * (b * b) + ab * (c * c))
 
     def center_dist_sq(self, circle: str, vertex_n: Tuple[float, float, float]) -> float:
@@ -827,17 +826,20 @@ def _float_decision(
 ) -> Tuple[Tangency, float, float, float]:
     """The float branch of ``feuerbach.classify_tangency_sq``: the kind,
     then the checked lhs and the two right-hand sides, which only the
-    report reads."""
+    report reads.  Each bound is ``tol.bound(x)``'s expression, written
+    out."""
     d_sq = _checked_lhs(d_sq, r1_sq, r2_sq, tol, False)
+    abs_eps, rel_eps = tol.abs_eps, tol.rel_eps
     cross = 2.0 * math.sqrt(r1_sq * r2_sq)
     rhs_internal = r1_sq + r2_sq - cross
     rhs_external = r1_sq + r2_sq + cross
     scale = max(d_sq, r1_sq, r2_sq)
     gap_internal = abs(d_sq - rhs_internal)
     gap_external = abs(d_sq - rhs_external)
-    internal_fits = gap_internal <= tol.bound(max(d_sq, abs(rhs_internal), scale))
-    external_fits = gap_external <= tol.bound(max(d_sq, rhs_external))
-    if d_sq <= tol.bound(scale) and abs(r1_sq - r2_sq) <= tol.bound(scale):
+    internal_fits = gap_internal <= abs_eps + rel_eps * abs(max(d_sq, abs(rhs_internal), scale))
+    external_fits = gap_external <= abs_eps + rel_eps * abs(max(d_sq, rhs_external))
+    scale_bound = abs_eps + rel_eps * abs(scale)
+    if d_sq <= scale_bound and abs(r1_sq - r2_sq) <= scale_bound:
         kind = Tangency.COINCIDENT
     elif internal_fits and (not external_fits or gap_internal <= gap_external):
         kind = Tangency.INTERNAL_TANGENT
@@ -1004,18 +1006,24 @@ def exact_vertices(sides: SideLengths) -> Optional[Tuple[Point2, Point2, Point2]
     return tuple(Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in frame)
 
 
+def _float_embedding(a: float, b: float, c: float) -> Tuple[Pair, Pair, Pair]:
+    """The canonical embedding of float sides as float pairs (A, B, C).  A
+    is checked by :func:`_pair` as ``Point2`` checks it; B = (a, 0) and
+    C = (0, 0) are finite, as a float side is."""
+    x = (a * a + b * b - c * c) / (2.0 * a)
+    # Altitude via the stable area, not b^2 - x^2 (catastrophic when flat).
+    k_sq = _area_sq_16(a, b, c) / 16.0
+    y = 2.0 * math.sqrt(k_sq) / a
+    return (_pair(x, y), (a, 0.0), (0.0, 0.0))
+
+
 def canonical_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:
     """Embedding with C at the origin, B on the positive x-axis, A above:
     :func:`exact_vertices` where it exists, floats otherwise."""
     exact = exact_vertices(sides)
     if exact is not None:
         return exact
-    a, b, c = (float(v) for v in sides.as_tuple())
-    x = (a * a + b * b - c * c) / (2.0 * a)
-    # Altitude via the stable area, not b^2 - x^2 (catastrophic when flat).
-    k_sq = _area_sq_16(a, b, c) / 16.0
-    y = 2.0 * math.sqrt(k_sq) / a
-    return (Point2(x, y), Point2(a, 0.0), Point2(0.0, 0.0))
+    return tuple([Point2(x, y) for x, y in _float_embedding(*map(float, sides.as_tuple()))])
 
 
 def sides_from_vertices(vertex_a: Point2, vertex_b: Point2, vertex_c: Point2) -> SideLengths:

@@ -6,11 +6,12 @@ kernel runs its constructions on a plane (``FloatPlane`` pairs or
 the reference forms those planes are held to, bit for bit: each takes the
 float or ``Fraction`` operations, in order, that the former ``Point2``
 methods took, and builds its result through the ``Point2`` constructor and
-its finiteness check.
+its finiteness check.  ``float_sides`` takes exact sides to floats, as the
+former ``SideLengths.as_float`` did.
 """
 
 from ninepoint.numeric import coerce_scalar
-from ninepoint.triangle import Barycentric, Point2
+from ninepoint.triangle import Barycentric, Point2, SideLengths
 
 
 def add(p, q):
@@ -36,6 +37,10 @@ def cross(p, q):
 
 def as_float(p):
     return Point2(float(p.x), float(p.y))
+
+
+def float_sides(sides):
+    return SideLengths(*map(float, sides.as_tuple()))
 
 
 def cartesian_to_barycentric(point, vertex_a, vertex_b, vertex_c):

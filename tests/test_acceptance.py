@@ -27,7 +27,7 @@ from ninepoint.triangle import (
     barycentric_distance_sq,
     metrics,
 )
-from point2_reference import add, as_float, dot, scaled, sub
+from point2_reference import add, as_float, dot, float_sides, scaled, sub
 
 F = Fraction
 
@@ -153,7 +153,7 @@ def test_criterion_06_ninepoint_membership(generic_corpus):
         if sides.conditioning() > 1e3:
             continue
         checked += 1
-        fsides = sides.as_float()
+        fsides = float_sides(sides)
         va, vb, vc = (as_float(p) for p in vertices)
         quarter = float(metrics(fsides).R_sq) / 4.0
         n_pt = center_set(fsides, (va, vb, vc)).points["N"]
@@ -171,7 +171,7 @@ def test_criterion_07_near_degenerate_float_residuals():
         sides, _ = random_triangle(profile, i)
         cond = sides.conditioning()
         assert cond <= 1e6, f"profile exceeded its conditioning envelope at index {i}"
-        report = feuerbach_report(sides.as_float())
+        report = feuerbach_report(float_sides(sides))
         worst = max(worst, report.max_normalized_residual)
         worst_cond = max(worst_cond, cond)
     assert worst <= 1e-6, f"max normalized residual {worst:.3e}"

@@ -3,10 +3,13 @@ line, the functions called at least once per triangle with their calls
 per triangle, and the total; its compare mode lists the functions whose
 calls differ between two source trees."""
 
+import contextlib
 import importlib.util
+import io
 import re
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +55,34 @@ def test_float_job_builds_one_integer_form_and_no_fraction():
     counts = call_counts.count_calls(cli.main, call_counts.JOBS[1])
     assert counts["ninepoint.triangle._integer_triangle"] == call_counts.COUNT
     assert [name for name in counts if name.startswith("fractions.")] == []
+
+
+def test_float_job_hands_the_suite_float_pairs(monkeypatch):
+    # Float fuzz embeds its triangle as float pairs, so no Point2 is built
+    # and none is lifted, and the tangency decision writes its bounds out:
+    # the two calls per triangle left are the suite's bisector-foot bound
+    # and the sum check of its incenter round trip.
+    # The calls are counted by wrapping, because Python 3.10 names every
+    # __init__ of a module alike in the profile hook.
+    from ninepoint import cli
+    from ninepoint.numeric import ToleranceProfile
+    from ninepoint.triangle import FloatPlane, Point2
+
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(Point2, "__init__", counted("Point2", Point2.__init__))
+    monkeypatch.setattr(FloatPlane, "lift", staticmethod(counted("lift", FloatPlane.lift)))
+    monkeypatch.setattr(ToleranceProfile, "bound", counted("bound", ToleranceProfile.bound))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(list(call_counts.JOBS[1])) == 0
+    assert calls["Point2"] == 0 and calls["lift"] == 0
+    assert 0 < calls["bound"] <= 2 * call_counts.COUNT
 
 
 def test_usage():

@@ -28,7 +28,7 @@ from ninepoint.triangle import (
     canonical_vertices,
     metrics,
 )
-from point2_reference import add, as_float, dot, scaled, sub
+from point2_reference import add, as_float, dot, float_sides, scaled, sub
 
 F = Fraction
 
@@ -293,14 +293,14 @@ class TestOneConstruction:
         # Exact sides: exact vertices when the altitude is rational, float
         # vertices otherwise; then the same triangle on floats.
         _assert_matches_reference(sides, canonical_vertices(sides))
-        floats = sides.as_float()
+        floats = float_sides(sides)
         _assert_matches_reference(floats, canonical_vertices(floats))
 
     @given(st.sampled_from(PROFILE_KINDS), st.integers(0, 10**6), st.integers(0, 50))
     def test_fuzz_profiles(self, kind: str, seed: int, index: int):
         sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), index)
         _assert_matches_reference(sides, vertices)
-        floats = sides.as_float()
+        floats = float_sides(sides)
         _assert_matches_reference(floats, canonical_vertices(floats))
 
     def test_exact_sides_with_float_embedding(self):
@@ -312,7 +312,7 @@ class TestOneConstruction:
 
     def test_mixed_input_gives_float_centers(self, triangle345):
         sides, vertices = triangle345
-        centers = center_set(sides.as_float(), vertices)
+        centers = center_set(float_sides(sides), vertices)
         assert len(centers.points) == 8
         for label, point in centers.points.items():
             assert type(point.x) is float and type(point.y) is float, label
@@ -356,13 +356,13 @@ class TestIntegerClosedForms:
     @given(rational_sides)
     def test_rational_sides(self, sides: SideLengths):
         self._assert_matches_reference(sides)
-        self._assert_matches_reference(sides.as_float())
+        self._assert_matches_reference(float_sides(sides))
 
     @pytest.mark.parametrize("triple", [(3, 4, 5), (2, 3, 4), (1, 1, 1), huge])
     def test_fixed_sides(self, triple):
         sides = SideLengths(*triple)
         self._assert_matches_reference(sides)
-        self._assert_matches_reference(sides.as_float())
+        self._assert_matches_reference(float_sides(sides))
 
     def test_one_fraction_per_value(self, monkeypatch):
         sides = SideLengths(*self.huge)

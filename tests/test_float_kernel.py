@@ -29,6 +29,8 @@ from ninepoint import centers, feuerbach, harness, triangle
 from ninepoint.harness import PROFILE_KINDS, FuzzProfile, random_sides
 from ninepoint.triangle import CENTER_WEIGHTS, SideLengths, _FloatTriangle, _IntegerTriangle
 
+from point2_reference import float_sides
+
 EPS = sys.float_info.epsilon
 KERNEL_NAMES = ("kernel", "t", "scaled", "rotated")
 METRIC_FIELDS = ("s", "K_sq", "R_sq", "r_sq", "rA_sq", "rB_sq", "rC_sq", "Rr", "RrA", "RrB", "RrC")
@@ -156,7 +158,7 @@ def shadow_errors(sides: SideLengths):
 
 
 def _float_sides(kind: str, seed: int, index: int) -> SideLengths:
-    return random_sides(FuzzProfile(kind=kind, seed=seed), index).as_float()
+    return float_sides(random_sides(FuzzProfile(kind=kind, seed=seed), index))
 
 
 @settings(max_examples=150, deadline=None)

@@ -47,7 +47,7 @@ from ninepoint.triangle import (
     metrics,
 )
 
-from point2_reference import as_float
+from point2_reference import as_float, float_sides
 from test_triangle import FRACTION_ARITHMETIC, count_fraction_calls
 
 F = Fraction
@@ -184,23 +184,27 @@ class TestIntegerGeneration:
         for kind in PROFILE_KINDS:
             for index in range(20):
                 sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=2), index)
-                sides = sides.as_float()
+                sides = float_sides(sides)
                 vertices = tuple(as_float(p) for p in vertices)
                 direct = check_identity_suite(sides._kernel, vertices)
                 assert direct._rows == check_identity_suite(sides, vertices)._rows, kind
 
     def test_float_sides_are_the_exact_triangle_as_floats(self):
-        # Float fuzz builds its sides and embedding from the generator's
-        # integer form.  Bit for bit (signed zeros included), and error for
-        # error, they are the exact triangle's taken to floats: every
-        # profile at seeds 0-2, and at seed 0 with --bound 10**80.
+        # Float fuzz builds its sides and embedding, as float pairs, from the
+        # generator's integer form.  Bit for bit (signed zeros included), and
+        # error for error, they are the exact triangle's taken to floats:
+        # every profile at seeds 0-2, and at seed 0 with --bound 10**80.
         def outcome(build):
             try:
-                sides, vertices = build()
-                pairs = FloatPlane.lift(vertices)
+                sides, pairs = build()
             except (OverflowError, ValueError) as exc:
                 return type(exc), str(exc)
+            assert all(type(p) is tuple and len(p) == 2 for p in pairs)
             return [v.hex() for v in sides.as_tuple()] + [x.hex() for p in pairs for x in p]
+
+        def lifted(sides):
+            floats, vertices = float_sides(sides), canonical_vertices(sides)
+            return floats, FloatPlane.lift(vertices)
 
         for profile in self.PROFILES:
             if profile.seed == 3:
@@ -208,7 +212,7 @@ class TestIntegerGeneration:
             for index in range(300 if profile.magnitude_bound == 10 else 50):
                 sides = random_sides(profile, index)
                 t = _integer_sides(profile, index)
-                old = outcome(lambda: (sides.as_float(), canonical_vertices(sides)))
+                old = outcome(lambda: lifted(sides))
                 assert outcome(lambda: _float_sides(t)) == old, (profile, index)
 
     def test_near_degenerate_retries_as_side_lengths_refuses(self):
@@ -353,7 +357,7 @@ class TestSuiteFindsKernelFaults:
         monkeypatch.setitem(CENTER_WEIGHTS, "O", CENTER_WEIGHTS["H"])
         sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=seed), 0)
         exact = check_identity_suite(sides, None)
-        floats = check_identity_suite(sides.as_float(), vertices)
+        floats = check_identity_suite(float_sides(sides), vertices)
         assert exact.exact and not floats.exact
         exact_residual = {check.name: check.residual for check in exact.failures()}
         float_residual = {check.name: check.residual for check in floats.failures()}
@@ -379,7 +383,7 @@ class TestSuiteFindsKernelFaults:
         sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=1), 0)
         assert (exact_vertices(sides) is None) == (kind == "near-degenerate")
         if on_floats:
-            report = check_identity_suite(sides.as_float(), tuple(as_float(p) for p in vertices))
+            report = check_identity_suite(float_sides(sides), tuple(as_float(p) for p in vertices))
         else:
             report = check_identity_suite(sides, None)
         assert report.exact is not on_floats and not report.passed
@@ -395,7 +399,7 @@ class TestSuiteFindsKernelFaults:
         # The kernel weighs the vertices by O's closed form and the oracle
         # solves the normal equations, so on floats they round apart.
         sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
-        report = check_identity_suite(sides.as_float(), tuple(as_float(p) for p in vertices))
+        report = check_identity_suite(float_sides(sides), tuple(as_float(p) for p in vertices))
         residual = {check.name: check.residual for check in report.checks}
         assert report.passed
         assert residual["center_agreement_O_x"] > 0 and residual["center_agreement_O_y"] > 0
@@ -559,7 +563,7 @@ class TestFloatTypeDispatch:
         fraction_calls = count_fraction_calls(monkeypatch, FRACTION_ARITHMETIC)
         for seed in (3, 8, 11):
             sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=seed), 0)
-            sides = sides.as_float()
+            sides = float_sides(sides)
             vertices = tuple(as_float(p) for p in vertices)
             fraction_calls.clear()
             report, calls = abc_checks(lambda: check_identity_suite(sides, vertices))
@@ -601,7 +605,7 @@ class TestFloatSuiteConstructions:
         # TangencyReport, FeuerbachEntry, FeuerbachReport or CenterSet.
         for kind in PROFILE_KINDS:
             sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), 0)
-            sides = sides.as_float()
+            sides = float_sides(sides)
             vertices = tuple(as_float(p) for p in vertices)
             for cls in constructions:
                 constructions[cls] = 0
@@ -613,7 +617,7 @@ class TestFloatSuiteConstructions:
         # center_set, feuerbach_report and the four residuals all read the
         # same four centers of one SideLengths; G is built once, on import.
         sides, vertices = random_triangle(FuzzProfile(kind="near-degenerate", seed=3), 0)
-        sides = sides.as_float()
+        sides = float_sides(sides)
         vertices = tuple(as_float(p) for p in vertices)
         constructions[Barycentric] = 0
         center_set(sides, vertices)
@@ -658,7 +662,7 @@ class TestIdentitySuite:
         monkeypatch.setattr(IdentityCheck, "__new__", staticmethod(counting))
         sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=3), 0)
         if backend == "float":
-            report = check_identity_suite(sides.as_float(), tuple(as_float(p) for p in vertices))
+            report = check_identity_suite(float_sides(sides), tuple(as_float(p) for p in vertices))
         else:
             report = check_identity_suite(sides, None)
         assert report.passed and calls == [0]
@@ -779,6 +783,6 @@ class TestIdentitySuite:
         for i in range(10):
             sides, vertices = random_triangle(profile, i)
             report = check_identity_suite(
-                sides.as_float(), tuple(as_float(p) for p in vertices)
+                float_sides(sides), tuple(as_float(p) for p in vertices)
             )
             assert report.passed, (kind, i, report.failures())

@@ -30,7 +30,7 @@ import pytest
 from ninepoint.centers import CENTER_WEIGHTS
 from ninepoint.harness import FuzzProfile, check_identity_suite, random_triangle
 from ninepoint.triangle import SideLengths, _canonical_frame, canonical_vertices
-from point2_reference import as_float
+from point2_reference import as_float, float_sides
 
 GOLDEN = Path(__file__).parent / "golden" / "suite_fingerprint.json"
 
@@ -40,7 +40,7 @@ def _case(kind: str, seed: int, on_floats: bool):
     float sides, None for exact sides, which run on their own frame."""
     sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=seed), 0)
     if on_floats:
-        return sides.as_float(), tuple(as_float(p) for p in vertices)
+        return float_sides(sides), tuple(as_float(p) for p in vertices)
     return sides, None
 
 

@@ -8,6 +8,8 @@ import pytest
 from ninepoint.svg import ViewTransform, fit_transform, render_svg
 from ninepoint.triangle import Point2, SideLengths, canonical_vertices
 
+from point2_reference import float_sides
+
 F = Fraction
 
 
@@ -114,7 +116,7 @@ class TestRenderSvg:
         # coincident, on either backend.
         sides = SideLengths(*near)
         if backend == "float":
-            sides = sides.as_float()
+            sides = float_sides(sides)
         text = render_svg(sides, canonical_vertices(sides))
         assert 'id="ninepoint"' in text and 'id="incircle"' in text
         assert "(equilateral)" not in text

@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 
 from ninepoint.centers import bisector_foot_barycentric
 from ninepoint.numeric import DEFAULT_TOLERANCE
-from point2_reference import add, cartesian_to_barycentric, cross, dot, scaled, sub
+from point2_reference import (
+    add,
+    cartesian_to_barycentric,
+    cross,
+    dot,
+    float_sides,
+    scaled,
+    sub,
+)
 from test_numeric import (
     FloatSub,
     FractionSub,
@@ -94,8 +102,9 @@ class TestSideLengths:
         assert sides.as_tuple() == (3.0, 4.0, 5.0)
 
     def test_as_float(self):
-        sides = SideLengths(F(1, 2), F(1, 2), F(3, 4)).as_float()
-        assert sides.as_tuple() == (0.5, 0.5, 0.75)
+        # Exact sides taken to floats, as the tests' float_sides takes them.
+        sides = float_sides(SideLengths(F(1, 2), F(1, 2), F(3, 4)))
+        assert not sides.is_exact and sides.as_tuple() == (0.5, 0.5, 0.75)
 
     def test_conditioning(self):
         # s = 6; s-a = 3, s-b = 2, s-c = 1 -> max side / min gap = 5.
@@ -424,14 +433,14 @@ class TestBarycentricDistance:
     def test_mixed_and_float_match_reference(self, x, dist_sq, sides):
         # Fraction weights with float distances on float sides (the
         # centroid's case) give the bits of the reference expression.
-        sides = sides.as_float()
+        sides = float_sides(sides)
         expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
         assert _same_scalar(barycentric_distance_sq(x, *dist_sq, sides), expected)
 
     @given(rational_sides, st.tuples(*[float_distance_sq] * 3), st.tuples(*[st.floats(-5, 5)] * 2))
     def test_float_matches_reference(self, sides, dist_sq, ab):
         x = Barycentric(ab[0], ab[1], 1.0 - ab[0] - ab[1])
-        sides = sides.as_float()
+        sides = float_sides(sides)
         expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
         assert _same_scalar(barycentric_distance_sq(x, *dist_sq, sides), expected)
 
@@ -452,7 +461,7 @@ class TestBarycentricDistance:
         # Fraction-times-float expression, and no Fraction arithmetic runs.
         alpha, beta = (F(n, d) for n, d in zip(numerators, denominators))
         x = _rotated_barycentric(alpha, beta, shift)
-        sides = sides.as_float()
+        sides = float_sides(sides)
         expected = _reference_barycentric_distance_sq(x, *dist_sq, sides)
         with pytest.MonkeyPatch.context() as patch:
             calls = count_fraction_calls(patch, FRACTION_ARITHMETIC)
