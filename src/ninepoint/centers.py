@@ -30,7 +30,8 @@ integer frame under the metric x^2 + m*t^2, with no ``Fraction``, and
 float sides on float pairs; ``barycentric_point`` and ``orientation``
 are affine, so the same code serves both.  Callers read the centers as
 ``Point2``s through ``CenterSet.points``, which only a Cartesian frame
-has.  ``circumdot``, ``vertex_to_ninepoint_dist_sq`` and the bisector
+has; ``svg`` takes the frame alone from :func:`_cartesian_frame`, the
+Cartesian half of ``center_set``, and reads it as floats.  ``circumdot``, ``vertex_to_ninepoint_dist_sq`` and the bisector
 feet read the kernel of the sides (``triangle._IntegerTriangle`` or
 ``_FloatTriangle``) without asking which it is.
 
@@ -172,12 +173,9 @@ def center_set(
     vertices: Optional[Tuple[Any, Any, Any]] = None,
     plane: Any = None,
 ) -> CenterSet:
-    """Assemble every center; vertices add the Cartesian layer.
-
-    The vertices are ``Point2``s, lifted here onto integer triples when the
-    sides and every vertex are exact and onto float pairs otherwise.  With
-    ``plane`` they are already points of that plane, as the identity suite
-    holds them."""
+    """Assemble every center; vertices add the Cartesian layer, which
+    :func:`_cartesian_frame` builds.  With ``plane`` the vertices are
+    already points of that plane, as the identity suite holds them."""
     # The sides' kernel weighs: exact sides by their integer form, which the
     # integer plane needs, with each barycentric component one Fraction; on
     # floats each k/d rounds once.
@@ -189,6 +187,14 @@ def center_set(
         bary[label] = Barycentric(ratio(x_a, d), ratio(x_b, d), ratio(x_c, d))
     if vertices is None:
         return CenterSet(bary, None, None)
+    return CenterSet(bary, *_cartesian_frame(sides, vertices, plane))
+
+
+def _cartesian_frame(sides: SideLengths, vertices: Tuple, plane: Any = None) -> Tuple[Dict, Any]:
+    """Every Cartesian center of the sides and the plane that holds them,
+    with no barycentric form: ``svg`` draws these alone.  ``Point2``
+    vertices are lifted onto integer triples when the sides and every
+    vertex are exact and onto float pairs otherwise."""
     if plane is None:
         exact = sides.is_exact and all(p.is_exact for p in vertices)
         plane = homogeneous.Plane() if exact else FloatPlane
@@ -198,7 +204,8 @@ def center_set(
     # vertices, such as a float embedding whose altitude underflowed.
     if plane.orientation(va, vb, vc) == 0:
         raise ValueError("collinear vertices have no circumcenter")
-    return CenterSet(bary, _center_frame(plane, a, b, c, va, vb, vc), plane)
+    t = sides._kernel
+    return _center_frame(plane, t.a, t.b, t.c, va, vb, vc), plane
 
 
 def _center_frame(plane: Any, a: Any, b: Any, c: Any, va: Any, vb: Any, vc: Any) -> Dict:

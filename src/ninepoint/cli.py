@@ -32,6 +32,7 @@ from .triangle import (
     Point2,
     SideLengths,
     TriangleMetrics,
+    _float_vertices,
     canonical_vertices,
     exact_vertices,
     metrics,
@@ -427,8 +428,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 def cmd_svg(config: RunConfig) -> int:
     try:
-        # Exact sides without an exact embedding are drawn on the float one.
-        vertices = config.vertices or canonical_vertices(config.sides)
+        # Exact sides without an exact embedding are drawn on the float one;
+        # the exact one was sought, once, when the input was read.
+        vertices = config.vertices or _float_vertices(config.sides)
         text = render_svg(config.sides, vertices)
     except OverflowError:
         raise ValueError("the triangle is beyond the float range that svg draws in") from None

@@ -507,8 +507,13 @@ def check_identity_suite(
         floor = x if x > floor else floor
         x = abs(rhs)
         floor = x if x > floor else floor
-        # suite_tol.bound(floor), as floor >= 1
-        append((name, gap <= abs_eps + rel_eps * floor, gap / floor, detail))
+        if gap < math.inf:
+            # suite_tol.bound(floor), as floor >= 1
+            append((name, gap <= abs_eps + rel_eps * floor, gap / floor, detail))
+        else:
+            # An infinite or NaN gap fails, with an infinite residual: an
+            # infinite floor would pass it with a NaN that max() drops.
+            append((name, False, math.inf, detail))
 
     def record_flag(name: str, ok: bool, detail: str = "") -> None:
         append((name, ok, 0.0 if ok else math.inf, detail))

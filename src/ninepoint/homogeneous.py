@@ -25,7 +25,8 @@ Every construction here is a ring expression in the coordinates, so no
 gcd is ever taken.  A scalar comes out as an integer pair (num, den) that
 stands for num/den: two of them are equal when num1*den2 == num2*den1, and
 a ``Fraction`` is built only where a point leaves this layer
-(:meth:`Plane.as_point2`).  The exact kernel's values are integer pairs
+(:meth:`Plane.as_point2`); one that leaves it as floats, to be drawn,
+takes none (:meth:`Plane.as_floats`).  The exact kernel's values are integer pairs
 of the same form (the methods of ``triangle._IntegerTriangle``), and
 ratios multiply, subtract and divide without reduction, so the identity
 suite checks the kernel's products on integers and builds no
@@ -100,6 +101,13 @@ class Plane:
             raise ValueError("t = y/sqrt(m) is not a Cartesian coordinate")
         x, y, w = p
         return Point2(Fraction(x, w), Fraction(y, w))
+
+    def as_floats(self, p: Triple) -> Tuple[float, float]:
+        """The Cartesian coordinates of a point of a frame with m = 1 as
+        floats, one true division each: ``float()`` of those of
+        :meth:`as_point2`, bit for bit, with no gcd."""
+        x, y, w = p
+        return x / w, y / w
 
     def coords(self, p: Triple) -> Tuple[Ratio, Ratio]:
         """The x and t coordinates, for comparison within this frame.  With

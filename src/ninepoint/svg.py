@@ -14,8 +14,8 @@ import math
 from typing import List, Tuple
 
 from .record import Record
-from .triangle import Point2, SideLengths, metrics
-from .centers import center_set
+from .triangle import Point2, SideLengths
+from .centers import _cartesian_frame
 
 __all__ = ["ViewTransform", "fit_transform", "render_svg"]
 
@@ -46,6 +46,9 @@ class ViewTransform(Record):
 
     def point(self, p: Point2) -> Tuple[float, float]:
         return (self.x(float(p.x)), self.y(float(p.y)))
+
+    def pair(self, p: Tuple[float, float]) -> Tuple[float, float]:
+        return (self.x(p[0]), self.y(p[1]))
 
 
 def fit_transform(xs: Tuple[float, float], ys: Tuple[float, float]) -> ViewTransform:
@@ -92,29 +95,28 @@ def _text(x: float, y: float, label: str) -> str:
 
 
 def render_svg(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> str:
-    """Schematic drawing; the returned string is a pure function of input."""
-    centers = center_set(sides, vertices).points
-    met = metrics(sides)
-    radius_np = math.sqrt(float(met.R_sq)) / 2.0
-    radius_in = math.sqrt(float(met.r_sq))
-    radius_ex = {
-        "excircle-a": (centers["Ea"], math.sqrt(float(met.rA_sq))),
-        "excircle-b": (centers["Eb"], math.sqrt(float(met.rB_sq))),
-        "excircle-c": (centers["Ec"], math.sqrt(float(met.rC_sq))),
-    }
+    """Schematic drawing; the returned string is a pure function of input.
 
-    xs: List[float] = []
-    ys: List[float] = []
-    for p in vertices:
-        xs.append(float(p.x))
-        ys.append(float(p.y))
-    for center, radius in (
-        (centers["N"], radius_np),
-        (centers["I"], radius_in),
-        *radius_ex.values(),
-    ):
-        xs.extend((float(center.x) - radius, float(center.x) + radius))
-        ys.extend((float(center.y) - radius, float(center.y) + radius))
+    It reduces nothing it draws: the centers come from their Cartesian
+    frame alone, as floats of the plane that holds them, and the five radii
+    from the kernel's metric ratios, one true division each (the float
+    itself on float sides).  Each is ``float()`` of the reduced value, bit
+    for bit, and overflows as it does."""
+    frame, plane = _cartesian_frame(sides, vertices)
+    centers = {label: plane.as_floats(p) for label, p in frame.items()}
+    t = sides._kernel
+    # R^2, then r^2 and the excircles' r_a^2, r_b^2, r_c^2.
+    R_sq, *r_sqs = [t.as_float(r) for r in t.metrics()[2:7]]
+    radius_np = math.sqrt(R_sq) / 2.0
+    radius_in, *radii = map(math.sqrt, r_sqs)
+    radius_ex = {f"excircle-{k}": (centers["E" + k], r) for k, r in zip("abc", radii)}
+
+    xs = [float(p.x) for p in vertices]
+    ys = [float(p.y) for p in vertices]
+    circles = ((centers["N"], radius_np), (centers["I"], radius_in), *radius_ex.values())
+    for (x, y), radius in circles:
+        xs.extend((x - radius, x + radius))
+        ys.extend((y - radius, y + radius))
     view = fit_transform((min(xs), max(xs)), (min(ys), max(ys)))
 
     va, vb, vc = vertices
@@ -127,8 +129,8 @@ def render_svg(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> s
         f'fill="none" stroke="#111111" stroke-width="2"/>\n'
     )
 
-    o_xy = view.point(centers["O"])
-    h_xy = view.point(centers["H"])
+    o_xy = view.pair(centers["O"])
+    h_xy = view.pair(centers["H"])
     if abs(o_xy[0] - h_xy[0]) > 1e-9 or abs(o_xy[1] - h_xy[1]) > 1e-9:
         parts.append(
             f'  <line id="euler-line" x1="{_fmt(o_xy[0])}" y1="{_fmt(o_xy[1])}" '
@@ -136,8 +138,8 @@ def render_svg(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> s
             f'stroke="#888888" stroke-width="1" stroke-dasharray="6,4"/>\n'
         )
 
-    n_xy = view.point(centers["N"])
-    i_xy = view.point(centers["I"])
+    n_xy = view.pair(centers["N"])
+    i_xy = view.pair(centers["I"])
     # The two circles coincide exactly when R = 2r, that is exactly on
     # equilateral sides, on either backend.
     if not sides.is_equilateral:
@@ -148,11 +150,11 @@ def render_svg(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> s
             _text(i_xy[0] + 10.0, i_xy[1] - 10.0, "incircle = nine-point circle (equilateral)")
         )
     for element_id, (center, radius) in radius_ex.items():
-        c_xy = view.point(center)
+        c_xy = view.pair(center)
         parts.append(_circle(element_id, c_xy[0], c_xy[1], view.scale * radius, "#008844"))
 
     for label in ("O", "G", "H", "N", "I"):
-        cx, cy = view.point(centers[label])
+        cx, cy = view.pair(centers[label])
         parts.append(_dot(f"point-{label}", cx, cy))
         parts.append(_text(cx + 6.0, cy - 6.0, label))
 

@@ -31,14 +31,15 @@ unreduced integer ratios, or :class:`_FloatTriangle`, whose values are
 bare floats.  Both hold one formula per quantity, the tangency verdicts
 and residuals of Feuerbach's circles included, under the same method
 names, and both answer the same small vocabulary: the public value of a
-result (``value``, ``values``), a weight over its sum (``ratio``), the
-zero of a component (``zero``) and the kernel of other sides
-(``with_sides``).  So the public functions forward to the kernel of the
-sides without asking which one it is; only validation and the records
-that differ per backend (``point_on_side``, ``barycentric_distance_sq``,
-``exact_vertices``) still branch.  The float area uses the
-sorted-operand stable product form, so near-degenerate triangles lose
-precision only where the input data already has.
+result (``value``, ``values``), its float (``as_float``), a weight over
+its sum (``ratio``), the zero of a component (``zero``) and the kernel of
+other sides (``with_sides``).  So the public functions forward to the
+kernel of the sides without asking which one it is; only validation and
+the records that differ per backend (``point_on_side``,
+``barycentric_distance_sq``, ``exact_vertices``) still branch.  The
+float area uses the sorted-operand stable product form, so
+near-degenerate triangles lose precision only where the input data
+already has.
 
 :class:`FloatPlane` holds the plane constructions on bare ``(x, y)`` float
 pairs under the names of :class:`ninepoint.homogeneous.Plane`, so the
@@ -174,6 +175,8 @@ class FloatPlane:
     @staticmethod
     def coords(p: Pair) -> Pair:
         return p
+
+    as_floats = coords
 
     @staticmethod
     def over_one(values: Sequence[float]) -> Tuple[Sequence[float], int]:
@@ -510,6 +513,12 @@ class _IntegerTriangle(NamedTuple):
     ratio = staticmethod(Fraction)
     zero = _ZERO
 
+    @staticmethod
+    def as_float(r: Ratio) -> float:
+        """A result as a float: one true division, which rounds correctly
+        as ``float()`` of its reduced ``Fraction`` does, with no gcd."""
+        return r[0] / r[1]
+
     def with_sides(self, a: int, b: int, c: int) -> "_IntegerTriangle":
         """The integer form of the sides a, b, c over the same L."""
         return _integer_triangle(a, b, c, self.L)
@@ -519,21 +528,26 @@ class _IntegerTriangle(NamedTuple):
         sides a/L, b/L, c/L: s = p/2L, K^2 = P/16L^4, R^2 = (abc)^2/(P L^2),
         r^2 = P/(4 p^2 L^2) = u v w/(4 p L^2), R*r = abc/(2 p L^2), and u, v,
         w stand in for p in the excircle terms.  Cancelling the known factor
-        of P first leaves a smaller gcd."""
+        of P first leaves a smaller gcd.  So does cancelling h = gcd(abc,
+        L^2) once: the sides' denominators enter abc and L^2 alike, so R^2 is
+        ((abc/h)^2 h) / (P L^2/h) and R*r is (abc/h) / (2p L^2/h), each
+        exact, and every reduction of them runs on smaller integers."""
         L, _, _, _, p, u, v, w, P, abc = self
         L_sq, vw, pu = L * L, v * w, p * u
+        h = math.gcd(abc, L_sq)
+        abc_h, L_sq_h = abc // h, L_sq // h
         return (
             (p, 2 * L),  # s
             (P, 16 * L_sq * L_sq),  # K_sq
-            (abc * abc, P * L_sq),  # R_sq
+            (abc_h * abc_h * h, P * L_sq_h),  # R_sq
             (u * vw, 4 * p * L_sq),  # r_sq
             (p * vw, 4 * u * L_sq),  # rA_sq
             (pu * w, 4 * v * L_sq),  # rB_sq
             (pu * v, 4 * w * L_sq),  # rC_sq
-            (abc, 2 * p * L_sq),  # Rr
-            (abc, 2 * u * L_sq),  # RrA
-            (abc, 2 * v * L_sq),  # RrB
-            (abc, 2 * w * L_sq),  # RrC
+            (abc_h, 2 * p * L_sq_h),  # Rr
+            (abc_h, 2 * u * L_sq_h),  # RrA
+            (abc_h, 2 * v * L_sq_h),  # RrB
+            (abc_h, 2 * w * L_sq_h),  # RrC
         )
 
     def vertex_ninepoint_dist_sq(self) -> Tuple[Ratio, Ratio, Ratio]:
@@ -672,10 +686,10 @@ class _FloatTriangle(NamedTuple):
     K_sq: float
     abc: float
 
-    # The public value of a result is the bare float (``float`` and
-    # ``tuple`` return a float and a tuple as they are); a weight over its
-    # sum is one true division.
-    value = staticmethod(float)
+    # The public value of a result, and its float, is the bare float
+    # (``float`` and ``tuple`` return a float and a tuple as they are); a
+    # weight over its sum is one true division.
+    value = as_float = staticmethod(float)
     values = staticmethod(tuple)
     ratio = staticmethod(operator.truediv)
     zero = 0.0
@@ -1020,9 +1034,12 @@ def _float_embedding(a: float, b: float, c: float) -> Tuple[Pair, Pair, Pair]:
 def canonical_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:
     """Embedding with C at the origin, B on the positive x-axis, A above:
     :func:`exact_vertices` where it exists, floats otherwise."""
-    exact = exact_vertices(sides)
-    if exact is not None:
-        return exact
+    return exact_vertices(sides) or _float_vertices(sides)
+
+
+def _float_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:
+    """The canonical embedding of the sides as floats, as ``Point2``s: what
+    :func:`canonical_vertices` gives where :func:`exact_vertices` is None."""
     return tuple([Point2(x, y) for x, y in _float_embedding(*map(float, sides.as_tuple()))])
 
 

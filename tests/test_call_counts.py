@@ -1,7 +1,8 @@
-"""``tools/call_counts.py`` prints, for each of its two fuzz jobs, a header
-line, the functions called at least once per triangle with their calls
-per triangle, and the total; its compare mode lists the functions whose
-calls differ between two source trees."""
+"""``tools/call_counts.py`` prints, for each of its three jobs (two fuzz
+jobs and the first requests of the CLI benchmark workload), a header line,
+the functions called at least once per triangle with their calls per
+triangle, and the total; its compare mode lists the functions whose calls
+differ between two source trees."""
 
 import contextlib
 import importlib.util
@@ -24,8 +25,9 @@ def test_prints_each_job_with_its_counts_per_triangle(capsys, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     assert call_counts.main([str(ROOT / "src")]) == 0
     lines = capsys.readouterr().out.splitlines()
-    headers = [i for i, line in enumerate(lines) if line.startswith("job: fuzz ")]
-    assert len(headers) == len(call_counts.JOBS) and headers[0] == 0
+    headers = [i for i, line in enumerate(lines) if line.startswith("job: ")]
+    assert [lines[i] for i in headers] == [f"job: {title}" for title, _ in call_counts.jobs()]
+    assert len(headers) == len(call_counts.JOBS) + 1 and headers[0] == 0
     for start, end in zip(headers, headers[1:] + [len(lines)]):
         block = lines[start + 1:end]
         assert block[-1].endswith("  total per triangle")
@@ -33,7 +35,12 @@ def test_prints_each_job_with_its_counts_per_triangle(capsys, monkeypatch):
         assert all(COUNT_LINE.match(line) for line in block[:-1])
         assert all(n >= 1 for n in counts.values())
         assert list(counts.values()) == sorted(counts.values(), reverse=True)
-        assert counts["ninepoint.harness.check_identity_suite"] == 1.0
+        if lines[start].startswith("job: fuzz "):
+            assert counts["ninepoint.harness.check_identity_suite"] == 1.0
+        else:
+            # One CLI request per triangle, and no identity suite.
+            assert counts["ninepoint.cli.main"] == 1.0
+            assert "ninepoint.harness.check_identity_suite" not in counts
 
 
 def test_counts_are_the_same_on_every_run():
@@ -108,13 +115,41 @@ def test_compare_lists_the_functions_whose_calls_differ(tmp_path, capsys):
     assert [line for line in lines if not line.startswith("job: ")] == [
         line for line in lines if line.endswith("  total per triangle")
     ]
-    assert len(lines) == 2 * len(call_counts.JOBS)
+    assert len(lines) == 2 * len(call_counts.jobs())
 
     assert call_counts.main(["--compare", str(src), str(changed)]) == 1
-    exact, floating = "\n".join(capsys.readouterr().out.splitlines()).split("\njob: ")
+    exact, floating, requests = "\n".join(capsys.readouterr().out.splitlines()).split("\njob: ")
     assert len(exact.splitlines()) == 2
     floating = floating.splitlines()
     assert floating[1].split() == ["1.00", "2.00", "ninepoint.triangle._conditioning"]
     base, head, *_ = floating[2].split()
     assert floating[2].endswith("  total per triangle") and float(head) == float(base) + 1
     assert len(floating) == 3
+    # The CLI requests run no identity suite.
+    assert requests.startswith("cli_mixed_rational ") and len(requests.splitlines()) == 2
+
+
+def test_cli_job_is_the_first_requests_of_the_benchmark_workload():
+    # The job runs, in order, the requests that tools/output_digest.py
+    # takes from the workload at the job's seed.
+    spec = importlib.util.spec_from_file_location("digest", ROOT / "tools" / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    title, job = call_counts.jobs()[-1]
+    assert title == "cli_mixed_rational --seed 1 (first 20 requests)"
+    assert len(job) == call_counts.COUNT
+    assert {argv[0] for argv in job} == {"compute", "feuerbach", "svg"}
+    requests = digest.request_set(call_counts.CLI_SEED, call_counts.COUNT)
+    n = call_counts.COUNT
+    assert [i for i in range(len(requests)) if requests[i:i + n] == job] != []
+
+
+def test_cli_job_seeks_each_exact_embedding_once():
+    # Every request of the CLI job is on exact sides, and each seeks its
+    # canonical frame once, svg requests included.
+    from ninepoint import cli
+
+    _, job = call_counts.jobs()[-1]
+    counts = call_counts.count_calls(cli.main, *job)
+    assert counts["ninepoint.cli.main"] == call_counts.COUNT
+    assert counts["ninepoint.triangle._canonical_frame"] == call_counts.COUNT

@@ -578,6 +578,43 @@ class TestSvgCommand:
         assert code == 2
         assert "degenerate" in err
 
+    @pytest.mark.parametrize(
+        "argv, frames, drawn",
+        [
+            (["svg", "--sides", "3,4,6"], 1, 0),  # drawn on the float embedding
+            (["svg", "--sides", "3,4,5"], 1, 0),  # drawn on the exact one
+            (["svg", "--sides", "3,4,6", "--backend", "float"], 0, 0),
+            (["compute", "--sides", "3,4,6"], 1, 1),
+            (["feuerbach", "--sides", "3,4,6"], 1, 1),
+        ],
+    )
+    def test_svg_builds_only_what_it_draws(self, capsys, monkeypatch, argv, frames, drawn):
+        # An exact svg request seeks the exact embedding once, when the input
+        # is read, and draws the float one without seeking it again; it
+        # builds no TriangleMetrics and no Barycentric, which the other
+        # commands print.  Counted by wrapping, as Python 3.10 names every
+        # __init__ of a module alike in a profile hook.
+        from ninepoint import triangle
+
+        calls = collections.Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            triangle, "_canonical_frame", counted("frame", triangle._canonical_frame)
+        )
+        for cls in (triangle.TriangleMetrics, triangle.Barycentric):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert calls["frame"] == frames
+        assert calls["TriangleMetrics"] == drawn
+        assert (calls["Barycentric"] > 0) is bool(drawn)
+
 
 class TestOutputFile:
     def test_out_writes_file(self, capsys, tmp_path):

@@ -5,6 +5,7 @@ here."""
 
 import collections
 import math
+import random
 import types
 from fractions import Fraction
 
@@ -150,25 +151,33 @@ def _cross(o, p, q):
 
 
 @pytest.fixture
-def model():
+def model(monkeypatch):
     """The coordinate model, and the kernel's exact closed forms on its
-    integer form (a, b, c over L): each ratio (num, den) read as num/den."""
+    integer form (a, b, c over L): each ratio (num, den) read as num/den.
+    The metrics cancel gcd(abc, L^2), which symbols do not have: it is
+    taken as 1, and on integer symbols the exact quotients by 1 stay the
+    polynomials themselves."""
     sympy = pytest.importorskip("sympy")
+    from ninepoint import triangle
 
-    a, b, c, L, y = sympy.symbols("a b c L y", positive=True)
+    a, b, c, L = sympy.symbols("a b c L", positive=True, integer=True)
+    y = sympy.symbols("y", positive=True)
     t = _integer_triangle(a, b, c, L)
     vertices = {"A": ((a**2 + b**2 - c**2) / (2 * a * L), y), "B": (a / L, 0), "C": (0, 0)}
 
     def ratio(r):
         return sympy.sympify(r[0]) / r[1]
 
+    with monkeypatch.context() as patch:
+        patch.setattr(triangle, "math", types.SimpleNamespace(gcd=lambda *n: 1))
+        met = TriangleMetrics(*map(ratio, t.metrics()))
     return types.SimpleNamespace(
         sympy=sympy,
         t=t,
         ratio=ratio,
         vertices=vertices,
         vanishes=lambda expr: _vanishes(sympy, expr, y, t.P / (4 * a**2 * L**2)),
-        metrics=TriangleMetrics(*map(ratio, t.metrics())),
+        metrics=met,
         vertex_ninepoint_dist_sq=tuple(map(ratio, t.vertex_ninepoint_dist_sq())),
         # A pair's circumdot is indexed by the vertex opposite it.
         circumdot=lambda pair: ratio(t.circumdot({"AB": 2, "BC": 0, "CA": 1}[pair])),
@@ -463,6 +472,64 @@ def test_exact_kernel_matches_fraction_closed_forms(sides: SideLengths):
     for vertex in "ABC":
         lhs, _, rhs_external = tangencies[f"ex{vertex}"]
         assert excircle_ninepoint_residual(sides, vertex) == lhs - rhs_external == 0
+
+
+def _over_denominators(rng, digits: int, denominators: str):
+    """Three reduced sides in [1, 2), so a triangle, with numerators and
+    denominators of the given digits: over one shared denominator, over
+    pairwise coprime ones (all above 1), or over two that share a factor
+    and a third coprime to both."""
+    low, high = max(2, 10 ** (digits - 1)), 10**digits
+
+    def denominator(*coprime_to):
+        while True:
+            d = rng.randrange(low, high)
+            if all(math.gcd(d, e) == 1 for e in coprime_to):
+                return d
+
+    if denominators == "equal":
+        dens = [denominator()] * 3
+    elif denominators == "coprime":
+        d_a = denominator()
+        d_b = denominator(d_a)
+        dens = [d_a, d_b, denominator(d_a, d_b)]
+    else:
+        g = rng.randrange(2, 10 ** ((digits + 1) // 2) + 2)
+        d_c = denominator()
+        dens = [g * denominator(d_c), g * denominator(d_c), d_c]
+    sides = []
+    for d in dens:
+        n = rng.randrange(d, 2 * d)
+        while math.gcd(n, d) != 1:
+            n = rng.randrange(d, 2 * d)
+        sides.append(Fraction(n, d))
+    return sides
+
+
+@pytest.mark.parametrize("denominators", ["equal", "coprime", "shared"])
+@pytest.mark.parametrize("digits", [1, 2, 7, 30, 90, 200])
+def test_cancelled_metrics_equal_the_uncancelled_closed_forms(digits, denominators):
+    """``metrics()`` cancels h = gcd(abc, L^2) from R^2 and the R*r_X
+    before any reduction; every field still equals the Fraction of the
+    closed form, and on pairwise coprime denominators (L^2 divides abc)
+    there is a factor to cancel."""
+    rng = random.Random(f"{digits}/{denominators}")
+    for _ in range(5):
+        a, b, c = _over_denominators(rng, digits, denominators)
+        sides = SideLengths(a, b, c)
+        t = sides._kernel
+        want = closed_form_metrics(a, b, c, a * b * c)
+        got = t.metrics()
+        for name, (num, den) in zip(TriangleMetrics._fields, got):
+            assert type(num) is int and type(den) is int and den > 0, name
+            assert Fraction(num, den) == want[name], name
+        assert TriangleMetrics(*t.values(got)) == metrics(sides)
+        h = math.gcd(t.abc, t.L * t.L)
+        if denominators == "coprime":
+            assert h == t.L * t.L > 1
+        R_sq, Rr = got[2], got[7]
+        assert R_sq == ((t.abc // h) ** 2 * h, t.P * (t.L * t.L // h))
+        assert Rr == (t.abc // h, 2 * t.p * (t.L * t.L // h))
 
 
 def reference_report(sides: SideLengths, circle: str, abc: Fraction) -> TangencyReport:

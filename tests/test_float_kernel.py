@@ -25,7 +25,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ninepoint import centers, feuerbach, harness, triangle
+from ninepoint import centers, feuerbach, harness, svg, triangle
 from ninepoint.harness import PROFILE_KINDS, FuzzProfile, random_sides
 from ninepoint.triangle import CENTER_WEIGHTS, SideLengths, _FloatTriangle, _IntegerTriangle
 
@@ -52,9 +52,9 @@ BOUND = {
     "distance_sq": 2.71,
 }
 # The kernel's other shared names: each circle's verdict and residual, and
-# the vocabulary of the public functions (a result's public value, a weight
-# over its sum, the kernel of other sides).
-SHARED = {"verdict", "residual", "value", "values", "ratio", "with_sides"}
+# the vocabulary of the public functions (a result's public value and its
+# float, a weight over its sum, the kernel of other sides).
+SHARED = {"verdict", "residual", "value", "values", "as_float", "ratio", "with_sides"}
 
 
 def _kernel_calls(*functions):
@@ -81,6 +81,7 @@ def test_both_kernels_define_every_method_the_suite_calls():
         centers.circumdot,
         centers.bisector_foot_barycentric,
         feuerbach._ninepoint_residual,
+        svg.render_svg,
     )
     assert names == set(MEASURED) | SHARED
     for name in names:
@@ -92,13 +93,16 @@ def test_both_kernels_define_every_method_the_suite_calls():
                 inspect.signature(floating).parameters
             ), name
     # The builtins of the vocabulary, checked on values: a public value is
-    # one Fraction or the float itself, a weight over its sum one Fraction
-    # or one true division, and a zero component the shared exact zero or
-    # 0.0.
+    # one Fraction or the float itself, its float one true division (no
+    # gcd) or the float itself, a weight over its sum one Fraction or one
+    # true division, and a zero component the shared exact zero or 0.0.
     ratios, floats = ((3, 4), (-1, 8)), (0.75, -0.125)
     assert list(map(type, _IntegerTriangle.values(ratios))) == [Fraction, Fraction]
     assert _IntegerTriangle.values(ratios) == floats == _FloatTriangle.values(floats)
     assert _FloatTriangle.values(floats) is floats and _FloatTriangle.value(0.75) == 0.75
+    huge = (3 * 10**400 + 1, 9 * 10**400)  # unreduced, each term beyond the float range
+    assert _IntegerTriangle.as_float(huge) == float(Fraction(*huge)) == 1 / 3
+    assert _IntegerTriangle.as_float((-1, 8)) == -0.125 and _FloatTriangle.as_float(0.75) == 0.75
     exact, floating = _IntegerTriangle.ratio(3, 4), _FloatTriangle.ratio(3, 4)
     assert type(exact) is Fraction and exact == Fraction(3, 4)
     assert type(floating) is float and floating == 0.75

@@ -675,40 +675,40 @@ class TestIdentitySuite:
     # (x, 4R^2, 4R^2), (y, 0.0, x/4), (w, r_B^2, R^2) and (y, 0.0, R^2/4) of
     # the 3-4-5 triangle (lhs, rhs, scale), with each row's passed flag and
     # float.hex residual as the abs/max form computes them.  A NaN never
-    # becomes the floor max(1, |scale|, |lhs|, |rhs|), an infinite gap
-    # passes within an infinite floor with a NaN residual, and a -0.0 gap
-    # gives a +0.0 residual.
+    # becomes the floor max(1, |scale|, |lhs|, |rhs|), an infinite or NaN
+    # gap fails with an infinite residual (not the NaN of inf/inf, which
+    # max_residual would drop), and a -0.0 gap gives a +0.0 residual.
     ROW_CHECK_CASES = [
         ((0.0, -math.inf, -0.25),
-         [(False, "0x1.0000000000000p+0"), (True, "nan"),
-          (False, "0x1.071c71c71c71cp+0"), (True, "nan")]),
+         [(False, "0x1.0000000000000p+0"), (False, "inf"),
+          (False, "0x1.071c71c71c71cp+0"), (False, "inf")]),
         ((-0.0, math.nan, 7.5),
-         [(False, "0x1.0000000000000p+0"), (False, "nan"),
-          (False, "0x1.5555555555555p-3"), (False, "nan")]),
+         [(False, "0x1.0000000000000p+0"), (False, "inf"),
+          (False, "0x1.5555555555555p-3"), (False, "inf")]),
         ((math.inf, 0.25, -7.5),
-         [(True, "nan"), (True, "0x0.0p+0"),
+         [(False, "inf"), (True, "0x0.0p+0"),
           (False, "0x1.d555555555555p+0"), (False, "0x1.47ae147ae147bp-3")]),
         ((-math.inf, -0.25, 1e300),
-         [(True, "nan"), (True, "0x0.0p+0"),
+         [(False, "inf"), (True, "0x0.0p+0"),
           (False, "0x1.0000000000000p+0"), (False, "0x1.47ae147ae147bp-3")]),
         ((math.nan, 7.5, 0.0),
-         [(False, "nan"), (False, "0x1.0000000000000p+0"),
+         [(False, "inf"), (False, "0x1.0000000000000p+0"),
           (False, "0x1.0000000000000p+0"), (False, "0x1.0000000000000p+0")]),
         ((0.25, -7.5, -0.0),
          [(False, "0x1.fae147ae147aep-1"), (False, "0x1.0000000000000p+0"),
           (False, "0x1.0000000000000p+0"), (False, "0x1.0000000000000p+0")]),
         ((-0.25, 1e300, math.inf),
          [(False, "0x1.028f5c28f5c29p+0"), (False, "0x1.0000000000000p+0"),
-          (True, "nan"), (False, "0x1.0000000000000p+0")]),
+          (False, "inf"), (False, "0x1.0000000000000p+0")]),
         ((7.5, 0.0, -math.inf),
          [(False, "0x1.6666666666666p-1"), (True, "0x0.0p+0"),
-          (True, "nan"), (True, "0x0.0p+0")]),
+          (False, "inf"), (True, "0x0.0p+0")]),
         ((-7.5, -0.0, math.nan),
          [(False, "0x1.4cccccccccccdp+0"), (True, "0x0.0p+0"),
-          (False, "nan"), (True, "0x0.0p+0")]),
+          (False, "inf"), (True, "0x0.0p+0")]),
         ((1e300, math.inf, 0.25),
-         [(False, "0x1.0000000000000p+0"), (True, "nan"),
-          (False, "0x1.f1c71c71c71c7p-1"), (True, "nan")]),
+         [(False, "0x1.0000000000000p+0"), (False, "inf"),
+          (False, "0x1.f1c71c71c71c7p-1"), (False, "inf")]),
     ]
 
     @pytest.mark.parametrize("operands, expected", ROW_CHECK_CASES)
@@ -729,6 +729,8 @@ class TestIdentitySuite:
         names = ("scale_covariance_R_sq", "scale_covariance_residual",
                  "permutation_exradius", "permutation_residual")
         assert [(rows[n].passed, rows[n].residual.hex()) for n in names] == expected
+        # A failed row's infinite residual reaches the report's maximum.
+        assert (report.max_residual == math.inf) is any(r == "inf" for _, r in expected)
 
     def test_identity_check_is_an_immutable_record(self):
         check = IdentityCheck("x", True, 0.0)

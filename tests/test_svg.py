@@ -1,12 +1,20 @@
 """Deterministic SVG rendering: stable ids, fitted geometry, equilateral case."""
 
+import math
 import re
+import types
 from fractions import Fraction
 
 import pytest
 
+from ninepoint import svg
 from ninepoint.svg import ViewTransform, fit_transform, render_svg
-from ninepoint.triangle import Point2, SideLengths, canonical_vertices
+from ninepoint.triangle import (
+    Point2,
+    SideLengths,
+    canonical_vertices,
+    metrics,
+)
 
 from point2_reference import float_sides
 
@@ -120,3 +128,66 @@ class TestRenderSvg:
         text = render_svg(sides, canonical_vertices(sides))
         assert 'id="ninepoint"' in text and 'id="incircle"' in text
         assert "(equilateral)" not in text
+
+
+class _Stop(Exception):
+    """Raised after the five radii, to end a drawing once they are read."""
+
+
+def _svg_radii_squared(monkeypatch, sides, vertices):
+    """The five squared radii that ``render_svg`` takes square roots of: R^2,
+    r^2, r_a^2, r_b^2, r_c^2, in order, as floats."""
+    seen = []
+
+    def sqrt(x):
+        seen.append(x)
+        if len(seen) == 5:
+            raise _Stop
+        return math.sqrt(x)
+
+    monkeypatch.setattr(svg, "math", types.SimpleNamespace(sqrt=sqrt))
+    with pytest.raises(_Stop):
+        render_svg(sides, vertices)
+    return seen
+
+
+def _floats_of_metrics(sides):
+    """float() of the reduced metrics svg draws, or the OverflowError of
+    the first that has none."""
+    met = metrics(sides)
+    try:
+        return [float(getattr(met, name)) for name in ("R_sq", "r_sq", "rA_sq", "rB_sq", "rC_sq")]
+    except OverflowError as exc:
+        return exc
+
+
+# Exact sides at every scale, 1e-320 to 1e300: their center weights are
+# integer ratios, so only the radii see the scale.  Float sides only where
+# their degree-4 center weights are finite and nonzero.
+RADII_SCALES = [
+    *(("exact", scale) for scale in
+      ("1e-320", "1e-300", "1e-160", "1", "7/3", "1e153", "1e154", "3e154", "1e200", "1e300")),
+    *(("float", scale) for scale in ("1e-70", "1", "7/3", "1e70")),
+]
+
+
+@pytest.mark.parametrize("backend, scale", RADII_SCALES)
+@pytest.mark.parametrize("shape", [(2, 3, 4), (1, 1, F(3, 2)), (F(10**40 + 1, 10**40), 1, 1)])
+def test_radii_are_float_of_the_reduced_metrics(monkeypatch, backend, scale, shape):
+    """svg's radii come from the kernel's ratios, one true division each;
+    they are math.sqrt(float(metrics(sides).X)) bit for bit, or raise the
+    same OverflowError.  The drawing is given the vertices of the shape at
+    unit scale, so that only the radii see the scale."""
+    k = F(scale)
+    sides = SideLengths(*(k * side for side in shape))
+    vertices = canonical_vertices(float_sides(SideLengths(*shape)))
+    if backend == "float":
+        sides = float_sides(sides)
+    want = _floats_of_metrics(sides)
+    if isinstance(want, OverflowError):
+        with pytest.raises(OverflowError) as caught:
+            render_svg(sides, vertices)
+        assert str(caught.value) == str(want)
+        return
+    got = _svg_radii_squared(monkeypatch, sides, vertices)
+    assert [x.hex() for x in got] == [x.hex() for x in want]

@@ -1,22 +1,29 @@
-"""Count the Python function calls of two fixed fuzz jobs, per triangle.
+"""Count the Python function calls of three fixed jobs, per triangle.
 
     python3 tools/call_counts.py [SRC_DIR]
 
 imports ``ninepoint`` from SRC_DIR (default: this checkout's ``src``) and
-runs, in process and in this order, one exact and one float fuzz job:
+runs, in process and in this order, one exact and one float fuzz job and
+one job of single CLI requests:
 
     fuzz --profile generic --backend exact --count 20 --seed 1
     fuzz --profile near-degenerate --backend float --count 20 --seed 1
+    the first 20 requests of the benchmark workload cli_mixed_rational at
+    seed 1 (``compute``, ``feuerbach`` and ``svg`` on exact sides of 1-200
+    digits), read from this checkout's ``perfbench/workloads.py`` as
+    ``tools/output_digest.py`` reads it
 
 twice, the second time under a ``sys.setprofile`` hook, which sees every
 call of a Python function (a generator's resumption included).  For each
-job it prints a header line with the job's argv, one line per function
-called at least once per triangle on average:
+job it prints a header line with the job's argv (or the workload, seed
+and request count), one line per function called at least once per
+triangle on average:
 
     <calls per triangle>  <module>.<qualified name>
 
 sorted by count, highest first, then by name, and a last line with the
-calls of every Python function per triangle.
+calls of every Python function per triangle.  Each CLI request is one
+triangle, so the third job's counts are per request.
 
     python3 tools/call_counts.py --compare BASE_SRC HEAD_SRC
 
@@ -39,6 +46,7 @@ only.
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -46,10 +54,11 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNT = 20
+# The two fuzz jobs; jobs() runs the CLI job after them.
 JOBS = (
     ["fuzz", "--profile", "generic", "--backend", "exact", "--count", str(COUNT), "--seed", "1"],
     [
@@ -57,14 +66,34 @@ JOBS = (
         "--count", str(COUNT), "--seed", "1",
     ],
 )
+# The CLI job: the first COUNT requests of this benchmark workload and seed.
+CLI_WORKLOAD, CLI_SEED = "cli_mixed_rational", 1
 USAGE = "usage: call_counts.py [SRC_DIR] | --compare BASE_SRC HEAD_SRC"
 
 
-def count_calls(main, argv: Sequence[str]) -> Dict[str, int]:
-    """Calls per function, keyed ``module.qualname``, of ``main(argv)``.
-    A first run, not counted, fills the caches that the first request of a
-    process fills (compiled patterns, lazy imports), so the counts do not
-    depend on what ran before."""
+def cli_requests() -> List[List[str]]:
+    """The CLI job's argvs, from this checkout's benchmark workloads."""
+    spec = importlib.util.spec_from_file_location(
+        "_counts_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look the module up by name
+    spec.loader.exec_module(workloads)
+    stream = workloads.WORKLOADS[CLI_WORKLOAD].requests(CLI_SEED)
+    return [next(stream).argv for _ in range(COUNT)]
+
+
+def jobs() -> List[Tuple[str, List[Sequence[str]]]]:
+    """Each job's header text and its requests, in the order they run."""
+    cli_title = f"{CLI_WORKLOAD} --seed {CLI_SEED} (first {COUNT} requests)"
+    return [(" ".join(argv), [argv]) for argv in JOBS] + [(cli_title, cli_requests())]
+
+
+def count_calls(main, *argvs: Sequence[str]) -> Dict[str, int]:
+    """Calls per function, keyed ``module.qualname``, of ``main(argv)`` for
+    each argv in turn.  A first run of them all, not counted, fills the
+    caches that the first request of a process fills (compiled patterns,
+    lazy imports), so the counts do not depend on what ran before."""
     counts: Counter = Counter()
 
     def profile(frame, event, arg):
@@ -74,17 +103,19 @@ def count_calls(main, argv: Sequence[str]) -> Dict[str, int]:
             counts[f"{frame.f_globals.get('__name__')}.{name}"] += 1
 
     with contextlib.redirect_stdout(io.StringIO()):
-        main(list(argv))
+        for argv in argvs:
+            main(list(argv))
         sys.setprofile(profile)
         try:
-            main(list(argv))
+            for argv in argvs:
+                main(list(argv))
         finally:
             sys.setprofile(None)
     return dict(counts)
 
 
-def report(argv: Sequence[str], counts: Dict[str, int], triangles: int) -> List[str]:
-    lines = [f"job: {' '.join(argv)}"]
+def report(title: str, counts: Dict[str, int], triangles: int) -> List[str]:
+    lines = [f"job: {title}"]
     frequent = [(n, name) for name, n in counts.items() if n >= triangles]
     for n, name in sorted(frequent, key=lambda item: (-item[0], item[1])):
         lines.append(f"{n / triangles:10.2f}  {name}")
@@ -95,8 +126,8 @@ def report(argv: Sequence[str], counts: Dict[str, int], triangles: int) -> List[
 def compare(old: Sequence[Dict[str, int]], new: Sequence[Dict[str, int]]) -> List[str]:
     """Each job's header, the functions whose calls differ and both totals."""
     lines = []
-    for job, before, after in zip(JOBS, old, new):
-        lines.append(f"job: {' '.join(job)}")
+    for (title, _), before, after in zip(jobs(), old, new):
+        lines.append(f"job: {title}")
         names = before.keys() | after.keys()
         moved = [name for name in names if before.get(name) != after.get(name)]
         moved.sort(key=lambda name: (-abs(after.get(name, 0) - before.get(name, 0)), name))
@@ -119,7 +150,7 @@ def _job_counts(src: Path) -> List[Dict[str, int]]:
     package = Path(cli.__file__).resolve().parent
     if package != src / "ninepoint":
         raise ImportError(f"imported {package}, not the package under {src}")
-    return [count_calls(cli.main, job) for job in JOBS]
+    return [count_calls(cli.main, *requests) for _, requests in jobs()]
 
 
 def _counts_of(src: Path) -> List[Dict[str, int]]:
@@ -154,8 +185,8 @@ def main(argv: List[str]) -> int:
     except ImportError as exc:
         print(exc, file=sys.stderr)
         return 2
-    for job, job_counts in zip(JOBS, counts):
-        print("\n".join(report(job, job_counts, COUNT)))
+    for (title, _), job_counts in zip(jobs(), counts):
+        print("\n".join(report(title, job_counts, COUNT)))
     return 0
 
 
