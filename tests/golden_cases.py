@@ -1,7 +1,9 @@
 """The argv table of the golden CLI outputs under tests/golden/.
 
 ``CASES`` are requests whose stdout is pinned, ``ERROR_CASES`` requests
-that argparse rejects, whose stderr is pinned at ``COLUMNS=ERROR_COLUMNS``.
+that argparse rejects, whose stderr is pinned at ``COLUMNS=ERROR_COLUMNS``,
+and ``HELP_CASES`` requests for help, whose stdout is pinned at the same
+width.
 ``tests/test_cli_golden.py`` checks them, and ``tools/output_digest.py``
 runs them; this module imports nothing outside the standard library, so
 the digest runs where pytest cannot be imported.
@@ -84,6 +86,14 @@ CASES = {
     # A generic-profile triangle (seed 7, index 4) whose exact embedding has
     # ragged denominators, so every Cartesian center prints as p/q.
     "ragged_exact_compute_json": ["compute", "--sides", "3504/7,3300/7,324/7", "--format", "json"],
+    # Requests that argparse reads and that are not written as one
+    # "--flag value" pair per option: "=", an abbreviation, a repeated flag
+    # (the last one wins) and a negative number.
+    "345_exact_feuerbach_json_spelled": ["feuerbach", "--sides=3,4,5", "--form", "json"],
+    "345_exact_compute_json_repeated": ["compute", "--sides", "3,4,5", "--format", "text",
+                                        "--format", "json"],
+    "fuzz_generic_exact_json_negative_seed": ["fuzz", "--count", "2", "--seed", "-5",
+                                              "--format", "json"],
 }
 
 # Requests that argparse rejects: exit code 2, empty stdout, and the usage
@@ -95,5 +105,19 @@ ERROR_CASES = {
     "error_sides_and_vertices": ["compute", "--sides", "3,4,5", "--vertices", "0,0,4,0,0,3"],
     "error_bad_format": ["feuerbach", "--sides", "3,4,5", "--format", "xml"],
     "error_no_subcommand": [],
+    "error_bad_int": ["fuzz", "--count", "x"],
+    "error_svg_format": ["svg", "--sides", "3,4,5", "--format", "json"],
+    "error_missing_value": ["feuerbach", "--sides", "3,4,5", "--rel-eps"],
+    "error_bad_backend": ["compute", "--sides", "3,4,5", "--backend", "Exact"],
 }
 ERROR_COLUMNS = "80"
+
+# Requests for help: exit code 0, empty stderr, and the help text on stdout,
+# which argparse also wraps, so it is pinned at COLUMNS=ERROR_COLUMNS too.
+HELP_CASES = {
+    "help": ["--help"],
+    "help_compute": ["compute", "--help"],
+    "help_feuerbach": ["feuerbach", "--help"],
+    "help_fuzz": ["fuzz", "--help"],
+    "help_svg": ["svg", "--help"],
+}

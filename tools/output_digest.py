@@ -18,7 +18,7 @@ differs and 0 otherwise.
 Each ARGV is one request, written as a shell command line without the
 program name (``"compute --sides 3,4,5"``); with none, the fixed set runs:
 
-* every golden argv of ``tests/golden_cases.py``;
+* every golden argv of ``tests/golden_cases.py``, help requests included;
 * the first N requests (``--requests``, default 100) of each benchmark
   workload of ``perfbench/workloads.py`` at the seed (``--seed``,
   default 0);
@@ -32,7 +32,7 @@ program name (``"compute --sides 3,4,5"``); with none, the fixed set runs:
 
 The set is read from this checkout, so both trees of a comparison run the
 same requests.  Requests run with ``COLUMNS=80``, at which the argparse
-goldens are pinned.  The tool uses the standard library only, so it runs
+error and help goldens are pinned.  The tool uses the standard library only, so it runs
 on every supported Python, including those where pytest cannot be
 imported.
 """
@@ -99,12 +99,13 @@ def edge_requests() -> List[List[str]]:
 
 
 def request_set(seed: int, per_workload: int) -> List[List[str]]:
-    """The golden argvs, the first requests of each benchmark workload and
+    """The golden argvs (successes, errors, help), the first requests of each benchmark workload and
     the edge requests, in that order."""
     golden = _load("_digest_golden_cases", ROOT / "tests" / "golden_cases.py")
     workloads = _load("_digest_workloads", ROOT / "perfbench" / "workloads.py")
     requests = [list(argv) for argv in golden.CASES.values()]
     requests += [list(argv) for argv in golden.ERROR_CASES.values()]
+    requests += [list(argv) for argv in golden.HELP_CASES.values()]
     for workload in workloads.WORKLOADS.values():
         stream = workload.requests(seed)
         requests += [next(stream).argv for _ in range(per_workload)]
