@@ -7,6 +7,13 @@ Subcommands:
 * ``fuzz``      run the identity suite over a randomized profile
 * ``svg``       schematic drawing of the triangle and its circles
 
+Each command's options are declared once, in ``COMMANDS``.  ``main`` reads
+a plain request (the command, then each option once as ``--flag value``)
+straight from that table.  Any other argv, help and every usage error
+included, goes to the argparse parser that ``build_parser`` builds from the
+same table, so argparse writes all help and error text, and a plain
+request does not import ``argparse``.
+
 Exit codes: 0 success, 2 invalid input, 3 residual failure (float-backend
 numeric breakdown), 4 I/O failure.  JSON output keeps a stable key order
 and serializes rationals as "p/q" strings.  The CLI writes the layout of
@@ -17,12 +24,12 @@ and serializes rationals as "p/q" strings.  The CLI writes the layout of
 
 from __future__ import annotations
 
-import argparse
 import functools
 import re
 import sys
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
 from .numeric import DEFAULT_TOLERANCE, Scalar, ToleranceProfile, is_exact
 from .record import Record
@@ -42,6 +49,9 @@ from .centers import center_set
 from .feuerbach import FeuerbachReport, feuerbach_report
 from .harness import PROFILE_KINDS, FuzzProfile, _float_sides, _integer_sides, check_identity_suite
 from .svg import render_svg
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["RunConfig", "main", "cmd_compute", "cmd_feuerbach", "cmd_fuzz", "cmd_svg"]
 
@@ -97,7 +107,7 @@ def _name_underflow(raw: Sequence[str], values: Sequence[Scalar]) -> None:
             raise ValueError(f"{text.strip()} is below the float range; use --backend exact")
 
 
-def _resolve_input(args: argparse.Namespace) -> RunConfig:
+def _resolve_input(args: SimpleNamespace) -> RunConfig:
     backend = args.backend
     if args.vertices is not None:
         if backend is None:
@@ -361,7 +371,7 @@ def cmd_feuerbach(config: RunConfig) -> int:
     return EXIT_OK if report.ok else EXIT_RESIDUAL_FAILURE
 
 
-def cmd_fuzz(args: argparse.Namespace) -> int:
+def cmd_fuzz(args: SimpleNamespace) -> int:
     backend = args.backend or "exact"
     tol = ToleranceProfile(rel_eps=args.rel_eps, abs_eps=args.abs_eps)
     profile = FuzzProfile(
@@ -439,74 +449,111 @@ def cmd_svg(config: RunConfig) -> int:
 
 # --- argument parsing ------------------------------------------------------
 
+_BACKENDS = ("exact", "float")
+_TRIANGLE = {
+    "--sides": ("sides", str, None, None, "comma-separated side lengths a,b,c (each like 3, 3/1 or 1.5)"),
+    "--vertices": ("vertices", str, None, None, "comma-separated coordinates ax,ay,bx,by,cx,cy"),
+    "--backend": (
+        "backend", str, _BACKENDS, None, "scalar backend (default: exact for --sides, float for --vertices)"
+    ),
+}
+_FORMAT = {"--format": ("format", str, ("json", "text"), "text", None)}
+_OUT = {"--out": ("out", str, None, None, "write output to this path instead of stdout")}
+# The float comparison tolerance, for the commands that read it.
+_TOLERANCE = {
+    "--rel-eps": ("rel_eps", float, None, DEFAULT_TOLERANCE.rel_eps, None),
+    "--abs-eps": ("abs_eps", float, None, DEFAULT_TOLERANCE.abs_eps, None),
+}
 
-def _add_triangle_arguments(parser: argparse.ArgumentParser, formats: Sequence[str]) -> None:
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--sides", help="comma-separated side lengths a,b,c (each like 3, 3/1 or 1.5)")
-    group.add_argument("--vertices", help="comma-separated coordinates ax,ay,bx,by,cx,cy")
-    parser.add_argument(
-        "--backend",
-        choices=("exact", "float"),
-        default=None,
-        help="scalar backend (default: exact for --sides, float for --vertices)",
-    )
-    if formats:
-        parser.add_argument("--format", choices=tuple(formats), default="text")
-    _add_out_argument(parser)
-
-
-def _add_out_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
-
-def _add_tolerance_arguments(parser: argparse.ArgumentParser) -> None:
-    """The float comparison tolerance, for the commands that read it."""
-    parser.add_argument("--rel-eps", type=float, default=DEFAULT_TOLERANCE.rel_eps)
-    parser.add_argument("--abs-eps", type=float, default=DEFAULT_TOLERANCE.abs_eps)
+# Each command's help line and its options in usage-line order:
+# flag -> (dest, type, choices, default, help).  A command with --sides
+# takes exactly one of --sides and --vertices.
+COMMANDS = {
+    "compute": ("metrics and centers of one triangle", {**_TRIANGLE, **_FORMAT, **_OUT}),
+    "feuerbach": ("nine-point tangency report", {**_TRIANGLE, **_FORMAT, **_OUT, **_TOLERANCE}),
+    "fuzz": (
+        "identity suite over a randomized profile",
+        {
+            "--profile": ("profile", str, PROFILE_KINDS, "generic", None),
+            "--count": ("count", int, None, 100, None),
+            "--seed": ("seed", int, None, 0, None),
+            "--bound": ("bound", int, None, 10, "magnitude bound for generated values"),
+            "--backend": ("backend", str, _BACKENDS, "exact", None),
+            **_FORMAT,
+            **_OUT,
+            **_TOLERANCE,
+        },
+    ),
+    "svg": ("schematic SVG drawing", {**_TRIANGLE, **_OUT}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``COMMANDS``, which answers every request that
+    ``_plain_request`` declines: help, errors and the other spellings."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="ninepoint",
         description="Triangle geometry kernel with an exact nine-point tangency verifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    compute = sub.add_parser("compute", help="metrics and centers of one triangle")
-    _add_triangle_arguments(compute, ("json", "text"))
-
-    feuer = sub.add_parser("feuerbach", help="nine-point tangency report")
-    _add_triangle_arguments(feuer, ("json", "text"))
-    _add_tolerance_arguments(feuer)
-
-    fuzz = sub.add_parser("fuzz", help="identity suite over a randomized profile")
-    fuzz.add_argument("--profile", choices=PROFILE_KINDS, default="generic")
-    fuzz.add_argument("--count", type=int, default=100)
-    fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--bound", type=int, default=10, help="magnitude bound for generated values")
-    fuzz.add_argument("--backend", choices=("exact", "float"), default="exact")
-    fuzz.add_argument("--format", choices=("json", "text"), default="text")
-    _add_out_argument(fuzz)
-    _add_tolerance_arguments(fuzz)
-
-    svg = sub.add_parser("svg", help="schematic SVG drawing")
-    _add_triangle_arguments(svg, ())
-
+    for command, (summary, options) in COMMANDS.items():
+        subparser = sub.add_parser(command, help=summary)
+        group = subparser.add_mutually_exclusive_group(required=True) if "--sides" in options else None
+        for flag, (dest, kind, choices, default, text) in options.items():
+            target = group if flag in ("--sides", "--vertices") else subparser
+            target.add_argument(flag, dest=dest, type=kind, choices=choices, default=default, help=text)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser that ``main`` uses, built on the first call and then shared:
-    ``parse_args`` does not change it and returns a fresh namespace."""
+    """The parser that ``main`` hands each argv it does not read itself,
+    built on the first call and then shared: ``parse_args`` does not change
+    it and returns a fresh namespace."""
     return build_parser()
 
 
+def _plain_request(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace that argparse gives ``argv``, read from ``COMMANDS``, when
+    ``argv`` is plain: a command, then each option once as ``--flag value``,
+    with a value that does not start with "-", converts with the flag's type
+    and is among its choices, and, for a triangle command, exactly one of
+    --sides and --vertices.  None for any other argv."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    options = COMMANDS[argv[0]][1]
+    flags = argv[1::2]
+    if len(set(flags)) < len(flags):
+        return None
+    args = SimpleNamespace(command=argv[0], **{spec[0]: spec[3] for spec in options.values()})
+    for flag, text in zip(flags, argv[2::2]):
+        spec = options.get(flag)
+        if spec is None or text.startswith("-"):
+            return None
+        dest, kind, choices = spec[:3]
+        try:
+            value = kind(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        setattr(args, dest, value)
+    if "--sides" in options and (args.sides is None) == (args.vertices is None):
+        return None
+    return args
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID_INPUT if exc.code not in (0, None) else EXIT_OK
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _plain_request(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(_parser().parse_args(argv)))
+        except SystemExit as exc:
+            return EXIT_INVALID_INPUT if exc.code not in (0, None) else EXIT_OK
 
     try:
         if args.command == "fuzz":

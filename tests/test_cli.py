@@ -10,9 +10,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from golden_cases import CASES, ERROR_CASES, HELP_CASES
 from ninepoint import cli
 from ninepoint.triangle import CENTER_WEIGHTS
 
@@ -684,7 +685,8 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(results))
 """
 
-# Counts build_parser calls from right after the import through three main() calls.
+# Counts build_parser calls from right after the import: through three plain
+# requests, then through a request for help and a request that argparse rejects.
 COUNT_BUILDS = """
 import contextlib, io, json
 import ninepoint.cli as cli
@@ -696,13 +698,15 @@ def counting_build_parser():
     return build_parser()
 cli.build_parser = counting_build_parser
 before = builds
-argvs = [["compute", "--sides", "3,4,5"], ["feuerbach", "--sides", "2,3,4", "--format", "json"],
+plain = [["compute", "--sides", "3,4,5"], ["feuerbach", "--sides", "2,3,4", "--format", "json"],
          ["fuzz", "--count", "2"]]
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main(argv) for argv in argvs]
-print(json.dumps([before, builds, codes]))
+others = [["--help"], ["feuerbach", "--sides", "2,3,4", "--format", "xml"]]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in plain]
+    after_plain = builds
+    codes += [cli.main(argv) for argv in others]
+print(json.dumps([before, after_plain, builds, codes]))
 """
-
 
 def fresh_python(script: str, *args: str) -> str:
     """stdout of ``script`` in a new interpreter that imports this ninepoint."""
@@ -742,6 +746,8 @@ print(" ".join(sorted(set(sys.modules) - bare)))
 INTROSPECTION = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 # The CLI writes its JSON layout itself.
 JSON_MODULES = {"json", "json.decoder", "json.encoder", "json.scanner", "_json"}
+# A plain request is read without argparse, which imports gettext and locale.
+ARGPARSE_MODULES = {"argparse", "gettext", "locale"}
 
 
 def modules_added_by(module: str, *requests: str) -> set:
@@ -774,6 +780,16 @@ class TestColdStart:
         )
         assert added & JSON_MODULES == set()
 
+    def test_plain_requests_import_no_argparse(self):
+        added = modules_added_by(
+            "ninepoint.cli",
+            "feuerbach --sides 3,4,5 --format json",
+            "compute --sides 3,4,5",
+            "fuzz --count 1 --format json",
+        )
+        assert added & ARGPARSE_MODULES == set()
+        assert "argparse" in modules_added_by("ninepoint.cli", "--help")
+
     def test_probe_sees_an_added_module(self):
         assert "dataclasses" in modules_added_by("dataclasses")
         assert "json" in modules_added_by("json")
@@ -781,9 +797,10 @@ class TestColdStart:
 
 class TestSharedParser:
     def test_one_parser_per_process_none_at_import(self):
-        before, builds, codes = json.loads(fresh_python(COUNT_BUILDS))
-        assert codes == [0, 0, 0]
+        before, after_plain, builds, codes = json.loads(fresh_python(COUNT_BUILDS))
+        assert codes == [0, 0, 0, 0, 2]
         assert before == 0
+        assert after_plain == 0
         assert builds == 1
 
     def test_build_parser_returns_a_fresh_parser(self):
@@ -810,3 +827,104 @@ class TestSharedParser:
         assert shared[5][1].startswith("profile=generic count=100 seed=0 bound=10 backend=exact\n")
         for argv, triple in zip(sequence, shared):
             assert triple == run_fresh(argv)[0], argv
+
+
+def _load_workloads():
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_cli_test_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def argparse_namespace(argv):
+    """vars() of argparse's namespace for ``argv``, or None when argparse
+    exits (an error or help)."""
+    import contextlib
+    import io
+
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def reprs(namespace: dict) -> dict:
+    """Each value by its repr, so that a NaN equals a NaN."""
+    return {name: repr(value) for name, value in namespace.items()}
+
+
+ALL_FLAGS = sorted({flag for _, options in cli.COMMANDS.values() for flag in options})
+ODD_TOKENS = ["-h", "--help", "--form", "--sides=3,4,5", "--", "stray", "--bogus", ""]
+# Values that each option type reads, and values that some or all reject.
+TYPE_VALUES = {str: ["3,4,5", "0,0,4,0,0,3", "1,1", "x", ""], int: ["7", "0", "4 "], float: ["1e-3", "nan", "2"]}
+VALUES = [
+    "3,4,5", "7", "4 ", "1e-3", "nan", "-5", "-1e-9", "-", "", "x",
+    "json", "xml", "exact", "Exact", "generic", "compute",
+]
+# The golden successes that are not plain: "=", an abbreviation, a repeated
+# flag and a negative number.
+NOT_PLAIN_CASES = {
+    "345_exact_feuerbach_json_spelled",
+    "345_exact_compute_json_repeated",
+    "fuzz_generic_exact_json_negative_seed",
+}
+
+
+@st.composite
+def argvs(draw):
+    """A command and some of its flags, mostly each with a value it reads;
+    now and then a stray token, a missing or rejected value, or a repeat."""
+    command = draw(st.sampled_from([*cli.COMMANDS, "bogus", "-h", ""]))
+    options = cli.COMMANDS[command][1] if command in cli.COMMANDS else cli.COMMANDS["fuzz"][1]
+    flags = draw(st.permutations(list(options)))
+    argv = [command]
+    for flag in flags[: draw(st.integers(0, len(flags)))]:
+        _, kind, choices, _, _ = options[flag]
+        shape = draw(st.integers(0, 19))
+        argv.append(draw(st.sampled_from(ALL_FLAGS + ODD_TOKENS)) if shape == 0 else flag)
+        if shape == 1:
+            continue
+        good = list(choices) if choices else TYPE_VALUES[kind]
+        if shape == 2:
+            argv += [draw(st.sampled_from(good)), flag]
+        argv.append(draw(st.sampled_from(VALUES if shape in (3, 4) else good)))
+    return argv
+
+
+class TestPlainRequest:
+    """``main`` reads a plain request from ``cli.COMMANDS``; any other argv
+    goes to argparse."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    @example(["feuerbach", "--sides", "3,4,5", "--rel-eps", "nan", "--abs-eps", "4 "])
+    @example(["fuzz", "--count", "4 ", "--seed", "0", "--profile", "near-degenerate"])
+    @example(["compute", "--vertices", "", "--format", "json", "--out", "x"])
+    @example(["svg", "--sides", "compute", "--backend", "float"])
+    @example(["fuzz"])
+    def test_declines_or_matches_argparse(self, argv):
+        plain = cli._plain_request(argv)
+        if plain is not None:
+            expected = argparse_namespace(argv)
+            assert expected is not None, argv
+            assert reprs(vars(plain)) == reprs(expected), argv
+
+    def test_reads_every_workload_request(self):
+        workloads = _load_workloads()
+        for workload in workloads.WORKLOADS.values():
+            stream = workload.requests(0)
+            for _ in range(200):
+                argv = next(stream).argv
+                assert reprs(vars(cli._plain_request(argv))) == reprs(argparse_namespace(argv)), argv
+
+    def test_reads_the_plain_goldens_and_declines_the_rest(self):
+        declined = {name for name, argv in CASES.items() if cli._plain_request(argv) is None}
+        assert declined == NOT_PLAIN_CASES
+        for argv in [*ERROR_CASES.values(), *HELP_CASES.values()]:
+            assert cli._plain_request(argv) is None, argv
