@@ -708,6 +708,7 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 print(json.dumps([before, after_plain, builds, codes]))
 """
 
+
 def fresh_python(script: str, *args: str) -> str:
     """stdout of ``script`` in a new interpreter that imports this ninepoint."""
     import subprocess
@@ -862,7 +863,11 @@ def reprs(namespace: dict) -> dict:
 ALL_FLAGS = sorted({flag for _, options in cli.COMMANDS.values() for flag in options})
 ODD_TOKENS = ["-h", "--help", "--form", "--sides=3,4,5", "--", "stray", "--bogus", ""]
 # Values that each option type reads, and values that some or all reject.
-TYPE_VALUES = {str: ["3,4,5", "0,0,4,0,0,3", "1,1", "x", ""], int: ["7", "0", "4 "], float: ["1e-3", "nan", "2"]}
+TYPE_VALUES = {
+    str: ["3,4,5", "0,0,4,0,0,3", "1,1", "x", ""],
+    int: ["7", "0", "4 "],
+    float: ["1e-3", "nan", "2"],
+}
 VALUES = [
     "3,4,5", "7", "4 ", "1e-3", "nan", "-5", "-1e-9", "-", "", "x",
     "json", "xml", "exact", "Exact", "generic", "compute",
