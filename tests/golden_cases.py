@@ -82,6 +82,10 @@ CASES = {
                                         "--count", "20", "--seed", "13", "--format", "json"],
     "fuzz_neardegen_exact_json": ["fuzz", "--profile", "near-degenerate", "--backend", "exact",
                                   "--count", "30", "--seed", "17", "--format", "json"],
+    # Float sides at conditioning 2 whose incircle the report calls
+    # coincident, though the triangle is not equilateral.
+    "1000001_float_feuerbach_json": ["feuerbach", "--sides", "1000000,1000001,1000000",
+                                     "--backend", "float", "--format", "json"],
     "131415_exact_compute_json": ["compute", "--sides", "13,14,15", "--format", "json"],
     # A generic-profile triangle (seed 7, index 4) whose exact embedding has
     # ragged denominators, so every Cartesian center prints as p/q.
@@ -109,6 +113,7 @@ ERROR_CASES = {
     "error_svg_format": ["svg", "--sides", "3,4,5", "--format", "json"],
     "error_missing_value": ["feuerbach", "--sides", "3,4,5", "--rel-eps"],
     "error_bad_backend": ["compute", "--sides", "3,4,5", "--backend", "Exact"],
+    "error_unknown_command": ["bogus", "--sides", "3,4,5"],
 }
 ERROR_COLUMNS = "80"
 

@@ -28,7 +28,9 @@ program name (``"compute --sides 3,4,5"``); with none, the fixed set runs:
   --format json``), so the exact suite runs on many frames with metric
   m != 1 and the float suite on every profile; and
   ``feuerbach``, ``compute`` and ``svg`` on the sides (x, x, 1.5x) for x
-  in 1e-320, 1e-160, 1e154 and 1e200, on both backends.
+  in 1e-320, 1e-160, 1e154 and 1e200, on both backends; and float
+  ``feuerbach`` as text and JSON on three flat triangles whose report
+  fails.
 
 The set is read from this checkout, so both trees of a comparison run the
 same requests.  Requests run with ``COLUMNS=80``, at which the argparse
@@ -63,6 +65,13 @@ EDGE_FUZZ_OPTIONS = (
 EDGE_FUZZ_COUNT = "5"
 EDGE_COUNT_FUZZ = ["--count", "100", "--seed", "1", "--format", "json"]
 EDGE_SCALES = ("1e-320", "1e-160", "1e154", "1e200")
+# Flat float triangles (conditioning 4e7 to 1.1e8) whose float report
+# calls exC not_tangent, so feuerbach exits 3.
+EDGE_FLAT_SIDES = (
+    "5.7820177604881975,0.2298304769301318,6.0118479363748625",
+    "8.726906972770392,2.1736181867016673,10.900524604130204",
+    "9.82596897737666,8.736836877824338,18.56280551415527",
+)
 COLUMNS = "80"
 # A changed line is shown this many characters either side of where it
 # first differs.
@@ -95,6 +104,9 @@ def edge_requests() -> List[List[str]]:
         for command in ("feuerbach", "compute", "svg"):
             for backend in ("exact", "float"):
                 requests.append([command, "--sides", sides, "--backend", backend])
+    for sides in EDGE_FLAT_SIDES:
+        for fmt in ("text", "json"):
+            requests.append(["feuerbach", "--sides", sides, "--backend", "float", "--format", fmt])
     return requests
 
 
