@@ -488,10 +488,27 @@ COMMANDS = {
 }
 
 
+def _invalid_choice(value: str, choices: Sequence[str]) -> str:
+    """argparse's text for a value outside ``choices``, each choice quoted,
+    which not every Python release's argparse does itself."""
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of ``COMMANDS``, which answers every request that
-    ``_plain_request`` declines: help, errors and the other spellings."""
+    ``_plain_request`` declines: help, errors and the other spellings.  A
+    flag with choices checks them in its type, so that its error text is
+    ``_invalid_choice``'s."""
     import argparse
+
+    def choice(kind: type, choices: Sequence[str]):
+        def convert(text: str) -> str:
+            value = kind(text)
+            if value not in choices:
+                raise argparse.ArgumentTypeError(_invalid_choice(value, choices))
+            return value
+
+        return convert
 
     parser = argparse.ArgumentParser(
         prog="ninepoint",
@@ -503,7 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
         group = subparser.add_mutually_exclusive_group(required=True) if "--sides" in options else None
         for flag, (dest, kind, choices, default, text) in options.items():
             target = group if flag in ("--sides", "--vertices") else subparser
-            target.add_argument(flag, dest=dest, type=kind, choices=choices, default=default, help=text)
+            metavar = None
+            if choices is not None:
+                kind, metavar = choice(kind, choices), "{" + ",".join(choices) + "}"
+            target.add_argument(flag, dest=dest, type=kind, default=default, metavar=metavar, help=text)
     return parser
 
 
@@ -545,13 +565,23 @@ def _plain_request(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return args
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """argparse's namespace of ``argv``.  An unknown command in first place,
+    which argparse would refuse before reading anything else, is refused
+    here with the same text, quoted as ``_invalid_choice`` quotes it."""
+    parser = _parser()
+    if argv and argv[0] not in COMMANDS and not argv[0].startswith("-"):
+        parser.error(f"argument command: {_invalid_choice(argv[0], tuple(COMMANDS))}")
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _plain_request(argv)
     if args is None:
         try:
-            args = SimpleNamespace(**vars(_parser().parse_args(argv)))
+            args = SimpleNamespace(**vars(_parse_args(argv)))
         except SystemExit as exc:
             return EXIT_INVALID_INPUT if exc.code not in (0, None) else EXIT_OK
 

@@ -20,19 +20,22 @@ rather than tangent.
 The tangency formulas of the triangle's circles are methods of the
 kernel of its sides (``triangle._IntegerTriangle`` and
 ``triangle._FloatTriangle``), under the same names: each circle's
-``residual``, and its ``verdict``, the kind and the residual from one
-computation, which the identity suite reads.  The residual functions
-here forward to the kernel without asking which it is.  On exact sides
-the sides are scaled to integers, and each circle's two residuals are
-e +- 2*abc*d over 4*d^2*L^2 (``_IntegerTriangle.tangency_numerators``),
-so tangency is decided by testing e +- 2*abc*d for zero.  A tangent
-circle's report then reduces one large number, its chosen right-hand
-side in a closed form that is also the left-hand side; the zero residual
-and the other residual, -+2*R*r_X, need no large gcd, and the other
-right-hand side is built only when read (see :func:`_exact_tangency`).
-On float sides each circle's |XN|^2 is its distance identity
-(``_FloatTriangle.center_dist_sq``), its residual comes from that value,
-and its kind from the float branch of :func:`classify_tangency_sq`.
+``residual``; its ``verdict``, the kind and the residual from one
+computation, which the identity suite reads; and its ``tangency``, the
+fields of its :class:`TangencyReport`, from which
+:func:`feuerbach_report` builds the report of either backend without
+asking which it is.  The residual functions here forward to the kernel
+the same way.  On exact sides the sides are scaled to integers, and each
+circle's two residuals are e +- 2*abc*d over 4*d^2*L^2
+(``_IntegerTriangle.tangency_numerators``), so tangency is decided by
+testing e +- 2*abc*d for zero.  A tangent circle's report then reduces
+one large number, its chosen right-hand side in a closed form that is
+also the left-hand side; the zero residual and the other residual,
+-+2*R*r_X, need no large gcd, and the other right-hand side is built
+only when read.  On float sides each circle's |XN|^2 is its distance
+identity (``_FloatTriangle.center_dist_sq``), and its kind and
+right-hand sides come from the float decision that
+:func:`classify_tangency_sq` makes on floats.
 
 Tangency classification works on squared quantities only.  The cross term
 2*r1*r2 in (r1 +- r2)^2 is recovered with an exact square root of
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Tuple
+from typing import Optional, Tuple
 
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -61,8 +64,6 @@ from .triangle import (
     SideLengths,
     Tangency,
     TriangleMetrics,
-    _IntegerTriangle,
-    _ZERO,
     _checked_lhs,
     _exact_kind,
     _float_decision,
@@ -83,12 +84,6 @@ __all__ = [
 ]
 
 
-def _radius_terms(met: TriangleMetrics, circle: str) -> Tuple[Scalar, Scalar]:
-    """r_X^2 and R*r_X of one circle."""
-    k = CIRCLES.index(circle)
-    return (met.r_sq, met.rA_sq, met.rB_sq, met.rC_sq)[k], (met.Rr, met.RrA, met.RrB, met.RrC)[k]
-
-
 class TangencyReport(Record):
     """Squared-distance comparison of two circles.
 
@@ -96,10 +91,11 @@ class TangencyReport(Record):
     are (r1 - r2)^2 and (r1 + r2)^2.  Both residuals are carried so a
     NotTangent outcome shows which comparison failed and by how much.
 
-    An exact tangent report from :func:`feuerbach_report` stores its
-    unchosen rhs only once it is read, as ``lhs`` minus its residual; the
-    value, and so ``==``, ``hash``, ``repr``, copy and pickle, are those of
-    the report built with all six fields.
+    A right-hand side given as None is stored only once it is read, as
+    ``lhs`` minus its residual; the value, and so ``==``, ``hash``,
+    ``repr``, copy and pickle, are those of the report built with all six
+    fields.  An exact tangent report from :func:`feuerbach_report` leaves
+    its unchosen rhs so.
     """
 
     __slots__ = (
@@ -117,37 +113,19 @@ class TangencyReport(Record):
         self,
         kind: Tangency,
         lhs: Scalar,
-        rhs_internal: Scalar,
-        rhs_external: Scalar,
+        rhs_internal: Optional[Scalar],
+        rhs_external: Optional[Scalar],
         residual_internal: Scalar,
         residual_external: Scalar,
     ) -> None:
         set_field(self, "kind", kind)
         set_field(self, "lhs", lhs)
-        set_field(self, "_rhs_internal", rhs_internal)
-        set_field(self, "_rhs_external", rhs_external)
+        if rhs_internal is not None:
+            set_field(self, "_rhs_internal", rhs_internal)
+        if rhs_external is not None:
+            set_field(self, "_rhs_external", rhs_external)
         set_field(self, "residual_internal", residual_internal)
         set_field(self, "residual_external", residual_external)
-
-    @classmethod
-    def _exact_tangent(
-        cls,
-        kind: Tangency,
-        value: Fraction,
-        residual_internal: Fraction,
-        residual_external: Fraction,
-    ) -> "TangencyReport":
-        """A tangent or coincident exact report whose ``lhs`` and chosen rhs
-        are ``value``; the other rhs is left to be built on first read."""
-        report = cls.__new__(cls)
-        set_field(report, "kind", kind)
-        set_field(report, "lhs", value)
-        set_field(
-            report, "_rhs_external" if kind is Tangency.EXTERNAL_TANGENT else "_rhs_internal", value
-        )
-        set_field(report, "residual_internal", residual_internal)
-        set_field(report, "residual_external", residual_external)
-        return report
 
     @property
     def rhs_internal(self) -> Scalar:
@@ -251,41 +229,6 @@ def _kind_ok(circle: str, kind: Tangency) -> bool:
     return kind is Tangency.EXTERNAL_TANGENT
 
 
-def _exact_tangency(t: _IntegerTriangle, met: TriangleMetrics, circle: str) -> TangencyReport:
-    """The exact branch of :func:`classify_tangency_sq`, decided on integers
-    (``_IntegerTriangle.decision``).
-
-    A tangent kind gives every field from closed forms.  The circle's
-    weight sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen
-    rhs (abc*d -+ P)^2 / (4*P*d^2*L^2) is (abc -+ P/d)^2 / (4*P*L^2), and
-    it equals lhs; its residual is zero.
-    The two residuals differ by 4*abc*d / (4*d^2*L^2) = 2*R*r_X, so the
-    other one is -+2*R*r_X, read from ``met``.  So one large number is
-    reduced per circle, and the other rhs, lhs minus its residual, is built
-    only if it is read.  NotTangent has no identity to lean on and reduces
-    all five fields."""
-    kind, (e, two_abc_d, d) = t.decision(circle)
-    if kind is Tangency.NOT_TANGENT:
-        den = 4 * (d * t.L) ** 2
-        abc_d = t.abc * d
-        rhs_internal = (abc_d - t.P) ** 2
-        return TangencyReport(
-            kind=kind,
-            lhs=Fraction(rhs_internal + t.P * (e + two_abc_d), t.P * den),
-            rhs_internal=Fraction(rhs_internal, t.P * den),
-            rhs_external=Fraction((abc_d + t.P) ** 2, t.P * den),
-            residual_internal=Fraction(e + two_abc_d, den),
-            residual_external=Fraction(e - two_abc_d, den),
-        )
-    mixed = _radius_terms(met, circle)[1]
-    den = 4 * t.P * t.L * t.L
-    if kind is Tangency.EXTERNAL_TANGENT:
-        value = Fraction((t.abc + t.P // d) ** 2, den)
-        return TangencyReport._exact_tangent(kind, value, 2 * mixed, _ZERO)
-    value = Fraction((t.abc - t.P // d) ** 2, den)
-    return TangencyReport._exact_tangent(kind, value, _ZERO, -2 * mixed)
-
-
 def _ninepoint_residual(sides: SideLengths, circle: str) -> Scalar:
     """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2 for an
     excircle: the comparison Feuerbach's theorem makes exact."""
@@ -353,20 +296,13 @@ def feuerbach_report(
 ) -> FeuerbachReport:
     """Classify nine-point circle against incircle and the three excircles."""
     met = metrics(sides)
-    t = sides._kernel
-    if sides.is_exact:
-        reports = tuple(_exact_tangency(t, met, circle) for circle in CIRCLES)
-    else:
-        # Each center's |XN|^2 comes from the same three vertex-to-N distances.
-        vertex_n = sides._vertex_ninepoint_dist_sq
-        ninepoint_r_sq = met.R_sq / 4
-        reports = []
-        for circle in CIRCLES:
-            d_sq, r_sq = t.center_dist_sq(circle, vertex_n), _radius_terms(met, circle)[0]
-            reports.append(classify_tangency_sq(d_sq, ninepoint_r_sq, r_sq, tol))
+    t, values = sides._kernel, met._values()
     return FeuerbachReport(
         sides,
         met,
         sides.is_equilateral,
-        tuple(FeuerbachEntry(circle, report) for circle, report in zip(CIRCLES, reports)),
+        tuple(
+            FeuerbachEntry(circle, TangencyReport(*t.tangency(circle, values, tol)))
+            for circle in CIRCLES
+        ),
     )

@@ -28,12 +28,12 @@ hold three exact values or three floats, and the functions here take
 their other values on the sides' backend.  ``SideLengths`` caches one
 kernel, its backend: :class:`_IntegerTriangle`, whose values are
 unreduced integer ratios, or :class:`_FloatTriangle`, whose values are
-bare floats.  Both hold one formula per quantity, the tangency verdicts
-and residuals of Feuerbach's circles included, under the same method
-names, and both answer the same small vocabulary: the public value of a
-result (``value``, ``values``), its float (``as_float``), a weight over
-its sum (``ratio``), the zero of a component (``zero``) and the kernel of
-other sides (``with_sides``).  So the public functions forward to the
+bare floats.  Both hold one formula per quantity, the tangency verdicts,
+report fields and residuals of Feuerbach's circles included, under the
+same method names, and both answer the same small vocabulary: the public
+value of a result (``value``, ``values``), its float (``as_float``), a
+weight over its sum (``ratio``), the zero of a component (``zero``) and
+the kernel of other sides (``with_sides``).  So the public functions forward to the
 kernel of the sides without asking which one it is; only validation and
 the records that differ per backend (``point_on_side``,
 ``barycentric_distance_sq``, ``exact_vertices``) still branch.  The
@@ -607,6 +607,42 @@ class _IntegerTriangle(NamedTuple):
         kind, numerators = self.decision(circle)
         return kind, self._residual_ratio(circle, numerators)
 
+    def tangency(self, circle: str, met: Tuple[Fraction, ...], tol: Any) -> Tuple[Any, ...]:
+        """The fields of the circle's ``feuerbach.TangencyReport`` as public
+        values: the kind, lhs, the two right-hand sides and the two
+        residuals, from :meth:`decision`; ``met`` is the values tuple of
+        :class:`TriangleMetrics`.
+
+        A tangent kind gives every field from closed forms.  The circle's
+        weight sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen
+        rhs (abc*d -+ P)^2 / (4*P*d^2*L^2) is (abc -+ P/d)^2 / (4*P*L^2), and
+        it equals lhs; its residual is zero.  The two residuals differ by
+        4*abc*d / (4*d^2*L^2) = 2*R*r_X, so the other one is -+2*R*r_X, read
+        from ``met``.  So one large number is reduced per circle; the other
+        rhs comes back as None, for the report to build as lhs minus its
+        residual if it is read.  NotTangent has no identity to lean on and
+        reduces all five fields."""
+        kind, (e, two_abc_d, d) = self.decision(circle)
+        if kind is Tangency.NOT_TANGENT:
+            den = 4 * (d * self.L) ** 2
+            abc_d = self.abc * d
+            rhs_internal = (abc_d - self.P) ** 2
+            return (
+                kind,
+                Fraction(rhs_internal + self.P * (e + two_abc_d), self.P * den),
+                Fraction(rhs_internal, self.P * den),
+                Fraction((abc_d + self.P) ** 2, self.P * den),
+                Fraction(e + two_abc_d, den),
+                Fraction(e - two_abc_d, den),
+            )
+        m = met[7 + CIRCLES.index(circle)]
+        den = 4 * self.P * self.L * self.L
+        if kind is Tangency.EXTERNAL_TANGENT:
+            value = Fraction((self.abc + self.P // d) ** 2, den)
+            return kind, value, None, value, 2 * m, _ZERO
+        value = Fraction((self.abc - self.P // d) ** 2, den)
+        return kind, value, value, None, _ZERO, -2 * m
+
     def residual(self, circle: str) -> Ratio:
         """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2
         for an excircle: the comparison Feuerbach's theorem makes exact."""
@@ -765,13 +801,23 @@ class _FloatTriangle(NamedTuple):
     def verdict(
         self, circle: str, met: Tuple[float, ...], vertex_n: Tuple[float, float, float], tol: Any
     ) -> Tuple["Tangency", float]:
-        """The circle's kind, the float branch of
-        ``feuerbach.classify_tangency_sq`` within ``tol``, and its
-        :meth:`residual`, from one |XN|^2."""
+        """The circle's kind, as :meth:`tangency` decides it within ``tol``,
+        and its :meth:`residual`, from one |XN|^2."""
         k = CIRCLES.index(circle)
         d_sq = self.center_dist_sq(circle, vertex_n)
         kind = _float_decision(d_sq, met[2] / 4, met[3 + k], tol)[0]
         return kind, self._residual_from(k, d_sq, met)
+
+    def tangency(self, circle: str, met: Tuple[float, ...], tol: Any) -> Tuple[Any, ...]:
+        """The fields of the circle's ``feuerbach.TangencyReport``: |XN|^2
+        against the nine-point radius squared R^2/4 and r_X^2, decided by
+        :func:`_float_decision` within ``tol``, with the residuals lhs - rhs.
+        These are the operations of ``feuerbach.classify_tangency_sq`` on
+        the same three floats."""
+        d_sq = self.center_dist_sq(circle, self.vertex_ninepoint_dist_sq())
+        r_sq = met[3 + CIRCLES.index(circle)]
+        kind, lhs, rhs_internal, rhs_external = _float_decision(d_sq, met[2] / 4, r_sq, tol)
+        return kind, lhs, rhs_internal, rhs_external, lhs - rhs_internal, lhs - rhs_external
 
     def residual(self, circle: str) -> float:
         """The residual of :meth:`_IntegerTriangle.residual` on float sides."""
@@ -838,10 +884,10 @@ def _checked_lhs(
 def _float_decision(
     d_sq: float, r1_sq: float, r2_sq: float, tol: ToleranceProfile
 ) -> Tuple[Tangency, float, float, float]:
-    """The float branch of ``feuerbach.classify_tangency_sq``: the kind,
-    then the checked lhs and the two right-hand sides, which only the
-    report reads.  Each bound is ``tol.bound(x)``'s expression, written
-    out."""
+    """The float tangency decision of ``feuerbach.classify_tangency_sq``
+    and of the float kernel's ``tangency`` and ``verdict``: the kind, then
+    the checked lhs and the two right-hand sides, which only the reports
+    read.  Each bound is ``tol.bound(x)``'s expression, written out."""
     d_sq = _checked_lhs(d_sq, r1_sq, r2_sq, tol, False)
     abs_eps, rel_eps = tol.abs_eps, tol.rel_eps
     cross = 2.0 * math.sqrt(r1_sq * r2_sq)

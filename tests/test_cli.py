@@ -804,6 +804,30 @@ class TestSharedParser:
         assert after_plain == 0
         assert builds == 1
 
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(command, flag) for command, (_, options) in cli.COMMANDS.items()
+         for flag, spec in options.items() if spec[2] is not None],
+    )
+    def test_invalid_choice_quotes_each_choice(self, capsys, command, flag):
+        # The text of every Python release that quotes choices, whichever
+        # release runs.
+        triangle = ["--sides", "3,4,5"] if "--sides" in cli.COMMANDS[command][1] else []
+        code, out, err = run(capsys, command, *triangle, flag, "Bogus")
+        choices = ", ".join(repr(choice) for choice in cli.COMMANDS[command][1][flag][2])
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            f"error: argument {flag}: invalid choice: 'Bogus' (choose from {choices})\n"
+        )
+
+    def test_unknown_command_quotes_each_command(self, capsys):
+        code, out, err = run(capsys, "Bogus", "--help")
+        assert (code, out) == (2, "")
+        assert err.endswith(
+            "error: argument command: invalid choice: 'Bogus' "
+            "(choose from 'compute', 'feuerbach', 'fuzz', 'svg')\n"
+        )
+
     def test_build_parser_returns_a_fresh_parser(self):
         first = cli.build_parser()
         second = cli.build_parser()

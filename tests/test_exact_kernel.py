@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from ninepoint.feuerbach import (
     Tangency,
     TangencyReport,
-    _exact_tangency,
     excircle_ninepoint_residual,
     feuerbach_report,
     incircle_ninepoint_residual,
@@ -580,7 +579,7 @@ def test_closed_form_report_matches_reduced_numerators(sides: SideLengths):
     off = t._replace(abc=t.abc + 1)
     moved = a * b * c + Fraction(1, t.L**3)
     for circle in CIRCLES:
-        got = _exact_tangency(off, met, circle)
+        got = TangencyReport(*off.tangency(circle, met._values(), None))
         assert got.kind is Tangency.NOT_TANGENT
         assert got == reference_report(sides, circle, moved), circle
 

@@ -49,6 +49,20 @@ def float_sides(draw) -> SideLengths:
         assume(False)
 
 
+@st.composite
+def flat_float_sides(draw) -> SideLengths:
+    """Float triangles with c a relative gap 10^-e below a + b, e up to 12,
+    so conditioning reaches about 2e12; or any of ``float_sides``."""
+    if draw(st.booleans()):
+        return draw(float_sides())
+    a, b = draw(st.floats(0.1, 10.0)), draw(st.floats(0.1, 10.0))
+    c = (a + b) * (1.0 - 10.0 ** -draw(st.floats(1.0, 12.0)))
+    try:
+        return SideLengths(a, b, c)
+    except InvalidTriangleError:
+        assume(False)
+
+
 class TestClassifySq:
     def test_internal_exact(self):
         # d = 1, r1 = 3, r2 = 2: d^2 = (r1 - r2)^2.
@@ -266,3 +280,21 @@ class TestFeuerbachReport:
                 tol,
             )
             assert entry.report == expected, entry.circle
+
+    @given(flat_float_sides(), st.sampled_from([1e-6, 1e-9, 1e-12]))
+    def test_float_report_is_the_classifier_and_the_verdict(self, sides: SideLengths, rel_eps):
+        # The report's kernel route makes the classifier's operations: every
+        # field equal by repr, so NaN and the sign of a zero count; its kind
+        # is the one the identity suite reads from the kernel's verdict.
+        tol = ToleranceProfile(rel_eps=rel_eps)
+        t, met = sides._kernel, metrics(sides)
+        vertex_n = t.vertex_ninepoint_dist_sq()
+        radii_sq = (met.r_sq, met.rA_sq, met.rB_sq, met.rC_sq)
+        report = feuerbach_report(sides, tol)
+        for entry, r_sq in zip(report.entries, radii_sq):
+            expected = classify_tangency_sq(
+                t.center_dist_sq(entry.circle, vertex_n), met.R_sq / 4, r_sq, tol
+            )
+            assert repr(entry.report) == repr(expected), entry.circle
+            verdict = t.verdict(entry.circle, met._values(), vertex_n, tol)
+            assert entry.report.kind is verdict[0], entry.circle

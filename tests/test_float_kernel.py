@@ -54,7 +54,7 @@ BOUND = {
 # The kernel's other shared names: each circle's verdict and residual, and
 # the vocabulary of the public functions (a result's public value and its
 # float, a weight over its sum, the kernel of other sides).
-SHARED = {"verdict", "residual", "value", "values", "as_float", "ratio", "with_sides"}
+SHARED = {"verdict", "tangency", "residual", "value", "values", "as_float", "ratio", "with_sides"}
 
 
 def _kernel_calls(*functions):
@@ -81,6 +81,7 @@ def test_both_kernels_define_every_method_the_suite_calls():
         centers.circumdot,
         centers.bisector_foot_barycentric,
         feuerbach._ninepoint_residual,
+        feuerbach.feuerbach_report,
         svg.render_svg,
     )
     assert names == set(MEASURED) | SHARED

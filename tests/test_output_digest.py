@@ -7,6 +7,8 @@ import shutil
 import sys
 from pathlib import Path
 
+from golden_cases import CASES, ERROR_CASES, HELP_CASES
+
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
 output_digest = importlib.util.module_from_spec(_SPEC)
@@ -44,7 +46,8 @@ def test_request_set_holds_goldens_workloads_and_edges():
             "--seed", "1", "--format", "json"] in requests
 
 
-def test_compare_reports_a_one_byte_change(tmp_path, capsys):
+def changed_tree(tmp_path) -> Path:
+    """A copy of the package whose text compute output capitalizes one letter."""
     changed = tmp_path / "changed"
     shutil.copytree(ROOT / "src" / "ninepoint", changed / "src" / "ninepoint",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -52,7 +55,11 @@ def test_compare_reports_a_one_byte_change(tmp_path, capsys):
     source = cli.read_text(encoding="utf-8")
     assert source.count('"centers (cartesian):"') == 1
     cli.write_text(source.replace('"centers (cartesian):"', '"centers (Cartesian):"'), encoding="utf-8")
+    return changed
 
+
+def test_compare_reports_a_one_byte_change(tmp_path, capsys):
+    changed = changed_tree(tmp_path)
     assert output_digest.main(["--compare", str(ROOT), str(ROOT), *REQUESTS]) == 0
     assert capsys.readouterr().out == "0 of 3 requests changed\n"
 
@@ -65,3 +72,22 @@ def test_compare_reports_a_one_byte_change(tmp_path, capsys):
         "    + centers (Cartesian):",
         "1 of 3 requests changed",
     ]
+
+
+def test_check_goldens_names_each_golden_that_differs(tmp_path, capsys):
+    goldens = output_digest.golden_outcomes()
+    assert len(goldens) == len(CASES) + len(ERROR_CASES) + len(HELP_CASES)
+    assert output_digest.main(["--check-goldens"]) == 0
+    assert capsys.readouterr().out == f"0 of {len(goldens)} goldens differ\n"
+
+    expected = [name for name, _, _, out, _ in goldens if "centers (cartesian):" in out.splitlines()]
+    assert "345_exact_compute_text" in expected
+    assert output_digest.main(["--check-goldens", "--tree", str(changed_tree(tmp_path))]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert [line[len("changed: "):] for line in report if line.startswith("changed: ")] == expected
+    assert re.fullmatch(r"  stdout line \d+, column 10:", report[1])
+    assert report[2:4] == [
+        "    - centers (cartesian):",
+        "    + centers (Cartesian):",
+    ]
+    assert report[-1] == f"{len(expected)} of {len(goldens)} goldens differ"

@@ -33,10 +33,20 @@ program name (``"compute --sides 3,4,5"``); with none, the fixed set runs:
   fails.
 
 The set is read from this checkout, so both trees of a comparison run the
-same requests.  Requests run with ``COLUMNS=80``, at which the argparse
-error and help goldens are pinned.  The tool uses the standard library only, so it runs
-on every supported Python, including those where pytest cannot be
-imported.
+same requests.  Requests run with ``COLUMNS`` at the golden cases'
+``ERROR_COLUMNS``, at which the argparse error and help goldens are
+pinned.
+
+    python3 tools/output_digest.py --check-goldens [--tree DIR]
+
+runs every golden request of ``tests/golden_cases.py`` on ``DIR`` in a
+fresh interpreter (this one) and compares its exit code and output with
+its file under ``tests/golden/``, as ``tests/test_cli_golden.py`` does.
+It names each golden that differs, with its first differing line, and
+exits 1 if any differs.
+
+The tool uses the standard library only, so it runs on every supported
+Python, including those where pytest cannot be imported.
 """
 
 from __future__ import annotations
@@ -72,7 +82,6 @@ EDGE_FLAT_SIDES = (
     "8.726906972770392,2.1736181867016673,10.900524604130204",
     "9.82596897737666,8.736836877824338,18.56280551415527",
 )
-COLUMNS = "80"
 # A changed line is shown this many characters either side of where it
 # first differs.
 CONTEXT = 60
@@ -86,6 +95,11 @@ def _load(name: str, path: Path):
     sys.modules[name] = module  # dataclasses look the module up by name
     spec.loader.exec_module(module)
     return module
+
+
+GOLDEN = ROOT / "tests" / "golden"
+golden_cases = _load("_digest_golden_cases", ROOT / "tests" / "golden_cases.py")
+COLUMNS = golden_cases.ERROR_COLUMNS
 
 
 def edge_requests() -> List[List[str]]:
@@ -113,15 +127,26 @@ def edge_requests() -> List[List[str]]:
 def request_set(seed: int, per_workload: int) -> List[List[str]]:
     """The golden argvs (successes, errors, help), the first requests of each benchmark workload and
     the edge requests, in that order."""
-    golden = _load("_digest_golden_cases", ROOT / "tests" / "golden_cases.py")
     workloads = _load("_digest_workloads", ROOT / "perfbench" / "workloads.py")
-    requests = [list(argv) for argv in golden.CASES.values()]
-    requests += [list(argv) for argv in golden.ERROR_CASES.values()]
-    requests += [list(argv) for argv in golden.HELP_CASES.values()]
+    requests = [list(argv) for _, argv, *_ in golden_outcomes()]
     for workload in workloads.WORKLOADS.values():
         stream = workload.requests(seed)
         requests += [next(stream).argv for _ in range(per_workload)]
     return requests + edge_requests()
+
+
+def golden_outcomes() -> List[Tuple[str, List[str], int, str, str]]:
+    """Each golden's name, argv, exit code, stdout and stderr, as pinned:
+    the successes, the argparse errors (exit code 2) and the help texts."""
+    def read(name: str, suffix: str) -> str:
+        return (GOLDEN / f"{name}{suffix}").read_text(encoding="utf-8")
+
+    cases = golden_cases
+    return (
+        [(name, list(argv), 0, read(name, ".out"), "") for name, argv in cases.CASES.items()]
+        + [(name, list(argv), 2, "", read(name, ".err")) for name, argv in cases.ERROR_CASES.items()]
+        + [(name, list(argv), 0, read(name, ".out"), "") for name, argv in cases.HELP_CASES.items()]
+    )
 
 
 def run(requests: Iterable[Sequence[str]], tree: Path) -> Iterator[Outcome]:
@@ -178,13 +203,16 @@ def _first_difference(name: str, old: str, new: str) -> List[str]:
     ]
 
 
-def compare(old: Sequence[Outcome], new: Sequence[Outcome]) -> List[str]:
-    """One block per request whose exit code or output differs."""
+def compare(
+    old: Sequence[Outcome], new: Sequence[Outcome], names: Optional[Sequence[str]] = None
+) -> List[str]:
+    """One block per request whose exit code or output differs, headed by
+    its name or else its argv."""
     report = []
-    for (argv, code, out, err), (_, new_code, new_out, new_err) in zip(old, new):
+    for k, ((argv, code, out, err), (_, new_code, new_out, new_err)) in enumerate(zip(old, new)):
         if (code, out, err) == (new_code, new_out, new_err):
             continue
-        report.append(f"changed: {shlex.join(argv)}")
+        report.append(f"changed: {names[k] if names else shlex.join(argv)}")
         if code != new_code:
             report.append(f"  exit code {code} -> {new_code}")
         if out != new_out:
@@ -214,6 +242,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
     parser.add_argument("--seed", type=int, default=0, help="benchmark seed of the workload requests")
     parser.add_argument("--requests", type=int, default=100, help="requests taken from each workload")
+    parser.add_argument(
+        "--check-goldens", action="store_true", help="compare the golden requests with tests/golden/"
+    )
     # Child mode of --compare: requests as JSON on stdin, outcomes as JSON on stdout.
     parser.add_argument("--outcomes", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("argv", nargs="*", help="one request, e.g. 'compute --sides 3,4,5'")
@@ -223,6 +254,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         requests = json.loads(sys.stdin.read())
         json.dump(list(run(requests, args.tree)), sys.stdout)
         return 0
+    if args.check_goldens:
+        goldens = golden_outcomes()
+        pinned = [(argv, code, out, err) for _, argv, code, out, err in goldens]
+        got = _outcomes_of(args.tree, [argv for argv, *_ in pinned])
+        report = compare(pinned, got, [name for name, *_ in goldens])
+        changed = sum(line.startswith("changed: ") for line in report)
+        print("\n".join(report + [f"{changed} of {len(goldens)} goldens differ"]))
+        return 1 if changed else 0
     if args.argv:
         requests = [shlex.split(text) for text in args.argv]
     else:
