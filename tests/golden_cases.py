@@ -25,6 +25,9 @@ def _digits_sides(digits: int, seed: int) -> str:
 
 BIG = _digits_sides(100, 100)
 FLAT = "1,1,1.999999"
+# A 3-4-5 triangle at A = (1/3, -2/7), and a float triangle of no special shape.
+RAGGED_EXACT_VERTICES = "1/3,-2/7,10/3,-2/7,1/3,26/7"
+RAGGED_FLOAT_VERTICES = "0.1,0.2,3.3,0.4,1.5,2.6"
 
 CASES = {
     "345_exact_compute_json": ["compute", "--sides", "3,4,5", "--format", "json"],
@@ -61,6 +64,18 @@ CASES = {
     "big_float_feuerbach_json": ["feuerbach", "--sides", BIG, "--backend", "float", "--format", "json"],
     "vertices_float_feuerbach_json": ["feuerbach", "--vertices", "0,0,4,0,0,3", "--format", "json"],
     "vertices_exact_compute_text": ["compute", "--vertices", "1/2,0,7/2,0,1/2,4", "--backend", "exact"],
+    # Vertex input on both backends in each format: ragged float
+    # coordinates, and exact ones with negative and ragged coordinates.
+    "vertices_exact_compute_json": ["compute", "--vertices", RAGGED_EXACT_VERTICES, "--backend", "exact",
+                                    "--format", "json"],
+    "vertices_exact_feuerbach_json": ["feuerbach", "--vertices", RAGGED_EXACT_VERTICES, "--backend",
+                                      "exact", "--format", "json"],
+    "vertices_exact_feuerbach_text": ["feuerbach", "--vertices", RAGGED_EXACT_VERTICES, "--backend",
+                                      "exact"],
+    "vertices_float_compute_json": ["compute", "--vertices", RAGGED_FLOAT_VERTICES, "--format", "json"],
+    "vertices_float_compute_text": ["compute", "--vertices", RAGGED_FLOAT_VERTICES],
+    "vertices_float_feuerbach_text": ["feuerbach", "--vertices", RAGGED_FLOAT_VERTICES],
+    "111_exact_compute_json": ["compute", "--sides", "1,1,1", "--format", "json"],
     "fuzz_generic_exact_json": ["fuzz", "--profile", "generic", "--count", "5", "--seed", "3",
                                 "--format", "json"],
     "fuzz_neardegen_float_text": ["fuzz", "--profile", "near-degenerate", "--count", "5",
