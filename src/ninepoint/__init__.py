@@ -18,7 +18,7 @@ from .triangle import (
     metrics,
     point_on_side,
 )
-from .centers import bisector_foot_barycentric, vertex_to_ninepoint_dist_sq
+from .centers import bisector_foot_barycentric, center_set, vertex_to_ninepoint_dist_sq
 from .feuerbach import (
     Tangency,
     classify_tangency_sq,
@@ -43,6 +43,7 @@ __all__ = [
     "point_on_side",
     "bisector_foot_barycentric",
     "vertex_to_ninepoint_dist_sq",
+    "center_set",
     "incircle_ninepoint_residual",
     "excircle_ninepoint_residual",
     "FuzzProfile",

@@ -15,24 +15,28 @@ constructions in the test harness rather than assumed here.
 
 A triangle's backend is its sides': the barycentric weights are
 evaluated on the kernel of the sides, so on exact sides on their integer
-form (weights do not change when the sides are scaled), and each
-component is the kernel's ``ratio`` of a weight over its sum: one
-``Fraction`` or one true division.  The Cartesian centers are one
-construction, written against a plane: integer homogeneous triples
-(:class:`ninepoint.homogeneous.Plane`) when the sides and the vertices
-are all exact, where no gcd is taken until a ``Point2`` is asked for, and
-:class:`~ninepoint.triangle.FloatPlane` otherwise, which takes the
-vertices as float pairs.  So exact sides with float vertices, as ``svg``
-draws a triangle whose altitude is irrational, get eight float centers.
-The identity suite weighs its own plane and frame with
-:func:`_center_frame` alone, on either backend: exact sides on their
-integer frame under the metric x^2 + m*t^2, with no ``Fraction``, and
-float sides on float pairs; ``barycentric_point`` and ``orientation``
-are affine, so the same code serves both.  Callers read the centers as
-``Point2``s through ``CenterSet.points``, which only a Cartesian frame
-has; ``svg`` takes the frame alone from :func:`_cartesian_frame`, the
-Cartesian half of ``center_set``, and reads it as floats.  ``circumdot``, ``vertex_to_ninepoint_dist_sq`` and the bisector
-feet read the kernel of the sides (``triangle._IntegerTriangle`` or
+form (weights do not change when the sides are scaled).
+:func:`_components` gives a center's components as kernel values after
+their sum check, the integer ratios of a weight over its sum on exact
+sides and one true division each on floats; ``center_set`` wraps them in
+``Barycentric``, and the CLI prints them as they are.  The Cartesian
+centers are one construction, written against a plane: integer
+homogeneous triples (:class:`ninepoint.homogeneous.Plane`) when the
+sides and the vertices are all exact, where no gcd is taken until a
+``Point2`` is asked for, and :class:`~ninepoint.triangle.FloatPlane`
+otherwise, which takes the vertices as float pairs.  So exact sides with
+float vertices, as ``svg`` draws a triangle whose altitude is
+irrational, get eight float centers.  The identity suite weighs its own
+plane and frame with :func:`_center_frame` alone, on either backend:
+exact sides on their integer frame under the metric x^2 + m*t^2, with no
+``Fraction``, and float sides on float pairs; ``barycentric_point`` and
+``orientation`` are affine, so the same code serves both.  Callers read
+the centers as ``Point2``s through ``CenterSet.points``, which only a
+Cartesian frame has; ``svg`` and the CLI take the frame alone from
+:func:`_cartesian_frame`, the Cartesian half of ``center_set``: ``svg``
+reads it as floats, and the CLI prints each point's ``plane.coords``.
+``circumdot``, ``vertex_to_ninepoint_dist_sq`` and the bisector feet
+read the kernel of the sides (``triangle._IntegerTriangle`` or
 ``_FloatTriangle``) without asking which it is.
 
 All eight come from one weight table,
@@ -59,6 +63,7 @@ from .triangle import (
     FloatPlane,
     Point2,
     SideLengths,
+    _check_float_sum,
     metrics,
 )
 
@@ -176,18 +181,30 @@ def center_set(
     """Assemble every center; vertices add the Cartesian layer, which
     :func:`_cartesian_frame` builds.  With ``plane`` the vertices are
     already points of that plane, as the identity suite holds them."""
-    # The sides' kernel weighs: exact sides by their integer form, which the
-    # integer plane needs, with each barycentric component one Fraction; on
-    # floats each k/d rounds once.
-    t = sides._kernel
-    a, b, c, ratio = t.a, t.b, t.c, t.ratio
+    values = sides._kernel.values
     bary = {"G": centroid_barycentric()}
     for label in CIRCLE_CENTERS:
-        (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](a, b, c)
-        bary[label] = Barycentric(ratio(x_a, d), ratio(x_b, d), ratio(x_c, d))
+        bary[label] = Barycentric(*values(_components(sides, label)))
     if vertices is None:
         return CenterSet(bary, None, None)
     return CenterSet(bary, *_cartesian_frame(sides, vertices, plane))
+
+
+def _components(sides: SideLengths, label: str) -> Tuple[Any, Any, Any]:
+    """The barycentric components of the center ``label`` of CENTER_WEIGHTS
+    as kernel values, after the sum check of ``Barycentric``, with its
+    error: on exact sides the integer ratios (x, d) of the integer form,
+    whose weights x must sum to d, and on float sides the quotients x/d,
+    each rounded once, which :func:`_check_float_sum` checks."""
+    t = sides._kernel
+    (x_a, x_b, x_c), d = CENTER_WEIGHTS[label](t.a, t.b, t.c)
+    if not sides.is_exact:
+        components = (x_a / d, x_b / d, x_c / d)
+        _check_float_sum(*components)
+        return components
+    if x_a + x_b + x_c != d:
+        raise ValueError(f"barycentric coordinates sum to {Fraction(x_a + x_b + x_c, d)}, not 1")
+    return (x_a, d), (x_b, d), (x_c, d)
 
 
 def _cartesian_frame(sides: SideLengths, vertices: Tuple, plane: Any = None) -> Tuple[Dict, Any]:

@@ -16,27 +16,40 @@ request does not import ``argparse``.
 
 Exit codes: 0 success, 2 invalid input, 3 residual failure (float-backend
 numeric breakdown), 4 I/O failure.  JSON output keeps a stable key order
-and serializes rationals as "p/q" strings.  The CLI writes the layout of
-``json.dumps(doc, indent=2)`` itself, byte for byte, without importing
-``json``, so byte-identical round trips are
-``json.dumps(json.loads(text), indent=2) + "\\n" == text``.
+and serializes rationals as "p/q" strings.
+
+An answer is written in one pass over its values, in document order.  The
+backend's token function turns each value into its JSON token once:
+``_exact_token`` gives "p/q" from a ``Fraction`` or from an integer ratio
+of the kernel, reduced by one gcd, and ``_float_token`` a float's repr.
+``_layout`` then writes the layout of ``json.dumps(doc, indent=2)`` around
+the tokens, byte for byte, without importing ``json``, so byte-identical
+round trips are ``json.dumps(json.loads(text), indent=2) + "\\n" == text``.
+The text format prints the same tokens.  The values come from the library:
+the metrics from the cached ``metrics(sides)``, the barycentric rows from
+``centers._components`` (which ``center_set`` wraps in ``Barycentric``),
+the Cartesian rows from the points of ``centers._cartesian_frame`` and the
+tangency rows from ``feuerbach_report``; no ``Barycentric``, ``CenterSet``
+or ``Point2`` is built only to be printed.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .numeric import DEFAULT_TOLERANCE, Scalar, ToleranceProfile, is_exact
 from .record import Record
 from .triangle import (
-    Barycentric,
+    CIRCLE_CENTERS,
     InvalidTriangleError,
     Point2,
+    Ratio,
     SideLengths,
     TriangleMetrics,
     _float_vertices,
@@ -45,8 +58,8 @@ from .triangle import (
     metrics,
     sides_from_vertices,
 )
-from .centers import center_set
-from .feuerbach import FeuerbachReport, feuerbach_report
+from .centers import _cartesian_frame, _components, centroid_barycentric
+from .feuerbach import feuerbach_report
 from .harness import PROFILE_KINDS, FuzzProfile, _float_sides, _integer_sides, check_identity_suite
 from .svg import render_svg
 
@@ -162,12 +175,21 @@ def _resolve_input(args: SimpleNamespace) -> RunConfig:
 # --- serialization ---------------------------------------------------------
 
 
-def _rational_text(value: Scalar) -> str:
-    """"p/q" for an exact value.  The interpreter refuses to print integers
-    longer than its int-to-str digit limit (it guards against quadratic
-    conversion time); that refusal is reported as invalid input."""
+def _exact_token(value: Union[Fraction, Ratio]) -> str:
+    """The token ``"p/q"`` of an exact value: a ``Fraction``, or an integer
+    ratio (num, den) of the kernel, which one gcd reduces as ``Fraction``
+    would.  The interpreter refuses to print integers longer than its
+    int-to-str digit limit (it guards against quadratic conversion time);
+    that refusal is reported as invalid input."""
     try:
-        return f"{value.numerator}/{value.denominator}"
+        if type(value) is tuple:
+            num, den = value
+            g = math.gcd(num, den)
+            if den < 0:
+                g = -g
+            return f'"{num // g}/{den // g}"'
+        num, den = value.as_integer_ratio()
+        return f'"{num}/{den}"'
     except ValueError:
         raise ValueError(
             "the exact answer is too long to print (an integer in it has more than "
@@ -175,65 +197,78 @@ def _rational_text(value: Scalar) -> str:
         ) from None
 
 
-def _scalar_json(value: Scalar) -> Union[str, float]:
-    """"p/q" for an exact value, the float otherwise.  Text output formats
-    the same value: ``str`` of a float is its ``repr``."""
-    if is_exact(value):
-        return _rational_text(value)
-    return float(value)
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_TEXT_FLOATS = {token: text for text, token in _JSON_FLOATS.items()}
 
 
-def _bary_json(bary: Barycentric) -> List[Union[str, float]]:
-    return [_scalar_json(v) for v in bary.components]
+def _float_token(value: float) -> str:
+    """The token of a float: its ``repr``, with NaN and the infinities
+    spelled as ``json`` spells them."""
+    text = float.__repr__(value)
+    return _JSON_FLOATS.get(text, text)
 
 
-def _point_json(point: Point2) -> List[Union[str, float]]:
-    return [_scalar_json(point.x), _scalar_json(point.y)]
+def _text(token: str) -> str:
+    """A token as the text format prints it: a string unquoted, a float as
+    ``str`` writes it."""
+    return _TEXT_FLOATS.get(token) or token.strip('"')
 
 
-def _metrics_dict(met: TriangleMetrics) -> dict:
-    return {name: _scalar_json(getattr(met, name)) for name in TriangleMetrics._fields}
+def _layout(doc: Union[dict, list], newline: str = "\n") -> str:
+    """``json.dumps(doc, indent=2)``'s layout of a document of dicts, with
+    keys that need no escaping, and lists, whose other values are their
+    JSON tokens, nested after ``newline``."""
+    inner = newline + "  "
+    sep = "," + inner
+    if type(doc) is dict:
+        if not doc:
+            return "{}"
+        items = [
+            f'"{key}": {item if type(item) is str else _layout(item, inner)}'
+            for key, item in doc.items()
+        ]
+        return "{" + inner + sep.join(items) + newline + "}"
+    if not doc:
+        return "[]"
+    items = [item if type(item) is str else _layout(item, inner) for item in doc]
+    return "[" + inner + sep.join(items) + newline + "]"
 
 
-def _centers_dict(config: RunConfig) -> dict:
-    centers = center_set(config.sides, config.vertices)
-    barycentric = {name: _bary_json(bary) for name, bary in centers.barycentric.items()}
-    cartesian = {name: _point_json(point) for name, point in centers.points.items()}
-    return {"barycentric": barycentric, "cartesian": cartesian if config.vertices else None}
+def _token_function(config: RunConfig) -> Callable[[Any], str]:
+    return _exact_token if config.backend == "exact" else _float_token
 
 
-def _input_dict(config: RunConfig) -> dict:
-    doc: dict = {"backend": config.backend}
+def _answer(config: RunConfig, met: TriangleMetrics) -> dict:
+    """The input, metrics and centers of a ``compute`` or ``feuerbach``
+    answer, converted in document order.  The barycentric rows are the
+    kernel's components after their sum check, and the Cartesian rows the
+    coordinates of ``centers._cartesian_frame``'s points, whose float
+    pairs passed the finiteness check of ``Point2``."""
+    token = _token_function(config)
+    sides = config.sides
+    given: Dict[str, Any] = {"backend": f'"{config.backend}"'}
     if config.vertices_given:
-        doc["vertices"] = [_point_json(p) for p in config.vertices]
+        given["vertices"] = [[token(p.x), token(p.y)] for p in config.vertices]
     else:
-        doc["sides"] = [_scalar_json(v) for v in config.sides.as_tuple()]
+        given["sides"] = [token(v) for v in sides.as_tuple()]
+    doc = {"input": given, "metrics": dict(zip(TriangleMetrics._fields, map(token, met._values())))}
+    # The centroid's weights are the exact 1/3 on either backend.
+    bary = {"G": [_exact_token(v) for v in centroid_barycentric().components]}
+    for label in CIRCLE_CENTERS:
+        bary[label] = [token(v) for v in _components(sides, label)]
+    cartesian: Any = "null"
+    if config.vertices:
+        frame, plane = _cartesian_frame(sides, config.vertices)
+        cartesian = {label: [token(v) for v in plane.coords(p)] for label, p in frame.items()}
+    doc["centers"] = {"barycentric": bary, "cartesian": cartesian}
     return doc
 
 
 def _sides_line(config: RunConfig, doc: dict) -> str:
-    """The text output's sides, in the document's text when it holds them."""
-    a, b, c = doc["input"].get("sides") or [_scalar_json(v) for v in config.sides.as_tuple()]
+    """The text output's sides, in the document's tokens when it holds them."""
+    sides = doc["input"].get("sides") or map(_token_function(config), config.sides.as_tuple())
+    a, b, c = map(_text, sides)
     return f"sides: a={a} b={b} c={c}"
-
-
-def _feuerbach_list(report: FeuerbachReport) -> list:
-    """One dict per circle; the text output reads its values too.  A tangent
-    circle's rhs is its lhs object, and its text is made once."""
-    entries = []
-    for entry in report.entries:
-        tangency = entry.report
-        lhs = _scalar_json(tangency.lhs)
-        entries.append(
-            {
-                "circle": entry.circle,
-                "kind": tangency.kind.value,
-                "lhs": lhs,
-                "rhs": lhs if tangency.rhs is tangency.lhs else _scalar_json(tangency.rhs),
-                "residual": _scalar_json(tangency.residual),
-            }
-        )
-    return entries
 
 
 def _emit(text: str, out_path: Optional[str]) -> int:
@@ -249,117 +284,71 @@ def _emit(text: str, out_path: Optional[str]) -> int:
     return EXIT_OK
 
 
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# The ASCII characters that json escapes: quote, backslash, DEL and the controls.
-_JSON_UNSAFE = ('"', "\\", "\x7f", *map(chr, range(32)))
-
-
-def _json_text(value: object, newline: str, strings: List[str]) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` lays it out, nested after
-    ``newline``: dicts with str keys, lists, str, float, int, bool and None.
-    Each str is quoted as it is and appended to ``strings`` for the caller
-    to check."""
-    if isinstance(value, str):
-        strings.append(value)
-        return f'"{value}"'
-    inner = newline + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        strings.extend(value)
-        items = [f'"{key}": {_json_text(item, inner, strings)}' for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [_json_text(item, inner, strings) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _JSON_FLOATS.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _dump_json(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"``, byte for byte.  The layout is
-    written here, because with an indent the standard library runs its
-    pure-Python encoder.  A document whose strings are not all printable
-    ASCII without ``"`` or ``\\`` (the CLI makes none) is left to ``json``,
-    so escaping can never differ."""
-    strings: List[str] = []
-    text = _json_text(doc, "\n", strings)
-    joined = "".join(strings)
-    if joined.isascii() and not any(char in joined for char in _JSON_UNSAFE):
-        return text + "\n"
-    import json
-
-    return json.dumps(doc, indent=2) + "\n"
-
-
 # --- subcommands -----------------------------------------------------------
 
 
 def cmd_compute(config: RunConfig) -> int:
-    doc = {
-        "input": _input_dict(config),
-        "metrics": _metrics_dict(metrics(config.sides)),
-        "centers": _centers_dict(config),
-    }
+    doc = _answer(config, metrics(config.sides))
     if config.fmt == "json":
-        return _emit(_dump_json(doc), config.out_path)
+        return _emit(_layout(doc) + "\n", config.out_path)
     lines = [f"backend: {config.backend}"]
     if config.vertices_given:
-        pts = ", ".join(f"{n}=({x}, {y})" for n, (x, y) in zip("ABC", doc["input"]["vertices"]))
+        pts = ", ".join(
+            f"{n}=({_text(x)}, {_text(y)})" for n, (x, y) in zip("ABC", doc["input"]["vertices"])
+        )
         lines.append(f"vertices: {pts}")
     lines.append(_sides_line(config, doc))
     lines.append("metrics:")
     for name, value in doc["metrics"].items():
-        lines.append(f"  {name:5s} = {value}")
+        lines.append(f"  {name:5s} = {_text(value)}")
     lines.append("centers (barycentric):")
     for name, triple in doc["centers"]["barycentric"].items():
-        lines.append(f"  {name:2s} = ({triple[0]}, {triple[1]}, {triple[2]})")
-    if doc["centers"]["cartesian"] is None:
+        lines.append(f"  {name:2s} = ({', '.join(map(_text, triple))})")
+    if config.vertices is None:
         lines.append("centers (cartesian): not exactly embeddable; use --backend float")
     else:
         lines.append("centers (cartesian):")
         for name, pair in doc["centers"]["cartesian"].items():
-            lines.append(f"  {name:2s} = ({pair[0]}, {pair[1]})")
+            lines.append(f"  {name:2s} = ({_text(pair[0])}, {_text(pair[1])})")
     return _emit("\n".join(lines) + "\n", config.out_path)
 
 
 def cmd_feuerbach(config: RunConfig) -> int:
     report = feuerbach_report(config.sides, config.tol)
-    doc = {
-        "input": _input_dict(config),
-        "metrics": _metrics_dict(report.metrics),
-        "centers": _centers_dict(config),
-        "equilateral": report.equilateral,
-        "feuerbach": _feuerbach_list(report),
-    }
+    token = _token_function(config)
+    doc = _answer(config, report.metrics)
+    doc["equilateral"] = "true" if report.equilateral else "false"
+    # A tangent circle's rhs is its lhs object, and its token is made once.
+    doc["feuerbach"] = entries = []
+    for entry in report.entries:
+        tangency = entry.report
+        lhs = token(tangency.lhs)
+        entries.append(
+            {
+                "circle": f'"{entry.circle}"',
+                "kind": f'"{tangency.kind.value}"',
+                "lhs": lhs,
+                "rhs": lhs if tangency.rhs is tangency.lhs else token(tangency.rhs),
+                "residual": token(tangency.residual),
+            }
+        )
     if config.fmt == "json":
-        code = _emit(_dump_json(doc), config.out_path)
+        code = _emit(_layout(doc) + "\n", config.out_path)
     else:
         lines = [f"backend: {config.backend}", _sides_line(config, doc)]
         met = doc["metrics"]
-        lines.append(f"R_sq = {met['R_sq']}  r_sq = {met['r_sq']}")
-        lines.append(f"nine-point radius squared (R_sq/4): {_scalar_json(report.metrics.R_sq / 4)}")
+        lines.append(f"R_sq = {_text(met['R_sq'])}  r_sq = {_text(met['r_sq'])}")
+        radius_sq = _text(token(report.metrics.R_sq / 4))
+        lines.append(f"nine-point radius squared (R_sq/4): {radius_sq}")
         if report.equilateral:
             lines.append("equilateral: incircle and nine-point circle coincide")
-        for entry in doc["feuerbach"]:
-            circle, kind = entry["circle"], entry["kind"]
+        for entry, row in zip(report.entries, entries):
+            circle, kind = entry.circle, entry.report.kind.value
             if circle == "incircle" and report.equilateral:
                 kind = f"{kind} (equilateral)"
             lines.append(
-                f"{circle:8s} {kind:18s} d_sq = {entry['lhs']}  "
-                f"rhs = {entry['rhs']}  residual = {entry['residual']}"
+                f"{circle:8s} {kind:18s} d_sq = {_text(row['lhs'])}  "
+                f"rhs = {_text(row['rhs'])}  residual = {_text(row['residual'])}"
             )
         verdict = "all tangencies verified" if report.ok else "TANGENCY CHECK FAILED"
         if config.backend == "float" and report.ok:
@@ -406,19 +395,19 @@ def cmd_fuzz(args: SimpleNamespace) -> int:
         elif len(failures) < 10:
             worst = max(suite.failures(), key=lambda check: check.residual)
             failures.append(f"index {index}: {worst.name} residual {worst.residual:.3e}")
-    doc = {
-        "profile": profile.kind,
-        "count": profile.count,
-        "seed": profile.seed,
-        "bound": profile.magnitude_bound,
-        "backend": backend,
-        "passes": passes,
-        "failures": profile.count - passes,
-        "all_exact": all_exact,
-        "max_normalized_residual": max_residual,
-    }
     if getattr(args, "format", "text") == "json":
-        code = _emit(_dump_json(doc), args.out)
+        doc = {
+            "profile": f'"{profile.kind}"',
+            "count": str(profile.count),
+            "seed": str(profile.seed),
+            "bound": str(profile.magnitude_bound),
+            "backend": f'"{backend}"',
+            "passes": str(passes),
+            "failures": str(profile.count - passes),
+            "all_exact": "true" if all_exact else "false",
+            "max_normalized_residual": _float_token(max_residual),
+        }
+        code = _emit(_layout(doc) + "\n", args.out)
     else:
         lines = [
             f"profile={profile.kind} count={profile.count} seed={profile.seed} "

@@ -23,9 +23,9 @@ kernel of its sides (``triangle._IntegerTriangle`` and
 ``residual``; its ``verdict``, the kind and the residual from one
 computation, which the identity suite reads; and its ``tangency``, the
 fields of its :class:`TangencyReport`, from which
-:func:`feuerbach_report` builds the report of either backend without
-asking which it is.  The residual functions here forward to the kernel
-the same way.  On exact sides the sides are scaled to integers, and each
+:func:`feuerbach_report` builds the report of either backend; it asks
+which only to hand the float kernel the vertex-to-N distances once.  The
+residual functions here forward to the kernel the same way.  On exact sides the sides are scaled to integers, and each
 circle's two residuals are e +- 2*abc*d over 4*d^2*L^2
 (``_IntegerTriangle.tangency_numerators``), so tangency is decided by
 testing e +- 2*abc*d for zero.  A tangent circle's report then reduces
@@ -297,12 +297,16 @@ def feuerbach_report(
     """Classify nine-point circle against incircle and the three excircles."""
     met = metrics(sides)
     t, values = sides._kernel, met._values()
+    # The float reports read the vertex-to-N distances, computed once here.
+    # The exact closed forms do not, and on 200-digit sides those integer
+    # products would cost about 6% of the report.
+    vertex_n = None if sides.is_exact else t.vertex_ninepoint_dist_sq()
     return FeuerbachReport(
         sides,
         met,
         sides.is_equilateral,
         tuple(
-            FeuerbachEntry(circle, TangencyReport(*t.tangency(circle, values, tol)))
+            FeuerbachEntry(circle, TangencyReport(*t.tangency(circle, values, vertex_n, tol)))
             for circle in CIRCLES
         ),
     )

@@ -607,11 +607,14 @@ class _IntegerTriangle(NamedTuple):
         kind, numerators = self.decision(circle)
         return kind, self._residual_ratio(circle, numerators)
 
-    def tangency(self, circle: str, met: Tuple[Fraction, ...], tol: Any) -> Tuple[Any, ...]:
+    def tangency(
+        self, circle: str, met: Tuple[Fraction, ...], vertex_n: Any, tol: Any
+    ) -> Tuple[Any, ...]:
         """The fields of the circle's ``feuerbach.TangencyReport`` as public
         values: the kind, lhs, the two right-hand sides and the two
         residuals, from :meth:`decision`; ``met`` is the values tuple of
-        :class:`TriangleMetrics`.
+        :class:`TriangleMetrics`.  Like :meth:`verdict`, it needs neither
+        the vertex-to-N distances nor a tolerance.
 
         A tangent kind gives every field from closed forms.  The circle's
         weight sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen
@@ -808,13 +811,16 @@ class _FloatTriangle(NamedTuple):
         kind = _float_decision(d_sq, met[2] / 4, met[3 + k], tol)[0]
         return kind, self._residual_from(k, d_sq, met)
 
-    def tangency(self, circle: str, met: Tuple[float, ...], tol: Any) -> Tuple[Any, ...]:
-        """The fields of the circle's ``feuerbach.TangencyReport``: |XN|^2
-        against the nine-point radius squared R^2/4 and r_X^2, decided by
-        :func:`_float_decision` within ``tol``, with the residuals lhs - rhs.
-        These are the operations of ``feuerbach.classify_tangency_sq`` on
-        the same three floats."""
-        d_sq = self.center_dist_sq(circle, self.vertex_ninepoint_dist_sq())
+    def tangency(
+        self, circle: str, met: Tuple[float, ...], vertex_n: Tuple[float, float, float], tol: Any
+    ) -> Tuple[Any, ...]:
+        """The fields of the circle's ``feuerbach.TangencyReport``: |XN|^2,
+        from the vertex-to-N distances ``vertex_n``, against the nine-point
+        radius squared R^2/4 and r_X^2, decided by :func:`_float_decision`
+        within ``tol``, with the residuals lhs - rhs.  These are the
+        operations of ``feuerbach.classify_tangency_sq`` on the same three
+        floats."""
+        d_sq = self.center_dist_sq(circle, vertex_n)
         r_sq = met[3 + CIRCLES.index(circle)]
         kind, lhs, rhs_internal, rhs_external = _float_decision(d_sq, met[2] / 4, r_sq, tol)
         return kind, lhs, rhs_internal, rhs_external, lhs - rhs_internal, lhs - rhs_external

@@ -1,16 +1,18 @@
 """Command-line interface: schemas, exit codes, determinism, error text."""
 
 import collections
+import contextlib
+import io
 import json
 import os
 import random
 import re
 import sys
 from fractions import Fraction
-from unittest import mock
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from golden_cases import CASES, ERROR_CASES, HELP_CASES
@@ -27,7 +29,53 @@ def run(capsys, *argv: str):
     return code, captured.out, captured.err
 
 
+def count_tokens(monkeypatch) -> collections.Counter:
+    """Wrap both token functions of the CLI; the counter counts each value
+    converted, an integer ratio as its Fraction."""
+    conversions = collections.Counter()
+    for name in ("_exact_token", "_float_token"):
+        function = getattr(cli, name)
+
+        def counting(value, function=function):
+            conversions[F(*value) if type(value) is tuple else value] += 1
+            return function(value)
+
+        monkeypatch.setattr(cli, name, counting)
+    return conversions
+
+
+def printed_values(doc) -> list:
+    """The values a compute or feuerbach JSON answer prints, in document
+    order: every "p/q" string and every float, not the names."""
+    if isinstance(doc, dict):
+        return [value for item in doc.values() for value in printed_values(item)]
+    if isinstance(doc, list):
+        return [value for item in doc for value in printed_values(item)]
+    if isinstance(doc, float) or isinstance(doc, str) and re.fullmatch(r"-?\d+/\d+", doc):
+        return [doc]
+    return []
+
+
 class TestCompute:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("argv, text_only", [
+        (["--sides", "13/3,4,15/7"], 0),
+        (["--vertices", "1/3,-2/7,10/3,-2/7,1/3,26/7", "--backend", "exact"], 3),
+        (["--vertices", "0.1,0.2,3.3,0.4,1.5,2.6"], 3),
+    ])
+    def test_each_printed_value_converted_once(self, capsys, monkeypatch, argv, text_only, fmt):
+        # The backend's token function converts each value of the answer
+        # once, and the text output prints the document's tokens; it
+        # converts the sides of vertex input besides, which the document
+        # does not hold.
+        values = printed_values(json.loads(run(capsys, "compute", *argv, "--format", "json")[1]))
+        conversions = count_tokens(monkeypatch)
+        code, out, _ = run(capsys, "compute", *argv, "--format", fmt)
+        assert code == 0
+        assert sum(conversions.values()) == len(values) + (text_only if fmt == "text" else 0)
+        assert {F(v) if isinstance(v, str) else v for v in values} <= set(conversions)
+        assert {F(text) for text in re.findall(r"-?\d+/\d+", out)} <= set(conversions)
+
     def test_json_3_4_5(self, capsys):
         code, out, err = run(capsys, "compute", "--sides", "3,4,5", "--format", "json")
         assert code == 0 and err == ""
@@ -234,23 +282,21 @@ class TestFeuerbach:
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_each_printed_value_converted_once(self, capsys, monkeypatch, fmt):
-        # A tangent circle's rhs is its lhs object, and the text output
-        # prints the document's text.  Two small constants are one object
-        # each, printed in several places: the tangent circles' zero residual
-        # and the centroid's weight 1/3.
-        conversions = collections.Counter()
-        rational_text = cli._rational_text
-
-        def counting(value):
-            conversions[value] += 1
-            return rational_text(value)
-
-        monkeypatch.setattr(cli, "_rational_text", counting)
-        code, out, _ = run(capsys, "feuerbach", "--sides", "13/3,4,15/7", "--format", fmt)
+        # The exact token function converts each value of the answer once: a
+        # tangent circle's rhs is its lhs object and reuses its token, and
+        # the text output prints the document's tokens and converts R_sq/4
+        # besides.  Two small constants are one object each, printed in
+        # several places: the tangent circles' zero residual and the
+        # centroid's weight 1/3.
+        argv = ["feuerbach", "--sides", "13/3,4,15/7"]
+        values = printed_values(json.loads(run(capsys, *argv, "--format", "json")[1]))
+        conversions = count_tokens(monkeypatch)
+        code, out, _ = run(capsys, *argv, "--format", fmt)
         assert code == 0
         printed = {F(text) for text in re.findall(r"-?\d+/\d+", out)}
         assert len(printed) >= 11
         assert printed <= set(conversions)
+        assert sum(conversions.values()) == len(values) - 4 + (fmt == "text")
         assert {value for value, count in conversions.items() if count > 1} <= {F(0), F(1, 3)}
 
 
@@ -267,16 +313,7 @@ def json_strings(value):
             yield from json_strings(item)
 
 
-def is_plain(text: str) -> bool:
-    return all(" " <= char <= "~" and char not in '"\\' for char in text)
-
-
 PLAIN_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E, exclude_characters='"\\'))
-# What json escapes, and any code point, lone surrogates included.
-ESCAPED_TEXT = st.text(
-    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\u2028", "\ud800", "\U0001f600"])
-    | st.characters(exclude_categories=())
-)
 NUMBERS = (
     st.integers()
     | st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n]))
@@ -284,40 +321,204 @@ NUMBERS = (
     | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e308, float("nan"),
                        float("inf"), float("-inf")])
 )
+# Exact values as the CLI meets them: Fractions, and the kernel's integer
+# ratios (num, den), which any sign of den and any common factor reach.
+EXACT = st.fractions() | st.tuples(
+    st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70).filter(bool)
+)
 
 
-def json_documents(text):
-    leaves = st.none() | st.booleans() | NUMBERS | text
-    return st.recursive(
-        leaves,
-        lambda children: st.lists(children, max_size=4) | st.dictionaries(text, children, max_size=4),
-        max_leaves=30,
-    )
+def tokenized(doc):
+    """A document of tokens, as the CLI makes them, and the same document
+    of the values json.dumps writes for them: an exact leaf through the
+    exact token function, as its "p/q" string; a float through the float
+    one; the other leaves (None, bools, ints, strings that need no
+    escaping) as json writes them."""
+    if isinstance(doc, dict):
+        pairs = {key: tokenized(item) for key, item in doc.items()}
+        return {key: p[0] for key, p in pairs.items()}, {key: p[1] for key, p in pairs.items()}
+    if isinstance(doc, list):
+        pairs = [tokenized(item) for item in doc]
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+    if isinstance(doc, (Fraction, tuple)):
+        value = F(*doc) if isinstance(doc, tuple) else doc
+        return cli._exact_token(doc), f"{value.numerator}/{value.denominator}"
+    if isinstance(doc, float):
+        return cli._float_token(doc), doc
+    return json.dumps(doc), doc
 
 
-def check_writer(doc):
-    expected = json.dumps(doc, indent=2) + "\n"
-    with mock.patch.object(json, "dumps", wraps=json.dumps) as dumps:
-        assert cli._dump_json(doc) == expected
-    # The standard library runs only for a string that needs escaping.
-    assert dumps.called == (not all(map(is_plain, json_strings(doc))))
+def containers(children):
+    return st.lists(children, max_size=4) | st.dictionaries(PLAIN_TEXT, children, max_size=4)
+
+
+# Documents as the layout takes them: a dict or a list at the top.
+DOCUMENTS = containers(
+    st.recursive(st.none() | st.booleans() | NUMBERS | EXACT | PLAIN_TEXT, containers, max_leaves=30)
+)
+
+
+def golden_json_answers():
+    """The document of every golden that prints JSON."""
+    for name in CASES:
+        text = (Path(__file__).parent / "golden" / f"{name}.out").read_text(encoding="utf-8")
+        if text.startswith("{"):
+            yield json.loads(text)
 
 
 class TestJsonWriter:
-    # Plain strings take the writer's own quoting; the rest go to json.
-    @given(json_documents(PLAIN_TEXT) | json_documents(PLAIN_TEXT | ESCAPED_TEXT))
+    @given(DOCUMENTS)
     @example({})
     @example([])
     @example({"a": {}, "b": [], "c": [{}, []]})
-    @example({"lhs": "-12/7", "k": [1.5, -0.0, float("nan"), float("inf"), float("-inf")]})
-    @example({"n": [-3, 2**64 + 1, -(2**70)], "t": [True, False, None]})
+    @example({"lhs": F(-12, 7), "k": [1.5, -0.0, float("nan"), float("inf"), float("-inf")]})
+    @example({"n": [-3, 2**64 + 1, -(2**70)], "t": [True, False, None], "r": [(6, -4), (0, -5)]})
     def test_writes_json_dumps_layout(self, doc):
-        check_writer(doc)
+        # The layout over the tokens is json.dumps's layout of the values.
+        tokens, values = tokenized(doc)
+        assert cli._layout(tokens) == json.dumps(values, indent=2)
 
     @pytest.mark.parametrize("char", ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\xe9", "\ud800"])
     def test_each_escaped_character_alone(self, char):
-        check_writer({"k": [f"a{char}b"]})
-        check_writer({f"a{char}b": 1})
+        # The layout quotes each key and string as it is, with no escaping,
+        # so no CLI answer may hold a character that json escapes: the names
+        # and choices it prints are plain ASCII.
+        assert json.dumps(f"a{char}b") != f'"a{char}b"'
+        answers = list(golden_json_answers())
+        assert len(answers) >= 30
+        assert not any(char in text for doc in answers for text in json_strings(doc))
+
+
+def rational(max_digits: int = 60):
+    """Positive rationals whose numerator and denominator have 1 to
+    ``max_digits`` digits."""
+    return st.integers(1, max_digits).flatmap(
+        lambda d: st.builds(F, st.integers(10 ** (d - 1), 10**d - 1), st.integers(10 ** (d - 1), 10**d - 1))
+    )
+
+
+def ravi(x, y, z):
+    """The sides y + z, z + x, x + y, a triangle for any positive x, y, z."""
+    return y + z, z + x, x + y
+
+
+def right_triangle(m: int, n: int, k: Fraction):
+    """The sides k(m^2 - n^2), 2kmn, k(m^2 + n^2) of a right triangle, whose
+    exact embedding exists."""
+    return k * (m * m - n * n), 2 * k * m * n, k * (m * m + n * n)
+
+
+EXACT_SIDES = st.one_of(
+    st.builds(ravi, rational(), rational(), rational()),
+    rational().map(lambda x: (x, x, x)),
+    st.integers(2, 40).flatmap(
+        lambda m: st.builds(right_triangle, st.just(m), st.integers(1, m - 1), rational(20))
+    ),
+)
+FLOAT_SIDES = st.builds(ravi, *[st.floats(1e-3, 1e3)] * 3)
+# A plain request's value does not start with "-", so ax is not negative.
+FLOAT_VERTICES = st.tuples(st.floats(0, 100), *[st.floats(-100, 100)] * 5)
+
+
+def text_of(values) -> str:
+    return ",".join(f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else repr(v)
+                    for v in values)
+
+
+def same(printed, value) -> bool:
+    """A printed JSON value against the library's: an exact value as its
+    reduced "p/q", a float by its repr, so that NaN and the sign of a zero
+    count."""
+    if isinstance(value, Fraction):
+        return printed == f"{value.numerator}/{value.denominator}"
+    return isinstance(printed, float) and repr(printed) == repr(value)
+
+
+class TestAgainstLibrary:
+    # Every value of a compute and a feuerbach JSON answer is the library's:
+    # the metrics of metrics(sides), the centers of center_set(sides,
+    # vertices) and the report of feuerbach_report(sides, tol), on the
+    # triangle the CLI reads from the request.
+
+    def check(self, triangle):
+        from ninepoint.centers import center_set
+        from ninepoint.feuerbach import feuerbach_report
+        from ninepoint.triangle import metrics
+
+        config = cli._resolve_input(cli._plain_request(["feuerbach", *triangle]))
+        # A library error, such as a float area that underflows, is an
+        # error of each command that reads the value.
+        try:
+            met = metrics(config.sides)
+            centers = center_set(config.sides, config.vertices)
+        except (ValueError, ZeroDivisionError):
+            centers = None
+        try:
+            report = feuerbach_report(config.sides, config.tol)
+        except (ValueError, ZeroDivisionError):
+            report = None
+        for command in ("compute", "feuerbach"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, *triangle, "--format", "json"])
+            if centers is None or command == "feuerbach" and report is None:
+                assert (code, out.getvalue()) == (2, "")
+                continue
+            assert (code, err.getvalue()) == (0 if command == "compute" or report.ok else 3, "")
+            doc = json.loads(out.getvalue())
+            if config.vertices_given:
+                printed = [v for point in doc["input"]["vertices"] for v in point]
+                given = [v for point in config.vertices for v in (point.x, point.y)]
+            else:
+                printed, given = doc["input"]["sides"], config.sides.as_tuple()
+            assert all(map(same, printed, given))
+            assert all(same(doc["metrics"][name], getattr(met, name)) for name in met._fields)
+            rows = doc["centers"]["barycentric"]
+            assert list(rows) == list(centers.barycentric)
+            for name, bary in centers.barycentric.items():
+                assert all(map(same, rows[name], bary.components)), name
+            if config.vertices is None:
+                assert doc["centers"]["cartesian"] is None
+            else:
+                rows = doc["centers"]["cartesian"]
+                assert list(rows) == list(centers.points)
+                for name, point in centers.points.items():
+                    assert all(map(same, rows[name], (point.x, point.y))), name
+            if command == "feuerbach":
+                assert doc["equilateral"] is report.equilateral
+                for row, entry in zip(doc["feuerbach"], report.entries, strict=True):
+                    tangency = entry.report
+                    assert (row["circle"], row["kind"]) == (entry.circle, tangency.kind.value)
+                    assert same(row["lhs"], tangency.lhs)
+                    assert same(row["rhs"], tangency.rhs)
+                    assert same(row["residual"], tangency.residual)
+
+    @settings(max_examples=60, deadline=None)
+    @given(EXACT_SIDES)
+    @example((F(1), F(1), F(1)))
+    @example((F(3), F(4), F(5)))
+    @example(ravi(F(10**59 + 1, 3 * 10**58 + 7), F(7 * 10**59 - 3, 10**59 + 9), F(2 * 10**59 + 1, 10**59 - 1)))
+    def test_exact_sides(self, sides):
+        self.check(["--sides", text_of(sides)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(FLOAT_SIDES)
+    def test_float_sides(self, sides):
+        self.check(["--sides", text_of(sides), "--backend", "float"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(FLOAT_VERTICES)
+    def test_float_vertices(self, coordinates):
+        argv = ["--vertices", text_of(coordinates)]
+        try:
+            cli._resolve_input(cli._plain_request(["compute", *argv]))
+        except ValueError:
+            assume(False)
+        self.check(argv)
+
+    @pytest.mark.parametrize("vertices", ["1/3,-2/7,10/3,-2/7,1/3,26/7", "1/2,0,7/2,0,1/2,4"])
+    def test_exact_vertices(self, vertices):
+        self.check(["--vertices", vertices, "--backend", "exact"])
 
 
 def seeded_sides(digits: int) -> str:
@@ -592,9 +793,10 @@ class TestSvgCommand:
     def test_svg_builds_only_what_it_draws(self, capsys, monkeypatch, argv, frames, drawn):
         # An exact svg request seeks the exact embedding once, when the input
         # is read, and draws the float one without seeking it again; it
-        # builds no TriangleMetrics and no Barycentric, which the other
-        # commands print.  Counted by wrapping, as Python 3.10 names every
-        # __init__ of a module alike in a profile hook.
+        # builds no TriangleMetrics, which the other commands print.  No
+        # command builds a Barycentric: compute and feuerbach print the
+        # kernel's components.  Counted by wrapping, as Python 3.10 names
+        # every __init__ of a module alike in a profile hook.
         from ninepoint import triangle
 
         calls = collections.Counter()
@@ -614,7 +816,7 @@ class TestSvgCommand:
         assert code == 0 and out
         assert calls["frame"] == frames
         assert calls["TriangleMetrics"] == drawn
-        assert (calls["Barycentric"] > 0) is bool(drawn)
+        assert calls["Barycentric"] == 0
 
 
 class TestOutputFile:

@@ -579,7 +579,7 @@ def test_closed_form_report_matches_reduced_numerators(sides: SideLengths):
     off = t._replace(abc=t.abc + 1)
     moved = a * b * c + Fraction(1, t.L**3)
     for circle in CIRCLES:
-        got = TangencyReport(*off.tangency(circle, met._values(), None))
+        got = TangencyReport(*off.tangency(circle, met._values(), None, None))
         assert got.kind is Tangency.NOT_TANGENT
         assert got == reference_report(sides, circle, moved), circle
 

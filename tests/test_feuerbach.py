@@ -19,6 +19,8 @@ from ninepoint.triangle import (
     Barycentric,
     InvalidTriangleError,
     SideLengths,
+    _FloatTriangle,
+    _IntegerTriangle,
     barycentric_distance_sq,
     metrics,
 )
@@ -280,6 +282,28 @@ class TestFeuerbachReport:
                 tol,
             )
             assert entry.report == expected, entry.circle
+
+    @pytest.mark.parametrize("sides, float_calls, exact_calls", [
+        ((3.0, 4.0, 5.5), 1, 0),
+        ((F(3), F(4), F(11, 2)), 0, 0),
+    ])
+    def test_vertex_distances_computed_once_per_float_report(
+        self, monkeypatch, sides, float_calls, exact_calls
+    ):
+        # The float report reads the three vertex-to-N distances of one
+        # call for its four circles; the exact closed forms read none.
+        calls = {}
+        for kernel in (_FloatTriangle, _IntegerTriangle):
+            method = kernel.vertex_ninepoint_dist_sq
+
+            def counted(self, method=method, name=kernel.__name__):
+                calls[name] = calls.get(name, 0) + 1
+                return method(self)
+
+            monkeypatch.setattr(kernel, "vertex_ninepoint_dist_sq", counted)
+        assert feuerbach_report(SideLengths(*sides)).ok
+        assert calls.get("_FloatTriangle", 0) == float_calls
+        assert calls.get("_IntegerTriangle", 0) == exact_calls
 
     @given(flat_float_sides(), st.sampled_from([1e-6, 1e-9, 1e-12]))
     def test_float_report_is_the_classifier_and_the_verdict(self, sides: SideLengths, rel_eps):
