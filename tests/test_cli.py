@@ -62,7 +62,7 @@ class TestCompute:
         (["--sides", "13/3,4,15/7"], 0),
         (["--vertices", "1/3,-2/7,10/3,-2/7,1/3,26/7", "--backend", "exact"], 3),
         (["--vertices", "0.1,0.2,3.3,0.4,1.5,2.6"], 3),
-    ])
+    ], ids=["exact_sides", "exact_vertices", "float_vertices"])
     def test_each_printed_value_converted_once(self, capsys, monkeypatch, argv, text_only, fmt):
         # The backend's token function converts each value of the answer
         # once, and the text output prints the document's tokens; it
