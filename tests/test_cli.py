@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from golden_cases import CASES, ERROR_CASES, HELP_CASES
 from ninepoint import cli
-from ninepoint.triangle import CENTER_WEIGHTS
+from ninepoint.centers import center_set
+from ninepoint.feuerbach import feuerbach_report
+from ninepoint.triangle import CENTER_WEIGHTS, metrics
 
 F = Fraction
 
@@ -441,10 +443,6 @@ class TestAgainstLibrary:
     # triangle the CLI reads from the request.
 
     def check(self, triangle):
-        from ninepoint.centers import center_set
-        from ninepoint.feuerbach import feuerbach_report
-        from ninepoint.triangle import metrics
-
         config = cli._resolve_input(cli._plain_request(["feuerbach", *triangle]))
         # A library error, such as a float area that underflows, is an
         # error of each command that reads the value.
