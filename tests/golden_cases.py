@@ -129,6 +129,8 @@ ERROR_CASES = {
     "error_missing_value": ["feuerbach", "--sides", "3,4,5", "--rel-eps"],
     "error_bad_backend": ["compute", "--sides", "3,4,5", "--backend", "Exact"],
     "error_unknown_command": ["bogus", "--sides", "3,4,5"],
+    # An unknown command that does not stand first in argv.
+    "error_unknown_command_after_flag": ["-x", "bogus"],
 }
 ERROR_COLUMNS = "80"
 
