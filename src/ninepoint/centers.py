@@ -35,9 +35,9 @@ the centers as ``Point2``s through ``CenterSet.points``, which only a
 Cartesian frame has; ``svg`` and the CLI take the frame alone from
 :func:`_cartesian_frame`, the Cartesian half of ``center_set``: ``svg``
 reads it as floats, and the CLI prints each point's ``plane.coords``.
-``circumdot``, ``vertex_to_ninepoint_dist_sq`` and the bisector feet
-read the kernel of the sides (``triangle._IntegerTriangle`` or
-``_FloatTriangle``) without asking which it is.
+``vertex_to_ninepoint_dist_sq`` and the bisector feet read the kernel of
+the sides (``triangle._IntegerTriangle`` or ``_FloatTriangle``) without
+asking which it is.
 
 All eight come from one weight table,
 :data:`~ninepoint.triangle.CENTER_WEIGHTS`, which both kernels read
@@ -51,11 +51,12 @@ the vertex's position, so the three cases are one expression.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Dict, Literal, Optional, Tuple
 
 from . import homogeneous
 from .numeric import Scalar
-from .record import Record, cached
+from .record import Record
 from .triangle import (
     CENTER_WEIGHTS,
     CIRCLE_CENTERS,
@@ -69,14 +70,12 @@ from .triangle import (
 
 __all__ = [
     "Vertex",
-    "VertexPair",
     "VERTICES",
     "CENTER_WEIGHTS",
     "CenterSet",
     "centroid_barycentric",
     "bisector_foot_barycentric",
     "vertex_to_ninepoint_dist_sq",
-    "circumdot",
     "center_set",
     # Re-exported beside the centers: the benchmark's tracer test checks
     # that tracing triangle.metrics rebinds this module's name too.
@@ -84,7 +83,6 @@ __all__ = [
 ]
 
 Vertex = Literal["A", "B", "C"]
-VertexPair = Literal["AB", "BC", "CA"]
 
 VERTICES: Tuple[Vertex, Vertex, Vertex] = ("A", "B", "C")
 _SHIFT = {"A": 0, "B": 1, "C": 2}
@@ -129,22 +127,11 @@ def bisector_foot_barycentric(sides: SideLengths, vertex: Vertex) -> Barycentric
 
 
 def vertex_to_ninepoint_dist_sq(sides: SideLengths, vertex: Vertex) -> Scalar:
-    """|vertex N|^2 from sides alone; A-form (R^2 - a^2 + b^2 + c^2) / 4.
-    The three values are derived once per :class:`SideLengths`."""
-    return sides._vertex_ninepoint_dist_sq[_shift(vertex)]
-
-
-# The vertex opposite each pair; its side is the one the pair spans.
-_OPPOSITE_OF_PAIR = {"AB": "C", "BC": "A", "CA": "B"}
-
-
-def circumdot(sides: SideLengths, pair: VertexPair) -> Scalar:
-    """Dot product (P - O).(Q - O) for a vertex pair: R^2 - opposite^2 / 2,
+    """|vertex N|^2 from sides alone; A-form (R^2 - a^2 + b^2 + c^2) / 4,
     the public value of the kernel's (one division on exact sides)."""
-    if pair not in _OPPOSITE_OF_PAIR:
-        raise ValueError(f"pair must be one of {tuple(_OPPOSITE_OF_PAIR)}, got {pair!r}")
+    k = _shift(vertex)
     t = sides._kernel
-    return t.value(t.circumdot(_shift(_OPPOSITE_OF_PAIR[pair])))
+    return t.value(t.vertex_ninepoint_dist_sq()[k])
 
 
 class CenterSet(Record):
@@ -160,12 +147,11 @@ class CenterSet(Record):
     """
 
     _fields = ("barycentric", "frame", "plane")
-    _defaults = {"frame": None, "plane": None}
     barycentric: Dict[str, Barycentric]
     frame: Optional[Dict[str, Any]]
     plane: Any
 
-    @cached
+    @cached_property
     def points(self) -> Dict[str, Point2]:
         """The Cartesian centers in the order O, G, H, N, I, Ea, Eb, Ec;
         empty without vertices.  A frame whose metric is not Cartesian
@@ -173,21 +159,16 @@ class CenterSet(Record):
         return {label: self.plane.as_point2(p) for label, p in (self.frame or {}).items()}
 
 
-def center_set(
-    sides: SideLengths,
-    vertices: Optional[Tuple[Any, Any, Any]] = None,
-    plane: Any = None,
-) -> CenterSet:
+def center_set(sides: SideLengths, vertices: Optional[Tuple[Any, Any, Any]] = None) -> CenterSet:
     """Assemble every center; vertices add the Cartesian layer, which
-    :func:`_cartesian_frame` builds.  With ``plane`` the vertices are
-    already points of that plane, as the identity suite holds them."""
+    :func:`_cartesian_frame` builds."""
     values = sides._kernel.values
     bary = {"G": centroid_barycentric()}
     for label in CIRCLE_CENTERS:
         bary[label] = Barycentric(*values(_components(sides, label)))
     if vertices is None:
         return CenterSet(bary, None, None)
-    return CenterSet(bary, *_cartesian_frame(sides, vertices, plane))
+    return CenterSet(bary, *_cartesian_frame(sides, vertices))
 
 
 def _components(sides: SideLengths, label: str) -> Tuple[Any, Any, Any]:
@@ -207,16 +188,14 @@ def _components(sides: SideLengths, label: str) -> Tuple[Any, Any, Any]:
     return (x_a, d), (x_b, d), (x_c, d)
 
 
-def _cartesian_frame(sides: SideLengths, vertices: Tuple, plane: Any = None) -> Tuple[Dict, Any]:
+def _cartesian_frame(sides: SideLengths, vertices: Tuple) -> Tuple[Dict, Any]:
     """Every Cartesian center of the sides and the plane that holds them,
     with no barycentric form: ``svg`` draws these alone.  ``Point2``
     vertices are lifted onto integer triples when the sides and every
     vertex are exact and onto float pairs otherwise."""
-    if plane is None:
-        exact = sides.is_exact and all(p.is_exact for p in vertices)
-        plane = homogeneous.Plane() if exact else FloatPlane
-        vertices = plane.lift(vertices)
-    va, vb, vc = vertices
+    exact = sides.is_exact and all(p.is_exact for p in vertices)
+    plane = homogeneous.Plane() if exact else FloatPlane
+    va, vb, vc = plane.lift(vertices)
     # The weights read only the sides, so they cannot see collinear
     # vertices, such as a float embedding whose altitude underflowed.
     if plane.orientation(va, vb, vc) == 0:

@@ -41,7 +41,7 @@ import re
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NoReturn, Optional, Sequence, Tuple, Union
 
 from .numeric import DEFAULT_TOLERANCE, Scalar, ToleranceProfile, is_exact
 from .record import Record
@@ -372,7 +372,6 @@ def cmd_fuzz(args: SimpleNamespace) -> int:
     passes = 0
     failures: List[str] = []
     max_residual = 0.0
-    all_exact = True
     for index in range(profile.count):
         t = _integer_sides(profile, index)
         if backend == "float":
@@ -388,7 +387,6 @@ def cmd_fuzz(args: SimpleNamespace) -> int:
         else:
             # The exact suite takes the generator's integer form as it is.
             suite = check_identity_suite(t, None, tol)
-        all_exact = all_exact and suite.exact
         max_residual = max(max_residual, suite.max_residual)
         if suite.passed:
             passes += 1
@@ -404,7 +402,7 @@ def cmd_fuzz(args: SimpleNamespace) -> int:
             "backend": f'"{backend}"',
             "passes": str(passes),
             "failures": str(profile.count - passes),
-            "all_exact": "true" if all_exact else "false",
+            "all_exact": "true" if backend == "exact" else "false",
             "max_normalized_residual": _float_token(max_residual),
         }
         code = _emit(_layout(doc) + "\n", args.out)
@@ -413,7 +411,7 @@ def cmd_fuzz(args: SimpleNamespace) -> int:
             f"profile={profile.kind} count={profile.count} seed={profile.seed} "
             f"bound={profile.magnitude_bound} backend={backend}"
         ]
-        if all_exact and passes == profile.count:
+        if backend == "exact" and passes == profile.count:
             lines.append(f"{passes}/{profile.count} exact-zero")
         else:
             lines.append(f"{passes}/{profile.count} within tolerance")
@@ -477,29 +475,28 @@ COMMANDS = {
 }
 
 
-def _invalid_choice(value: str, choices: Sequence[str]) -> str:
-    """argparse's text for a value outside ``choices``, each choice quoted,
-    which not every Python release's argparse does itself."""
-    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+# argparse's error for a value outside an argument's choices, when the
+# choices are listed unquoted, as from Python 3.12.8 and 3.13.1 on.
+_UNQUOTED_CHOICES = re.compile(r"(?s)(argument [^:]*: invalid choice: .*\(choose from )([^']*)\)")
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of ``COMMANDS``, which answers every request that
-    ``_plain_request`` declines: help, errors and the other spellings.  A
-    flag with choices checks them in its type, so that its error text is
-    ``_invalid_choice``'s."""
+    ``_plain_request`` declines: help, errors and the other spellings.  Its
+    ``error``, which its subparsers share, quotes each choice of an
+    "invalid choice" list, so that every Python release prints the same
+    text."""
     import argparse
 
-    def choice(kind: type, choices: Sequence[str]):
-        def convert(text: str) -> str:
-            value = kind(text)
-            if value not in choices:
-                raise argparse.ArgumentTypeError(_invalid_choice(value, choices))
-            return value
+    class Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            unquoted = _UNQUOTED_CHOICES.fullmatch(message)
+            if unquoted:
+                head, listed = unquoted.groups()
+                message = f"{head}{', '.join(map(repr, listed.split(', ')))})"
+            super().error(message)
 
-        return convert
-
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="ninepoint",
         description="Triangle geometry kernel with an exact nine-point tangency verifier.",
     )
@@ -509,10 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         group = subparser.add_mutually_exclusive_group(required=True) if "--sides" in options else None
         for flag, (dest, kind, choices, default, text) in options.items():
             target = group if flag in ("--sides", "--vertices") else subparser
-            metavar = None
-            if choices is not None:
-                kind, metavar = choice(kind, choices), "{" + ",".join(choices) + "}"
-            target.add_argument(flag, dest=dest, type=kind, default=default, metavar=metavar, help=text)
+            target.add_argument(flag, dest=dest, type=kind, choices=choices, default=default, help=text)
     return parser
 
 
@@ -554,23 +548,13 @@ def _plain_request(argv: Sequence[str]) -> Optional[SimpleNamespace]:
     return args
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """argparse's namespace of ``argv``.  An unknown command in first place,
-    which argparse would refuse before reading anything else, is refused
-    here with the same text, quoted as ``_invalid_choice`` quotes it."""
-    parser = _parser()
-    if argv and argv[0] not in COMMANDS and not argv[0].startswith("-"):
-        parser.error(f"argument command: {_invalid_choice(argv[0], tuple(COMMANDS))}")
-    return parser.parse_args(argv)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _plain_request(argv)
     if args is None:
         try:
-            args = SimpleNamespace(**vars(_parse_args(argv)))
+            args = SimpleNamespace(**vars(_parser().parse_args(argv)))
         except SystemExit as exc:
             return EXIT_INVALID_INPUT if exc.code not in (0, None) else EXIT_OK
 

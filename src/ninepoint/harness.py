@@ -83,12 +83,13 @@ import operator
 import random
 import sys
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import homogeneous
 from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
-from .record import Record, cached, set_field
+from .record import Record, set_field
 from .triangle import (
     CIRCLES,
     FloatPlane,
@@ -403,7 +404,7 @@ class SuiteReport(Record):
         set_field(self, "_rows", checks)
         set_field(self, "exact", exact)
 
-    @cached
+    @cached_property
     def checks(self) -> Tuple[IdentityCheck, ...]:
         return tuple([tuple.__new__(IdentityCheck, row) for row in self._rows])
 

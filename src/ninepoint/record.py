@@ -2,20 +2,17 @@
 
 The package's value classes subclass :class:`Record` and list their field
 names in ``_fields``, in parameter order.  ``Record.__init__`` binds its
-positional and keyword arguments to those fields, fills the ones left out
-from the class's ``_defaults``, and stores each field once with
-:data:`set_field`; a missing, repeated, unexpected or surplus argument
-raises ``TypeError``, as it would for an ordinary function.  A class that
-coerces or validates its fields writes its own ``__init__`` and stores them
-the same way.  ``Record`` supplies field-wise ``==``, ``hash`` and
-``repr``, and refuses any later assignment or deletion with
-``AttributeError``.  A class that caches derived values with
-:class:`cached` keeps an instance ``__dict__`` (it declares no
-``__slots__``); ``cached`` writes to that dict directly, and the cache
-takes no part in equality, hashing or the ``repr``.  Unlike
-``functools.cached_property``, it takes no lock (Python 3.11 and earlier
-lock every first read), since a value computed twice by two threads is
-the same value.
+positional and keyword arguments to those fields, every one of them
+required, and stores each field once with :data:`set_field`; a missing,
+repeated, unexpected or surplus argument raises ``TypeError``, as it would
+for an ordinary function.  A class that coerces or validates its fields
+writes its own ``__init__`` and stores them the same way.  ``Record``
+supplies field-wise ``==``, ``hash`` and ``repr``, and refuses any later
+assignment or deletion with ``AttributeError``.  A class that caches
+derived values with ``functools.cached_property`` keeps an instance
+``__dict__`` (it declares no ``__slots__``); ``cached_property`` writes to
+that dict directly, and the cache takes no part in equality, hashing or
+the ``repr``.
 
 Importing ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and each ``@dataclass`` compiles its generated methods while
@@ -25,29 +22,12 @@ start-up.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
-__all__ = ["Record", "cached", "set_field"]
+__all__ = ["Record", "set_field"]
 
 # How a constructor stores a field past Record.__setattr__.
 set_field = object.__setattr__
-
-
-class cached:
-    """A method read as an attribute: computed on the first read and stored
-    in the instance ``__dict__``, which later reads find first, since this
-    descriptor defines no ``__set__``."""
-
-    def __init__(self, func: Callable[[Any], Any]) -> None:
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __get__(self, instance: Any, owner: Optional[type] = None) -> Any:
-        if instance is None:
-            return self
-        value = self.func(instance)
-        instance.__dict__[self.func.__name__] = value
-        return value
 
 
 class Record:
@@ -56,7 +36,6 @@ class Record:
 
     __slots__ = ()
     _fields: Tuple[str, ...] = ()
-    _defaults: Dict[str, Any] = {}
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         fields = self._fields
@@ -74,12 +53,9 @@ class Record:
             raise TypeError(f"{call} takes {len(fields)} arguments but {len(args)} were given")
         values = list(args)
         for name in fields[len(args):]:
-            if name in kwargs:
-                values.append(kwargs.pop(name))
-            elif name in self._defaults:
-                values.append(self._defaults[name])
-            else:
+            if name not in kwargs:
                 raise TypeError(f"{call} missing argument {name!r}")
+            values.append(kwargs.pop(name))
         # A keyword still unread names a field given positionally, or none.
         for name in kwargs:
             problem = "multiple values for" if name in fields else "an unexpected keyword"

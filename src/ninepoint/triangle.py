@@ -58,6 +58,7 @@ import enum
 import math
 import operator
 from fractions import Fraction
+from functools import cached_property
 from itertools import starmap
 from typing import Any, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -68,7 +69,7 @@ from .numeric import (
     coerce_backend,
     sqrt_exact,
 )
-from .record import Record, cached, set_field
+from .record import Record, set_field
 
 __all__ = [
     "InvalidTriangleError",
@@ -408,7 +409,7 @@ class SideLengths(Record):
     # Derived once per triangle.  The fields are frozen, so these cannot go
     # stale; equality and hashing still read only a, b and c.
 
-    @cached
+    @cached_property
     def _kernel(self) -> Union["_IntegerTriangle", "_FloatTriangle"]:
         """The kernel that every quantity of the sides is read from: the
         integer form of exact sides, which divides only when it builds an
@@ -424,19 +425,13 @@ class SideLengths(Record):
             L,
         )
 
-    @cached
+    @cached_property
     def _metrics(self) -> "TriangleMetrics":
         """K^2 = s(s-a)(s-b)(s-c), R^2 = (abc)^2 / 16K^2, r^2 = K^2/s^2,
         r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a): the public
         values of the kernel's, one division per exact field."""
         t = self._kernel
         return TriangleMetrics(*t.values(t.metrics()))
-
-    @cached
-    def _vertex_ninepoint_dist_sq(self) -> Tuple[Scalar, Scalar, Scalar]:
-        """|AN|^2, |BN|^2, |CN|^2: (R^2 - a^2 + b^2 + c^2)/4 and its rotations."""
-        t = self._kernel
-        return t.values(t.vertex_ninepoint_dist_sq())
 
 
 class TriangleMetrics(Record):

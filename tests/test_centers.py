@@ -18,7 +18,6 @@ from ninepoint.centers import (
     bisector_foot_barycentric,
     center_set,
     centroid_barycentric,
-    circumdot,
     vertex_to_ninepoint_dist_sq,
 )
 from ninepoint.harness import PROFILE_KINDS, FuzzProfile, random_triangle
@@ -36,6 +35,14 @@ positive_fractions = st.fractions(min_value=F(1, 50), max_value=50, max_denomina
 rational_sides = st.tuples(positive_fractions, positive_fractions, positive_fractions).map(
     lambda xyz: SideLengths(xyz[1] + xyz[2], xyz[2] + xyz[0], xyz[0] + xyz[1])
 )
+# The vertex opposite each pair, by index: the kernel's circumdot takes it.
+OPPOSITE = {"BC": 0, "CA": 1, "AB": 2}
+
+
+def circumdot(sides: SideLengths, pair: str):
+    """(P - O).(Q - O) for a vertex pair: the public value of the kernel's."""
+    t = sides._kernel
+    return t.value(t.circumdot(OPPOSITE[pair]))
 
 
 @pytest.fixture
@@ -145,10 +152,6 @@ class TestDistancesAndDots:
         assert circumdot(sides345, "AB") == F(-25, 4)
         assert circumdot(sides345, "BC") == F(25, 4) - F(9, 2)
         assert circumdot(sides345, "CA") == F(25, 4) - F(8)
-
-    def test_circumdot_symmetric_pair_spelling(self, sides345):
-        with pytest.raises(ValueError):
-            circumdot(sides345, "AD")  # type: ignore[arg-type]
 
     @given(rational_sides)
     def test_vertex_distance_matches_embedding(self, sides: SideLengths):
@@ -325,7 +328,7 @@ class TestOneConstruction:
 
 
 def _reference_circumdot(sides, pair):
-    opposite = sides.as_tuple()[{"BC": 0, "CA": 1, "AB": 2}[pair]]
+    opposite = sides.as_tuple()[OPPOSITE[pair]]
     return metrics(sides).R_sq - (opposite * opposite) / 2
 
 

@@ -1028,6 +1028,37 @@ class TestSharedParser:
             "(choose from 'compute', 'feuerbach', 'fuzz', 'svg')\n"
         )
 
+    @pytest.mark.parametrize(
+        "name, choices",
+        [("command", tuple(cli.COMMANDS))]
+        + [(flag, spec[2]) for flag, spec in cli.COMMANDS["fuzz"][1].items() if spec[2] is not None],
+    )
+    def test_error_quotes_an_unquoted_choice_list(self, capsys, name, choices):
+        # Python 3.12.8 and 3.13.1 on list the choices unquoted; the
+        # subparsers share the parser's class, and so its error.
+        message = f"argument {name}: invalid choice: 'bogus' (choose from {', '.join(choices)})"
+        with pytest.raises(SystemExit) as raised:
+            cli.build_parser().error(message)
+        quoted = ", ".join(map(repr, choices))
+        assert raised.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {name}: invalid choice: 'bogus' (choose from {quoted})\n"
+        )
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            "argument command: invalid choice: 'bogus' (choose from 'compute', 'feuerbach', 'fuzz', 'svg')",
+            "argument --format: invalid choice: 'x (choose from y' (choose from 'json', 'text')",
+            "unrecognized arguments: (choose from json, text)",
+            "argument --count: invalid int value: 'invalid choice: x (choose from y)'",
+        ],
+    )
+    def test_error_leaves_other_messages_alone(self, capsys, message):
+        with pytest.raises(SystemExit):
+            cli.build_parser().error(message)
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
     def test_build_parser_returns_a_fresh_parser(self):
         first = cli.build_parser()
         second = cli.build_parser()

@@ -77,8 +77,7 @@ def test_both_kernels_define_every_method_the_suite_calls():
     names = _kernel_calls(
         harness.check_identity_suite,
         SideLengths._metrics.func,
-        SideLengths._vertex_ninepoint_dist_sq.func,
-        centers.circumdot,
+        centers.vertex_to_ninepoint_dist_sq,
         centers.bisector_foot_barycentric,
         feuerbach._ninepoint_residual,
         feuerbach.feuerbach_report,

@@ -11,7 +11,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ninepoint import centers, harness, homogeneous
-from ninepoint.centers import center_set
 from ninepoint.triangle import FloatPlane, Point2, SideLengths, _canonical_frame
 
 h = homogeneous.Plane()
@@ -150,7 +149,10 @@ def test_a_frame_with_a_metric_has_no_cartesian_exit():
     x, t = frame.coords(va)
     assert ratio(x) == Fraction(-3, 4)
     assert t[2] == m  # the t ratio carries its metric
-    kernel = center_set(sides, (va, vb, vc), plane=frame)
+    form = sides._kernel
+    kernel = centers.CenterSet(
+        {}, centers._center_frame(frame, form.a, form.b, form.c, va, vb, vc), frame
+    )
     for leave in (
         lambda: frame.as_point2(va),
         lambda: kernel.points,

@@ -1,19 +1,20 @@
 """The package's value classes behave as frozen records.
 
-Each class is built positionally and by keyword (leaving out the fields
-that have defaults), and the tests pin what callers rely on: the ``repr``
-text, field-wise ``==`` and ``hash``, and ``AttributeError`` on any
-assignment or deletion.  Classes with a ``dict`` field compare field-wise
-but cannot be hashed.  A call that an ordinary function would refuse
-raises ``TypeError``, whether the class writes its own constructor or
-uses the one ``Record`` supplies, and an ``ast`` guard keeps classes from
-writing a constructor that only repeats ``Record``'s.
+Each class is built positionally and by keyword, and the tests pin what
+callers rely on: the ``repr`` text, field-wise ``==`` and ``hash``, and
+``AttributeError`` on any assignment or deletion.  Classes with a
+``dict`` field compare field-wise but cannot be hashed.  A call that an
+ordinary function would refuse raises ``TypeError``, whether the class
+writes its own constructor or uses the one ``Record`` supplies, and an
+``ast`` guard keeps classes from writing a constructor that only repeats
+``Record``'s.
 """
 
 import ast
 import copy
 import pickle
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Dict, List, NamedTuple, Tuple
 
@@ -30,7 +31,7 @@ from ninepoint.feuerbach import (
 )
 from ninepoint.harness import FuzzProfile, IdentityCheck, OracleResult, SuiteReport
 from ninepoint.numeric import ToleranceProfile
-from ninepoint.record import Record, cached
+from ninepoint.record import Record
 from ninepoint.svg import ViewTransform
 from ninepoint.triangle import Barycentric, Point2, SideLengths, TriangleMetrics
 
@@ -111,10 +112,14 @@ CASES = {
     CenterSet: Case(
         ("barycentric", "frame", "plane"),
         lambda: ({"G": Barycentric(F(1, 3), F(1, 3), F(1, 3))}, None, None),
-        lambda: {"barycentric": {"G": Barycentric(F(1, 3), F(1, 3), F(1, 3))}},
+        lambda: {
+            "plane": None,
+            "frame": None,
+            "barycentric": {"G": Barycentric(F(1, 3), F(1, 3), F(1, 3))},
+        },
         "CenterSet(barycentric={'G': Barycentric(alpha=Fraction(1, 3), "
         "beta=Fraction(1, 3), gamma=Fraction(1, 3))}, frame=None, plane=None)",
-        lambda: CenterSet({"G": Barycentric(1, 0, 0)}),
+        lambda: CenterSet({"G": Barycentric(1, 0, 0)}, None, None),
         hashable=False,
     ),
     TangencyReport: Case(
@@ -271,7 +276,7 @@ def test_derived_values_leave_the_fields_alone():
     assert sides._metrics is sides._metrics and sides.is_exact
     assert sides == fresh and hash(sides) == hash(fresh) and repr(sides) == repr(fresh)
     centers = CenterSet({"G": Barycentric(1, 0, 0)}, {"O": (0.0, 0.0)}, None)
-    assert centers == CenterSet({"G": Barycentric(1, 0, 0)}, {"O": (0.0, 0.0)})
+    assert centers == CenterSet({"G": Barycentric(1, 0, 0)}, {"O": (0.0, 0.0)}, None)
 
 
 class Doubled(Record):
@@ -280,7 +285,7 @@ class Doubled(Record):
     _fields = ("x",)
     computed: List[int] = []
 
-    @cached
+    @cached_property
     def double(self) -> int:
         self.computed.append(self.x)
         return 2 * self.x
@@ -393,12 +398,6 @@ def _wrong_calls():
 def test_wrong_call_raises_type_error(call):
     with pytest.raises(TypeError):
         call()
-
-
-def test_defaults_fill_only_the_fields_left_out():
-    bary = {"G": Barycentric(F(1, 3), F(1, 3), F(1, 3))}
-    assert CenterSet(bary, plane=1) == CenterSet(bary, None, 1)
-    assert CenterSet(plane=1, barycentric=bary).frame is None
 
 
 def field_storing_inits(source: str) -> List[str]:

@@ -2,11 +2,13 @@
 
 A public function (a module-level ``def`` whose name does not start with
 ``_``) must either be referenced by package code outside its own body, by
-name or as an attribute (``plane.add`` counts for every ``add``), or be
-listed in ``ninepoint.__all__``, the documented library API.  A helper
-that only tests call fails this check: delete it, or inline it where the
-package uses it.  Like ``test_unused_imports.py``, this walks each
-module's syntax tree with the standard library.
+its bare name or as ``<module>.<name>``, or be listed in
+``ninepoint.__all__``, the documented library API.  A same-named
+attribute of anything else does not count: ``t.add`` reads a method, not
+the function ``add``.  A helper that only tests call fails this check:
+delete it, or inline it where the package uses it.  Like
+``test_unused_imports.py``, this walks each module's syntax tree with the
+standard library.
 """
 
 import ast
@@ -17,12 +19,15 @@ import ninepoint
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ninepoint"
 
+
 def _references(node: ast.AST) -> Iterator[str]:
+    """Each bare name that ``node`` reads, and each attribute of a bare
+    name as ``owner.attr``."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            yield f"{sub.value.id}.{sub.attr}"
 
 
 def unreferenced_functions(sources: Dict[str, str], exported: List[str]) -> List[str]:
@@ -36,7 +41,8 @@ def unreferenced_functions(sources: Dict[str, str], exported: List[str]) -> List
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
             own = list(_references(node))
-            outside = everywhere.count(node.name) - own.count(node.name)
+            spellings = (node.name, f"{module}.{node.name}")
+            outside = sum(everywhere.count(name) - own.count(name) for name in spellings)
             if outside == 0 and node.name not in exported:
                 found.append(f"{module}.{node.name}")
     return sorted(found)
@@ -62,5 +68,9 @@ def test_detects_what_no_package_code_reaches():
             "def add(p, q):\n    return p\n\n"
             "value = used(Plane.add)\n"
         ),
+        "c": "from . import a\n\nvalue = a.api()\n",
     }
-    assert unreferenced_functions(sources, ["api"]) == ["a.loop", "a.unused"]
+    # b.add is read only as a method of the same name.
+    assert unreferenced_functions(sources, ["api"]) == ["a.loop", "a.unused", "b.add"]
+    # a.api is reached as an attribute of its module.
+    assert unreferenced_functions(sources, []) == ["a.loop", "a.unused", "b.add"]
