@@ -475,11 +475,6 @@ COMMANDS = {
 }
 
 
-# argparse's error for a value outside an argument's choices, when the
-# choices are listed unquoted, as from Python 3.12.8 and 3.13.1 on.
-_UNQUOTED_CHOICES = re.compile(r"(?s)(argument [^:]*: invalid choice: .*\(choose from )([^']*)\)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of ``COMMANDS``, which answers every request that
     ``_plain_request`` declines: help, errors and the other spellings.  Its
@@ -490,7 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     class Parser(argparse.ArgumentParser):
         def error(self, message: str) -> NoReturn:
-            unquoted = _UNQUOTED_CHOICES.fullmatch(message)
+            # From Python 3.12.8 and 3.13.1 on, argparse lists the choices
+            # of an "invalid choice" error unquoted.
+            pattern = r"(?s)(argument [^:]*: invalid choice: .*\(choose from )([^']*)\)"
+            unquoted = re.fullmatch(pattern, message)
             if unquoted:
                 head, listed = unquoted.groups()
                 message = f"{head}{', '.join(map(repr, listed.split(', ')))})"
