@@ -173,12 +173,14 @@ class TestComputeErrors:
     def test_malformed_sides_exit_2(self, capsys):
         code, _, err = run(capsys, "compute", "--sides", "3,4")
         assert code == 2
-        assert "3 comma-separated values" in err
+        assert err == "error: --sides needs 3 comma-separated values a,b,c, got 2\n"
 
     def test_malformed_vertices_exit_2(self, capsys):
-        code, _, err = run(capsys, "compute", "--vertices", "1,2,3,4")
+        code, _, err = run(capsys, "compute", "--vertices", "0,0,1,0,0")
         assert code == 2
-        assert "6 comma-separated values" in err
+        assert err == (
+            "error: --vertices needs 6 comma-separated values ax,ay,bx,by,cx,cy, got 5\n"
+        )
 
     def test_unparseable_number_exit_2(self, capsys):
         code, _, _ = run(capsys, "compute", "--sides", "3,4,five")
