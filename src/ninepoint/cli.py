@@ -121,41 +121,27 @@ def _name_underflow(raw: Sequence[str], values: Sequence[Scalar]) -> None:
 
 
 def _resolve_input(args: SimpleNamespace) -> RunConfig:
-    backend = args.backend
-    if args.vertices is not None:
-        if backend is None:
-            backend = "float"
-        raw = [part for part in args.vertices.split(",")]
-        if len(raw) != 6:
-            raise ValueError(
-                f"--vertices needs 6 comma-separated values ax,ay,bx,by,cx,cy, got {len(raw)}"
-            )
-        coords = [_parse_scalar(part, backend) for part in raw]
-        try:
-            vertices = (
-                Point2(coords[0], coords[1]),
-                Point2(coords[2], coords[3]),
-                Point2(coords[4], coords[5]),
-            )
-            sides = sides_from_vertices(*vertices)
-        except InvalidTriangleError:
-            _name_underflow(raw, coords)
-            raise
-        vertices_given = True
+    vertices_given = args.vertices is not None
+    if vertices_given:
+        flag, count, form, default = "--vertices", 6, "ax,ay,bx,by,cx,cy", "float"
     else:
-        if backend is None:
-            backend = "exact"
-        raw = args.sides.split(",")
-        if len(raw) != 3:
-            raise ValueError(f"--sides needs 3 comma-separated values a,b,c, got {len(raw)}")
-        values = [_parse_scalar(part, backend) for part in raw]
-        try:
+        flag, count, form, default = "--sides", 3, "a,b,c", "exact"
+    backend = default if args.backend is None else args.backend
+    raw = (args.vertices if vertices_given else args.sides).split(",")
+    if len(raw) != count:
+        raise ValueError(f"{flag} needs {count} comma-separated values {form}, got {len(raw)}")
+    values = [_parse_scalar(part, backend) for part in raw]
+    try:
+        if vertices_given:
+            vertices = (Point2(*values[0:2]), Point2(*values[2:4]), Point2(*values[4:6]))
+            sides = sides_from_vertices(*vertices)
+        else:
             sides = SideLengths(*values)
-        except InvalidTriangleError:
-            _name_underflow(raw, values)
-            raise
+    except InvalidTriangleError:
+        _name_underflow(raw, values)
+        raise
+    if not vertices_given:
         vertices = canonical_vertices(sides) if backend == "float" else exact_vertices(sides)
-        vertices_given = False
     # Of the triangle commands, only feuerbach takes a tolerance.
     if args.command == "feuerbach":
         tol = ToleranceProfile(rel_eps=args.rel_eps, abs_eps=args.abs_eps)

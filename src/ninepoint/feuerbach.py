@@ -48,7 +48,6 @@ float residuals.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .numeric import (
@@ -187,11 +186,7 @@ def classify_tangency_sq(
     zero.
     """
     d_sq, r1_sq, r2_sq = center_dist_sq, radius1_sq, radius2_sq
-    carrier = type(d_sq)
-    if carrier is type(r1_sq) is type(r2_sq) and (carrier is float or carrier is Fraction):
-        exact = carrier is Fraction
-    else:
-        (d_sq, r1_sq, r2_sq), exact = coerce_backend(d_sq, r1_sq, r2_sq)
+    (d_sq, r1_sq, r2_sq), exact = coerce_backend(d_sq, r1_sq, r2_sq)
     if not exact:
         kind, d_sq, rhs_internal, rhs_external = _float_decision(d_sq, r1_sq, r2_sq, tol)
     else:

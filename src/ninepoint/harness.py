@@ -47,10 +47,11 @@ both backends (``metrics``, ``vertex_ninepoint_dist_sq``, ``circumdot``,
 ``side_point``, ``distance_sq``, each circle's ``verdict`` and
 ``residual``, and ``with_sides`` for the scaled and rotated triangles),
 so only its plane, its vertices, its tolerance, its scalar constants and
-the way it records a comparison are chosen per backend.  It unpacks the metrics tuple rather than
-building a ``TriangleMetrics``, and it computes each value once: each
-circle's kind and residual, the vertex-to-O and vertex-to-N distances,
-and the three side lines serve every row that reads them.  On exact
+the rule that checks a comparison are chosen per backend.  It unpacks
+the metrics tuple rather than building a ``TriangleMetrics``, and it
+computes each value once: each circle's kind and residual, the
+vertex-to-O and vertex-to-N distances, and the three side lines serve
+every row that reads them.  On exact
 sides it reads the integer kernel (``triangle._IntegerTriangle``, whose
 verdict takes a circle's kind and residual from one
 ``tangency_numerators`` triple), whose every value is an unreduced
@@ -70,9 +71,18 @@ kernels, and each circle's |XN|^2 is computed once for its kind and its
 residual.  A passing float triangle
 builds none of the public records, no ``Barycentric`` either: the
 incenter round trip's ``FloatPlane.barycentric`` runs the sum check of
-``Barycentric`` on its bare floats.  Each check is recorded as a plain
-``(name, passed, residual, detail)`` row; :class:`SuiteReport` answers
-``passed`` and ``max_residual`` from those rows, and makes them
+``Barycentric`` on its bare floats.
+
+The suite's comparisons are data: plain ``(name, lhs, rhs, scale)``
+tuples, written in the order of the report, which one loop per backend
+checks, with no call per row (an exact comparison is a
+cross-multiplication, and only a failed one builds ``Fraction``s for
+its residual; a float one is held to the tolerance's bound on the
+largest of 1, |scale|, |lhs| and |rhs|, and an infinite or NaN gap
+fails).  The eight flags (the bisector feet, the tangency kinds and the
+equilateral flag) are appended in their places.  Each check becomes a
+plain ``(name, passed, residual, detail)`` row; :class:`SuiteReport`
+answers ``passed`` and ``max_residual`` from those rows, and makes them
 :class:`IdentityCheck` named tuples only when ``checks`` is read.
 """
 
@@ -85,7 +95,7 @@ import sys
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import homogeneous
 from .numeric import DEFAULT_TOLERANCE, ToleranceProfile
@@ -484,40 +494,50 @@ def check_identity_suite(
     growth at O(eps * conditioning^2), so the relative bound is
     ``tol.rel_eps + 64 * eps * conditioning^2``.  The kinds are decided
     before the first check, so a value the float kind decision refuses
-    raises before the embedding is compared.
+    raises before the embedding is compared.  The comparisons are
+    ``(name, lhs, rhs, scale)`` tuples that one loop per backend checks,
+    the three embedding rows first, since the oracle needs a matching
+    embedding; see the module docstring.
     """
     checks: List[Row] = []
     append = checks.append
 
-    def record_ratio(name: str, lhs: Any, rhs: Any, scale: Any, detail: str = "") -> None:
-        # A t coordinate of a frame with m != 1 compares as its ratio t/w.
-        n1, d1, n2, d2 = lhs[0], lhs[1], rhs[0], rhs[1]
-        if n1 * d2 == n2 * d1:
-            append((name, True, 0.0, detail))
-            return
-        m = lhs[2] if type(lhs) is homogeneous._TCoordinate else 1
-        append((name, False, _exact_residual((n1, d1), (n2, d2), m, scale), detail))
-
-    def record_float(name: str, lhs: float, rhs: float, scale: float, detail: str = "") -> None:
-        gap = abs(lhs - rhs)
-        # floor = max(1.0, |scale|, |lhs|, |rhs|), compared in max's order
-        # without its call, so a NaN never replaces it either.
-        x = abs(scale)
-        floor = x if x > 1.0 else 1.0
-        x = abs(lhs)
-        floor = x if x > floor else floor
-        x = abs(rhs)
-        floor = x if x > floor else floor
-        if gap < math.inf:
-            # suite_tol.bound(floor), as floor >= 1
-            append((name, gap <= abs_eps + rel_eps * floor, gap / floor, detail))
+    def compare(
+        rows: List[Tuple[str, Any, Any, Any]], flags: Sequence[Tuple[str, bool, str]] = ()
+    ) -> None:
+        """Append each comparison (name, lhs, rhs, scale) as a row, by the
+        backend's rule, with a residual normalized by max(1, |scale|, |lhs|,
+        |rhs|), then each flag (name, ok, detail), whose residual is 0 or
+        infinite."""
+        if exact:
+            for name, lhs, rhs, scale in rows:
+                # A t coordinate of a frame with m != 1 compares as its ratio t/w.
+                n1, d1, n2, d2 = lhs[0], lhs[1], rhs[0], rhs[1]
+                if n1 * d2 == n2 * d1:
+                    append((name, True, 0.0, ""))
+                else:
+                    m = lhs[2] if type(lhs) is homogeneous._TCoordinate else 1
+                    append((name, False, _exact_residual((n1, d1), (n2, d2), m, scale), ""))
         else:
-            # An infinite or NaN gap fails, with an infinite residual: an
-            # infinite floor would pass it with a NaN that max() drops.
-            append((name, False, math.inf, detail))
-
-    def record_flag(name: str, ok: bool, detail: str = "") -> None:
-        append((name, ok, 0.0 if ok else math.inf, detail))
+            for name, lhs, rhs, scale in rows:
+                gap = abs(lhs - rhs)
+                # The floor, compared in max's order without its call, so a
+                # NaN never replaces it either.
+                x = abs(scale)
+                floor = x if x > 1.0 else 1.0
+                x = abs(lhs)
+                floor = x if x > floor else floor
+                x = abs(rhs)
+                floor = x if x > floor else floor
+                if gap < math.inf:
+                    # suite_tol.bound(floor), as floor >= 1
+                    append((name, gap <= abs_eps + rel_eps * floor, gap / floor, ""))
+                else:
+                    # An infinite or NaN gap fails, with an infinite residual:
+                    # an infinite floor would pass it with a NaN that max() drops.
+                    append((name, False, math.inf, ""))
+        for name, ok, detail in flags:
+            append((name, ok, 0.0 if ok else math.inf, detail))
 
     kernel = sides._kernel if isinstance(sides, SideLengths) else sides
     exact = type(kernel) is _IntegerTriangle
@@ -534,7 +554,7 @@ def check_identity_suite(
         # A weight x over its sum d as a ratio, and with the sign of x*d.
         ratio, signed, foot_tol = _ratio, operator.mul, 0
         # Lengths stay squared; a scale's root is taken only for a residual.
-        record, root = record_ratio, _Root
+        root = _Root
     else:
         if embedding is None:
             raise ValueError("float sides need an embedding")
@@ -544,7 +564,7 @@ def check_identity_suite(
         two, four = 2, 4
         ratio = signed = operator.truediv
         foot_tol = suite_tol.bound(1.0)
-        record, root = record_float, math.sqrt
+        root = math.sqrt
     met = kernel.metrics()
     vertex_n = kernel.vertex_ninepoint_dist_sq()
     # Each circle's kind and residual come from one computation, made
@@ -565,9 +585,11 @@ def check_identity_suite(
 
     # Embedding consistency: the vertex triple must reproduce the sides
     # (the exact frame does by construction).
-    record("embedding_matches_sides_a", dist_sq(vb, vc), product(A, A), scale_len_sq)
-    record("embedding_matches_sides_b", dist_sq(vc, va), product(B, B), scale_len_sq)
-    record("embedding_matches_sides_c", dist_sq(va, vb), product(C, C), scale_len_sq)
+    compare([
+        ("embedding_matches_sides_a", dist_sq(vb, vc), product(A, A), scale_len_sq),
+        ("embedding_matches_sides_b", dist_sq(vc, va), product(B, B), scale_len_sq),
+        ("embedding_matches_sides_c", dist_sq(va, vb), product(C, C), scale_len_sq),
+    ])
     if not all(map(itemgetter(1), checks)):
         raise ValueError("embedding does not match the side lengths")
 
@@ -579,13 +601,16 @@ def check_identity_suite(
 
     # Metric closed forms against their defining products.
     abc_sq = plane.square(product(product(A, B), C))
-    record("metrics_circumradius_product", product(plane.times(16, R_sq), K_sq), abc_sq, abc_sq)
-    record("metrics_inradius_product", product(product(r_sq, s), s), K_sq, K_sq)
+    rows = [
+        ("metrics_circumradius_product", product(plane.times(16, R_sq), K_sq), abc_sq, abc_sq),
+        ("metrics_inradius_product", product(product(r_sq, s), s), K_sq, K_sq),
+    ]
     for name, r_x_sq, side in (("rA", rA_sq, A), ("rB", rB_sq, B), ("rC", rC_sq, C)):
         gap = plane.difference(s, side)
-        record(f"metrics_exradius_product_{name}", product(product(r_x_sq, gap), gap), K_sq, K_sq)
+        lhs = product(product(r_x_sq, gap), gap)
+        rows.append((f"metrics_exradius_product_{name}", lhs, K_sq, K_sq))
     R_r = product(R_sq, r_sq)
-    record("metrics_mixed_product_Rr", product(Rr, Rr), R_r, R_r)
+    rows.append(("metrics_mixed_product_Rr", product(Rr, Rr), R_r, R_r))
 
     # The squared distances from the vertices to O and to N, computed once
     # each for the rows below.
@@ -593,76 +618,69 @@ def check_identity_suite(
     to_n = [dist_sq(vertex, n_pt) for vertex in lifted]
 
     # Circumcenter: constructed point is equidistant and matches R^2.
-    record("circumradius_matches_oracle", to_o[0], R_sq, scale_len_sq)
-    record("circumcenter_equidistant_b", to_o[1], R_sq, scale_len_sq)
-    record("circumcenter_equidistant_c", to_o[2], R_sq, scale_len_sq)
+    rows += [
+        ("circumradius_matches_oracle", to_o[0], R_sq, scale_len_sq),
+        ("circumcenter_equidistant_b", to_o[1], R_sq, scale_len_sq),
+        ("circumcenter_equidistant_c", to_o[2], R_sq, scale_len_sq),
+    ]
 
     # Kernel centers against oracle constructions.
     for label in ("O", "G", "H", "N", "I", "Ea", "Eb", "Ec"):
         kernel_x, kernel_y = plane.coords(frame[label])
         oracle_x, oracle_y = plane.coords(at[label])
-        record(f"center_agreement_{label}_x", kernel_x, oracle_x, scale_len)
-        record(f"center_agreement_{label}_y", kernel_y, oracle_y, scale_len)
+        rows.append((f"center_agreement_{label}_x", kernel_x, oracle_x, scale_len))
+        rows.append((f"center_agreement_{label}_y", kernel_y, oracle_y, scale_len))
 
     # Euler relation on constructed points (H comes from altitudes here).
     oh_x, oh_y = plane.coords(sub(h_pt, o_pt))
     og3_x, og3_y = plane.coords(plane.scaled(sub(g_pt, o_pt), 3))
-    record("euler_vector_identity_x", oh_x, og3_x, scale_len)
-    record("euler_vector_identity_y", oh_y, og3_y, scale_len)
-    record(
-        "euler_ratio",
-        dist_sq(g_pt, h_pt),
-        plane.times(4, dist_sq(o_pt, g_pt)),
-        scale_len_sq,
-    )
     n_x, n_y = plane.coords(n_pt)
     mid_x, mid_y = plane.coords(plane.midpoint(o_pt, h_pt))
-    record("ninepoint_is_oh_midpoint_x", n_x, mid_x, scale_len)
-    record("ninepoint_is_oh_midpoint_y", n_y, mid_y, scale_len)
-
-    # Altitude property of the constructed orthocenter.
-    record("orthocenter_altitude_a", dot(sub(h_pt, va), sub(vb, vc)), zero, scale_len_sq)
-    record("orthocenter_altitude_b", dot(sub(h_pt, vb), sub(vc, va)), zero, scale_len_sq)
+    rows += [
+        ("euler_vector_identity_x", oh_x, og3_x, scale_len),
+        ("euler_vector_identity_y", oh_y, og3_y, scale_len),
+        ("euler_ratio", dist_sq(g_pt, h_pt), plane.times(4, dist_sq(o_pt, g_pt)), scale_len_sq),
+        ("ninepoint_is_oh_midpoint_x", n_x, mid_x, scale_len),
+        ("ninepoint_is_oh_midpoint_y", n_y, mid_y, scale_len),
+        # Altitude property of the constructed orthocenter.
+        ("orthocenter_altitude_a", dot(sub(h_pt, va), sub(vb, vc)), zero, scale_len_sq),
+        ("orthocenter_altitude_b", dot(sub(h_pt, vb), sub(vc, va)), zero, scale_len_sq),
+    ]
 
     # Equal tangent distances of incenter and excenters to the side lines,
     # each line built once.
     line, line_dist_sq = plane.line, plane.line_dist_sq
     lines = (("bc", line(vb, vc)), ("ca", line(vc, va)), ("ab", line(va, vb)))
-    for name, side_line in lines:
-        record(
-            f"incenter_line_distance_{name}",
-            line_dist_sq(at["I"], side_line),
-            r_sq,
-            scale_len_sq,
-        )
-    for label, r_x_sq in (("Ea", rA_sq), ("Eb", rB_sq), ("Ec", rC_sq)):
+    for label, r_x_sq in (("I", r_sq), ("Ea", rA_sq), ("Eb", rB_sq), ("Ec", rC_sq)):
+        prefix = "incenter" if label == "I" else f"excenter_{label}"
         for name, side_line in lines:
-            record(
-                f"excenter_{label}_line_distance_{name}",
-                line_dist_sq(at[label], side_line),
-                r_x_sq,
-                scale_len_sq,
-            )
+            distance = line_dist_sq(at[label], side_line)
+            rows.append((f"{prefix}_line_distance_{name}", distance, r_x_sq, scale_len_sq))
 
     # Side points: midpoint of BC and the three bisector feet.
     half = plane.quotient(A, two)
     mid = kernel.side_point(half, half)
     half_over_a = plane.quotient(half, A)
-    record("point_on_side_midpoint_beta", mid[0], half_over_a, 1.0)
-    record("point_on_side_midpoint_gamma", mid[1], half_over_a, 1.0)
+    rows.append(("point_on_side_midpoint_beta", mid[0], half_over_a, 1.0))
+    rows.append(("point_on_side_midpoint_gamma", mid[1], half_over_a, 1.0))
     # Exact feet lie on the side exactly; float ones within the bound.
+    flags = []
     for k, vertex in enumerate(VERTICES):
         x, d = _bisector_foot_weights((a, b, c), k)
         foot = [signed(n, d) for n in x]
-        record_flag(f"bisector_foot_{vertex}_on_side", foot[k] == 0 and min(foot) >= -foot_tol)
+        on_side = foot[k] == 0 and min(foot) >= -foot_tol
+        flags.append((f"bisector_foot_{vertex}_on_side", on_side, ""))
+    compare(rows, flags)
 
     # Barycentric <-> Cartesian round trip through the incenter.
     x, d = CENTER_WEIGHTS["I"](a, b, c)
     i_bary = [ratio(n, d) for n in x]
     i_back = plane.barycentric(frame["I"], va, vb, vc)
-    record("roundtrip_incenter_alpha", i_back[0], i_bary[0], 1.0)
-    record("roundtrip_incenter_beta", i_back[1], i_bary[1], 1.0)
-    record("roundtrip_incenter_gamma", i_back[2], i_bary[2], 1.0)
+    rows = [
+        ("roundtrip_incenter_alpha", i_back[0], i_bary[0], 1.0),
+        ("roundtrip_incenter_beta", i_back[1], i_bary[1], 1.0),
+        ("roundtrip_incenter_gamma", i_back[2], i_bary[2], 1.0),
+    ]
 
     # Squared-distance identity at constructed points: X in {I, Ea, G},
     # Y in {N, O}, against the direct Cartesian distance.  The distances
@@ -673,25 +691,22 @@ def check_identity_suite(
     for x_label in ("I", "Ea", "G"):
         x, d = CENTER_WEIGHTS[x_label](a, b, c)
         for y_label in ("N", "O"):
-            record(
-                f"distance_identity_{x_label}{y_label}",
-                kernel.distance_sq(x, d, *vertex_dist_sq[y_label]),
-                dist_sq(at[x_label], at[y_label]),
-                scale_len_sq,
-            )
+            from_sides = kernel.distance_sq(x, d, *vertex_dist_sq[y_label])
+            direct = dist_sq(at[x_label], at[y_label])
+            rows.append((f"distance_identity_{x_label}{y_label}", from_sides, direct, scale_len_sq))
 
     # Vertex-to-nine-point-center distances from sides alone.
     for vertex, from_sides, direct in zip(VERTICES, vertex_n, to_n):
-        record(f"vertex_ninepoint_distance_{vertex}", from_sides, direct, scale_len_sq)
+        rows.append((f"vertex_ninepoint_distance_{vertex}", from_sides, direct, scale_len_sq))
 
     # Circumcenter dot products.
     for pair, opposite in (("AB", 2), ("BC", 0), ("CA", 1)):
         direct = dot(sub(at[pair[0]], o_pt), sub(at[pair[1]], o_pt))
-        record(f"circumdot_{pair}", kernel.circumdot(opposite), direct, scale_len_sq)
+        rows.append((f"circumdot_{pair}", kernel.circumdot(opposite), direct, scale_len_sq))
 
     # Nine-point membership: side midpoints and altitude feet lie at R/2.
     quarter_r_sq = plane.quotient(R_sq, four)
-    record("ninepoint_radius", oracle.frame_radius_sq, quarter_r_sq, scale_len_sq)
+    rows.append(("ninepoint_radius", oracle.frame_radius_sq, quarter_r_sq, scale_len_sq))
     memberships = (
         ("mid_bc", plane.midpoint(vb, vc)),
         ("mid_ca", plane.midpoint(vc, va)),
@@ -701,37 +716,34 @@ def check_identity_suite(
         ("foot_c", plane.project(vc, va, vb)),
     )
     for name, member in memberships:
-        record(f"ninepoint_membership_{name}", dist_sq(n_pt, member), quarter_r_sq, scale_len_sq)
+        distance = dist_sq(n_pt, member)
+        rows.append((f"ninepoint_membership_{name}", distance, quarter_r_sq, scale_len_sq))
 
     # Feuerbach residuals and tangency kinds.
-    record("feuerbach_incircle_residual", verdicts[0][1], zero, quarter_r_sq)
+    rows.append(("feuerbach_incircle_residual", verdicts[0][1], zero, quarter_r_sq))
     for vertex, (_, residual) in zip(VERTICES, verdicts[1:]):
-        record(f"feuerbach_excircle_residual_{vertex}", residual, zero, quarter_r_sq)
+        rows.append((f"feuerbach_excircle_residual_{vertex}", residual, zero, quarter_r_sq))
+    flags = []
     for circle, (kind, _) in zip(CIRCLES, verdicts):
-        record_flag(f"tangency_kind_{circle}", _kind_ok(circle, kind), detail=kind.value)
-    record_flag(
-        "tangency_equilateral_flag",
-        not a == b == c or verdicts[0][0] is Tangency.COINCIDENT,
-    )
+        flags.append((f"tangency_kind_{circle}", _kind_ok(circle, kind), kind.value))
+    equilateral_ok = not a == b == c or verdicts[0][0] is Tangency.COINCIDENT
+    flags.append(("tangency_equilateral_flag", equilateral_ok, ""))
+    compare(rows, flags)
 
     # Scale covariance: doubling the sides multiplies squared lengths by 4
     # and keeps the residual identically zero.  Exact sides double their
-    # integer form over the same L.
+    # integer form over the same L.  Permutation equivariance: relabeling
+    # vertices permutes the excircles.
     scaled = kernel.with_sides(2 * a, 2 * b, 2 * c)
     met_scaled = scaled.metrics()
     four_r_sq = plane.times(4, R_sq)
-    record("scale_covariance_R_sq", met_scaled[2], four_r_sq, four_r_sq)
-    record(
-        "scale_covariance_residual",
-        scaled.residual("incircle"),
-        plane.times(2, zero),
-        plane.quotient(met_scaled[2], four),
-    )
-
-    # Permutation equivariance: relabeling vertices permutes the excircles.
     rotated = kernel.with_sides(b, c, a)
-    met_rotated = rotated.metrics()
-    record("permutation_exradius", met_rotated[4], rB_sq, scale_len_sq)
-    record("permutation_residual", rotated.residual("exA"), zero, quarter_r_sq)
+    compare([
+        ("scale_covariance_R_sq", met_scaled[2], four_r_sq, four_r_sq),
+        ("scale_covariance_residual", scaled.residual("incircle"), plane.times(2, zero),
+         plane.quotient(met_scaled[2], four)),
+        ("permutation_exradius", rotated.metrics()[4], rB_sq, scale_len_sq),
+        ("permutation_residual", rotated.residual("exA"), zero, quarter_r_sq),
+    ])
 
     return SuiteReport(tuple(checks), exact)

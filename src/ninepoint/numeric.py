@@ -22,19 +22,20 @@ three values); the other values it takes, such as distances, must be on
 that backend too.  Floats stay bare floats, and exact values stay
 integer pairs until one ``Fraction`` is built per output; the identity
 suite reads the pairs, or the bare floats, and builds a ``Fraction``
-only for a failed exact check's residual.  Three
-floats or three ``Fraction``s pass an exact-type test; only other input
-(an ``int``, a subclass) reaches :func:`coerce_backend`,
-which promotes ints and raises ``TypeError`` where exact and float values
-mix.  The one exception is the constant weights of the centroid, exact on
-either backend; see ``triangle.barycentric_distance_sq``.
+only for a failed exact check's residual.  Every
+constructor and function that takes scalars reads them through
+:func:`coerce_backend`, which promotes ints and raises ``TypeError`` where
+exact and float values mix.  ``SideLengths`` and ``Point2`` first pass
+values of one exact type, float or ``Fraction``, by an exact-type test:
+a benchmark workload builds them per triangle.  The one exception to the
+rule is the constant weights of the centroid, exact on either backend;
+see ``triangle.barycentric_distance_sq``.
 
-Both classifiers ask about ``float`` first, and ``coerce_scalar`` tests
-the exact type before any ``isinstance``.  The metaclass of ``Fraction``
-is ``ABCMeta``, so ``isinstance(some_float, Fraction)`` runs
-``ABCMeta.__instancecheck__`` in Python, while ``isinstance`` against
-``float``, ``int`` or ``bool``, or against the exact type of its argument,
-does not.  ``Fraction`` arithmetic with a float operand makes that check
+``is_exact`` and ``coerce_scalar`` ask about ``float`` first.  The
+metaclass of ``Fraction`` is ``ABCMeta``, so ``isinstance(some_float,
+Fraction)`` runs ``ABCMeta.__instancecheck__`` in Python, while
+``isinstance`` against ``float``, ``int`` or ``bool``, or against the
+exact type of its argument, does not.  ``Fraction`` arithmetic with a float operand makes that check
 inside ``fractions``, and then computes with ``float()`` of the
 ``Fraction``, one correctly rounded true division of its integers.  So
 ``triangle.barycentric_distance_sq`` divides the integers of the
@@ -96,11 +97,7 @@ def is_exact(value: Scalar) -> bool:
 
 
 def coerce_scalar(value: Scalar) -> Scalar:
-    """Promote ints to Fraction; pass Fraction and float through unchanged.
-    Only a subclass of a scalar type reaches an ``isinstance`` test."""
-    kind = type(value)
-    if kind is float or kind is Fraction:
-        return value
+    """Promote ints to Fraction; pass Fraction and float through unchanged."""
     if isinstance(value, float):
         return value
     if isinstance(value, bool):

@@ -932,11 +932,7 @@ class Barycentric(Record):
     gamma: Scalar
 
     def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar) -> None:
-        kind = type(alpha)
-        if kind is type(beta) is type(gamma) and (kind is float or kind is Fraction):
-            exact = kind is Fraction
-        else:
-            (alpha, beta, gamma), exact = coerce_backend(alpha, beta, gamma)
+        (alpha, beta, gamma), exact = coerce_backend(alpha, beta, gamma)
         set_field(self, "alpha", alpha)
         set_field(self, "beta", beta)
         set_field(self, "gamma", gamma)
@@ -973,8 +969,7 @@ def point_on_side(dist_bx: Scalar, dist_cx: Scalar, sides: SideLengths) -> Baryc
     denominators, and each component is one ``Fraction``.
     """
     exact = sides.is_exact
-    if not type(dist_bx) is type(dist_cx) is (Fraction if exact else float):
-        (dist_bx, dist_cx), _ = coerce_backend(dist_bx, dist_cx, exact=exact)
+    (dist_bx, dist_cx), _ = coerce_backend(dist_bx, dist_cx, exact=exact)
     a = sides.a
     if exact:
         bx, cx = dist_bx.as_integer_ratio(), dist_cx.as_integer_ratio()
@@ -1011,11 +1006,9 @@ def barycentric_distance_sq(
     ``TypeError``."""
     alpha, beta, gamma = x.components
     exact = sides.is_exact
-    kind = Fraction if exact else float
-    if not type(dist_ay_sq) is type(dist_by_sq) is type(dist_cy_sq) is kind:
-        (dist_ay_sq, dist_by_sq, dist_cy_sq), _ = coerce_backend(
-            dist_ay_sq, dist_by_sq, dist_cy_sq, exact=exact
-        )
+    (dist_ay_sq, dist_by_sq, dist_cy_sq), _ = coerce_backend(
+        dist_ay_sq, dist_by_sq, dist_cy_sq, exact=exact
+    )
     if type(alpha) is float:
         if exact:
             raise TypeError("exact and float scalars do not mix")

@@ -4,6 +4,7 @@ import abc
 import fractions
 import math
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -669,6 +670,37 @@ class TestIdentitySuite:
         assert len(report.checks) == 87
         assert all(type(check) is IdentityCheck for check in report.checks)
         assert calls == [0]
+
+    @pytest.mark.parametrize(
+        "backend, kind", [("exact", "generic"), ("float", "near-degenerate")]
+    )
+    def test_rows_are_checked_without_a_call_per_row(self, capsys, backend, kind):
+        # The suite's rows are data that one loop per backend checks: its
+        # own functions (those nested in check_identity_suite, comprehensions
+        # aside, and _exact_residual) take a handful of calls per triangle,
+        # not one per row.  Code objects, as Python 3.10 has no qualified
+        # names.
+        row_code, nested = {harness._exact_residual.__code__}, [check_identity_suite.__code__]
+        while nested:
+            for const in nested.pop().co_consts:
+                if isinstance(const, types.CodeType):
+                    nested.append(const)
+                    if not const.co_name.startswith("<"):
+                        row_code.add(const)
+        calls = [0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in row_code:
+                calls[0] += 1
+
+        argv = ["fuzz", "--profile", kind, "--backend", backend, "--count", "20", "--seed", "1"]
+        sys.setprofile(profile)
+        try:
+            code = cli.main(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and "20/20" in capsys.readouterr().out
+        assert calls[0] / 20 < 10
 
     # A float check's verdict and residual on special operands: (x, y, w)
     # go into the four rows that read the scaled and rotated triangles, as

@@ -31,6 +31,16 @@ def test_one_line_per_request(capsys, monkeypatch):
     assert fields[0][2] == empty and fields[2][1] == empty  # stderr, stdout
 
 
+def test_a_request_may_begin_with_a_dash(capsys, monkeypatch):
+    # Each ARGV is one request even when it begins with "-": "-h bogus" is
+    # not the tool's help with an argument, and "-x bogus" not an option.
+    monkeypatch.setenv("COLUMNS", output_digest.COLUMNS)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert output_digest.main(["-h bogus", "-x bogus"]) == 0
+    fields = [LINE.match(line).groups() for line in capsys.readouterr().out.splitlines()]
+    assert [(code, argv) for code, _, _, argv in fields] == [("0", "-h bogus"), ("2", "-x bogus")]
+
+
 def test_request_set_holds_goldens_workloads_and_edges():
     requests = output_digest.request_set(seed=1, per_workload=2)
     assert ["compute", "--sides", "3,4,5", "--format", "json"] in requests

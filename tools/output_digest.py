@@ -16,7 +16,11 @@ differs, with its first differing line.  It exits 1 if any request
 differs and 0 otherwise.
 
 Each ARGV is one request, written as a shell command line without the
-program name (``"compute --sides 3,4,5"``); with none, the fixed set runs:
+program name (``"compute --sides 3,4,5"``), and it is one argument, so a
+request that holds a space may begin with ``-`` (``"-h bogus"``); a
+request of one token that begins with ``-`` (``-x``) goes after ``--``.
+The tool's own help is ``--help`` alone.  With no ARGV, the fixed set
+runs:
 
 * every golden argv of ``tests/golden_cases.py``, help requests included;
 * the first N requests (``--requests``, default 100) of each benchmark
@@ -237,7 +241,10 @@ def _outcomes_of(tree: Path, requests: Sequence[Sequence[str]]) -> List[Outcome]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
+    # No -h: argparse reads "-h bogus" as -h with an argument, so a request
+    # that begins with -h could not be given.
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0], add_help=False)
+    parser.add_argument("--help", action="help", help="show this help message and exit")
     parser.add_argument("--tree", type=Path, default=ROOT, help="source tree (default: this checkout)")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
     parser.add_argument("--seed", type=int, default=0, help="benchmark seed of the workload requests")
