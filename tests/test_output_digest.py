@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from golden_cases import CASES, ERROR_CASES, HELP_CASES
+from test_cli import seeded_sides
 
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("output_digest", ROOT / "tools" / "output_digest.py")
@@ -47,13 +48,21 @@ def test_request_set_holds_goldens_workloads_and_edges():
     assert [] in requests  # the argparse error case without a subcommand
     assert sum(argv[:1] == ["fuzz"] and "--seed" in argv for argv in requests) >= 4
     assert ["svg", "--sides", "1e-160,1e-160,1.5e-160", "--backend", "float"] in requests
-    assert len(output_digest.edge_requests()) == 5 * 2 * 3 + 5 + 5 + 4 * 3 * 2 + 3 * 2
+    assert len(output_digest.edge_requests()) == (
+        5 * 2 * 3 + 5 + 5 + 4 * 3 * 2 + 3 * 2 + (3 + 2 + 1) * 2
+    )
     assert ["fuzz", "--profile", "near-degenerate", "--backend", "exact", "--count", "100",
             "--seed", "1", "--format", "json"] in requests
     assert ["feuerbach", "--sides", output_digest.EDGE_FLAT_SIDES[0], "--backend", "float",
             "--format", "text"] in requests
     assert ["fuzz", "--profile", "right-angled", "--backend", "float", "--count", "100",
             "--seed", "1", "--format", "json"] in requests
+    # The exact answers at the digit limit, on the sides that
+    # tests/test_cli.py::TestOutputDigitLimit reads.
+    assert ["feuerbach", "--sides", seeded_sides(239), "--format", "json"] in requests
+    assert ["compute", "--sides", seeded_sides(359), "--format", "text"] in requests
+    side = seeded_sides(150).split(",")[0]
+    assert ["feuerbach", "--sides", f"{side},{side},{side}", "--format", "json"] in requests
 
 
 def changed_tree(tmp_path) -> Path:

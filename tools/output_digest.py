@@ -32,9 +32,14 @@ runs:
   --format json``), so the exact suite runs on many frames with metric
   m != 1 and the float suite on every profile; and
   ``feuerbach``, ``compute`` and ``svg`` on the sides (x, x, 1.5x) for x
-  in 1e-320, 1e-160, 1e154 and 1e200, on both backends; and float
+  in 1e-320, 1e-160, 1e154 and 1e200, on both backends; float
   ``feuerbach`` as text and JSON on three flat triangles whose report
-  fails.
+  fails; and exact answers at the interpreter's int-to-str digit limit,
+  as text and JSON, on seeded sides whose numerators and denominators
+  have d digits: ``feuerbach`` at d = 230, 239 (the largest that prints)
+  and 240, ``compute`` at d = 358 (the largest that prints) and 359, and
+  ``feuerbach`` on an equilateral triangle of 150-digit sides, whose
+  incircle lhs is 0.
 
 The set is read from this checkout, so both trees of a comparison run the
 same requests.  Requests run with ``COLUMNS`` at the golden cases'
@@ -57,11 +62,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fractions
 import hashlib
 import importlib.util
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -86,6 +93,10 @@ EDGE_FLAT_SIDES = (
     "8.726906972770392,2.1736181867016673,10.900524604130204",
     "9.82596897737666,8.736836877824338,18.56280551415527",
 )
+# Exact requests at the int-to-str digit limit: each command's seeded
+# input digits on either side of where its answer stops printing.
+EDGE_LIMIT_DIGITS = {"feuerbach": (230, 239, 240), "compute": (358, 359)}
+EDGE_EQUILATERAL_DIGITS = 150
 # A changed line is shown this many characters either side of where it
 # first differs.
 CONTEXT = 60
@@ -104,6 +115,21 @@ def _load(name: str, path: Path):
 GOLDEN = ROOT / "tests" / "golden"
 golden_cases = _load("_digest_golden_cases", ROOT / "tests" / "golden_cases.py")
 COLUMNS = golden_cases.ERROR_COLUMNS
+
+
+def seeded_sides(digits: int) -> List[fractions.Fraction]:
+    """The sides of ``tests/test_cli.py``'s ``seeded_sides``: three ratios
+    whose numerators and denominators all have the given number of digits,
+    from a fixed seed, that form a triangle."""
+    rng = random.Random(0)
+    low, high = 10 ** (digits - 1), 10**digits
+    while True:
+        a, b, c = (
+            fractions.Fraction(rng.randrange(low, high), rng.randrange(low, high))
+            for _ in range(3)
+        )
+        if a + b > c and b + c > a and c + a > b:
+            return [a, b, c]
 
 
 def edge_requests() -> List[List[str]]:
@@ -125,6 +151,16 @@ def edge_requests() -> List[List[str]]:
     for sides in EDGE_FLAT_SIDES:
         for fmt in ("text", "json"):
             requests.append(["feuerbach", "--sides", sides, "--backend", "float", "--format", fmt])
+    side = seeded_sides(EDGE_EQUILATERAL_DIGITS)[0]
+    limit_sides = [
+        (command, seeded_sides(digits))
+        for command, all_digits in EDGE_LIMIT_DIGITS.items()
+        for digits in all_digits
+    ]
+    for command, sides in limit_sides + [("feuerbach", [side] * 3)]:
+        text = ",".join(f"{v.numerator}/{v.denominator}" for v in sides)
+        for fmt in ("text", "json"):
+            requests.append([command, "--sides", text, "--format", fmt])
     return requests
 
 
