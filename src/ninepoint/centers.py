@@ -188,14 +188,21 @@ def _components(sides: SideLengths, label: str) -> Tuple[Any, Any, Any]:
     return (x_a, d), (x_b, d), (x_c, d)
 
 
-def _cartesian_frame(sides: SideLengths, vertices: Tuple) -> Tuple[Dict, Any]:
+def _cartesian_frame(sides: SideLengths, vertices: Optional[Tuple]) -> Tuple[Dict, Any]:
     """Every Cartesian center of the sides and the plane that holds them,
     with no barycentric form: ``svg`` draws these alone.  ``Point2``
     vertices are lifted onto integer triples when the sides and every
-    vertex are exact and onto float pairs otherwise."""
-    exact = sides.is_exact and all(p.is_exact for p in vertices)
-    plane = homogeneous.Plane() if exact else FloatPlane
-    va, vb, vc = plane.lift(vertices)
+    vertex are exact and onto float pairs otherwise.  None stands for the
+    canonical frame of exact sides, ``SideLengths._canonical``, whose
+    triples are the lift of :func:`~ninepoint.triangle.exact_vertices`,
+    read without a ``Fraction``."""
+    if vertices is None:
+        m, (va, vb, vc) = sides._canonical
+        plane = homogeneous.Plane(m)
+    else:
+        exact = sides.is_exact and all(p.is_exact for p in vertices)
+        plane = homogeneous.Plane() if exact else FloatPlane
+        va, vb, vc = plane.lift(vertices)
     # The weights read only the sides, so they cannot see collinear
     # vertices, such as a float embedding whose altitude underflowed.
     if plane.orientation(va, vb, vc) == 0:

@@ -21,16 +21,20 @@ and serializes rationals as "p/q" strings.
 An answer is written in one pass over its values, in document order.  The
 backend's token function turns each value into its JSON token once:
 ``_exact_token`` gives "p/q" from a ``Fraction`` or from an integer ratio
-of the kernel, reduced by one gcd, and ``_float_token`` a float's repr.
-``_layout`` then writes the layout of ``json.dumps(doc, indent=2)`` around
-the tokens, byte for byte, without importing ``json``, so byte-identical
+of the kernel, reduced by one gcd, ``_square_token`` an exact tangent
+lhs from its square ratio, reduced by gcds on the root's digits, with
+each distinct denominator's digits written once per answer, and
+``_float_token`` a float's repr.  ``_layout`` then writes the layout of
+``json.dumps(doc, indent=2)`` around the tokens, byte for byte, without importing ``json``, so byte-identical
 round trips are ``json.dumps(json.loads(text), indent=2) + "\\n" == text``.
 The text format prints the same tokens.  The values come from the library:
-the metrics from the cached ``metrics(sides)``, the barycentric rows from
-``centers._components`` (which ``center_set`` wraps in ``Barycentric``),
-the Cartesian rows from the points of ``centers._cartesian_frame`` and the
-tangency rows from ``feuerbach_report``; no ``Barycentric``, ``CenterSet``
-or ``Point2`` is built only to be printed.
+the metrics from the kernel's (``SideLengths._metric_terms``), the
+barycentric rows from ``centers._components`` (which ``center_set`` wraps
+in ``Barycentric``), the Cartesian rows from the points of
+``centers._cartesian_frame`` and the tangency rows from
+``feuerbach_report``; no ``TriangleMetrics``, ``Barycentric``,
+``CenterSet`` or ``Point2`` is built only to be printed, and an answer on
+exact sides builds and reads no ``Fraction`` once the input is read.
 """
 
 from __future__ import annotations
@@ -51,14 +55,15 @@ from .triangle import (
     Point2,
     Ratio,
     SideLengths,
+    Tangency,
     TriangleMetrics,
     _float_vertices,
+    _SquareRatio,
     canonical_vertices,
     exact_vertices,
-    metrics,
     sides_from_vertices,
 )
-from .centers import _cartesian_frame, _components, centroid_barycentric
+from .centers import _cartesian_frame, _components
 from .feuerbach import feuerbach_report
 from .harness import PROFILE_KINDS, FuzzProfile, _float_sides, _integer_sides, check_identity_suite
 from .svg import render_svg
@@ -177,10 +182,29 @@ def _exact_token(value: Union[Fraction, Ratio]) -> str:
         num, den = value.as_integer_ratio()
         return f'"{num}/{den}"'
     except ValueError:
-        raise ValueError(
-            "the exact answer is too long to print (an integer in it has more than "
-            f"{sys.get_int_max_str_digits()} digits); use --backend float or smaller numbers"
-        ) from None
+        raise _too_long() from None
+
+
+def _square_token(value: _SquareRatio, digits: Dict[int, str]) -> str:
+    """The token of an exact tangent lhs, root^2 / den, reduced by
+    ``_SquareRatio.reduced``.  ``digits`` maps each denominator written so
+    far in the answer to its digits: the four lhs of a report often share
+    one, and its digits are written once."""
+    try:
+        num, den = value.reduced()
+        text = digits.get(den)
+        if text is None:
+            text = digits[den] = str(den)
+        return f'"{num}/{text}"'
+    except ValueError:
+        raise _too_long() from None
+
+
+def _too_long() -> ValueError:
+    return ValueError(
+        "the exact answer is too long to print (an integer in it has more than "
+        f"{sys.get_int_max_str_digits()} digits); use --backend float or smaller numbers"
+    )
 
 
 _JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -224,27 +248,33 @@ def _token_function(config: RunConfig) -> Callable[[Any], str]:
     return _exact_token if config.backend == "exact" else _float_token
 
 
-def _answer(config: RunConfig, met: TriangleMetrics) -> dict:
+def _answer(config: RunConfig) -> dict:
     """The input, metrics and centers of a ``compute`` or ``feuerbach``
-    answer, converted in document order.  The barycentric rows are the
-    kernel's components after their sum check, and the Cartesian rows the
-    coordinates of ``centers._cartesian_frame``'s points, whose float
-    pairs passed the finiteness check of ``Point2``."""
+    answer, converted in document order.  Exact sides and metrics are
+    printed from the kernel's ratios, and no ``Fraction`` is read.  The
+    barycentric rows are the kernel's components after their sum check,
+    and the Cartesian rows the coordinates of ``centers._cartesian_frame``'s
+    points, whose float pairs passed the finiteness check of ``Point2``;
+    exact sides given as sides are placed on their canonical frame."""
     token = _token_function(config)
     sides = config.sides
+    t = sides._kernel
     given: Dict[str, Any] = {"backend": f'"{config.backend}"'}
     if config.vertices_given:
         given["vertices"] = [[token(p.x), token(p.y)] for p in config.vertices]
     else:
-        given["sides"] = [token(v) for v in sides.as_tuple()]
-    doc = {"input": given, "metrics": dict(zip(TriangleMetrics._fields, map(token, met._values())))}
+        values = ((t.a, t.L), (t.b, t.L), (t.c, t.L)) if sides.is_exact else sides.as_tuple()
+        given["sides"] = [token(v) for v in values]
+    metric_tokens = map(token, sides._metric_terms)
+    doc = {"input": given, "metrics": dict(zip(TriangleMetrics._fields, metric_tokens))}
     # The centroid's weights are the exact 1/3 on either backend.
-    bary = {"G": [_exact_token(v) for v in centroid_barycentric().components]}
+    bary = {"G": [_exact_token((1, 3)) for _ in range(3)]}
     for label in CIRCLE_CENTERS:
         bary[label] = [token(v) for v in _components(sides, label)]
     cartesian: Any = "null"
     if config.vertices:
-        frame, plane = _cartesian_frame(sides, config.vertices)
+        canonical = sides.is_exact and not config.vertices_given
+        frame, plane = _cartesian_frame(sides, None if canonical else config.vertices)
         cartesian = {label: [token(v) for v in plane.coords(p)] for label, p in frame.items()}
     doc["centers"] = {"barycentric": bary, "cartesian": cartesian}
     return doc
@@ -274,7 +304,7 @@ def _emit(text: str, out_path: Optional[str]) -> int:
 
 
 def cmd_compute(config: RunConfig) -> int:
-    doc = _answer(config, metrics(config.sides))
+    doc = _answer(config)
     if config.fmt == "json":
         return _emit(_layout(doc) + "\n", config.out_path)
     lines = [f"backend: {config.backend}"]
@@ -302,20 +332,28 @@ def cmd_compute(config: RunConfig) -> int:
 def cmd_feuerbach(config: RunConfig) -> int:
     report = feuerbach_report(config.sides, config.tol)
     token = _token_function(config)
-    doc = _answer(config, report.metrics)
+    exact = config.backend == "exact"
+    doc = _answer(config)
     doc["equilateral"] = "true" if report.equilateral else "false"
-    # A tangent circle's rhs is its lhs object, and its token is made once.
     doc["feuerbach"] = entries = []
+    digits: Dict[int, str] = {}
     for entry in report.entries:
         tangency = entry.report
-        lhs = token(tangency.lhs)
+        if exact and tangency.kind is not Tangency.NOT_TANGENT:
+            # An exact tangency is an equality: rhs is lhs and the residual
+            # 0.  The lhs is the kernel's square ratio, unread.
+            lhs = rhs = _square_token(tangency._lhs, digits)
+            residual = _exact_token((0, 1))
+        else:
+            lhs, rhs = token(tangency.lhs), token(tangency.rhs)
+            residual = token(tangency.residual)
         entries.append(
             {
                 "circle": f'"{entry.circle}"',
                 "kind": f'"{tangency.kind.value}"',
                 "lhs": lhs,
-                "rhs": lhs if tangency.rhs is tangency.lhs else token(tangency.rhs),
-                "residual": token(tangency.residual),
+                "rhs": rhs,
+                "residual": residual,
             }
         )
     if config.fmt == "json":
@@ -324,7 +362,8 @@ def cmd_feuerbach(config: RunConfig) -> int:
         lines = [f"backend: {config.backend}", _sides_line(config, doc)]
         met = doc["metrics"]
         lines.append(f"R_sq = {_text(met['R_sq'])}  r_sq = {_text(met['r_sq'])}")
-        radius_sq = _text(token(report.metrics.R_sq / 4))
+        R_sq = config.sides._metric_terms[2]
+        radius_sq = _text(token((R_sq[0], 4 * R_sq[1]) if exact else R_sq / 4))
         lines.append(f"nine-point radius squared (R_sq/4): {radius_sq}")
         if report.equilateral:
             lines.append("equilateral: incircle and nine-point circle coincide")

@@ -28,11 +28,13 @@ which only to hand the float kernel the vertex-to-N distances once.  The
 residual functions here forward to the kernel the same way.  On exact sides the sides are scaled to integers, and each
 circle's two residuals are e +- 2*abc*d over 4*d^2*L^2
 (``_IntegerTriangle.tangency_numerators``), so tangency is decided by
-testing e +- 2*abc*d for zero.  A tangent circle's report then reduces
-one large number, its chosen right-hand side in a closed form that is
-also the left-hand side; the zero residual and the other residual,
--+2*R*r_X, need no large gcd, and the other right-hand side is built
-only when read.  On float sides each circle's |XN|^2 is its distance
+testing e +- 2*abc*d for zero.  A tangent circle's report then holds
+its lhs, which is also its chosen right-hand side, unreduced, as the
+square (abc -+ P/d)^2 over 4*P*L^2 (``triangle._SquareRatio``), and its
+other residual, -+2*R*r_X, as the kernel's ratio; each becomes its
+``Fraction`` on first read, and the other right-hand side is built from
+them then.  The report's ``metrics`` is read from the sides only when
+read.  On float sides each circle's |XN|^2 is its distance
 identity (``_FloatTriangle.center_dist_sq``), and its kind and
 right-hand sides come from the float decision that
 :func:`classify_tangency_sq` makes on floats.
@@ -48,7 +50,8 @@ float residuals.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from fractions import Fraction
+from typing import Any, Optional, Tuple
 
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -63,6 +66,7 @@ from .triangle import (
     SideLengths,
     Tangency,
     TriangleMetrics,
+    _SquareRatio,
     _checked_lhs,
     _exact_kind,
     _float_decision,
@@ -90,41 +94,66 @@ class TangencyReport(Record):
     are (r1 - r2)^2 and (r1 + r2)^2.  Both residuals are carried so a
     NotTangent outcome shows which comparison failed and by how much.
 
-    A right-hand side given as None is stored only once it is read, as
-    ``lhs`` minus its residual; the value, and so ``==``, ``hash``,
-    ``repr``, copy and pickle, are those of the report built with all six
-    fields.  An exact tangent report from :func:`feuerbach_report` leaves
-    its unchosen rhs so.
+    A field may be given in a form that the report builds on first read
+    and then stores: a lhs as the exact kernel's ``triangle._SquareRatio``,
+    built as its ``Fraction``; a residual as an integer ratio (num, den),
+    built as its ``Fraction``; and a right-hand side as None, built as
+    ``lhs`` minus its residual (``lhs`` itself when the residual is zero).
+    The value, and so ``==``, ``hash``, ``repr``, copy and pickle, are
+    those of the report built with all six fields.  An exact tangent
+    report from :func:`feuerbach_report` leaves all five so but its zero
+    residual.
     """
 
     __slots__ = (
-        "kind", "lhs", "_rhs_internal", "_rhs_external", "residual_internal", "residual_external"
+        "kind", "_lhs", "_rhs_internal", "_rhs_external", "_residual_internal", "_residual_external"
     )
     _fields = (
         "kind", "lhs", "rhs_internal", "rhs_external", "residual_internal", "residual_external"
     )
     kind: Tangency
-    lhs: Scalar
-    residual_internal: Scalar
-    residual_external: Scalar
 
     def __init__(
         self,
         kind: Tangency,
-        lhs: Scalar,
+        lhs: Any,
         rhs_internal: Optional[Scalar],
         rhs_external: Optional[Scalar],
-        residual_internal: Scalar,
-        residual_external: Scalar,
+        residual_internal: Any,
+        residual_external: Any,
     ) -> None:
         set_field(self, "kind", kind)
-        set_field(self, "lhs", lhs)
+        set_field(self, "_lhs", lhs)
         if rhs_internal is not None:
             set_field(self, "_rhs_internal", rhs_internal)
         if rhs_external is not None:
             set_field(self, "_rhs_external", rhs_external)
-        set_field(self, "residual_internal", residual_internal)
-        set_field(self, "residual_external", residual_external)
+        set_field(self, "_residual_internal", residual_internal)
+        set_field(self, "_residual_external", residual_external)
+
+    @property
+    def lhs(self) -> Scalar:
+        return self._read("_lhs")
+
+    @property
+    def residual_internal(self) -> Scalar:
+        return self._read("_residual_internal")
+
+    @property
+    def residual_external(self) -> Scalar:
+        return self._read("_residual_external")
+
+    def _read(self, slot: str) -> Scalar:
+        value = getattr(self, slot)
+        kind = type(value)
+        if kind is _SquareRatio:
+            value = value.value()
+        elif kind is tuple:
+            value = Fraction(*value)
+        else:
+            return value
+        set_field(self, slot, value)
+        return value
 
     @property
     def rhs_internal(self) -> Scalar:
@@ -141,7 +170,7 @@ class TangencyReport(Record):
             return self._build_rhs("_rhs_external", self.residual_external)
 
     def _build_rhs(self, slot: str, residual: Scalar) -> Scalar:
-        value = self.lhs - residual
+        value = self.lhs - residual if residual else self.lhs
         set_field(self, slot, value)
         return value
 
@@ -256,13 +285,36 @@ class FeuerbachEntry(Record):
 
 
 class FeuerbachReport(Record):
-    """Tangency verdict for the incircle and all three excircles."""
+    """Tangency verdict for the incircle and all three excircles.
 
-    __slots__ = _fields = ("sides", "metrics", "equilateral", "entries")
+    ``metrics`` given as None is read, when it is read, as the shared
+    ``metrics(sides)``; :func:`feuerbach_report` leaves it so."""
+
+    __slots__ = ("sides", "_metrics", "equilateral", "entries")
+    _fields = ("sides", "metrics", "equilateral", "entries")
     sides: SideLengths
-    metrics: TriangleMetrics
     equilateral: bool
     entries: Tuple[FeuerbachEntry, ...]
+
+    def __init__(
+        self,
+        sides: SideLengths,
+        metrics: Optional[TriangleMetrics],
+        equilateral: bool,
+        entries: Tuple[FeuerbachEntry, ...],
+    ) -> None:
+        set_field(self, "sides", sides)
+        if metrics is not None:
+            set_field(self, "_metrics", metrics)
+        set_field(self, "equilateral", equilateral)
+        set_field(self, "entries", entries)
+
+    @property
+    def metrics(self) -> TriangleMetrics:
+        try:
+            return self._metrics
+        except AttributeError:
+            return metrics(self.sides)
 
     @property
     def ok(self) -> bool:
@@ -289,19 +341,20 @@ class FeuerbachReport(Record):
 def feuerbach_report(
     sides: SideLengths, tol: ToleranceProfile = DEFAULT_TOLERANCE
 ) -> FeuerbachReport:
-    """Classify nine-point circle against incircle and the three excircles."""
-    met = metrics(sides)
-    t, values = sides._kernel, met._values()
+    """Classify nine-point circle against incircle and the three excircles.
+    The reports are built from the kernel's metrics, and the report's
+    ``metrics`` record is read from the sides only if it is read."""
+    t, terms = sides._kernel, sides._metric_terms
     # The float reports read the vertex-to-N distances, computed once here.
     # The exact closed forms do not, and on 200-digit sides those integer
     # products would cost about 6% of the report.
     vertex_n = None if sides.is_exact else t.vertex_ninepoint_dist_sq()
     return FeuerbachReport(
         sides,
-        met,
+        None,
         sides.is_equilateral,
         tuple(
-            FeuerbachEntry(circle, TangencyReport(*t.tangency(circle, values, vertex_n, tol)))
+            FeuerbachEntry(circle, TangencyReport(*t.tangency(circle, terms, vertex_n, tol)))
             for circle in CIRCLES
         ),
     )

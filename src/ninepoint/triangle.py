@@ -426,12 +426,24 @@ class SideLengths(Record):
         )
 
     @cached_property
+    def _metric_terms(self) -> Tuple[Any, ...]:
+        """The kernel's metrics: unreduced integer ratios on exact sides,
+        floats on float sides."""
+        return self._kernel.metrics()
+
+    @cached_property
     def _metrics(self) -> "TriangleMetrics":
         """K^2 = s(s-a)(s-b)(s-c), R^2 = (abc)^2 / 16K^2, r^2 = K^2/s^2,
         r_a^2 = K^2/(s-a)^2, R*r = abc/4s, R*r_a = abc/4(s-a): the public
         values of the kernel's, one division per exact field."""
         t = self._kernel
-        return TriangleMetrics(*t.values(t.metrics()))
+        return TriangleMetrics(*t.values(self._metric_terms))
+
+    @cached_property
+    def _canonical(self) -> Tuple[int, Tuple[Tuple[int, int, int], ...]]:
+        """The canonical frame of exact sides (:func:`_canonical_frame`),
+        sought once per triangle."""
+        return _canonical_frame(self._kernel)
 
 
 class TriangleMetrics(Record):
@@ -469,6 +481,27 @@ def _area_sq_16(a: Scalar, b: Scalar, c: Scalar) -> Scalar:
 
 
 Ratio = Tuple[int, int]
+
+
+class _SquareRatio(NamedTuple):
+    """The exact value root^2 / den, unreduced, with den > 0: the form in
+    which :meth:`_IntegerTriangle.tangency` hands over a tangent lhs."""
+
+    root: int
+    den: int
+
+    def value(self) -> Fraction:
+        """The public value: the ``Fraction`` of root^2 / den, one gcd on
+        the square's digits."""
+        return Fraction(self.root * self.root, self.den)
+
+    def reduced(self) -> Ratio:
+        """Lowest terms, from gcds on the root's digits: with
+        g = gcd(root, den), root/g and den/g are coprime, so
+        gcd(root^2, den) = g * gcd(g, den/g).  A zero root gives (0, 1)."""
+        g = math.gcd(self.root, self.den)
+        g *= math.gcd(g, self.den // g)
+        return self.root * self.root // g, self.den // g
 
 
 class _IntegerTriangle(NamedTuple):
@@ -603,23 +636,23 @@ class _IntegerTriangle(NamedTuple):
         return kind, self._residual_ratio(circle, numerators)
 
     def tangency(
-        self, circle: str, met: Tuple[Fraction, ...], vertex_n: Any, tol: Any
+        self, circle: str, met: Tuple[Ratio, ...], vertex_n: Any, tol: Any
     ) -> Tuple[Any, ...]:
-        """The fields of the circle's ``feuerbach.TangencyReport`` as public
-        values: the kind, lhs, the two right-hand sides and the two
-        residuals, from :meth:`decision`; ``met`` is the values tuple of
-        :class:`TriangleMetrics`.  Like :meth:`verdict`, it needs neither
-        the vertex-to-N distances nor a tolerance.
+        """The fields of the circle's ``feuerbach.TangencyReport``: the kind,
+        lhs, the two right-hand sides and the two residuals, from
+        :meth:`decision`; ``met`` is :meth:`metrics`.  Like :meth:`verdict`,
+        it needs neither the vertex-to-N distances nor a tolerance.
 
         A tangent kind gives every field from closed forms.  The circle's
         weight sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen
         rhs (abc*d -+ P)^2 / (4*P*d^2*L^2) is (abc -+ P/d)^2 / (4*P*L^2), and
         it equals lhs; its residual is zero.  The two residuals differ by
-        4*abc*d / (4*d^2*L^2) = 2*R*r_X, so the other one is -+2*R*r_X, read
-        from ``met``.  So one large number is reduced per circle; the other
-        rhs comes back as None, for the report to build as lhs minus its
-        residual if it is read.  NotTangent has no identity to lean on and
-        reduces all five fields."""
+        4*abc*d / (4*d^2*L^2) = 2*R*r_X, so the other one is -+2*R*r_X, twice
+        ``met``'s ratio.  Nothing large is reduced here: lhs comes back as
+        its root abc -+ P/d over 4*P*L^2 (:class:`_SquareRatio`), the other
+        residual as its ratio and both right-hand sides as None, and the
+        report builds each public value on first read.  NotTangent has no
+        identity to lean on and reduces all five fields."""
         kind, (e, two_abc_d, d) = self.decision(circle)
         if kind is Tangency.NOT_TANGENT:
             den = 4 * (d * self.L) ** 2
@@ -633,13 +666,13 @@ class _IntegerTriangle(NamedTuple):
                 Fraction(e + two_abc_d, den),
                 Fraction(e - two_abc_d, den),
             )
-        m = met[7 + CIRCLES.index(circle)]
-        den = 4 * self.P * self.L * self.L
+        mixed, den = met[7 + CIRCLES.index(circle)]
+        square_den = 4 * self.P * self.L * self.L
         if kind is Tangency.EXTERNAL_TANGENT:
-            value = Fraction((self.abc + self.P // d) ** 2, den)
-            return kind, value, None, value, 2 * m, _ZERO
-        value = Fraction((self.abc - self.P // d) ** 2, den)
-        return kind, value, value, None, _ZERO, -2 * m
+            lhs = _SquareRatio(self.abc + self.P // d, square_den)
+            return kind, lhs, None, None, (2 * mixed, den), _ZERO
+        lhs = _SquareRatio(self.abc - self.P // d, square_den)
+        return kind, lhs, None, None, _ZERO, (-2 * mixed, den)
 
     def residual(self, circle: str) -> Ratio:
         """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2
@@ -1054,7 +1087,7 @@ def exact_vertices(sides: SideLengths) -> Optional[Tuple[Point2, Point2, Point2]
     :func:`_canonical_frame`."""
     if not sides.is_exact:
         return None
-    m, frame = _canonical_frame(sides._kernel)
+    m, frame = sides._canonical
     if m != 1:
         return None
     return tuple(Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in frame)

@@ -13,6 +13,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 _SPEC = importlib.util.spec_from_file_location("call_counts", ROOT / "tools" / "call_counts.py")
 call_counts = importlib.util.module_from_spec(_SPEC)
@@ -62,6 +64,27 @@ def test_float_job_builds_one_integer_form_and_no_fraction():
     counts = call_counts.count_calls(cli.main, call_counts.JOBS[1])
     assert counts["ninepoint.triangle._integer_triangle"] == call_counts.COUNT
     assert [name for name in counts if name.startswith("fractions.")] == []
+
+
+@pytest.mark.parametrize("command", ["feuerbach", "compute"])
+@pytest.mark.parametrize("sides", ["3,4,5", "13/3,4,15/7", "7/3,7/3,7/3"])
+def test_exact_answer_reads_no_fraction_after_its_input(command, sides):
+    # An exact JSON answer is written from the kernel's integer ratios: the
+    # only fractions calls are those that reading the three sides makes
+    # (parsing them, and the exact embedding that 3,4,5 has).
+    from ninepoint import cli
+
+    argv = [command, "--sides", sides, "--format", "json"]
+
+    def read_input(argv):
+        return cli._resolve_input(cli._plain_request(argv))
+
+    def fraction_calls(counts):
+        return {name: n for name, n in counts.items() if name.startswith("fractions.")}
+
+    parsed = fraction_calls(call_counts.count_calls(read_input, argv))
+    assert parsed["fractions.Fraction.__new__"] >= 3
+    assert fraction_calls(call_counts.count_calls(cli.main, argv)) == parsed
 
 
 def test_float_job_hands_the_suite_float_pairs(monkeypatch):

@@ -19,7 +19,7 @@ from golden_cases import CASES, ERROR_CASES, HELP_CASES
 from ninepoint import cli
 from ninepoint.centers import center_set
 from ninepoint.feuerbach import feuerbach_report
-from ninepoint.triangle import CENTER_WEIGHTS, metrics
+from ninepoint.triangle import CENTER_WEIGHTS, SideLengths, _SquareRatio, metrics
 
 F = Fraction
 
@@ -32,15 +32,17 @@ def run(capsys, *argv: str):
 
 
 def count_tokens(monkeypatch) -> collections.Counter:
-    """Wrap both token functions of the CLI; the counter counts each value
-    converted, an integer ratio as its Fraction."""
+    """Wrap the token functions of the CLI; the counter counts each value
+    converted, an integer ratio or a tangent lhs's square ratio as its
+    Fraction."""
     conversions = collections.Counter()
-    for name in ("_exact_token", "_float_token"):
+    for name in ("_exact_token", "_float_token", "_square_token"):
         function = getattr(cli, name)
 
-        def counting(value, function=function):
-            conversions[F(*value) if type(value) is tuple else value] += 1
-            return function(value)
+        def counting(value, *args, function=function):
+            key = value.value() if type(value) is _SquareRatio else value
+            conversions[F(*key) if type(key) is tuple else key] += 1
+            return function(value, *args)
 
         monkeypatch.setattr(cli, name, counting)
     return conversions
@@ -302,6 +304,36 @@ class TestFeuerbach:
         assert printed <= set(conversions)
         assert sum(conversions.values()) == len(values) - 4 + (fmt == "text")
         assert {value for value, count in conversions.items() if count > 1} <= {F(0), F(1, 3)}
+
+
+# Exact triangles whose lhs reductions share factors of every size: 40-digit
+# ratios, and small ones whose four lhs have one denominator.
+_SIDE = "7523194860257789431200561947/1398650173946152086427093"
+_OTHER = "8802771644028950381179355012/3711057290365544781925549"
+
+
+@pytest.mark.parametrize("sides", [
+    "13/3,4,15/7",
+    f"{_SIDE},{_OTHER},4000",
+    "7/3,7/3,11/5",
+    f"{_SIDE},{_SIDE},{_OTHER}",
+    "7/3,7/3,7/3",
+    f"{_SIDE},{_SIDE},{_SIDE}",
+], ids=["generic", "generic-large", "isoceles", "isoceles-large", "equilateral",
+        "equilateral-large"])
+def test_each_circle_prints_the_reports_tokens(capsys, sides):
+    # The CLI writes a tangent lhs from the kernel's square ratio, which
+    # the report holds unread; each circle's lhs, rhs and residual tokens
+    # are those of the report's values as the library reads them.
+    code, out, _ = run(capsys, "feuerbach", "--sides", sides, "--format", "json")
+    assert code == 0
+    report = feuerbach_report(SideLengths(*map(F, sides.split(","))))
+    rows = json.loads(out)["feuerbach"]
+    assert [row["circle"] for row in rows] == [entry.circle for entry in report.entries]
+    for row, entry in zip(rows, report.entries):
+        tangency = entry.report
+        for name in ("lhs", "rhs", "residual"):
+            assert row[name] == cli._exact_token(getattr(tangency, name)).strip('"'), name
 
 
 def json_strings(value):
@@ -786,17 +818,17 @@ class TestSvgCommand:
             (["svg", "--sides", "3,4,6"], 1, 0),  # drawn on the float embedding
             (["svg", "--sides", "3,4,5"], 1, 0),  # drawn on the exact one
             (["svg", "--sides", "3,4,6", "--backend", "float"], 0, 0),
-            (["compute", "--sides", "3,4,6"], 1, 1),
-            (["feuerbach", "--sides", "3,4,6"], 1, 1),
+            (["compute", "--sides", "3,4,6"], 1, 0),
+            (["feuerbach", "--sides", "3,4,6"], 1, 0),
         ],
     )
     def test_svg_builds_only_what_it_draws(self, capsys, monkeypatch, argv, frames, drawn):
         # An exact svg request seeks the exact embedding once, when the input
-        # is read, and draws the float one without seeking it again; it
-        # builds no TriangleMetrics, which the other commands print.  No
-        # command builds a Barycentric: compute and feuerbach print the
-        # kernel's components.  Counted by wrapping, as Python 3.10 names
-        # every __init__ of a module alike in a profile hook.
+        # is read, and draws the float one without seeking it again.  No
+        # command builds a TriangleMetrics or a Barycentric: compute and
+        # feuerbach print the kernel's metrics and components.  Counted by
+        # wrapping, as Python 3.10 names every __init__ of a module alike in
+        # a profile hook.
         from ninepoint import triangle
 
         calls = collections.Counter()

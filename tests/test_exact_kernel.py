@@ -10,7 +10,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ninepoint.feuerbach import (
@@ -27,6 +27,7 @@ from ninepoint.triangle import (
     SideLengths,
     TriangleMetrics,
     _integer_triangle,
+    _SquareRatio,
     barycentric_distance_sq,
     metrics,
 )
@@ -608,24 +609,56 @@ def count_large_gcds(monkeypatch) -> collections.Counter:
     ids=["scalene", "isoceles", "equilateral"],
 )
 def test_exact_report_reduces_one_large_number_per_tangent_circle(monkeypatch, sides, tangent):
-    """With the metrics cached, each tangent circle's report reduces its
-    one value (a coincident circle's is zero); its other residual comes
-    from the metrics without a large gcd, and its other rhs is built on
-    first read, once."""
+    """With the metrics cached, building the report reduces no large
+    number.  Read, each tangent circle's lhs reduces its one value (a
+    coincident circle's is zero) and is its rhs, its other residual
+    reduces its one ratio, and its other rhs is built once."""
     sides = SideLengths(*sides)
     metrics(sides)
     calls = count_large_gcds(monkeypatch)
     report = feuerbach_report(sides)
-    assert calls["large"] == tangent
+    assert calls["large"] == 0
     assert report.ok
     reports = [entry.report for entry in report.entries]
     for got in reports:
         assert got.rhs is got.lhs or got.kind is Tangency.COINCIDENT
-        assert type(got.residual_internal) is type(got.residual_external) is Fraction
     assert calls["large"] == tangent
+    for got in reports:
+        assert type(got.residual_internal) is type(got.residual_external) is Fraction
+    assert calls["large"] == tangent + len(reports)
     first = [(got.rhs_internal, got.rhs_external) for got in reports]
-    assert calls["large"] >= 2 * tangent
+    assert calls["large"] >= 2 * tangent + len(reports)
     read = calls["large"]
     second = [(got.rhs_internal, got.rhs_external) for got in reports]
     assert all(x is y for pair, again in zip(first, second) for x, y in zip(pair, again))
     assert calls["large"] == read
+
+
+# Integers of up to about 200 digits, with a shared factor drawn apart so
+# that gcd(root, den) is often large and den/g still shares factors with g.
+FACTORS = st.integers(min_value=1, max_value=10**60)
+ROOTS = st.integers(min_value=-(10**140), max_value=10**140)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(("negative", "zero", "positive")),
+    ROOTS,
+    st.integers(min_value=1, max_value=10**140),
+    FACTORS,
+    st.integers(min_value=0, max_value=3),
+)
+@example("zero", 0, 1, 1, 0)
+@example("positive", 2**70, 3 * 2**150, 1, 0)
+@example("negative", -(6**30), 5 * 6**80, 6**5, 2)
+def test_square_reduction_is_the_fractions(sign, root, den, factor, power):
+    """``_SquareRatio.reduced``, gcd(M^2, D) = g * gcd(g, D/g), gives the
+    lowest terms that ``Fraction(M*M, D)`` gives, for M < 0, M = 0 and
+    M > 0: the lhs root of a tangent circle has either sign, and the
+    equilateral incircle's is 0."""
+    magnitude = abs(root) * factor or 1
+    root = {"negative": -magnitude, "zero": 0, "positive": magnitude}[sign]
+    den *= factor**power
+    square = _SquareRatio(root, den)
+    assert square.reduced() == Fraction(root * root, den).as_integer_ratio()
+    assert square.value() == Fraction(root * root, den)

@@ -33,7 +33,14 @@ from ninepoint.harness import FuzzProfile, IdentityCheck, OracleResult, SuiteRep
 from ninepoint.numeric import ToleranceProfile
 from ninepoint.record import Record
 from ninepoint.svg import ViewTransform
-from ninepoint.triangle import Barycentric, Point2, SideLengths, TriangleMetrics
+from ninepoint.triangle import (
+    Barycentric,
+    Point2,
+    SideLengths,
+    TriangleMetrics,
+    _SquareRatio,
+    metrics,
+)
 
 F = Fraction
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ninepoint"
@@ -348,12 +355,16 @@ def test_suite_report_verdicts_agree_on_a_failing_check():
     ids=["incircle", "exA"],
 )
 def test_exact_report_with_rhs_built_on_read(index, unread, full):
-    # An exact tangent report of the 3-4-5 triangle stores its unchosen rhs
-    # only when it is read; every record operation sees the value the
-    # report built with all six fields holds.
+    # An exact tangent report of the 3-4-5 triangle holds its lhs as the
+    # kernel's square ratio and its unchosen residual as the kernel's ratio,
+    # and stores both rhs only when they are read; every record operation
+    # sees the value the report built with all six fields holds.
+    residual = "_residual_internal" if unread == "_rhs_internal" else "_residual_external"
+
     def fresh() -> TangencyReport:
         report = feuerbach_report(SideLengths(3, 4, 5)).entries[index].report
-        assert not hasattr(report, unread)
+        assert not hasattr(report, "_rhs_internal") and not hasattr(report, "_rhs_external")
+        assert type(report._lhs) is _SquareRatio and type(getattr(report, residual)) is tuple
         return report
 
     assert fresh() == full and full == fresh() and not fresh() != full
@@ -373,6 +384,41 @@ def test_exact_report_with_rhs_built_on_read(index, unread, full):
         with pytest.raises(AttributeError):
             delattr(report, name)
     assert report == full
+
+
+def test_exact_feuerbach_report_with_fields_built_on_read():
+    # A report whose metrics, lhs, residuals and right-hand sides were never
+    # read is, to every record operation, the report built with all of them.
+    sides = SideLengths(F(13, 3), 4, F(15, 7))
+    built = feuerbach_report(sides)
+    full = FeuerbachReport(
+        sides,
+        metrics(sides),
+        False,
+        tuple(
+            FeuerbachEntry(entry.circle, TangencyReport(
+                *(getattr(entry.report, name) for name in CASES[TangencyReport].fields)
+            ))
+            for entry in built.entries
+        ),
+    )
+
+    def fresh() -> FeuerbachReport:
+        report = feuerbach_report(sides)
+        assert not hasattr(report, "_metrics")
+        assert all(type(entry.report._lhs) is _SquareRatio for entry in report.entries)
+        return report
+
+    assert fresh() == full and full == fresh() and not fresh() != full
+    assert hash(fresh()) == hash(full)
+    assert repr(fresh()) == repr(full)
+    for rebuild in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        assert rebuild(fresh()) == full
+    report = fresh()
+    assert report.metrics is metrics(sides)
+    assert [entry.report.lhs for entry in report.entries] == [
+        entry.report.lhs for entry in full.entries
+    ]
 
 
 def _wrong_calls():
