@@ -34,7 +34,8 @@ exact sides on their integer frame under the metric x^2 + m*t^2, with no
 the centers as ``Point2``s through ``CenterSet.points``, which only a
 Cartesian frame has; ``svg`` and the CLI take the frame alone from
 :func:`_cartesian_frame`, the Cartesian half of ``center_set``: ``svg``
-reads it as floats, and the CLI prints each point's ``plane.coords``.
+reads it as floats, and the CLI prints each point's ``plane.coords``,
+on the canonical frame's integer triples for exact sides given as sides.
 ``vertex_to_ninepoint_dist_sq`` and the bisector feet read the kernel of
 the sides (``triangle._IntegerTriangle`` or ``_FloatTriangle``) without
 asking which it is.

@@ -131,48 +131,29 @@ class TangencyReport(Record):
         set_field(self, "_residual_internal", residual_internal)
         set_field(self, "_residual_external", residual_external)
 
-    @property
-    def lhs(self) -> Scalar:
-        return self._read("_lhs")
-
-    @property
-    def residual_internal(self) -> Scalar:
-        return self._read("_residual_internal")
-
-    @property
-    def residual_external(self) -> Scalar:
-        return self._read("_residual_external")
-
     def _read(self, slot: str) -> Scalar:
-        value = getattr(self, slot)
-        kind = type(value)
-        if kind is _SquareRatio:
-            value = value.value()
-        elif kind is tuple:
-            value = Fraction(*value)
+        """The field stored in ``slot``, built and stored on first read if it
+        was given in a form to build."""
+        try:
+            value = getattr(self, slot)
+        except AttributeError:  # a right-hand side given as None
+            residual = self._read("_residual" + slot[len("_rhs"):])
+            value = self.lhs - residual if residual else self.lhs
         else:
-            return value
+            if type(value) is _SquareRatio:
+                value = value.value()
+            elif type(value) is tuple:
+                value = Fraction(*value)
+            else:
+                return value
         set_field(self, slot, value)
         return value
 
-    @property
-    def rhs_internal(self) -> Scalar:
-        try:
-            return self._rhs_internal
-        except AttributeError:
-            return self._build_rhs("_rhs_internal", self.residual_internal)
-
-    @property
-    def rhs_external(self) -> Scalar:
-        try:
-            return self._rhs_external
-        except AttributeError:
-            return self._build_rhs("_rhs_external", self.residual_external)
-
-    def _build_rhs(self, slot: str, residual: Scalar) -> Scalar:
-        value = self.lhs - residual if residual else self.lhs
-        set_field(self, slot, value)
-        return value
+    lhs = property(lambda self: self._read("_lhs"))
+    rhs_internal = property(lambda self: self._read("_rhs_internal"))
+    rhs_external = property(lambda self: self._read("_rhs_external"))
+    residual_internal = property(lambda self: self._read("_residual_internal"))
+    residual_external = property(lambda self: self._read("_residual_external"))
 
     @property
     def _internal_chosen(self) -> bool:
@@ -304,17 +285,13 @@ class FeuerbachReport(Record):
         entries: Tuple[FeuerbachEntry, ...],
     ) -> None:
         set_field(self, "sides", sides)
-        if metrics is not None:
-            set_field(self, "_metrics", metrics)
+        set_field(self, "_metrics", metrics)
         set_field(self, "equilateral", equilateral)
         set_field(self, "entries", entries)
 
     @property
     def metrics(self) -> TriangleMetrics:
-        try:
-            return self._metrics
-        except AttributeError:
-            return metrics(self.sides)
+        return self._metrics or metrics(self.sides)
 
     @property
     def ok(self) -> bool:

@@ -405,7 +405,7 @@ def test_exact_feuerbach_report_with_fields_built_on_read():
 
     def fresh() -> FeuerbachReport:
         report = feuerbach_report(sides)
-        assert not hasattr(report, "_metrics")
+        assert report._metrics is None
         assert all(type(entry.report._lhs) is _SquareRatio for entry in report.entries)
         return report
 
