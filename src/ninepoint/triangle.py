@@ -483,12 +483,16 @@ def _area_sq_16(a: Scalar, b: Scalar, c: Scalar) -> Scalar:
 Ratio = Tuple[int, int]
 
 
-class _SquareRatio(NamedTuple):
+class _SquareRatio:
     """The exact value root^2 / den, unreduced, with den > 0: the form in
-    which :meth:`_IntegerTriangle.tangency` hands over a tangent lhs."""
+    which :meth:`_IntegerTriangle.tangency` hands over a tangent lhs.  A
+    plain class: a ``NamedTuple`` would cost every import about 0.1 ms."""
 
-    root: int
-    den: int
+    __slots__ = ("root", "den")
+
+    def __init__(self, root: int, den: int) -> None:
+        self.root = root
+        self.den = den
 
     def value(self) -> Fraction:
         """The public value: the ``Fraction`` of root^2 / den, one gcd on
