@@ -75,6 +75,9 @@ CASES = {
     "vertices_float_compute_json": ["compute", "--vertices", RAGGED_FLOAT_VERTICES, "--format", "json"],
     "vertices_float_compute_text": ["compute", "--vertices", RAGGED_FLOAT_VERTICES],
     "vertices_float_feuerbach_text": ["feuerbach", "--vertices", RAGGED_FLOAT_VERTICES],
+    # Given vertices drawn as given, on either backend.
+    "vertices_exact_svg": ["svg", "--vertices", RAGGED_EXACT_VERTICES, "--backend", "exact"],
+    "vertices_float_svg": ["svg", "--vertices", RAGGED_FLOAT_VERTICES],
     "111_exact_compute_json": ["compute", "--sides", "1,1,1", "--format", "json"],
     "fuzz_generic_exact_json": ["fuzz", "--profile", "generic", "--count", "5", "--seed", "3",
                                 "--format", "json"],

@@ -49,7 +49,7 @@ def test_request_set_holds_goldens_workloads_and_edges():
     assert sum(argv[:1] == ["fuzz"] and "--seed" in argv for argv in requests) >= 4
     assert ["svg", "--sides", "1e-160,1e-160,1.5e-160", "--backend", "float"] in requests
     assert len(output_digest.edge_requests()) == (
-        5 * 2 * 3 + 5 + 5 + 4 * 3 * 2 + 3 * 2 + (3 + 2 + 1) * 2
+        5 * 2 * 3 + 5 + 5 + 4 * 3 * 2 + 3 * 2 + (3 + 2 + 1) * 2 + 4
     )
     assert ["fuzz", "--profile", "near-degenerate", "--backend", "exact", "--count", "100",
             "--seed", "1", "--format", "json"] in requests
@@ -63,6 +63,7 @@ def test_request_set_holds_goldens_workloads_and_edges():
     assert ["compute", "--sides", seeded_sides(359), "--format", "text"] in requests
     side = seeded_sides(150).split(",")[0]
     assert ["feuerbach", "--sides", f"{side},{side},{side}", "--format", "json"] in requests
+    assert ["svg", "--vertices", "0,0,1e80,0,3e79,7e79"] in requests
 
 
 def changed_tree(tmp_path) -> Path:

@@ -39,7 +39,10 @@ runs:
   have d digits: ``feuerbach`` at d = 230, 239 (the largest that prints)
   and 240, ``compute`` at d = 358 (the largest that prints) and 359, and
   ``feuerbach`` on an equilateral triangle of 150-digit sides, whose
-  incircle lhs is 0.
+  incircle lhs is 0; and float vertex input that fails as it is read:
+  ``feuerbach`` and ``svg`` on vertices near 1e151 and ``svg`` on
+  vertices near 1e80, whose center weights overflow, and ``compute`` on
+  vertices near 1e-160, whose area underflows.
 
 The set is read from this checkout, so both trees of a comparison run the
 same requests.  Requests run with ``COLUMNS`` at the golden cases'
@@ -97,6 +100,19 @@ EDGE_FLAT_SIDES = (
 # input digits on either side of where its answer stops printing.
 EDGE_LIMIT_DIGITS = {"feuerbach": (230, 239, 240), "compute": (358, 359)}
 EDGE_EQUILATERAL_DIGITS = 150
+# Float vertex input that fails with exit code 2: vertices near 1e151 and
+# 1e80, whose center weights overflow ("non-finite coordinate nan"), and
+# vertices near 1e-160, whose area underflows ("float division by zero").
+EDGE_HUGE_VERTICES = (
+    "1.9936867719928615e+151,-2.6801089776555443e+152,3.1621521979131476e+152,"
+    "-1.3309386748560354e+152,1.1698712387067408e+152,-1.9361903145197517e+152"
+)
+EDGE_VERTEX_REQUESTS = (
+    ["feuerbach", "--vertices", EDGE_HUGE_VERTICES],
+    ["svg", "--vertices", EDGE_HUGE_VERTICES],
+    ["svg", "--vertices", "0,0,1e80,0,3e79,7e79"],
+    ["compute", "--vertices", "0,0,1e-160,0,0,1e-160", "--format", "json"],
+)
 # A changed line is shown this many characters either side of where it
 # first differs.
 CONTEXT = 60
@@ -161,7 +177,7 @@ def edge_requests() -> List[List[str]]:
         text = ",".join(f"{v.numerator}/{v.denominator}" for v in sides)
         for fmt in ("text", "json"):
             requests.append([command, "--sides", text, "--format", fmt])
-    return requests
+    return requests + [list(argv) for argv in EDGE_VERTEX_REQUESTS]
 
 
 def request_set(seed: int, per_workload: int) -> List[List[str]]:
