@@ -24,19 +24,21 @@ centers are one construction, written against a plane: integer
 homogeneous triples (:class:`ninepoint.homogeneous.Plane`) when the
 sides and the vertices are all exact, where no gcd is taken until a
 ``Point2`` is asked for, and :class:`~ninepoint.triangle.FloatPlane`
-otherwise, which takes the vertices as float pairs.  So exact sides with
-float vertices, as ``svg`` draws a triangle whose altitude is
-irrational, get eight float centers.  The identity suite weighs its own
-plane and frame with :func:`_center_frame` alone, on either backend:
-exact sides on their integer frame under the metric x^2 + m*t^2, with no
-``Fraction``, and float sides on float pairs; ``barycentric_point`` and
-``orientation`` are affine, so the same code serves both.  Callers read
-the centers as ``Point2``s through ``CenterSet.points``, which only a
-Cartesian frame has; ``svg`` and the CLI take the frame alone from
-:func:`_cartesian_frame`, the Cartesian half of ``center_set``: ``svg``
-reads it as floats, and the CLI prints each point's ``plane.coords``,
-on the canonical frame's integer triples for exact sides given as sides.
-``vertex_to_ninepoint_dist_sq`` and the bisector feet read the kernel of
+otherwise, which takes the vertices as float pairs (:func:`_lift`).  So
+exact sides with float vertices, as ``svg`` draws a triangle whose
+altitude is irrational, get eight float centers.  The identity suite
+weighs its own plane and frame with :func:`_center_frame` alone, on
+either backend: exact sides on their integer frame under the metric
+x^2 + m*t^2, with no ``Fraction``, and float sides on float pairs;
+``barycentric_point`` and ``orientation`` are affine, so the same code
+serves both.  Callers read the centers as ``Point2``s through
+``CenterSet.points``, which only a Cartesian frame has; ``svg`` and the
+CLI take the centers alone from :func:`_cartesian_frame`, the Cartesian
+half of ``center_set``, on a frame that is already lifted: the plane and
+the vertices on it.  The CLI lifts each request's triangle once (exact
+sides given as sides onto their canonical frame's integer triples);
+``svg`` reads the centers as floats, and the CLI prints each point's
+``plane.coords``.  ``vertex_to_ninepoint_dist_sq`` and the bisector feet read the kernel of
 the sides (``triangle._IntegerTriangle`` or ``_FloatTriangle``) without
 asking which it is.
 
@@ -162,14 +164,15 @@ class CenterSet(Record):
 
 def center_set(sides: SideLengths, vertices: Optional[Tuple[Any, Any, Any]] = None) -> CenterSet:
     """Assemble every center; vertices add the Cartesian layer, which
-    :func:`_cartesian_frame` builds."""
+    :func:`_cartesian_frame` builds on their :func:`_lift`."""
     values = sides._kernel.values
     bary = {"G": centroid_barycentric()}
     for label in CIRCLE_CENTERS:
         bary[label] = Barycentric(*values(_components(sides, label)))
     if vertices is None:
         return CenterSet(bary, None, None)
-    return CenterSet(bary, *_cartesian_frame(sides, vertices))
+    frame = _lift(sides, vertices)
+    return CenterSet(bary, _cartesian_frame(sides, frame), frame[0])
 
 
 def _components(sides: SideLengths, label: str) -> Tuple[Any, Any, Any]:
@@ -189,27 +192,27 @@ def _components(sides: SideLengths, label: str) -> Tuple[Any, Any, Any]:
     return (x_a, d), (x_b, d), (x_c, d)
 
 
-def _cartesian_frame(sides: SideLengths, vertices: Optional[Tuple]) -> Tuple[Dict, Any]:
-    """Every Cartesian center of the sides and the plane that holds them,
-    with no barycentric form: ``svg`` draws these alone.  ``Point2``
-    vertices are lifted onto integer triples when the sides and every
-    vertex are exact and onto float pairs otherwise.  None stands for the
-    canonical frame of exact sides, ``SideLengths._canonical``, whose
-    triples are the lift of :func:`~ninepoint.triangle.exact_vertices`,
-    read without a ``Fraction``."""
-    if vertices is None:
-        m, (va, vb, vc) = sides._canonical
-        plane = homogeneous.Plane(m)
-    else:
-        exact = sides.is_exact and all(p.is_exact for p in vertices)
-        plane = homogeneous.Plane() if exact else FloatPlane
-        va, vb, vc = plane.lift(vertices)
+def _lift(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> Tuple[Any, Tuple]:
+    """A frame of ``Point2`` vertices: the plane that holds them and the
+    vertices on it, integer triples of one weight on the Cartesian
+    :class:`~ninepoint.homogeneous.Plane` when the sides and every vertex
+    are exact, float pairs on :class:`~ninepoint.triangle.FloatPlane`
+    otherwise."""
+    exact = sides.is_exact and all(p.is_exact for p in vertices)
+    plane = homogeneous.Plane() if exact else FloatPlane
+    return plane, plane.lift(vertices)
+
+
+def _cartesian_frame(sides: SideLengths, frame: Tuple[Any, Tuple]) -> Dict:
+    """Every Cartesian center of the sides on a frame, the plane and the
+    vertices on it, with no barycentric form: ``svg`` draws these alone."""
+    plane, (va, vb, vc) = frame
     # The weights read only the sides, so they cannot see collinear
     # vertices, such as a float embedding whose altitude underflowed.
     if plane.orientation(va, vb, vc) == 0:
         raise ValueError("collinear vertices have no circumcenter")
     t = sides._kernel
-    return _center_frame(plane, t.a, t.b, t.c, va, vb, vc), plane
+    return _center_frame(plane, t.a, t.b, t.c, va, vb, vc)
 
 
 def _center_frame(plane: Any, a: Any, b: Any, c: Any, va: Any, vb: Any, vc: Any) -> Dict:

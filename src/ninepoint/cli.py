@@ -35,6 +35,13 @@ in ``Barycentric``), the Cartesian rows from the points of
 ``feuerbach_report``; no ``TriangleMetrics``, ``Barycentric``,
 ``CenterSet`` or ``Point2`` is built only to be printed, and an answer on
 exact sides builds and reads no ``Fraction`` once the input is read.
+
+Each request's triangle is lifted once, as it is read, onto the frame
+that every command reads (``RunConfig.frame``): given vertices onto their
+plane (``centers._lift``), exact sides onto the integer triples of their
+canonical frame when it is Cartesian and to None when it is not, and float
+sides onto their float embedding.  ``svg`` draws exact sides without a
+Cartesian frame on the float embedding.
 """
 
 from __future__ import annotations
@@ -49,24 +56,24 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, NoReturn, Optional,
 
 from .numeric import DEFAULT_TOLERANCE, Scalar, ToleranceProfile, is_exact
 from .record import Record
+from . import homogeneous
 from .triangle import (
     CIRCLE_CENTERS,
+    FloatPlane,
     InvalidTriangleError,
     Point2,
     Ratio,
     SideLengths,
     Tangency,
     TriangleMetrics,
-    _float_vertices,
+    _float_embedding,
     _SquareRatio,
-    canonical_vertices,
-    exact_vertices,
     sides_from_vertices,
 )
-from .centers import _cartesian_frame, _components
+from .centers import _cartesian_frame, _components, _lift
 from .feuerbach import feuerbach_report
 from .harness import PROFILE_KINDS, FuzzProfile, _float_sides, _integer_sides, check_identity_suite
-from .svg import render_svg
+from .svg import _drawing
 
 if TYPE_CHECKING:
     import argparse
@@ -83,14 +90,16 @@ class RunConfig(Record):
     """Resolved invocation: triangle, backend, tolerances, output target."""
 
     __slots__ = _fields = (
-        "backend", "fmt", "tol", "out_path", "sides", "vertices", "vertices_given"
+        "backend", "fmt", "tol", "out_path", "sides", "frame", "vertices_given"
     )
     backend: str  # "exact" | "float"
     fmt: str  # "json" | "text"
     tol: ToleranceProfile
     out_path: Optional[str]
     sides: SideLengths
-    vertices: Optional[Tuple[Point2, Point2, Point2]]  # None: no embedding on the backend
+    # The triangle lifted once: its plane and the three vertices on it, or
+    # None for exact sides without a Cartesian frame (irrational altitude).
+    frame: Optional[Tuple[Any, Tuple[Any, Any, Any]]]
     vertices_given: bool
 
 
@@ -145,8 +154,13 @@ def _resolve_input(args: SimpleNamespace) -> RunConfig:
     except InvalidTriangleError:
         _name_underflow(raw, values)
         raise
-    if not vertices_given:
-        vertices = canonical_vertices(sides) if backend == "float" else exact_vertices(sides)
+    if vertices_given:
+        frame = _lift(sides, vertices)
+    elif sides.is_exact:
+        m, triples = sides._canonical
+        frame = (homogeneous.Plane(), triples) if m == 1 else None
+    else:
+        frame = _float_frame(sides)
     # Of the triangle commands, only feuerbach takes a tolerance.
     if args.command == "feuerbach":
         tol = ToleranceProfile(rel_eps=args.rel_eps, abs_eps=args.abs_eps)
@@ -158,9 +172,15 @@ def _resolve_input(args: SimpleNamespace) -> RunConfig:
         tol=tol,
         out_path=args.out,
         sides=sides,
-        vertices=vertices,
+        frame=frame,
         vertices_given=vertices_given,
     )
+
+
+def _float_frame(sides: SideLengths) -> Tuple[Any, Tuple[Any, Any, Any]]:
+    """The canonical embedding of the sides as float pairs, on
+    ``FloatPlane``."""
+    return FloatPlane, _float_embedding(*map(float, sides.as_tuple()))
 
 
 # --- serialization ---------------------------------------------------------
@@ -252,16 +272,17 @@ def _answer(config: RunConfig) -> dict:
     """The input, metrics and centers of a ``compute`` or ``feuerbach``
     answer, converted in document order.  Exact sides and metrics are
     printed from the kernel's ratios, and no ``Fraction`` is read.  The
-    barycentric rows are the kernel's components after their sum check,
-    and the Cartesian rows the coordinates of ``centers._cartesian_frame``'s
-    points, whose float pairs passed the finiteness check of ``Point2``;
-    exact sides given as sides are placed on their canonical frame."""
+    barycentric rows are the kernel's components after their sum check.
+    The given vertices and the Cartesian rows are the coordinates of the
+    request's frame and of ``centers._cartesian_frame``'s points on it,
+    whose float pairs passed the finiteness check of ``Point2``."""
     token = _token_function(config)
     sides = config.sides
     t = sides._kernel
     given: Dict[str, Any] = {"backend": f'"{config.backend}"'}
     if config.vertices_given:
-        given["vertices"] = [[token(p.x), token(p.y)] for p in config.vertices]
+        plane, vertices = config.frame
+        given["vertices"] = [[token(v) for v in plane.coords(p)] for p in vertices]
     else:
         values = ((t.a, t.L), (t.b, t.L), (t.c, t.L)) if sides.is_exact else sides.as_tuple()
         given["sides"] = [token(v) for v in values]
@@ -272,10 +293,10 @@ def _answer(config: RunConfig) -> dict:
     for label in CIRCLE_CENTERS:
         bary[label] = [token(v) for v in _components(sides, label)]
     cartesian: Any = "null"
-    if config.vertices:
-        canonical = sides.is_exact and not config.vertices_given
-        frame, plane = _cartesian_frame(sides, None if canonical else config.vertices)
-        cartesian = {label: [token(v) for v in plane.coords(p)] for label, p in frame.items()}
+    if config.frame is not None:
+        plane = config.frame[0]
+        centers = _cartesian_frame(sides, config.frame)
+        cartesian = {label: [token(v) for v in plane.coords(p)] for label, p in centers.items()}
     doc["centers"] = {"barycentric": bary, "cartesian": cartesian}
     return doc
 
@@ -320,7 +341,7 @@ def cmd_compute(config: RunConfig) -> int:
     lines.append("centers (barycentric):")
     for name, triple in doc["centers"]["barycentric"].items():
         lines.append(f"  {name:2s} = ({', '.join(map(_text, triple))})")
-    if config.vertices is None:
+    if config.frame is None:
         lines.append("centers (cartesian): not exactly embeddable; use --backend float")
     else:
         lines.append("centers (cartesian):")
@@ -450,10 +471,9 @@ def cmd_fuzz(args: SimpleNamespace) -> int:
 
 def cmd_svg(config: RunConfig) -> int:
     try:
-        # Exact sides without an exact embedding are drawn on the float one;
-        # the exact one was sought, once, when the input was read.
-        vertices = config.vertices or _float_vertices(config.sides)
-        text = render_svg(config.sides, vertices)
+        # Exact sides without a Cartesian frame are drawn on the float
+        # embedding; the frame was sought, once, when the input was read.
+        text = _drawing(config.sides, config.frame or _float_frame(config.sides))
     except OverflowError:
         raise ValueError("the triangle is beyond the float range that svg draws in") from None
     return _emit(text, config.out_path)

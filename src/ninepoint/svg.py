@@ -6,16 +6,20 @@ depends on the environment.  The drawing fits the triangle, the Euler
 segment, the nine-point circle, the incircle, and all three excircles
 into a 1000 x 1000 viewBox with a fixed margin; y is flipped so the
 mathematical upper half-plane points up on screen.
+
+The drawing reads a frame, the plane and the vertices on it:
+``render_svg`` lifts ``Point2`` vertices onto one, and the CLI hands the
+frame it lifted when it read the request to ``_drawing``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Any, List, Tuple
 
 from .record import Record
 from .triangle import Point2, SideLengths
-from .centers import _cartesian_frame
+from .centers import _cartesian_frame, _lift
 
 __all__ = ["ViewTransform", "fit_transform", "render_svg"]
 
@@ -43,9 +47,6 @@ class ViewTransform(Record):
 
     def y(self, value: float) -> float:
         return self.offset_y - self.scale * value
-
-    def point(self, p: Point2) -> Tuple[float, float]:
-        return (self.x(float(p.x)), self.y(float(p.y)))
 
     def pair(self, p: Tuple[float, float]) -> Tuple[float, float]:
         return (self.x(p[0]), self.y(p[1]))
@@ -96,14 +97,22 @@ def _text(x: float, y: float, label: str) -> str:
 
 def render_svg(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> str:
     """Schematic drawing; the returned string is a pure function of input.
+    The vertices are lifted onto their plane (``centers._lift``) and drawn
+    by :func:`_drawing`."""
+    return _drawing(sides, _lift(sides, vertices))
 
-    It reduces nothing it draws: the centers come from their Cartesian
-    frame alone, as floats of the plane that holds them, and the five radii
-    from the kernel's metric ratios, one true division each (the float
-    itself on float sides).  Each is ``float()`` of the reduced value, bit
-    for bit, and overflows as it does."""
-    frame, plane = _cartesian_frame(sides, vertices)
-    centers = {label: plane.as_floats(p) for label, p in frame.items()}
+
+def _drawing(sides: SideLengths, frame: Tuple[Any, Tuple]) -> str:
+    """The drawing of the sides on a frame, the plane and the vertices on
+    it, which the CLI lifts once per request.
+
+    It reduces nothing it draws: the vertices and the centers are floats
+    of the plane that holds them (``plane.as_floats``), and the five radii
+    come from the kernel's metric ratios, one true division each (the
+    float itself on float sides).  Each is ``float()`` of the reduced
+    value, bit for bit, and overflows as it does."""
+    plane, vertices = frame
+    centers = {label: plane.as_floats(p) for label, p in _cartesian_frame(sides, frame).items()}
     t = sides._kernel
     # R^2, then r^2 and the excircles' r_a^2, r_b^2, r_c^2.
     R_sq, *r_sqs = [t.as_float(r) for r in t.metrics()[2:7]]
@@ -111,19 +120,17 @@ def render_svg(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> s
     radius_in, *radii = map(math.sqrt, r_sqs)
     radius_ex = {f"excircle-{k}": (centers["E" + k], r) for k, r in zip("abc", radii)}
 
-    xs = [float(p.x) for p in vertices]
-    ys = [float(p.y) for p in vertices]
+    corners = [plane.as_floats(p) for p in vertices]
+    xs = [x for x, _ in corners]
+    ys = [y for _, y in corners]
     circles = ((centers["N"], radius_np), (centers["I"], radius_in), *radius_ex.values())
     for (x, y), radius in circles:
         xs.extend((x - radius, x + radius))
         ys.extend((y - radius, y + radius))
     view = fit_transform((min(xs), max(xs)), (min(ys), max(ys)))
 
-    va, vb, vc = vertices
     parts: List[str] = [_PREAMBLE]
-    points_attr = " ".join(
-        f"{_fmt(px)},{_fmt(py)}" for px, py in (view.point(va), view.point(vb), view.point(vc))
-    )
+    points_attr = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in map(view.pair, corners))
     parts.append(
         f'  <polygon id="triangle" points="{points_attr}" '
         f'fill="none" stroke="#111111" stroke-width="2"/>\n'

@@ -36,7 +36,7 @@ weight over its sum (``ratio``), the zero of a component (``zero``) and
 the kernel of other sides (``with_sides``).  So the public functions forward to the
 kernel of the sides without asking which one it is; only validation and
 the records that differ per backend (``point_on_side``,
-``barycentric_distance_sq``, ``exact_vertices``) still branch.  The
+``barycentric_distance_sq``, ``canonical_vertices``) still branch.  The
 float area uses the sorted-operand stable product form, so
 near-degenerate triangles lose precision only where the input data
 already has.
@@ -47,7 +47,8 @@ Cartesian centers and the oracle are written once and run on either
 carrier; a ``Point2`` is built only where a value leaves it.  The exact
 embedding is written once, as integer triples in the frame of
 :func:`_canonical_frame`, whose metric makes every exact triangle
-rational; :func:`exact_vertices` is its Cartesian case.
+rational; :func:`canonical_vertices` reads its Cartesian case as
+``Point2``s, and the float embedding of the sides where there is none.
 :data:`CENTER_WEIGHTS` gives all eight kernel centers as barycentric
 weights, which both kernels read when they are called.
 """
@@ -60,7 +61,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import starmap
-from typing import Any, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Any, NamedTuple, Sequence, Tuple, Union
 
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -83,7 +84,6 @@ __all__ = [
     "metrics",
     "point_on_side",
     "barycentric_distance_sq",
-    "exact_vertices",
     "canonical_vertices",
     "sides_from_vertices",
 ]
@@ -1085,18 +1085,6 @@ def _canonical_frame(t: _IntegerTriangle) -> Tuple[int, Tuple[Tuple[int, int, in
     return m, ((x // g, k // g, w), (b_x // g, 0, w), (0, 0, w))
 
 
-def exact_vertices(sides: SideLengths) -> Optional[Tuple[Point2, Point2, Point2]]:
-    """The canonical embedding over the rationals, or None for float sides
-    and for sides whose altitude is irrational: the m = 1 case of
-    :func:`_canonical_frame`."""
-    if not sides.is_exact:
-        return None
-    m, frame = sides._canonical
-    if m != 1:
-        return None
-    return tuple(Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in frame)
-
-
 def _float_embedding(a: float, b: float, c: float) -> Tuple[Pair, Pair, Pair]:
     """The canonical embedding of float sides as float pairs (A, B, C).  A
     is checked by :func:`_pair` as ``Point2`` checks it; B = (a, 0) and
@@ -1110,13 +1098,13 @@ def _float_embedding(a: float, b: float, c: float) -> Tuple[Pair, Pair, Pair]:
 
 def canonical_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:
     """Embedding with C at the origin, B on the positive x-axis, A above:
-    :func:`exact_vertices` where it exists, floats otherwise."""
-    return exact_vertices(sides) or _float_vertices(sides)
-
-
-def _float_vertices(sides: SideLengths) -> Tuple[Point2, Point2, Point2]:
-    """The canonical embedding of the sides as floats, as ``Point2``s: what
-    :func:`canonical_vertices` gives where :func:`exact_vertices` is None."""
+    over the rationals when the sides are exact and the altitude rational
+    (the m = 1 case of :func:`_canonical_frame`), as floats otherwise
+    (:func:`_float_embedding`)."""
+    if sides.is_exact:
+        m, frame = sides._canonical
+        if m == 1:
+            return tuple(Point2(Fraction(x, w), Fraction(y, w)) for x, y, w in frame)
     return tuple([Point2(x, y) for x, y in _float_embedding(*map(float, sides.as_tuple()))])
 
 

@@ -87,6 +87,30 @@ def test_exact_answer_reads_no_fraction_after_its_input(command, sides):
     assert fraction_calls(call_counts.count_calls(cli.main, argv)) == parsed
 
 
+@pytest.mark.parametrize("command", ["compute", "svg"])
+def test_exact_sides_are_lifted_without_a_fraction_or_point(monkeypatch, command):
+    # Exact sides with a rational altitude are placed on their canonical
+    # frame's integer triples: the only Fractions are the three parsed
+    # sides, and no Point2 is built.  Point2 is counted by wrapping, as in
+    # the test below.
+    from ninepoint import cli
+    from ninepoint.triangle import Point2
+
+    argv = [command, "--sides", "3,4,5"]
+    counts = call_counts.count_calls(cli.main, argv)
+    assert counts["fractions.Fraction.__new__"] == 3
+    points = Counter()
+
+    def counted(self, *args, function=Point2.__init__):
+        points["Point2"] += 1
+        function(self, *args)
+
+    monkeypatch.setattr(Point2, "__init__", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert points["Point2"] == 0
+
+
 def test_float_job_hands_the_suite_float_pairs(monkeypatch):
     # Float fuzz embeds its triangle as float pairs, so no Point2 is built
     # and none is lifted, and the tangency decision writes its bounds out:

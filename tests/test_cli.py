@@ -19,7 +19,14 @@ from golden_cases import CASES, ERROR_CASES, HELP_CASES
 from ninepoint import cli
 from ninepoint.centers import center_set
 from ninepoint.feuerbach import feuerbach_report
-from ninepoint.triangle import CENTER_WEIGHTS, SideLengths, _SquareRatio, metrics
+from ninepoint.triangle import (
+    CENTER_WEIGHTS,
+    Point2,
+    SideLengths,
+    _SquareRatio,
+    canonical_vertices,
+    metrics,
+)
 
 F = Fraction
 
@@ -470,11 +477,27 @@ def same(printed, value) -> bool:
     return isinstance(printed, float) and repr(printed) == repr(value)
 
 
+def library_vertices(triangle, sides):
+    """The vertices that the library is given for a request's triangle,
+    read from the request: the --vertices as Point2s, on the backend the
+    request names (each number is read as a Fraction first, so "-0.0" is
+    0.0 on either), and for --sides the canonical embedding, or None for
+    exact sides whose altitude is irrational."""
+    flag, text, *options = triangle
+    if flag == "--vertices":
+        exact = options == ["--backend", "exact"]
+        values = [Fraction(v) if exact else float(Fraction(v)) for v in text.split(",")]
+        return Point2(*values[0:2]), Point2(*values[2:4]), Point2(*values[4:6])
+    vertices = canonical_vertices(sides)
+    return None if sides.is_exact and not vertices[0].is_exact else vertices
+
+
 class TestAgainstLibrary:
     # Every value of a compute and a feuerbach JSON answer is the library's:
     # the metrics of metrics(sides), the centers of center_set(sides,
     # vertices) and the report of feuerbach_report(sides, tol), on the
-    # triangle the CLI reads from the request.
+    # triangle the CLI reads from the request, and on the vertices that
+    # library_vertices reads from it.
 
     def check(self, triangle):
         config = cli._resolve_input(cli._plain_request(["feuerbach", *triangle]))
@@ -482,7 +505,8 @@ class TestAgainstLibrary:
         # error of each command that reads the value.
         try:
             met = metrics(config.sides)
-            centers = center_set(config.sides, config.vertices)
+            vertices = library_vertices(triangle, config.sides)
+            centers = center_set(config.sides, vertices)
         except (ValueError, ZeroDivisionError):
             centers = None
         try:
@@ -498,9 +522,9 @@ class TestAgainstLibrary:
                 continue
             assert (code, err.getvalue()) == (0 if command == "compute" or report.ok else 3, "")
             doc = json.loads(out.getvalue())
-            if config.vertices_given:
+            if triangle[0] == "--vertices":
                 printed = [v for point in doc["input"]["vertices"] for v in point]
-                given = [v for point in config.vertices for v in (point.x, point.y)]
+                given = [v for point in vertices for v in (point.x, point.y)]
             else:
                 printed, given = doc["input"]["sides"], config.sides.as_tuple()
             assert all(map(same, printed, given))
@@ -509,7 +533,7 @@ class TestAgainstLibrary:
             assert list(rows) == list(centers.barycentric)
             for name, bary in centers.barycentric.items():
                 assert all(map(same, rows[name], bary.components)), name
-            if config.vertices is None:
+            if vertices is None:
                 assert doc["centers"]["cartesian"] is None
             else:
                 rows = doc["centers"]["cartesian"]

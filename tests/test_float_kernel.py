@@ -81,7 +81,7 @@ def test_both_kernels_define_every_method_the_suite_calls():
         centers.bisector_foot_barycentric,
         feuerbach._ninepoint_residual,
         feuerbach.feuerbach_report,
-        svg.render_svg,
+        svg._drawing,
     )
     assert names == set(MEASURED) | SHARED
     for name in names:

@@ -44,7 +44,6 @@ from ninepoint.triangle import (
     _integer_triangle,
     _IntegerTriangle,
     canonical_vertices,
-    exact_vertices,
     metrics,
 )
 
@@ -382,7 +381,7 @@ class TestSuiteFindsKernelFaults:
         # metric x^2 + m*t^2, m != 1.
         monkeypatch.setitem(CENTER_WEIGHTS, "O", CENTER_WEIGHTS["H"])
         sides, vertices = random_triangle(FuzzProfile(kind=kind, seed=1), 0)
-        assert (exact_vertices(sides) is None) == (kind == "near-degenerate")
+        assert vertices[0].is_exact == (kind != "near-degenerate")
         if on_floats:
             report = check_identity_suite(float_sides(sides), tuple(as_float(p) for p in vertices))
         else:

@@ -195,7 +195,7 @@ CASES = {
         lambda: ViewTransform(2.0, 10.0, 501.0),
     ),
     RunConfig: Case(
-        ("backend", "fmt", "tol", "out_path", "sides", "vertices", "vertices_given"),
+        ("backend", "fmt", "tol", "out_path", "sides", "frame", "vertices_given"),
         lambda: ("exact", "json", ToleranceProfile(), None, SideLengths(3, 4, 5), None, False),
         lambda: {
             "backend": "exact",
@@ -203,12 +203,12 @@ CASES = {
             "tol": ToleranceProfile(),
             "out_path": None,
             "sides": SideLengths(3, 4, 5),
-            "vertices": None,
+            "frame": None,
             "vertices_given": False,
         },
         "RunConfig(backend='exact', fmt='json', tol=ToleranceProfile(rel_eps=1e-09, "
         "abs_eps=1e-12), out_path=None, sides=SideLengths(a=Fraction(3, 1), b=Fraction(4, 1), "
-        "c=Fraction(5, 1)), vertices=None, vertices_given=False)",
+        "c=Fraction(5, 1)), frame=None, vertices_given=False)",
         lambda: RunConfig("float", "json", ToleranceProfile(), None, SideLengths(3, 4, 5), None, False),
     ),
 }

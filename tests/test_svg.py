@@ -10,7 +10,6 @@ import pytest
 from ninepoint import svg
 from ninepoint.svg import ViewTransform, fit_transform, render_svg
 from ninepoint.triangle import (
-    Point2,
     SideLengths,
     canonical_vertices,
     metrics,
@@ -32,7 +31,7 @@ class TestViewTransform:
         view = ViewTransform(scale=2.0, offset_x=10.0, offset_y=500.0)
         assert view.x(5.0) == 20.0
         assert view.y(5.0) == 490.0
-        assert view.point(Point2(5.0, 5.0)) == (20.0, 490.0)
+        assert view.pair((5.0, 5.0)) == (20.0, 490.0)
 
     def test_fit_is_uniform_and_inside(self):
         view = fit_transform((0.0, 4.0), (0.0, 2.0))
