@@ -38,9 +38,9 @@ half of ``center_set``, on a frame that is already lifted: the plane and
 the vertices on it.  The CLI lifts each request's triangle once (exact
 sides given as sides onto their canonical frame's integer triples);
 ``svg`` reads the centers as floats, and the CLI prints each point's
-``plane.coords``.  ``vertex_to_ninepoint_dist_sq`` and the bisector feet read the kernel of
-the sides (``triangle._IntegerTriangle`` or ``_FloatTriangle``) without
-asking which it is.
+``plane.coords``.  ``vertex_to_ninepoint_dist_sq`` and the bisector feet
+read the kernel of the sides (``triangle._IntegerTriangle`` or
+``_FloatTriangle``) without asking which it is.
 
 All eight come from one weight table,
 :data:`~ninepoint.triangle.CENTER_WEIGHTS`, which both kernels read
