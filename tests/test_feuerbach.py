@@ -1,6 +1,9 @@
 """Tangency engine: squared-form classification and the nine-point report."""
 
+import importlib.util
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -8,7 +11,10 @@ from hypothesis import strategies as st
 
 from ninepoint.centers import VERTICES, center_set, vertex_to_ninepoint_dist_sq
 from ninepoint.feuerbach import (
+    CIRCLES,
+    FeuerbachReport,
     Tangency,
+    TangencyReport,
     classify_tangency_sq,
     excircle_ninepoint_residual,
     feuerbach_report,
@@ -322,3 +328,83 @@ class TestFeuerbachReport:
             assert repr(entry.report) == repr(expected), entry.circle
             verdict = t.verdict(entry.circle, met._values(), vertex_n, tol)
             assert entry.report.kind is verdict[0], entry.circle
+
+
+_DIGEST_SPEC = importlib.util.spec_from_file_location(
+    "_feuerbach_output_digest", Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+)
+output_digest = importlib.util.module_from_spec(_DIGEST_SPEC)
+_DIGEST_SPEC.loader.exec_module(output_digest)
+
+radii = st.fractions(min_value=F(1, 10), max_value=10, max_denominator=30)
+float_radii_sq = st.floats(min_value=1e-6, max_value=1e6)
+
+
+def assert_residuals_are_lhs_minus_rhs(report: TangencyReport) -> None:
+    """Each residual is lhs - rhs: the same type and repr, so on floats the
+    same bits, NaN and the sign of a zero included."""
+    for rhs, residual in (
+        (report.rhs_internal, report.residual_internal),
+        (report.rhs_external, report.residual_external),
+    ):
+        want = report.lhs - rhs
+        assert type(residual) is type(want) and repr(residual) == repr(want)
+
+
+def assert_report_derives_from_its_sides(report: FeuerbachReport) -> None:
+    """The report's metrics and equilateral flag are the sides', and each
+    entry's residuals are its lhs - rhs."""
+    assert report.metrics is metrics(report.sides)
+    assert report.equilateral == report.sides.is_equilateral
+    for entry in report.entries:
+        assert_residuals_are_lhs_minus_rhs(entry.report)
+
+
+class TestDerivedFields:
+    """Every residual a report gives is its lhs - rhs, and a Feuerbach
+    report's metrics and equilateral flag are read from its sides."""
+
+    @given(flat_float_sides(), st.sampled_from([1e-6, 1e-9, 1e-12]))
+    def test_float_report(self, sides: SideLengths, rel_eps):
+        assert_report_derives_from_its_sides(feuerbach_report(sides, ToleranceProfile(rel_eps)))
+
+    @pytest.mark.parametrize("text", output_digest.EDGE_FLAT_SIDES)
+    def test_float_report_on_flat_triangles(self, text: str):
+        sides = SideLengths(*map(float, text.split(",")))
+        report = feuerbach_report(sides)
+        assert not report.ok
+        assert_report_derives_from_its_sides(report)
+
+    @given(rational_sides)
+    def test_exact_report(self, sides: SideLengths):
+        assert_report_derives_from_its_sides(feuerbach_report(sides))
+
+    @pytest.mark.parametrize("sides", [(3, 4, 5), (1, 1, 1), (F(13, 3), 4, F(15, 7)), (2, 2, 3)])
+    def test_exact_report_not_tangent(self, sides):
+        # The scaled abc is L^3 * abc; moving it by one makes every circle
+        # NotTangent.
+        sides = SideLengths(*sides)
+        t = sides._kernel
+        off = t._replace(abc=t.abc + 1)
+        for circle in CIRCLES:
+            report = TangencyReport(*off.tangency(circle, sides._metric_terms, None, None))
+            assert report.kind is Tangency.NOT_TANGENT
+            assert_residuals_are_lhs_minus_rhs(report)
+
+    @given(float_radii_sq, float_radii_sq, float_radii_sq, st.sampled_from(["free", "in", "ex"]))
+    def test_classify_floats(self, d_sq: float, r1_sq: float, r2_sq: float, where: str):
+        cross = 2.0 * math.sqrt(r1_sq * r2_sq)
+        d_sq = {"free": d_sq, "in": r1_sq + r2_sq - cross, "ex": r1_sq + r2_sq + cross}[where]
+        assert_residuals_are_lhs_minus_rhs(classify_tangency_sq(max(d_sq, 0.0), r1_sq, r2_sq))
+
+    @given(st.fractions(min_value=0, max_value=100, max_denominator=30), radii, radii)
+    def test_classify_fractions(self, d_sq: Fraction, r1: Fraction, r2: Fraction):
+        for lhs in (d_sq, (r1 - r2) ** 2, (r1 + r2) ** 2):
+            assert_residuals_are_lhs_minus_rhs(classify_tangency_sq(lhs, r1 * r1, r2 * r2))
+
+    @given(st.fractions(min_value=0, max_value=100, max_denominator=30), radii)
+    def test_classify_irrational_cross(self, d_sq: Fraction, r1: Fraction):
+        # r1^2 * 2 r1^2 has no rational root: a Fraction lhs, float rhs.
+        report = classify_tangency_sq(d_sq, r1 * r1, 2 * r1 * r1)
+        assert type(report.lhs) is Fraction and type(report.rhs_internal) is float
+        assert_residuals_are_lhs_minus_rhs(report)
