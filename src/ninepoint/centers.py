@@ -199,7 +199,7 @@ def _lift(sides: SideLengths, vertices: Tuple[Point2, Point2, Point2]) -> Tuple[
     are exact, float pairs on :class:`~ninepoint.triangle.FloatPlane`
     otherwise."""
     exact = sides.is_exact and all(p.is_exact for p in vertices)
-    plane = homogeneous.Plane() if exact else FloatPlane
+    plane = homogeneous.Plane(1) if exact else FloatPlane
     return plane, plane.lift(vertices)
 
 

@@ -158,7 +158,7 @@ def _resolve_input(args: SimpleNamespace) -> RunConfig:
         frame = _lift(sides, vertices)
     elif sides.is_exact:
         m, triples = sides._canonical
-        frame = (homogeneous.Plane(), triples) if m == 1 else None
+        frame = (homogeneous.Plane(1), triples) if m == 1 else None
     else:
         frame = _float_frame(sides)
     # Of the triangle commands, only feuerbach takes a tolerance.

@@ -25,19 +25,21 @@ computation, which the identity suite reads; and its ``tangency``, the
 fields of its :class:`TangencyReport`, from which
 :func:`feuerbach_report` builds the report of either backend; it asks
 which only to hand the float kernel the vertex-to-N distances once.  The
-residual functions here forward to the kernel the same way.  On exact sides the sides are scaled to integers, and each
-circle's two residuals are e +- 2*abc*d over 4*d^2*L^2
+residual functions here forward to the kernel the same way.  A report
+holds only what it cannot derive: its residuals are lhs - rhs, and its
+metrics and equilateral flag are read from the sides.
+
+On exact sides the sides are scaled to integers, and each circle's two
+residuals are e +- 2*abc*d over 4*d^2*L^2
 (``_IntegerTriangle.tangency_numerators``), so tangency is decided by
 testing e +- 2*abc*d for zero.  A tangent circle's report then holds
-its lhs, which is also its chosen right-hand side, unreduced, as the
-square (abc -+ P/d)^2 over 4*P*L^2 (``triangle._SquareRatio``), and its
-other residual, -+2*R*r_X, as the kernel's ratio; each becomes its
-``Fraction`` on first read, and the other right-hand side is built from
-them then.  The report's ``metrics`` is read from the sides only when
-read.  On float sides each circle's |XN|^2 is its distance
-identity (``_FloatTriangle.center_dist_sq``), and its kind and
-right-hand sides come from the float decision that
-:func:`classify_tangency_sq` makes on floats.
+both right-hand sides unreduced, as the squares (abc -+ P/d)^2 over
+4*P*L^2 (``triangle._SquareRatio``), and the chosen one, which equals
+the lhs, as its lhs too; each becomes its ``Fraction`` on first read.  On
+float sides each circle's |XN|^2 is its distance identity
+(``_FloatTriangle.center_dist_sq``), and its kind and right-hand sides
+come from the float decision that :func:`classify_tangency_sq` makes on
+floats.
 
 Tangency classification works on squared quantities only.  The cross term
 2*r1*r2 in (r1 +- r2)^2 is recovered with an exact square root of
@@ -50,8 +52,7 @@ float residuals.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from .numeric import (
     DEFAULT_TOLERANCE,
@@ -72,7 +73,7 @@ from .triangle import (
     _float_decision,
     metrics,
 )
-from .centers import VERTICES, Vertex
+from .centers import Vertex, _shift
 
 __all__ = [
     "Tangency",
@@ -87,73 +88,49 @@ __all__ = [
 ]
 
 
+def _value(field: Any) -> Scalar:
+    """A report field's value: a square ratio's ``Fraction``, else itself."""
+    return field.value() if type(field) is _SquareRatio else field
+
+
 class TangencyReport(Record):
     """Squared-distance comparison of two circles.
 
     ``lhs`` is the squared center distance; ``rhs_internal``/``rhs_external``
-    are (r1 - r2)^2 and (r1 + r2)^2.  Both residuals are carried so a
-    NotTangent outcome shows which comparison failed and by how much.
+    are (r1 - r2)^2 and (r1 + r2)^2.  Both residuals, lhs - rhs, are read
+    from them, so a NotTangent outcome shows which comparison failed and
+    by how much.
 
-    A field may be given in a form that the report builds on first read
-    and then stores: a lhs as the exact kernel's ``triangle._SquareRatio``,
-    built as its ``Fraction``; a residual as an integer ratio (num, den),
-    built as its ``Fraction``; and a right-hand side as None, built as
-    ``lhs`` minus its residual (``lhs`` itself when the residual is zero).
-    The value, and so ``==``, ``hash``, ``repr``, copy and pickle, are
-    those of the report built with all six fields.  An exact tangent
-    report from :func:`feuerbach_report` leaves all five so but its zero
-    residual.
+    A field is a value or the exact kernel's ``triangle._SquareRatio``,
+    which is read as its ``Fraction``; the two residuals of square ratios
+    over one denominator are read as one ``Fraction`` each.  The value,
+    and so ``==``, ``hash``, ``repr``, copy and pickle, are those of the
+    report built with the values.  An exact tangent report from
+    :func:`feuerbach_report` holds its three fields so.
     """
 
-    __slots__ = (
-        "kind", "_lhs", "_rhs_internal", "_rhs_external", "_residual_internal", "_residual_external"
-    )
-    _fields = (
-        "kind", "lhs", "rhs_internal", "rhs_external", "residual_internal", "residual_external"
-    )
+    __slots__ = ("kind", "_lhs", "_rhs_internal", "_rhs_external")
+    _fields = ("kind", "lhs", "rhs_internal", "rhs_external")
     kind: Tangency
 
-    def __init__(
-        self,
-        kind: Tangency,
-        lhs: Any,
-        rhs_internal: Optional[Scalar],
-        rhs_external: Optional[Scalar],
-        residual_internal: Any,
-        residual_external: Any,
-    ) -> None:
+    def __init__(self, kind: Tangency, lhs: Any, rhs_internal: Any, rhs_external: Any) -> None:
         set_field(self, "kind", kind)
         set_field(self, "_lhs", lhs)
-        if rhs_internal is not None:
-            set_field(self, "_rhs_internal", rhs_internal)
-        if rhs_external is not None:
-            set_field(self, "_rhs_external", rhs_external)
-        set_field(self, "_residual_internal", residual_internal)
-        set_field(self, "_residual_external", residual_external)
+        set_field(self, "_rhs_internal", rhs_internal)
+        set_field(self, "_rhs_external", rhs_external)
 
-    def _read(self, slot: str) -> Scalar:
-        """The field stored in ``slot``, built and stored on first read if it
-        was given in a form to build."""
-        try:
-            value = getattr(self, slot)
-        except AttributeError:  # a right-hand side given as None
-            residual = self._read("_residual" + slot[len("_rhs"):])
-            value = self.lhs - residual if residual else self.lhs
-        else:
-            if type(value) is _SquareRatio:
-                value = value.value()
-            elif type(value) is tuple:
-                value = Fraction(*value)
-            else:
-                return value
-        set_field(self, slot, value)
-        return value
+    def _residual(self, rhs: Any) -> Scalar:
+        """lhs - rhs: of two square ratios, one ``Fraction`` over their den."""
+        lhs = self._lhs
+        if type(lhs) is _SquareRatio and type(rhs) is _SquareRatio:
+            return lhs.minus(rhs)
+        return self.lhs - _value(rhs)
 
-    lhs = property(lambda self: self._read("_lhs"))
-    rhs_internal = property(lambda self: self._read("_rhs_internal"))
-    rhs_external = property(lambda self: self._read("_rhs_external"))
-    residual_internal = property(lambda self: self._read("_residual_internal"))
-    residual_external = property(lambda self: self._read("_residual_external"))
+    lhs = property(lambda self: _value(self._lhs))
+    rhs_internal = property(lambda self: _value(self._rhs_internal))
+    rhs_external = property(lambda self: _value(self._rhs_external))
+    residual_internal = property(lambda self: self._residual(self._rhs_internal))
+    residual_external = property(lambda self: self._residual(self._rhs_external))
 
     @property
     def _internal_chosen(self) -> bool:
@@ -171,7 +148,7 @@ class TangencyReport(Record):
 
     @property
     def residual(self) -> Scalar:
-        """``lhs - rhs``, read from the stored residuals."""
+        """``lhs - rhs``."""
         if self.kind is Tangency.COINCIDENT:
             return self.lhs
         return self.residual_internal if self._internal_chosen else self.residual_external
@@ -216,14 +193,7 @@ def classify_tangency_sq(
             rhs_external = r1_sq + r2_sq + 2 * cross
             # A zero rhs_internal means equal radii.
             kind = _exact_kind(d_sq, rhs_internal, rhs_external, rhs_internal == 0)
-    return TangencyReport(
-        kind=kind,
-        lhs=d_sq,
-        rhs_internal=rhs_internal,
-        rhs_external=rhs_external,
-        residual_internal=d_sq - rhs_internal,
-        residual_external=d_sq - rhs_external,
-    )
+    return TangencyReport(kind, d_sq, rhs_internal, rhs_external)
 
 
 def _kind_ok(circle: str, kind: Tangency) -> bool:
@@ -248,9 +218,7 @@ def incircle_ninepoint_residual(sides: SideLengths) -> Scalar:
 
 def excircle_ninepoint_residual(sides: SideLengths, vertex: Vertex) -> Scalar:
     """|E_xN|^2 - (R^2/4 + r_x^2 + R*r_x) for the excircle opposite a vertex."""
-    if vertex not in VERTICES:
-        raise ValueError(f"vertex must be one of ('A', 'B', 'C'), got {vertex!r}")
-    return _ninepoint_residual(sides, f"ex{vertex}")
+    return _ninepoint_residual(sides, CIRCLES[1 + _shift(vertex)])
 
 
 class FeuerbachEntry(Record):
@@ -266,32 +234,20 @@ class FeuerbachEntry(Record):
 
 
 class FeuerbachReport(Record):
-    """Tangency verdict for the incircle and all three excircles.
+    """Tangency verdict for the incircle and all three excircles; the
+    metrics and the equilateral flag are read from the sides."""
 
-    ``metrics`` given as None is read, when it is read, as the shared
-    ``metrics(sides)``; :func:`feuerbach_report` leaves it so."""
-
-    __slots__ = ("sides", "_metrics", "equilateral", "entries")
-    _fields = ("sides", "metrics", "equilateral", "entries")
+    __slots__ = _fields = ("sides", "entries")
     sides: SideLengths
-    equilateral: bool
     entries: Tuple[FeuerbachEntry, ...]
-
-    def __init__(
-        self,
-        sides: SideLengths,
-        metrics: Optional[TriangleMetrics],
-        equilateral: bool,
-        entries: Tuple[FeuerbachEntry, ...],
-    ) -> None:
-        set_field(self, "sides", sides)
-        set_field(self, "_metrics", metrics)
-        set_field(self, "equilateral", equilateral)
-        set_field(self, "entries", entries)
 
     @property
     def metrics(self) -> TriangleMetrics:
-        return self._metrics or metrics(self.sides)
+        return metrics(self.sides)
+
+    @property
+    def equilateral(self) -> bool:
+        return self.sides.is_equilateral
 
     @property
     def ok(self) -> bool:
@@ -318,9 +274,8 @@ class FeuerbachReport(Record):
 def feuerbach_report(
     sides: SideLengths, tol: ToleranceProfile = DEFAULT_TOLERANCE
 ) -> FeuerbachReport:
-    """Classify nine-point circle against incircle and the three excircles.
-    The reports are built from the kernel's metrics, and the report's
-    ``metrics`` record is read from the sides only if it is read."""
+    """Classify nine-point circle against incircle and the three excircles,
+    from the kernel's metrics."""
     t, terms = sides._kernel, sides._metric_terms
     # The float reports read the vertex-to-N distances, computed once here.
     # The exact closed forms do not, and on 200-digit sides those integer
@@ -328,8 +283,6 @@ def feuerbach_report(
     vertex_n = None if sides.is_exact else t.vertex_ninepoint_dist_sq()
     return FeuerbachReport(
         sides,
-        None,
-        sides.is_equilateral,
         tuple(
             FeuerbachEntry(circle, TangencyReport(*t.tangency(circle, terms, vertex_n, tol)))
             for circle in CIRCLES

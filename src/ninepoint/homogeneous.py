@@ -44,6 +44,7 @@ import math
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+from .record import Record
 from .triangle import Point2, Ratio
 
 __all__ = ["Triple", "Ratio", "Plane", "cross"]
@@ -75,18 +76,18 @@ def _shared_weight(a: Triple, b: Triple, c: Triple) -> int:
     return w
 
 
-class Plane:
-    """The constructions on integer triples under the metric x^2 + m*t^2.
+class Plane(Record):
+    """The constructions on integer triples under the metric x^2 + m*t^2;
+    ``Plane(1)`` is the Cartesian plane.  A plane is its m, and compares
+    by it.
 
     Scalars are integer ratios; the scalar operations (``product``,
     ``square``, ``difference``, ``quotient``, ``times``) do not read m, so
     the identity suite's own arithmetic on kernel values runs on the same
     namespace as its constructions."""
 
-    __slots__ = ("m",)
-
-    def __init__(self, m: int = 1) -> None:
-        self.m = m
+    __slots__ = _fields = ("m",)
+    m: int
 
     def lift(self, points: Sequence[Point2]) -> Tuple[Triple, ...]:
         """Exact points over one shared weight, the lcm of their denominators."""

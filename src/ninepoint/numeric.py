@@ -25,11 +25,11 @@ suite reads the pairs, or the bare floats, and builds a ``Fraction``
 only for a failed exact check's residual.  Every
 constructor and function that takes scalars reads them through
 :func:`coerce_backend`, which promotes ints and raises ``TypeError`` where
-exact and float values mix.  ``SideLengths`` and ``Point2`` first pass
-values of one exact type, float or ``Fraction``, by an exact-type test:
-a benchmark workload builds them per triangle.  The one exception to the
-rule is the constant weights of the centroid, exact on either backend;
-see ``triangle.barycentric_distance_sq``.
+exact and float values mix.  ``SideLengths`` first passes values of one
+exact type, float or ``Fraction``, by an exact-type test: a benchmark
+workload builds one per triangle.  The one exception to the rule is the
+constant weights of the centroid, exact on either backend; see
+``triangle.barycentric_distance_sq``.
 
 ``is_exact`` and ``coerce_scalar`` ask about ``float`` first.  The
 metaclass of ``Fraction`` is ``ABCMeta``, so ``isinstance(some_float,

@@ -108,10 +108,8 @@ class Point2(Record):
     y: Scalar
 
     def __init__(self, x: Scalar, y: Scalar) -> None:
-        kind = type(x)
-        if kind is not type(y) or kind is not float and kind is not Fraction:
-            (x, y), _ = coerce_backend(x, y)
-        if isinstance(x, float):
+        (x, y), exact = coerce_backend(x, y)
+        if not exact:
             x, y = _pair(x, y)
         set_field(self, "x", x)
         set_field(self, "y", y)
@@ -485,19 +483,28 @@ Ratio = Tuple[int, int]
 
 class _SquareRatio:
     """The exact value root^2 / den, unreduced, with den > 0: the form in
-    which :meth:`_IntegerTriangle.tangency` hands over a tangent lhs.  A
+    which :meth:`_IntegerTriangle.tangency` hands over both right-hand
+    sides of a tangent circle, over one den, the chosen one also as its
+    lhs.  Its ``Fraction`` is built once, on the first :meth:`value`.  A
     plain class: a ``NamedTuple`` would cost every import about 0.1 ms."""
 
-    __slots__ = ("root", "den")
+    __slots__ = ("root", "den", "_value")
 
     def __init__(self, root: int, den: int) -> None:
         self.root = root
         self.den = den
+        self._value = None
 
     def value(self) -> Fraction:
         """The public value: the ``Fraction`` of root^2 / den, one gcd on
-        the square's digits."""
-        return Fraction(self.root * self.root, self.den)
+        the square's digits, built on the first call."""
+        if self._value is None:
+            self._value = Fraction(self.root * self.root, self.den)
+        return self._value
+
+    def minus(self, other: "_SquareRatio") -> Fraction:
+        """root^2 / den minus ``other`` over the same den: one ``Fraction``."""
+        return Fraction(self.root * self.root - other.root * other.root, self.den)
 
     def reduced(self) -> Ratio:
         """Lowest terms, from gcds on the root's digits: with
@@ -639,44 +646,34 @@ class _IntegerTriangle(NamedTuple):
         kind, numerators = self.decision(circle)
         return kind, self._residual_ratio(circle, numerators)
 
-    def tangency(
-        self, circle: str, met: Tuple[Ratio, ...], vertex_n: Any, tol: Any
-    ) -> Tuple[Any, ...]:
+    def tangency(self, circle: str, met: Any, vertex_n: Any, tol: Any) -> Tuple[Any, ...]:
         """The fields of the circle's ``feuerbach.TangencyReport``: the kind,
-        lhs, the two right-hand sides and the two residuals, from
-        :meth:`decision`; ``met`` is :meth:`metrics`.  Like :meth:`verdict`,
-        it needs neither the vertex-to-N distances nor a tolerance.
+        lhs and the two right-hand sides, from :meth:`decision`.  Like
+        :meth:`verdict`, it needs neither the metrics, the vertex-to-N
+        distances nor a tolerance.
 
-        A tangent kind gives every field from closed forms.  The circle's
-        weight sum d (one of p, u, v, w) divides P = p*u*v*w, so the chosen
-        rhs (abc*d -+ P)^2 / (4*P*d^2*L^2) is (abc -+ P/d)^2 / (4*P*L^2), and
-        it equals lhs; its residual is zero.  The two residuals differ by
-        4*abc*d / (4*d^2*L^2) = 2*R*r_X, so the other one is -+2*R*r_X, twice
-        ``met``'s ratio.  Nothing large is reduced here: lhs comes back as
-        its root abc -+ P/d over 4*P*L^2 (:class:`_SquareRatio`), the other
-        residual as its ratio and both right-hand sides as None, and the
-        report builds each public value on first read.  NotTangent has no
-        identity to lean on and reduces all five fields."""
+        The circle's weight sum d (one of p, u, v, w) divides P = p*u*v*w,
+        so the right-hand sides (abc*d -+ P)^2 / (4*P*d^2*L^2) are
+        (abc -+ P/d)^2 / (4*P*L^2).  A tangent kind hands them over as
+        those squares, unreduced (:class:`_SquareRatio`), and the chosen
+        one is also the lhs, which it equals; nothing large is reduced
+        until a value is read.  NotTangent has no identity to lean on and
+        reduces its three fields."""
         kind, (e, two_abc_d, d) = self.decision(circle)
         if kind is Tangency.NOT_TANGENT:
-            den = 4 * (d * self.L) ** 2
+            den = 4 * self.P * (d * self.L) ** 2
             abc_d = self.abc * d
             rhs_internal = (abc_d - self.P) ** 2
             return (
                 kind,
-                Fraction(rhs_internal + self.P * (e + two_abc_d), self.P * den),
-                Fraction(rhs_internal, self.P * den),
-                Fraction((abc_d + self.P) ** 2, self.P * den),
-                Fraction(e + two_abc_d, den),
-                Fraction(e - two_abc_d, den),
+                Fraction(rhs_internal + self.P * (e + two_abc_d), den),
+                Fraction(rhs_internal, den),
+                Fraction((abc_d + self.P) ** 2, den),
             )
-        mixed, den = met[7 + CIRCLES.index(circle)]
-        square_den = 4 * self.P * self.L * self.L
-        if kind is Tangency.EXTERNAL_TANGENT:
-            lhs = _SquareRatio(self.abc + self.P // d, square_den)
-            return kind, lhs, None, None, (2 * mixed, den), _ZERO
-        lhs = _SquareRatio(self.abc - self.P // d, square_den)
-        return kind, lhs, None, None, _ZERO, (-2 * mixed, den)
+        square_den, P_d = 4 * self.P * self.L * self.L, self.P // d
+        internal = _SquareRatio(self.abc - P_d, square_den)
+        external = _SquareRatio(self.abc + P_d, square_den)
+        return kind, external if kind is Tangency.EXTERNAL_TANGENT else internal, internal, external
 
     def residual(self, circle: str) -> Ratio:
         """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2
@@ -849,13 +846,10 @@ class _FloatTriangle(NamedTuple):
         """The fields of the circle's ``feuerbach.TangencyReport``: |XN|^2,
         from the vertex-to-N distances ``vertex_n``, against the nine-point
         radius squared R^2/4 and r_X^2, decided by :func:`_float_decision`
-        within ``tol``, with the residuals lhs - rhs.  These are the
-        operations of ``feuerbach.classify_tangency_sq`` on the same three
-        floats."""
+        within ``tol``.  These are the operations of
+        ``feuerbach.classify_tangency_sq`` on the same three floats."""
         d_sq = self.center_dist_sq(circle, vertex_n)
-        r_sq = met[3 + CIRCLES.index(circle)]
-        kind, lhs, rhs_internal, rhs_external = _float_decision(d_sq, met[2] / 4, r_sq, tol)
-        return kind, lhs, rhs_internal, rhs_external, lhs - rhs_internal, lhs - rhs_external
+        return _float_decision(d_sq, met[2] / 4, met[3 + CIRCLES.index(circle)], tol)
 
     def residual(self, circle: str) -> float:
         """The residual of :meth:`_IntegerTriangle.residual` on float sides."""

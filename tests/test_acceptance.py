@@ -96,7 +96,7 @@ def test_criterion_03_euler_line_exact(generic_corpus):
 
 def test_criterion_04_vertex_to_ninepoint_equals_oracle(generic_corpus):
     for sides, vertices in generic_corpus:
-        plane = homogeneous.Plane()
+        plane = homogeneous.Plane(1)
         frame = cartesian_oracle(plane, *plane.lift(vertices)).frame
         for vertex in ("A", "B", "C"):
             kernel_value = vertex_to_ninepoint_dist_sq(sides, vertex)

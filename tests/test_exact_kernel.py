@@ -557,22 +557,22 @@ def reference_report(sides: SideLengths, circle: str, abc: Fraction) -> Tangency
         kind = Tangency.EXTERNAL_TANGENT
     else:
         kind = Tangency.NOT_TANGENT
-    return TangencyReport(
-        kind, lhs, rhs_internal, rhs_external, lhs - rhs_internal, lhs - rhs_external
-    )
+    return TangencyReport(kind, lhs, rhs_internal, rhs_external)
 
 
 @settings(max_examples=60, deadline=None)
 @given(big_rational_triangles())
 def test_closed_form_report_matches_reduced_numerators(sides: SideLengths):
-    """All six fields (report equality compares each) equal the reduced
-    Fractions of the reference, on the tangent kinds the closed forms serve
-    and on NotTangent, reached here by moving abc; both residual functions
-    are zero."""
+    """All four fields (report equality compares each) and both residuals
+    equal the reduced Fractions of the reference, on the tangent kinds the
+    closed forms serve and on NotTangent, reached here by moving abc; both
+    residual functions are zero."""
     a, b, c = sides.as_tuple()
     t, met = sides._kernel, metrics(sides)
     for circle, entry in zip(CIRCLES, feuerbach_report(sides).entries):
-        assert entry.report == reference_report(sides, circle, a * b * c), circle
+        want = reference_report(sides, circle, a * b * c)
+        assert entry.report == want, circle
+        assert_same_residuals(entry.report, want)
     assert incircle_ninepoint_residual(sides) == 0
     assert all(excircle_ninepoint_residual(sides, vertex) == 0 for vertex in "ABC")
     # The scaled abc is t.abc = L^3 * abc; moving it by one makes every
@@ -582,7 +582,15 @@ def test_closed_form_report_matches_reduced_numerators(sides: SideLengths):
     for circle in CIRCLES:
         got = TangencyReport(*off.tangency(circle, met._values(), None, None))
         assert got.kind is Tangency.NOT_TANGENT
-        assert got == reference_report(sides, circle, moved), circle
+        want = reference_report(sides, circle, moved)
+        assert got == want, circle
+        assert_same_residuals(got, want)
+
+
+def assert_same_residuals(got: TangencyReport, want: TangencyReport) -> None:
+    assert got.residual_internal == want.residual_internal
+    assert got.residual_external == want.residual_external
+    assert type(got.residual_internal) is type(got.residual_external) is Fraction
 
 
 def count_large_gcds(monkeypatch) -> collections.Counter:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,12 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ninepoint.centers import VERTICES, center_set, vertex_to_ninepoint_dist_sq
+from ninepoint.centers import (
+    VERTICES,
+    bisector_foot_barycentric,
+    center_set,
+    vertex_to_ninepoint_dist_sq,
+)
 from ninepoint.feuerbach import (
     CIRCLES,
     FeuerbachReport,
@@ -193,8 +199,12 @@ class TestResiduals:
         assert barycentric_distance_sq(incenter, *vertex_dist_sq, sides) == F(1, 16)
 
     def test_bad_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            excircle_ninepoint_residual(SideLengths(3, 4, 5), "Z")  # type: ignore[arg-type]
+        message = re.escape("vertex must be one of ('A', 'B', 'C'), got 'Z'")
+        for function in (
+            excircle_ninepoint_residual, vertex_to_ninepoint_dist_sq, bisector_foot_barycentric
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                function(SideLengths(3, 4, 5), "Z")  # type: ignore[arg-type]
 
     @given(rational_sides)
     def test_residuals_vanish_on_rationals(self, sides: SideLengths):

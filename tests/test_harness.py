@@ -224,7 +224,7 @@ class TestIntegerGeneration:
             _checked_integer_form(_integer_triangle(9 * 10**6, 10**6, 8 * 10**6 - 1, 10**6))
 
 
-CARTESIAN = homogeneous.Plane()
+CARTESIAN = homogeneous.Plane(1)
 
 
 def _oracle_on_exact(vertices):

@@ -2,7 +2,9 @@
 Cartesian points they stand for, with weights of either sign."""
 
 import ast
+import copy
 import inspect
+import pickle
 import textwrap
 from fractions import Fraction
 
@@ -10,10 +12,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from ninepoint import centers, harness, homogeneous
-from ninepoint.triangle import FloatPlane, Point2, SideLengths, _canonical_frame
+from ninepoint import centers, cli, harness, homogeneous
+from ninepoint.triangle import FloatPlane, Point2, SideLengths, _canonical_frame, canonical_vertices
 
-h = homogeneous.Plane()
+h = homogeneous.Plane(1)
 
 coord = st.integers(-60, 60)
 weight = st.integers(-12, 12).filter(bool)
@@ -200,3 +202,18 @@ def test_both_planes_define_every_name_the_constructions_call():
     for plane in (h, FloatPlane):
         missing = sorted(name for name in names if not hasattr(plane, name))
         assert missing == [], plane
+
+
+def test_planes_compare_by_value():
+    # A plane is its metric, so the records that hold one compare, copy
+    # and pickle by value too.
+    assert homogeneous.Plane(1) == homogeneous.Plane(1) != homogeneous.Plane(2)
+    assert hash(homogeneous.Plane(3)) == hash(homogeneous.Plane(3))
+    sides = SideLengths(3, 4, 5)
+    vertices = canonical_vertices(sides)
+    found = centers.center_set(sides, vertices)
+    assert found.plane == h and found == centers.center_set(sides, vertices)
+    for rebuild in (copy.copy, copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))):
+        assert rebuild(found) == found
+    configs = [cli._resolve_input(cli._plain_request(["compute", "--sides", "3,4,5"])) for _ in "12"]
+    assert configs[0].frame is not None and configs[0] == configs[1]

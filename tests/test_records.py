@@ -12,7 +12,9 @@ writes its own constructor or uses the one ``Record`` supplies, and an
 
 import ast
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -30,6 +32,7 @@ from ninepoint.feuerbach import (
     feuerbach_report,
 )
 from ninepoint.harness import FuzzProfile, IdentityCheck, OracleResult, SuiteReport
+from ninepoint.homogeneous import Plane
 from ninepoint.numeric import ToleranceProfile
 from ninepoint.record import Record
 from ninepoint.svg import ViewTransform
@@ -47,12 +50,12 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ninepoint"
 
 
 def _report(lhs: float = 1.0) -> TangencyReport:
-    return TangencyReport(Tangency.INTERNAL_TANGENT, lhs, lhs, 4.0, 0.0, -3.0)
+    return TangencyReport(Tangency.INTERNAL_TANGENT, lhs, lhs, 4.0)
 
 
 _REPORT_REPR = (
     "TangencyReport(kind=<Tangency.INTERNAL_TANGENT: 'internal_tangent'>, lhs=1.0, "
-    "rhs_internal=1.0, rhs_external=4.0, residual_internal=0.0, residual_external=-3.0)"
+    "rhs_internal=1.0, rhs_external=4.0)"
 )
 
 _METRIC_FIELDS = ("s", "K_sq", "R_sq", "r_sq", "rA_sq", "rB_sq", "rC_sq", "Rr", "RrA", "RrB", "RrC")
@@ -130,15 +133,13 @@ CASES = {
         hashable=False,
     ),
     TangencyReport: Case(
-        ("kind", "lhs", "rhs_internal", "rhs_external", "residual_internal", "residual_external"),
-        lambda: (Tangency.INTERNAL_TANGENT, 1.0, 1.0, 4.0, 0.0, -3.0),
+        ("kind", "lhs", "rhs_internal", "rhs_external"),
+        lambda: (Tangency.INTERNAL_TANGENT, 1.0, 1.0, 4.0),
         lambda: {
             "kind": Tangency.INTERNAL_TANGENT,
             "lhs": 1.0,
             "rhs_internal": 1.0,
             "rhs_external": 4.0,
-            "residual_internal": 0.0,
-            "residual_external": -3.0,
         },
         _REPORT_REPR,
         lambda: _report(2.0),
@@ -151,18 +152,15 @@ CASES = {
         lambda: FeuerbachEntry("exA", _report()),
     ),
     FeuerbachReport: Case(
-        ("sides", "metrics", "equilateral", "entries"),
-        lambda: (SideLengths(3, 4, 5), _metrics(), False, (FeuerbachEntry("incircle", _report()),)),
+        ("sides", "entries"),
+        lambda: (SideLengths(3, 4, 5), (FeuerbachEntry("incircle", _report()),)),
         lambda: {
-            "sides": SideLengths(3, 4, 5),
-            "metrics": _metrics(),
-            "equilateral": False,
             "entries": (FeuerbachEntry("incircle", _report()),),
+            "sides": SideLengths(3, 4, 5),
         },
         "FeuerbachReport(sides=SideLengths(a=Fraction(3, 1), b=Fraction(4, 1), "
-        f"c=Fraction(5, 1)), metrics={_METRICS_REPR}, equilateral=False, "
-        f"entries=(FeuerbachEntry(circle='incircle', report={_REPORT_REPR}),))",
-        lambda: FeuerbachReport(SideLengths(3, 4, 5), _metrics(), True, ()),
+        f"c=Fraction(5, 1)), entries=(FeuerbachEntry(circle='incircle', report={_REPORT_REPR}),))",
+        lambda: FeuerbachReport(SideLengths(3, 4, 5), ()),
     ),
     FuzzProfile: Case(
         ("kind", "count", "seed", "magnitude_bound"),
@@ -193,6 +191,13 @@ CASES = {
         lambda: {"offset_y": 500.0, "scale": 2.0, "offset_x": 10.0},
         "ViewTransform(scale=2.0, offset_x=10.0, offset_y=500.0)",
         lambda: ViewTransform(2.0, 10.0, 501.0),
+    ),
+    Plane: Case(
+        ("m",),
+        lambda: (1,),
+        lambda: {"m": 1},
+        "Plane(m=1)",
+        lambda: Plane(2),
     ),
     RunConfig: Case(
         ("backend", "fmt", "tol", "out_path", "sides", "frame", "vertices_given"),
@@ -229,7 +234,15 @@ PARAMS.append(pytest.param(SuiteReport, SUITE_REPORT_FROM_ROWS, id="SuiteReport-
 
 
 def test_every_record_class_is_covered():
-    assert len(CASES) == 14
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        importlib.import_module(f"ninepoint.{info.name}")
+    records, stack = set(), [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("ninepoint."):
+                records.add(cls)
+    assert records == set(CASES)
 
 
 @pytest.mark.parametrize("cls, case", PARAMS)
@@ -345,26 +358,24 @@ def test_suite_report_verdicts_agree_on_a_failing_check():
 
 
 @pytest.mark.parametrize(
-    "index, unread, full",
+    "index, chosen, full",
     [
-        (0, "_rhs_external", TangencyReport(
-            Tangency.INTERNAL_TANGENT, F(1, 16), F(1, 16), F(81, 16), F(0), F(-5))),
-        (1, "_rhs_internal", TangencyReport(
-            Tangency.EXTERNAL_TANGENT, F(169, 16), F(9, 16), F(169, 16), F(10), F(0))),
+        (0, "_rhs_internal", TangencyReport(
+            Tangency.INTERNAL_TANGENT, F(1, 16), F(1, 16), F(81, 16))),
+        (1, "_rhs_external", TangencyReport(
+            Tangency.EXTERNAL_TANGENT, F(169, 16), F(9, 16), F(169, 16))),
     ],
     ids=["incircle", "exA"],
 )
-def test_exact_report_with_rhs_built_on_read(index, unread, full):
-    # An exact tangent report of the 3-4-5 triangle holds its lhs as the
-    # kernel's square ratio and its unchosen residual as the kernel's ratio,
-    # and stores both rhs only when they are read; every record operation
-    # sees the value the report built with all six fields holds.
-    residual = "_residual_internal" if unread == "_rhs_internal" else "_residual_external"
-
+def test_exact_report_with_rhs_built_on_read(index, chosen, full):
+    # An exact tangent report of the 3-4-5 triangle holds both rhs as the
+    # kernel's square ratios, the chosen one also as its lhs, and builds
+    # each value when it is read; every record operation sees the value
+    # the report built with the values holds.
     def fresh() -> TangencyReport:
         report = feuerbach_report(SideLengths(3, 4, 5)).entries[index].report
-        assert not hasattr(report, "_rhs_internal") and not hasattr(report, "_rhs_external")
-        assert type(report._lhs) is _SquareRatio and type(getattr(report, residual)) is tuple
+        assert type(report._rhs_internal) is type(report._rhs_external) is _SquareRatio
+        assert report._lhs is getattr(report, chosen)
         return report
 
     assert fresh() == full and full == fresh() and not fresh() != full
@@ -377,8 +388,10 @@ def test_exact_report_with_rhs_built_on_read(index, unread, full):
     assert tuple(getattr(report, name) for name in fields) == tuple(
         getattr(full, name) for name in fields
     )
-    assert getattr(report, unread[1:]) is getattr(report, unread[1:])
-    for name in fields:
+    assert report.rhs is report.lhs is getattr(report, chosen[1:])
+    residuals = ("residual_internal", "residual_external")
+    assert [getattr(report, name) for name in residuals] == [getattr(full, name) for name in residuals]
+    for name in fields + residuals:
         with pytest.raises(AttributeError):
             setattr(report, name, F(0))
         with pytest.raises(AttributeError):
@@ -387,14 +400,12 @@ def test_exact_report_with_rhs_built_on_read(index, unread, full):
 
 
 def test_exact_feuerbach_report_with_fields_built_on_read():
-    # A report whose metrics, lhs, residuals and right-hand sides were never
-    # read is, to every record operation, the report built with all of them.
+    # A report whose lhs and right-hand sides were never read is, to every
+    # record operation, the report built with their values.
     sides = SideLengths(F(13, 3), 4, F(15, 7))
     built = feuerbach_report(sides)
     full = FeuerbachReport(
         sides,
-        metrics(sides),
-        False,
         tuple(
             FeuerbachEntry(entry.circle, TangencyReport(
                 *(getattr(entry.report, name) for name in CASES[TangencyReport].fields)
@@ -405,7 +416,6 @@ def test_exact_feuerbach_report_with_fields_built_on_read():
 
     def fresh() -> FeuerbachReport:
         report = feuerbach_report(sides)
-        assert report._metrics is None
         assert all(type(entry.report._lhs) is _SquareRatio for entry in report.entries)
         return report
 
@@ -415,7 +425,7 @@ def test_exact_feuerbach_report_with_fields_built_on_read():
     for rebuild in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
         assert rebuild(fresh()) == full
     report = fresh()
-    assert report.metrics is metrics(sides)
+    assert report.metrics is metrics(sides) and not report.equilateral
     assert [entry.report.lhs for entry in report.entries] == [
         entry.report.lhs for entry in full.entries
     ]
