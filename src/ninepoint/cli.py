@@ -198,8 +198,11 @@ def _exact_token(value: Union[Fraction, Ratio]) -> str:
             g = math.gcd(num, den)
             if den < 0:
                 g = -g
-            return f'"{num // g}/{den // g}"'
-        num, den = value.as_integer_ratio()
+            num, den = num // g, den // g
+        else:
+            num, den = value.as_integer_ratio()
+        if num.bit_length() > _HALVING_BITS or den.bit_length() > _HALVING_BITS:
+            return f'"{_digits(num)}/{_digits(den)}"'
         return f'"{num}/{den}"'
     except ValueError:
         raise _too_long() from None
@@ -214,10 +217,44 @@ def _square_token(value: _SquareRatio, digits: Dict[int, str]) -> str:
         num, den = value.reduced()
         text = digits.get(den)
         if text is None:
-            text = digits[den] = str(den)
-        return f'"{num}/{text}"'
+            text = digits[den] = str(den) if den.bit_length() <= _HALVING_BITS else _digits(den)
+        if num.bit_length() <= _HALVING_BITS:
+            return f'"{num}/{text}"'
+        return f'"{_digits(num)}/{text}"'
     except ValueError:
         raise _too_long() from None
+
+
+# CPython's int-to-str takes time quadratic in the digits.  An integer of
+# more than this many bits (about 1,200 digits) is split at a power of ten
+# near half its digits, and each half converted the same way: from there
+# the split is faster than ``str`` (Brent and Zimmermann, Modern Computer
+# Arithmetic, 1.7).  The powers are kept: 10^k for k a multiple of 256,
+# and 10^limit, the least integer over the int-to-str limit.
+_HALVING_BITS = 4000
+_TEN_TO: Dict[int, int] = {}
+_LOG10_2 = math.log10(2)
+
+
+def _digits(n: int) -> str:
+    """``str(n)``, raising the ``ValueError`` that ``str`` raises, on the
+    same integers: those with more digits than the interpreter's int-to-str
+    limit, checked before any split."""
+    if n.bit_length() <= _HALVING_BITS:
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(n) >= (_TEN_TO.get(limit) or _TEN_TO.setdefault(limit, 10**limit)):
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion")
+    return "-" + _halves(-n) if n < 0 else _halves(n)
+
+
+def _halves(n: int) -> str:
+    """The digits of n >= 0, splitting it at 10^k while it is long."""
+    if n.bit_length() <= _HALVING_BITS:
+        return str(n)
+    k = 256 * round(n.bit_length() * _LOG10_2 / 512)
+    high, low = divmod(n, _TEN_TO.get(k) or _TEN_TO.setdefault(k, 10**k))
+    return _halves(high) + _halves(low).zfill(k)
 
 
 def _too_long() -> ValueError:

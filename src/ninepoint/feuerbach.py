@@ -23,21 +23,26 @@ kernel of its sides (``triangle._IntegerTriangle`` and
 ``residual``; its ``verdict``, the kind and the residual from one
 computation, which the identity suite reads; and its ``tangency``, the
 fields of its :class:`TangencyReport`, from which
-:func:`feuerbach_report` builds the report of either backend; it asks
-which only to hand the float kernel the vertex-to-N distances once.  The
-residual functions here forward to the kernel the same way.  A report
+:func:`feuerbach_report` builds the report of either backend from the
+kernel's ``circle_terms``, what the four circles share, computed once per
+report; it asks which backend only to read the metrics on float sides.
+The residual functions here forward to the kernel the same way.  A report
 holds only what it cannot derive: its residuals are lhs - rhs, and its
 metrics and equilateral flag are read from the sides.
 
 On exact sides the sides are scaled to integers, and each circle's two
 residuals are e +- 2*abc*d over 4*d^2*L^2
 (``_IntegerTriangle.tangency_numerators``), so tangency is decided by
-testing e +- 2*abc*d for zero.  A tangent circle's report then holds
+testing e +- 2*abc*d for zero.  Each circle's e is a signed sum of six
+products that the four circles share (``_IntegerTriangle.circle_terms``:
+a*S_A, b*S_B, c*S_C, abc*a, abc*b and abc*c), with signs read from its
+center's weights.  A tangent circle's report then holds
 both right-hand sides unreduced, as the squares (abc -+ P/d)^2 over
 4*P*L^2 (``triangle._SquareRatio``), and the chosen one, which equals
 the lhs, as its lhs too; each becomes its ``Fraction`` on first read.  On
 float sides each circle's |XN|^2 is its distance identity
-(``_FloatTriangle.center_dist_sq``), and its kind and right-hand sides
+(``_FloatTriangle.center_dist_sq``) with the vertex-to-N distances, the
+float kernel's circle terms, and its kind and right-hand sides
 come from the float decision that :func:`classify_tangency_sq` makes on
 floats.
 
@@ -275,16 +280,17 @@ def feuerbach_report(
     sides: SideLengths, tol: ToleranceProfile = DEFAULT_TOLERANCE
 ) -> FeuerbachReport:
     """Classify nine-point circle against incircle and the three excircles,
-    from the kernel's metrics."""
-    t, terms = sides._kernel, sides._metric_terms
-    # The float reports read the vertex-to-N distances, computed once here.
-    # The exact closed forms do not, and on 200-digit sides those integer
-    # products would cost about 6% of the report.
-    vertex_n = None if sides.is_exact else t.vertex_ninepoint_dist_sq()
+    from the kernel's circle terms and, on float sides, its metrics."""
+    t = sides._kernel
+    # Only the float reports read the metrics; the exact closed forms read
+    # none, and building them on exact sides costs products and a gcd on
+    # the sides' digits.
+    met = None if sides.is_exact else sides._metric_terms
+    terms = t.circle_terms()
     return FeuerbachReport(
         sides,
         tuple(
-            FeuerbachEntry(circle, TangencyReport(*t.tangency(circle, terms, vertex_n, tol)))
+            FeuerbachEntry(circle, TangencyReport(*t.tangency(circle, met, terms, tol)))
             for circle in CIRCLES
         ),
     )

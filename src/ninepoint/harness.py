@@ -44,8 +44,9 @@ point on one plane.
 
 The suite reads the kernel of the sides under the same method names on
 both backends (``metrics``, ``vertex_ninepoint_dist_sq``, ``circumdot``,
-``side_point``, ``distance_sq``, each circle's ``verdict`` and
-``residual``, and ``with_sides`` for the scaled and rotated triangles),
+``side_point``, ``distance_sq``, ``circle_terms``, each circle's
+``verdict`` and ``residual``, and ``with_sides`` for the scaled and
+rotated triangles),
 so only its plane, its vertices, its tolerance, its scalar constants and
 the rule that checks a comparison are chosen per backend.  It unpacks
 the metrics tuple rather than building a ``TriangleMetrics``, and it
@@ -54,7 +55,8 @@ vertex-to-O and vertex-to-N distances, and the three side lines serve
 every row that reads them.  On exact
 sides it reads the integer kernel (``triangle._IntegerTriangle``, whose
 verdict takes a circle's kind and residual from one
-``tangency_numerators`` triple), whose every value is an unreduced
+``tangency_numerators`` triple, built on the products that the four
+circles share), whose every value is an unreduced
 integer ratio (num, den); the scaled and rotated triangles are integer
 forms over the same L.  Its own arithmetic on those values (the
 metric products such as 16 R^2 K^2 against (abc)^2, the squared sides,
@@ -567,10 +569,12 @@ def check_identity_suite(
         root = math.sqrt
     met = kernel.metrics()
     vertex_n = kernel.vertex_ninepoint_dist_sq()
+    # What the four circles share; on float sides, the distances above.
+    terms = kernel.circle_terms() if exact else vertex_n
     # Each circle's kind and residual come from one computation, made
     # before the first check, so a value the float kind decision refuses
     # raises before the embedding is compared.
-    verdicts = [kernel.verdict(circle, met, vertex_n, suite_tol) for circle in CIRCLES]
+    verdicts = [kernel.verdict(circle, met, terms, suite_tol) for circle in CIRCLES]
     # The fields of TriangleMetrics, in order, from the kernel's tuple.
     s, K_sq, R_sq, r_sq, rA_sq, rB_sq, rC_sq, Rr = met[:8]
     va, vb, vc = lifted

@@ -611,57 +611,80 @@ class _IntegerTriangle(NamedTuple):
         with |BX| = bx and |CX| = cx."""
         return (cx[0] * self.L, cx[1] * self.a), (bx[0] * self.L, bx[1] * self.a)
 
-    def tangency_numerators(self, circle: str) -> Tuple[int, int, int]:
+    def circle_terms(self) -> Tuple[int, ...]:
+        """What the four circles' numerators share, computed once per
+        triangle: with Conway's S_A = b^2 + c^2 - a^2 (and cyclic), the six
+        products a*S_A, b*S_B, c*S_C, abc*a, abc*b and abc*c, then the
+        right-hand sides' denominator 4*P*L^2.  Every circle center's
+        weights are (+-a, +-b, +-c), so its q1 and q2
+        (:meth:`tangency_numerators`) are signed sums of the six.  Here abc
+        is the product of the sides, as the distance identity reads it."""
+        a, b, c = self.a, self.b, self.c
+        a_sq, b_sq, c_sq = a * a, b * b, c * c
+        abc = a * b * c
+        return (
+            a * (b_sq + c_sq - a_sq), b * (c_sq + a_sq - b_sq), c * (a_sq + b_sq - c_sq),
+            abc * a, abc * b, abc * c,
+            4 * self.P * self.L * self.L,
+        )
+
+    def tangency_numerators(self, circle: str, terms: Any) -> Tuple[int, int, int]:
         """e, 2*abc*d and d of the circle with center X and radius r_X, where
         d is its weight sum: over 4*d^2*L^2, e + 2*abc*d is the residual
         |XN|^2 - (R/2 - r_X)^2 and e - 2*abc*d is |XN|^2 - (R/2 + r_X)^2.
+        ``terms`` is :meth:`circle_terms`.
 
         With |AN|^2 = (R^2 - a^2 + b^2 + c^2)/4 and cyclic, R^2 = (abc)^2/P and
         weights x/d summing to 1, the barycentric distance identity gives
-        |XN|^2 = R^2/4 + q1/(4d) - q2/d^2; the radii satisfy R/2 -+ r_X =
-        (abc*d -+ P) / (2d*sqrt(P)), with the minus sign for the incircle.  So
-        over 4*P*d^2*L^2 the numerators of |XN|^2 and (R/2 -+ r_X)^2 are
-        (abc*d)^2 + P*(d*q1 - 4*q2) and (abc*d -+ P)^2; their difference is
-        P*(e +- 2*abc*d) with e = d*q1 - 4*q2 - P, and P cancels.
+        |XN|^2 = R^2/4 + q1/(4d) - q2/d^2, with q1 = x_a*S_A + x_b*S_B +
+        x_c*S_C and q2 = x_b*x_c*a^2 + x_c*x_a*b^2 + x_a*x_b*c^2; the radii
+        satisfy R/2 -+ r_X = (abc*d -+ P) / (2d*sqrt(P)), with the minus sign
+        for the incircle.  So over 4*P*d^2*L^2 the numerators of |XN|^2 and
+        (R/2 -+ r_X)^2 are (abc*d)^2 + P*(d*q1 - 4*q2) and (abc*d -+ P)^2;
+        their difference is P*(e +- 2*abc*d) with e = d*q1 - 4*q2 - P, and
+        P cancels.  The weights are (s_a*a, s_b*b, s_c*c) with signs read
+        from the center's CENTER_WEIGHTS entry when called, so x_a*S_A is
+        s_a*(a*S_A) and x_b*x_c*a^2 is s_b*s_c*(abc*a).
         """
-        a, b, c = self.a, self.b, self.c
-        (x_a, x_b, x_c), d = CENTER_WEIGHTS[_CENTER_OF[circle]](a, b, c)
-        a_sq, b_sq, c_sq = a * a, b * b, c * c
-        q1 = x_a * (-a_sq + b_sq + c_sq) + x_b * (a_sq - b_sq + c_sq) + x_c * (a_sq + b_sq - c_sq)
-        q2 = x_b * x_c * a_sq + x_c * x_a * b_sq + x_a * x_b * c_sq
+        (s_a, s_b, s_c), _ = CENTER_WEIGHTS[_CENTER_OF[circle]](1, 1, 1)
+        a_s_a, b_s_b, c_s_c, abc_a, abc_b, abc_c, _ = terms
+        d = s_a * self.a + s_b * self.b + s_c * self.c
+        q1 = s_a * a_s_a + s_b * b_s_b + s_c * c_s_c
+        q2 = s_b * s_c * abc_a + s_c * s_a * abc_b + s_a * s_b * abc_c
         return d * q1 - 4 * q2 - self.P, 2 * self.abc * d, d
 
-    def decision(self, circle: str) -> Tuple["Tangency", Tuple[int, int, int]]:
+    def decision(self, circle: str, terms: Any) -> Tuple["Tangency", Tuple[int, int, int]]:
         """The circle's exact kind, decided on its numerators: |XN|^2 equals
         (R/2 - r_X)^2 exactly when e = -2*abc*d, (R/2 + r_X)^2 when
         e = 2*abc*d, and the radii are equal when abc*d = P; and the
         numerators."""
-        numerators = e, two_abc_d, _ = self.tangency_numerators(circle)
+        numerators = e, two_abc_d, _ = self.tangency_numerators(circle, terms)
         return _exact_kind(e, -two_abc_d, two_abc_d, two_abc_d == 2 * self.P), numerators
 
-    def verdict(self, circle: str, met: Any, vertex_n: Any, tol: Any) -> Tuple["Tangency", Ratio]:
+    def verdict(self, circle: str, met: Any, terms: Any, tol: Any) -> Tuple["Tangency", Ratio]:
         """The circle's kind and its :meth:`residual`, from one numerator
-        triple; exact sides need neither the metrics, the vertex-to-N
-        distances nor a tolerance."""
-        kind, numerators = self.decision(circle)
+        triple and the triangle's :meth:`circle_terms`; exact sides need
+        neither the metrics nor a tolerance."""
+        kind, numerators = self.decision(circle, terms)
         return kind, self._residual_ratio(circle, numerators)
 
-    def tangency(self, circle: str, met: Any, vertex_n: Any, tol: Any) -> Tuple[Any, ...]:
+    def tangency(self, circle: str, met: Any, terms: Any, tol: Any) -> Tuple[Any, ...]:
         """The fields of the circle's ``feuerbach.TangencyReport``: the kind,
-        lhs and the two right-hand sides, from :meth:`decision`.  Like
-        :meth:`verdict`, it needs neither the metrics, the vertex-to-N
-        distances nor a tolerance.
+        lhs and the two right-hand sides, from :meth:`decision` on the
+        triangle's :meth:`circle_terms`.  Like :meth:`verdict`, it needs
+        neither the metrics nor a tolerance.
 
         The circle's weight sum d (one of p, u, v, w) divides P = p*u*v*w,
         so the right-hand sides (abc*d -+ P)^2 / (4*P*d^2*L^2) are
-        (abc -+ P/d)^2 / (4*P*L^2).  A tangent kind hands them over as
-        those squares, unreduced (:class:`_SquareRatio`), and the chosen
-        one is also the lhs, which it equals; nothing large is reduced
-        until a value is read.  NotTangent has no identity to lean on and
-        reduces its three fields."""
-        kind, (e, two_abc_d, d) = self.decision(circle)
+        (abc -+ P/d)^2 / (4*P*L^2), whose denominator the terms carry.  A
+        tangent kind hands them over as those squares, unreduced
+        (:class:`_SquareRatio`), and the chosen one is also the lhs, which
+        it equals; nothing large is reduced until a value is read.
+        NotTangent has no identity to lean on and reduces its three
+        fields."""
+        kind, (e, two_abc_d, d) = self.decision(circle, terms)
         if kind is Tangency.NOT_TANGENT:
-            den = 4 * self.P * (d * self.L) ** 2
+            den = terms[6] * d * d
             abc_d = self.abc * d
             rhs_internal = (abc_d - self.P) ** 2
             return (
@@ -670,7 +693,7 @@ class _IntegerTriangle(NamedTuple):
                 Fraction(rhs_internal, den),
                 Fraction((abc_d + self.P) ** 2, den),
             )
-        square_den, P_d = 4 * self.P * self.L * self.L, self.P // d
+        square_den, P_d = terms[6], self.P // d
         internal = _SquareRatio(self.abc - P_d, square_den)
         external = _SquareRatio(self.abc + P_d, square_den)
         return kind, external if kind is Tangency.EXTERNAL_TANGENT else internal, internal, external
@@ -678,7 +701,7 @@ class _IntegerTriangle(NamedTuple):
     def residual(self, circle: str) -> Ratio:
         """|XN|^2 - (R/2 - r_X)^2 for the incircle, |XN|^2 - (R/2 + r_X)^2
         for an excircle: the comparison Feuerbach's theorem makes exact."""
-        return self._residual_ratio(circle, self.tangency_numerators(circle))
+        return self._residual_ratio(circle, self.tangency_numerators(circle, self.circle_terms()))
 
     def _residual_ratio(self, circle: str, numerators: Tuple[int, int, int]) -> Ratio:
         """(e + 2*abc*d) / (4*d^2*L^2) for the incircle, e - 2*abc*d over
@@ -823,6 +846,10 @@ class _FloatTriangle(NamedTuple):
         weighted = alpha * m_a + beta * m_b + gamma * m_c
         return weighted - (bc * (a * a) + ca * (b * b) + ab * (c * c))
 
+    def circle_terms(self) -> Tuple[float, float, float]:
+        """What the four circles' |XN|^2 share: the vertex-to-N distances."""
+        return self.vertex_ninepoint_dist_sq()
+
     def center_dist_sq(self, circle: str, vertex_n: Tuple[float, float, float]) -> float:
         """|XN|^2 for the circle's center X, by the barycentric distance
         identity with the vertex-to-N distances; the weights are read from
@@ -831,24 +858,24 @@ class _FloatTriangle(NamedTuple):
         return self.distance_sq(*weights, vertex_n, 1)
 
     def verdict(
-        self, circle: str, met: Tuple[float, ...], vertex_n: Tuple[float, float, float], tol: Any
+        self, circle: str, met: Tuple[float, ...], terms: Tuple[float, float, float], tol: Any
     ) -> Tuple["Tangency", float]:
         """The circle's kind, as :meth:`tangency` decides it within ``tol``,
         and its :meth:`residual`, from one |XN|^2."""
         k = CIRCLES.index(circle)
-        d_sq = self.center_dist_sq(circle, vertex_n)
+        d_sq = self.center_dist_sq(circle, terms)
         kind = _float_decision(d_sq, met[2] / 4, met[3 + k], tol)[0]
         return kind, self._residual_from(k, d_sq, met)
 
     def tangency(
-        self, circle: str, met: Tuple[float, ...], vertex_n: Tuple[float, float, float], tol: Any
+        self, circle: str, met: Tuple[float, ...], terms: Tuple[float, float, float], tol: Any
     ) -> Tuple[Any, ...]:
         """The fields of the circle's ``feuerbach.TangencyReport``: |XN|^2,
-        from the vertex-to-N distances ``vertex_n``, against the nine-point
-        radius squared R^2/4 and r_X^2, decided by :func:`_float_decision`
-        within ``tol``.  These are the operations of
-        ``feuerbach.classify_tangency_sq`` on the same three floats."""
-        d_sq = self.center_dist_sq(circle, vertex_n)
+        from the vertex-to-N distances ``terms`` (:meth:`circle_terms`),
+        against the nine-point radius squared R^2/4 and r_X^2, decided by
+        :func:`_float_decision` within ``tol``.  These are the operations
+        of ``feuerbach.classify_tangency_sq`` on the same three floats."""
+        d_sq = self.center_dist_sq(circle, terms)
         return _float_decision(d_sq, met[2] / 4, met[3 + CIRCLES.index(circle)], tol)
 
     def residual(self, circle: str) -> float:

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -29,6 +30,12 @@ from ninepoint.triangle import (
 )
 
 F = Fraction
+ROOT = Path(__file__).resolve().parent.parent
+_DIGEST_SPEC = importlib.util.spec_from_file_location(
+    "_cli_output_digest", ROOT / "tools" / "output_digest.py"
+)
+output_digest = importlib.util.module_from_spec(_DIGEST_SPEC)
+_DIGEST_SPEC.loader.exec_module(output_digest)
 
 
 def run(capsys, *argv: str):
@@ -633,6 +640,67 @@ class TestOutputDigitLimit:
                      "7_" * limit + "7"):
             with pytest.raises(ValueError, match=f"more than {limit} digits"):
                 cli._parse_scalar(text, "exact")
+
+
+def outcome(convert, n: int):
+    """``convert(n)``, or ``ValueError`` when it raises one."""
+    try:
+        return convert(n)
+    except ValueError:
+        return ValueError
+
+
+class TestDigitWriter:
+    """``cli._digits`` writes an integer of more than ``cli._HALVING_BITS``
+    bits by halving it at powers of ten; it must write what ``str`` writes
+    and raise where ``str`` raises."""
+
+    @pytest.mark.parametrize("limit", [None, 640, 0], ids=["default", "640", "unlimited"])
+    def test_is_str_on_every_digit_count(self, limit):
+        # Every digit count up to one past the limit (the default one when
+        # there is none), both signs, 10^k and 10^k - 1 included; and a few
+        # integers far beyond it.
+        saved = sys.get_int_max_str_digits()
+        try:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+            top = (sys.get_int_max_str_digits() or saved) + 1
+            rng = random.Random(top)
+            power = 1  # 10^(d - 1)
+            for d in range(1, top + 1):
+                for n in (power, 10 * power - 1):
+                    for signed in (n, -n):
+                        assert outcome(cli._digits, signed) == outcome(str, signed), (d, signed)
+                power *= 10
+            for d in (5000, 9000):
+                n = rng.randrange(10 ** (d - 1), 10**d)
+                assert outcome(cli._digits, n) == outcome(str, n), d
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert sys.get_int_max_str_digits() == saved
+
+    def test_halving_starts_past_the_threshold(self, monkeypatch):
+        # At the threshold str writes the digits; one bit past it the split
+        # does, at a power of ten 10^k, k a multiple of 256, that it keeps
+        # beside 10^limit.
+        monkeypatch.setattr(cli, "_TEN_TO", {})
+        bits = cli._HALVING_BITS
+        assert cli._digits(2**bits - 1) == str(2**bits - 1) and not cli._TEN_TO
+        for n in (2**bits, 2**bits + 1):
+            assert cli._digits(n) == str(n)
+        limit = sys.get_int_max_str_digits()
+        assert cli._TEN_TO.pop(limit) == 10**limit
+        assert list(cli._TEN_TO) == [512]
+
+    def test_power_cache_after_the_digest_requests(self, monkeypatch):
+        # The digest's default requests print integers up to the default
+        # limit; the powers of ten they split at stay at most 9.
+        monkeypatch.setattr(cli, "_TEN_TO", {})
+        monkeypatch.setenv("COLUMNS", output_digest.COLUMNS)
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        for _ in output_digest.run(output_digest.request_set(0, 100), ROOT):
+            pass
+        assert 0 < len(cli._TEN_TO) <= 9
 
 
 class TestBeyondFloatRange:

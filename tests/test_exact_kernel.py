@@ -78,9 +78,10 @@ def test_tangency_numerators_are_polynomial_identities():
     sympy = pytest.importorskip("sympy")
     a, b, c, L = sympy.symbols("a b c L", positive=True)
     t = _integer_triangle(a, b, c, L)
+    terms = t.circle_terms()
     R_sq, closed = symbolic_closed_forms(sympy, a, b, c, L)
     for circle, (dist_sq, radius_sq, mixed) in closed.items():
-        e, two_abc_d, d = t.tangency_numerators(circle)
+        e, two_abc_d, d = t.tangency_numerators(circle, terms)
         assert sympy.expand(two_abc_d - 2 * a * b * c * d) == 0, circle
         den = 4 * t.P * d**2 * L**2
         base = R_sq / 4 + radius_sq
@@ -99,11 +100,14 @@ def test_tangency_numerators_are_polynomial_identities():
 
 def test_cancelled_closed_forms_are_polynomial_identities():
     """The weight sum d of each circle divides P; (R/2 -+ r_X)^2 is
-    (abc -+ P/d)^2 / (4*P*L^2); and the two residuals differ by 2*R*r_X."""
+    (abc -+ P/d)^2 / (4*P*L^2), the denominator the circle terms carry; and
+    the two residuals differ by 2*R*r_X."""
     sympy = pytest.importorskip("sympy")
     a, b, c, L = sympy.symbols("a b c L", positive=True)
     t = _integer_triangle(a, b, c, L)
     abc, P = t.abc, sympy.expand(t.P)
+    terms = t.circle_terms()
+    assert sympy.expand(terms[6] - 4 * P * L**2) == 0
     R_sq, closed = symbolic_closed_forms(sympy, a, b, c, L)
     for circle, (_, d) in center_weights(a, b, c).items():
         _, radius_sq, mixed = closed[circle]
@@ -112,9 +116,43 @@ def test_cancelled_closed_forms_are_polynomial_identities():
         base = R_sq / 4 + radius_sq
         assert sympy.cancel((abc - P_over_d) ** 2 / (4 * P * L**2) - (base - mixed)) == 0
         assert sympy.cancel((abc + P_over_d) ** 2 / (4 * P * L**2) - (base + mixed)) == 0
-        e, two_abc_d, _ = t.tangency_numerators(circle)
+        e, two_abc_d, _ = t.tangency_numerators(circle, terms)
         residual_gap = ((e + two_abc_d) - (e - two_abc_d)) / (4 * d**2 * L**2)
         assert sympy.cancel(residual_gap - 2 * mixed) == 0, circle
+
+
+def per_circle_numerators(t, circle: str):
+    """The reference: e, 2*abc*d and d of one circle from its own weights,
+    every product formed for that circle alone."""
+    a, b, c = t.a, t.b, t.c
+    (x_a, x_b, x_c), d = center_weights(a, b, c)[circle]
+    a_sq, b_sq, c_sq = a * a, b * b, c * c
+    q1 = x_a * (-a_sq + b_sq + c_sq) + x_b * (a_sq - b_sq + c_sq) + x_c * (a_sq + b_sq - c_sq)
+    q2 = x_b * x_c * a_sq + x_c * x_a * b_sq + x_a * x_b * c_sq
+    return d * q1 - 4 * q2 - t.P, 2 * t.abc * d, d
+
+
+INTEGER_SIDES = st.integers(min_value=1, max_value=10**200)
+
+
+@settings(max_examples=150, deadline=None)
+@given(INTEGER_SIDES, INTEGER_SIDES, INTEGER_SIDES, st.integers(min_value=1, max_value=10**60))
+@example(3, 4, 5, 1)
+@example(7, 7, 7, 3)
+def test_shared_pass_is_the_per_circle_formula(a, b, c, L):
+    """Every circle's numerators from the shared circle terms equal the
+    per-circle formula, on valid and invalid integer sides alike (the
+    numerators are polynomials), and on a kernel whose abc is moved by
+    one: the shared products read the sides' own product, as the
+    distance identity does, and 2*abc*d the moved one."""
+    t = _integer_triangle(a, b, c, L)
+    for kernel in (t, t._replace(abc=t.abc + 1)):
+        terms = kernel.circle_terms()
+        assert terms[6] == 4 * kernel.P * L * L
+        for circle in CIRCLES:
+            assert kernel.tangency_numerators(circle, terms) == per_circle_numerators(
+                kernel, circle
+            ), circle
 
 
 # --- the preliminaries, proven in coordinates ------------------------------
@@ -579,8 +617,9 @@ def test_closed_form_report_matches_reduced_numerators(sides: SideLengths):
     # residual nonzero.
     off = t._replace(abc=t.abc + 1)
     moved = a * b * c + Fraction(1, t.L**3)
+    terms = off.circle_terms()
     for circle in CIRCLES:
-        got = TangencyReport(*off.tangency(circle, met._values(), None, None))
+        got = TangencyReport(*off.tangency(circle, met._values(), terms, None))
         assert got.kind is Tangency.NOT_TANGENT
         want = reference_report(sides, circle, moved)
         assert got == want, circle

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from ninepoint.centers import (
@@ -389,6 +389,20 @@ class TestDerivedFields:
     def test_exact_report(self, sides: SideLengths):
         assert_report_derives_from_its_sides(feuerbach_report(sides))
 
+    @given(rational_sides)
+    @example(SideLengths(1, 1, 1))
+    def test_exact_report_builds_no_metrics(self, sides: SideLengths):
+        # The exact closed forms read no metrics, so a report on fresh sides
+        # leaves them unbuilt; its entries, metrics and equilateral flag are
+        # those of a report on sides whose metrics were built first.
+        fresh = SideLengths(*sides.as_tuple())
+        report = feuerbach_report(fresh)
+        assert "_metric_terms" not in vars(fresh)
+        met = metrics(sides)
+        assert report.entries == feuerbach_report(sides).entries
+        assert report.metrics == met and report.equilateral == sides.is_equilateral
+        assert_report_derives_from_its_sides(report)
+
     @pytest.mark.parametrize("sides", [(3, 4, 5), (1, 1, 1), (F(13, 3), 4, F(15, 7)), (2, 2, 3)])
     def test_exact_report_not_tangent(self, sides):
         # The scaled abc is L^3 * abc; moving it by one makes every circle
@@ -396,8 +410,9 @@ class TestDerivedFields:
         sides = SideLengths(*sides)
         t = sides._kernel
         off = t._replace(abc=t.abc + 1)
+        terms = off.circle_terms()
         for circle in CIRCLES:
-            report = TangencyReport(*off.tangency(circle, sides._metric_terms, None, None))
+            report = TangencyReport(*off.tangency(circle, sides._metric_terms, terms, None))
             assert report.kind is Tangency.NOT_TANGENT
             assert_residuals_are_lhs_minus_rhs(report)
 

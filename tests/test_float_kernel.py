@@ -51,10 +51,14 @@ BOUND = {
     "side_point": 0.24,
     "distance_sq": 2.71,
 }
-# The kernel's other shared names: each circle's verdict and residual, and
-# the vocabulary of the public functions (a result's public value and its
-# float, a weight over its sum, the kernel of other sides).
-SHARED = {"verdict", "tangency", "residual", "value", "values", "as_float", "ratio", "with_sides"}
+# The kernel's other shared names: what the four circles share, each
+# circle's verdict and residual, and the vocabulary of the public functions
+# (a result's public value and its float, a weight over its sum, the kernel
+# of other sides).
+SHARED = {
+    "circle_terms", "verdict", "tangency", "residual",
+    "value", "values", "as_float", "ratio", "with_sides",
+}
 
 
 def _kernel_calls(*functions):

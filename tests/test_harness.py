@@ -505,9 +505,9 @@ class TestExactSuitePath:
         calls = [0]
         original = _IntegerTriangle.tangency_numerators
 
-        def counting(t, circle):
+        def counting(t, circle, terms):
             calls[0] += 1
-            return original(t, circle)
+            return original(t, circle, terms)
 
         monkeypatch.setattr(_IntegerTriangle, "tangency_numerators", counting)
         for kind in PROFILE_KINDS:
