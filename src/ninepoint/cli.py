@@ -24,7 +24,10 @@ backend's token function turns each value into its JSON token once:
 of the kernel, reduced by one gcd, ``_square_token`` an exact tangent
 lhs from its square ratio, reduced by gcds on the root's digits, with
 each distinct denominator's digits written once per answer, and
-``_float_token`` a float's repr.  ``_layout`` then writes the layout of
+``_float_token`` a float's repr.  The exact tokens write an integer of
+more than 4,000 bits by halving it at a power of ten (``_digits``),
+which beats CPython's quadratic ``str`` from there, and shorter ones with
+``str``; both refuse the same integers.  ``_layout`` then writes the layout of
 ``json.dumps(doc, indent=2)`` around the tokens, byte for byte, without importing ``json``, so byte-identical
 round trips are ``json.dumps(json.loads(text), indent=2) + "\\n" == text``.
 The text format prints the same tokens.  The values come from the library:
